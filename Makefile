@@ -6,7 +6,8 @@ GO ?= go
 # Kernel micro-benchmarks recorded into BENCH_mcts.json (episode, rollout,
 # prior phase — scalar and batched, what-if cache hit/miss, the batched
 # what-if path, projection build, bound derivation, and the
-# parallel-pipeline speedup).
+# parallel-pipeline speedup; bound derivation covers both the TPC-H store
+# and the Real-M two-phase store).
 KERNEL_BENCH = BenchmarkEpisode|BenchmarkRollout|BenchmarkComputePriors|BenchmarkPriorPhaseBatched|BenchmarkMCTSFixedBudgetWorkers|BenchmarkWhatIfCall|BenchmarkWhatIfCacheHit|BenchmarkWhatIfCacheMiss|BenchmarkWhatIfBatch|BenchmarkDerivedLookup|BenchmarkProjectionBuild|BenchmarkWhatIfProjectedCacheHit|BenchmarkBoundDerivation|BenchmarkEarlyStopCheck|BenchmarkMCTSEarlyStop|BenchmarkEvictionChurn
 
 .PHONY: check vet lint lint-json build test race bench-smoke bench-json bench-check profile trace-smoke tuned-smoke
@@ -61,18 +62,21 @@ bench-json:
 # at 0 allocs/op; batched scoring amortizes its result slice across the batch
 # and must stay at 0 allocs per scored pair; the byte-bounded cache-hit path
 # pays at most the CLOCK reference bit over the unbounded hit — gated at
-# <= 1.1x its ns/op and 0 allocs/op). The what-if kernels run a fixed
+# <= 1.1x its ns/op and 0 allocs/op; the derived-store reads — Query and
+# Bounds on the TPC-H store, Bounds on the Real-M two-phase store — must
+# stay at 0 allocs/op). The what-if kernels run a fixed
 # iteration count so the scalar and batched miss benchmarks insert the same
 # number of cache entries — a time-based budget would let the faster batch
 # path fill a much larger cache and pay unmatched map-growth cost.
 bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkEpisode|BenchmarkMCTSFixedBudgetWorkers|BenchmarkEarlyStopCheck' ./internal/core > benchcheck.out
 	$(GO) test -run '^$$' -bench 'BenchmarkWhatIfCacheHit$$|BenchmarkWhatIfCacheHitBounded$$|BenchmarkWhatIfProjectedCacheHit$$|BenchmarkWhatIfCacheMiss$$|BenchmarkWhatIfBatch|BenchmarkEvictionChurn$$' -benchtime 2000000x . >> benchcheck.out
+	$(GO) test -run '^$$' -bench 'BenchmarkBoundDerivation|BenchmarkDerivedLookup$$' . >> benchcheck.out
 	$(GO) run ./cmd/benchdiff -baseline BENCH_mcts.json -threshold 1.20 -match '^BenchmarkEpisode$$' benchcheck.out
 	$(GO) run ./cmd/benchdiff -speedup 'BenchmarkMCTSFixedBudgetWorkers/workers=1,BenchmarkMCTSFixedBudgetWorkers/workers=4,2.0' benchcheck.out
 	$(GO) run ./cmd/benchdiff -speedup 'BenchmarkWhatIfCacheMiss,BenchmarkWhatIfBatch64,2.0' benchcheck.out
 	$(GO) run ./cmd/benchdiff -speedup 'BenchmarkWhatIfCacheHit,BenchmarkWhatIfCacheHitBounded,0.909' benchcheck.out
-	$(GO) run ./cmd/benchdiff -maxallocs 'BenchmarkWhatIfCacheHit,0' -maxallocs 'BenchmarkWhatIfCacheHitBounded,0' -maxallocs 'BenchmarkWhatIfProjectedCacheHit,0' -maxallocs 'BenchmarkEpisodeCached,16' -maxallocs 'BenchmarkEarlyStopCheck,0' -maxallocs 'BenchmarkWhatIfBatch8,0' -maxallocs 'BenchmarkWhatIfBatch64,0' benchcheck.out
+	$(GO) run ./cmd/benchdiff -maxallocs 'BenchmarkWhatIfCacheHit,0' -maxallocs 'BenchmarkWhatIfCacheHitBounded,0' -maxallocs 'BenchmarkWhatIfProjectedCacheHit,0' -maxallocs 'BenchmarkEpisodeCached,16' -maxallocs 'BenchmarkEarlyStopCheck,0' -maxallocs 'BenchmarkWhatIfBatch8,0' -maxallocs 'BenchmarkWhatIfBatch64,0' -maxallocs 'BenchmarkBoundDerivation,0' -maxallocs 'BenchmarkBoundDerivationRealM,0' -maxallocs 'BenchmarkDerivedLookup,0' benchcheck.out
 	@rm -f benchcheck.out
 
 # profile runs a representative tuning session under the CPU and heap

@@ -358,6 +358,31 @@ func BenchmarkBoundDerivation(b *testing.B) {
 	}
 }
 
+// BenchmarkBoundDerivationRealM measures Bounds against the derived store
+// left by a Real-M two-phase run at B=5000 (317 queries, 12,284 candidates,
+// so every configuration spans 192 bitset words), probing the (query,
+// configuration) pairs the run charged, in charge order.
+func BenchmarkBoundDerivationRealM(b *testing.B) {
+	s := benchSession(b, "real-m", 10, 5000)
+	s.DeriveEpsilon = search.DefaultDeriveEpsilon
+	s.StopEpsilon = search.DefaultStopEpsilon
+	search.Run(greedy.TwoPhase{}, s)
+	cells := s.Layout.Cells()
+	probes := make([]iset.Set, len(cells))
+	for i, c := range cells {
+		probes[i] = iset.NewSet(s.NumCandidates())
+		for _, o := range c.Config {
+			probes[i].Add(int(o))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(cells)
+		s.Derived.Bounds(cells[k].Query, probes[k])
+	}
+}
+
 // BenchmarkPublicTune measures the end-to-end public API path.
 func BenchmarkPublicTune(b *testing.B) {
 	w := Workload("tpch")

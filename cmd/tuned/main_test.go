@@ -270,3 +270,19 @@ func TestRunExitCodes(t *testing.T) {
 		t.Fatalf("unlistenable addr: exit %d, want 1", got)
 	}
 }
+
+// SSE framing across chunk boundaries: a JSONL line split over two stream
+// chunks becomes one data frame, blank lines are skipped, and a final line
+// without a newline is flushed at the end of the stream.
+func TestSSELineSpanningChunks(t *testing.T) {
+	var out bytes.Buffer
+	var rem []byte
+	for _, chunk := range []string{"{\"kind\":\"a\"}\n{\"kind\":", "\"b\"}\n  \n", "{\"kind\":\"c\"}"} {
+		rem = writeSSELines(&out, append(rem, chunk...))
+	}
+	writeSSEData(&out, rem)
+	want := "data: {\"kind\":\"a\"}\n\ndata: {\"kind\":\"b\"}\n\ndata: {\"kind\":\"c\"}\n\n"
+	if out.String() != want {
+		t.Fatalf("SSE frames:\n%q\nwant\n%q", out.String(), want)
+	}
+}

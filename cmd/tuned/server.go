@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -152,24 +154,17 @@ func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 	}
 	flush()
 
+	st := j.Stream()
+	st.Attach() // holds off the finished job's replay trim until we are done
+	defer st.Detach()
 	off := 0
 	var rem []byte // partial JSONL line carried across chunks (SSE framing)
 	for {
-		data, next, open, wake := j.Stream().Next(off)
+		data, next, open, wake := st.Next(off)
 		off = next
 		if len(data) > 0 {
 			if sse {
-				rem = append(rem, data...)
-				for {
-					i := strings.IndexByte(string(rem), '\n')
-					if i < 0 {
-						break
-					}
-					if line := strings.TrimSpace(string(rem[:i])); line != "" {
-						fmt.Fprintf(w, "data: %s\n\n", line)
-					}
-					rem = rem[i+1:]
-				}
+				rem = writeSSELines(w, append(rem, data...))
 			} else {
 				w.Write(data)
 			}
@@ -184,8 +179,8 @@ func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if sse && len(strings.TrimSpace(string(rem))) > 0 {
-		fmt.Fprintf(w, "data: %s\n\n", strings.TrimSpace(string(rem)))
+	if sse {
+		writeSSEData(w, rem)
 	}
 	// The stream only closes once the job is terminal, so the snapshot here
 	// is final: it carries the result (with the refund accounting for
@@ -200,6 +195,29 @@ func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "{\"kind\":\"job-summary\",\"job\":%s}\n", snap)
 	}
 	flush()
+}
+
+// writeSSELines writes every complete line of buf as one SSE data frame and
+// returns the trailing partial line, moved to the front of buf so the carry
+// buffer is reused across chunks.
+func writeSSELines(w io.Writer, buf []byte) []byte {
+	rest := buf
+	for {
+		i := bytes.IndexByte(rest, '\n')
+		if i < 0 {
+			break
+		}
+		writeSSEData(w, rest[:i])
+		rest = rest[i+1:]
+	}
+	return append(buf[:0], rest...)
+}
+
+// writeSSEData writes line as one SSE data frame, skipping blank lines.
+func writeSSEData(w io.Writer, line []byte) {
+	if line = bytes.TrimSpace(line); len(line) > 0 {
+		fmt.Fprintf(w, "data: %s\n\n", line)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -15,15 +15,147 @@ type entry struct {
 	cost float64
 }
 
+// postings is one query's share of the store: its entries in recording
+// order plus an inverted index from candidate ordinal to entry positions.
+// The index is keyed by the ordinals the query's entries actually mention —
+// never sized to the candidate universe — so memory grows with what was
+// recorded.
+type postings struct {
+	entries []entry
+	empty   []int32         // positions of empty-configuration entries
+	slot    map[int32]int32 // candidate ordinal -> index into lists
+	lists   []posting
+}
+
+// posting holds the entry positions of one (query, ordinal) pair, ascending.
+// all lists every entry mentioning the ordinal; head lists only the entries
+// filed under it, each non-empty entry being filed under exactly one of its
+// ordinals — the one with the shortest list when it was recorded, so
+// entries land on rare ordinals rather than on the ones every configuration
+// of a greedy run shares.
+type posting struct {
+	all  []int32
+	head []int32
+}
+
+// list returns the posting of ordinal o, or nil when no entry mentions it.
+func (p *postings) list(o int32) *posting {
+	if i, ok := p.slot[o]; ok {
+		return &p.lists[i]
+	}
+	return nil
+}
+
+// subsetMin returns the minimum of d and the costs of the entries whose
+// configuration is a subset of cfg (ords: cfg's members, ascending). Such an
+// entry is empty or filed under one of its own ordinals, all of which are in
+// cfg, so the empty entries plus the head lists of cfg's ordinals cover
+// every candidate, each once.
+func (p *postings) subsetMin(d float64, cfg iset.Set, ords iset.Small) float64 {
+	for _, pos := range p.empty {
+		if c := p.entries[pos].cost; c < d {
+			d = c
+		}
+	}
+	for _, o := range ords {
+		l := p.list(o)
+		if l == nil {
+			continue
+		}
+		for _, pos := range l.head {
+			e := &p.entries[pos]
+			if e.cost < d && e.set.SubsetOfSet(cfg) {
+				d = e.cost
+			}
+		}
+	}
+	return d
+}
+
+// scanMax is the entry count up to which subset reads scan every entry:
+// below it the scan is cheaper than looking up cfg's ordinals.
+const scanMax = 48
+
+// scanMin is subsetMin by a scan over every entry.
+func (p *postings) scanMin(d float64, cfg iset.Set) float64 {
+	for i := range p.entries {
+		e := &p.entries[i]
+		if e.cost < d && e.set.SubsetOfSet(cfg) {
+			d = e.cost
+		}
+	}
+	return d
+}
+
+// supersetMax returns the maximum of lo and the costs of the entries whose
+// configuration contains every ordinal of ords. A superset of a non-empty
+// cfg is on the posting list of each of cfg's ordinals, so only the
+// shortest such list is walked.
+func (p *postings) supersetMax(lo float64, ords iset.Small) float64 {
+	if len(ords) == 0 {
+		for i := range p.entries {
+			if c := p.entries[i].cost; c > lo {
+				lo = c
+			}
+		}
+		return lo
+	}
+	var short []int32
+	for i, o := range ords {
+		l := p.list(o)
+		if l == nil {
+			return lo
+		}
+		if i == 0 || len(l.all) < len(short) {
+			short = l.all
+		}
+	}
+	for _, pos := range short {
+		e := &p.entries[pos]
+		if e.cost > lo && containsAll(e.set, ords) {
+			lo = e.cost
+		}
+	}
+	return lo
+}
+
+// containsAll reports whether sorted sub ⊆ sorted sup by a single merge.
+func containsAll(sup, sub iset.Small) bool {
+	if len(sub) > len(sup) {
+		return false
+	}
+	j := 0
+	for _, o := range sub {
+		for j < len(sup) && sup[j] < o {
+			j++
+		}
+		if j == len(sup) || sup[j] != o {
+			return false
+		}
+		j++
+	}
+	return true
+}
+
+// smallBuf sizes the stack buffer reads collect cfg's ordinals into: every
+// configuration a tuning run asks about has at most K+1 members, so reads
+// stay allocation-free for K < smallBuf; larger configurations spill to
+// the heap and are answered the same.
+const smallBuf = 32
+
 // DerivedStore records the what-if costs observed so far and answers derived
 // cost queries: d(q, C) = min over known subsets S ⊆ C of c(q, S)
 // (Equation 1), with d(q, ∅) = c(q, ∅).
+//
+// Reads of queries with more than scanMax entries visit only the entries
+// that can qualify, through per-query ordinal postings (DESIGN §16); their
+// answers equal those of a scan over every recorded entry, since min and
+// max over the same qualifying entries do not depend on visit order.
 type DerivedStore struct {
 	w       *workload.Workload
-	base    []float64       // c(q, ∅) per query
-	byQ     [][]entry       // known costs per query
-	byIdx   []map[int][]int // per query: candidate ordinal -> entry positions
-	touched map[int][]int   // candidate ordinal -> queries with entries mentioning it
+	base    []float64     // c(q, ∅) per query
+	byQ     []postings    // known costs per query, with their ordinal postings
+	touched map[int][]int // candidate ordinal -> queries with entries mentioning it
 	// touchedIn is the membership bitmap behind touched: per candidate
 	// ordinal, one bit per query index. Recording order can interleave
 	// queries arbitrarily (parallel MCTS commits, per-query greedy phases),
@@ -32,42 +164,23 @@ type DerivedStore struct {
 	// floors[i] = c(q_i, U) for the full candidate universe U, or -1 when
 	// not yet probed. By Assumption 1 (monotonicity) this is a lower bound
 	// on c(q_i, C) for every C ⊆ U — the per-query improvement floor the
-	// early-stopping checker aggregates. Floors are kept out of byQ/byIdx
-	// on purpose: a universe-sized entry would put every query on every
-	// ordinal's touched list and destroy the sparsity the greedy fast path
-	// relies on.
+	// early-stopping checker aggregates. Floors are kept out of the entries
+	// and postings on purpose: a universe-sized entry would put every query
+	// on every ordinal's touched list and destroy the sparsity the greedy
+	// fast path relies on.
 	floors []float64
-	// bytes approximates the resident footprint of the recorded entries and
-	// their per-ordinal position index; qBytes is its per-query breakdown so
-	// ReleaseQuery can return exactly what it frees. Maintained
-	// incrementally in Record — never scanned.
-	bytes  int64
-	qBytes []int64
-}
-
-// derivedEntryBytes estimates one recorded entry's footprint: the entry
-// struct (slice header + cost), the Small's backing array, and the byIdx
-// position-index growth its ordinals cause.
-func derivedEntryBytes(sm iset.Small) int64 {
-	return 48 + 12*int64(len(sm))
 }
 
 // NewDerivedStore creates a store for w with the given baseline costs
 // (base[i] = c(w.Queries[i], ∅)).
 func NewDerivedStore(w *workload.Workload, base []float64) *DerivedStore {
-	ds := &DerivedStore{
+	return &DerivedStore{
 		w:         w,
 		base:      base,
-		byQ:       make([][]entry, len(w.Queries)),
-		byIdx:     make([]map[int][]int, len(w.Queries)),
+		byQ:       make([]postings, len(w.Queries)),
 		touched:   make(map[int][]int),
 		touchedIn: make(map[int][]uint64),
-		qBytes:    make([]int64, len(w.Queries)),
 	}
-	for i := range ds.byIdx {
-		ds.byIdx[i] = make(map[int][]int)
-	}
-	return ds
 }
 
 // Base returns c(q_i, ∅).
@@ -85,14 +198,29 @@ func (ds *DerivedStore) BaseWorkload() float64 {
 // Record registers the observed what-if cost c(q_i, cfg).
 func (ds *DerivedStore) Record(qi int, cfg iset.Set, c float64) {
 	sm := iset.SmallFromSet(cfg)
-	pos := len(ds.byQ[qi])
-	ds.byQ[qi] = append(ds.byQ[qi], entry{set: sm, cost: c})
-	n := derivedEntryBytes(sm)
-	ds.bytes += n
-	ds.qBytes[qi] += n
+	p := &ds.byQ[qi]
+	pos := int32(len(p.entries))
+	p.entries = append(p.entries, entry{set: sm, cost: c})
+	if len(sm) == 0 {
+		p.empty = append(p.empty, pos)
+	}
+	if p.slot == nil && len(sm) > 0 {
+		p.slot = make(map[int32]int32)
+	}
+	head := int32(-1)
 	for _, o := range sm {
+		i, ok := p.slot[o]
+		if !ok {
+			i = int32(len(p.lists))
+			p.slot[o] = i
+			p.lists = append(p.lists, posting{})
+		}
+		l := &p.lists[i]
+		l.all = append(l.all, pos)
+		if head < 0 || len(l.all) < len(p.lists[head].all) {
+			head = i
+		}
 		ord := int(o)
-		ds.byIdx[qi][ord] = append(ds.byIdx[qi][ord], pos)
 		bm := ds.touchedIn[ord]
 		if bm == nil {
 			bm = make([]uint64, (len(ds.base)+63)/64)
@@ -102,6 +230,9 @@ func (ds *DerivedStore) Record(qi int, cfg iset.Set, c float64) {
 			bm[qi>>6] |= 1 << uint(qi&63)
 			ds.touched[ord] = append(ds.touched[ord], qi)
 		}
+	}
+	if head >= 0 {
+		p.lists[head].head = append(p.lists[head].head, pos)
 	}
 }
 
@@ -132,7 +263,7 @@ func (ds *DerivedStore) Floor(qi int) (c float64, ok bool) {
 // Incremental consumers — the early-stopping checker — use it to fold in only
 // the entries recorded since their last visit.
 func (ds *DerivedStore) EntryAt(qi, pos int) (set iset.Small, cost float64) {
-	e := &ds.byQ[qi][pos]
+	e := &ds.byQ[qi].entries[pos]
 	return e.set, e.cost
 }
 
@@ -144,51 +275,16 @@ func (ds *DerivedStore) TouchedQueries(ord int) []int {
 }
 
 // Entries returns the number of recorded what-if costs for query qi.
-func (ds *DerivedStore) Entries(qi int) int { return len(ds.byQ[qi]) }
-
-// Bytes returns the approximate resident footprint of the recorded entries
-// (baseline and floor arrays excluded: they are O(queries) and permanent).
-func (ds *DerivedStore) Bytes() int64 { return ds.bytes }
-
-// QueryBytes returns the approximate resident footprint of query qi's
-// recorded entries.
-func (ds *DerivedStore) QueryBytes(qi int) int64 { return ds.qBytes[qi] }
-
-// ReleaseQuery drops every recorded entry of query qi and returns the bytes
-// freed — the coarse-grained release lever for long-lived stores whose
-// Bytes() has grown past the owner's comfort. Unlike what-if cache eviction
-// (which only ever causes recomputation), releasing derived entries CAN
-// loosen subsequent derived answers and bounds for qi back toward the
-// baseline: the store stays sound (Assumption 1 bounds remain valid, floors
-// and the baseline are kept) but no longer tight. Owners must therefore
-// release only between runs, never while an incremental consumer — the
-// early-stopping checker's per-query entry positions — is mid-session; the
-// sessions in this repository never release, keeping every run's results
-// bit-identical to an unbounded store.
-func (ds *DerivedStore) ReleaseQuery(qi int) int64 {
-	freed := ds.qBytes[qi]
-	if freed == 0 && len(ds.byQ[qi]) == 0 {
-		return 0
-	}
-	ds.byQ[qi] = nil
-	ds.byIdx[qi] = make(map[int][]int)
-	// touched/touchedIn keep qi marked: the invariant is "bit set ⟺ qi on
-	// the touched list", and an empty byQ[qi] makes the stale list entry a
-	// harmless no-op in every consumer.
-	ds.bytes -= freed
-	ds.qBytes[qi] = 0
-	return freed
-}
+func (ds *DerivedStore) Entries(qi int) int { return len(ds.byQ[qi].entries) }
 
 // Query returns d(q_i, cfg) per Equation 1.
 func (ds *DerivedStore) Query(qi int, cfg iset.Set) float64 {
-	d := ds.base[qi]
-	for _, e := range ds.byQ[qi] {
-		if e.cost < d && e.set.SubsetOfSet(cfg) {
-			d = e.cost
-		}
+	p := &ds.byQ[qi]
+	if len(p.entries) <= scanMax {
+		return p.scanMin(ds.base[qi], cfg)
 	}
-	return d
+	var buf [smallBuf]int32
+	return p.subsetMin(ds.base[qi], cfg, cfg.AppendSmall(buf[:0]))
 }
 
 // Bounds returns monotonicity-derived bounds on c(q_i, cfg) from the
@@ -198,24 +294,21 @@ func (ds *DerivedStore) Query(qi int, cfg iset.Set) float64 {
 // lower bound is the maximum over the costs of known supersets of cfg and
 // the probed universe floor (every configuration is a subset of U), with 0
 // when neither has been observed. lo ≤ hi always holds; the bounds are tight
-// (lo == hi) whenever cfg itself has been recorded.
+// (lo == hi) whenever cfg itself has been recorded: such an entry is its own
+// subset and superset, so both sides see its cost.
 func (ds *DerivedStore) Bounds(qi int, cfg iset.Set) (lo, hi float64) {
-	hi = ds.base[qi]
-	lo = 0
+	p := &ds.byQ[qi]
+	var buf [smallBuf]int32
+	ords := cfg.AppendSmall(buf[:0])
+	if len(p.entries) <= scanMax {
+		hi = p.scanMin(ds.base[qi], cfg)
+	} else {
+		hi = p.subsetMin(ds.base[qi], cfg, ords)
+	}
 	if ds.floors != nil && ds.floors[qi] > 0 {
 		lo = ds.floors[qi]
 	}
-	for i := range ds.byQ[qi] {
-		e := &ds.byQ[qi][i]
-		// Both checks run for an entry equal to cfg (it is its own subset and
-		// superset), which pins lo == hi == its recorded cost.
-		if e.set.SubsetOfSet(cfg) && e.cost < hi {
-			hi = e.cost
-		}
-		if e.cost > lo && cfg.SubsetOfSmall(e.set) {
-			lo = e.cost
-		}
-	}
+	lo = p.supersetMax(lo, ords)
 	if lo > hi {
 		// Recorded costs of nested configurations can invert by at most
 		// floating-point noise; clamp so callers get a well-formed interval.
@@ -228,9 +321,14 @@ func (ds *DerivedStore) Bounds(qi int, cfg iset.Set) (lo, hi float64) {
 // examining only entries that mention the added index. This is the
 // incremental form the greedy inner loop relies on.
 func (ds *DerivedStore) QueryWith(qi int, base iset.Set, dBase float64, add int) float64 {
+	p := &ds.byQ[qi]
 	d := dBase
-	for _, pos := range ds.byIdx[qi][add] {
-		e := &ds.byQ[qi][pos]
+	l := p.list(int32(add))
+	if l == nil {
+		return d
+	}
+	for _, pos := range l.all {
+		e := &p.entries[pos]
 		if e.cost >= d {
 			continue
 		}
@@ -276,7 +374,7 @@ func (ds *DerivedStore) Benefit(cfg iset.Set) float64 {
 // (Equation 2), used by the theory of Section 3.1.2 and its tests.
 func (ds *DerivedStore) SingletonDerived(qi int, cfg iset.Set) float64 {
 	d := ds.base[qi]
-	for _, e := range ds.byQ[qi] {
+	for _, e := range ds.byQ[qi].entries {
 		if len(e.set) == 1 && e.cost < d && cfg.Has(int(e.set[0])) {
 			d = e.cost
 		}

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -14,12 +15,15 @@ import (
 
 // tinyWorkload builds a 3-query workload over one table; costs are supplied
 // manually so derived-cost semantics can be checked exactly.
-func tinyWorkload() *workload.Workload {
+func tinyWorkload() *workload.Workload { return nQueryWorkload(3) }
+
+// nQueryWorkload builds an n-query workload over one table.
+func nQueryWorkload(n int) *workload.Workload {
 	db := schema.NewDatabase("t")
 	db.AddTable(schema.NewTable("T", 100, schema.Column{Name: "x", NDV: 10, Width: 4}))
 	var qs []*workload.Query
-	for _, id := range []string{"q0", "q1", "q2"} {
-		b := workload.NewBuilder(id)
+	for i := 0; i < n; i++ {
+		b := workload.NewBuilder(fmt.Sprintf("q%d", i))
 		r := b.Ref("T")
 		b.Proj(r, "x")
 		qs = append(qs, b.Build())
@@ -392,42 +396,5 @@ func TestEntryAt(t *testing.T) {
 	set, c = ds.EntryAt(1, 1)
 	if c != 160 || !set.Contains(4) || !set.Contains(5) {
 		t.Fatalf("EntryAt(1, 1) = (%v, %v), want ({4,5}, 160)", set, c)
-	}
-}
-
-func TestDerivedStoreByteAccounting(t *testing.T) {
-	ds, _ := newStore()
-	if ds.Bytes() != 0 {
-		t.Fatalf("fresh store reports %d bytes", ds.Bytes())
-	}
-	ds.Record(0, iset.FromOrdinals(1), 90)
-	ds.Record(0, iset.FromOrdinals(1, 2), 80)
-	ds.Record(1, iset.FromOrdinals(2), 150)
-	if ds.Bytes() != ds.QueryBytes(0)+ds.QueryBytes(1) {
-		t.Fatalf("Bytes %d != sum of QueryBytes %d+%d", ds.Bytes(), ds.QueryBytes(0), ds.QueryBytes(1))
-	}
-	if ds.QueryBytes(0) <= ds.QueryBytes(1) {
-		t.Fatal("two entries must account more than one")
-	}
-
-	// Release drops q0's entries and exactly its bytes; answers for q0 fall
-	// back to the baseline (sound, no longer tight) while q1 is untouched.
-	freed := ds.ReleaseQuery(0)
-	if freed == 0 || ds.QueryBytes(0) != 0 || ds.Bytes() != ds.QueryBytes(1) {
-		t.Fatalf("release accounting: freed=%d q0=%d total=%d", freed, ds.QueryBytes(0), ds.Bytes())
-	}
-	if got := ds.Query(0, iset.FromOrdinals(1, 2)); got != 100 {
-		t.Fatalf("released query answers %v, want baseline 100", got)
-	}
-	if got := ds.Query(1, iset.FromOrdinals(2)); got != 150 {
-		t.Fatalf("unreleased query lost its entry: %v", got)
-	}
-	if ds.ReleaseQuery(0) != 0 {
-		t.Fatal("double release freed bytes")
-	}
-	// Recording after a release works and re-accounts.
-	ds.Record(0, iset.FromOrdinals(2), 70)
-	if ds.QueryBytes(0) == 0 || ds.Query(0, iset.FromOrdinals(2)) != 70 {
-		t.Fatal("store unusable after release")
 	}
 }

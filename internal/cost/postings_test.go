@@ -1,0 +1,208 @@
+package cost
+
+import (
+	"math/rand"
+	"testing"
+
+	"indextune/internal/iset"
+)
+
+// refQuery, refBounds and refQueryWith are the linear scans over every
+// recorded entry that the posting index replaced. They stay as the
+// specification the indexed reads must reproduce bit for bit.
+
+func refQuery(ds *DerivedStore, qi int, cfg iset.Set) float64 {
+	d := ds.Base(qi)
+	for pos := 0; pos < ds.Entries(qi); pos++ {
+		set, c := ds.EntryAt(qi, pos)
+		if c < d && set.SubsetOfSet(cfg) {
+			d = c
+		}
+	}
+	return d
+}
+
+func refBounds(ds *DerivedStore, qi int, cfg iset.Set) (lo, hi float64) {
+	hi = ds.Base(qi)
+	if f, ok := ds.Floor(qi); ok && f > 0 {
+		lo = f
+	}
+	ords := cfg.Ordinals()
+	for pos := 0; pos < ds.Entries(qi); pos++ {
+		set, c := ds.EntryAt(qi, pos)
+		if set.SubsetOfSet(cfg) && c < hi {
+			hi = c
+		}
+		sup := true
+		for _, o := range ords {
+			if !set.Contains(o) {
+				sup = false
+				break
+			}
+		}
+		if c > lo && sup {
+			lo = c
+		}
+	}
+	if lo > hi {
+		lo = hi
+	}
+	return lo, hi
+}
+
+func refQueryWith(ds *DerivedStore, qi int, base iset.Set, dBase float64, add int) float64 {
+	d := dBase
+	for pos := 0; pos < ds.Entries(qi); pos++ {
+		set, c := ds.EntryAt(qi, pos)
+		if !set.Contains(add) || c >= d {
+			continue
+		}
+		ok := true
+		for _, o := range set {
+			if int(o) != add && !base.Has(int(o)) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			d = c
+		}
+	}
+	return d
+}
+
+// realMWidth is the Real-M candidate universe: configurations over it span
+// 192 bitset words.
+const realMWidth = 12284
+
+// streamGen draws configurations the way a tuning run produces them: mostly
+// from a small hot pool of ordinals, so subset and superset relations are
+// common, with occasional ordinals from anywhere in the Real-M universe.
+type streamGen struct {
+	rng *rand.Rand
+	hot []int
+}
+
+func newStreamGen(seed int64) *streamGen {
+	g := &streamGen{rng: rand.New(rand.NewSource(seed))}
+	for i := 0; i < 14; i++ {
+		g.hot = append(g.hot, g.rng.Intn(realMWidth))
+	}
+	return g
+}
+
+func (g *streamGen) ord() int {
+	if g.rng.Intn(5) == 0 {
+		return g.rng.Intn(realMWidth)
+	}
+	return g.hot[g.rng.Intn(len(g.hot))]
+}
+
+// cfg returns a configuration of up to K+1 = 11 members, empty one time in
+// eight.
+func (g *streamGen) cfg() iset.Set {
+	var s iset.Set
+	if g.rng.Intn(8) == 0 {
+		return s
+	}
+	for n := 1 + g.rng.Intn(11); n > 0; n-- {
+		s.Add(g.ord())
+	}
+	return s
+}
+
+// probe derives a read-side configuration: a recorded one as is, shrunk, or
+// grown, or a fresh random one.
+func (g *streamGen) probe(recorded []iset.Set) (cfg iset.Set, exact bool) {
+	if len(recorded) == 0 || g.rng.Intn(4) == 0 {
+		return g.cfg(), false
+	}
+	cfg = recorded[g.rng.Intn(len(recorded))].Clone()
+	switch g.rng.Intn(3) {
+	case 0:
+		return cfg, true
+	case 1:
+		if ords := cfg.Ordinals(); len(ords) > 0 {
+			cfg.Remove(ords[g.rng.Intn(len(ords))])
+		}
+	default:
+		cfg.Add(g.ord())
+	}
+	return cfg, false
+}
+
+// The indexed reads equal the linear scans exactly over random interleaved
+// record streams at Real-M width: empty and duplicate configurations,
+// universe floors, and probes at, below and above recorded entries.
+func TestPostingReadsMatchLinearScan(t *testing.T) {
+	const nq = 5
+	for seed := int64(1); seed <= 20; seed++ {
+		g := newStreamGen(seed)
+		base := make([]float64, nq)
+		for i := range base {
+			base[i] = 100 + 900*g.rng.Float64()
+		}
+		ds := NewDerivedStore(nQueryWorkload(nq), base)
+		recorded := make([][]iset.Set, nq)
+		for step := 0; step < 1000; step++ {
+			qi := g.rng.Intn(nq)
+			switch r := g.rng.Intn(20); {
+			case r == 0:
+				ds.RecordFloor(qi, base[qi]*g.rng.Float64()*0.5)
+			case r < 3 && len(recorded[qi]) > 0:
+				// A duplicate configuration at a different cost.
+				cfg := recorded[qi][g.rng.Intn(len(recorded[qi]))]
+				ds.Record(qi, cfg, base[qi]*g.rng.Float64())
+			default:
+				cfg := g.cfg()
+				ds.Record(qi, cfg, base[qi]*g.rng.Float64())
+				recorded[qi] = append(recorded[qi], cfg)
+			}
+			if step%25 != 24 {
+				continue
+			}
+			for k := 0; k < 20; k++ {
+				qi := g.rng.Intn(nq)
+				cfg, exact := g.probe(recorded[qi])
+				if got, want := ds.Query(qi, cfg), refQuery(ds, qi, cfg); got != want {
+					t.Fatalf("seed %d step %d: Query(q%d, %v) = %v, want %v", seed, step, qi, cfg, got, want)
+				}
+				lo, hi := ds.Bounds(qi, cfg)
+				wlo, whi := refBounds(ds, qi, cfg)
+				if lo != wlo || hi != whi {
+					t.Fatalf("seed %d step %d: Bounds(q%d, %v) = (%v, %v), want (%v, %v)",
+						seed, step, qi, cfg, lo, hi, wlo, whi)
+				}
+				if exact && lo != hi {
+					t.Fatalf("seed %d step %d: recorded %v has open bounds (%v, %v)", seed, step, cfg, lo, hi)
+				}
+				add := g.ord()
+				cfg.Remove(add)
+				dBase := refQuery(ds, qi, cfg)
+				if got, want := ds.QueryWith(qi, cfg, dBase, add), refQueryWith(ds, qi, cfg, dBase, add); got != want {
+					t.Fatalf("seed %d step %d: QueryWith(q%d, %v, +%d) = %v, want %v", seed, step, qi, cfg, add, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Query, Bounds and QueryWith read through stack buffers and never
+// allocate, even with a configuration spanning the Real-M universe.
+func TestPostingReadsAllocationFree(t *testing.T) {
+	g := newStreamGen(3)
+	ds := NewDerivedStore(nQueryWorkload(2), []float64{500, 700})
+	for i := 0; i < 300; i++ {
+		ds.Record(i%2, g.cfg(), 400*g.rng.Float64())
+	}
+	cfg := iset.FromOrdinals(g.hot[:10]...)
+	cfg.Add(realMWidth - 1)
+	allocs := testing.AllocsPerRun(100, func() {
+		ds.Query(0, cfg)
+		ds.Bounds(1, cfg)
+		ds.QueryWith(0, cfg, 500, g.hot[11])
+	})
+	if allocs != 0 {
+		t.Fatalf("reads allocate %v times per run", allocs)
+	}
+}

@@ -169,20 +169,19 @@ func (s Set) Word(i int) uint64 {
 	return 0
 }
 
-// SubsetOfSmall reports whether every member of s is in m, without
-// allocating. It is the dual of Small.SubsetOfSet, used when deriving
-// superset-based cost bounds from persisted what-if records.
-func (s Set) SubsetOfSmall(m Small) bool {
+// AppendSmall appends the members of s to dst in ascending order and
+// returns the extended slice — with dst sorted and below s's members, a
+// Small. Hot read paths pass a stack buffer to collect a configuration's
+// ordinals without allocating.
+func (s Set) AppendSmall(dst Small) Small {
 	for wi, w := range s.words {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
-			if !m.Contains(wi*wordBits + b) {
-				return false
-			}
+			dst = append(dst, int32(wi*wordBits+b))
 			w &= w - 1
 		}
 	}
-	return true
+	return dst
 }
 
 // Ordinals returns the members in ascending order.

@@ -183,6 +183,19 @@ func TestQuickLenMatchesOrdinals(t *testing.T) {
 	}
 }
 
+// AppendSmall extends dst with the same ordinals SmallFromSet produces.
+func TestQuickAppendSmallMatchesSmallFromSet(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		a := randSet(rng, 30)
+		got := a.AppendSmall(Small{-1})
+		return got[0] == -1 && fmt.Sprint(got[1:]) == fmt.Sprint(SmallFromSet(a))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestQuickIntersectIsLowerBound(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

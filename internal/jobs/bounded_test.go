@@ -234,3 +234,44 @@ func TestBroadcastTrim(t *testing.T) {
 		t.Fatalf("absolute offset lost: %d", next)
 	}
 }
+
+// A reader attached before the job finishes holds the replay trim off: it
+// still replays every byte from offset 0 after the manager has trimmed the
+// finished job, and the trim lands as soon as it detaches.
+func TestAttachedReaderDefersReplayTrim(t *testing.T) {
+	const tail = 1 << 10
+	m := NewManager(Options{MaxConcurrent: 1, ReplayTailBytes: tail})
+	j, err := m.Submit(Spec{Workload: "tpch", Budget: 120, K: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := j.Stream()
+	st.Attach()
+	waitTerminal(t, j)
+	// The manager trims before it frees the run slot, so once a second job
+	// runs on the single slot the first job's trim has been requested.
+	next, err := m.Submit(Spec{Workload: "tpch", Budget: 20, K: 2, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, next)
+
+	data, end, open, _ := st.Next(0)
+	if open {
+		t.Fatal("finished job's stream still open")
+	}
+	if len(data) != end || len(data) <= tail {
+		t.Fatalf("attached reader replays %d of %d bytes (tail %d): stream was trimmed under it", len(data), end, tail)
+	}
+	if !bytes.HasPrefix(data, []byte("{")) || data[len(data)-1] != '\n' {
+		t.Fatalf("replay is not whole JSONL records: %.40q…", data)
+	}
+
+	st.Detach()
+	if r := st.Resident(); r > tail {
+		t.Fatalf("resident %d bytes after the last reader detached, cap %d", r, tail)
+	}
+	if d2, end2, _, _ := st.Next(0); end2 != end || len(d2) >= len(data) {
+		t.Fatalf("after detach: %d bytes ending at %d, want a tail of the %d-byte stream", len(d2), end2, end)
+	}
+}

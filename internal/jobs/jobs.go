@@ -316,7 +316,9 @@ type Options struct {
 	// buffer: after a job reaches a terminal state its Broadcast is trimmed
 	// to roughly this many tail bytes on a line boundary, so late readers
 	// still get the final summary event while manager memory stops growing
-	// with completed-job count. 0 applies the 64 KiB default; negative
+	// with completed-job count. Readers attached when the job finishes keep
+	// the full replay; the trim waits for the last of them to detach. 0
+	// applies the 64 KiB default; negative
 	// disables trimming (full replay forever).
 	ReplayTailBytes int
 }
@@ -516,6 +518,12 @@ func (m *Manager) releaseLocked(j *Job) {
 func (m *Manager) run(j *Job) {
 	defer m.wg.Done()
 	res, err := m.execute(j)
+	// Free the tenant's admission budget before the job turns terminal, as
+	// Cancel does for queued jobs, so a submission made once Done closes is
+	// admitted against the freed capacity.
+	m.mu.Lock()
+	m.releaseLocked(j)
+	m.mu.Unlock()
 	switch {
 	case err != nil:
 		j.finish(StateFailed, nil, err)
@@ -525,8 +533,8 @@ func (m *Manager) run(j *Job) {
 		j.finish(StateDone, res, nil)
 	}
 	// The stream is closed now; keep only a bounded replay tail so manager
-	// memory does not grow with every trace ever produced. Readers already
-	// mid-replay are advanced past the trimmed prefix; the final summary
+	// memory does not grow with every trace ever produced. Readers still
+	// attached hold the trim off until the last detaches; the final summary
 	// events always fit in the tail.
 	if tail := m.opts.ReplayTailBytes; tail >= 0 {
 		if tail == 0 {
@@ -536,7 +544,6 @@ func (m *Manager) run(j *Job) {
 	}
 	m.mu.Lock()
 	m.running--
-	m.releaseLocked(j)
 	m.dispatchLocked()
 	m.mu.Unlock()
 }

@@ -21,18 +21,42 @@ import (
 // Trims a finished stream to a bounded tail, the dropped prefix is simply
 // unavailable and readers asking for it are advanced to the oldest retained
 // byte. This keeps a manager's memory bounded in the number of completed
-// jobs instead of growing with every trace ever produced.
+// jobs instead of growing with every trace ever produced. Readers that
+// Attach hold the trim off: it runs when the last of them Detaches, so a
+// reader already replaying loses nothing however far behind it is.
 type Broadcast struct {
-	mu     sync.Mutex
-	buf    []byte // guarded by: mu
-	start  int    // guarded by: mu — absolute offset of buf[0]
-	closed bool   // guarded by: mu
-	wake   chan struct{} // guarded by: mu
+	mu      sync.Mutex
+	buf     []byte        // guarded by: mu
+	start   int           // guarded by: mu — absolute offset of buf[0]
+	closed  bool          // guarded by: mu
+	wake    chan struct{} // guarded by: mu
+	readers int           // guarded by: mu — attached readers
+	keep    int           // guarded by: mu — deferred Trim's keep, or -1
 }
 
 // NewBroadcast returns an open, empty stream.
 func NewBroadcast() *Broadcast {
-	return &Broadcast{wake: make(chan struct{})}
+	return &Broadcast{wake: make(chan struct{}), keep: -1}
+}
+
+// Attach registers a reader; until it Detaches, Trim only records its
+// request. Every Attach must be paired with one Detach.
+func (b *Broadcast) Attach() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.readers++
+}
+
+// Detach unregisters a reader. When the last reader leaves, a Trim
+// requested meanwhile runs.
+func (b *Broadcast) Detach() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.readers--
+	if b.readers == 0 && b.keep >= 0 {
+		b.trimLocked(b.keep)
+		b.keep = -1
+	}
 }
 
 // Write appends p and wakes all parked readers. It implements io.Writer so
@@ -66,10 +90,24 @@ func (b *Broadcast) Close() {
 // summary event is always last, so late readers still get it). The retained
 // tail is copied into a fresh allocation, releasing the original backing
 // array. Negative keep is a no-op; Trim is safe at any time but owners call
-// it only after the stream is closed.
+// it only after the stream is closed. While readers are attached the trim
+// is deferred to the last Detach.
 func (b *Broadcast) Trim(keep int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.readers > 0 {
+		if keep >= 0 {
+			b.keep = keep
+		}
+		return
+	}
+	b.trimLocked(keep)
+}
+
+// trimLocked is Trim with no reader attached.
+//
+// locked: mu
+func (b *Broadcast) trimLocked(keep int) {
 	if keep < 0 || len(b.buf) <= keep {
 		return
 	}
