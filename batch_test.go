@@ -1,13 +1,29 @@
 package indextune
 
 import (
+	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
 	"fmt"
+	"math"
+	"os"
+	"sort"
+	"strings"
 	"testing"
 )
 
-// synthBatchWorkload builds a small random workload for the batch-vs-scalar
-// equivalence properties; the seed varies schema, query shapes, and costs.
+// updateGolden rewrites the committed golden tables from the current tree:
+//
+//	go test -run TestBatchScalarBitIdentical . -update-golden
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden tables from the current tree")
+
+// batchGoldenPath holds one line per grid case of TestBatchScalarBitIdentical.
+const batchGoldenPath = "testdata/batch_golden.tsv"
+
+// synthBatchWorkload builds a small random workload for the batch-pipeline
+// golden grid; the seed varies schema, query shapes, and costs.
 func synthBatchWorkload(t *testing.T, seed int64) *WorkloadSet {
 	t.Helper()
 	w, err := Synthesize(SynthSpec{
@@ -26,110 +42,147 @@ func synthBatchWorkload(t *testing.T, seed int64) *WorkloadSet {
 	return w
 }
 
-// TestBatchScalarBitIdentical is the batch-equivalence property test: the
-// batched what-if pipeline (WhatIfBatch + ReserveBatch/EvaluateReservedBatch/
-// CommitReservedBatch, the default) must be bit-identical to the scalar
-// per-pair path it replaced — same configuration, same improvement, same
-// budget accounting (WhatIfCalls, CacheHits, DerivedBoundHits), same early-
-// stop decision — across enumerators, worker counts, and the interception/
-// early-stop epsilons. Both sides must also preserve the trace spend
-// invariant (per-phase spend sums to WhatIfCalls), and at Workers = 1 the
-// two JSONL trace event streams must match byte for byte: batching may only
-// move event emission to the commit point, never reorder or reprice a
-// sequential run's decisions.
+// goldenResult renders everything a run must reproduce bit for bit as one
+// tab-separated line: the configuration, the improvement's float64 bits,
+// the budget and trace counters, the stop accounting, and — at Workers = 1,
+// where the event stream is a pure function of the seed — the SHA-256 of the
+// JSONL trace stream ("-" otherwise).
+func goldenResult(r *Result, events []byte, workers int) string {
+	ids := make([]string, len(r.Indexes))
+	for i, ix := range r.Indexes {
+		ids[i] = ix.ID()
+	}
+	stream := "-"
+	if workers == 1 {
+		sum := sha256.Sum256(events)
+		stream = hex.EncodeToString(sum[:])
+	}
+	return strings.Join([]string{
+		strings.Join(ids, ";"),
+		fmt.Sprintf("imp=%016x", math.Float64bits(r.ImprovementPct)),
+		fmt.Sprintf("calls=%d", r.WhatIfCalls),
+		fmt.Sprintf("hits=%d", r.CacheHits),
+		fmt.Sprintf("bound=%d", r.DerivedBoundHits),
+		fmt.Sprintf("stop=%v/%016x/%d", r.EarlyStopped, math.Float64bits(r.StopGap), r.RefundedBudget),
+		fmt.Sprintf("trace=%d/%d/%d/%d", r.Trace.CacheHits, r.Trace.DerivedBoundHits, r.Trace.Commits, r.Trace.DerivedFallbacks),
+		"stream=" + stream,
+	}, "\t")
+}
+
+// readGolden loads a "name<TAB>line" table; missing files read as empty.
+func readGolden(t *testing.T, path string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return out
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, rest, _ := strings.Cut(line, "\t")
+		out[name] = rest
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// writeGolden stores got as a sorted "name<TAB>line" table under header.
+func writeGolden(t *testing.T, path, header string, got map[string]string) {
+	t.Helper()
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	b.WriteString(header)
+	for _, name := range names {
+		b.WriteString(name + "\t" + got[name] + "\n")
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBatchScalarBitIdentical pins the charging pipeline's observable
+// behaviour across enumerators, worker counts, and the interception/early-
+// stop epsilons against golden digests recorded while the scalar per-pair
+// path still existed and was verified bit-identical to the batched one: the
+// same configuration, improvement, budget accounting (WhatIfCalls,
+// CacheHits, DerivedBoundHits), stop decision, trace counters, and — at
+// Workers = 1 — the byte-identical JSONL trace stream. Every run must also
+// preserve the trace spend invariant (per-phase spend sums to WhatIfCalls).
 func TestBatchScalarBitIdentical(t *testing.T) {
-	workloads := map[string]*WorkloadSet{
-		"tpch":    Workload("tpch"),
-		"synth11": synthBatchWorkload(t, 11),
+	workloads := []struct {
+		name string
+		w    *WorkloadSet
+	}{
+		{"tpch", Workload("tpch")},
+		{"synth11", synthBatchWorkload(t, 11)},
 	}
 	epsCases := []struct {
-		name      string
-		derive    float64
-		stop      float64
+		name   string
+		derive float64
+		stop   float64
 	}{
 		{"plain", 0, 0},
 		{"derive", 0.05, 0},
 		{"stop", 0, 0.1},
 		{"derive+stop", 0.05, 0.1},
 	}
-	for wname, w := range workloads {
+	want := readGolden(t, batchGoldenPath)
+	got := make(map[string]string)
+	for _, wl := range workloads {
 		for _, alg := range []string{AlgorithmMCTS, AlgorithmVanilla, AlgorithmTwoPhase, AlgorithmAutoAdmin} {
 			for _, workers := range []int{1, 4} {
 				for _, ec := range epsCases {
-					t.Run(fmt.Sprintf("%s/%s/w%d/%s", wname, alg, workers, ec.name), func(t *testing.T) {
-						opts := Options{
+					name := fmt.Sprintf("%s/%s/w%d/%s", wl.name, alg, workers, ec.name)
+					t.Run(name, func(t *testing.T) {
+						var events bytes.Buffer
+						r, err := Tune(wl.w, Options{
 							K: 5, Budget: 150, Seed: 7,
 							Algorithm:      alg,
 							SessionWorkers: workers,
 							DeriveEpsilon:  ec.derive,
 							StopEpsilon:    ec.stop,
-						}
-						var scalarEvents, batchEvents bytes.Buffer
-
-						scalarOpts := opts
-						scalarOpts.disableBatch = true
-						scalarOpts.TraceEvents = &scalarEvents
-						scalar, err := Tune(w, scalarOpts)
+							TraceEvents:    &events,
+						})
 						if err != nil {
 							t.Fatal(err)
 						}
-
-						batchOpts := opts
-						batchOpts.TraceEvents = &batchEvents
-						batch, err := Tune(w, batchOpts)
-						if err != nil {
-							t.Fatal(err)
+						if r.Trace == nil {
+							t.Fatal("Result.Trace nil with TraceEvents set")
 						}
-
-						if a, b := fmt.Sprint(scalar.Indexes), fmt.Sprint(batch.Indexes); a != b {
-							t.Errorf("configurations differ:\n  scalar: %s\n  batch:  %s", a, b)
+						if spent := r.Trace.SpendTotal(); spent != r.WhatIfCalls {
+							t.Errorf("traced spend %d != WhatIfCalls %d (by phase: %v)",
+								spent, r.WhatIfCalls, r.Trace.SpendByPhase)
 						}
-						if scalar.ImprovementPct != batch.ImprovementPct {
-							t.Errorf("improvement differs: scalar %v != batch %v",
-								scalar.ImprovementPct, batch.ImprovementPct)
-						}
-						if scalar.WhatIfCalls != batch.WhatIfCalls {
-							t.Errorf("WhatIfCalls differ: scalar %d != batch %d",
-								scalar.WhatIfCalls, batch.WhatIfCalls)
-						}
-						if scalar.CacheHits != batch.CacheHits {
-							t.Errorf("CacheHits differ: scalar %d != batch %d",
-								scalar.CacheHits, batch.CacheHits)
-						}
-						if scalar.DerivedBoundHits != batch.DerivedBoundHits {
-							t.Errorf("DerivedBoundHits differ: scalar %d != batch %d",
-								scalar.DerivedBoundHits, batch.DerivedBoundHits)
-						}
-						if scalar.EarlyStopped != batch.EarlyStopped ||
-							scalar.StopGap != batch.StopGap ||
-							scalar.RefundedBudget != batch.RefundedBudget {
-							t.Errorf("stop accounting differs: scalar (%v, %v, %d) != batch (%v, %v, %d)",
-								scalar.EarlyStopped, scalar.StopGap, scalar.RefundedBudget,
-								batch.EarlyStopped, batch.StopGap, batch.RefundedBudget)
-						}
-						for side, r := range map[string]*Result{"scalar": scalar, "batch": batch} {
-							if r.Trace == nil {
-								t.Fatalf("%s: Result.Trace nil with TraceEvents set", side)
-							}
-							if got := r.Trace.SpendTotal(); got != r.WhatIfCalls {
-								t.Errorf("%s: traced spend %d != WhatIfCalls %d (by phase: %v)",
-									side, got, r.WhatIfCalls, r.Trace.SpendByPhase)
-							}
-						}
-						if scalar.Trace.CacheHits != batch.Trace.CacheHits ||
-							scalar.Trace.DerivedBoundHits != batch.Trace.DerivedBoundHits ||
-							scalar.Trace.Commits != batch.Trace.Commits ||
-							scalar.Trace.DerivedFallbacks != batch.Trace.DerivedFallbacks {
-							t.Errorf("trace counters differ:\n  scalar: %+v\n  batch:  %+v",
-								*scalar.Trace, *batch.Trace)
-						}
-						if workers == 1 && !bytes.Equal(scalarEvents.Bytes(), batchEvents.Bytes()) {
-							t.Errorf("Workers=1 trace streams differ:\n  scalar:\n%s\n  batch:\n%s",
-								scalarEvents.String(), batchEvents.String())
+						line := goldenResult(r, events.Bytes(), workers)
+						got[name] = line
+						if !*updateGolden && line != want[name] {
+							t.Errorf("diverged from %s:\n  want: %s\n  got:  %s", batchGoldenPath, want[name], line)
 						}
 					})
 				}
 			}
 		}
+	}
+	if *updateGolden && !t.Failed() {
+		writeGolden(t, batchGoldenPath,
+			"# TestBatchScalarBitIdentical golden: name, config, improvement bits, counters, stop accounting, trace counters, Workers=1 stream SHA-256.\n", got)
 	}
 }

@@ -1,7 +1,13 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"flag"
 	"fmt"
+	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"indextune/internal/iset"
@@ -87,35 +93,60 @@ func TestParallelVariantsRespectConstraints(t *testing.T) {
 	}
 }
 
-// The parallel prior phase must be bit-identical to the sequential
-// Algorithm 4 pass: same priors, same budget use, same layout trace.
+// updateGolden rewrites the committed prior-phase golden from the current
+// tree:
+//
+//	go test -run TestParallelPriorsMatchSequential ./internal/core -update-golden
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden tables from the current tree")
+
+// priorsGoldenPath holds the prior phase's recorded outcome.
+const priorsGoldenPath = "testdata/priors_golden.tsv"
+
+// priorsDigest renders the prior phase's observable outcome: the float64
+// bits of every prior, the budget accounting, and the layout trace.
+func priorsDigest(s *search.Session, tn *tuner) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, p := range tn.priors {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p))
+		h.Write(buf[:])
+	}
+	layout := sha256.Sum256([]byte(fmt.Sprint(s.Layout.Cells())))
+	return fmt.Sprintf("priors=%x\tused=%d\thits=%d\tlayout=%x", h.Sum(nil), s.Used(), s.CacheHits(), layout)
+}
+
+// The prior phase must reproduce, at every worker count, the golden
+// recorded while the one-pair-at-a-time Algorithm 4 pass still existed and
+// was verified bit-identical to the batched one: same priors, same budget
+// use, same layout trace.
 func TestParallelPriorsMatchSequential(t *testing.T) {
-	mkTuner := func() (*search.Session, *tuner) {
+	raw, err := os.ReadFile(priorsGoldenPath)
+	if err != nil && !*updateGolden {
+		t.Fatal(err)
+	}
+	want := strings.TrimSpace(string(raw))
+	var got string
+	for _, workers := range []int{1, 4} {
 		s := session(t, "tpch", 5, 100, 1)
 		tn := &tuner{opts: Default().Opts, s: s, rng: s.Rng, baseW: s.Derived.BaseWorkload()}
 		tn.priors = make([]float64, s.NumCandidates())
-		return s, tn
-	}
-	sSeq, seq := mkTuner()
-	sSeq.DisableBatch = true // true scalar reference, not batched(1)
-	seq.computePriors()
-	sPar, par := mkTuner()
-	par.computePriorsParallel(4)
-
-	if len(seq.priors) != len(par.priors) {
-		t.Fatalf("prior lengths differ: %d vs %d", len(seq.priors), len(par.priors))
-	}
-	for i := range seq.priors {
-		if seq.priors[i] != par.priors[i] {
-			t.Fatalf("prior[%d]: sequential %v != parallel %v", i, seq.priors[i], par.priors[i])
+		if workers == 1 {
+			tn.computePriors()
+		} else {
+			tn.computePriorsParallel(workers)
+		}
+		got = priorsDigest(s, tn)
+		if !*updateGolden && got != want {
+			t.Errorf("workers=%d diverged from %s:\n  want: %s\n  got:  %s", workers, priorsGoldenPath, want, got)
 		}
 	}
-	if sSeq.Used() != sPar.Used() || sSeq.CacheHits() != sPar.CacheHits() {
-		t.Fatalf("accounting differs: used %d/%d, hits %d/%d",
-			sSeq.Used(), sPar.Used(), sSeq.CacheHits(), sPar.CacheHits())
-	}
-	if a, b := fmt.Sprint(sSeq.Layout.Cells()), fmt.Sprint(sPar.Layout.Cells()); a != b {
-		t.Fatalf("layout traces differ:\n  seq: %s\n  par: %s", a, b)
+	if *updateGolden && !t.Failed() {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(priorsGoldenPath, []byte(got+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
