@@ -10,27 +10,27 @@ import (
 	"indextune/internal/workload"
 )
 
-// This file implements the batched what-if path: WhatIfBatch walks the plan
-// space of a query ONCE — join order, cardinality chain, per-candidate access
-// and probe facts, all of which are configuration-independent — and then
-// scores each configuration by selecting per-operator minima from the
-// precomputed tables. The arithmetic mirrors costPlan statement for
-// statement (identical expression shapes, identical iteration order,
-// identical strict-< tie-breaking), so a batch result is bit-identical to
-// the scalar path; the equivalence property test in batch_test.go pins this.
+// This file implements the cost model proper. Every cost — WhatIf and
+// WhatIfBatch misses, PeekCost, BaseCost, Plan and Explain — is scored
+// against the query's interned plan space: buildSpace walks the parts of
+// the plan that do not depend on the configuration ONCE — join order,
+// cardinality chain, per-candidate access and probe facts — and evalSpace
+// scores a configuration by selecting per-operator minima from the
+// precomputed tables.
 //
-// Why the split is sound: in costPlan, accessChoice.sel and .rowsOut come
-// from table statistics and the ref's own predicates only — never from cfg —
-// so pipelineOrder (which reads only sel/rowsOut), joinColsTo, and the
-// curRows/fetched cardinality chain are the same for every configuration of
-// one query. The configuration enters the model in exactly two places, both
-// minima over admitted alternatives: the per-ref access choice (bestAccess)
-// and the per-join INL probe choice. planSpace tabulates the alternatives'
-// costs; evalSpace replays the minima under a membership filter.
+// Why the split is sound: the baseline access facts (selectivity, output
+// rows) come from table statistics and the ref's own predicates only, never
+// from the configuration, so pipelineOrder (which reads only sel/rowsOut),
+// joinColsTo, and the curRows/fetched cardinality chain are the same for
+// every configuration of one query. The configuration enters the model in
+// exactly two places, both minima over admitted alternatives: the per-ref
+// access choice and the per-join INL probe choice. planSpace tabulates the
+// alternatives' costs; evalSpace replays the minima under a membership
+// filter.
 
 // accessEntry is one candidate access path for a ref: the ordinal and its
 // full access cost (indexAccessCost plus the sort penalty when the key does
-// not provide the ref's order), exactly the c that bestAccess compares.
+// not provide the ref's order).
 type accessEntry struct {
 	ord  int
 	cost float64
@@ -38,7 +38,7 @@ type accessEntry struct {
 
 // refAccess is the per-ref slice of the plan space: the configuration-free
 // baseline (heap scan, or the missing-table unit cost) and the admitted
-// index alternatives in refCands order.
+// index alternatives in relevance order.
 type refAccess struct {
 	baseCost float64
 	rowsOut  float64
@@ -54,7 +54,7 @@ type inlEntry struct {
 }
 
 // joinStep is one pipeline step after the seed ref, with every
-// configuration-independent quantity the scalar walk computes at that step.
+// configuration-independent quantity of that step.
 type joinStep struct {
 	ref        int
 	standalone bool // disconnected ref: no join, output rows not propagated
@@ -62,7 +62,7 @@ type joinStep struct {
 	fetched    float64
 	hasTable   bool
 	pages      float64
-	inl        []inlEntry // admitted probe indexes, in refCands order
+	inl        []inlEntry // admitted probe indexes, in relevance order
 }
 
 // planSpace is the interned configuration-independent plan structure of one
@@ -169,20 +169,18 @@ func (o *Optimizer) releaseColdSpaces(limit int64) {
 	})
 }
 
-// buildSpace runs the configuration-independent part of costPlan once:
-// baseline access choices, pipeline order, cardinality chain, and the
-// admitted index alternatives per operator.
+// buildSpace walks the configuration-independent part of the plan once:
+// baseline access facts, pipeline order, cardinality chain, and the admitted
+// index alternatives per operator. Only the query's relevant candidates are
+// visited — cost-preserving by construction of the relevance projection.
 func (o *Optimizer) buildSpace(q *workload.Query, in *queryInfo) *planSpace {
 	n := len(q.Refs)
 	if n == 0 {
 		return &planSpace{empty: true}
 	}
-	// Baseline access choices carry the config-independent sel/rowsOut that
-	// pipelineOrder keys on; with an empty configuration bestAccess admits no
-	// index, so .cost is the per-ref baseline.
 	access := make([]accessChoice, n)
 	for i := range q.Refs {
-		access[i] = o.bestAccess(&q.Refs[i], iset.Set{}, in)
+		access[i] = o.baseAccess(&q.Refs[i])
 	}
 	ps := &planSpace{seed: -1, acc: make([]refAccess, n)}
 	for i := range q.Refs {
@@ -190,20 +188,15 @@ func (o *Optimizer) buildSpace(q *workload.Query, in *queryInfo) *planSpace {
 		ra := refAccess{baseCost: access[i].cost, rowsOut: access[i].rowsOut}
 		t := o.DB.Table(r.Table)
 		if t != nil {
-			rowsOut := access[i].rowsOut
 			needSort := len(r.SortCols) > 0
-			sortCost := 0.0
-			if needSort {
-				sortCost = sortPerRowLog * rowsOut * log2(rowsOut)
-			}
-			for _, ord := range o.refCands(in, r.Table) {
+			for _, ord := range in.relByTable[r.Table] {
 				ix := &o.Candidates[ord]
-				c, ok, ordered := o.indexAccessCost(t, r, ix, rowsOut)
+				c, ok, ordered := o.indexAccessCost(t, r, ix, access[i].rowsOut)
 				if !ok {
 					continue
 				}
 				if needSort && !ordered {
-					c += sortCost
+					c += access[i].sortCost
 				}
 				ra.entries = append(ra.entries, accessEntry{ord: ord, cost: c})
 			}
@@ -221,6 +214,8 @@ func (o *Optimizer) buildSpace(q *workload.Query, in *queryInfo) *planSpace {
 		innerCols := joinColsTo(q, joined, i)
 		st := joinStep{ref: i}
 		if len(innerCols) == 0 {
+			// Disconnected ref (independent subquery): accessed on its own,
+			// producing its own output rows.
 			st.standalone = true
 			joined[i] = true
 			ps.steps = append(ps.steps, st)
@@ -233,7 +228,9 @@ func (o *Optimizer) buildSpace(q *workload.Query, in *queryInfo) *planSpace {
 		if t != nil {
 			st.pages = t.Pages()
 		}
-		for _, ord := range o.refCands(in, r.Table) {
+		// Index-nested-loop candidates: an inner-side index whose leading
+		// key is one of the connecting join columns.
+		for _, ord := range in.relByTable[r.Table] {
 			ix := &o.Candidates[ord]
 			if !containsCol(innerCols, ix.Key[0]) {
 				continue
@@ -252,24 +249,37 @@ func (o *Optimizer) buildSpace(q *workload.Query, in *queryInfo) *planSpace {
 	return ps
 }
 
-// evalSpace scores cfg against the plan space. Every arithmetic statement
-// replicates the shape of its costPlan counterpart so the two paths produce
-// bit-identical floats (expression shape decides possible FMA fusion).
-func (o *Optimizer) evalSpace(ps *planSpace, cfg iset.Set, acc []float64) float64 {
+// choice is the winning alternative of one plan operator: the candidate
+// ordinal (-1 for the baseline access path or a hash join) and the
+// operator's cost.
+type choice struct {
+	ord  int
+	cost float64
+}
+
+// evalSpace scores cfg against the plan space, using acc (len(ps.acc)) as
+// scratch for the per-ref access minima. When win is non-nil (len(ps.acc) +
+// len(ps.steps)), it also records the winner of every operator — per ref
+// the access path and its cost, then per step the join alternative and its
+// join cost — for Plan; the hot paths pass nil.
+func (o *Optimizer) evalSpace(ps *planSpace, cfg iset.Set, acc []float64, win []choice) float64 {
 	if ps.empty {
 		return 0
 	}
-	// Per-ref access minima: the same strict-< scan over admitted
-	// alternatives that bestAccess performs, seeded with the baseline.
+	// Per-ref access minima: a strict-< scan over admitted alternatives,
+	// seeded with the baseline.
 	for i := range ps.acc {
 		ra := &ps.acc[i]
-		best := ra.baseCost
+		best, bestOrd := ra.baseCost, -1
 		for _, e := range ra.entries {
 			if cfg.Has(e.ord) && e.cost < best {
-				best = e.cost
+				best, bestOrd = e.cost, e.ord
 			}
 		}
 		acc[i] = best
+		if win != nil {
+			win[i] = choice{bestOrd, best}
+		}
 	}
 
 	total := acc[ps.seed]
@@ -278,20 +288,28 @@ func (o *Optimizer) evalSpace(ps *planSpace, cfg iset.Set, acc []float64) float6
 		i := st.ref
 		if st.standalone {
 			total += acc[i] + cpuPerRow*ps.acc[i].rowsOut
+			if win != nil {
+				win[len(ps.acc)+si] = choice{-1, acc[i]}
+			}
 			continue
 		}
 		curRows := st.curRows
 		fetched := st.fetched
+		// Hash join: access the inner by its best path, then build+probe.
 		hash := acc[i] + hashPerRow*(curRows+ps.acc[i].rowsOut)
-		inl := math.Inf(1)
+		// Index-nested-loop: probe an inner-side index, replacing the inner
+		// access.
+		inl, inlOrd := math.Inf(1), -1
 		for _, e := range st.inl {
 			if !cfg.Has(e.ord) {
 				continue
 			}
 			c := curRows*inlDescend + cpuPerRow*fetched
 			if e.covers {
+				// Fetched rows stream off the index leaves.
 				c += fetched * e.ew / schema.PageSize
 			} else if st.hasTable {
+				// Random heap lookups, capped at re-reading the table.
 				lookups := fetched
 				if lookups > st.pages {
 					lookups = st.pages
@@ -299,13 +317,16 @@ func (o *Optimizer) evalSpace(ps *planSpace, cfg iset.Set, acc []float64) float6
 				c += lookups
 			}
 			if c < inl {
-				inl = c
+				inl, inlOrd = c, e.ord
 			}
 		}
+		join := choice{-1, hash}
 		if inl < hash {
-			total += inl
-		} else {
-			total += hash
+			join = choice{inlOrd, inl}
+		}
+		total += join.cost
+		if win != nil {
+			win[len(ps.acc)+si] = join
 		}
 	}
 	total += cpuPerRow * ps.finalRows
@@ -315,15 +336,33 @@ func (o *Optimizer) evalSpace(ps *planSpace, cfg iset.Set, acc []float64) float6
 	return total
 }
 
+// compute scores cost(q, cfg) against q's plan space with pooled scratch:
+// the one-pair miss path of WhatIf, PeekCost, and BaseCost.
+func (o *Optimizer) compute(q *workload.Query, in *queryInfo, cfg iset.Set) float64 {
+	ps := o.space(q, in)
+	sc := scratchPool.Get().(*batchScratch)
+	sc.acc = growFloats(sc.acc, len(ps.acc))
+	c := o.evalSpace(ps, cfg, sc.acc, nil)
+	scratchPool.Put(sc)
+	return c
+}
+
+// growFloats returns s resized to n, reusing its capacity.
+func growFloats(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
 // WhatIfBatch returns cost(q, cfg) for every configuration in cfgs, with
 // counting, caching, virtual-time charging, and simulated latency per pair
 // exactly as len(cfgs) sequential WhatIf calls would perform them: cached
 // pairs count cache hits, missing pairs count calls and charge PerCallTime,
 // and duplicate configurations within one batch hit the cache after the
-// first fills it. The difference is purely mechanical: misses are scored
-// against the query's interned plan space with pooled scratch instead of
-// re-walking costPlan, so a batch allocates only the result slice plus a
-// small constant per missing pair (the singleflight registration).
+// first fills it. The difference is purely mechanical: the plan space is
+// looked up once per batch and leader claims register in a pooled slab, so
+// a batch allocates only the result slice.
 func (o *Optimizer) WhatIfBatch(q *workload.Query, cfgs []iset.Set) []float64 {
 	out := make([]float64, len(cfgs))
 	if len(cfgs) == 0 {
@@ -361,11 +400,9 @@ func (o *Optimizer) WhatIfBatch(q *workload.Query, cfgs []iset.Set) []float64 {
 		}
 		if ps == nil {
 			ps = o.space(q, in)
-			if cap(sc.acc) < len(ps.acc) {
-				sc.acc = make([]float64, len(ps.acc))
-			}
+			sc.acc = growFloats(sc.acc, len(ps.acc))
 		}
-		c = o.evalSpace(ps, cfg, sc.acc[:len(ps.acc)])
+		c = o.evalSpace(ps, cfg, sc.acc, nil)
 		o.computes.Add(1)
 		if o.publish(sh, p, cl, c) {
 			shared = true

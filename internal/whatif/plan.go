@@ -34,28 +34,66 @@ type PlanOperator struct {
 	PipelinePos int     `json:"pos"`
 }
 
-// record appends an operator for ref i with the chosen access and join.
-func (p *Plan) record(q *workload.Query, i int, a accessChoice, join string, joinCost float64) {
+// Plan returns the structured plan for q under cfg. It performs no budget
+// accounting. The plan is read off the same plan-space evaluation every
+// cost comes from: evalSpace reports which alternative won each operator,
+// and the descriptive fields (access path names, order delivery) are
+// derived from the winning ordinals.
+func (o *Optimizer) Plan(q *workload.Query, cfg iset.Set) *Plan {
+	p := &Plan{}
+	ps := o.space(q, o.info(q))
+	if ps.empty {
+		return p
+	}
+	p.QueryID = q.ID
+	win := make([]choice, len(ps.acc)+len(ps.steps))
+	p.TotalCost = o.evalSpace(ps, cfg, make([]float64, len(ps.acc)), win)
+	p.OutputRows = ps.finalRows
+	p.op(o, q, ps, win, ps.seed, -1, "", 0)
+	for si := range ps.steps {
+		st := &ps.steps[si]
+		join := win[len(ps.acc)+si]
+		switch {
+		case st.standalone:
+			p.op(o, q, ps, win, st.ref, -1, "standalone", join.cost)
+		case join.ord >= 0:
+			p.op(o, q, ps, win, st.ref, join.ord, "index-nested-loop", join.cost)
+		default:
+			p.op(o, q, ps, win, st.ref, -1, "hash", join.cost)
+		}
+	}
+	return p
+}
+
+// op appends the operator of ref i: its winning access path (replaced in
+// the description by the probe index when an index-nested-loop join with
+// ordinal probe won), the join kind, and the join cost.
+func (p *Plan) op(o *Optimizer, q *workload.Query, ps *planSpace, win []choice, i, probe int, join string, joinCost float64) {
+	r := &q.Refs[i]
+	access := win[i]
+	desc, ord, ordered := "heap-scan", access.ord, false
+	if o.DB.Table(r.Table) == nil {
+		desc = "missing-table"
+	}
+	if access.ord >= 0 {
+		ix := &o.Candidates[access.ord]
+		desc, ordered = "index "+ix.ID(), keyProvidesOrder(ix, r)
+	}
+	if probe >= 0 {
+		desc, ord = "inl-probe "+o.Candidates[probe].ID(), probe
+	}
 	p.Operators = append(p.Operators, PlanOperator{
 		Ref:         i,
-		Table:       q.Refs[i].Table,
-		Access:      a.desc,
+		Table:       r.Table,
+		Access:      desc,
 		Join:        join,
-		IndexOrd:    a.indexOrd,
-		Cost:        a.cost,
-		RowsOut:     a.rowsOut,
-		Ordered:     a.ordered,
+		IndexOrd:    ord,
+		Cost:        access.cost,
+		RowsOut:     ps.acc[i].rowsOut,
+		Ordered:     ordered,
 		JoinCost:    joinCost,
 		PipelinePos: len(p.Operators),
 	})
-}
-
-// Plan returns the structured plan for q under cfg. It performs no budget
-// accounting.
-func (o *Optimizer) Plan(q *workload.Query, cfg iset.Set) *Plan {
-	p := &Plan{}
-	o.costPlan(q, cfg, p, o.info(q))
-	return p
 }
 
 // UsesIndex reports whether any operator of the plan uses the candidate

@@ -1,6 +1,7 @@
 package whatif
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -34,19 +35,16 @@ func synthWorkloads(t *testing.T) []*workload.Workload {
 }
 
 // TestProjectionCostPreserving is the central correctness property of the
-// relevance projection, checked two ways on ≥1000 random (query,
-// configuration) pairs per workload:
+// relevance projection that lets the optimizer cache key on the projected
+// fingerprint and the plan space visit only relevant candidates:
 //
-//  1. cost(q, cfg ∩ Relevance(q)) == cost(q, cfg), both computed by the
-//     unrestricted cost walk — dropping irrelevant indexes from the
-//     configuration never changes the cost.
-//  2. The projected cost walk (candidate lists restricted to the query's
-//     relevant ordinals) returns bit-identical costs to the unrestricted
-//     walk on the full configuration.
-//
-// Together these pin the claim that lets the optimizer cache key on the
-// projected fingerprint: configurations equal after projection are
-// cost-equal.
+//  1. Structurally, an index outside Relevance(q) can never be admitted by
+//     buildSpace. Its only two ways in are an access path (indexAccessCost
+//     ok) and an INL probe (leading key among the ref's join columns), so
+//     for every ref and every same-table candidate outside the projection,
+//     indexAccessCost must report !ok and Key[0] must not be a join column.
+//  2. On ≥1000 random (query, configuration) pairs per workload,
+//     cost(q, cfg ∩ Relevance(q)) == cost(q, cfg) bit for bit.
 func TestProjectionCostPreserving(t *testing.T) {
 	for _, w := range synthWorkloads(t) {
 		cands := candidatesFor(w)
@@ -54,6 +52,30 @@ func TestProjectionCostPreserving(t *testing.T) {
 			t.Fatalf("%s: no candidates", w.Name)
 		}
 		o := New(w.DB, cands)
+		for _, q := range w.Queries {
+			rel := o.Relevance(q)
+			for ri := range q.Refs {
+				r := &q.Refs[ri]
+				tab := w.DB.Table(r.Table)
+				if tab == nil {
+					continue
+				}
+				rowsOut := o.baseAccess(r).rowsOut
+				for ord := range cands {
+					ix := &cands[ord]
+					if ix.Table != r.Table || rel.Has(ord) {
+						continue
+					}
+					if _, ok, _ := o.indexAccessCost(tab, r, ix, rowsOut); ok {
+						t.Fatalf("%s %s: irrelevant index %s is an access path for ref %d", w.Name, q.ID, ix.ID(), ri)
+					}
+					if containsCol(r.JoinCols, ix.Key[0]) {
+						t.Fatalf("%s %s: irrelevant index %s leads with join column of ref %d", w.Name, q.ID, ix.ID(), ri)
+					}
+				}
+			}
+		}
+
 		rng := rand.New(rand.NewSource(11))
 		const trials = 1000
 		for trial := 0; trial < trials; trial++ {
@@ -67,15 +89,32 @@ func TestProjectionCostPreserving(t *testing.T) {
 			for i := 0; i < n; i++ {
 				cfg.Add(rng.Intn(len(cands)))
 			}
-			full := o.costPlan(q, cfg, nil, nil)
+			full := o.PeekCost(q, cfg)
 			projCfg := cfg.Intersect(o.Relevance(q))
-			if got := o.costPlan(q, projCfg, nil, nil); got != full {
+			if got := o.PeekCost(q, projCfg); got != full {
 				t.Fatalf("%s %s: cost(cfg ∩ rel) = %v, cost(cfg) = %v (cfg=%v rel=%v)",
 					w.Name, q.ID, got, full, cfg, o.Relevance(q))
 			}
-			if got := o.costPlan(q, cfg, nil, o.info(q)); got != full {
-				t.Fatalf("%s %s: projected walk = %v, full walk = %v (cfg=%v)",
-					w.Name, q.ID, got, full, cfg)
+		}
+	}
+}
+
+// TestPlanTotalMatchesPeekCost: for random configurations on TPC-H and a
+// synthesized workload, the plan's total is PeekCost bit for bit — Plan and
+// the cost paths read the same plan-space evaluation.
+func TestPlanTotalMatchesPeekCost(t *testing.T) {
+	for _, w := range digestWorkloads(t) {
+		cands := digestCandidates(w)
+		o := New(w.DB, cands)
+		rng := rand.New(rand.NewSource(5))
+		for trial := 0; trial < 500; trial++ {
+			q := w.Queries[rng.Intn(len(w.Queries))]
+			var cfg iset.Set
+			for k := 1 + rng.Intn(12); k > 0; k-- {
+				cfg.Add(rng.Intn(len(cands)))
+			}
+			if p, c := o.Plan(q, cfg).TotalCost, o.PeekCost(q, cfg); math.Float64bits(p) != math.Float64bits(c) {
+				t.Fatalf("%s %s cfg %v: Plan total %v != PeekCost %v", w.Name, q.ID, cfg, p, c)
 			}
 		}
 	}

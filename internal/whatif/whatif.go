@@ -273,9 +273,8 @@ type queryInfo struct {
 	baseOnce sync.Once
 	base     float64
 
-	// space memoizes the query's config-independent plan space; WhatIfBatch
-	// scores configurations against it instead of re-walking costPlan per
-	// miss. An atomic pointer (not a sync.Once) because the bounded mode
+	// space memoizes the query's config-independent plan space, against which
+	// every cost is scored (evalSpace). An atomic pointer (not a sync.Once) because the bounded mode
 	// releases cold spaces: nil means "not built or released", and a released
 	// space is rebuilt deterministically on next use — the plan space is a
 	// pure function of (schema, candidates, query), so release can only cost
@@ -504,7 +503,7 @@ func (o *Optimizer) internQuery(q *workload.Query) *queryInfo {
 
 // relevantTo reports whether ix can possibly affect the access or join cost
 // of ref r (same table assumed). The criterion mirrors every way the cost
-// walk can select an index: a sargable leading key (bestAccess requires
+// walk can select an index: a sargable leading key (indexAccessCost requires
 // matched > 0, i.e. a filter predicate on Key[0]), a covering payload
 // (matched == 0 scans and covered INL fetches), or a leading key on a join
 // column (INL probes require Key[0] among the connecting join columns, which
@@ -540,21 +539,6 @@ func (o *Optimizer) CacheHits() int64 { return o.cacheHits.Load() }
 func (o *Optimizer) ResetCounters() {
 	o.calls.Store(0)
 	o.cacheHits.Store(0)
-}
-
-// PairKey returns the canonical human-readable key of the (query,
-// configuration) pair. It is no longer the cache key — the cache and the
-// sessions' seen-pair tracking use interned Pair fingerprints — but remains
-// the stable textual identity used by traces, goldens, and tests.
-func PairKey(q *workload.Query, cfg iset.Set) string {
-	return PairKeyOf(q, cfg.Key())
-}
-
-// PairKeyOf composes the canonical pair key from a query and a precomputed
-// configuration key, letting callers that need both strings (e.g. budget
-// tracing) build them without serializing the configuration twice.
-func PairKeyOf(q *workload.Query, cfgKey string) string {
-	return q.ID + "|" + cfgKey
 }
 
 // FNV-1a parameters, applied word-wise to bitset words (h ^= word; h *= p).
@@ -619,7 +603,7 @@ func (o *Optimizer) UnprojectedPairOf(q *workload.Query, cfg iset.Set) Pair {
 // Relevance returns the set of candidate ordinals that can possibly affect
 // cost(q, ·) — the projection bitmap. For every configuration C,
 // cost(q, C) == cost(q, C ∩ Relevance(q)): an excluded index can never be
-// chosen by bestAccess (no sargable leading key, no covering payload) nor by
+// an access alternative (no sargable leading key, no covering payload) nor
 // an INL probe (leading key not a join column), and index choices are the
 // only way a configuration enters the cost model. The returned set is a
 // copy.
@@ -650,7 +634,7 @@ func (o *Optimizer) shardFor(p Pair) *cacheShard {
 func (o *Optimizer) BaseCost(q *workload.Query) float64 {
 	in := o.info(q)
 	in.baseOnce.Do(func() {
-		in.base = o.costPlan(q, iset.Set{}, nil, in)
+		in.base = o.compute(q, in, iset.Set{})
 	})
 	return in.base
 }
@@ -702,7 +686,7 @@ func (o *Optimizer) WhatIf(q *workload.Query, cfg iset.Set) float64 {
 	if o.SimulatedLatency > 0 {
 		time.Sleep(o.SimulatedLatency)
 	}
-	c = o.costPlan(q, cfg, nil, in)
+	c = o.compute(q, in, cfg)
 	o.computes.Add(1)
 	o.publish(sh, p, cl, c)
 	return c
@@ -742,7 +726,7 @@ func (o *Optimizer) PeekCost(q *workload.Query, cfg iset.Set) float64 {
 	if ok {
 		return c
 	}
-	return o.costPlan(q, cfg, nil, in)
+	return o.compute(q, in, cfg)
 }
 
 // ConfigSizeBytes returns the total estimated storage of the configuration.
@@ -754,132 +738,12 @@ func (o *Optimizer) ConfigSizeBytes(cfg iset.Set) int64 {
 	return s
 }
 
-// accessChoice captures the cheapest access path found for a table ref.
+// accessChoice is the configuration-free baseline access of a table ref.
 type accessChoice struct {
-	cost     float64
+	cost     float64 // heap scan, including the sort penalty
 	rowsOut  float64
 	sel      float64 // combined local filter selectivity
-	desc     string
-	ordered  bool // output ordered on the ref's SortCols
-	indexOrd int  // candidate ordinal used, or -1 for heap scan
-}
-
-// cost computes cost(q, cfg) under the model described in the package
-// comment. Refs are processed as a left-deep pipeline in a deterministic
-// cardinality-based order (smallest filtered output first, respecting join
-// connectivity) that does NOT depend on cfg — indexes only add per-operator
-// alternatives, which keeps the cost monotone in the configuration.
-func (o *Optimizer) cost(q *workload.Query, cfg iset.Set) float64 {
-	return o.costPlan(q, cfg, nil, o.info(q))
-}
-
-// refCands returns the candidate ordinals the cost walk must visit for refs
-// of the given table: the query's relevant ordinals when interned info is
-// supplied, or the full per-table list (the pre-projection walk, kept for
-// the equivalence property test) when in is nil.
-func (o *Optimizer) refCands(in *queryInfo, table string) []int {
-	if in != nil {
-		return in.relByTable[table]
-	}
-	return o.candsByTable[table]
-}
-
-// costPlan evaluates cost(q, cfg) and, when plan is non-nil, records the
-// chosen operators into it. in, when non-nil, restricts the index walk to
-// the query's relevant candidates — cost-preserving by construction of the
-// relevance projection.
-func (o *Optimizer) costPlan(q *workload.Query, cfg iset.Set, plan *Plan, in *queryInfo) float64 {
-	if len(q.Refs) == 0 {
-		return 0
-	}
-	total := 0.0
-	joined := make([]bool, len(q.Refs))
-	access := make([]accessChoice, len(q.Refs))
-	for i := range q.Refs {
-		access[i] = o.bestAccess(&q.Refs[i], cfg, in)
-	}
-	order := o.pipelineOrder(q, access)
-
-	total += access[order[0]].cost
-	curRows := access[order[0]].rowsOut
-	joined[order[0]] = true
-	if plan != nil {
-		plan.record(q, order[0], access[order[0]], "", 0)
-	}
-
-	for _, i := range order[1:] {
-		r := &q.Refs[i]
-		innerCols := joinColsTo(q, joined, i)
-		if len(innerCols) == 0 {
-			// Disconnected ref (independent subquery): accessed on its own,
-			// producing its own output rows.
-			total += access[i].cost + cpuPerRow*access[i].rowsOut
-			joined[i] = true
-			if plan != nil {
-				plan.record(q, i, access[i], "standalone", access[i].cost)
-			}
-			continue
-		}
-		// Hash join: access the inner by its best path, then build+probe.
-		hash := access[i].cost + hashPerRow*(curRows+access[i].rowsOut)
-		fetched := joinOutputRows(o.DB, curRows, r, innerCols[0], access[i].rowsOut)
-		// Index-nested-loop: probe an inner-side index whose leading key is
-		// one of the connecting join columns, replacing the inner access.
-		inl := math.Inf(1)
-		inlOrd := -1
-		t := o.DB.Table(r.Table)
-		for _, ord := range o.refCands(in, r.Table) {
-			if !cfg.Has(ord) {
-				continue
-			}
-			ix := &o.Candidates[ord]
-			if !containsCol(innerCols, ix.Key[0]) {
-				continue
-			}
-			c := curRows*inlDescend + cpuPerRow*fetched
-			if ix.Covers(r.Need) {
-				// Fetched rows stream off the index leaves.
-				c += fetched * float64(ix.EntryWidth(o.DB)) / schema.PageSize
-			} else if t != nil {
-				// Random heap lookups, capped at re-reading the table.
-				lookups := fetched
-				if lookups > t.Pages() {
-					lookups = t.Pages()
-				}
-				c += lookups
-			}
-			if c < inl {
-				inl = c
-				inlOrd = ord
-			}
-		}
-		if inl < hash {
-			total += inl
-			if plan != nil {
-				a := access[i]
-				a.indexOrd = inlOrd
-				a.desc = "inl-probe " + o.Candidates[inlOrd].ID()
-				plan.record(q, i, a, "index-nested-loop", inl)
-			}
-		} else {
-			total += hash
-			if plan != nil {
-				plan.record(q, i, access[i], "hash", hash)
-			}
-		}
-		curRows = fetched
-		joined[i] = true
-	}
-	total += cpuPerRow * curRows
-	if total < 1 {
-		total = 1
-	}
-	if plan != nil {
-		plan.QueryID = q.ID
-		plan.TotalCost = total
-		plan.OutputRows = curRows
-	}
-	return total
+	sortCost float64 // explicit sort, paid by any path not ordered on SortCols
 }
 
 // pipelineOrder returns a deterministic left-deep join order: start from the
@@ -952,49 +816,30 @@ func containsCol(cols []string, c string) bool {
 	return false
 }
 
-// bestAccess returns the cheapest access path for ref under cfg, visiting
-// only the query-relevant candidates when in is non-nil.
-func (o *Optimizer) bestAccess(r *workload.TableRef, cfg iset.Set, in *queryInfo) accessChoice {
+// baseAccess returns the configuration-free access facts of ref r: the heap
+// scan (or, for a table missing from the schema, a unit placeholder), its
+// filtered output cardinality and combined selectivity, and the sort
+// penalty every access path that does not deliver the ref's order pays.
+func (o *Optimizer) baseAccess(r *workload.TableRef) accessChoice {
 	t := o.DB.Table(r.Table)
 	if t == nil {
-		return accessChoice{cost: 1, rowsOut: 1, desc: "missing-table", indexOrd: -1}
+		return accessChoice{cost: 1, rowsOut: 1}
 	}
 	sel := r.LocalSelectivity()
 	rowsOut := float64(t.Rows) * sel
 	if rowsOut < 1 {
 		rowsOut = 1
 	}
-	needSort := len(r.SortCols) > 0
 	sortCost := 0.0
-	if needSort {
+	if len(r.SortCols) > 0 {
 		sortCost = sortPerRowLog * rowsOut * log2(rowsOut)
 	}
-
-	best := accessChoice{
+	return accessChoice{
 		cost:     t.Pages() + cpuPerRow*float64(t.Rows) + sortCost,
 		rowsOut:  rowsOut,
 		sel:      sel,
-		desc:     "heap-scan",
-		ordered:  false,
-		indexOrd: -1,
+		sortCost: sortCost,
 	}
-	for _, ord := range o.refCands(in, r.Table) {
-		if !cfg.Has(ord) {
-			continue
-		}
-		ix := &o.Candidates[ord]
-		c, ok, ordered := o.indexAccessCost(t, r, ix, rowsOut)
-		if !ok {
-			continue
-		}
-		if needSort && !ordered {
-			c += sortCost
-		}
-		if c < best.cost {
-			best = accessChoice{cost: c, rowsOut: rowsOut, sel: sel, desc: "index " + ix.ID(), ordered: ordered, indexOrd: ord}
-		}
-	}
-	return best
 }
 
 // indexAccessCost estimates the cost of accessing ref r through index ix.

@@ -353,7 +353,7 @@ func TestConcurrentWhatIfSharedOptimizer(t *testing.T) {
 	projected := make(map[Pair]bool)
 	for _, q := range w.Queries {
 		for _, cfg := range cfgs {
-			want[PairKey(q, cfg)] = o.PeekCost(q, cfg)
+			want[q.ID+"|"+cfg.Key()] = o.PeekCost(q, cfg)
 			projected[o.PairOf(q, cfg)] = true
 		}
 	}
@@ -368,8 +368,8 @@ func TestConcurrentWhatIfSharedOptimizer(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				q := w.Queries[(g+i)%len(w.Queries)]
 				cfg := cfgs[(g*7+i)%len(cfgs)]
-				if got := o.WhatIf(q, cfg); got != want[PairKey(q, cfg)] {
-					errs <- PairKey(q, cfg)
+				if key := q.ID + "|" + cfg.Key(); o.WhatIf(q, cfg) != want[key] {
+					errs <- key
 					return
 				}
 				o.BaseCost(q)
