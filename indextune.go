@@ -207,11 +207,6 @@ type Options struct {
 	// context.Background) leaves results bit-identical to earlier releases
 	// at any SessionWorkers count.
 	Context context.Context
-
-	// disableBatch forces the scalar what-if paths in every enumerator
-	// (Session.DisableBatch). Unexported: a test hook for the batch-vs-scalar
-	// equivalence properties, not a supported tuning knob.
-	disableBatch bool
 }
 
 // MCTSOptions expose the Section 6 policy choices plus the extensions the
@@ -331,7 +326,6 @@ func Tune(w *WorkloadSet, opts Options) (*Result, error) {
 	s.Workers = opts.SessionWorkers
 	s.DeriveEpsilon = opts.DeriveEpsilon
 	s.StopEpsilon = opts.StopEpsilon
-	s.DisableBatch = opts.disableBatch
 	s.Ctx = opts.Context
 	var rec *trace.Recorder
 	if opts.TraceEvents != nil || opts.CollectTrace {

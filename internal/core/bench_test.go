@@ -31,7 +31,7 @@ func benchTuner(b *testing.B, budget int) *tuner {
 // cycle against a huge budget (so episodes never hit the exhausted path).
 func BenchmarkEpisode(b *testing.B) {
 	tn := benchTuner(b, 1<<30)
-	tn.computePriors()
+	tn.computePriors(1)
 	tn.buildPriorPrefix()
 	tn.root = tn.newNode(iset.Set{}, 0)
 	tn.bestCfg = iset.Set{}
@@ -64,7 +64,7 @@ func BenchmarkEpisodeCached(b *testing.B) {
 func BenchmarkRollout(b *testing.B) {
 	tn := benchTuner(b, 1<<30)
 	tn.opts.Rollout = RolloutRandomStep
-	tn.computePriors()
+	tn.computePriors(1)
 	tn.buildPriorPrefix()
 	n := tn.newNode(iset.Set{}, 0)
 	b.ReportAllocs()
@@ -87,28 +87,7 @@ func BenchmarkComputePriors(b *testing.B) {
 		tn := &tuner{opts: Default().Opts, s: s, rng: s.Rng, baseW: s.Derived.BaseWorkload()}
 		tn.priors = make([]float64, s.NumCandidates())
 		b.StartTimer()
-		tn.computePriors()
-	}
-}
-
-// BenchmarkPriorPhaseBatched measures the batched Algorithm 4 prior phase:
-// all singleton pairs reserved in one ReserveBatch, evaluated through
-// WhatIfBatch's shared plan-space walks, committed in one pass (B = 200, so
-// 100 singleton what-if calls — the same work as BenchmarkComputePriors,
-// which routes through this path by default; the scalar loop survives only
-// under Session.DisableBatch).
-func BenchmarkPriorPhaseBatched(b *testing.B) {
-	w := workload.ByName("tpch")
-	cands := candgen.Generate(w, candgen.Options{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s := search.NewSession(w, cands, search.NewOptimizer(w, cands), 10, 200, 1)
-		tn := &tuner{opts: Default().Opts, s: s, rng: s.Rng, baseW: s.Derived.BaseWorkload()}
-		tn.priors = make([]float64, s.NumCandidates())
-		b.StartTimer()
-		tn.computePriorsBatched(1)
+		tn.computePriors(1)
 	}
 }
 

@@ -246,11 +246,7 @@ func (m MCTS) Enumerate(s *search.Session) iset.Set {
 	usesPriors := m.Opts.Policy == PolicyPrior || m.Opts.Policy == PolicyBoltzmann
 	if usesPriors && !m.Opts.DisablePrior {
 		s.Trace.SetPhase(trace.PhasePriors)
-		if workers > 1 {
-			t.computePriorsParallel(workers)
-		} else {
-			t.computePriors()
-		}
+		t.computePriors(workers)
 	}
 	s.Trace.SetPhase(trace.PhaseSearch)
 	t.buildPriorPrefix()
@@ -323,19 +319,6 @@ func (t *tuner) checkStop() bool {
 	return s.CheckStop(cfg)
 }
 
-// computePriors is Algorithm 4: spend B' = min(B/2, P) what-if calls on
-// singleton configurations, selecting queries round-robin and, within a
-// query, candidates on the largest tables first. The batched implementation
-// is the default (bit-identical to the scalar pass, including the trace
-// stream); DisableBatch selects the historical scalar loop.
-func (t *tuner) computePriors() {
-	if t.s.DisableBatch {
-		t.computePriorsScalar()
-		return
-	}
-	t.computePriorsBatched(1)
-}
-
 // priorBudget returns Algorithm 4's pair budget B' = min(B/2, P).
 func (t *tuner) priorBudget() int {
 	totalPairs := 0
@@ -383,15 +366,16 @@ func (t *tuner) priorPairs(budget int) []priorPair {
 // priorPair is one Algorithm-4 evaluation: candidate ord against query qi.
 type priorPair struct{ qi, ord int }
 
-// computePriorsBatched is Algorithm 4 through the batched session pipeline:
-// the pair sequence is reserved in the sequential order under one mutex
-// hold, the evaluations fan over the workers against per-query plan spaces,
-// and commits land in the same order — so priors, budget consumption, layout
-// trace, derived store, and the trace event stream are bit-identical to the
-// scalar computePriorsScalar at any worker count. StopOnExhausted truncates
-// the batch where the scalar pass's first failed what-if call would abandon
-// it, including that pair's derived fallback.
-func (t *tuner) computePriorsBatched(workers int) {
+// computePriors is Algorithm 4: spend B' = min(B/2, P) what-if calls on
+// singleton configurations, selecting queries round-robin and, within a
+// query, candidates on the largest tables first. The pair sequence is
+// reserved in that order under one mutex hold, the evaluations fan over the
+// workers against per-query plan spaces, and commits land in the same order
+// — so priors, budget consumption, layout trace, derived store, and the
+// trace event stream are the same at any worker count. StopOnExhausted
+// truncates the batch at the first failed what-if call, which abandons the
+// pass (including that pair's derived fallback).
+func (t *tuner) computePriors(workers int) {
 	s := t.s
 	budget := t.priorBudget()
 	pairs := t.priorPairs(budget)
@@ -409,67 +393,11 @@ func (t *tuner) computePriorsBatched(workers int) {
 	s.CommitReservedBatch(b)
 	for i := 0; i < b.Len(); i++ {
 		if b.Outcome(i) == search.BatchExhausted {
-			// The scalar pass returns early on the first failed call, leaving
-			// every prior at zero; mirror that.
+			// A failed call abandons the pass, leaving every prior at zero.
 			return
 		}
 		w := s.W.Queries[pairs[i].qi].EffectiveWeight()
 		costW[pairs[i].ord] += w * (b.Cost(i) - s.Derived.Base(pairs[i].qi))
-	}
-	for ord := range t.priors {
-		eta := 0.0
-		if t.baseW > 0 {
-			eta = 1 - costW[ord]/t.baseW
-		}
-		if eta < 0 {
-			eta = 0
-		}
-		t.priors[ord] = eta
-	}
-}
-
-// computePriorsScalar is the historical one-pair-at-a-time Algorithm 4 pass,
-// kept as the reference implementation the batched path is tested against.
-func (t *tuner) computePriorsScalar() {
-	s := t.s
-	budget := t.priorBudget()
-
-	// Per-candidate running workload cost, initialized to cost(W, ∅).
-	costW := make([]float64, s.NumCandidates())
-	for i := range costW {
-		costW[i] = t.baseW
-	}
-	// Per-query candidate order: largest table first.
-	order := make([][]int, len(s.Cands.Relevant))
-	for qi, per := range s.Cands.Relevant {
-		order[qi] = sortByTableRows(s, per)
-	}
-	next := make([]int, len(order))
-
-	evaluated := 0
-	for evaluated < budget {
-		progressed := false
-		for qi := range order {
-			if evaluated >= budget {
-				break
-			}
-			if next[qi] >= len(order[qi]) {
-				continue
-			}
-			ord := order[qi][next[qi]]
-			next[qi]++
-			progressed = true
-			c, ok := s.WhatIf(qi, iset.FromOrdinals(ord))
-			if !ok {
-				return
-			}
-			w := s.W.Queries[qi].EffectiveWeight()
-			costW[ord] += w * (c - s.Derived.Base(qi))
-			evaluated++
-		}
-		if !progressed {
-			break
-		}
 	}
 	for ord := range t.priors {
 		eta := 0.0

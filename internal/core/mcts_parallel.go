@@ -34,7 +34,6 @@ package core
 
 import (
 	randv2 "math/rand/v2"
-	"sync"
 
 	"indextune/internal/iset"
 	"indextune/internal/search"
@@ -72,36 +71,24 @@ type episodeSlot struct {
 	acts []int     // owned by: coordinator
 	d    []float64 // owned by: coordinator
 
-	cfg       iset.Set           // owned by: coordinator
-	total     float64            // owned by: coordinator — derived workload cost of cfg, before the what-if refinement
-	qi        int                // owned by: coordinator — query picked for the budgeted call, or -1
-	dQi       float64            // owned by: coordinator — weighted derived cost of (qi, cfg), replaced on commit
-	resv      search.Reservation // owned by: coordinator
-	awaiting  bool               // owned by: coordinator — an evaluation is pending on done
-	bounded   bool               // owned by: coordinator — the call was intercepted by derived bounds, budget-free (DisableBatch path)
-	boundCost float64            // owned by: coordinator — midpoint answer when bounded (DisableBatch path)
-	inflight  bool               // owned by: coordinator — the slot holds an uncommitted episode
+	cfg      iset.Set // owned by: coordinator
+	total    float64  // owned by: coordinator — derived workload cost of cfg, before the what-if refinement
+	qi       int      // owned by: coordinator — query picked for the budgeted call, or -1
+	dQi      float64  // owned by: coordinator — weighted derived cost of (qi, cfg), replaced on commit
+	awaiting bool     // owned by: coordinator — an evaluation is pending on done
+	inflight bool     // owned by: coordinator — the slot holds an uncommitted episode
 
-	// b is the slot's persistent one-pair batch (default path). The
-	// coordinator fills it in beginEpisode and reads it in commitEpisode; in
-	// between, the pointer rides the evalJob to the worker, with the
-	// jobs/done channel round-trip ordering the accesses. SkipFallback: an
-	// over-budget episode keeps its derived total, so no fallback cost or
-	// event is wanted.
+	// b is the slot's persistent one-pair batch. The coordinator fills it in
+	// beginEpisode and reads it in commitEpisode; in between, the pointer
+	// rides the jobs channel to the worker, with the jobs/done round-trip
+	// ordering the accesses — the worker only ever touches what arrived on
+	// the channel, never the slot's own fields. SkipFallback: an over-budget
+	// episode keeps its derived total, so no fallback cost or event is
+	// wanted.
 	b *search.Batch // owned by: coordinator
 
-	jobs chan evalJob
-	done chan float64
-}
-
-// evalJob asks a slot's worker for one evaluation: a reserved batch (the
-// default path) or a scalar reserved pair (DisableBatch). Carrying the batch
-// pointer in the job makes the ownership hand-off explicit: the worker only
-// ever touches what arrived on the channel, never the slot's own fields.
-type evalJob struct {
-	qi  int
-	cfg iset.Set
-	b   *search.Batch
+	jobs chan *search.Batch
+	done chan struct{}
 }
 
 // runParallel drives the episode pipeline until the budget is exhausted or
@@ -112,18 +99,15 @@ func (t *tuner) runParallel(workers int) {
 		sl := &episodeSlot{
 			rng:  pcgStream{randv2.New(randv2.NewPCG(uint64(t.s.Rng.Int63()), uint64(i)))},
 			qi:   -1,
-			jobs: make(chan evalJob, 1),
-			done: make(chan float64, 1),
+			b:    &search.Batch{SkipFallback: true},
+			jobs: make(chan *search.Batch, 1),
+			done: make(chan struct{}, 1),
 		}
 		slots[i] = sl
 		go func() {
-			for j := range sl.jobs {
-				if j.b != nil {
-					t.s.EvaluateReservedBatch(j.b, 1)
-					sl.done <- 0
-					continue
-				}
-				sl.done <- t.s.EvaluateReserved(j.qi, j.cfg)
+			for b := range sl.jobs {
+				t.s.EvaluateReservedBatch(b, 1)
+				sl.done <- struct{}{}
 			}
 		}()
 	}
@@ -186,49 +170,26 @@ func (t *tuner) beginEpisode(sl *episodeSlot) {
 	sl.total = total
 	sl.qi = t.pickQuery(cfg, d, total)
 	sl.awaiting = false
-	sl.bounded = false
-	sl.resv = search.ReserveExhausted
+	charged := false
 	if sl.qi >= 0 {
 		sl.dQi = d[sl.qi]
-		if s.DisableBatch {
-			// Scalar path: bound interception runs on the coordinator in
-			// episode order (like every other budget decision), so hits are
-			// deterministic in (seed, Workers). An intercepted call reserves
-			// nothing and needs no worker round-trip.
-			if c, ok := s.TryDeriveBound(sl.qi, cfg); ok {
-				sl.bounded = true
-				sl.boundCost = c
-			} else {
-				sl.resv = s.Reserve(sl.qi, cfg)
-				if sl.resv != search.ReserveExhausted {
-					sl.jobs <- evalJob{qi: sl.qi, cfg: cfg}
-					sl.awaiting = true
-				}
-			}
-		} else {
-			// Batched path: the reserve decision (seen / bound / charge) runs
-			// on the coordinator in episode order with the same outcomes as
-			// the scalar sequence; evaluation goes to the slot's worker, and
-			// the pair's trace events land at the commit point.
-			if sl.b == nil {
-				sl.b = &search.Batch{SkipFallback: true}
-			}
-			sl.b.Reset()
-			sl.b.Add(sl.qi, cfg)
-			s.ReserveBatch(sl.b)
-			switch sl.b.Outcome(0) {
-			case search.BatchCharged:
-				sl.resv = search.ReserveCharged
-			case search.BatchCached:
-				sl.resv = search.ReserveCached
-			}
-			if sl.resv != search.ReserveExhausted {
-				sl.jobs <- evalJob{b: sl.b}
-				sl.awaiting = true
-			}
+		// The reserve decision (seen / bound / charge) runs on the
+		// coordinator in episode order, so it is deterministic in (seed,
+		// Workers); evaluation goes to the slot's worker, and the pair's
+		// trace events land at the commit point.
+		sl.b.Reset()
+		sl.b.Add(sl.qi, cfg)
+		s.ReserveBatch(sl.b)
+		switch sl.b.Outcome(0) {
+		case search.BatchCharged:
+			charged = true
+			fallthrough
+		case search.BatchCached:
+			sl.jobs <- sl.b
+			sl.awaiting = true
 		}
 	}
-	if sl.resv == search.ReserveCharged {
+	if charged {
 		t.stalled = 0
 	} else {
 		t.stalled++
@@ -242,7 +203,7 @@ func (t *tuner) beginEpisode(sl *episodeSlot) {
 // the selection path — all on the coordinator, in episode order.
 func (t *tuner) commitEpisode(sl *episodeSlot) {
 	total := sl.total
-	if !t.s.DisableBatch && sl.qi >= 0 {
+	if sl.qi >= 0 {
 		if sl.awaiting {
 			<-sl.done
 		}
@@ -253,14 +214,6 @@ func (t *tuner) commitEpisode(sl *episodeSlot) {
 		if sl.b.Outcome(0) != search.BatchExhausted {
 			total += -sl.dQi + sl.b.Cost(0)*t.s.W.Queries[sl.qi].EffectiveWeight()
 		}
-	} else if sl.bounded {
-		total += -sl.dQi + sl.boundCost*t.s.W.Queries[sl.qi].EffectiveWeight()
-	} else if sl.awaiting {
-		c := <-sl.done
-		if sl.resv == search.ReserveCharged {
-			t.s.CommitReserved(sl.qi, sl.cfg, c)
-		}
-		total += -sl.dQi + c*t.s.W.Queries[sl.qi].EffectiveWeight()
 	}
 	for i, n := range sl.path {
 		n.vvisits--
@@ -281,98 +234,4 @@ func (t *tuner) commitEpisode(sl *episodeSlot) {
 	t.inflightN--
 	t.backup(sl.path, sl.acts, sl.cfg, eta)
 	sl.inflight = false
-}
-
-// computePriorsParallel is Algorithm 4 with concurrent evaluations. The
-// default implementation is the batched pipeline (one reserve pass, grouped
-// plan-space evaluation over the workers, one commit pass); DisableBatch
-// selects the historical hand-rolled Reserve/EvaluateReserved/CommitReserved
-// fan-out. Both are bit-identical to the sequential computePriors in priors,
-// budget consumption, layout trace, and derived store.
-func (t *tuner) computePriorsParallel(workers int) {
-	if !t.s.DisableBatch {
-		t.computePriorsBatched(workers)
-		return
-	}
-	s := t.s
-	budget := t.priorBudget()
-	pairs := t.priorPairs(budget)
-
-	costW := make([]float64, s.NumCandidates())
-	for i := range costW {
-		costW[i] = t.baseW
-	}
-
-	// Reserve in sequence. On a fresh session the budget cannot exhaust
-	// within B/2 reservations; if the session was partially used before,
-	// stop where the sequential pass would have stopped. Bound interception
-	// (a no-op on fresh sessions: singleton bounds are never tight without
-	// recorded supersets) mirrors the sequential pass's s.WhatIf for reused
-	// sessions.
-	cfgs := make([]iset.Set, len(pairs))
-	states := make([]search.Reservation, len(pairs))
-	bounded := make([]bool, len(pairs))
-	costs := make([]float64, len(pairs))
-	exhaustedAt := -1
-	for i, p := range pairs {
-		cfgs[i] = iset.FromOrdinals(p.ord)
-		if c, ok := s.TryDeriveBound(p.qi, cfgs[i]); ok {
-			bounded[i] = true
-			costs[i] = c
-			continue
-		}
-		states[i] = s.Reserve(p.qi, cfgs[i])
-		if states[i] == search.ReserveExhausted {
-			exhaustedAt = i
-			break
-		}
-	}
-	n := len(pairs)
-	if exhaustedAt >= 0 {
-		n = exhaustedAt
-	}
-
-	// Evaluate concurrently in contiguous chunks.
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if !bounded[i] {
-					costs[i] = s.EvaluateReserved(pairs[i].qi, cfgs[i])
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-
-	// Commit and accumulate in the sequential order.
-	for i := 0; i < n; i++ {
-		if !bounded[i] && states[i] == search.ReserveCharged {
-			s.CommitReserved(pairs[i].qi, cfgs[i], costs[i])
-		}
-		w := s.W.Queries[pairs[i].qi].EffectiveWeight()
-		costW[pairs[i].ord] += w * (costs[i] - s.Derived.Base(pairs[i].qi))
-	}
-	if exhaustedAt >= 0 {
-		// The sequential pass returns early on exhaustion, leaving the priors
-		// at zero; mirror that.
-		return
-	}
-	for ord := range t.priors {
-		eta := 0.0
-		if t.baseW > 0 {
-			eta = 1 - costW[ord]/t.baseW
-		}
-		if eta < 0 {
-			eta = 0
-		}
-		t.priors[ord] = eta
-	}
 }

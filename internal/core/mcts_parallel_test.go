@@ -130,11 +130,7 @@ func TestParallelPriorsMatchSequential(t *testing.T) {
 		s := session(t, "tpch", 5, 100, 1)
 		tn := &tuner{opts: Default().Opts, s: s, rng: s.Rng, baseW: s.Derived.BaseWorkload()}
 		tn.priors = make([]float64, s.NumCandidates())
-		if workers == 1 {
-			tn.computePriors()
-		} else {
-			tn.computePriorsParallel(workers)
-		}
+		tn.computePriors(workers)
 		got = priorsDigest(s, tn)
 		if !*updateGolden && got != want {
 			t.Errorf("workers=%d diverged from %s:\n  want: %s\n  got:  %s", workers, priorsGoldenPath, want, got)

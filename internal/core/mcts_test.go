@@ -62,7 +62,7 @@ func TestPriorsAreComputedWithinHalfBudget(t *testing.T) {
 	s := session(t, "tpch", 5, 100, 1)
 	tn := &tuner{opts: Default().Opts, s: s, rng: s.Rng, baseW: s.Derived.BaseWorkload()}
 	tn.priors = make([]float64, s.NumCandidates())
-	tn.computePriors()
+	tn.computePriors(1)
 	if s.Used() > 50 {
 		t.Fatalf("prior phase used %d > B/2 = 50 calls", s.Used())
 	}
@@ -86,7 +86,7 @@ func TestPriorPhaseRoundRobin(t *testing.T) {
 	s := session(t, "tpch", 5, 1000, 1)
 	tn := &tuner{opts: Default().Opts, s: s, rng: s.Rng, baseW: s.Derived.BaseWorkload()}
 	tn.priors = make([]float64, s.NumCandidates())
-	tn.computePriors()
+	tn.computePriors(1)
 	m := len(s.W.Queries)
 	cells := s.Layout.Cells()
 	if len(cells) < m {
@@ -110,7 +110,7 @@ func TestPriorPhaseLargestTableFirst(t *testing.T) {
 	s := session(t, "tpch", 5, 10000, 1)
 	tn := &tuner{opts: Default().Opts, s: s, rng: s.Rng, baseW: s.Derived.BaseWorkload()}
 	tn.priors = make([]float64, s.NumCandidates())
-	tn.computePriors()
+	tn.computePriors(1)
 	// Reconstruct the per-query order of evaluated singleton candidates.
 	firstRows := make(map[int]int64)
 	for _, cell := range s.Layout.Cells() {

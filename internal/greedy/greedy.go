@@ -54,7 +54,7 @@ func Search(s *search.Session, queries, cands []int, start iset.Set, k int, mode
 		}
 	}
 
-	var eb *search.Batch // reused across batched budgeted steps
+	var eb search.Batch // reused across budgeted steps
 	for cur.Len() < k {
 		var bestOrd int
 		var bestCost float64
@@ -63,13 +63,8 @@ func Search(s *search.Session, queries, cands []int, start iset.Set, k int, mode
 			// Fast path: only derived costs remain, and a candidate can only
 			// improve queries whose recorded entries mention it.
 			bestOrd, bestCost, bestD = derivedStep(s, queries, qpos, cands, cur, dCur, curCost)
-		} else if s.DisableBatch {
-			bestOrd, bestCost, bestD = budgetedStep(s, queries, cands, cur, dCur, curCost, mode, atomic)
 		} else {
-			if eb == nil {
-				eb = &search.Batch{}
-			}
-			bestOrd, bestCost, bestD = budgetedStepBatched(s, queries, cands, cur, dCur, curCost, mode, atomic, eb)
+			bestOrd, bestCost, bestD = chargedStep(s, queries, cands, cur, dCur, curCost, mode, atomic, &eb)
 		}
 		if bestOrd < 0 {
 			break
@@ -132,46 +127,19 @@ func stopConfig(s *search.Session, cands []int, cur iset.Set, k int) iset.Set {
 	return cfg
 }
 
-// budgetedStep evaluates every admissible candidate with what-if calls
-// according to mode, returning the best extension found.
-func budgetedStep(s *search.Session, queries []int, cands []int, cur iset.Set, dCur []float64, curCost float64, mode EvalMode, atomic map[[2]int]bool) (int, float64, []float64) {
-	bestOrd := -1
-	bestCost := curCost
-	bestD := make([]float64, len(queries))
-	candD := make([]float64, len(queries))
-	for _, ord := range cands {
-		if cur.Has(ord) || !s.FitsStorage(cur, ord) {
-			continue
-		}
-		cfg := cur.With(ord)
-		total := 0.0
-		for j, qi := range queries {
-			c := evalCost(s, qi, cfg, cur, dCur[j], ord, mode, atomic)
-			candD[j] = c
-			total += c * s.W.Queries[qi].EffectiveWeight()
-		}
-		if total < bestCost {
-			bestCost = total
-			bestOrd = ord
-			copy(bestD, candD)
-		}
-	}
-	return bestOrd, bestCost, bestD
-}
-
-// budgetedStepBatched is budgetedStep through the batched session pipeline:
-// all what-if-eligible (query, cur∪{cand}) pairs of the step are reserved in
-// the scalar sweep's candidate-major order, evaluated in per-query groups
-// against interned plan spaces, and committed in the same order — so budget
-// charges, counters, derived-store contents, and trace events are
-// bit-identical to the scalar step.
+// chargedStep evaluates every admissible candidate extension according to
+// mode through the session's batched charging pipeline: all
+// what-if-eligible (query, cur∪{cand}) pairs of the step are reserved in
+// candidate-major order (first come, first served), evaluated in per-query
+// groups against interned plan spaces, and committed in the same order. It
+// returns the best extension found.
 //
-// The accumulation pass after the commit is also exact: for a pair
-// (q, cur∪{a}) the incremental bound QueryWith(q, cur, dCur, a) reads only
-// recorded entries containing a, and the only same-step entry containing a
-// is the pair's own record — other candidates' entries cur∪{b} never do —
-// so computing the minima after all commits equals the scalar interleaving.
-func budgetedStepBatched(s *search.Session, queries []int, cands []int, cur iset.Set, dCur []float64, curCost float64, mode EvalMode, atomic map[[2]int]bool, b *search.Batch) (int, float64, []float64) {
+// The accumulation pass after the commit is exact: for a pair (q, cur∪{a})
+// the incremental bound QueryWith(q, cur, dCur, a) reads only recorded
+// entries containing a, and the only same-step entry containing a is the
+// pair's own record — other candidates' entries cur∪{b} never do — so
+// computing the minima after all commits equals a pair-by-pair sweep.
+func chargedStep(s *search.Session, queries []int, cands []int, cur iset.Set, dCur []float64, curCost float64, mode EvalMode, atomic map[[2]int]bool, b *search.Batch) (int, float64, []float64) {
 	b.Reset()
 	for _, ord := range cands {
 		if cur.Has(ord) || !s.FitsStorage(cur, ord) {
@@ -206,9 +174,9 @@ func budgetedStepBatched(s *search.Session, queries []int, cands []int, cur iset
 			if whatIf {
 				c = b.Cost(k)
 				k++
-				// WhatIf falls back to a full derived scan when the budget is
-				// out; tighten with the incremental bound (equivalent here),
-				// exactly as the scalar evalCost does.
+				// An over-budget pair falls back to a full derived scan;
+				// tighten with the incremental bound, which is equivalent
+				// here.
 				d := s.Derived.QueryWith(qi, cur, dCur[j], ord)
 				if d < c {
 					c = d
@@ -256,34 +224,6 @@ func derivedStep(s *search.Session, queries []int, qpos map[int]int, cands []int
 		}
 	}
 	return bestOrd, bestCost, nil
-}
-
-// evalCost returns cost(q, cfg) under the evaluation mode. cfg = cur ∪
-// {add}, and dCur is the derived cost of cur for this query.
-func evalCost(s *search.Session, qi int, cfg, cur iset.Set, dCur float64, add int, mode EvalMode, atomic map[[2]int]bool) float64 {
-	switch mode {
-	case EvalWhatIf:
-		c, _ := s.WhatIf(qi, cfg)
-		// WhatIf falls back to a full derived scan when the budget is out;
-		// tighten with the incremental bound which is equivalent here.
-		d := s.Derived.QueryWith(qi, cur, dCur, add)
-		if d < c {
-			c = d
-		}
-		return c
-	case EvalAtomic:
-		if isAtomic(cfg, atomic) {
-			c, _ := s.WhatIf(qi, cfg)
-			d := s.Derived.QueryWith(qi, cur, dCur, add)
-			if d < c {
-				c = d
-			}
-			return c
-		}
-		return s.Derived.QueryWith(qi, cur, dCur, add)
-	default:
-		return s.Derived.QueryWith(qi, cur, dCur, add)
-	}
 }
 
 func atomicSet(s *search.Session, mode EvalMode) map[[2]int]bool {

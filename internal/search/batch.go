@@ -2,10 +2,14 @@ package search
 
 // Batched budget accounting: ReserveBatch / EvaluateReservedBatch /
 // CommitReservedBatch process many (query, configuration) pairs through the
-// same protocol as the scalar WhatIf path, in three phases that each take the
-// session mutex once (reserve decisions), run the optimizer without it
-// (evaluation, grouped per query through the plan-space batch path), and
-// take it once more (bookkeeping and trace emission in pair order).
+// session's one charging protocol, in three phases that each take the
+// session mutex once (the per-pair reserve decisions), run the optimizer
+// without it (evaluation, grouped per query through the plan-space batch
+// path), and take it once more (the per-pair commit bookkeeping and trace
+// emission, in pair order). The scalar entry points (Session.WhatIf, the
+// floor probes, Reserve/CommitReserved) run the same per-pair steps —
+// reserve and settle in session.go — for a single pair: a batch of size one
+// is the scalar path.
 //
 // Exactness contract: a batch over pairs p_0..p_{n-1} leaves the session in
 // the same state — budget used, seen/pending sets, cache-hit and bound-hit
@@ -19,26 +23,24 @@ package search
 // recorded entries comparable to C, and the only entries a batch records for
 // q are the batch's own charged pairs, none comparable to C. All wired
 // consumers satisfy the precondition structurally — greedy step extensions
-// cur∪{a} vs cur∪{b} are incomparable, Algorithm 4's prior singletons are
-// incomparable, and the workload sweep holds one pair per query.
+// cur∪{a} vs cur∪{b} are incomparable, and Algorithm 4's prior singletons
+// are incomparable.
 //
 // Trace events are not emitted at reserve time; CommitReservedBatch emits
 // each pair's events in pair order — Reserve+Commit for charged pairs (with
 // the budget counter recorded at that pair's reserve), CacheHit for repeats,
 // DerivedBound for interceptions, DerivedFallback for over-budget pairs — so
-// the batched stream is literally the scalar stream.
+// the batched stream is literally the sequential stream.
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"indextune/internal/iset"
 	"indextune/internal/whatif"
 )
 
-// BatchOutcome is the reserve-time classification of one batch pair. It
-// extends Reservation with the bound-interception case, which the scalar
-// path reports through TryDeriveBound rather than Reserve.
+// BatchOutcome is the reserve-time classification of one pair. It extends
+// Reservation with the bound-interception case.
 type BatchOutcome uint8
 
 // Batch pair outcomes.
@@ -54,6 +56,20 @@ const (
 	// stopped); answered from the derived cost unless SkipFallback is set.
 	BatchExhausted
 )
+
+// request is one (query, configuration) pair in flight through the charging
+// protocol: reserve decides its outcome, evaluation fills cost for charged
+// and cached pairs, and settle completes it.
+type request struct {
+	qi     int
+	cfg    iset.Set
+	key    whatif.Pair // seen/pending identity (pairFor)
+	out    BatchOutcome
+	cost   float64 // bound midpoint, evaluated cost, or derived fallback
+	gap    float64 // relative bound gap of a BatchBound answer
+	usedAt int     // budget counter right after a BatchCharged reservation
+	floor  bool    // a floor probe: commit records the query's floor, not an entry
+}
 
 // Batch is a reusable ordered collection of (query, configuration) pairs
 // flowing through ReserveBatch → EvaluateReservedBatch →
@@ -71,13 +87,7 @@ type Batch struct {
 	// total.
 	SkipFallback bool
 
-	qis    []int
-	cfgs   []iset.Set
-	pairs  []whatif.Pair
-	out    []BatchOutcome
-	costs  []float64
-	usedAt []int
-	gaps   []float64
+	reqs []request
 
 	// Per-query evaluation groups, rebuilt by EvaluateReservedBatch.
 	groups []batchGroup
@@ -92,93 +102,43 @@ type batchGroup struct {
 }
 
 // Reset empties the batch for reuse, keeping capacity.
-func (b *Batch) Reset() {
-	b.qis = b.qis[:0]
-	b.cfgs = b.cfgs[:0]
-}
+func (b *Batch) Reset() { b.reqs = b.reqs[:0] }
 
 // Add appends the pair (q_i, cfg) to the batch.
 func (b *Batch) Add(qi int, cfg iset.Set) {
-	b.qis = append(b.qis, qi)
-	b.cfgs = append(b.cfgs, cfg)
+	b.reqs = append(b.reqs, request{qi: qi, cfg: cfg})
 }
 
 // Len returns the number of pairs in the batch (after ReserveBatch it may be
 // smaller than the number added, if StopOnExhausted truncated it).
-func (b *Batch) Len() int { return len(b.qis) }
+func (b *Batch) Len() int { return len(b.reqs) }
 
 // Outcome returns the reserve-time outcome of pair i (valid after
 // ReserveBatch).
-func (b *Batch) Outcome(i int) BatchOutcome { return b.out[i] }
+func (b *Batch) Outcome(i int) BatchOutcome { return b.reqs[i].out }
 
 // Cost returns the cost of pair i: bound midpoints after ReserveBatch,
 // evaluated costs after EvaluateReservedBatch, and derived fallbacks after
 // CommitReservedBatch. Exhausted pairs read 0 when SkipFallback is set.
-func (b *Batch) Cost(i int) float64 { return b.costs[i] }
-
-// grow returns s resized to n, reusing capacity.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
+func (b *Batch) Cost(i int) float64 { return b.reqs[i].cost }
 
 // ReserveBatch performs the accounting half of every pair in order, under
-// one mutex hold: the same seen / derived-bound / budget decisions the
-// scalar TryDeriveBound+Reserve sequence makes, with identical counter
-// updates, but with trace emission deferred to CommitReservedBatch. Charged
+// one mutex hold: the session's per-pair decision (seen / derived-bound /
+// budget), with trace emission deferred to CommitReservedBatch. Charged
 // pairs enter the pending set and owe a CommitReservedBatch.
 func (s *Session) ReserveBatch(b *Batch) {
-	n := len(b.qis)
-	b.pairs = grow(b.pairs, n)
-	b.out = grow(b.out, n)
-	b.costs = grow(b.costs, n)
-	b.usedAt = grow(b.usedAt, n)
-	b.gaps = grow(b.gaps, n)
-	for i := 0; i < n; i++ {
-		b.pairs[i] = s.pairFor(b.qis[i], b.cfgs[i])
-		b.costs[i] = 0
-		b.gaps[i] = 0
+	for i := range b.reqs {
+		r := &b.reqs[i]
+		r.key = s.pairFor(r.qi, r.cfg)
+		r.cost, r.gap = 0, 0
 	}
 	s.mu.Lock()
-	for i := 0; i < n; i++ {
-		qi, cfg := b.qis[i], b.cfgs[i]
-		if _, hit := s.seen[b.pairs[i]]; hit {
-			atomic.AddInt64(&s.cacheHits, 1)
-			b.out[i] = BatchCached
-			continue
+	for i := range b.reqs {
+		s.reserve(&b.reqs[i], true)
+		if b.reqs[i].out == BatchExhausted && b.StopOnExhausted {
+			b.reqs = b.reqs[:i+1]
+			break
 		}
-		if s.DeriveEpsilon > 0 {
-			// Bound interception, inlined under the held mutex exactly like
-			// WorkloadCostOrDerived's pass: the batch precondition (no
-			// comparable same-query pairs) makes the decision match the
-			// scalar interleaving.
-			if lo, hi := s.Derived.Bounds(qi, cfg); hi-lo <= s.DeriveEpsilon*hi {
-				b.costs[i] = (hi + lo) / 2
-				if hi > 0 {
-					b.gaps[i] = (hi - lo) / hi
-				}
-				b.out[i] = BatchBound
-				atomic.AddInt64(&s.boundHits, 1)
-				continue
-			}
-		}
-		if atomic.LoadInt64(&s.used) >= int64(s.Budget) || atomic.LoadInt32(&s.stopped) != 0 ||
-			atomic.LoadInt32(&s.cancelled) != 0 {
-			b.out[i] = BatchExhausted
-			if b.StopOnExhausted {
-				b.qis = b.qis[:i+1]
-				b.cfgs = b.cfgs[:i+1]
-				break
-			}
-			continue
-		}
-		atomic.AddInt64(&s.used, 1)
-		s.seen[b.pairs[i]] = struct{}{}
-		s.pending[b.pairs[i]] = struct{}{}
-		b.out[i] = BatchCharged
-		b.usedAt[i] = int(atomic.LoadInt64(&s.used))
 	}
 	s.mu.Unlock()
 }
@@ -189,26 +149,25 @@ func (s *Session) ReserveBatch(b *Batch) {
 // fanned across up to workers goroutines; like EvaluateReserved it performs
 // no session bookkeeping, so the fan-out order cannot affect results.
 func (s *Session) EvaluateReservedBatch(b *Batch, workers int) {
-	n := len(b.qis)
 	if cap(b.qi2g) < len(s.W.Queries) {
 		b.qi2g = make([]int, len(s.W.Queries))
 	}
 	qi2g := b.qi2g[:len(s.W.Queries)]
 	b.groups = b.groups[:0]
-	for i := 0; i < n; i++ {
-		if b.out[i] != BatchCharged && b.out[i] != BatchCached {
+	for i := range b.reqs {
+		r := &b.reqs[i]
+		if r.out != BatchCharged && r.out != BatchCached {
 			continue
 		}
-		qi := b.qis[i]
-		g := qi2g[qi] - 1
-		if g < 0 || g >= len(b.groups) || b.groups[g].qi != qi {
-			b.groups = append(b.groups, batchGroup{qi: qi})
+		g := qi2g[r.qi] - 1
+		if g < 0 || g >= len(b.groups) || b.groups[g].qi != r.qi {
+			b.groups = append(b.groups, batchGroup{qi: r.qi})
 			g = len(b.groups) - 1
-			qi2g[qi] = g + 1
+			qi2g[r.qi] = g + 1
 		}
 		gr := &b.groups[g]
 		gr.idx = append(gr.idx, i)
-		gr.cfgs = append(gr.cfgs, b.cfgs[i])
+		gr.cfgs = append(gr.cfgs, r.cfg)
 	}
 	// Sparse reset: only the touched entries are cleared, and group slices
 	// are truncated for reuse after their costs scatter back.
@@ -223,7 +182,7 @@ func (s *Session) EvaluateReservedBatch(b *Batch, workers int) {
 	eval := func(g *batchGroup) {
 		costs := s.Opt.WhatIfBatch(s.W.Queries[g.qi], g.cfgs)
 		for k, i := range g.idx {
-			b.costs[i] = costs[k]
+			b.reqs[i].cost = costs[k]
 		}
 	}
 	if workers <= 1 || len(b.groups) < 2 {
@@ -253,47 +212,16 @@ func (s *Session) EvaluateReservedBatch(b *Batch, workers int) {
 	wg.Wait()
 }
 
-// CommitReservedBatch completes the batch under one mutex hold, in pair
-// order: charged pairs are recorded in the layout trace and the derived
-// store and charged virtual time; exhausted pairs fall back to the derived
-// cost (unless SkipFallback) computed at their position, after earlier
-// pairs' records, exactly as the scalar interleaving would. Each pair's
-// trace events are emitted here, in pair order, reproducing the scalar
-// event stream.
+// CommitReservedBatch completes the batch under one mutex hold, settling
+// each pair in pair order: charged pairs are recorded in the layout trace
+// and the derived store and charged virtual time; exhausted pairs fall back
+// to the derived cost (unless SkipFallback) computed at their position,
+// after earlier pairs' records, exactly as the sequential interleaving
+// would; every pair's trace events are emitted here.
 func (s *Session) CommitReservedBatch(b *Batch) {
-	n := len(b.qis)
 	s.mu.Lock()
-	for i := 0; i < n; i++ {
-		qi, cfg := b.qis[i], b.cfgs[i]
-		switch b.out[i] {
-		case BatchCharged:
-			c := b.costs[i]
-			s.Layout.Append(cfg, qi)
-			s.Derived.Record(qi, cfg, c)
-			s.chargeCall()
-			atomic.AddInt64(&s.committed, 1)
-			delete(s.pending, b.pairs[i])
-			if s.Trace != nil {
-				key := cfg.Key()
-				s.Trace.Reserve(qi, key, b.usedAt[i])
-				s.Trace.Commit(qi, key, c, b.usedAt[i])
-			}
-		case BatchCached:
-			if s.Trace != nil {
-				s.Trace.CacheHit(qi, cfg.Key())
-			}
-		case BatchBound:
-			if s.Trace != nil {
-				s.Trace.DerivedBound(qi, cfg.Key(), b.costs[i], b.gaps[i])
-			}
-		default:
-			if !b.SkipFallback {
-				b.costs[i] = s.Derived.Query(qi, cfg)
-				if s.Trace != nil {
-					s.Trace.DerivedFallback(qi, cfg.Key())
-				}
-			}
-		}
+	for i := range b.reqs {
+		s.settle(&b.reqs[i], !b.SkipFallback)
 	}
 	s.mu.Unlock()
 }

@@ -139,14 +139,6 @@ type Session struct {
 	// bit-identical to a session without the interception layer.
 	DeriveEpsilon float64
 
-	// DisableBatch forces every consumer that would use the batched
-	// ReserveBatch/EvaluateReservedBatch/CommitReservedBatch pipeline back
-	// onto the scalar WhatIf path. The two paths are bit-identical in
-	// results, accounting, and trace streams (the equivalence property
-	// tests pin this); the knob exists so those tests — and bisection of
-	// any future divergence — can hold everything else fixed.
-	DisableBatch bool
-
 	// StopEpsilon enables Esc-style early stopping when positive: at
 	// enumerator commit points, CheckStop bounds the best possible remaining
 	// improvement from monotonicity-derived cost floors, and when that bound
@@ -344,33 +336,141 @@ const (
 	ReserveExhausted
 )
 
+// reserve is the per-pair charging decision every entry point shares
+// (ReserveBatch, WhatIf, Reserve, and the floor probes): a pair this session
+// already asked for is a free cache hit; with intercept set and
+// DeriveEpsilon > 0, an unseen pair whose derived bounds are tight is
+// answered from the bound midpoint without charging; otherwise an unseen
+// pair is refused when the budget is spent or the session has stopped or
+// been cancelled, and charged one unit — marked seen and pending — when not.
+// It emits no trace events; r.key must already hold pairFor(r.qi, r.cfg).
+//
+// locked: mu
+func (s *Session) reserve(r *request, intercept bool) {
+	if _, hit := s.seen[r.key]; hit {
+		atomic.AddInt64(&s.cacheHits, 1)
+		r.out = BatchCached
+		return
+	}
+	if intercept {
+		if mid, gap, ok := s.boundAnswer(r.qi, r.cfg); ok {
+			atomic.AddInt64(&s.boundHits, 1)
+			r.out, r.cost, r.gap = BatchBound, mid, gap
+			return
+		}
+	}
+	if atomic.LoadInt64(&s.used) >= int64(s.Budget) || atomic.LoadInt32(&s.stopped) != 0 ||
+		atomic.LoadInt32(&s.cancelled) != 0 {
+		r.out = BatchExhausted
+		return
+	}
+	r.usedAt = int(atomic.AddInt64(&s.used, 1))
+	s.seen[r.key] = struct{}{}
+	s.pending[r.key] = struct{}{}
+	r.out = BatchCharged
+}
+
+// boundAnswer is the Wii-style interception test: with DeriveEpsilon > 0,
+// the derived bounds of (q_i, cfg) satisfying (hi − lo) ≤ ε·hi yield the
+// bound midpoint (relative error at most ε/2) and the relative gap.
+//
+// locked: mu
+func (s *Session) boundAnswer(qi int, cfg iset.Set) (mid, gap float64, ok bool) {
+	if s.DeriveEpsilon <= 0 {
+		return 0, 0, false
+	}
+	lo, hi := s.Derived.Bounds(qi, cfg)
+	if hi-lo > s.DeriveEpsilon*hi {
+		return 0, 0, false
+	}
+	if hi > 0 {
+		gap = (hi - lo) / hi
+	}
+	return (hi + lo) / 2, gap, true
+}
+
+// settle completes a reserved pair and emits its trace events: a charged
+// pair is committed (preceded by its Reserve event), a cached or
+// bound-answered pair is witnessed, and an exhausted pair — when fallback
+// is set — is answered from the derived cost computed now, after every
+// earlier commit.
+//
+// locked: mu
+func (s *Session) settle(r *request, fallback bool) {
+	switch r.out {
+	case BatchCharged:
+		if s.Trace != nil {
+			s.Trace.Reserve(r.qi, r.cfg.Key(), r.usedAt)
+		}
+		s.commit(r, r.usedAt)
+	case BatchCached:
+		if s.Trace != nil {
+			s.Trace.CacheHit(r.qi, r.cfg.Key())
+		}
+	case BatchBound:
+		if s.Trace != nil {
+			s.Trace.DerivedBound(r.qi, r.cfg.Key(), r.cost, r.gap)
+		}
+	default:
+		if fallback {
+			r.cost = s.Derived.Query(r.qi, r.cfg)
+			if s.Trace != nil {
+				s.Trace.DerivedFallback(r.qi, r.cfg.Key())
+			}
+		}
+	}
+}
+
+// commit is the per-pair commit bookkeeping of a charged pair: the call is
+// appended to the layout trace, its cost recorded in the derived store (as
+// the query's floor for a floor probe), virtual time charged, and the
+// reservation retired from the pending set. used is the budget counter the
+// Commit trace event carries.
+//
+// locked: mu
+func (s *Session) commit(r *request, used int) {
+	s.Layout.Append(r.cfg, r.qi)
+	if r.floor {
+		// A universe-sized entry would put every query on every candidate's
+		// touched list, destroying the sparsity the greedy fast path and the
+		// incremental checker rely on, while the floor still tightens Bounds
+		// for every configuration (everything is a subset of U).
+		s.Derived.RecordFloor(r.qi, r.cost)
+	} else {
+		s.Derived.Record(r.qi, r.cfg, r.cost)
+	}
+	s.chargeCall()
+	atomic.AddInt64(&s.committed, 1)
+	delete(s.pending, r.key)
+	if s.Trace != nil {
+		s.Trace.Commit(r.qi, r.cfg.Key(), r.cost, used)
+	}
+}
+
 // Reserve performs the accounting half of a what-if request: it decides —
 // atomically with respect to other chargers — whether the pair is a session
 // cache hit, a fresh budgeted call, or over budget, and charges the budget
 // (marking the pair seen) in the ReserveCharged case. The expensive
 // evaluation is left to EvaluateReserved, so callers can pipeline it on
 // other goroutines while reservations keep happening in a deterministic
-// order. Reserve + EvaluateReserved + CommitReserved is equivalent to WhatIf.
+// order. Reserve + EvaluateReserved + CommitReserved is equivalent to WhatIf
+// without bound interception.
 func (s *Session) Reserve(qi int, cfg iset.Set) Reservation {
-	p := s.pairFor(qi, cfg)
+	r := request{qi: qi, cfg: cfg, key: s.pairFor(qi, cfg)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, hit := s.seen[p]; hit {
-		atomic.AddInt64(&s.cacheHits, 1)
+	s.reserve(&r, false)
+	switch r.out {
+	case BatchCached:
 		if s.Trace != nil {
 			s.Trace.CacheHit(qi, cfg.Key())
 		}
 		return ReserveCached
-	}
-	if atomic.LoadInt64(&s.used) >= int64(s.Budget) || atomic.LoadInt32(&s.stopped) != 0 ||
-		atomic.LoadInt32(&s.cancelled) != 0 {
+	case BatchExhausted:
 		return ReserveExhausted
 	}
-	atomic.AddInt64(&s.used, 1)
-	s.seen[p] = struct{}{}
-	s.pending[p] = struct{}{}
 	if s.Trace != nil {
-		s.Trace.Reserve(qi, cfg.Key(), int(atomic.LoadInt64(&s.used)))
+		s.Trace.Reserve(qi, cfg.Key(), r.usedAt)
 	}
 	return ReserveCharged
 }
@@ -409,25 +509,18 @@ func (s *Session) EvaluateReserved(qi int, cfg iset.Set) float64 {
 // charged. Calling it in reservation order makes the layout trace and the
 // derived-store contents independent of evaluation concurrency.
 func (s *Session) CommitReserved(qi int, cfg iset.Set, c float64) {
-	p := s.pairFor(qi, cfg)
+	r := request{qi: qi, cfg: cfg, key: s.pairFor(qi, cfg), cost: c}
 	s.mu.Lock()
-	s.Layout.Append(cfg, qi)
-	s.Derived.Record(qi, cfg, c)
-	s.chargeCall()
-	atomic.AddInt64(&s.committed, 1)
-	delete(s.pending, p)
-	if s.Trace != nil {
-		s.Trace.Commit(qi, cfg.Key(), c, int(atomic.LoadInt64(&s.used)))
-	}
+	s.commit(&r, int(atomic.LoadInt64(&s.used)))
 	s.mu.Unlock()
 }
 
 // TryDeriveBound attempts to answer cost(q_i, cfg) from monotonicity-derived
 // cost bounds without charging budget — the Wii-style what-if call
-// interception. It fires only when DeriveEpsilon > 0, the pair is unseen
-// (repeat pairs are already answered exactly and for free by Reserve), and
-// the bounds from the derived store satisfy (hi − lo) ≤ ε·hi; the answer is
-// the bound midpoint, so its relative error is at most ε/2. Interception
+// interception on its own. It fires only when DeriveEpsilon > 0, the pair is
+// unseen (repeat pairs are already answered exactly and for free), and the
+// bounds from the derived store satisfy (hi − lo) ≤ ε·hi; the answer is the
+// bound midpoint, so its relative error is at most ε/2. Interception
 // performs no reservation and no recording: the derived store only ever
 // holds true what-if costs, keeping future bounds sound. Each hit is counted
 // (BoundHits) and traced as a derived-bound event.
@@ -437,25 +530,19 @@ func (s *Session) TryDeriveBound(qi int, cfg iset.Set) (c float64, ok bool) {
 	}
 	p := s.pairFor(qi, cfg)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, hit := s.seen[p]; hit {
-		s.mu.Unlock()
 		return 0, false
 	}
-	lo, hi := s.Derived.Bounds(qi, cfg)
-	if hi-lo > s.DeriveEpsilon*hi {
-		s.mu.Unlock()
+	mid, gap, ok := s.boundAnswer(qi, cfg)
+	if !ok {
 		return 0, false
 	}
 	atomic.AddInt64(&s.boundHits, 1)
 	if s.Trace != nil {
-		gap := 0.0
-		if hi > 0 {
-			gap = (hi - lo) / hi
-		}
-		s.Trace.DerivedBound(qi, cfg.Key(), (hi+lo)/2, gap)
+		s.Trace.DerivedBound(qi, cfg.Key(), mid, gap)
 	}
-	s.mu.Unlock()
-	return (hi + lo) / 2, true
+	return mid, true
 }
 
 // CheckStop runs the Esc-style early-stopping rule at an enumerator commit
@@ -566,43 +653,22 @@ func (s *Session) probeFloors() {
 	}
 	for s.floorNext < nq {
 		qi := s.floorNext
-		switch s.Reserve(qi, s.univ) {
-		case ReserveExhausted:
+		r := request{qi: qi, cfg: s.univ, key: s.pairFor(qi, s.univ), floor: true}
+		s.mu.Lock()
+		s.reserve(&r, false)
+		s.mu.Unlock()
+		if r.out == BatchExhausted {
 			return
-		case ReserveCached:
-			c := s.EvaluateReserved(qi, s.univ)
-			s.mu.Lock()
-			s.Derived.RecordFloor(qi, c)
-			s.mu.Unlock()
-		default:
-			c := s.EvaluateReserved(qi, s.univ)
-			s.commitFloor(qi, s.univ, c)
 		}
+		r.cost = s.Opt.WhatIf(s.W.Queries[qi], s.univ)
+		s.mu.Lock()
+		s.settle(&r, false)
+		if r.out == BatchCached {
+			s.Derived.RecordFloor(qi, r.cost)
+		}
+		s.mu.Unlock()
 		s.floorNext++
 	}
-}
-
-// commitFloor completes a charged floor probe. Unlike CommitReserved it
-// records the cost as the query's floor rather than a derived-store entry: a
-// universe-sized entry would put every query on every candidate's touched
-// list, destroying the sparsity the greedy fast path and the incremental
-// checker rely on, while the floor still tightens Bounds for every
-// configuration (everything is a subset of U).
-//
-// reservepair: discharges — completes the reservation through session
-// internals instead of CommitReserved.
-func (s *Session) commitFloor(qi int, cfg iset.Set, c float64) {
-	p := s.pairFor(qi, cfg)
-	s.mu.Lock()
-	s.Layout.Append(cfg, qi)
-	s.Derived.RecordFloor(qi, c)
-	s.chargeCall()
-	atomic.AddInt64(&s.committed, 1)
-	delete(s.pending, p)
-	if s.Trace != nil {
-		s.Trace.Commit(qi, cfg.Key(), c, int(atomic.LoadInt64(&s.used)))
-	}
-	s.mu.Unlock()
 }
 
 // WhatIf requests the what-if cost c(q_i, cfg). If this session already
@@ -616,24 +682,17 @@ func (s *Session) commitFloor(qi int, cfg iset.Set, c float64) {
 // When the budget is exhausted and the pair is unseen, ok is false and the
 // derived cost is returned instead.
 func (s *Session) WhatIf(qi int, cfg iset.Set) (c float64, ok bool) {
-	if c, ok := s.TryDeriveBound(qi, cfg); ok {
-		return c, true
+	r := request{qi: qi, cfg: cfg, key: s.pairFor(qi, cfg)}
+	s.mu.Lock()
+	s.reserve(&r, true)
+	s.mu.Unlock()
+	if r.out == BatchCharged || r.out == BatchCached {
+		r.cost = s.Opt.WhatIf(s.W.Queries[qi], cfg)
 	}
-	switch s.Reserve(qi, cfg) {
-	case ReserveCached:
-		return s.EvaluateReserved(qi, cfg), true
-	case ReserveExhausted:
-		s.mu.Lock()
-		c = s.Derived.Query(qi, cfg)
-		s.mu.Unlock()
-		if s.Trace != nil {
-			s.Trace.DerivedFallback(qi, cfg.Key())
-		}
-		return c, false
-	}
-	c = s.EvaluateReserved(qi, cfg)
-	s.CommitReserved(qi, cfg, c)
-	return c, true
+	s.mu.Lock()
+	s.settle(&r, true)
+	s.mu.Unlock()
+	return r.cost, r.out != BatchExhausted
 }
 
 // chargeCall charges the virtual time of one budgeted what-if call.
@@ -669,7 +728,7 @@ const workloadParallelMin = 64
 func (s *Session) WorkloadCostOrDerived(cfg iset.Set) float64 {
 	qs := s.W.Queries
 	procs := runtime.GOMAXPROCS(0)
-	if len(qs) < workloadParallelMin || procs < 2 || s.DisableBatch {
+	if len(qs) < workloadParallelMin || procs < 2 {
 		t := 0.0
 		for qi := range qs {
 			t += s.CostOrDerived(qi, cfg) * qs[qi].EffectiveWeight()
