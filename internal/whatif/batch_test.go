@@ -1,7 +1,6 @@
 package whatif
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -10,46 +9,29 @@ import (
 	"indextune/internal/vclock"
 )
 
-// randomConfigs draws n random configurations (including repeats and the
-// empty set) over a candidate universe of the given size.
-func randomConfigs(rng *rand.Rand, n, universe int) []iset.Set {
-	out := make([]iset.Set, n)
-	for i := range out {
-		var s iset.Set
-		for k := rng.Intn(6); k > 0; k-- {
-			s.Add(rng.Intn(universe))
-		}
-		out[i] = s
-	}
-	// Force intra-batch duplicates so the dedup/caching path is exercised.
-	if n >= 4 {
-		out[n-1] = out[0]
-		out[n-2] = out[1]
-	}
-	return out
-}
-
 // TestWhatIfBatchBitIdenticalToScalar pins the central batch property: on
-// every workload in the sweep, for random configuration batches, WhatIfBatch
-// returns floats bit-identical to the scalar costPlan walk, and its counter
-// and virtual-clock effects equal those of the same requests issued one by
-// one against a second optimizer.
+// the cost digest's workloads and seeded configurations, WhatIfBatch returns
+// floats whose bits hash to the committed PeekCost digest (TestCostDigest),
+// and its counter and virtual-clock effects equal those of the same requests
+// issued one by one through WhatIf against a second optimizer.
 func TestWhatIfBatchBitIdenticalToScalar(t *testing.T) {
-	for _, w := range synthWorkloads(t) {
-		cands := candidatesFor(w)
-		rng := rand.New(rand.NewSource(11))
+	golden := readCostGolden(t)
+	for _, w := range digestWorkloads(t) {
+		cands := digestCandidates(w)
 		ob := New(w.DB, cands) // serves batches
-		os := New(w.DB, cands) // serves the scalar reference sequence
+		os := New(w.DB, cands) // serves the one-by-one reference sequence
 		ob.Clock = &vclock.Clock{}
 		os.Clock = &vclock.Clock{}
-		for trial := 0; trial < 20; trial++ {
-			q := w.Queries[rng.Intn(len(w.Queries))]
-			cfgs := randomConfigs(rng, 2+rng.Intn(16), len(cands))
+		for qi, q := range w.Queries {
+			cfgs := digestConfigs(ob, q, qi)
 			got := ob.WhatIfBatch(q, cfgs)
+			name := w.Name + "/" + q.ID
+			if d, want := costBitsDigest(got), costField(golden[name], "cost"); d != want {
+				t.Fatalf("%s: batch cost digest %s, golden %s", name, d, want)
+			}
 			for k, cfg := range cfgs {
-				want := os.WhatIf(q, cfg)
-				if got[k] != want {
-					t.Fatalf("%s %s cfg %v: batch %v != scalar %v", w.Name, q.ID, cfg, got[k], want)
+				if want := os.WhatIf(q, cfg); got[k] != want {
+					t.Fatalf("%s cfg %v: batch %v != WhatIf %v", name, cfg, got[k], want)
 				}
 			}
 		}

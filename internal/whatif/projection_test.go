@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"indextune/internal/iset"
+	"indextune/internal/schema"
 	"indextune/internal/workload"
 )
 
@@ -230,5 +231,92 @@ func TestHotPairPathDoesNotAllocate(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { o.Known(q, cfg) }); n != 0 {
 		t.Fatalf("Known allocates %v/op", n)
+	}
+}
+
+// collisionFixture is the fixture workload over a 192-candidate universe —
+// three fingerprint words — where every candidate is relevant to query q2:
+// ordinals below 100 are covering seeks on its filter column, the rest plain
+// seeks, so the formerly colliding {63} and {127} also differ in cost.
+func collisionFixture() (*workload.Workload, []schema.Index) {
+	w, _ := fixture()
+	cands := make([]schema.Index, 192)
+	for ord := range cands {
+		cands[ord] = schema.Index{Table: "big", Key: []string{"v"}}
+		if ord < 100 {
+			cands[ord].Include = []string{"pay"}
+		}
+	}
+	return w, cands
+}
+
+// TestFingerprintHighBitsDistinct is the regression test for the word-wise
+// FNV-1a collisions: the empty set, every singleton, and every pair over a
+// three-word universe get distinct projected and unprojected fingerprints —
+// including {63}/{127}, {63,127}/∅, and {62}/{126}, which the unavalanched
+// hash aliased.
+func TestFingerprintHighBitsDistinct(t *testing.T) {
+	w, cands := collisionFixture()
+	o := New(w.DB, cands)
+	q := w.Queries[1]
+	if o.Relevance(q).Len() != len(cands) {
+		t.Fatalf("fixture: %d of %d candidates relevant", o.Relevance(q).Len(), len(cands))
+	}
+	for _, pr := range [][2]iset.Set{
+		{iset.FromOrdinals(63), iset.FromOrdinals(127)},
+		{iset.FromOrdinals(63, 127), {}},
+		{iset.FromOrdinals(62), iset.FromOrdinals(126)},
+		{iset.FromOrdinals(127), iset.FromOrdinals(191)},
+		{iset.FromOrdinals(63, 191), {}},
+	} {
+		if o.PairOf(q, pr[0]) == o.PairOf(q, pr[1]) {
+			t.Errorf("PairOf collides: %v vs %v", pr[0].Ordinals(), pr[1].Ordinals())
+		}
+		if o.UnprojectedPairOf(q, pr[0]) == o.UnprojectedPairOf(q, pr[1]) {
+			t.Errorf("UnprojectedPairOf collides: %v vs %v", pr[0].Ordinals(), pr[1].Ordinals())
+		}
+	}
+	proj := map[Pair][]int{o.PairOf(q, iset.Set{}): nil}
+	full := map[Pair][]int{o.UnprojectedPairOf(q, iset.Set{}): nil}
+	check := func(ords ...int) {
+		cfg := iset.FromOrdinals(ords...)
+		for _, seen := range []struct {
+			m map[Pair][]int
+			p Pair
+		}{{proj, o.PairOf(q, cfg)}, {full, o.UnprojectedPairOf(q, cfg)}} {
+			if prev, dup := seen.m[seen.p]; dup {
+				t.Fatalf("fingerprint of %v collides with %v", ords, prev)
+			}
+			seen.m[seen.p] = ords
+		}
+	}
+	for i := range cands {
+		check(i)
+		for j := i + 1; j < len(cands); j++ {
+			check(i, j)
+		}
+	}
+}
+
+// TestWhatIfDistinctCostsForFormerlyCollidingPair: through one optimizer,
+// {63} and then {127} must each get their own cost, not the cache entry of
+// the other.
+func TestWhatIfDistinctCostsForFormerlyCollidingPair(t *testing.T) {
+	w, cands := collisionFixture()
+	q := w.Queries[1]
+	a, b := iset.FromOrdinals(63), iset.FromOrdinals(127)
+	wantA, wantB := New(w.DB, cands).PeekCost(q, a), New(w.DB, cands).PeekCost(q, b)
+	if wantA == wantB {
+		t.Fatalf("fixture: {63} and {127} cost the same (%v)", wantA)
+	}
+	o := New(w.DB, cands)
+	if got := o.WhatIf(q, a); got != wantA {
+		t.Fatalf("WhatIf({63}) = %v, want %v", got, wantA)
+	}
+	if got := o.WhatIf(q, b); got != wantB {
+		t.Fatalf("WhatIf({127}) = %v, want %v (aliased the cached {63})", got, wantB)
+	}
+	if o.Calls() != 2 {
+		t.Fatalf("calls = %d, want 2 distinct pairs", o.Calls())
 	}
 }

@@ -19,7 +19,8 @@ package whatif
 //
 // Format (all integers little-endian):
 //
-//	magic     "ITWS0001" (8 bytes; the digits are the format version)
+//	magic     "ITWS0002" (8 bytes; the digits are the format version —
+//	          version 2 changed the configuration fingerprint hash)
 //	payload:
 //	  fingerprint  u64
 //	  queryCount   u32
@@ -50,7 +51,7 @@ import (
 // snapshotMagic identifies the snapshot format and version. Readers skip
 // (rather than reject) any other magic, so format bumps invalidate old
 // snapshot files gracefully.
-var snapshotMagic = [8]byte{'I', 'T', 'W', 'S', '0', '0', '0', '1'}
+var snapshotMagic = [8]byte{'I', 'T', 'W', 'S', '0', '0', '0', '2'}
 
 // ErrSnapshotCorrupt reports a snapshot whose checksum or framing is
 // damaged — as opposed to one that is merely stale, which loads as a no-op.

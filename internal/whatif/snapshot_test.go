@@ -135,6 +135,14 @@ func TestSnapshotStaleFingerprintSkipped(t *testing.T) {
 	if n != 0 || err != nil {
 		t.Fatalf("future-format load: n=%d err=%v, want 0, nil", n, err)
 	}
+
+	// A version-1 snapshot keys its entries on the old fingerprint hash: stale.
+	v1 := append([]byte(nil), buf.Bytes()...)
+	v1[7] = '1'
+	n, err = New(w.DB, cands).LoadSnapshot(bytes.NewReader(v1), w)
+	if n != 0 || err != nil {
+		t.Fatalf("version-1 load: n=%d err=%v, want 0, nil", n, err)
+	}
 }
 
 // A query that kept its ID but changed structure drops its entries silently;

@@ -244,10 +244,11 @@ func (o *Optimizer) publish(sh *cacheShard, p Pair, cl *inflightCall, c float64)
 // PairOf/UnprojectedPairOf.
 //
 // Fingerprints are 64-bit hashes, not canonical encodings: two distinct
-// configurations colliding on the same fingerprint would alias a cache entry.
-// With FNV-1a over the bitset words the collision probability is ~n²/2⁶⁵ for
-// n distinct configurations per query (≈5·10⁻⁹ at one million entries) —
-// negligible against the cost model's own approximation error.
+// configurations colliding on the same fingerprint would alias a cache entry
+// (and a session's seen pair). The word hash (mixWord) avalanches every
+// word, so no structured family of configurations collides by construction;
+// only for a hash that behaved uniformly would the birthday bound put the
+// collision probability at ~n²/2⁶⁵ for n distinct configurations per query.
 type Pair struct {
 	QID uint32
 	FP  uint64
@@ -318,10 +319,8 @@ type Optimizer struct {
 	SimulatedLatency time.Duration
 
 	candsByTable map[string][]int
-	// relWords is the fixed word width of relevance bitmaps and
-	// configuration fingerprints: enough words to cover every candidate
-	// ordinal, so fingerprints are canonical regardless of a Set's backing
-	// length.
+	// relWords is the fixed word width of relevance bitmaps: enough words to
+	// cover every candidate ordinal.
 	relWords int
 	// infos interns per-query state keyed by *workload.Query. Pointer keys
 	// box without allocating, keeping the hot-path lookup allocation-free;
@@ -541,41 +540,66 @@ func (o *Optimizer) ResetCounters() {
 	o.cacheHits.Store(0)
 }
 
-// FNV-1a parameters, applied word-wise to bitset words (h ^= word; h *= p).
+// FNV-1a parameters: the offset seeds the configuration fingerprints, and
+// the prime spreads query ids over the cache shards (shardFor) and drives the
+// snapshot codec's byte hashes.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-// fingerprint hashes cfg masked by the relevance words. The loop runs over
-// exactly len(mask) words (missing cfg words read as 0), so the fingerprint
-// is canonical for a given projected set regardless of the Set's backing
-// length. Allocation-free.
+// wordKey separates word positions in the fingerprint (the 64-bit golden
+// ratio, so consecutive indexes map to dense, unrelated patterns).
+const wordKey = 0x9e3779b97f4a7c15
+
+// mixWord folds the nonzero bitset word w at index i into the fingerprint h
+// through the splitmix64 finalizer, a bijection in which every input bit
+// flips about half the output bits.
+//
+// The plain word-wise FNV-1a step (h ^= w; h *= p) collided structurally:
+// multiplication only carries bits upward, so a flip of bit 63 commutes
+// through every later step ((h ^ 2⁶³)·p == h·p ^ 2⁶³) — {63} and {127}
+// always hashed equal, {63,127} equal to ∅ — and bit 62 survived about half
+// the time. An xor-shift after the multiply is not enough either: it leaves
+// sparse state differences a sparse next word can cancel ({63,93} and
+// {61,125} still collided). With a full avalanche, two configurations can
+// only collide if one differs from the other in a dense, essentially random
+// bit pattern.
+func mixWord(h uint64, i int, w uint64) uint64 {
+	z := h ^ w ^ uint64(i)*wordKey
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// fingerprint hashes cfg masked by the relevance words. Only nonzero masked
+// words are folded in, keyed by their index, so the fingerprint is canonical
+// for a given projected set regardless of the Set's backing length, and a
+// sparse configuration costs one mix per occupied word. Allocation-free.
 func fingerprint(cfg iset.Set, mask []uint64) uint64 {
+	n := cfg.NumWords()
+	if n > len(mask) {
+		n = len(mask)
+	}
 	h := uint64(fnvOffset64)
-	for i, m := range mask {
-		h ^= cfg.Word(i) & m
-		h *= fnvPrime64
+	for i := 0; i < n; i++ {
+		if w := cfg.Word(i) & mask[i]; w != 0 {
+			h = mixWord(h, i, w)
+		}
 	}
 	return h
 }
 
 // fingerprintFull hashes cfg without projection: distinct configurations get
-// distinct word streams. Width is fixed at the universe width, extended past
-// it only by words that actually carry bits, so physically different backing
+// distinct sequences of nonzero words, and zero words — including any past
+// the universe width — leave no trace, so physically different backing
 // lengths of the same set hash identically.
-func (o *Optimizer) fingerprintFull(cfg iset.Set) uint64 {
-	n := cfg.NumWords()
-	for n > o.relWords && cfg.Word(n-1) == 0 {
-		n--
-	}
-	if n < o.relWords {
-		n = o.relWords
-	}
+func fingerprintFull(cfg iset.Set) uint64 {
 	h := uint64(fnvOffset64)
-	for i := 0; i < n; i++ {
-		h ^= cfg.Word(i)
-		h *= fnvPrime64
+	for i := 0; i < cfg.NumWords(); i++ {
+		if w := cfg.Word(i); w != 0 {
+			h = mixWord(h, i, w)
+		}
 	}
 	return h
 }
@@ -597,7 +621,7 @@ func (o *Optimizer) PairOf(q *workload.Query, cfg iset.Set) Pair {
 // of the string-keyed implementation.
 func (o *Optimizer) UnprojectedPairOf(q *workload.Query, cfg iset.Set) Pair {
 	in := o.info(q)
-	return Pair{QID: in.qid, FP: o.fingerprintFull(cfg)}
+	return Pair{QID: in.qid, FP: fingerprintFull(cfg)}
 }
 
 // Relevance returns the set of candidate ordinals that can possibly affect
