@@ -20,7 +20,7 @@ func TestRunFlagsSeededViolations(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1; stderr: %s", code, errb.String())
 	}
-	for _, want := range []string{"budgetguard", "bypasses the session budget", "imports indextune/internal/whatif"} {
+	for _, want := range []string{"budgetguard", "chargepath", "reaches whatif.Optimizer cost method", "imports indextune/internal/whatif"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("stdout missing %q:\n%s", want, out.String())
 		}

@@ -3,12 +3,12 @@
 // (go/parser + go/types + go/importer), that machine-checks the repository's
 // core invariants:
 //
-//   - budgetguard: enumeration algorithms may not bypass the per-session
-//     what-if budget by calling whatif.Optimizer cost methods directly; every
-//     cost query must flow through search.Session (DESIGN §2, §6). Derived-
-//     bound answers are budget-free by contract, so no code may charge budget
-//     inside a TryDeriveBound success branch or the decision block emitting a
-//     derived-bound trace event (DESIGN §10).
+//   - budgetguard: enumeration algorithms may not import the optimizer
+//     package, nor may internal/trace (DESIGN §2, §6). Derived-bound answers
+//     and stop decisions are budget-free by contract, so no code may charge
+//     budget inside a TryDeriveBound or CheckStop success branch or the
+//     decision block emitting a derived-bound or stop trace event (DESIGN
+//     §10, §11).
 //   - determinism: fixed-seed runs must be reproducible, so non-test code may
 //     not read the wall clock or use math/rand's seeded-by-default global
 //     functions, and map iteration may not feed ordered output without an
@@ -23,8 +23,8 @@
 //     search.Session.Reserve is discharged by exactly one CommitReserved or
 //     ReleaseReserved on every path to function exit (DESIGN §12).
 //   - chargepath: interprocedural whole-call-graph check that every module
-//     path reaching whatif.Optimizer cost methods passes through a
-//     search.Session charging method (DESIGN §12).
+//     path reaching whatif.Optimizer cost methods — a direct call included —
+//     passes through a search.Session charging method (DESIGN §12).
 //   - lockguard: fields annotated "// guarded by: mu" may only be accessed
 //     under that mutex (or from methods annotated "// locked: mu"); fields
 //     annotated "// owned by: <role>" may not be touched from spawned

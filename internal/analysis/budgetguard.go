@@ -19,11 +19,11 @@ const (
 )
 
 // optimizerCostMethods are the whatif.Optimizer methods that answer cost
-// queries. Calling one directly from an enumeration algorithm would bypass
-// the session's budget charging (and its virtual-time accounting), so inside
-// the guarded packages every cost must be obtained through
-// search.Session.WhatIf / CostOrDerived / WorkloadCostOrDerived (or, for
-// final-configuration evaluation, Session.OracleImprovement).
+// queries. Reaching one from an enumeration algorithm without a session
+// charging method on the path would bypass the session's budget charging
+// (and its virtual-time accounting); chargepath enforces that every such
+// path goes through search.Session (or, for final-configuration evaluation,
+// Session.OracleImprovement).
 var optimizerCostMethods = map[string]bool{
 	"WhatIf":      true,
 	"WhatIfBatch": true,
@@ -32,8 +32,8 @@ var optimizerCostMethods = map[string]bool{
 }
 
 // algorithmPackages are the enumeration-algorithm packages: they must never
-// import the optimizer package, and must route every cost query through
-// search.Session. Entries match any import path containing them as a segment
+// import the optimizer package (budgetguard), and must route every cost
+// query through search.Session (chargepath). Entries match any import path containing them as a segment
 // run, so the golden testdata trees under internal/analysis/testdata are
 // matched too.
 var algorithmPackages = []string{
@@ -52,20 +52,18 @@ var algorithmPackages = []string{
 // schema, shared across jobs). They may hold the optimizer but may not
 // query costs on it directly outside tests — every spend must flow through
 // a search.Session, so the job layer cannot launder calls around a job's
-// budget.
+// budget (chargepath).
 var costGuardedPackages = append([]string{"internal/experiments", "internal/jobs"}, algorithmPackages...)
 
 // sessionChargeMethods are the search.Session methods that charge (or may
 // charge) what-if budget. None of them may appear inside a derived-answer
 // region: a cost answered from derived bounds is budget-free by contract.
 var sessionChargeMethods = map[string]bool{
-	"Reserve":               true,
-	"ReserveBatch":          true,
-	"CommitReserved":        true,
-	"CommitReservedBatch":   true,
-	"WhatIf":                true,
-	"CostOrDerived":         true,
-	"WorkloadCostOrDerived": true,
+	"Reserve":             true,
+	"ReserveBatch":        true,
+	"CommitReserved":      true,
+	"CommitReservedBatch": true,
+	"WhatIf":              true,
 }
 
 // recorderChargeMethods are the trace.Recorder events that witness a budget
@@ -83,16 +81,16 @@ var recorderChargeMethods = map[string]bool{
 var tracePackages = []string{"internal/trace"}
 
 // NewBudgetGuard builds the budgetguard analyzer. A nil guarded list uses
-// the default algorithm-package set.
+// the default algorithm-package set. Direct optimizer cost calls are
+// chargepath's to report: it sees the same call sites plus every laundered
+// path to them.
 func NewBudgetGuard(guarded []string) *Analyzer {
-	importGuarded := algorithmPackages
-	callGuarded := costGuardedPackages
-	if guarded != nil {
-		importGuarded, callGuarded = guarded, guarded
+	if guarded == nil {
+		guarded = algorithmPackages
 	}
 	a := &Analyzer{
 		Name: "budgetguard",
-		Doc:  "algorithm packages must route cost queries through search.Session, never whatif.Optimizer directly; internal/trace must not import the optimizer; derived-bound answers must never charge budget",
+		Doc:  "algorithm packages must not import whatif; internal/trace must not import the optimizer; derived-bound answers and stop decisions must never charge budget",
 	}
 	a.Run = func(pass *Pass) {
 		// The derived-answer rule applies everywhere the search/trace types
@@ -102,45 +100,23 @@ func NewBudgetGuard(guarded []string) *Analyzer {
 			checkDerivedAnswers(pass, f)
 			checkStopDecisions(pass, f)
 		}
-		if pathGuarded(pass.Path, tracePackages) {
-			for _, f := range pass.Files {
-				for _, imp := range f.Imports {
-					if strings.Trim(imp.Path.Value, `"`) == whatifPkgPath {
-						pass.Reportf(imp.Pos(), "internal/trace imports %s; the trace layer observes budget decisions and must not depend on the optimizer", whatifPkgPath)
-					}
-				}
-			}
-			return
-		}
-		if !pathGuarded(pass.Path, callGuarded) {
+		var msg string
+		switch {
+		case pathGuarded(pass.Path, tracePackages):
+			msg = "internal/trace imports %s; the trace layer observes budget decisions and must not depend on the optimizer"
+		case pathGuarded(pass.Path, guarded):
+			// An enumeration algorithm has no business constructing or
+			// holding an optimizer.
+			msg = "algorithm package imports %s; construct optimizers in search or the public API instead"
+		default:
 			return
 		}
 		for _, f := range pass.Files {
-			// Importing the optimizer package at all is a violation for pure
-			// algorithm packages: an enumeration algorithm has no business
-			// constructing or holding an optimizer.
-			if pathGuarded(pass.Path, importGuarded) {
-				for _, imp := range f.Imports {
-					if strings.Trim(imp.Path.Value, `"`) == whatifPkgPath {
-						pass.Reportf(imp.Pos(), "algorithm package imports %s; construct optimizers in search or the public API instead", whatifPkgPath)
-					}
+			for _, imp := range f.Imports {
+				if strings.Trim(imp.Path.Value, `"`) == whatifPkgPath {
+					pass.Reportf(imp.Pos(), msg, whatifPkgPath)
 				}
 			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn := calleeFunc(pass.Info, call)
-				if fn == nil || funcPkgPath(fn) != whatifPkgPath {
-					return true
-				}
-				if !optimizerCostMethods[fn.Name()] || !isOptimizerMethod(fn) {
-					return true
-				}
-				pass.Reportf(call.Pos(), "direct whatif.Optimizer.%s call bypasses the session budget; use search.Session.WhatIf/CostOrDerived (or OracleImprovement for final configurations)", fn.Name())
-				return true
-			})
 		}
 	}
 	return a

@@ -1,13 +1,12 @@
 package analysis
 
-// chargepath generalizes budgetguard's per-file call-site rules to whole-
-// call-graph soundness: every module path from algorithm or experiment code
-// to a whatif.Optimizer cost method must pass through a search.Session
-// charging method. budgetguard catches a direct o.WhatIf(...) in an
-// algorithm file; chargepath also catches the laundered version — an
-// algorithm calling a helper (possibly in another package, possibly through
-// an interface) that eventually reaches the optimizer without going through
-// the session.
+// chargepath enforces the budget contract at whole-call-graph soundness:
+// every module path from algorithm, experiment, or job code to a
+// whatif.Optimizer cost method must pass through a search.Session charging
+// method. It reports a direct o.WhatIf(...) in a guarded package as well as
+// the laundered version — a helper (possibly in another package, possibly
+// behind an interface) that eventually reaches the optimizer without going
+// through the session.
 //
 // The analysis is a reverse reachability fixpoint over the module call
 // graph: a function is "tainted" when some outgoing edge reaches an
@@ -29,8 +28,6 @@ import (
 // the optimizer: they implement the budget contract itself.
 var sessionGatewayMethods = map[string]bool{
 	"WhatIf":                true,
-	"CostOrDerived":         true,
-	"WorkloadCostOrDerived": true,
 	"EvaluateReserved":      true,
 	"ReserveBatch":          true,
 	"EvaluateReservedBatch": true,

@@ -83,7 +83,7 @@ func TestGolden(t *testing.T) {
 		dir      string
 		analyzer *Analyzer
 	}{
-		{"bad/internal/greedy", NewBudgetGuard(nil)},
+		{"bad/internal/greedy", NewBudgetGuard(nil)}, // with chargepath: see below
 		{"clean/internal/greedy", NewBudgetGuard(nil)},
 		{"tracebad/internal/trace", NewBudgetGuard(nil)},
 		{"traceclean/internal/trace", NewBudgetGuard(nil)},
@@ -106,7 +106,13 @@ func TestGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(strings.ReplaceAll(tc.dir, "/", "_")+"_"+tc.analyzer.Name, func(t *testing.T) {
-			runGolden(t, l, tc.dir, tc.analyzer)
+			as := []*Analyzer{tc.analyzer}
+			if tc.dir == "bad/internal/greedy" {
+				// budgetguard reports the import, chargepath the direct
+				// optimizer calls.
+				as = append(as, ChargePath())
+			}
+			runGolden(t, l, tc.dir, as...)
 		})
 	}
 }
@@ -137,7 +143,8 @@ func TestBadPackagesHaveFindings(t *testing.T) {
 		analyzer *Analyzer
 		min      int
 	}{
-		{"bad/internal/greedy", NewBudgetGuard(nil), 5},
+		{"bad/internal/greedy", NewBudgetGuard(nil), 1},
+		{"bad/internal/greedy", ChargePath(), 4},
 		{"tracebad/internal/trace", NewBudgetGuard(nil), 1},
 		{"derivebad/internal/core", NewBudgetGuard(nil), 7},
 		{"stopbad/internal/core", NewBudgetGuard(nil), 5},

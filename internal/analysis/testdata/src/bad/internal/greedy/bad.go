@@ -1,6 +1,7 @@
 // Package greedy is a seeded-violation testdata package: an "algorithm
 // package" (its synthetic import path embeds internal/greedy) that bypasses
-// the session budget by talking to the optimizer directly.
+// the session budget by talking to the optimizer directly. budgetguard
+// reports the import; chargepath reports every direct cost call.
 package greedy
 
 import (
@@ -14,8 +15,8 @@ import (
 func CheapestDirect(s *search.Session, cfg iset.Set) float64 {
 	best := 0.0
 	for _, q := range s.W.Queries {
-		c := s.Opt.WhatIf(q, cfg) // want "direct whatif.Optimizer.WhatIf call bypasses the session budget"
-		base := s.Opt.BaseCost(q) // want "direct whatif.Optimizer.BaseCost call bypasses the session budget"
+		c := s.Opt.WhatIf(q, cfg) // want "reaches whatif.Optimizer cost method without a search.Session charging method on the path: greedy.CheapestDirect -> whatif.(Optimizer).WhatIf"
+		base := s.Opt.BaseCost(q) // want "greedy.CheapestDirect -> whatif.(Optimizer).BaseCost"
 		if c < base {
 			best += base - c
 		}
@@ -28,7 +29,7 @@ func CheapestDirect(s *search.Session, cfg iset.Set) float64 {
 func PeekImprovement(s *search.Session, opt *whatif.Optimizer, cfg iset.Set) float64 {
 	t := 0.0
 	for _, q := range s.W.Queries {
-		t += opt.PeekCost(q, cfg) // want "direct whatif.Optimizer.PeekCost call bypasses the session budget"
+		t += opt.PeekCost(q, cfg) // want "greedy.PeekImprovement -> whatif.(Optimizer).PeekCost"
 	}
 	return t
 }
@@ -38,7 +39,7 @@ func PeekImprovement(s *search.Session, opt *whatif.Optimizer, cfg iset.Set) flo
 func BatchDirect(s *search.Session, cfgs []iset.Set) float64 {
 	t := 0.0
 	for _, q := range s.W.Queries {
-		for _, c := range s.Opt.WhatIfBatch(q, cfgs) { // want "direct whatif.Optimizer.WhatIfBatch call bypasses the session budget"
+		for _, c := range s.Opt.WhatIfBatch(q, cfgs) { // want "greedy.BatchDirect -> whatif.(Optimizer).WhatIfBatch"
 			t += c
 		}
 	}

@@ -13,7 +13,7 @@ func Sanctioned(s *search.Session, qi int, cfg iset.Set) float64 {
 	if c, ok := s.WhatIf(qi, cfg); ok {
 		return c
 	}
-	return s.CostOrDerived(qi, cfg)
+	return s.Derived.Query(qi, cfg)
 }
 
 // ViaHelper goes through a helper that itself stays behind the gateway.
@@ -22,7 +22,8 @@ func ViaHelper(s *search.Session, cfg iset.Set) float64 {
 }
 
 func cleanHelper(s *search.Session, cfg iset.Set) float64 {
-	return s.WorkloadCostOrDerived(cfg)
+	c, _ := s.WhatIf(0, cfg)
+	return c
 }
 
 // scorer abstracts a budgeted evaluation behind an interface; the
@@ -35,7 +36,8 @@ type scorer interface {
 type budgeted struct{}
 
 func (budgeted) score(s *search.Session, qi int, cfg iset.Set) float64 {
-	return s.CostOrDerived(qi, cfg)
+	c, _ := s.WhatIf(qi, cfg)
+	return c
 }
 
 // ViaInterface calls through the interface.

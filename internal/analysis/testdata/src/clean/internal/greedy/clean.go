@@ -8,15 +8,25 @@ import (
 	"indextune/internal/search"
 )
 
+// workloadCost sums the budgeted cost of cfg over the workload.
+func workloadCost(s *search.Session, cfg iset.Set) float64 {
+	t := 0.0
+	for qi := range s.W.Queries {
+		c, _ := s.WhatIf(qi, cfg)
+		t += c
+	}
+	return t
+}
+
 // Gain evaluates the budgeted improvement of adding each candidate to cfg.
 func Gain(s *search.Session, cfg iset.Set) float64 {
-	before := s.WorkloadCostOrDerived(cfg)
+	before := workloadCost(s, cfg)
 	best := 0.0
 	for ord := 0; ord < s.NumCandidates(); ord++ {
 		if cfg.Has(ord) {
 			continue
 		}
-		after := s.WorkloadCostOrDerived(cfg.With(ord))
+		after := workloadCost(s, cfg.With(ord))
 		if g := before - after; g > best {
 			best = g
 		}

@@ -17,7 +17,8 @@ func ChargedDerive(s *search.Session, qi int, cfg iset.Set) float64 {
 		s.Reserve(qi, cfg) // want "Session.Reserve inside a TryDeriveBound success branch"
 		return c
 	}
-	return s.CostOrDerived(qi, cfg)
+	c, _ := s.WhatIf(qi, cfg)
+	return c
 }
 
 // DoubleAnswer re-asks the optimizer for a pair the bounds already answered,
@@ -27,14 +28,16 @@ func DoubleAnswer(s *search.Session, qi int, cfg iset.Set) float64 {
 		exact, _ := s.WhatIf(qi, cfg) // want "Session.WhatIf inside a TryDeriveBound success branch"
 		return (c + exact) / 2
 	}
-	return s.CostOrDerived(qi, cfg)
+	c, _ := s.WhatIf(qi, cfg)
+	return c
 }
 
 // NegatedBranch hides the charge in the else branch of a negated
 // interception check — still the success branch.
 func NegatedBranch(s *search.Session, qi int, cfg iset.Set) float64 {
 	if c, ok := s.TryDeriveBound(qi, cfg); !ok {
-		return s.CostOrDerived(qi, cfg)
+		c, _ := s.WhatIf(qi, cfg)
+		return c
 	} else {
 		s.CommitReserved(qi, cfg, c) // want "Session.CommitReserved inside a TryDeriveBound success branch"
 		return c
@@ -53,7 +56,8 @@ func TracedCharge(s *search.Session, qi int, cfg iset.Set, lo, hi float64) float
 		s.CommitReserved(qi, cfg, mid) // want "Session.CommitReserved inside the decision block of a derived-bound trace event"
 		return mid
 	}
-	return s.CostOrDerived(qi, cfg)
+	c, _ := s.WhatIf(qi, cfg)
+	return c
 }
 
 // TracedReserveEvent witnesses both a derived-bound event and a reserve
@@ -74,7 +78,8 @@ func BatchChargedDerive(s *search.Session, qi int, cfg iset.Set) float64 {
 		s.ReserveBatch(b) // want "Session.ReserveBatch inside a TryDeriveBound success branch"
 		return c
 	}
-	return s.CostOrDerived(qi, cfg)
+	c, _ := s.WhatIf(qi, cfg)
+	return c
 }
 
 // BatchTracedCommit emits a derived-bound trace event and commits a reserved
@@ -89,5 +94,6 @@ func BatchTracedCommit(s *search.Session, b *search.Batch, qi int, cfg iset.Set,
 		s.CommitReservedBatch(b) // want "Session.CommitReservedBatch inside the decision block of a derived-bound trace event"
 		return mid
 	}
-	return s.CostOrDerived(qi, cfg)
+	c, _ := s.WhatIf(qi, cfg)
+	return c
 }

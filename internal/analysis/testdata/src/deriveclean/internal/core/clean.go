@@ -1,7 +1,7 @@
 // Package core shows the sanctioned shapes of bound-based what-if
 // interception: the derived-answer region returns the bound midpoint and
 // nothing else, and any budget charging lives on the disjoint fallthrough
-// path — mirroring search.Session.WhatIf and WorkloadCostOrDerived.
+// path — mirroring search.Session.WhatIf and ReserveBatch.
 package core
 
 import (
@@ -15,7 +15,8 @@ func BoundOrCharge(s *search.Session, qi int, cfg iset.Set) float64 {
 	if c, ok := s.TryDeriveBound(qi, cfg); ok {
 		return c
 	}
-	return s.CostOrDerived(qi, cfg)
+	c, _ := s.WhatIf(qi, cfg)
+	return c
 }
 
 // TraceSeparated emits the derived-bound event inside its own decision
@@ -27,7 +28,8 @@ func TraceSeparated(s *search.Session, qi int, cfg iset.Set, lo, hi, eps float64
 		}
 		return (hi + lo) / 2
 	}
-	return s.CostOrDerived(qi, cfg)
+	c, _ := s.WhatIf(qi, cfg)
+	return c
 }
 
 // BatchCommitSeparated mirrors Session.CommitReservedBatch's per-outcome

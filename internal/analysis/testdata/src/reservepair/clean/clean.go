@@ -56,8 +56,7 @@ func EscapesToCaller(s *search.Session, qi int, cfg iset.Set) search.Reservation
 
 func consume(r search.Reservation) search.Reservation { return r }
 
-// EscapesToSlice stores reservation states for a later commit loop, the
-// computePriorsParallel pattern.
+// EscapesToSlice stores reservation states for a later commit loop.
 func EscapesToSlice(s *search.Session, cfg iset.Set, n int) {
 	states := make([]search.Reservation, n)
 	for qi := 0; qi < n; qi++ {

@@ -32,9 +32,13 @@ func FinalCallOnStop(s *search.Session, qi int, cfg iset.Set) float64 {
 // still the stop branch.
 func NegatedStop(s *search.Session, qi int, cfg iset.Set) float64 {
 	if !s.CheckStop(cfg) {
-		return s.CostOrDerived(qi, cfg)
+		c, _ := s.WhatIf(qi, cfg)
+		return c
 	} else {
-		return s.WorkloadCostOrDerived(cfg) // want "Session.WorkloadCostOrDerived inside a CheckStop success branch"
+		b := &search.Batch{}
+		b.Add(qi, cfg)
+		s.ReserveBatch(b) // want "Session.ReserveBatch inside a CheckStop success branch"
+		return 0
 	}
 }
 

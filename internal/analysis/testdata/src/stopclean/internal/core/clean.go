@@ -14,7 +14,8 @@ func StopOrCharge(s *search.Session, qi int, cfg iset.Set) float64 {
 	if s.CheckStop(cfg) {
 		return 0
 	}
-	return s.CostOrDerived(qi, cfg)
+	c, _ := s.WhatIf(qi, cfg)
+	return c
 }
 
 // LoopBreak is the enumerator commit-point shape: the stop branch breaks out
@@ -37,5 +38,6 @@ func TraceSeparated(s *search.Session, qi int, cfg iset.Set, gap, eps float64) f
 		}
 		return 0
 	}
-	return s.CostOrDerived(qi, cfg)
+	c, _ := s.WhatIf(qi, cfg)
+	return c
 }

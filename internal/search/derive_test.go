@@ -140,13 +140,29 @@ func TestProjectedSeenKeysOnlyWithEpsilon(t *testing.T) {
 	}
 }
 
-// WorkloadCostOrDerived's fan-out path must agree exactly with the
-// sequential per-query loop under interception: same total, same budget,
-// same bound hits.
-func TestWorkloadCostOrDerivedParallelMatchesSequentialWithEpsilon(t *testing.T) {
+// sweep charges one batch of (query, cfg) pairs over the whole workload,
+// evaluated across workers, and returns the weighted total.
+func sweep(s *Session, cfg iset.Set, workers int) float64 {
+	b := &Batch{}
+	for qi := range s.W.Queries {
+		b.Add(qi, cfg)
+	}
+	s.ReserveBatch(b)
+	s.EvaluateReservedBatch(b, workers)
+	s.CommitReservedBatch(b)
+	t := 0.0
+	for qi := range s.W.Queries {
+		t += b.Cost(qi) * s.W.Queries[qi].EffectiveWeight()
+	}
+	return t
+}
+
+// EvaluateReservedBatch's fan-out must agree exactly with one worker under
+// interception: same totals, same budget, same cache and bound hits.
+func TestEvaluateReservedBatchWorkersMatchSequentialWithEpsilon(t *testing.T) {
 	w, err := workload.Synthesize(workload.SynthSpec{
 		Name: "wide", Seed: 3,
-		NumTables: 10, NumQueries: 2 * workloadParallelMin,
+		NumTables: 10, NumQueries: 128,
 		ScansMean: 2.5, ScansJitter: 1, FiltersMean: 2,
 		ExtraScan: 0.2, TablePool: 8,
 		RowsMin: 10_000, RowsMax: 1_000_000,
@@ -171,17 +187,12 @@ func TestWorkloadCostOrDerivedParallelMatchesSequentialWithEpsilon(t *testing.T)
 	}
 	par, seq := newS(), newS()
 	for _, cfg := range cfgs {
-		tp := par.WorkloadCostOrDerived(cfg)
-		ts := 0.0
-		for qi := range seq.W.Queries {
-			ts += seq.CostOrDerived(qi, cfg) * seq.W.Queries[qi].EffectiveWeight()
-		}
-		if tp != ts {
-			t.Fatalf("cfg %v: parallel %v != sequential %v", cfg, tp, ts)
+		if tp, ts := sweep(par, cfg, 4), sweep(seq, cfg, 1); tp != ts {
+			t.Fatalf("cfg %v: 4 workers %v != 1 worker %v", cfg, tp, ts)
 		}
 	}
 	if par.Used() != seq.Used() || par.CacheHits() != seq.CacheHits() || par.BoundHits() != seq.BoundHits() {
-		t.Fatalf("accounting diverged: parallel used=%d hits=%d bounds=%d, sequential used=%d hits=%d bounds=%d",
+		t.Fatalf("accounting diverged: 4 workers used=%d hits=%d bounds=%d, 1 worker used=%d hits=%d bounds=%d",
 			par.Used(), par.CacheHits(), par.BoundHits(),
 			seq.Used(), seq.CacheHits(), seq.BoundHits())
 	}

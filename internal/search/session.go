@@ -17,7 +17,6 @@ package search
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,15 +84,14 @@ const floorProbeHeadroom = 4
 // Session is the budget-aware tuning context. Create one per tuning run via
 // NewSession.
 //
-// Budget charging (WhatIf, CostOrDerived, WorkloadCostOrDerived, Reserve/
-// CommitReserved, and the read-side counters) is safe for concurrent use by
-// multiple goroutines: the seen-pair set and all bookkeeping are guarded by
+// Budget charging (WhatIf, the Batch pipeline, Reserve/CommitReserved, and
+// the read-side counters) is safe for concurrent use by multiple goroutines: the seen-pair set and all bookkeeping are guarded by
 // an internal mutex and the counters are atomic, so concurrent chargers can
 // never push Used past Budget or double-charge a pair. The remaining fields
 // (Rng, Derived reads outside the charging methods, Layout reads) follow the
 // single-owner convention: one goroutine drives the algorithm and hands heavy
-// evaluations to helpers via EvaluateReserved (see internal/core's parallel
-// MCTS pipeline).
+// evaluations to helpers via EvaluateReservedBatch (see internal/core's
+// parallel MCTS pipeline).
 type Session struct {
 	W     *workload.Workload
 	Cands *candgen.Result
@@ -704,50 +702,6 @@ func (s *Session) chargeCall() {
 	if s.OtherPerCall > 0 {
 		s.Clock.Charge(vclock.BucketOther, s.OtherPerCall)
 	}
-}
-
-// CostOrDerived returns the what-if cost when budget allows (or is cached)
-// and the derived cost otherwise — the cost(q, C) the budget-aware greedy
-// variants use (Section 3.1).
-func (s *Session) CostOrDerived(qi int, cfg iset.Set) float64 {
-	c, _ := s.WhatIf(qi, cfg)
-	return c
-}
-
-// workloadParallelMin is the smallest workload for which
-// WorkloadCostOrDerived fans cost-model evaluations across goroutines.
-const workloadParallelMin = 64
-
-// WorkloadCostOrDerived sums CostOrDerived over the workload. On large
-// workloads the inner loop runs through the batched pipeline: budget
-// accounting stays sequential in query order (ReserveBatch), the cost-model
-// evaluations fan across GOMAXPROCS goroutines against each query's interned
-// plan space, and bookkeeping and trace emission land in query order
-// (CommitReservedBatch) — so the result, the budget consumed, and the event
-// stream are bit-identical to the sequential path.
-func (s *Session) WorkloadCostOrDerived(cfg iset.Set) float64 {
-	qs := s.W.Queries
-	procs := runtime.GOMAXPROCS(0)
-	if len(qs) < workloadParallelMin || procs < 2 {
-		t := 0.0
-		for qi := range qs {
-			t += s.CostOrDerived(qi, cfg) * qs[qi].EffectiveWeight()
-		}
-		return t
-	}
-
-	b := &Batch{}
-	for qi := range qs {
-		b.Add(qi, cfg)
-	}
-	s.ReserveBatch(b)
-	s.EvaluateReservedBatch(b, procs)
-	s.CommitReservedBatch(b)
-	t := 0.0
-	for qi := range qs {
-		t += b.Cost(qi) * qs[qi].EffectiveWeight()
-	}
-	return t
 }
 
 // ConfigSizeBytes returns the storage footprint of cfg.

@@ -315,7 +315,7 @@ func TestConcurrentSessionsSharedOptimizer(t *testing.T) {
 }
 
 // TestSessionConcurrentChargers hammers ONE session from many goroutines
-// (run under -race in CI): a mix of WhatIf and WorkloadCostOrDerived traffic
+// (run under -race in CI): a mix of WhatIf and workload-sweep batch traffic
 // races to exhaust the budget. However the interleaving lands, the session
 // must never charge past B, and its accounting identity must hold: every
 // distinct charged pair is a layout cell, so Used() == Layout.Len(), and no
@@ -330,7 +330,7 @@ func TestSessionConcurrentChargers(t *testing.T) {
 			defer wg.Done()
 			if g%4 == 0 {
 				// Workload-level traffic: sweeps the whole query set.
-				s.WorkloadCostOrDerived(iset.FromOrdinals(g, g+1))
+				sweep(s, iset.FromOrdinals(g, g+1), 2)
 				return
 			}
 			// Pair-level traffic, deliberately overlapping across goroutines
@@ -400,35 +400,23 @@ func TestReserveCommitMatchesWhatIf(t *testing.T) {
 	}
 }
 
-// TestWorkloadCostParallelMatchesSequential checks the parallel
-// WorkloadCostOrDerived fast path (TPC-DS has enough queries to trigger it)
-// against a hand-rolled sequential sum, including budget exhaustion
-// mid-workload.
-func TestWorkloadCostParallelMatchesSequential(t *testing.T) {
+// TestEvaluateReservedBatchWorkersMatchSequential checks the batch fan-out
+// on TPC-DS (enough queries to spread across workers) against one worker,
+// including budget exhaustion mid-workload.
+func TestEvaluateReservedBatchWorkersMatchSequential(t *testing.T) {
 	w := workload.ByName("tpcds")
-	if len(w.Queries) < 64 {
-		t.Skip("workload too small to trigger the parallel path")
-	}
 	cands := candgen.Generate(w, candgen.Options{})
 	cfg := iset.FromOrdinals(0, 5, 9)
 
-	// Budget 50 < |W|: the budget exhausts mid-workload on the first sweep.
+	// Budget 50 < |W|: the budget exhausts mid-workload on the first sweep;
+	// the second sweep is all seen or derived.
 	sP := NewSession(w, cands, NewOptimizer(w, cands), 5, 50, 1)
-	gotFirst := sP.WorkloadCostOrDerived(cfg)
-	gotSecond := sP.WorkloadCostOrDerived(cfg) // all seen or derived now
-
+	gotFirst, gotSecond := sweep(sP, cfg, 4), sweep(sP, cfg, 4)
 	sS := NewSession(w, cands, NewOptimizer(w, cands), 5, 50, 1)
-	seq := func() float64 {
-		total := 0.0
-		for qi := range sS.W.Queries {
-			total += sS.CostOrDerived(qi, cfg) * sS.W.Queries[qi].EffectiveWeight()
-		}
-		return total
-	}
-	wantFirst, wantSecond := seq(), seq()
+	wantFirst, wantSecond := sweep(sS, cfg, 1), sweep(sS, cfg, 1)
 
 	if gotFirst != wantFirst || gotSecond != wantSecond {
-		t.Fatalf("parallel path differs: %v/%v vs %v/%v", gotFirst, gotSecond, wantFirst, wantSecond)
+		t.Fatalf("4 workers differ: %v/%v vs %v/%v", gotFirst, gotSecond, wantFirst, wantSecond)
 	}
 	if sP.Used() != sS.Used() || sP.CacheHits() != sS.CacheHits() {
 		t.Fatalf("accounting differs: used %d/%d hits %d/%d",
