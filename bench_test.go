@@ -107,11 +107,13 @@ func benchSession(b *testing.B, wname string, k, budget int) *search.Session {
 }
 
 // BenchmarkWhatIfCall measures one uncached what-if optimizer invocation on
-// a TPC-H query with a 5-index configuration.
+// a TPC-H query with a 5-index configuration: PeekCost scoring the query's
+// plan space, interned here by a first what-if call as in any search.
 func BenchmarkWhatIfCall(b *testing.B) {
 	s := benchSession(b, "tpch", 10, 1)
 	q := s.W.Queries[4]
 	cfg := iset.FromOrdinals(0, 3, 7, 11, 19)
+	s.Opt.WhatIf(q, iset.Set{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

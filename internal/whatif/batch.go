@@ -119,7 +119,7 @@ func (o *Optimizer) space(q *workload.Query, in *queryInfo) *planSpace {
 	in.spaceMu.Lock()
 	ps := in.space.Load()
 	if ps == nil {
-		ps = o.buildSpace(q, in)
+		ps = o.buildSpace(q, in, nil)
 		ps.size = ps.sizeBytes()
 		in.spaceRef.Store(1)
 		in.space.Store(ps)
@@ -172,8 +172,11 @@ func (o *Optimizer) releaseColdSpaces(limit int64) {
 // buildSpace walks the configuration-independent part of the plan once:
 // baseline access facts, pipeline order, cardinality chain, and the admitted
 // index alternatives per operator. Only the query's relevant candidates are
-// visited — cost-preserving by construction of the relevance projection.
-func (o *Optimizer) buildSpace(q *workload.Query, in *queryInfo) *planSpace {
+// visited, cost-preserving by construction of the relevance projection.
+// within, when non-nil, further restricts the alternatives to its members;
+// the result scores exactly the configurations contained in *within (an
+// empty set leaves only the baseline, which scores cost(q, ∅)).
+func (o *Optimizer) buildSpace(q *workload.Query, in *queryInfo, within *iset.Set) *planSpace {
 	n := len(q.Refs)
 	if n == 0 {
 		return &planSpace{empty: true}
@@ -190,6 +193,9 @@ func (o *Optimizer) buildSpace(q *workload.Query, in *queryInfo) *planSpace {
 		if t != nil {
 			needSort := len(r.SortCols) > 0
 			for _, ord := range in.relByTable[r.Table] {
+				if within != nil && !within.Has(ord) {
+					continue
+				}
 				ix := &o.Candidates[ord]
 				c, ok, ordered := o.indexAccessCost(t, r, ix, access[i].rowsOut)
 				if !ok {
@@ -232,7 +238,7 @@ func (o *Optimizer) buildSpace(q *workload.Query, in *queryInfo) *planSpace {
 		// key is one of the connecting join columns.
 		for _, ord := range in.relByTable[r.Table] {
 			ix := &o.Candidates[ord]
-			if !containsCol(innerCols, ix.Key[0]) {
+			if (within != nil && !within.Has(ord)) || !containsCol(innerCols, ix.Key[0]) {
 				continue
 			}
 			st.inl = append(st.inl, inlEntry{
@@ -336,15 +342,25 @@ func (o *Optimizer) evalSpace(ps *planSpace, cfg iset.Set, acc []float64, win []
 	return total
 }
 
-// compute scores cost(q, cfg) against q's plan space with pooled scratch:
-// the one-pair miss path of WhatIf, PeekCost, and BaseCost.
-func (o *Optimizer) compute(q *workload.Query, in *queryInfo, cfg iset.Set) float64 {
-	ps := o.space(q, in)
+// score evaluates cfg against ps with pooled scratch.
+func (o *Optimizer) score(ps *planSpace, cfg iset.Set) float64 {
 	sc := scratchPool.Get().(*batchScratch)
 	sc.acc = growFloats(sc.acc, len(ps.acc))
 	c := o.evalSpace(ps, cfg, sc.acc, nil)
 	scratchPool.Put(sc)
 	return c
+}
+
+// peekSpace returns a plan space that scores cfg for a one-shot evaluation
+// (PeekCost, Plan): q's interned space when it is resident, else a space
+// restricted to cfg's alternatives, built without interning — so the oracle
+// evaluation of a final configuration does not pay for the full
+// alternative tables of queries the search never scored.
+func (o *Optimizer) peekSpace(q *workload.Query, in *queryInfo, cfg iset.Set) *planSpace {
+	if ps := in.space.Load(); ps != nil {
+		return ps
+	}
+	return o.buildSpace(q, in, &cfg)
 }
 
 // growFloats returns s resized to n, reusing its capacity.

@@ -41,7 +41,7 @@ type PlanOperator struct {
 // derived from the winning ordinals.
 func (o *Optimizer) Plan(q *workload.Query, cfg iset.Set) *Plan {
 	p := &Plan{}
-	ps := o.space(q, o.info(q))
+	ps := o.peekSpace(q, o.info(q), cfg)
 	if ps.empty {
 		return p
 	}

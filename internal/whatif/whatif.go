@@ -658,7 +658,10 @@ func (o *Optimizer) shardFor(p Pair) *cacheShard {
 func (o *Optimizer) BaseCost(q *workload.Query) float64 {
 	in := o.info(q)
 	in.baseOnce.Do(func() {
-		in.base = o.compute(q, in, iset.Set{})
+		// A space without alternatives: session set-up scores every query's
+		// baseline, and many queries are never scored under an index.
+		var none iset.Set
+		in.base = o.score(o.buildSpace(q, in, &none), none)
 	})
 	return in.base
 }
@@ -710,7 +713,7 @@ func (o *Optimizer) WhatIf(q *workload.Query, cfg iset.Set) float64 {
 	if o.SimulatedLatency > 0 {
 		time.Sleep(o.SimulatedLatency)
 	}
-	c = o.compute(q, in, cfg)
+	c = o.score(o.space(q, in), cfg)
 	o.computes.Add(1)
 	o.publish(sh, p, cl, c)
 	return c
@@ -750,7 +753,7 @@ func (o *Optimizer) PeekCost(q *workload.Query, cfg iset.Set) float64 {
 	if ok {
 		return c
 	}
-	return o.compute(q, in, cfg)
+	return o.score(o.peekSpace(q, in, cfg), cfg)
 }
 
 // ConfigSizeBytes returns the total estimated storage of the configuration.
