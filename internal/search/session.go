@@ -85,9 +85,10 @@ const floorProbeHeadroom = 4
 // NewSession.
 //
 // Budget charging (WhatIf, the Batch pipeline, Reserve/CommitReserved, and
-// the read-side counters) is safe for concurrent use by multiple goroutines: the seen-pair set and all bookkeeping are guarded by
-// an internal mutex and the counters are atomic, so concurrent chargers can
-// never push Used past Budget or double-charge a pair. The remaining fields
+// the read-side counters) is safe for concurrent use by multiple goroutines:
+// the seen-pair set and all bookkeeping are guarded by an internal mutex and
+// the counters are atomic, so concurrent chargers can never push Used past
+// Budget or double-charge a pair. The remaining fields
 // (Rng, Derived reads outside the charging methods, Layout reads) follow the
 // single-owner convention: one goroutine drives the algorithm and hands heavy
 // evaluations to helpers via EvaluateReservedBatch (see internal/core's
