@@ -53,14 +53,14 @@ func (o *Optimizer) Plan(q *workload.Query, cfg iset.Set) *Plan {
 	for si := range ps.steps {
 		st := &ps.steps[si]
 		join := win[len(ps.acc)+si]
+		kind, probe := "hash", -1
 		switch {
 		case st.standalone:
-			p.op(o, q, ps, win, st.ref, -1, "standalone", join.cost)
+			kind = "standalone"
 		case join.ord >= 0:
-			p.op(o, q, ps, win, st.ref, join.ord, "index-nested-loop", join.cost)
-		default:
-			p.op(o, q, ps, win, st.ref, -1, "hash", join.cost)
+			kind, probe = "index-nested-loop", join.ord
 		}
+		p.op(o, q, ps, win, st.ref, probe, kind, join.cost)
 	}
 	return p
 }
