@@ -118,6 +118,27 @@ func writeGolden(t *testing.T, path, header string, got map[string]string) {
 	}
 }
 
+// goldenRun tunes w under opts with the JSONL event stream captured, checks
+// the trace spend invariant (per-phase spend sums to WhatIfCalls), and
+// returns the run's golden line.
+func goldenRun(t *testing.T, w *WorkloadSet, opts Options) string {
+	t.Helper()
+	var events bytes.Buffer
+	opts.TraceEvents = &events
+	r, err := Tune(w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Trace == nil {
+		t.Fatal("Result.Trace nil with TraceEvents set")
+	}
+	if spent := r.Trace.SpendTotal(); spent != r.WhatIfCalls {
+		t.Errorf("traced spend %d != WhatIfCalls %d (by phase: %v)",
+			spent, r.WhatIfCalls, r.Trace.SpendByPhase)
+	}
+	return goldenResult(r, events.Bytes(), opts.SessionWorkers)
+}
+
 // TestBatchScalarBitIdentical pins the charging pipeline's observable
 // behaviour across enumerators, worker counts, and the interception/early-
 // stop epsilons against golden digests recorded while the scalar per-pair
@@ -152,26 +173,13 @@ func TestBatchScalarBitIdentical(t *testing.T) {
 				for _, ec := range epsCases {
 					name := fmt.Sprintf("%s/%s/w%d/%s", wl.name, alg, workers, ec.name)
 					t.Run(name, func(t *testing.T) {
-						var events bytes.Buffer
-						r, err := Tune(wl.w, Options{
+						line := goldenRun(t, wl.w, Options{
 							K: 5, Budget: 150, Seed: 7,
 							Algorithm:      alg,
 							SessionWorkers: workers,
 							DeriveEpsilon:  ec.derive,
 							StopEpsilon:    ec.stop,
-							TraceEvents:    &events,
 						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if r.Trace == nil {
-							t.Fatal("Result.Trace nil with TraceEvents set")
-						}
-						if spent := r.Trace.SpendTotal(); spent != r.WhatIfCalls {
-							t.Errorf("traced spend %d != WhatIfCalls %d (by phase: %v)",
-								spent, r.WhatIfCalls, r.Trace.SpendByPhase)
-						}
-						line := goldenResult(r, events.Bytes(), workers)
 						got[name] = line
 						if !*updateGolden && line != want[name] {
 							t.Errorf("diverged from %s:\n  want: %s\n  got:  %s", batchGoldenPath, want[name], line)
@@ -184,5 +192,52 @@ func TestBatchScalarBitIdentical(t *testing.T) {
 	if *updateGolden && !t.Failed() {
 		writeGolden(t, batchGoldenPath,
 			"# TestBatchScalarBitIdentical golden: name, config, improvement bits, counters, stop accounting, trace counters, Workers=1 stream SHA-256.\n", got)
+	}
+}
+
+// mctsGoldenPath holds one line per case of TestMCTSEpisodeLoopGolden.
+const mctsGoldenPath = "testdata/mcts_golden.tsv"
+
+// TestMCTSEpisodeLoopGolden pins MCTS at operating points the B=150 grid of
+// TestBatchScalarBitIdentical never reaches: TPC-H at K=10, B=5000, where
+// the early-stopping rule fires mid-search, and TPC-DS at K=10, B=1500,
+// where the search spends its whole budget. Each case must reproduce the
+// recorded configuration, improvement bits, budget and stop accounting,
+// trace counters and — at Workers = 1 — the JSONL stream SHA-256.
+func TestMCTSEpisodeLoopGolden(t *testing.T) {
+	cases := []struct {
+		workload string
+		budget   int
+		eps      string
+		derive   float64
+	}{
+		{"tpch", 5000, "stop", 0},
+		{"tpch", 5000, "derive+stop", 0.05},
+		{"tpcds", 1500, "derive+stop", 0.05},
+	}
+	want := readGolden(t, mctsGoldenPath)
+	got := make(map[string]string)
+	for _, c := range cases {
+		w := Workload(c.workload)
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("%s/mcts/k10/b%d/w%d/%s", c.workload, c.budget, workers, c.eps)
+			t.Run(name, func(t *testing.T) {
+				line := goldenRun(t, w, Options{
+					K: 10, Budget: c.budget, Seed: 7,
+					Algorithm:      AlgorithmMCTS,
+					SessionWorkers: workers,
+					DeriveEpsilon:  c.derive,
+					StopEpsilon:    0.1,
+				})
+				got[name] = line
+				if !*updateGolden && line != want[name] {
+					t.Errorf("diverged from %s:\n  want: %s\n  got:  %s", mctsGoldenPath, want[name], line)
+				}
+			})
+		}
+	}
+	if *updateGolden && !t.Failed() {
+		writeGolden(t, mctsGoldenPath,
+			"# TestMCTSEpisodeLoopGolden golden: name, config, improvement bits, counters, stop accounting, trace counters, Workers=1 stream SHA-256.\n", got)
 	}
 }
