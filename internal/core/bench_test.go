@@ -27,18 +27,28 @@ func benchTuner(b *testing.B, budget int) *tuner {
 	return tn
 }
 
+// oneSlot returns the slot of a one-slot pipeline over tn: it draws from the
+// session RNG and evaluates its reserved pair inline.
+func oneSlot(tn *tuner) *episodeSlot {
+	return &episodeSlot{rng: tn.s.Rng, qi: -1, b: new(search.Batch)}
+}
+
 // BenchmarkEpisode measures one full selection/rollout/evaluation/backup
-// cycle against a huge budget (so episodes never hit the exhausted path).
+// cycle — one slot's beginEpisode + commitEpisode, as the Workers = 1
+// pipeline runs it — against a huge budget (so episodes never hit the
+// exhausted path).
 func BenchmarkEpisode(b *testing.B) {
 	tn := benchTuner(b, 1<<30)
 	tn.computePriors(1)
 	tn.buildPriorPrefix()
 	tn.root = tn.newNode(iset.Set{}, 0)
 	tn.bestCfg = iset.Set{}
+	sl := oneSlot(tn)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tn.runEpisode()
+		tn.beginEpisode(sl)
+		tn.commitEpisode(sl)
 	}
 }
 
@@ -52,10 +62,12 @@ func BenchmarkEpisodeCached(b *testing.B) {
 	tn.buildPriorPrefix()
 	tn.root = tn.newNode(iset.Set{}, 0)
 	tn.bestCfg = iset.Set{}
+	sl := oneSlot(tn)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tn.runEpisode()
+		tn.beginEpisode(sl)
+		tn.commitEpisode(sl)
 	}
 }
 

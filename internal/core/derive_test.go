@@ -17,7 +17,7 @@ func epsSession(t *testing.T, budget int, workers int) *search.Session {
 
 // Interception keeps the search deterministic: with a fixed (seed, workers,
 // epsilon), repeated runs produce the same configuration, budget use, and
-// layout trace — at the sequential path and in the parallel pipeline.
+// layout trace — in the one-slot and the four-slot pipeline.
 func TestDeriveDeterministicAcrossRuns(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var first string

@@ -98,21 +98,20 @@ func (e Extraction) String() string {
 // paper's recommended setting (ε-greedy with priors, myopic step-0 rollout,
 // Best-Greedy extraction).
 type Options struct {
-	Policy       Policy
-	Rollout      RolloutKind
-	FixedStep    int // look-ahead step for RolloutFixedStep
-	Extraction   Extraction
-	Lambda       float64 // UCT exploration constant; 0 means √2
-	Temperature  float64 // Boltzmann temperature τ; 0 means 0.1
-	RAVE         bool    // blend rapid action value estimates (Section 8)
-	DisablePrior bool    // skip Algorithm 4 even for prior-based policies (tests only)
+	Policy      Policy
+	Rollout     RolloutKind
+	FixedStep   int // look-ahead step for RolloutFixedStep
+	Extraction  Extraction
+	Lambda      float64 // UCT exploration constant; 0 means √2
+	Temperature float64 // Boltzmann temperature τ; 0 means 0.1
+	RAVE        bool    // blend rapid action value estimates (Section 8)
 
 	// Workers sets the number of episodes kept in flight concurrently
 	// (virtual-loss pipelining; see mcts_parallel.go). 0 defers to the
-	// session's Workers hint; 0/1 run the sequential path, which is what all
-	// paper figures use and is bit-identical to the pre-parallel tuner.
-	// Results with Workers = N > 1 are deterministic in (seed, N) but differ
-	// from the sequential trajectory.
+	// session's Workers hint. Workers = 1 — what all paper figures use — is
+	// the one-slot pipeline: it draws from the session RNG and evaluates each
+	// episode inline before the next begins. Results with Workers = N > 1
+	// are deterministic in (seed, N) but differ from the one-slot trajectory.
 	Workers int
 }
 
@@ -153,7 +152,7 @@ type node struct {
 	visited bool // whether an episode has passed through after creation
 	// vvisits counts episodes currently in flight through this node (virtual
 	// loss). Owned by the coordinator goroutine like every other tree field;
-	// always zero in sequential runs and after every episode commits.
+	// zero whenever a one-slot pipeline selects, and after every commit.
 	vvisits  int // owned by: coordinator
 	stats    map[int]*actionStat
 	statKeys []int // stats keys in first-touch order (deterministic walks)
@@ -177,7 +176,8 @@ type actionStat struct {
 	// vloss counts in-flight selections of this action (virtual loss): each
 	// pending episode is treated as one extra observation with reward 0,
 	// deflating the estimate so concurrent selections diverge. Coordinator-
-	// owned; zero in sequential runs and after every episode commits.
+	// owned; zero whenever a one-slot pipeline selects, and after every
+	// commit.
 	vloss int // owned by: coordinator
 	prior float64
 }
@@ -196,17 +196,17 @@ func (a *actionStat) q(usePrior bool) float64 {
 }
 
 // rngSource is the sampling surface the tuner draws from. The session's
-// *math/rand.Rand satisfies it directly (sequential runs); parallel episode
-// slots substitute per-slot math/rand/v2 PCG streams (mcts_parallel.go) so
-// the random trajectory depends only on (seed, Workers).
+// *math/rand.Rand satisfies it directly (the one-slot pipeline); wider
+// pipelines substitute per-slot math/rand/v2 PCG streams (mcts_parallel.go)
+// so the random trajectory depends only on (seed, Workers).
 type rngSource interface {
 	Float64() float64
 	Intn(n int) int
 }
 
 // tuner carries per-run state. All tree state is owned by a single
-// coordinator goroutine even in parallel runs; only reserved what-if
-// evaluations leave that goroutine.
+// coordinator goroutine; only reserved what-if evaluations of a multi-slot
+// pipeline leave that goroutine.
 type tuner struct {
 	opts           Options
 	name           string
@@ -225,12 +225,7 @@ type tuner struct {
 	stalled        int      // owned by: coordinator
 	sinceStopCheck int      // owned by: coordinator — committed episodes since the last early-stop check
 	ep             int      // owned by: coordinator — episodes committed so far (trace labeling)
-	inflightN      int      // owned by: coordinator — episodes currently in flight (parallel pipeline)
-	// Per-episode scratch, reused across episodes to keep the selection/
-	// evaluation path allocation-free (parallel slots carry their own).
-	path []*node   // owned by: coordinator
-	acts []int     // owned by: coordinator
-	d    []float64 // owned by: coordinator
+	inflightN      int      // owned by: coordinator — episodes currently in flight
 }
 
 // maxStalled bounds consecutive budget-free episodes: an episode normally
@@ -243,8 +238,7 @@ func (m MCTS) Enumerate(s *search.Session) iset.Set {
 	t := &tuner{opts: m.Opts, name: m.Name(), s: s, rng: s.Rng, baseW: s.Derived.BaseWorkload()}
 	t.priors = make([]float64, s.NumCandidates())
 	workers := m.Opts.workerCount(s)
-	usesPriors := m.Opts.Policy == PolicyPrior || m.Opts.Policy == PolicyBoltzmann
-	if usesPriors && !m.Opts.DisablePrior {
+	if m.Opts.Policy == PolicyPrior || m.Opts.Policy == PolicyBoltzmann {
 		s.Trace.SetPhase(trace.PhasePriors)
 		t.computePriors(workers)
 	}
@@ -261,24 +255,7 @@ func (m MCTS) Enumerate(s *search.Session) iset.Set {
 	// A cancellation that arrived during the prior phase takes effect before
 	// the first episode rather than after it.
 	s.CheckCancel()
-
-	if workers > 1 {
-		t.runParallel(workers)
-		return t.extract()
-	}
-	// Run episodes while budget remains.
-	for !s.Exhausted() && t.stalled < maxStalled {
-		before := s.Used()
-		t.runEpisode()
-		if s.Used() == before {
-			t.stalled++
-		} else {
-			t.stalled = 0
-		}
-		// Early-stopping check at the episode commit point; a stop flips
-		// Exhausted, so the loop exits on its own condition.
-		t.checkStop()
-	}
+	t.run(workers)
 	return t.extract()
 }
 
@@ -503,20 +480,10 @@ func (t *tuner) sampleUniform(excluded func(int) bool) int {
 	return -1
 }
 
-// runEpisode performs one selection/expansion/simulation/update cycle
-// (Algorithm 3's RunEpisode).
-func (t *tuner) runEpisode() {
-	t.path = t.path[:0]
-	t.acts = t.acts[:0]
-	cfg := t.sample(t.root, &t.path, &t.acts)
-	eta := t.evaluateWithBudget(cfg)
-	t.backup(t.path, t.acts, cfg, eta)
-}
-
 // backup propagates an episode's reward: best-configuration tracking, RAVE
 // credit, and visit/value updates along the selection path. It also emits the
-// episode's trace event (sequential runs commit here; parallel runs reach it
-// from commitEpisode, in episode order, so the event stream is deterministic).
+// episode's trace event; commitEpisode reaches it in episode order, so the
+// event stream is deterministic.
 func (t *tuner) backup(path []*node, acts []int, cfg iset.Set, eta float64) {
 	improved := eta > t.bestEta || t.bestCfg.Empty()
 	if improved {
@@ -738,40 +705,6 @@ func (t *tuner) rollout(n *node) iset.Set {
 		cfg.Add(ord)
 	}
 	return cfg
-}
-
-// evaluateWithBudget is Algorithm 3's EvaluateCostWithBudget: spend one
-// what-if call on a single query sampled with probability proportional to
-// its derived cost, and approximate the rest of the workload with derived
-// costs. Cached pairs are reused for free.
-func (t *tuner) evaluateWithBudget(cfg iset.Set) float64 {
-	s := t.s
-	m := len(s.W.Queries)
-	if cap(t.d) < m {
-		t.d = make([]float64, m)
-	}
-	d := t.d[:m]
-	total := 0.0
-	for qi := range s.W.Queries {
-		d[qi] = s.Derived.Query(qi, cfg) * s.W.Queries[qi].EffectiveWeight()
-		total += d[qi]
-	}
-	qi := t.pickQuery(cfg, d, total)
-	if qi >= 0 {
-		c, _ := s.WhatIf(qi, cfg)
-		total += -d[qi] + c*s.W.Queries[qi].EffectiveWeight()
-	}
-	if t.baseW <= 0 {
-		return 0
-	}
-	eta := 1 - total/t.baseW
-	if eta < 0 {
-		eta = 0
-	}
-	if eta > 1 {
-		eta = 1
-	}
-	return eta
 }
 
 // pickQuery samples a query proportional to derived cost, preferring pairs

@@ -1,7 +1,7 @@
 package core
 
-// Intra-session parallel MCTS: a deterministic episode pipeline with virtual
-// loss.
+// The MCTS episode loop: a deterministic episode pipeline with virtual loss.
+// Every worker count runs it; Workers = 1 is a one-slot pipeline.
 //
 // True asynchronous shared-tree MCTS makes the search trajectory depend on
 // goroutine scheduling, which would break the repository's fixed-seed
@@ -27,10 +27,13 @@ package core
 //     session RNG at startup, so the random trajectory does not depend on
 //     which goroutine evaluates what.
 //
-// Workers = 1 never enters this file: the sequential loop in Enumerate runs
-// unchanged (virtual-loss counters stay zero, making the selection formulas
-// arithmetically identical), so all paper figures are bit-identical to the
-// pre-parallel tuner.
+// Workers = 1 runs one slot that draws from the session RNG itself and
+// evaluates its reserved pair inline, on the coordinator, before the next
+// episode begins: no goroutine, no channels. Its episode j commits before
+// episode j+1 selects, so the virtual-loss counters are zero at every
+// selection and the selection formulas are exactly Equations 5 and 6. The
+// loop guard runs before every reserve, on the only goroutine that charges,
+// so no episode's pair is ever over budget.
 
 import (
 	randv2 "math/rand/v2"
@@ -41,7 +44,7 @@ import (
 
 // workerCount resolves the effective intra-session parallelism: an explicit
 // Options.Workers wins, otherwise the session's Workers hint applies; values
-// below 2 select the sequential path.
+// below 2 select the one-slot pipeline.
 func (o Options) workerCount(s *search.Session) int {
 	w := o.Workers
 	if w <= 0 {
@@ -61,10 +64,10 @@ type pcgStream struct{ r *randv2.Rand }
 func (p pcgStream) Float64() float64 { return p.r.Float64() }
 func (p pcgStream) Intn(n int) int   { return p.r.IntN(n) }
 
-// episodeSlot holds one in-flight episode: its private RNG stream, its
-// selection path, and the channels of its evaluation worker. Everything but
-// the two channels belongs to the coordinator goroutine; the evaluation
-// worker communicates only through jobs and done.
+// episodeSlot holds one in-flight episode: its RNG stream, its selection
+// path, and — in a multi-slot pipeline — the channels of its evaluation
+// worker. Everything but the two channels belongs to the coordinator
+// goroutine; the evaluation worker communicates only through jobs and done.
 type episodeSlot struct {
 	rng  rngSource // owned by: coordinator
 	path []*node   // owned by: coordinator
@@ -82,40 +85,36 @@ type episodeSlot struct {
 	// beginEpisode and reads it in commitEpisode; in between, the pointer
 	// rides the jobs channel to the worker, with the jobs/done round-trip
 	// ordering the accesses — the worker only ever touches what arrived on
-	// the channel, never the slot's own fields. SkipFallback: an over-budget
-	// episode keeps its derived total, so no fallback cost or event is
-	// wanted.
+	// the channel, never the slot's own fields.
 	b *search.Batch // owned by: coordinator
 
+	// jobs and done connect the slot to its evaluation worker; both are nil
+	// in the one-slot pipeline, which evaluates inline.
 	jobs chan *search.Batch
 	done chan struct{}
 }
 
-// runParallel drives the episode pipeline until the budget is exhausted or
-// the stall guard trips, then drains the in-flight tail.
-func (t *tuner) runParallel(workers int) {
+// run drives the episode pipeline until the budget is exhausted or the stall
+// guard trips, then drains the in-flight tail.
+func (t *tuner) run(workers int) {
 	slots := make([]*episodeSlot, workers)
 	for i := range slots {
-		sl := &episodeSlot{
-			rng:  pcgStream{randv2.New(randv2.NewPCG(uint64(t.s.Rng.Int63()), uint64(i)))},
-			qi:   -1,
-			b:    &search.Batch{SkipFallback: true},
-			jobs: make(chan *search.Batch, 1),
-			done: make(chan struct{}, 1),
-		}
+		sl := &episodeSlot{rng: t.s.Rng, qi: -1, b: new(search.Batch)}
 		slots[i] = sl
+		if workers == 1 {
+			continue
+		}
+		sl.rng = pcgStream{randv2.New(randv2.NewPCG(uint64(t.s.Rng.Int63()), uint64(i)))}
+		sl.jobs = make(chan *search.Batch, 1)
+		sl.done = make(chan struct{}, 1)
 		go func() {
 			for b := range sl.jobs {
 				t.s.EvaluateReservedBatch(b, 1)
 				sl.done <- struct{}{}
 			}
 		}()
+		defer close(sl.jobs)
 	}
-	defer func() {
-		for _, sl := range slots {
-			close(sl.jobs)
-		}
-	}()
 
 	ep := 0
 	for !t.s.Exhausted() && t.stalled < maxStalled {
@@ -123,8 +122,7 @@ func (t *tuner) runParallel(workers int) {
 		if sl.inflight {
 			t.commitEpisode(sl)
 			// The stop check runs on the coordinator immediately after each
-			// commit — the same point in the episode order as the sequential
-			// path — so the decision is deterministic in (seed, workers).
+			// commit, so the decision is deterministic in (seed, workers).
 			if t.checkStop() {
 				break
 			}
@@ -141,8 +139,15 @@ func (t *tuner) runParallel(workers int) {
 }
 
 // beginEpisode runs the coordinator half of one episode: selection, rollout,
-// query sampling, and budget reservation, then dispatches the evaluation to
-// the slot's worker and pins the selection path with a virtual loss.
+// query sampling, and budget reservation, then evaluates the reserved pair —
+// inline in the one-slot pipeline, on the slot's worker otherwise — and pins
+// the selection path with a virtual loss.
+//
+// The query sampling and reservation are Algorithm 3's
+// EvaluateCostWithBudget: one what-if call is spent on a single query
+// sampled with probability proportional to its derived cost, and the rest of
+// the workload is approximated with derived costs. Pairs this session has
+// already asked for are reused for free.
 func (t *tuner) beginEpisode(sl *episodeSlot) {
 	t.rng = sl.rng
 	sl.path = sl.path[:0]
@@ -175,8 +180,7 @@ func (t *tuner) beginEpisode(sl *episodeSlot) {
 		sl.dQi = d[sl.qi]
 		// The reserve decision (seen / bound / charge) runs on the
 		// coordinator in episode order, so it is deterministic in (seed,
-		// Workers); evaluation goes to the slot's worker, and the pair's
-		// trace events land at the commit point.
+		// Workers); the pair's trace events land at the commit point.
 		sl.b.Reset()
 		sl.b.Add(sl.qi, cfg)
 		s.ReserveBatch(sl.b)
@@ -185,8 +189,12 @@ func (t *tuner) beginEpisode(sl *episodeSlot) {
 			charged = true
 			fallthrough
 		case search.BatchCached:
-			sl.jobs <- sl.b
-			sl.awaiting = true
+			if sl.jobs == nil {
+				s.EvaluateReservedBatch(sl.b, 1)
+			} else {
+				sl.jobs <- sl.b
+				sl.awaiting = true
+			}
 		}
 	}
 	if charged {
@@ -209,7 +217,7 @@ func (t *tuner) commitEpisode(sl *episodeSlot) {
 		}
 		// Commit on the coordinator in episode order: charged calls are
 		// recorded and their trace events emitted here; an exhausted episode
-		// keeps its derived total (SkipFallback).
+		// keeps its derived total.
 		t.s.CommitReservedBatch(sl.b)
 		if sl.b.Outcome(0) != search.BatchExhausted {
 			total += -sl.dQi + sl.b.Cost(0)*t.s.W.Queries[sl.qi].EffectiveWeight()

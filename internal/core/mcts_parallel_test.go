@@ -46,9 +46,8 @@ func TestParallelDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// Workers=1 must take the sequential code path: explicitly requesting one
-// worker is bit-identical to the default (Workers unset) tuner, including
-// the layout trace.
+// Workers=1 is the default: explicitly requesting one worker is
+// bit-identical to the tuner with Workers unset, including the layout trace.
 func TestParallelWorkersOneMatchesSequential(t *testing.T) {
 	seq := runTrace(session(t, "tpch", 5, 100, 7), Default())
 	one := runTrace(session(t, "tpch", 5, 100, 7), parallelDefault(1))
@@ -147,7 +146,7 @@ func TestParallelPriorsMatchSequential(t *testing.T) {
 }
 
 // After the pipeline drains, no virtual loss may remain anywhere in the
-// tree, and visit accounting must match the sequential invariants.
+// tree, and visit accounting must match the one-slot invariants.
 func TestParallelVirtualLossFullyLifted(t *testing.T) {
 	s := session(t, "tpch", 5, 120, 4)
 	tn := &tuner{opts: Default().Opts, s: s, rng: s.Rng, baseW: s.Derived.BaseWorkload()}
@@ -155,7 +154,7 @@ func TestParallelVirtualLossFullyLifted(t *testing.T) {
 	tn.buildPriorPrefix()
 	tn.root = tn.newNode(iset.Set{}, 0)
 	tn.bestCfg = iset.Set{}
-	tn.runParallel(4)
+	tn.run(4)
 
 	var walk func(n *node)
 	walk = func(n *node) {

@@ -184,8 +184,10 @@ func TestRewardsWithinUnitInterval(t *testing.T) {
 	tn.buildPriorPrefix()
 	tn.root = tn.newNode(iset.Set{}, 0)
 	tn.bestCfg = iset.Set{}
+	sl := oneSlot(tn)
 	for i := 0; i < 50 && !s.Exhausted(); i++ {
-		tn.runEpisode()
+		tn.beginEpisode(sl)
+		tn.commitEpisode(sl)
 	}
 	var walk func(n *node)
 	walk = func(n *node) {
@@ -213,8 +215,10 @@ func TestTreeVisitAccounting(t *testing.T) {
 	tn.root = tn.newNode(iset.Set{}, 0)
 	tn.bestCfg = iset.Set{}
 	episodes := 0
+	sl := oneSlot(tn)
 	for !s.Exhausted() && episodes < 200 {
-		tn.runEpisode()
+		tn.beginEpisode(sl)
+		tn.commitEpisode(sl)
 		episodes++
 	}
 	// N(s) = Σ_a n(s,a) + episodes terminating at s. At the root every
