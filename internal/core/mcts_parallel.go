@@ -216,8 +216,9 @@ func (t *tuner) commitEpisode(sl *episodeSlot) {
 			<-sl.done
 		}
 		// Commit on the coordinator in episode order: charged calls are
-		// recorded and their trace events emitted here; an exhausted episode
-		// keeps its derived total.
+		// recorded and their trace events emitted here. The loop guard
+		// precedes every reserve, so no episode's pair is exhausted; if one
+		// were, the episode would keep its derived total.
 		t.s.CommitReservedBatch(sl.b)
 		if sl.b.Outcome(0) != search.BatchExhausted {
 			total += -sl.dQi + sl.b.Cost(0)*t.s.W.Queries[sl.qi].EffectiveWeight()

@@ -53,7 +53,7 @@ const (
 	// BatchBound: unseen pair answered from derived cost bounds, budget-free.
 	BatchBound
 	// BatchExhausted: unseen pair and no budget left (or the session
-	// stopped); answered from the derived cost unless SkipFallback is set.
+	// stopped); answered from the derived cost.
 	BatchExhausted
 )
 
@@ -81,11 +81,6 @@ type Batch struct {
 	// abandon their sweep on the first failed what-if call (Algorithm 4's
 	// prior phase).
 	StopOnExhausted bool
-	// SkipFallback leaves BatchExhausted pairs unanswered (cost 0, no
-	// derived fallback, no trace event) for consumers that substitute their
-	// own approximation, like the MCTS episode pipeline keeping its derived
-	// total.
-	SkipFallback bool
 
 	reqs []request
 
@@ -119,7 +114,7 @@ func (b *Batch) Outcome(i int) BatchOutcome { return b.reqs[i].out }
 
 // Cost returns the cost of pair i: bound midpoints after ReserveBatch,
 // evaluated costs after EvaluateReservedBatch, and derived fallbacks after
-// CommitReservedBatch. Exhausted pairs read 0 when SkipFallback is set.
+// CommitReservedBatch.
 func (b *Batch) Cost(i int) float64 { return b.reqs[i].cost }
 
 // ReserveBatch performs the accounting half of every pair in order, under
@@ -215,13 +210,13 @@ func (s *Session) EvaluateReservedBatch(b *Batch, workers int) {
 // CommitReservedBatch completes the batch under one mutex hold, settling
 // each pair in pair order: charged pairs are recorded in the layout trace
 // and the derived store and charged virtual time; exhausted pairs fall back
-// to the derived cost (unless SkipFallback) computed at their position,
-// after earlier pairs' records, exactly as the sequential interleaving
-// would; every pair's trace events are emitted here.
+// to the derived cost computed at their position, after earlier pairs'
+// records, exactly as the sequential interleaving would; every pair's trace
+// events are emitted here.
 func (s *Session) CommitReservedBatch(b *Batch) {
 	s.mu.Lock()
 	for i := range b.reqs {
-		s.settle(&b.reqs[i], !b.SkipFallback)
+		s.settle(&b.reqs[i])
 	}
 	s.mu.Unlock()
 }

@@ -390,12 +390,11 @@ func (s *Session) boundAnswer(qi int, cfg iset.Set) (mid, gap float64, ok bool) 
 
 // settle completes a reserved pair and emits its trace events: a charged
 // pair is committed (preceded by its Reserve event), a cached or
-// bound-answered pair is witnessed, and an exhausted pair — when fallback
-// is set — is answered from the derived cost computed now, after every
-// earlier commit.
+// bound-answered pair is witnessed, and an exhausted pair is answered from
+// the derived cost computed now, after every earlier commit.
 //
 // locked: mu
-func (s *Session) settle(r *request, fallback bool) {
+func (s *Session) settle(r *request) {
 	switch r.out {
 	case BatchCharged:
 		if s.Trace != nil {
@@ -411,11 +410,9 @@ func (s *Session) settle(r *request, fallback bool) {
 			s.Trace.DerivedBound(r.qi, r.cfg.Key(), r.cost, r.gap)
 		}
 	default:
-		if fallback {
-			r.cost = s.Derived.Query(r.qi, r.cfg)
-			if s.Trace != nil {
-				s.Trace.DerivedFallback(r.qi, r.cfg.Key())
-			}
+		r.cost = s.Derived.Query(r.qi, r.cfg)
+		if s.Trace != nil {
+			s.Trace.DerivedFallback(r.qi, r.cfg.Key())
 		}
 	}
 }
@@ -661,7 +658,7 @@ func (s *Session) probeFloors() {
 		}
 		r.cost = s.Opt.WhatIf(s.W.Queries[qi], s.univ)
 		s.mu.Lock()
-		s.settle(&r, false)
+		s.settle(&r)
 		if r.out == BatchCached {
 			s.Derived.RecordFloor(qi, r.cost)
 		}
@@ -689,7 +686,7 @@ func (s *Session) WhatIf(qi int, cfg iset.Set) (c float64, ok bool) {
 		r.cost = s.Opt.WhatIf(s.W.Queries[qi], cfg)
 	}
 	s.mu.Lock()
-	s.settle(&r, true)
+	s.settle(&r)
 	s.mu.Unlock()
 	return r.cost, r.out != BatchExhausted
 }
