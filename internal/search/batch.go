@@ -156,8 +156,15 @@ func (s *Session) EvaluateReservedBatch(b *Batch, workers int) {
 		}
 		g := qi2g[r.qi] - 1
 		if g < 0 || g >= len(b.groups) || b.groups[g].qi != r.qi {
-			b.groups = append(b.groups, batchGroup{qi: r.qi})
-			g = len(b.groups) - 1
+			// Reuse a spare group and its truncated idx/cfgs storage when
+			// capacity allows.
+			g = len(b.groups)
+			if g < cap(b.groups) {
+				b.groups = b.groups[:g+1]
+			} else {
+				b.groups = append(b.groups, batchGroup{})
+			}
+			b.groups[g].qi = r.qi
 			qi2g[r.qi] = g + 1
 		}
 		gr := &b.groups[g]
@@ -174,15 +181,9 @@ func (s *Session) EvaluateReservedBatch(b *Batch, workers int) {
 		}
 	}()
 
-	eval := func(g *batchGroup) {
-		costs := s.Opt.WhatIfBatch(s.W.Queries[g.qi], g.cfgs)
-		for k, i := range g.idx {
-			b.reqs[i].cost = costs[k]
-		}
-	}
 	if workers <= 1 || len(b.groups) < 2 {
 		for g := range b.groups {
-			eval(&b.groups[g])
+			b.eval(s, &b.groups[g])
 		}
 		return
 	}
@@ -200,11 +201,21 @@ func (s *Session) EvaluateReservedBatch(b *Batch, workers int) {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for g := lo; g < hi; g++ {
-				eval(&b.groups[g])
+				b.eval(s, &b.groups[g])
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
+}
+
+// eval scores one query group through the optimizer's batch path and
+// scatters the costs back to the group's pairs. It is a method rather than a
+// closure so the single-goroutine path allocates nothing of its own.
+func (b *Batch) eval(s *Session, g *batchGroup) {
+	costs := s.Opt.WhatIfBatch(s.W.Queries[g.qi], g.cfgs)
+	for k, i := range g.idx {
+		b.reqs[i].cost = costs[k]
+	}
 }
 
 // CommitReservedBatch completes the batch under one mutex hold, settling

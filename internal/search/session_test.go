@@ -427,6 +427,33 @@ func TestEvaluateReservedBatchWorkersMatchSequential(t *testing.T) {
 	}
 }
 
+// TestBatchReusesGroupStorage pins EvaluateReservedBatch's storage reuse: a
+// warmed one-pair batch allocates only the optimizer's result slice, not
+// fresh per-query group slices every round.
+func TestBatchReusesGroupStorage(t *testing.T) {
+	s := newTestSession(t, 10)
+	cfg := iset.FromOrdinals(0, 3)
+	b := new(Batch)
+	round := func() {
+		b.Reset()
+		b.Add(0, cfg)
+		s.ReserveBatch(b)
+		s.EvaluateReservedBatch(b, 1)
+		s.CommitReservedBatch(b)
+	}
+	round() // charge the pair; every later round is a session cache hit
+	if b.Outcome(0) != BatchCharged {
+		t.Fatalf("first round outcome %v, want BatchCharged", b.Outcome(0))
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 1 {
+		t.Fatalf("warmed one-pair batch allocates %v times per round, want 1 (WhatIfBatch's result slice)", n)
+	}
+	if b.Outcome(0) != BatchCached || s.Used() != 1 {
+		t.Fatalf("outcome %v used %d, want BatchCached with 1 charged call", b.Outcome(0), s.Used())
+	}
+}
+
 // TestReleaseReservedRefundsBudget pins the refund semantics: an outstanding
 // charged reservation can be released (budget refunded, pair forgotten and
 // chargeable again), while committed or unknown pairs are never refundable.
