@@ -6,9 +6,8 @@
 //   - budgetguard: enumeration algorithms may not import the optimizer
 //     package, nor may internal/trace (DESIGN §2, §6). Derived-bound answers
 //     and stop decisions are budget-free by contract, so no code may charge
-//     budget inside a TryDeriveBound or CheckStop success branch or the
-//     decision block emitting a derived-bound or stop trace event (DESIGN
-//     §10, §11).
+//     budget inside a CheckStop success branch or the decision block
+//     emitting a derived-bound or stop trace event (DESIGN §10, §11).
 //   - determinism: fixed-seed runs must be reproducible, so non-test code may
 //     not read the wall clock or use math/rand's seeded-by-default global
 //     functions, and map iteration may not feed ordered output without an

@@ -179,12 +179,8 @@ func chargeCallName(info *types.Info, call *ast.CallExpr) (string, bool) {
 // checkDerivedAnswers enforces the derived-answer contract (DESIGN §10): a
 // what-if request answered from monotonicity-derived cost bounds is
 // budget-free, so no budget may be reserved, committed, or trace-witnessed
-// as charged inside a derived-answer region. Two regions are checked:
-//
-//  1. the success branch of `if c, ok := s.TryDeriveBound(...); ok { ... }`
-//     (the interception consumers in the enumeration algorithms), and
-//  2. the decision block emitting a trace.Recorder.DerivedBound event (the
-//     interception producers, including internal/search's inlined fast path).
+// as charged inside the decision block emitting a trace.Recorder.DerivedBound
+// event (the interception producer in internal/search, and any other).
 func checkDerivedAnswers(pass *Pass, f *ast.File) {
 	reported := make(map[token.Pos]bool)
 	report := func(call *ast.CallExpr, name, region string) {
@@ -208,17 +204,6 @@ func checkDerivedAnswers(pass *Pass, f *ast.File) {
 	}
 
 	ast.Inspect(f, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok {
-			return true
-		}
-		if block := deriveSuccessBlock(pass.Info, ifs); block != nil {
-			forbidCharges(block, "a TryDeriveBound success branch")
-		}
-		return true
-	})
-
-	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -239,7 +224,7 @@ func checkDerivedAnswers(pass *Pass, f *ast.File) {
 // search.Session.CheckStop reports a stop, every remaining call is refunded,
 // so charging budget — or trace-witnessing a charge — inside a stop-decision
 // region would spend calls the decision just declared unnecessary. Two
-// regions are checked, mirroring the derived-answer rule:
+// regions are checked:
 //
 //  1. the success branch of `if s.CheckStop(...) { ... }` (the stop
 //     consumers at enumerator commit points), and
@@ -296,9 +281,8 @@ func checkStopDecisions(pass *Pass, f *ast.File) {
 
 // stopSuccessBlock returns the branch of ifs taken when its
 // search.Session.CheckStop condition reported a stop, or nil when ifs is not
-// a stop check. Unlike TryDeriveBound, CheckStop returns a single bool, so
-// the call sits in the condition itself (`if s.CheckStop(cfg) { ... }`),
-// possibly negated.
+// a stop check. The call sits in the condition itself
+// (`if s.CheckStop(cfg) { ... }`), possibly negated.
 func stopSuccessBlock(info *types.Info, ifs *ast.IfStmt) ast.Node {
 	cond := ast.Unparen(ifs.Cond)
 	negated := false
@@ -318,33 +302,6 @@ func stopSuccessBlock(info *types.Info, ifs *ast.IfStmt) ast.Node {
 		return ifs.Else // may be nil: no stop branch to check
 	}
 	return ifs.Body
-}
-
-// deriveSuccessBlock returns the branch of ifs taken when a
-// search.Session.TryDeriveBound call in its init statement succeeded, or nil
-// when ifs is not a TryDeriveBound interception.
-func deriveSuccessBlock(info *types.Info, ifs *ast.IfStmt) ast.Node {
-	as, ok := ifs.Init.(*ast.AssignStmt)
-	if !ok || len(as.Rhs) != 1 {
-		return nil
-	}
-	call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Name() != "TryDeriveBound" || !isMethodOn(fn, searchPkgPath, "Session") {
-		return nil
-	}
-	switch cond := ast.Unparen(ifs.Cond).(type) {
-	case *ast.Ident:
-		return ifs.Body
-	case *ast.UnaryExpr:
-		if cond.Op == token.NOT {
-			return ifs.Else // may be nil: no success branch to check
-		}
-	}
-	return nil
 }
 
 // derivedRegion returns the decision region enclosing pos: the body (or else

@@ -146,7 +146,7 @@ func TestBadPackagesHaveFindings(t *testing.T) {
 		{"bad/internal/greedy", NewBudgetGuard(nil), 1},
 		{"bad/internal/greedy", ChargePath(), 4},
 		{"tracebad/internal/trace", NewBudgetGuard(nil), 1},
-		{"derivebad/internal/core", NewBudgetGuard(nil), 7},
+		{"derivebad/internal/core", NewBudgetGuard(nil), 3},
 		{"stopbad/internal/core", NewBudgetGuard(nil), 5},
 		{"determinism/bad", Determinism(), 6},
 		{"atomicfields/bad", AtomicFields(), 2},

@@ -1,23 +1,13 @@
 // Package core shows the sanctioned shapes of bound-based what-if
-// interception: the derived-answer region returns the bound midpoint and
-// nothing else, and any budget charging lives on the disjoint fallthrough
-// path — mirroring search.Session.WhatIf and ReserveBatch.
+// interception: the decision block emitting the derived-bound event returns
+// the bound midpoint and nothing else, and any budget charging lives on a
+// disjoint path — mirroring search.Session.WhatIf and ReserveBatch.
 package core
 
 import (
 	"indextune/internal/iset"
 	"indextune/internal/search"
 )
-
-// BoundOrCharge answers from bounds when interception fires and only
-// charges on the fallthrough path.
-func BoundOrCharge(s *search.Session, qi int, cfg iset.Set) float64 {
-	if c, ok := s.TryDeriveBound(qi, cfg); ok {
-		return c
-	}
-	c, _ := s.WhatIf(qi, cfg)
-	return c
-}
 
 // TraceSeparated emits the derived-bound event inside its own decision
 // block; the budget-charging path is the disjoint else-flow after it.

@@ -19,66 +19,56 @@ func seedTightBounds(s *Session) (cfg iset.Set, mid float64) {
 	return iset.FromOrdinals(1, 2), 99
 }
 
-func TestTryDeriveBoundDisabledByDefault(t *testing.T) {
-	s := newTestSession(t, 10)
-	cfg, _ := seedTightBounds(s)
-	if _, ok := s.TryDeriveBound(0, cfg); ok {
-		t.Fatal("interception must be off at DeriveEpsilon = 0")
-	}
-	if _, ok := s.WhatIf(0, cfg); !ok {
-		t.Fatal("charged call failed")
-	}
-	if s.BoundHits() != 0 {
-		t.Fatalf("BoundHits = %d at epsilon 0", s.BoundHits())
-	}
-	if s.Used() != 1 {
-		t.Fatalf("used = %d, want a normally charged call", s.Used())
+// checkAccounting asserts the session's bound hits, charged calls, layout
+// length, and query 0's derived-store entry count.
+func checkAccounting(t *testing.T, s *Session, boundHits int64, used, layout, entries int) {
+	t.Helper()
+	if s.BoundHits() != boundHits || s.Used() != used || s.Layout.Len() != layout || s.Derived.Entries(0) != entries {
+		t.Fatalf("boundHits=%d used=%d layout=%d entries=%d, want %d/%d/%d/%d",
+			s.BoundHits(), s.Used(), s.Layout.Len(), s.Derived.Entries(0), boundHits, used, layout, entries)
 	}
 }
 
-func TestTryDeriveBoundAnswersFromMidpoint(t *testing.T) {
+func TestWhatIfBoundDisabledByDefault(t *testing.T) {
+	s := newTestSession(t, 10)
+	cfg, _ := seedTightBounds(s)
+	entries := s.Derived.Entries(0)
+	// At DeriveEpsilon = 0 tight bounds are ignored: the call is charged,
+	// laid out, and recorded.
+	s.WhatIf(0, cfg)
+	checkAccounting(t, s, 0, 1, 1, entries+1)
+}
+
+func TestWhatIfBoundAnswersFromMidpoint(t *testing.T) {
 	s := newTestSession(t, 10)
 	s.DeriveEpsilon = 0.05
 	cfg, mid := seedTightBounds(s)
 	entries := s.Derived.Entries(0)
-	c, ok := s.TryDeriveBound(0, cfg)
-	if !ok || c != mid {
-		t.Fatalf("TryDeriveBound = (%v, %v), want (%v, true)", c, ok, mid)
+	if c, _ := s.WhatIf(0, cfg); c != mid {
+		t.Fatalf("WhatIf = %v, want the bound midpoint %v", c, mid)
 	}
 	// Interception is budget-free and records nothing: the derived store must
 	// keep only true what-if costs, the layout trace only charged calls.
-	if s.Used() != 0 || s.Layout.Len() != 0 {
-		t.Fatalf("interception charged budget: used=%d layout=%d", s.Used(), s.Layout.Len())
+	checkAccounting(t, s, 1, 0, 0, entries)
+	// The pair stays unseen, so a repeat is intercepted again.
+	if c, _ := s.WhatIf(0, cfg); c != mid {
+		t.Fatalf("repeat WhatIf = %v, want the bound midpoint %v", c, mid)
 	}
-	if s.Derived.Entries(0) != entries {
-		t.Fatal("interception recorded a midpoint into the derived store")
-	}
-	if s.BoundHits() != 1 {
-		t.Fatalf("BoundHits = %d, want 1", s.BoundHits())
-	}
-	// WhatIf routes through the same interception.
-	c2, ok2 := s.WhatIf(0, cfg)
-	if !ok2 || c2 != mid {
-		t.Fatalf("WhatIf = (%v, %v), want (%v, true)", c2, ok2, mid)
-	}
-	if s.Used() != 0 || s.BoundHits() != 2 {
-		t.Fatalf("WhatIf interception: used=%d boundHits=%d", s.Used(), s.BoundHits())
-	}
+	checkAccounting(t, s, 2, 0, 0, entries)
 }
 
-func TestTryDeriveBoundRespectsEpsilon(t *testing.T) {
+func TestWhatIfBoundRespectsEpsilon(t *testing.T) {
 	s := newTestSession(t, 10)
 	s.DeriveEpsilon = 0.01 // gap 0.02 > ε: must not fire
 	cfg, _ := seedTightBounds(s)
-	if _, ok := s.TryDeriveBound(0, cfg); ok {
-		t.Fatal("interception fired outside epsilon")
-	}
+	entries := s.Derived.Entries(0)
+	s.WhatIf(0, cfg)
+	checkAccounting(t, s, 0, 1, 1, entries+1)
 	// Without any recorded superset, lo = 0 and the gap is maximal: a fresh
 	// pair can never be intercepted (for ε < 1).
 	s.DeriveEpsilon = 0.5
-	if _, ok := s.TryDeriveBound(3, iset.FromOrdinals(9)); ok {
-		t.Fatal("interception fired with no recorded supersets")
-	}
+	s.WhatIf(3, iset.FromOrdinals(9))
+	checkAccounting(t, s, 0, 2, 2, entries+1)
 }
 
 // Seen pairs are answered exactly (session cache), never from bounds — the

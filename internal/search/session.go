@@ -178,8 +178,8 @@ type Session struct {
 	used      int64
 	committed int64
 	cacheHits int64
-	// boundHits counts unseen pairs answered by TryDeriveBound without
-	// charging budget.
+	// boundHits counts unseen pairs answered from derived cost bounds
+	// without charging budget.
 	boundHits int64
 
 	// Early-stopping state. stopped and cancelled are read with sync/atomic
@@ -509,36 +509,6 @@ func (s *Session) CommitReserved(qi int, cfg iset.Set, c float64) {
 	s.mu.Lock()
 	s.commit(&r, int(atomic.LoadInt64(&s.used)))
 	s.mu.Unlock()
-}
-
-// TryDeriveBound attempts to answer cost(q_i, cfg) from monotonicity-derived
-// cost bounds without charging budget — the Wii-style what-if call
-// interception on its own. It fires only when DeriveEpsilon > 0, the pair is
-// unseen (repeat pairs are already answered exactly and for free), and the
-// bounds from the derived store satisfy (hi − lo) ≤ ε·hi; the answer is the
-// bound midpoint, so its relative error is at most ε/2. Interception
-// performs no reservation and no recording: the derived store only ever
-// holds true what-if costs, keeping future bounds sound. Each hit is counted
-// (BoundHits) and traced as a derived-bound event.
-func (s *Session) TryDeriveBound(qi int, cfg iset.Set) (c float64, ok bool) {
-	if s.DeriveEpsilon <= 0 {
-		return 0, false
-	}
-	p := s.pairFor(qi, cfg)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, hit := s.seen[p]; hit {
-		return 0, false
-	}
-	mid, gap, ok := s.boundAnswer(qi, cfg)
-	if !ok {
-		return 0, false
-	}
-	atomic.AddInt64(&s.boundHits, 1)
-	if s.Trace != nil {
-		s.Trace.DerivedBound(qi, cfg.Key(), mid, gap)
-	}
-	return mid, true
 }
 
 // CheckStop runs the Esc-style early-stopping rule at an enumerator commit
