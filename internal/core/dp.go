@@ -10,6 +10,7 @@ package core
 // configuration.
 
 import (
+	"indextune/internal/greedy"
 	"indextune/internal/iset"
 	"indextune/internal/search"
 )
@@ -33,7 +34,8 @@ func (DP) Name() string { return "DP (exact)" }
 func (DP) Enumerate(s *search.Session) iset.Set {
 	n := s.NumCandidates()
 	if n > MaxDPCandidates {
-		cfg, _ := derivedFallback(s)
+		// The store is still empty here, so this is ∅ without a charge.
+		cfg, _ := greedy.DerivedOnly(s, s.K)
 		return cfg
 	}
 	best := iset.Set{}
@@ -76,30 +78,4 @@ func (DP) Enumerate(s *search.Session) iset.Set {
 		level = next
 	}
 	return best
-}
-
-// derivedFallback runs Algorithm 1 with derived costs only (no budget),
-// mirroring greedy.DerivedOnly without importing it (avoiding a cycle is
-// not required here, but the local version keeps DP self-contained).
-func derivedFallback(s *search.Session) (iset.Set, float64) {
-	cur := iset.Set{}
-	curCost := s.Derived.BaseWorkload()
-	for cur.Len() < s.K {
-		best, bestCost := -1, curCost
-		for ord := 0; ord < s.NumCandidates(); ord++ {
-			if cur.Has(ord) || !s.FitsStorage(cur, ord) {
-				continue
-			}
-			c := s.Derived.Workload(cur.With(ord))
-			if c < bestCost {
-				best, bestCost = ord, c
-			}
-		}
-		if best < 0 {
-			break
-		}
-		cur.Add(best)
-		curCost = bestCost
-	}
-	return cur, curCost
 }

@@ -156,33 +156,12 @@ type inflightCall struct {
 	c    float64
 }
 
-// claim resolves a pair against the shard under one lock hold: a cached value
-// (cached=true), an existing in-flight computation to wait on (cl, leader
-// false, cl.done non-nil for this caller), or a fresh in-flight registration
-// the caller now owns (cl, leader true) and must complete with publish.
-func (sh *cacheShard) claim(p Pair) (c float64, cl *inflightCall, leader, cached bool) {
-	sh.mu.Lock()
-	if idx, ok := sh.m[p]; ok {
-		c := sh.entries[idx].cost
-		sh.entries[idx].ref.Store(1)
-		sh.mu.Unlock()
-		return c, nil, false, true
-	}
-	if cl, ok := sh.inflight[p]; ok {
-		if cl.done == nil {
-			cl.done = make(chan struct{})
-		}
-		sh.mu.Unlock()
-		return 0, cl, false, false
-	}
-	cl = &inflightCall{}
-	sh.inflight[p] = cl
-	sh.mu.Unlock()
-	return 0, cl, true, false
-}
-
-// claimWith is claim with a caller-provided registration slot, so batch
-// leaders avoid the per-miss allocation. fresh is consumed only on the
+// claimWith resolves a pair against the shard under one lock hold: a cached
+// value (cached=true), an existing in-flight computation to wait on (cl,
+// leader false, cl.done non-nil for this caller), or a fresh in-flight
+// registration in the caller-provided slot (cl == fresh, leader true) that
+// the caller now owns and must complete with publish. Batch leaders pass
+// pooled slots to avoid a per-miss allocation. fresh is consumed only on the
 // leader path and must stay reachable until the matching publish; the caller
 // may recycle it afterwards only if publish reported no waiters (a waiter
 // may still be reading fresh.c after release).
@@ -700,7 +679,7 @@ func (o *Optimizer) WhatIf(q *workload.Query, cfg iset.Set) float64 {
 	// Miss: claim the pair. Exactly one goroutine (the leader) computes —
 	// losers wait on the in-flight computation and count a cache hit, the
 	// same accounting outcome the old racing-insert scheme converged to.
-	c, cl, leader, cached := sh.claim(p)
+	c, cl, leader, cached := sh.claimWith(p, new(inflightCall))
 	if cached {
 		o.cacheHits.Add(1)
 		return c
