@@ -158,9 +158,10 @@ type Options struct {
 	StorageLimitBytes int64
 	// SessionWorkers sets intra-session search parallelism for algorithms
 	// that support it (currently MCTS): up to N episodes evaluate their
-	// what-if calls concurrently. 0 or 1 runs the sequential search. Results
-	// are reproducible for a fixed (Seed, SessionWorkers) pair, but N > 1
-	// follows a different (equally valid) search trajectory than N = 1.
+	// what-if calls concurrently. 0 or 1 keeps one episode in flight,
+	// evaluated inline. Results are reproducible for a fixed (Seed,
+	// SessionWorkers) pair, but N > 1 follows a different (equally valid)
+	// search trajectory than N = 1.
 	SessionWorkers int
 	// DeriveEpsilon enables Wii-style what-if call interception: an unseen
 	// (query, configuration) pair whose monotonicity-derived cost bounds are

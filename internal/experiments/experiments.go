@@ -40,7 +40,7 @@ type Config struct {
 	Parallel int
 	// SessionWorkers sets intra-session MCTS parallelism (the pipelined
 	// episode evaluation of internal/core) for every tuning run. 0 or 1
-	// keeps the sequential search used by all paper figures; N > 1 changes
+	// keeps one episode in flight, as all paper figures do; N > 1 changes
 	// MCTS results deterministically in (seed, N).
 	SessionWorkers int
 	// TraceDir, when non-empty, writes one trace event stream (JSONL) and

@@ -119,7 +119,8 @@ type Session struct {
 
 	// Workers is the intra-session parallelism hint for algorithms that
 	// support it (currently the MCTS tuner; see core.Options.Workers).
-	// 0 or 1 selects the sequential paths used by all paper figures.
+	// 0 or 1 selects one episode in flight, evaluated inline — the setting
+	// all paper figures use.
 	Workers int
 
 	// Trace, when non-nil, receives the session's budget-accounting events

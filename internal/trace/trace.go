@@ -106,7 +106,7 @@ type Event struct {
 	Episode int `json:"ep,omitempty"`
 	Action  int `json:"action,omitempty"`
 	// Inflight is the number of pipelined episodes holding virtual loss at
-	// the time the event committed (0 in sequential runs).
+	// the time the event committed (0 in one-slot runs).
 	Inflight int `json:"inflight,omitempty"`
 	// Refunded is the budget returned unspent by an early stop.
 	Refunded int    `json:"refunded,omitempty"`
