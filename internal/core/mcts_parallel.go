@@ -99,21 +99,25 @@ type episodeSlot struct {
 func (t *tuner) run(workers int) {
 	slots := make([]*episodeSlot, workers)
 	for i := range slots {
-		sl := &episodeSlot{rng: t.s.Rng, qi: -1, b: new(search.Batch)}
-		slots[i] = sl
-		if workers == 1 {
-			continue
+		slots[i] = &episodeSlot{rng: t.s.Rng, qi: -1, b: new(search.Batch)}
+	}
+	if workers > 1 {
+		for i, sl := range slots {
+			sl.rng = pcgStream{randv2.New(randv2.NewPCG(uint64(t.s.Rng.Int63()), uint64(i)))}
+			sl.jobs = make(chan *search.Batch, 1)
+			sl.done = make(chan struct{}, 1)
+			go func() {
+				for b := range sl.jobs {
+					t.s.EvaluateReservedBatch(b, 1)
+					sl.done <- struct{}{}
+				}
+			}()
 		}
-		sl.rng = pcgStream{randv2.New(randv2.NewPCG(uint64(t.s.Rng.Int63()), uint64(i)))}
-		sl.jobs = make(chan *search.Batch, 1)
-		sl.done = make(chan struct{}, 1)
-		go func() {
-			for b := range sl.jobs {
-				t.s.EvaluateReservedBatch(b, 1)
-				sl.done <- struct{}{}
+		defer func() {
+			for _, sl := range slots {
+				close(sl.jobs)
 			}
 		}()
-		defer close(sl.jobs)
 	}
 
 	ep := 0
