@@ -151,7 +151,7 @@ func TestBadPackagesHaveFindings(t *testing.T) {
 		{"determinism/bad", Determinism(), 6},
 		{"atomicfields/bad", AtomicFields(), 2},
 		{"panicguard/bad", PanicGuard(), 2},
-		{"reservepair/bad", ReservePair(), 5},
+		{"reservepair/bad", ReservePair(), 4},
 		{"chargepath/bad/internal/core", ChargePath(), 7},
 		{"lockguard/bad", LockGuard(), 6},
 	} {

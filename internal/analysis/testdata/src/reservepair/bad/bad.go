@@ -1,5 +1,6 @@
-// Package bad seeds reservation-leak violations: charged Session.Reserve
-// calls with paths to function exit that skip CommitReserved/ReleaseReserved.
+// Package bad seeds reservation-leak violations: batches reserved with
+// Session.ReserveBatch that can reach function exit without
+// CommitReservedBatch, or that are committed twice.
 package bad
 
 import (
@@ -9,65 +10,52 @@ import (
 	"indextune/internal/search"
 )
 
-// LeakOnEarlyReturn is the canonical leak: the error path returns after a
-// charged reservation without releasing it.
-func LeakOnEarlyReturn(s *search.Session, qi int, cfg iset.Set, bad bool) (float64, error) {
-	r := s.Reserve(qi, cfg) // want "may reach function exit without CommitReserved or ReleaseReserved"
-	if r != search.ReserveCharged {
-		return 0, nil
-	}
+// LeakOnEarlyReturn is the canonical leak: the error path returns between
+// the reserve and the commit.
+func LeakOnEarlyReturn(s *search.Session, b *search.Batch, bad bool) (float64, error) {
+	s.ReserveBatch(b) // want "without CommitReservedBatch"
 	if bad {
-		return 0, errors.New("early return skips release")
+		return 0, errors.New("early return skips the commit")
 	}
-	c := s.EvaluateReserved(qi, cfg)
-	s.CommitReserved(qi, cfg, c)
-	return c, nil
+	s.EvaluateReservedBatch(b, 1)
+	s.CommitReservedBatch(b)
+	return b.Cost(0), nil
 }
 
-// LeakDiscarded drops the reservation outcome entirely: nothing can ever
-// discharge the charged case.
-func LeakDiscarded(s *search.Session, qi int, cfg iset.Set) {
-	s.Reserve(qi, cfg) // want "may reach function exit without CommitReserved or ReleaseReserved"
+// LeakNeverCommitted reserves and evaluates, then reads the cost without
+// ever committing the charged pairs.
+func LeakNeverCommitted(s *search.Session, qi int, cfg iset.Set) float64 {
+	b := &search.Batch{}
+	b.Add(qi, cfg)
+	s.ReserveBatch(b) // want "without CommitReservedBatch"
+	s.EvaluateReservedBatch(b, 1)
+	return b.Cost(0)
 }
 
-// LeakSwitchDefault discharges the cached path but forgets the charged one.
-func LeakSwitchDefault(s *search.Session, qi int, cfg iset.Set) float64 {
-	switch s.Reserve(qi, cfg) { // want "may reach function exit without CommitReserved or ReleaseReserved"
-	case search.ReserveExhausted:
-		return 0
-	case search.ReserveCached:
-		return s.EvaluateReserved(qi, cfg)
-	default:
-		return s.EvaluateReserved(qi, cfg) // evaluated but never committed
-	}
-}
-
-// LeakInLoop breaks out of the loop between reserve and commit.
-func LeakInLoop(s *search.Session, cfg iset.Set, n int) float64 {
+// LeakBreakInLoop breaks out of the loop between reserve and commit.
+func LeakBreakInLoop(s *search.Session, cfg iset.Set, n int) float64 {
+	var b search.Batch
 	total := 0.0
 	for qi := 0; qi < n; qi++ {
-		r := s.Reserve(qi, cfg) // want "may reach function exit without CommitReserved or ReleaseReserved"
-		if r == search.ReserveExhausted {
-			break
+		b.Reset()
+		b.Add(qi, cfg)
+		s.ReserveBatch(&b) // want "without CommitReservedBatch"
+		s.EvaluateReservedBatch(&b, 1)
+		if b.Cost(0) < 0 {
+			break // leaks the reservation
 		}
-		if r == search.ReserveCached {
-			continue
-		}
-		c := s.EvaluateReserved(qi, cfg)
-		if c < 0 {
-			break // leaks the charged reservation
-		}
-		s.CommitReserved(qi, cfg, c)
-		total += c
+		s.CommitReservedBatch(&b)
+		total += b.Cost(0)
 	}
 	return total
 }
 
-// DoubleCommit discharges the same reservation twice on the happy path.
+// DoubleCommit settles the same reservation twice.
 func DoubleCommit(s *search.Session, qi int, cfg iset.Set) {
-	if s.Reserve(qi, cfg) == search.ReserveCharged {
-		c := s.EvaluateReserved(qi, cfg)
-		s.CommitReserved(qi, cfg, c)
-		s.CommitReserved(qi, cfg, c) // want "may already be discharged"
-	}
+	var b search.Batch
+	b.Add(qi, cfg)
+	s.ReserveBatch(&b)
+	s.EvaluateReservedBatch(&b, 1)
+	s.CommitReservedBatch(&b)
+	s.CommitReservedBatch(&b) // want "already committed"
 }

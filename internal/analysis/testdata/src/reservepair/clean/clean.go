@@ -1,6 +1,6 @@
-// Package clean exercises reservation patterns the analyzer must accept:
-// guarded discharges, deferred releases, escape to a consumer, and annotated
-// helper discharges.
+// Package clean exercises batch reservation patterns the analyzer must
+// accept: straight-line and deferred commits, a reused loop batch, and
+// batches whose obligation leaves the function's hands.
 package clean
 
 import (
@@ -8,88 +8,79 @@ import (
 	"indextune/internal/search"
 )
 
-// CommitOnCharged is the canonical correct shape.
-func CommitOnCharged(s *search.Session, qi int, cfg iset.Set) float64 {
-	switch s.Reserve(qi, cfg) {
-	case search.ReserveExhausted:
-		return 0
-	case search.ReserveCached:
-		return s.EvaluateReserved(qi, cfg)
-	}
-	c := s.EvaluateReserved(qi, cfg)
-	s.CommitReserved(qi, cfg, c)
-	return c
+// StraightLine is the canonical shape: reserve, evaluate, commit.
+func StraightLine(s *search.Session, qi int, cfg iset.Set) float64 {
+	var b search.Batch
+	b.Add(qi, cfg)
+	s.ReserveBatch(&b)
+	s.EvaluateReservedBatch(&b, 1)
+	s.CommitReservedBatch(&b)
+	return b.Cost(0)
 }
 
-// ReleaseOnError releases the charged reservation on the failure path.
-func ReleaseOnError(s *search.Session, qi int, cfg iset.Set, fail bool) float64 {
-	r := s.Reserve(qi, cfg)
-	if r != search.ReserveCharged {
-		return 0
-	}
-	if fail {
-		s.ReleaseReserved(qi, cfg)
-		return 0
-	}
-	c := s.EvaluateReserved(qi, cfg)
-	s.CommitReserved(qi, cfg, c)
-	return c
-}
-
-// DeferredRelease relies on the deferred discharge running on every path.
-func DeferredRelease(s *search.Session, qi int, cfg iset.Set, skip bool) float64 {
-	if s.Reserve(qi, cfg) != search.ReserveCharged {
-		return 0
-	}
-	defer s.ReleaseReserved(qi, cfg)
+// DeferredCommit relies on the deferred commit running on every path,
+// the early return included.
+func DeferredCommit(s *search.Session, b *search.Batch, skip bool) float64 {
+	s.ReserveBatch(b)
+	defer s.CommitReservedBatch(b)
 	if skip {
 		return 0
 	}
-	return s.EvaluateReserved(qi, cfg)
+	s.EvaluateReservedBatch(b, 1)
+	return b.Cost(0)
 }
 
-// EscapesToCaller hands the obligation to its caller with the reservation
-// value; the analyzer must not flag the site.
-func EscapesToCaller(s *search.Session, qi int, cfg iset.Set) search.Reservation {
-	return consume(s.Reserve(qi, cfg))
-}
-
-func consume(r search.Reservation) search.Reservation { return r }
-
-// EscapesToSlice stores reservation states for a later commit loop.
-func EscapesToSlice(s *search.Session, cfg iset.Set, n int) {
-	states := make([]search.Reservation, n)
+// ReusedLoopBatch reserves one batch per iteration and commits it on both
+// branches before the next reserve.
+func ReusedLoopBatch(s *search.Session, cfg iset.Set, n int) float64 {
+	var b search.Batch
+	total := 0.0
 	for qi := 0; qi < n; qi++ {
-		states[qi] = s.Reserve(qi, cfg)
-	}
-	for qi := 0; qi < n; qi++ {
-		if states[qi] == search.ReserveCharged {
-			s.CommitReserved(qi, cfg, s.EvaluateReserved(qi, cfg))
+		b.Reset()
+		b.Add(qi, cfg)
+		s.ReserveBatch(&b)
+		if b.Outcome(0) == search.BatchExhausted {
+			s.CommitReservedBatch(&b)
+			continue
 		}
+		s.EvaluateReservedBatch(&b, 1)
+		s.CommitReservedBatch(&b)
+		total += b.Cost(0)
 	}
-}
-
-// helperDischarge stands in for session-internal commit helpers.
-//
-// reservepair: discharges
-func helperDischarge(s *search.Session, qi int, cfg iset.Set, c float64) {
-	s.CommitReserved(qi, cfg, c)
-}
-
-// AnnotatedHelper discharges through an annotated helper.
-func AnnotatedHelper(s *search.Session, qi int, cfg iset.Set) {
-	if s.Reserve(qi, cfg) == search.ReserveCharged {
-		helperDischarge(s, qi, cfg, s.EvaluateReserved(qi, cfg))
-	}
+	return total
 }
 
 // PanicPathIsNotALeak: obligations on panicking paths are out of scope.
 func PanicPathIsNotALeak(s *search.Session, qi int, cfg iset.Set, n int) {
-	if s.Reserve(qi, cfg) != search.ReserveCharged {
-		return
-	}
+	b := new(search.Batch)
+	b.Add(qi, cfg)
+	s.ReserveBatch(b)
 	if n < 0 {
 		panic("invariant: n must be non-negative")
 	}
-	s.CommitReserved(qi, cfg, s.EvaluateReserved(qi, cfg))
+	s.EvaluateReservedBatch(b, 1)
+	s.CommitReservedBatch(b)
+}
+
+// slot holds its batch in a field; the commit happens in another method, so
+// the analyzer skips the site.
+type slot struct{ b search.Batch }
+
+func (sl *slot) begin(s *search.Session, qi int, cfg iset.Set) {
+	sl.b.Reset()
+	sl.b.Add(qi, cfg)
+	s.ReserveBatch(&sl.b)
+}
+
+func (sl *slot) commit(s *search.Session) {
+	s.CommitReservedBatch(&sl.b)
+}
+
+// SentOnChannel hands the reserved batch to a consumer that owes the
+// commit; the analyzer skips the site.
+func SentOnChannel(s *search.Session, qi int, cfg iset.Set, out chan<- *search.Batch) {
+	b := new(search.Batch)
+	b.Add(qi, cfg)
+	s.ReserveBatch(b)
+	out <- b
 }
