@@ -1,23 +1,17 @@
 package analysis
 
 // cfg.go builds intraprocedural control-flow graphs from go/ast function
-// bodies, with guard-carrying edges and dominator facts. The builder covers
-// the full branching surface of the statement grammar — if/else chains,
-// for/range loops, (type) switches, select, goto and labeled break/continue —
-// and models two execution details the analyzers depend on:
+// bodies: basic blocks, successor lists and reachability from the entry. The
+// builder covers the full branching surface of the statement grammar —
+// if/else chains, for/range loops, (type) switches, select, goto and labeled
+// break/continue — and models two execution details the analyzers depend on:
 //
 //   - Deferred calls run on every path to function exit, so each DeferStmt's
 //     call expression is placed in the Exit block (in LIFO order). A deferred
-//     s.ReleaseReserved therefore discharges a reservation on all paths.
+//     s.CommitReservedBatch therefore settles a batch on all paths.
 //   - Calls that never return (panic, os.Exit, log.Fatal*, runtime.Goexit)
-//     terminate their block with no successor edge, so code after them is
+//     terminate their block with no successor, so code after them is
 //     unreachable and obligations on the panicking path are not reported.
-//
-// Edges carry their branch guards: an if/for condition (possibly negated), or
-// a switch dispatch (tag + taken clause, or the set of clauses known NOT to
-// have matched on default/no-match edges). Analyzers use the guards to refine
-// dataflow values along branches, e.g. "switch s.Reserve(...) { case
-// ReserveCached: ... }" narrows the reservation state on each case edge.
 
 import (
 	"go/ast"
@@ -41,45 +35,13 @@ type CFG struct {
 type Block struct {
 	Index int
 	Nodes []ast.Node
-	Succs []*Edge
-	Preds []*Edge
+	Succs []*Block
 
-	idom *Block
-	rpo  int // reverse-postorder number, -1 when unreachable from Entry
-}
-
-// Edge is one control-flow transfer, carrying the guard under which it is
-// taken (all guard fields are nil/false for unconditional transfers).
-type Edge struct {
-	From *Block
-	To   *Block
-
-	// Cond is the if/for condition governing this edge; Negated marks the
-	// false branch.
-	Cond    ast.Expr
-	Negated bool
-
-	// Tag is the switch tag expression when this edge is a switch dispatch.
-	// Case is the taken clause (nil on the no-match edge of a switch without
-	// default). OtherCases lists clauses known not to have matched: on a
-	// default or no-match edge, every valued clause of the switch.
-	Tag        ast.Expr
-	Case       *ast.CaseClause
-	NoMatch    bool
-	OtherCases []*ast.CaseClause
+	reachable bool
 }
 
 // Reachable reports whether the block is reachable from Entry.
-func (b *Block) Reachable() bool { return b.rpo >= 0 }
-
-// Idom returns the block's immediate dominator (nil for Entry and
-// unreachable blocks).
-func (b *Block) Idom() *Block {
-	if b.idom == b {
-		return nil
-	}
-	return b.idom
-}
+func (b *Block) Reachable() bool { return b.reachable }
 
 // loopTarget is one enclosing breakable construct on the builder's stack.
 // cont is nil for switch/select (continue skips them).
@@ -99,7 +61,7 @@ type cfgBuilder struct {
 }
 
 // NewCFG builds the control-flow graph of a function or closure body and
-// computes dominators.
+// marks the blocks reachable from Entry.
 func NewCFG(body *ast.BlockStmt) *CFG {
 	c := &CFG{}
 	b := &cfgBuilder{c: c, labels: make(map[string]*Block)}
@@ -108,18 +70,18 @@ func NewCFG(body *ast.BlockStmt) *CFG {
 	b.cur = c.Entry
 	b.stmts(body.List)
 	if b.cur != nil {
-		b.edge(b.cur, c.Exit, nil)
+		b.edge(b.cur, c.Exit)
 	}
 	// Deferred calls execute on exit in LIFO order.
 	for i := len(b.deferred) - 1; i >= 0; i-- {
 		c.Exit.Nodes = append(c.Exit.Nodes, b.deferred[i].Call)
 	}
-	c.computeDominators()
+	markReachable(c.Entry)
 	return c
 }
 
 func (b *cfgBuilder) newBlock() *Block {
-	blk := &Block{Index: len(b.c.Blocks), rpo: -1}
+	blk := &Block{Index: len(b.c.Blocks)}
 	b.c.Blocks = append(b.c.Blocks, blk)
 	return blk
 }
@@ -138,13 +100,8 @@ func (b *cfgBuilder) add(n ast.Node) {
 	blk.Nodes = append(blk.Nodes, n)
 }
 
-func (b *cfgBuilder) edge(from, to *Block, e *Edge) {
-	if e == nil {
-		e = &Edge{}
-	}
-	e.From, e.To = from, to
-	from.Succs = append(from.Succs, e)
-	to.Preds = append(to.Preds, e)
+func (b *cfgBuilder) edge(from, to *Block) {
+	from.Succs = append(from.Succs, to)
 }
 
 // labelBlock returns (creating on first use, whether by goto or by the
@@ -195,7 +152,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 	case *ast.LabeledStmt:
 		lb := b.labelBlock(s.Label.Name)
 		if b.cur != nil {
-			b.edge(b.cur, lb, nil)
+			b.edge(b.cur, lb)
 		}
 		b.cur = lb
 		b.pending = s.Label.Name
@@ -210,22 +167,22 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		cond := b.block()
 		then := b.newBlock()
 		after := b.newBlock()
-		b.edge(cond, then, &Edge{Cond: s.Cond})
+		b.edge(cond, then)
 		b.cur = then
 		b.stmts(s.Body.List)
 		if b.cur != nil {
-			b.edge(b.cur, after, nil)
+			b.edge(b.cur, after)
 		}
 		if s.Else != nil {
 			els := b.newBlock()
-			b.edge(cond, els, &Edge{Cond: s.Cond, Negated: true})
+			b.edge(cond, els)
 			b.cur = els
 			b.stmt(s.Else)
 			if b.cur != nil {
-				b.edge(b.cur, after, nil)
+				b.edge(b.cur, after)
 			}
 		} else {
-			b.edge(cond, after, &Edge{Cond: s.Cond, Negated: true})
+			b.edge(cond, after)
 		}
 		b.cur = after
 
@@ -234,7 +191,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			b.add(s.Init)
 		}
 		head := b.newBlock()
-		b.edge(b.block(), head, nil)
+		b.edge(b.block(), head)
 		b.cur = head
 		if s.Cond != nil {
 			b.add(s.Cond)
@@ -247,40 +204,38 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			post = b.newBlock()
 			cont = post
 		}
+		b.edge(head, body)
 		if s.Cond != nil {
-			b.edge(head, body, &Edge{Cond: s.Cond})
-			b.edge(head, after, &Edge{Cond: s.Cond, Negated: true})
-		} else {
-			b.edge(head, body, nil)
+			b.edge(head, after)
 		}
 		b.targets = append(b.targets, loopTarget{label: label, brk: after, cont: cont})
 		b.cur = body
 		b.stmts(s.Body.List)
 		b.targets = b.targets[:len(b.targets)-1]
 		if b.cur != nil {
-			b.edge(b.cur, cont, nil)
+			b.edge(b.cur, cont)
 		}
 		if post != nil {
 			b.cur = post
 			b.add(s.Post)
-			b.edge(post, head, nil)
+			b.edge(post, head)
 		}
 		b.cur = after
 
 	case *ast.RangeStmt:
 		head := b.newBlock()
-		b.edge(b.block(), head, nil)
+		b.edge(b.block(), head)
 		head.Nodes = append(head.Nodes, s)
 		body := b.newBlock()
 		after := b.newBlock()
-		b.edge(head, body, nil)
-		b.edge(head, after, nil)
+		b.edge(head, body)
+		b.edge(head, after)
 		b.targets = append(b.targets, loopTarget{label: label, brk: after, cont: head})
 		b.cur = body
 		b.stmts(s.Body.List)
 		b.targets = b.targets[:len(b.targets)-1]
 		if b.cur != nil {
-			b.edge(b.cur, head, nil)
+			b.edge(b.cur, head)
 		}
 		b.cur = after
 
@@ -298,11 +253,11 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			cc := cl.(*ast.CommClause)
 			blk := b.newBlock()
 			blk.Nodes = append(blk.Nodes, cc)
-			b.edge(dispatch, blk, nil)
+			b.edge(dispatch, blk)
 			b.cur = blk
 			b.stmts(cc.Body)
 			if b.cur != nil {
-				b.edge(b.cur, after, nil)
+				b.edge(b.cur, after)
 			}
 		}
 		b.targets = b.targets[:len(b.targets)-1]
@@ -319,18 +274,18 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		case token.BREAK:
 			b.add(s)
 			if t := b.findTarget(name, false); t != nil {
-				b.edge(b.cur, t, nil)
+				b.edge(b.cur, t)
 			}
 			b.cur = nil
 		case token.CONTINUE:
 			b.add(s)
 			if t := b.findTarget(name, true); t != nil {
-				b.edge(b.cur, t, nil)
+				b.edge(b.cur, t)
 			}
 			b.cur = nil
 		case token.GOTO:
 			b.add(s)
-			b.edge(b.cur, b.labelBlock(name), nil)
+			b.edge(b.cur, b.labelBlock(name))
 			b.cur = nil
 		case token.FALLTHROUGH:
 			// Handled by switchStmt; a stray fallthrough is invalid Go.
@@ -338,7 +293,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 
 	case *ast.ReturnStmt:
 		b.add(s)
-		b.edge(b.cur, b.c.Exit, nil)
+		b.edge(b.cur, b.c.Exit)
 		b.cur = nil
 
 	case *ast.DeferStmt:
@@ -375,28 +330,18 @@ func (b *cfgBuilder) switchStmt(label string, init ast.Stmt, tag ast.Expr, assig
 	for _, cl := range body.List {
 		clauses = append(clauses, cl.(*ast.CaseClause))
 	}
-	var valued []*ast.CaseClause
-	for _, cl := range clauses {
-		if cl.List != nil {
-			valued = append(valued, cl)
-		}
-	}
 	blocks := make([]*Block, len(clauses))
-	defaultIdx := -1
+	dflt := after // taken when no clause matches and there is no default
 	for i, cl := range clauses {
 		blocks[i] = b.newBlock()
 		blocks[i].Nodes = append(blocks[i].Nodes, cl)
 		if cl.List == nil {
-			defaultIdx = i
+			dflt = blocks[i]
 			continue
 		}
-		b.edge(dispatch, blocks[i], &Edge{Tag: tag, Case: cl})
+		b.edge(dispatch, blocks[i])
 	}
-	if defaultIdx >= 0 {
-		b.edge(dispatch, blocks[defaultIdx], &Edge{Tag: tag, Case: clauses[defaultIdx], OtherCases: valued})
-	} else {
-		b.edge(dispatch, after, &Edge{Tag: tag, NoMatch: true, OtherCases: valued})
-	}
+	b.edge(dispatch, dflt)
 	b.targets = append(b.targets, loopTarget{label: label, brk: after})
 	for i, cl := range clauses {
 		b.cur = blocks[i]
@@ -411,9 +356,9 @@ func (b *cfgBuilder) switchStmt(label string, init ast.Stmt, tag ast.Expr, assig
 		b.stmts(stmts)
 		if b.cur != nil {
 			if ft && i+1 < len(clauses) {
-				b.edge(b.cur, blocks[i+1], nil)
+				b.edge(b.cur, blocks[i+1])
 			} else {
-				b.edge(b.cur, after, nil)
+				b.edge(b.cur, after)
 			}
 		}
 	}
@@ -447,80 +392,12 @@ func isTerminatingCall(x ast.Expr) bool {
 	return false
 }
 
-// computeDominators assigns reverse-postorder numbers to reachable blocks and
-// computes immediate dominators with the classic iterative algorithm
-// (Cooper/Harvey/Kennedy). Entry's idom is set to itself as the fixpoint
-// anchor; Idom() translates that back to nil.
-func (c *CFG) computeDominators() {
-	var post []*Block
-	seen := make([]bool, len(c.Blocks))
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		seen[b.Index] = true
-		for _, e := range b.Succs {
-			if !seen[e.To.Index] {
-				dfs(e.To)
-			}
+// markReachable flags every block reachable from b by depth-first search.
+func markReachable(b *Block) {
+	b.reachable = true
+	for _, to := range b.Succs {
+		if !to.reachable {
+			markReachable(to)
 		}
-		post = append(post, b)
-	}
-	dfs(c.Entry)
-	rpo := make([]*Block, 0, len(post))
-	for i := len(post) - 1; i >= 0; i-- {
-		rpo = append(rpo, post[i])
-	}
-	for i, b := range rpo {
-		b.rpo = i
-	}
-	c.Entry.idom = c.Entry
-	for changed := true; changed; {
-		changed = false
-		for _, b := range rpo[1:] {
-			var idom *Block
-			for _, e := range b.Preds {
-				p := e.From
-				if p.rpo < 0 || p.idom == nil {
-					continue
-				}
-				if idom == nil {
-					idom = p
-				} else {
-					idom = intersectDom(idom, p)
-				}
-			}
-			if idom != nil && b.idom != idom {
-				b.idom = idom
-				changed = true
-			}
-		}
-	}
-}
-
-func intersectDom(a, b *Block) *Block {
-	for a != b {
-		for a.rpo > b.rpo {
-			a = a.idom
-		}
-		for b.rpo > a.rpo {
-			b = b.idom
-		}
-	}
-	return a
-}
-
-// Dominates reports whether a dominates b (reflexively). Unreachable blocks
-// are dominated by nothing and dominate nothing.
-func (c *CFG) Dominates(a, b *Block) bool {
-	if a.rpo < 0 || b.rpo < 0 {
-		return false
-	}
-	for x := b; ; {
-		if x == a {
-			return true
-		}
-		if x.idom == nil || x.idom == x {
-			return false
-		}
-		x = x.idom
 	}
 }

@@ -33,6 +33,19 @@ func countEdges(c *CFG) int {
 	return n
 }
 
+// predCount counts b's predecessors (the CFG keeps successor lists only).
+func predCount(c *CFG, b *Block) int {
+	n := 0
+	for _, from := range c.Blocks {
+		for _, to := range from.Succs {
+			if to == b {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // reachableBlocks counts blocks reachable from Entry.
 func reachableBlocks(c *CFG) int {
 	n := 0
@@ -61,25 +74,11 @@ func f(a bool) int {
 	if got := countEdges(c); got != 4 {
 		t.Fatalf("edges = %d, want 4", got)
 	}
-	var condEdges int
-	for _, e := range c.Entry.Succs {
-		if e.Cond == nil {
-			t.Errorf("entry successor edge missing condition guard")
-		}
-		condEdges++
+	if got := len(c.Entry.Succs); got != 2 {
+		t.Fatalf("entry out-degree = %d, want 2", got)
 	}
-	if condEdges != 2 {
-		t.Fatalf("entry out-degree = %d, want 2", condEdges)
-	}
-	if c.Entry.Succs[0].Negated == c.Entry.Succs[1].Negated {
-		t.Errorf("if branches should carry one positive and one negated guard")
-	}
-	// The entry dominates everything; exit's idom is the entry (join point).
-	if c.Exit.Idom() != c.Entry {
-		t.Errorf("exit idom = %v, want entry", c.Exit.Idom())
-	}
-	if !c.Dominates(c.Entry, c.Exit) {
-		t.Errorf("entry must dominate exit")
+	if got := reachableBlocks(c); got != 4 {
+		t.Errorf("reachable blocks = %d, want 4", got)
 	}
 }
 
@@ -102,67 +101,22 @@ func f(n int) int {
 	if got := countEdges(c); got != 6 {
 		t.Fatalf("edges = %d, want 6", got)
 	}
-	// The loop head has two predecessors (entry edge + back edge) and
-	// dominates both the body and the exit.
+	// The loop head has two predecessors (entry edge + back edge) and two
+	// successors (body, after).
 	var head *Block
 	for _, b := range c.Blocks {
-		if len(b.Preds) == 2 && b != c.Exit {
+		if predCount(c, b) == 2 && b != c.Exit {
 			head = b
 		}
 	}
 	if head == nil {
 		t.Fatalf("no loop head with 2 predecessors found")
 	}
-	if !c.Dominates(head, c.Exit) {
-		t.Errorf("loop head must dominate exit")
+	if len(head.Succs) != 2 {
+		t.Errorf("loop head out-degree = %d, want 2", len(head.Succs))
 	}
-	for _, e := range head.Succs {
-		if e.Cond == nil {
-			t.Errorf("loop head successor missing condition guard")
-		}
-	}
-}
-
-func TestCFGSwitchGuards(t *testing.T) {
-	bodies := parseFuncs(t, `
-func f(r int) int {
-	switch r {
-	case 0:
-		return 1
-	case 1:
-		return 2
-	}
-	return 3
-}`)
-	c := NewCFG(bodies["f"])
-	// The dispatch block carries a no-match edge listing both valued clauses.
-	var noMatch *Edge
-	for _, b := range c.Blocks {
-		for _, e := range b.Succs {
-			if e.NoMatch {
-				noMatch = e
-			}
-		}
-	}
-	if noMatch == nil {
-		t.Fatalf("switch without default must emit a no-match edge")
-	}
-	if len(noMatch.OtherCases) != 2 {
-		t.Errorf("no-match edge OtherCases = %d, want 2", len(noMatch.OtherCases))
-	}
-	if noMatch.Tag == nil {
-		t.Errorf("no-match edge missing switch tag")
-	}
-	caseEdges := 0
-	for _, b := range c.Blocks {
-		for _, e := range b.Succs {
-			if e.Case != nil {
-				caseEdges++
-			}
-		}
-	}
-	if caseEdges != 2 {
-		t.Errorf("case edges = %d, want 2", caseEdges)
+	if !head.Reachable() || !c.Exit.Reachable() {
+		t.Errorf("loop head and exit must be reachable")
 	}
 }
 
@@ -204,6 +158,11 @@ func f(a bool) {
 		panic("no")
 	}
 	work()
+}
+
+func g() {
+	panic("always")
+	dead()
 }`)
 	c := NewCFG(bodies["f"])
 	// The panic block must have no successors; the exit keeps exactly one
@@ -222,15 +181,28 @@ func f(a bool) {
 	if len(panicBlk.Succs) != 0 {
 		t.Errorf("panic block has %d successors, want 0", len(panicBlk.Succs))
 	}
-	if len(c.Exit.Preds) != 1 {
-		t.Errorf("exit has %d predecessors, want 1", len(c.Exit.Preds))
+	if got := predCount(c, c.Exit); got != 1 {
+		t.Errorf("exit has %d predecessors, want 1", got)
+	}
+	// Code after an unconditional panic, and the exit behind it, are
+	// unreachable.
+	g := NewCFG(bodies["g"])
+	for _, b := range g.Blocks {
+		for _, n := range b.Nodes {
+			if es, ok := n.(*ast.ExprStmt); ok && !isTerminatingCall(es.X) && b.Reachable() {
+				t.Errorf("statement after panic is in reachable block %d", b.Index)
+			}
+		}
+	}
+	if g.Exit.Reachable() {
+		t.Errorf("exit of an always-panicking function must be unreachable")
 	}
 }
 
 // The torture function exercises nested loops, labeled break/continue, goto,
 // select, and defer-in-loop in one body. The structural invariants — exact
-// block/edge counts, every reachable non-entry block having an idom, entry
-// dominating all reachable blocks — pin the builder's shape.
+// block/edge counts, reachability of the exit and of the switch reached only
+// by labeled break and goto — pin the builder's shape.
 const cfgTortureSrc = `
 func torture(ch chan int, n int) int {
 	s := 0
@@ -282,35 +254,25 @@ func TestCFGTorture(t *testing.T) {
 	if reach < 20 {
 		t.Errorf("reachable blocks = %d, want >= 20", reach)
 	}
-	for _, b := range c.Blocks {
-		if !b.Reachable() || b == c.Entry {
-			continue
-		}
-		if b.Idom() == nil {
-			t.Errorf("reachable block %d has no immediate dominator", b.Index)
-		}
-		if !c.Dominates(c.Entry, b) {
-			t.Errorf("entry does not dominate reachable block %d", b.Index)
-		}
-	}
 	// The labeled-break and goto targets converge on the "done" switch: its
-	// dispatch block has >= 2 predecessors and dominates the exit.
+	// dispatch block (the one branching to the three clause blocks) has >= 2
+	// predecessors and is reachable, and so is the exit.
 	var dispatch *Block
 	for _, b := range c.Blocks {
-		for _, e := range b.Succs {
-			if len(e.OtherCases) == 2 && e.Case != nil && e.Case.List == nil {
-				dispatch = b // default edge of the final tagless switch
+		if len(b.Succs) == 3 {
+			if _, ok := b.Succs[0].Nodes[0].(*ast.CaseClause); ok {
+				dispatch = b
 			}
 		}
 	}
 	if dispatch == nil {
 		t.Fatalf("final switch dispatch block not found")
 	}
-	if len(dispatch.Preds) < 2 {
-		t.Errorf("switch dispatch preds = %d, want >= 2 (loop exit + goto)", len(dispatch.Preds))
+	if got := predCount(c, dispatch); got < 2 {
+		t.Errorf("switch dispatch preds = %d, want >= 2 (loop exit + goto)", got)
 	}
-	if !c.Dominates(dispatch, c.Exit) {
-		t.Errorf("final switch dispatch must dominate exit")
+	if !dispatch.Reachable() || !c.Exit.Reachable() {
+		t.Errorf("final switch dispatch and exit must be reachable")
 	}
 	// Deferred calls (close + defer-in-loop log) land in the exit block.
 	if len(c.Exit.Nodes) != 2 {
@@ -346,14 +308,14 @@ again:
 	c := NewCFG(bodies["f"])
 	var label *Block
 	for _, b := range c.Blocks {
-		if len(b.Preds) == 2 && b != c.Exit {
+		if predCount(c, b) == 2 && b != c.Exit {
 			label = b
 		}
 	}
 	if label == nil {
 		t.Fatalf("backward goto target with 2 predecessors not found")
 	}
-	if !c.Dominates(label, c.Exit) {
-		t.Errorf("goto label must dominate exit")
+	if !label.Reachable() || !c.Exit.Reachable() {
+		t.Errorf("goto label and exit must be reachable")
 	}
 }

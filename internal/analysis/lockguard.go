@@ -398,8 +398,8 @@ func (c *lockguardChecker) checkLockBody(body *ast.BlockStmt, entry heldSet) {
 		work = work[1:]
 		queued[b.Index] = false
 		out := transfer(b, in[b.Index])
-		for _, e := range b.Succs {
-			to := e.To.Index
+		for _, succ := range b.Succs {
+			to := succ.Index
 			var next heldSet
 			if in[to] == nil {
 				next = out.clone()
@@ -410,7 +410,7 @@ func (c *lockguardChecker) checkLockBody(body *ast.BlockStmt, entry heldSet) {
 				in[to] = next
 				if !queued[to] {
 					queued[to] = true
-					work = append(work, e.To)
+					work = append(work, succ)
 				}
 			}
 		}

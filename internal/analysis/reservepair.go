@@ -1,53 +1,44 @@
 package analysis
 
-// reservepair proves, by forward dataflow over the CFG, that every charged
-// search.Session.Reserve is discharged by exactly one CommitReserved or
-// ReleaseReserved on every path to function exit. A leaked reservation marks
-// the (query, config) pair seen without recording a cost, silently breaking
-// the Used() <= Budget and spend-accounting invariants the runtime tests
-// check only probabilistically.
+// reservepair proves, by forward dataflow over the CFG, that every batch
+// reserved with search.Session.ReserveBatch is settled by exactly one
+// CommitReservedBatch on every path to function exit. A leaked reservation
+// charges budget and marks pairs seen without recording their costs, layout
+// entries or trace events, silently breaking the Used() <= Budget and
+// spend-accounting invariants the runtime tests check only probabilistically.
 //
-// Lattice: per Reserve site, a bitmask over {CACHED, EXHAUSTED, OUT, DONE}
-// where OUT is a charged-but-undischarged reservation and DONE a discharged
-// one. The Reserve call maps to {CACHED, EXHAUSTED, OUT}; a discharge call
-// transfers OUT -> DONE; branch guards comparing the reservation result
-// against the search.Reserve* constants narrow the mask along each edge
-// (if/switch). At function exit, a reachable OUT bit is a leak; a discharge
-// reached with DONE already set is a possible double discharge.
+// Lattice: per ReserveBatch site, a two-bit mask {OUT, DONE} where OUT is a
+// reserved, uncommitted batch and DONE a committed one; the meet is union.
+// The site's ReserveBatch sets the mask to OUT, and a CommitReservedBatch on
+// the same variable moves it to DONE. OUT reaching function exit, or reaching
+// another ReserveBatch on the variable (which overwrites the reservation), is
+// a leak; a commit reached with DONE set is a double settle.
 //
-// Soundness caveats (documented in DESIGN §12): a Reserve result that
-// escapes the function — stored in a field, slice, or map, passed to another
-// function, or returned — leaves the site's obligation to its consumer and
-// is skipped; helper functions that discharge through session internals
-// declare it with a "// reservepair: discharges" doc annotation; function
-// literals are analyzed as separate functions, except deferred closures,
-// which execute at exit and are scanned there.
+// A site is checked when its argument is b or &b for a local variable or
+// parameter b whose every use is an argument of the session batch calls
+// (ReserveBatch, EvaluateReservedBatch, CommitReservedBatch) or a
+// search.Batch method call. A batch held in a field, or whose variable is
+// used any other way — sent on a channel, stored, passed to another function,
+// captured by a closure — leaves its commit to code this function does not
+// show, and the site is skipped (DESIGN §12). Function literals are analyzed
+// as functions of their own.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 const (
-	rsCached uint8 = 1 << iota
-	rsExhausted
-	rsOut
-	rsDone
+	bsOut uint8 = 1 << iota
+	bsDone
 )
-
-const rsAfterReserve = rsCached | rsExhausted | rsOut
-
-// dischargeAnnotation marks helpers that discharge a reservation through
-// session internals rather than CommitReserved/ReleaseReserved.
-const dischargeAnnotation = "reservepair: discharges"
 
 // ReservePair builds the reservation-leak analyzer.
 func ReservePair() *Analyzer {
 	a := &Analyzer{
 		Name: "reservepair",
-		Doc:  "every charged search.Session.Reserve must be discharged exactly once on every path to function exit",
+		Doc:  "every search.Session.ReserveBatch must be settled by exactly one CommitReservedBatch on every path to function exit",
 	}
 	a.Run = func(pass *Pass) {
 		for _, f := range pass.Files {
@@ -56,10 +47,10 @@ func ReservePair() *Analyzer {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				checkReserveBody(pass, fd.Body)
+				checkReserveBody(pass, fd, fd.Body)
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					if fl, ok := n.(*ast.FuncLit); ok {
-						checkReserveBody(pass, fl.Body)
+						checkReserveBody(pass, fl, fl.Body)
 					}
 					return true
 				})
@@ -69,335 +60,219 @@ func ReservePair() *Analyzer {
 	return a
 }
 
-// isReserveCall reports whether call invokes search.Session.Reserve.
-func isReserveCall(info *types.Info, call *ast.CallExpr) bool {
+// batchCall returns the method name when call is one of the session batch
+// calls, and "" otherwise.
+func batchCall(info *types.Info, call *ast.CallExpr) string {
 	fn := calleeFunc(info, call)
-	return fn != nil && fn.Name() == "Reserve" && isMethodOn(fn, searchPkgPath, "Session")
+	if fn == nil || len(call.Args) == 0 || !isMethodOn(fn, searchPkgPath, "Session") {
+		return ""
+	}
+	switch fn.Name() {
+	case "ReserveBatch", "EvaluateReservedBatch", "CommitReservedBatch":
+		return fn.Name()
+	}
+	return ""
 }
 
-// isDischargeCall reports whether call discharges a reservation: a direct
-// CommitReserved/ReleaseReserved, or a call to a function annotated
-// "// reservepair: discharges".
-func isDischargeCall(pass *Pass, call *ast.CallExpr) bool {
-	fn := calleeFunc(pass.Info, call)
-	if fn == nil {
-		return false
+// batchVar resolves a batch call argument of the form b or &b to the
+// variable b; any other expression yields nil.
+func batchVar(info *types.Info, arg ast.Expr) *types.Var {
+	arg = ast.Unparen(arg)
+	if u, ok := arg.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		arg = ast.Unparen(u.X)
 	}
-	if isMethodOn(fn, searchPkgPath, "Session") &&
-		(fn.Name() == "CommitReserved" || fn.Name() == "ReleaseReserved") {
-		return true
+	id, ok := arg.(*ast.Ident)
+	if !ok {
+		return nil
 	}
-	if pass.Facts == nil {
-		return false
+	v, _ := info.Uses[id].(*types.Var)
+	if v == nil || v.IsField() {
+		return nil
 	}
-	n := pass.Facts.CallGraph().NodeOf(fn)
-	return n != nil && n.Decl != nil && n.Decl.Doc != nil &&
-		strings.Contains(n.Decl.Doc.Text(), dischargeAnnotation)
+	return v
 }
 
-type reserveEvent struct {
-	call      *ast.CallExpr
-	discharge bool
+// batchUseOK reports whether the use id of a batch variable is one the
+// analyzer can follow: the receiver of a search.Batch method call, or b/&b
+// as the batch argument of a session batch call, outside any closure.
+func batchUseOK(info *types.Info, parents map[ast.Node]ast.Node, id *ast.Ident) bool {
+	for n := parents[id]; n != nil; n = parents[n] {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+	}
+	// climb returns e's outermost enclosing parenthesis and its parent.
+	climb := func(e ast.Node) (ast.Node, ast.Node) {
+		p := parents[e]
+		for {
+			pe, ok := p.(*ast.ParenExpr)
+			if !ok {
+				return e, p
+			}
+			e, p = pe, parents[pe]
+		}
+	}
+	e, p := climb(id)
+	if sel, ok := p.(*ast.SelectorExpr); ok && sel.X == e {
+		call, isCall := parents[sel].(*ast.CallExpr)
+		fn, _ := info.Uses[sel.Sel].(*types.Func)
+		return isCall && call.Fun == sel && fn != nil && isMethodOn(fn, searchPkgPath, "Batch")
+	}
+	if u, ok := p.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		e, p = climb(u)
+	}
+	call, ok := p.(*ast.CallExpr)
+	return ok && batchCall(info, call) != "" && call.Args[0] == e
 }
 
-// blockEvents walks one block's nodes collecting Reserve and discharge calls
-// in source order. Subtrees already represented by other blocks (clause
-// bodies, range bodies) are not descended into; deferred calls are scanned
-// only in the exit block, where the CFG placed them. Function literal bodies
-// are skipped — they are analyzed as their own functions — except inside the
-// exit block, where a deferred closure is known to run.
-func blockEvents(pass *Pass, b *Block, isExit bool) []reserveEvent {
-	var evs []reserveEvent
-	var scan func(n ast.Node)
-	scan = func(n ast.Node) {
+// batchEvent is one ReserveBatch or CommitReservedBatch on a tracked
+// variable.
+type batchEvent struct {
+	call   *ast.CallExpr
+	v      *types.Var
+	commit bool
+}
+
+// blockEvents collects a block's batch events in source order. Subtrees that
+// other blocks represent (clause and range bodies) are not descended into,
+// deferred calls count only in the exit block, where the CFG placed them,
+// and function literals are skipped: tracked variables never occur in them.
+func blockEvents(info *types.Info, b *Block, tracked map[*types.Var]bool) []batchEvent {
+	var evs []batchEvent
+	visit := func(n ast.Node) {
 		if n == nil {
 			return
 		}
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			return // discharges at exit, not here
-		case *ast.CaseClause:
-			for _, e := range n.List {
-				scan(e)
-			}
-			return
-		case *ast.CommClause:
-			scan(n.Comm)
-			return
-		case *ast.RangeStmt:
-			scan(n.Key)
-			scan(n.Value)
-			scan(n.X)
-			return
-		}
 		ast.Inspect(n, func(m ast.Node) bool {
-			if m == n {
-				return true
-			}
 			switch m := m.(type) {
 			case *ast.FuncLit:
-				return isExit
-			case *ast.DeferStmt, *ast.CaseClause, *ast.CommClause, *ast.RangeStmt:
-				scan(m)
 				return false
 			case *ast.CallExpr:
-				if isReserveCall(pass.Info, m) {
-					evs = append(evs, reserveEvent{call: m})
-				} else if isDischargeCall(pass, m) {
-					evs = append(evs, reserveEvent{call: m, discharge: true})
+				name := batchCall(info, m)
+				if name != "ReserveBatch" && name != "CommitReservedBatch" {
+					break
 				}
-				return true
+				if v := batchVar(info, m.Args[0]); tracked[v] {
+					evs = append(evs, batchEvent{call: m, v: v, commit: name == "CommitReservedBatch"})
+				}
 			}
 			return true
 		})
-		if call, ok := n.(*ast.CallExpr); ok {
-			if isReserveCall(pass.Info, call) {
-				evs = append(evs, reserveEvent{call: call})
-			} else if isDischargeCall(pass, call) {
-				evs = append(evs, reserveEvent{call: call, discharge: true})
-			}
-		}
 	}
 	for _, n := range b.Nodes {
-		scan(n)
+		switch n := n.(type) {
+		case *ast.DeferStmt:
+			// Runs at exit.
+		case *ast.CaseClause:
+			for _, e := range n.List {
+				visit(e)
+			}
+		case *ast.CommClause:
+			visit(n.Comm)
+		case *ast.RangeStmt:
+			visit(n.Key)
+			visit(n.Value)
+			visit(n.X)
+		default:
+			visit(n)
+		}
 	}
 	return evs
 }
 
-// reserveSite is one tracked Reserve call: the expression carrying its
-// result (the call itself for switch tags and comparisons, a local variable
-// for assignments), or escaped when the result leaves the function's hands.
-type reserveSite struct {
-	call    *ast.CallExpr
-	local   types.Object // non-nil when the result lands in a local variable
-	escaped bool
-}
-
-// classifySite inspects how the Reserve result is consumed.
-func classifySite(pass *Pass, parents map[ast.Node]ast.Node, call *ast.CallExpr) reserveSite {
-	site := reserveSite{call: call}
-	p := parents[call]
-	for {
-		pe, ok := p.(*ast.ParenExpr)
-		if !ok {
-			break
-		}
-		p = parents[pe]
-	}
-	switch p := p.(type) {
-	case *ast.ExprStmt:
-		// Result discarded: nothing to refine on, the mask stays wide.
-	case *ast.AssignStmt:
-		idx := -1
-		for i, r := range p.Rhs {
-			if r == call || ast.Unparen(r) == call {
-				idx = i
-			}
-		}
-		if idx < 0 || idx >= len(p.Lhs) {
-			site.escaped = true
-			break
-		}
-		id, ok := p.Lhs[idx].(*ast.Ident)
-		if !ok {
-			// Field, slice, or map destination: the obligation escapes with
-			// the stored value.
-			site.escaped = true
-			break
-		}
-		if id.Name == "_" {
-			break
-		}
-		obj := pass.Info.Defs[id]
-		if obj == nil {
-			obj = pass.Info.Uses[id]
-		}
-		if v, ok := obj.(*types.Var); !ok || v.IsField() {
-			site.escaped = true
-			break
-		}
-		site.local = obj
-	case *ast.SwitchStmt:
-		// switch s.Reserve(...) { ... }: the tag expression is the call, and
-		// case edges refine on it directly.
-	case *ast.BinaryExpr:
-		// if s.Reserve(...) == ReserveX: the condition edge refines on the
-		// call expression directly.
-	default:
-		// Argument, return value, composite literal, channel send, ...: the
-		// result escapes this function's control.
-		site.escaped = true
-	}
-	return site
-}
-
-// reservedConstBits resolves an expression naming one of the search.Reserve*
-// constants to its lattice bits.
-func reservedConstBits(info *types.Info, e ast.Expr) (uint8, bool) {
-	var id *ast.Ident
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		id = e
-	case *ast.SelectorExpr:
-		id = e.Sel
-	default:
-		return 0, false
-	}
-	c, ok := info.Uses[id].(*types.Const)
-	if !ok || c.Pkg() == nil || c.Pkg().Path() != searchPkgPath {
-		return 0, false
-	}
-	switch c.Name() {
-	case "ReserveCharged":
-		return rsOut | rsDone, true
-	case "ReserveCached":
-		return rsCached, true
-	case "ReserveExhausted":
-		return rsExhausted, true
-	}
-	return 0, false
-}
-
-// matchesSite reports whether e denotes the site's reservation value.
-func matchesSite(info *types.Info, e ast.Expr, site reserveSite) bool {
-	e = ast.Unparen(e)
-	if e == site.call {
-		return true
-	}
-	if id, ok := e.(*ast.Ident); ok && site.local != nil {
-		return info.Uses[id] == site.local || info.Defs[id] == site.local
-	}
-	return false
-}
-
-// refineEdge narrows the mask along a guarded edge.
-func refineEdge(info *types.Info, e *Edge, site reserveSite, mask uint8) uint8 {
-	if e.Cond != nil {
-		bin, ok := ast.Unparen(e.Cond).(*ast.BinaryExpr)
-		if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
-			return mask
-		}
-		var constSide ast.Expr
-		if matchesSite(info, bin.X, site) {
-			constSide = bin.Y
-		} else if matchesSite(info, bin.Y, site) {
-			constSide = bin.X
-		} else {
-			return mask
-		}
-		bits, ok := reservedConstBits(info, constSide)
-		if !ok {
-			return mask
-		}
-		holds := bin.Op == token.EQL
-		if e.Negated {
-			holds = !holds
-		}
-		if holds {
-			return mask & bits
-		}
-		return mask &^ bits
-	}
-	if e.Tag != nil && matchesSite(info, e.Tag, site) {
-		clauseBits := func(cl *ast.CaseClause) (uint8, bool) {
-			var u uint8
-			for _, ce := range cl.List {
-				bits, ok := reservedConstBits(info, ce)
-				if !ok {
-					return 0, false
-				}
-				u |= bits
-			}
-			return u, true
-		}
-		if e.Case != nil && e.Case.List != nil {
-			if bits, ok := clauseBits(e.Case); ok {
-				return mask & bits
-			}
-			return mask
-		}
-		// Default or no-match edge: subtract every fully resolvable clause.
-		for _, cl := range e.OtherCases {
-			if bits, ok := clauseBits(cl); ok {
-				mask &^= bits
-			}
-		}
-		return mask
-	}
-	return mask
-}
-
-// checkReserveBody runs the per-site dataflow over one function body.
-func checkReserveBody(pass *Pass, body *ast.BlockStmt) {
-	var calls []*ast.CallExpr
+// checkReserveBody finds the trackable ReserveBatch sites of one function
+// (fn is its FuncDecl or FuncLit) and runs the dataflow for each.
+func checkReserveBody(pass *Pass, fn ast.Node, body *ast.BlockStmt) {
 	parents := make(map[ast.Node]ast.Node)
+	var sites []*ast.CallExpr
+	var idents []*ast.Ident
 	var stack []ast.Node
+	lits := 0
 	ast.Inspect(body, func(n ast.Node) bool {
 		if n == nil {
+			if _, ok := stack[len(stack)-1].(*ast.FuncLit); ok {
+				lits--
+			}
 			stack = stack[:len(stack)-1]
-			return false
+			return true
 		}
 		if len(stack) > 0 {
 			parents[n] = stack[len(stack)-1]
 		}
 		stack = append(stack, n)
-		if _, ok := n.(*ast.FuncLit); ok && n != body {
-			// Literal bodies are analyzed separately; don't collect their
-			// Reserve calls as sites of this function.
-			stack = stack[:len(stack)-1]
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok && isReserveCall(pass.Info, call) {
-			calls = append(calls, call)
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			lits++
+		case *ast.Ident:
+			idents = append(idents, n)
+		case *ast.CallExpr:
+			if lits == 0 && batchCall(pass.Info, n) == "ReserveBatch" {
+				sites = append(sites, n)
+			}
 		}
 		return true
 	})
-	if len(calls) == 0 {
+
+	tracked := make(map[*types.Var]bool)
+	for _, call := range sites {
+		if v := batchVar(pass.Info, call.Args[0]); v != nil && v.Pos() >= fn.Pos() && v.Pos() < fn.End() {
+			tracked[v] = true
+		}
+	}
+	for _, id := range idents {
+		if v, ok := pass.Info.Uses[id].(*types.Var); ok && tracked[v] && !batchUseOK(pass.Info, parents, id) {
+			delete(tracked, v)
+		}
+	}
+	if len(tracked) == 0 {
 		return
 	}
 
 	cfg := pass.Facts.CFG(body)
-	events := make([][]reserveEvent, len(cfg.Blocks))
+	events := make([][]batchEvent, len(cfg.Blocks))
 	for i, b := range cfg.Blocks {
-		events[i] = blockEvents(pass, b, b == cfg.Exit)
+		events[i] = blockEvents(pass.Info, b, tracked)
 	}
-
-	singleSite := len(calls) == 1
-	for _, call := range calls {
-		site := classifySite(pass, parents, call)
-		if site.escaped {
-			continue
+	doubles := make(map[token.Pos]bool)
+	for _, call := range sites {
+		if v := batchVar(pass.Info, call.Args[0]); tracked[v] {
+			runBatchDataflow(pass, cfg, events, call, v, doubles)
 		}
-		runReserveDataflow(pass, cfg, events, site, singleSite)
 	}
 }
 
-func runReserveDataflow(pass *Pass, cfg *CFG, events [][]reserveEvent, site reserveSite, singleSite bool) {
-	in := make([]uint8, len(cfg.Blocks))
-	doubleReported := make(map[token.Pos]bool)
-
+// runBatchDataflow propagates one site's mask to a fixpoint, then replays
+// every reachable block once to report leaks and double settles. doubles
+// dedups double-settle reports across the sites of one function.
+func runBatchDataflow(pass *Pass, cfg *CFG, events [][]batchEvent, site *ast.CallExpr, v *types.Var, doubles map[token.Pos]bool) {
+	leak := false
 	transfer := func(b *Block, mask uint8, report bool) uint8 {
 		for _, ev := range events[b.Index] {
-			if ev.discharge {
-				if report && singleSite && mask&rsDone != 0 {
-					if !doubleReported[ev.call.Pos()] {
-						doubleReported[ev.call.Pos()] = true
-						pass.Reportf(ev.call.Pos(), "reservation from Reserve at %s may already be discharged on a path reaching this call", pass.Fset.Position(site.call.Pos()))
-					}
+			switch {
+			case ev.v != v:
+			case ev.commit:
+				if report && mask&bsDone != 0 && !doubles[ev.call.Pos()] {
+					doubles[ev.call.Pos()] = true
+					pass.Reportf(ev.call.Pos(), "CommitReservedBatch may settle a batch already committed since its ReserveBatch at %s", pass.Fset.Position(site.Pos()))
 				}
-				if mask&rsOut != 0 {
-					mask = (mask &^ rsOut) | rsDone
+				if mask != 0 {
+					mask = bsDone
 				}
-			} else if ev.call == site.call {
-				mask = rsAfterReserve
+			default:
+				leak = leak || report && mask&bsOut != 0
+				mask = 0
+				if ev.call == site {
+					mask = bsOut
+				}
 			}
 		}
 		return mask
 	}
 
-	// Seed every reachable block: the Reserve event generates its mask
+	// Seed every reachable block: the site's ReserveBatch generates its mask
 	// regardless of the incoming state, so blocks must be processed at least
 	// once even while all masks are still bottom.
+	in := make([]uint8, len(cfg.Blocks))
 	var work []*Block
 	queued := make([]bool, len(cfg.Blocks))
 	for _, b := range cfg.Blocks {
@@ -411,27 +286,27 @@ func runReserveDataflow(pass *Pass, cfg *CFG, events [][]reserveEvent, site rese
 		work = work[1:]
 		queued[b.Index] = false
 		out := transfer(b, in[b.Index], false)
-		for _, e := range b.Succs {
-			v := refineEdge(pass.Info, e, site, out)
-			if v|in[e.To.Index] != in[e.To.Index] {
-				in[e.To.Index] |= v
-				if !queued[e.To.Index] {
-					queued[e.To.Index] = true
-					work = append(work, e.To)
+		for _, succ := range b.Succs {
+			if out|in[succ.Index] != in[succ.Index] {
+				in[succ.Index] |= out
+				if !queued[succ.Index] {
+					queued[succ.Index] = true
+					work = append(work, succ)
 				}
 			}
 		}
 	}
 
-	// Reporting replay: double-discharge checks fire wherever they occur;
-	// the leak check reads the state after the exit block's deferred calls.
+	// The leak check at exit reads the state after the deferred calls.
 	for _, b := range cfg.Blocks {
 		if !b.Reachable() {
 			continue
 		}
-		final := transfer(b, in[b.Index], true)
-		if b == cfg.Exit && final&rsOut != 0 {
-			pass.Reportf(site.call.Pos(), "charged Session.Reserve may reach function exit without CommitReserved or ReleaseReserved (reservation leak breaks budget accounting)")
+		if final := transfer(b, in[b.Index], true); b == cfg.Exit && final&bsOut != 0 {
+			leak = true
 		}
+	}
+	if leak {
+		pass.Reportf(site.Pos(), "batch reserved here may reach function exit or another ReserveBatch without CommitReservedBatch (a reservation leak breaks budget accounting)")
 	}
 }
