@@ -323,7 +323,6 @@ func Tune(w *WorkloadSet, opts Options) (*Result, error) {
 	}
 	s := search.NewSession(w, cands, opt, opts.K, opts.Budget, opts.Seed)
 	s.StorageLimit = opts.StorageLimitBytes
-	s.OtherPerCall = search.DefaultOtherPerCall(opt.PerCallTime)
 	s.Workers = opts.SessionWorkers
 	s.DeriveEpsilon = opts.DeriveEpsilon
 	s.StopEpsilon = opts.StopEpsilon

@@ -58,8 +58,6 @@ func TestTracedSpendEqualsWhatIfCalls(t *testing.T) {
 				phase = e.Phase
 			case trace.KindReserve:
 				replay[phase]++
-			case trace.KindRelease:
-				replay[phase]--
 			case trace.KindEpisode:
 				episodes++
 			}

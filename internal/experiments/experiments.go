@@ -164,7 +164,6 @@ func newRunner(cfg Config, wname string) *runner {
 func (r *runner) session(k, budget int, seed int64, storage int64) *search.Session {
 	s := search.NewSession(r.w, r.cands, r.opt, k, budget, seed)
 	s.StorageLimit = storage
-	s.OtherPerCall = search.DefaultOtherPerCall(r.opt.PerCallTime)
 	s.Workers = r.workers
 	s.DeriveEpsilon = r.eps
 	s.StopEpsilon = r.stopEps
@@ -269,7 +268,7 @@ func mctsDefault() search.Algorithm { return core.Default() }
 // budgetLabel renders an x-axis label "B(minutes)" like the paper's axes.
 // The minute conversion uses search.TuningTimeFactor so the label matches
 // the virtual time a session actually charges per budgeted call
-// (PerCallTime plus the OtherPerCall overhead).
+// (PerCallTime plus the non-what-if overhead).
 func budgetLabel(wname string, budget int) string {
 	perCall := search.PerCallLatency(wname)
 	mins := time.Duration(float64(budget)*float64(perCall)*search.TuningTimeFactor()) / time.Minute

@@ -12,7 +12,7 @@ package search
 // is the scalar path.
 //
 // Exactness contract: a batch over pairs p_0..p_{n-1} leaves the session in
-// the same state — budget used, seen/pending sets, cache-hit and bound-hit
+// the same state — budget used, the seen set, cache-hit and bound-hit
 // counters, layout trace, derived store, virtual clock, and trace event
 // stream — as n sequential Session.WhatIf calls for the same pairs, and
 // returns the same costs, PROVIDED no pair's configuration is a subset or
@@ -63,7 +63,7 @@ const (
 type request struct {
 	qi     int
 	cfg    iset.Set
-	key    whatif.Pair // seen/pending identity (pairFor)
+	key    whatif.Pair // seen-set identity (pairFor)
 	out    BatchOutcome
 	cost   float64 // bound midpoint, evaluated cost, or derived fallback
 	gap    float64 // relative bound gap of a BatchBound answer
@@ -119,8 +119,8 @@ func (b *Batch) Cost(i int) float64 { return b.reqs[i].cost }
 
 // ReserveBatch performs the accounting half of every pair in order, under
 // one mutex hold: the session's per-pair decision (seen / derived-bound /
-// budget), with trace emission deferred to CommitReservedBatch. Charged
-// pairs enter the pending set and owe a CommitReservedBatch.
+// budget), with trace emission deferred to CommitReservedBatch. Every
+// reserved batch owes one CommitReservedBatch.
 func (s *Session) ReserveBatch(b *Batch) {
 	for i := range b.reqs {
 		r := &b.reqs[i]

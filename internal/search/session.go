@@ -31,21 +31,15 @@ import (
 	"indextune/internal/workload"
 )
 
-// otherPerCallDivisor fixes the simulated non-what-if overhead at
-// PerCallTime/otherPerCallDivisor per budgeted call (Figure 2's "other"
-// share). Axis-label minute conversions must use TuningTimeFactor so labels
-// match the virtual time sessions actually charge.
+// otherPerCallDivisor fixes the simulated non-what-if overhead (plan
+// analysis, bookkeeping) at PerCallTime/otherPerCallDivisor per budgeted
+// call (Figure 2's "other" share). Axis-label minute conversions must use
+// TuningTimeFactor so labels match the virtual time sessions actually charge.
 const otherPerCallDivisor = 8
 
-// DefaultOtherPerCall returns the standard per-budgeted-call non-what-if
-// overhead for a given simulated what-if latency.
-func DefaultOtherPerCall(perCall time.Duration) time.Duration {
-	return perCall / otherPerCallDivisor
-}
-
 // TuningTimeFactor is the ratio of total charged virtual tuning time to pure
-// what-if time under DefaultOtherPerCall: each budgeted call charges
-// PerCallTime + PerCallTime/otherPerCallDivisor.
+// what-if time: each budgeted call charges PerCallTime +
+// PerCallTime/otherPerCallDivisor.
 func TuningTimeFactor() float64 {
 	return 1 + 1/float64(otherPerCallDivisor)
 }
@@ -113,10 +107,6 @@ type Session struct {
 	// optimizer.
 	Clock *vclock.Clock
 
-	// OtherPerCall is the simulated non-what-if tuning overhead charged per
-	// budgeted call (plan analysis, bookkeeping). See Figure 2.
-	OtherPerCall time.Duration
-
 	// Workers is the intra-session parallelism hint for algorithms that
 	// support it (currently the MCTS tuner; see core.Options.Workers).
 	// 0 or 1 selects one episode in flight, evaluated inline — the setting
@@ -124,7 +114,7 @@ type Session struct {
 	Workers int
 
 	// Trace, when non-nil, receives the session's budget-accounting events
-	// and metrics (reserve/commit/release, cache hits, derived fallbacks).
+	// and metrics (reserve/commit, cache hits, derived fallbacks).
 	// A nil recorder disables tracing at zero cost; hot paths guard with a
 	// nil check so no event fields are materialized when disabled.
 	Trace *trace.Recorder
@@ -167,9 +157,6 @@ type Session struct {
 	// projected iff DeriveEpsilon > 0 (see pairFor) — so membership tests
 	// allocate nothing.
 	seen map[whatif.Pair]struct{} // guarded by: mu
-	// pending tracks charged reservations awaiting CommitReserved; only
-	// pairs in it may be refunded by ReleaseReserved.
-	pending map[whatif.Pair]struct{} // guarded by: mu
 	// used, committed, and cacheHits are accessed with sync/atomic only
 	// (readers may be concurrent with chargers holding mu). used counts
 	// every charged reservation — including reserved-but-uncommitted calls,
@@ -216,12 +203,11 @@ func NewSession(w *workload.Workload, cands *candgen.Result, opt *whatif.Optimiz
 		Rng:     rand.New(rand.NewSource(seed)),
 		Clock:   &vclock.Clock{},
 		seen:    make(map[whatif.Pair]struct{}),
-		pending: make(map[whatif.Pair]struct{}),
 	}
 	return s
 }
 
-// pairFor returns the seen/pending key of (q_i, cfg). With interception on,
+// pairFor returns the seen-set key of (q_i, cfg). With interception on,
 // the key is relevance-projected: two configurations with identical
 // projections have provably identical costs, so collapsing them to one
 // budget charge answers the repeat exactly, for free. With interception off
@@ -342,7 +328,7 @@ const (
 // DeriveEpsilon > 0, an unseen pair whose derived bounds are tight is
 // answered from the bound midpoint without charging; otherwise an unseen
 // pair is refused when the budget is spent or the session has stopped or
-// been cancelled, and charged one unit — marked seen and pending — when not.
+// been cancelled, and charged one unit — marked seen — when not.
 // It emits no trace events; r.key must already hold pairFor(r.qi, r.cfg).
 //
 // locked: mu
@@ -366,7 +352,6 @@ func (s *Session) reserve(r *request, intercept bool) {
 	}
 	r.usedAt = int(atomic.AddInt64(&s.used, 1))
 	s.seen[r.key] = struct{}{}
-	s.pending[r.key] = struct{}{}
 	r.out = BatchCharged
 }
 
@@ -420,9 +405,8 @@ func (s *Session) settle(r *request) {
 
 // commit is the per-pair commit bookkeeping of a charged pair: the call is
 // appended to the layout trace, its cost recorded in the derived store (as
-// the query's floor for a floor probe), virtual time charged, and the
-// reservation retired from the pending set. used is the budget counter the
-// Commit trace event carries.
+// the query's floor for a floor probe), and virtual time charged. used is
+// the budget counter the Commit trace event carries.
 //
 // locked: mu
 func (s *Session) commit(r *request, used int) {
@@ -438,7 +422,6 @@ func (s *Session) commit(r *request, used int) {
 	}
 	s.chargeCall()
 	atomic.AddInt64(&s.committed, 1)
-	delete(s.pending, r.key)
 	if s.Trace != nil {
 		s.Trace.Commit(r.qi, r.cfg.Key(), r.cost, used)
 	}
@@ -470,27 +453,6 @@ func (s *Session) Reserve(qi int, cfg iset.Set) Reservation {
 		s.Trace.Reserve(qi, cfg.Key(), r.usedAt)
 	}
 	return ReserveCharged
-}
-
-// ReleaseReserved abandons a ReserveCharged reservation without evaluating
-// it: the budget unit is refunded and the pair forgotten, so a later request
-// for it charges (and records) normally. Callers that reserve ahead and then
-// bail out — a cancelled pipeline slot, an aborted slice — use it to keep
-// Used() equal to the calls actually made. Releasing a pair that is not an
-// outstanding charged reservation (never reserved, already committed, or
-// already released) is a no-op, so committed history can never be refunded.
-func (s *Session) ReleaseReserved(qi int, cfg iset.Set) {
-	p := s.pairFor(qi, cfg)
-	s.mu.Lock()
-	if _, ok := s.pending[p]; ok {
-		delete(s.pending, p)
-		delete(s.seen, p)
-		atomic.AddInt64(&s.used, -1)
-		if s.Trace != nil {
-			s.Trace.Release(qi, cfg.Key(), int(atomic.LoadInt64(&s.used)))
-		}
-	}
-	s.mu.Unlock()
 }
 
 // EvaluateReserved computes the what-if cost of a pair previously passed to
@@ -668,9 +630,7 @@ func (s *Session) chargeCall() {
 		return
 	}
 	s.Clock.Charge(vclock.BucketWhatIf, s.Opt.PerCallTime)
-	if s.OtherPerCall > 0 {
-		s.Clock.Charge(vclock.BucketOther, s.OtherPerCall)
-	}
+	s.Clock.Charge(vclock.BucketOther, s.Opt.PerCallTime/otherPerCallDivisor)
 }
 
 // ConfigSizeBytes returns the storage footprint of cfg.

@@ -121,7 +121,6 @@ func TestVirtualTimeAccounting(t *testing.T) {
 	cands := candgen.Generate(w, candgen.Options{})
 	opt := NewOptimizer(w, cands)
 	s := NewSession(w, cands, opt, 5, 10, 1)
-	s.OtherPerCall = DefaultOtherPerCall(opt.PerCallTime)
 	for i := 0; i < 10; i++ {
 		s.WhatIf(0, iset.FromOrdinals(i))
 	}
@@ -214,14 +213,12 @@ func TestResultCountersAreSessionLocal(t *testing.T) {
 	opt := NewOptimizer(w, cands)
 
 	s1 := NewSession(w, cands, opt, 5, 100, 1)
-	s1.OtherPerCall = DefaultOtherPerCall(opt.PerCallTime)
 	r1 := Run(scriptedAlg{n: 8}, s1)
 	if r1.WhatIfCalls != 8 || r1.CacheHits != 8 {
 		t.Fatalf("first run: calls=%d hits=%d, want 8/8", r1.WhatIfCalls, r1.CacheHits)
 	}
 
 	s2 := NewSession(w, cands, opt, 5, 100, 2)
-	s2.OtherPerCall = DefaultOtherPerCall(opt.PerCallTime)
 	r2 := Run(scriptedAlg{n: 3}, s2)
 	if r2.WhatIfCalls != 3 {
 		t.Fatalf("second run calls = %d, want 3 (leaked from first run?)", r2.WhatIfCalls)
@@ -288,7 +285,6 @@ func TestConcurrentSessionsSharedOptimizer(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			s := NewSession(w, cands, opt, 5, budget, int64(100+i))
-			s.OtherPerCall = DefaultOtherPerCall(opt.PerCallTime)
 			results[i] = Run(randProbeAlg{}, s)
 		}(i)
 	}
@@ -296,7 +292,6 @@ func TestConcurrentSessionsSharedOptimizer(t *testing.T) {
 
 	for i := 0; i < sessions; i++ {
 		solo := NewSession(w, cands, NewOptimizer(w, cands), 5, budget, int64(100+i))
-		solo.OtherPerCall = DefaultOtherPerCall(solo.Opt.PerCallTime)
 		want := Run(randProbeAlg{}, solo)
 		got := results[i]
 		if got.WhatIfCalls != want.WhatIfCalls {
@@ -454,48 +449,6 @@ func TestBatchReusesGroupStorage(t *testing.T) {
 	}
 }
 
-// TestReleaseReservedRefundsBudget pins the refund semantics: an outstanding
-// charged reservation can be released (budget refunded, pair forgotten and
-// chargeable again), while committed or unknown pairs are never refundable.
-func TestReleaseReservedRefundsBudget(t *testing.T) {
-	s := newTestSession(t, 5)
-	cfg := iset.FromOrdinals(1, 3)
-
-	if r := s.Reserve(0, cfg); r != ReserveCharged {
-		t.Fatalf("Reserve = %v, want charged", r)
-	}
-	if s.Used() != 1 || s.Outstanding() != 1 {
-		t.Fatalf("used=%d outstanding=%d after reserve, want 1/1", s.Used(), s.Outstanding())
-	}
-	s.ReleaseReserved(0, cfg)
-	if s.Used() != 0 || s.Outstanding() != 0 {
-		t.Fatalf("used=%d outstanding=%d after release, want 0/0", s.Used(), s.Outstanding())
-	}
-	if s.Seen(0, cfg) {
-		t.Fatal("released pair must be forgotten")
-	}
-	// The released pair charges normally on the next request.
-	if r := s.Reserve(0, cfg); r != ReserveCharged {
-		t.Fatalf("re-Reserve after release = %v, want charged", r)
-	}
-	s.CommitReserved(0, cfg, s.EvaluateReserved(0, cfg))
-	if s.Used() != 1 || s.Committed() != 1 || s.Outstanding() != 0 {
-		t.Fatalf("used=%d committed=%d outstanding=%d after commit, want 1/1/0",
-			s.Used(), s.Committed(), s.Outstanding())
-	}
-
-	// Releasing a committed pair is a no-op: history cannot be refunded.
-	s.ReleaseReserved(0, cfg)
-	if s.Used() != 1 || !s.Seen(0, cfg) {
-		t.Fatalf("release of committed pair refunded budget: used=%d seen=%v", s.Used(), s.Seen(0, cfg))
-	}
-	// Releasing a never-reserved pair is a no-op too.
-	s.ReleaseReserved(2, iset.FromOrdinals(9))
-	if s.Used() != 1 {
-		t.Fatalf("release of unknown pair changed used: %d", s.Used())
-	}
-}
-
 // TestTraceSpendMatchesUsed wires a recorder into a session and checks the
 // core invariant the trace layer exists for: the sum of traced per-phase
 // spend equals Used() (== Result.WhatIfCalls), with cache hits, commits, and
@@ -530,7 +483,7 @@ func TestTraceSpendMatchesUsed(t *testing.T) {
 }
 
 // TestReserveCommitRaceStress interleaves the two-phase pipeline
-// (Reserve/EvaluateReserved/CommitReserved, with occasional releases) from
+// (Reserve/EvaluateReserved/CommitReserved) from
 // several charger goroutines with concurrent CacheHits()/Used()/Remaining()/
 // Exhausted() readers while a trace recorder is attached — run under -race in
 // CI. Readers pin Used() <= Budget and Remaining() >= 0 at every observation
@@ -576,10 +529,6 @@ func TestReserveCommitRaceStress(t *testing.T) {
 				cfg := iset.FromOrdinals(i%13, (i+g)%17)
 				switch s.Reserve(qi, cfg) {
 				case ReserveCharged:
-					if i%7 == 3 {
-						s.ReleaseReserved(qi, cfg) // abandoned slot
-						continue
-					}
 					s.CommitReserved(qi, cfg, s.EvaluateReserved(qi, cfg))
 				case ReserveCached:
 					_ = s.EvaluateReserved(qi, cfg)

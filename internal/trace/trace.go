@@ -57,8 +57,6 @@ const (
 	KindReserve Kind = "reserve"
 	// KindCommit: a charged reservation completed with its evaluated cost.
 	KindCommit Kind = "commit"
-	// KindRelease: a charged reservation was abandoned and refunded.
-	KindRelease Kind = "release"
 	// KindCacheHit: the session answered a repeat pair without budget.
 	KindCacheHit Kind = "cache-hit"
 	// KindDerived: budget exhausted; the derived cost stood in.
@@ -132,7 +130,6 @@ type Summary struct {
 	DerivedFallbacks int64          `json:"derived_fallbacks"`
 	DerivedBoundHits int64          `json:"derived_bound_hits,omitempty"`
 	Commits          int64          `json:"commits"`
-	Releases         int64          `json:"releases"`
 	Slices           int64          `json:"slices,omitempty"`
 	Events           uint64         `json:"events"`
 	PerQuerySpend    map[string]int `json:"per_query_spend,omitempty"`
@@ -206,7 +203,6 @@ type Recorder struct {
 	derived       int64   // guarded by: mu
 	derivedBounds int64   // guarded by: mu
 	commits       int64   // guarded by: mu
-	releases      int64   // guarded by: mu
 	slices        int64   // guarded by: mu
 	stops         int64   // guarded by: mu
 	cancels       int64   // guarded by: mu
@@ -298,19 +294,6 @@ func (r *Recorder) Commit(query int, cfg string, cost float64, used int) {
 	r.mu.Lock()
 	r.commits++
 	r.emit(Event{Kind: KindCommit, Phase: r.phase, Query: query, Config: cfg, Cost: cost, Used: used})
-	r.mu.Unlock()
-}
-
-// Release records an abandoned charged reservation being refunded.
-func (r *Recorder) Release(query int, cfg string, used int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.releases++
-	r.spend[r.phase]--
-	r.perQuery[query]--
-	r.emit(Event{Kind: KindRelease, Phase: r.phase, Query: query, Config: cfg, Used: used})
 	r.mu.Unlock()
 }
 
@@ -503,7 +486,6 @@ func (r *Recorder) Summary(algorithm string, budget int) Summary {
 		DerivedFallbacks:     r.derived,
 		DerivedBoundHits:     r.derivedBounds,
 		Commits:              r.commits,
-		Releases:             r.releases,
 		Slices:               r.slices,
 		Events:               r.seq,
 		EarlyStops:           r.stops,
@@ -518,18 +500,13 @@ func (r *Recorder) Summary(algorithm string, budget int) Summary {
 		s.OracleCache = &c
 	}
 	for p, n := range r.spend {
-		if n == 0 {
-			continue
-		}
 		s.SpendByPhase[p] = n
 		s.TotalSpend += n
 	}
 	if len(r.perQuery) > 0 {
 		s.PerQuerySpend = make(map[string]int, len(r.perQuery))
 		for q, n := range r.perQuery {
-			if n != 0 {
-				s.PerQuerySpend[strconv.Itoa(q)] = n
-			}
+			s.PerQuerySpend[strconv.Itoa(q)] = n
 		}
 	}
 	return s

@@ -18,7 +18,6 @@ func TestNilRecorderNoOps(t *testing.T) {
 	r.SetPhase(PhasePriors)
 	r.Reserve(0, "c1", 1)
 	r.Commit(0, "c1", 1.0, 1)
-	r.Release(0, "c1", 0)
 	r.CacheHit(0, "c1")
 	r.DerivedFallback(0, "c1")
 	r.Episode("mcts", 1, "c1", 0.5, "1,2", 0, 1)
@@ -66,22 +65,6 @@ func TestCountersAndSummary(t *testing.T) {
 	}
 	if len(s.Curve) != 1 || s.Curve[0].Spend != 3 || s.Curve[0].ImprovementPct != 12.5 {
 		t.Fatalf("curve = %v", s.Curve)
-	}
-}
-
-func TestReleaseRefundsSpend(t *testing.T) {
-	r := New(nil)
-	r.Reserve(2, "x", 1)
-	r.Release(2, "x", 0)
-	s := r.Summary("", 0)
-	if s.TotalSpend != 0 {
-		t.Fatalf("spend after release = %d, want 0", s.TotalSpend)
-	}
-	if s.Releases != 1 {
-		t.Fatalf("releases = %d, want 1", s.Releases)
-	}
-	if len(s.PerQuerySpend) != 0 {
-		t.Fatalf("per-query spend after release = %v", s.PerQuerySpend)
 	}
 }
 

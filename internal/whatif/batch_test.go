@@ -6,13 +6,12 @@ import (
 	"time"
 
 	"indextune/internal/iset"
-	"indextune/internal/vclock"
 )
 
 // TestWhatIfBatchBitIdenticalToScalar pins the central batch property: on
 // the cost digest's workloads and seeded configurations, WhatIfBatch returns
 // floats whose bits hash to the committed PeekCost digest (TestCostDigest),
-// and its counter and virtual-clock effects equal those of the same requests
+// and its counter effects equal those of the same requests
 // issued one by one through WhatIf against a second optimizer.
 func TestWhatIfBatchBitIdenticalToScalar(t *testing.T) {
 	golden := readCostGolden(t)
@@ -20,8 +19,6 @@ func TestWhatIfBatchBitIdenticalToScalar(t *testing.T) {
 		cands := digestCandidates(w)
 		ob := New(w.DB, cands) // serves batches
 		os := New(w.DB, cands) // serves the one-by-one reference sequence
-		ob.Clock = &vclock.Clock{}
-		os.Clock = &vclock.Clock{}
 		for qi, q := range w.Queries {
 			cfgs := digestConfigs(ob, q, qi)
 			got := ob.WhatIfBatch(q, cfgs)
@@ -38,10 +35,6 @@ func TestWhatIfBatchBitIdenticalToScalar(t *testing.T) {
 		if ob.Calls() != os.Calls() || ob.CacheHits() != os.CacheHits() {
 			t.Fatalf("%s: batch calls=%d hits=%d, scalar calls=%d hits=%d",
 				w.Name, ob.Calls(), ob.CacheHits(), os.Calls(), os.CacheHits())
-		}
-		if ob.Clock.Bucket(vclock.BucketWhatIf) != os.Clock.Bucket(vclock.BucketWhatIf) {
-			t.Fatalf("%s: batch charged %v, scalar charged %v",
-				w.Name, ob.Clock.Bucket(vclock.BucketWhatIf), os.Clock.Bucket(vclock.BucketWhatIf))
 		}
 	}
 }

@@ -30,7 +30,6 @@ import (
 
 	"indextune/internal/iset"
 	"indextune/internal/schema"
-	"indextune/internal/vclock"
 	"indextune/internal/workload"
 )
 
@@ -207,9 +206,6 @@ func (o *Optimizer) publish(sh *cacheShard, p Pair, cl *inflightCall, c float64)
 		o.evictions.Add(evicted)
 	}
 	o.calls.Add(1)
-	if o.Clock != nil {
-		o.Clock.Charge(vclock.BucketWhatIf, o.PerCallTime)
-	}
 	return done != nil
 }
 
@@ -284,10 +280,6 @@ type Optimizer struct {
 
 	// PerCallTime is the simulated latency of one what-if optimizer call.
 	PerCallTime time.Duration
-	// Clock, if non-nil, is charged PerCallTime per counted call. A shared
-	// optimizer should leave it nil and let each session keep its own clock;
-	// the field remains for standalone (single-run) use.
-	Clock *vclock.Clock
 	// SimulatedLatency, when positive, makes every cache-missing what-if
 	// evaluation sleep for that wall-clock duration before computing, acting
 	// as a stand-in for the round-trip to a real optimizer. It exists for the
@@ -511,13 +503,6 @@ func (o *Optimizer) Calls() int64 { return o.calls.Load() }
 
 // CacheHits returns the number of what-if requests answered from cache.
 func (o *Optimizer) CacheHits() int64 { return o.cacheHits.Load() }
-
-// ResetCounters clears the call and cache-hit counters (the cache itself is
-// retained).
-func (o *Optimizer) ResetCounters() {
-	o.calls.Store(0)
-	o.cacheHits.Store(0)
-}
 
 // FNV-1a parameters: the offset seeds the configuration fingerprints, and
 // the prime spreads query ids over the cache shards (shardFor) and drives the

@@ -7,11 +7,9 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"indextune/internal/iset"
 	"indextune/internal/schema"
-	"indextune/internal/vclock"
 	"indextune/internal/workload"
 )
 
@@ -88,23 +86,6 @@ func TestWhatIfCountsAndCaches(t *testing.T) {
 	}
 	if o.Calls() != 1 || o.CacheHits() != 1 {
 		t.Fatalf("calls=%d hits=%d after cached call", o.Calls(), o.CacheHits())
-	}
-	o.ResetCounters()
-	if o.Calls() != 0 || o.CacheHits() != 0 {
-		t.Fatal("ResetCounters failed")
-	}
-}
-
-func TestWhatIfChargesVirtualTime(t *testing.T) {
-	w, cands := fixture()
-	o := New(w.DB, cands)
-	clock := &vclock.Clock{}
-	o.Clock = clock
-	o.PerCallTime = 2 * time.Second
-	o.WhatIf(w.Queries[0], iset.FromOrdinals(0))
-	o.WhatIf(w.Queries[0], iset.FromOrdinals(0)) // cached: free
-	if got := clock.Bucket(vclock.BucketWhatIf); got != 2*time.Second {
-		t.Fatalf("charged %v, want 2s", got)
 	}
 }
 
