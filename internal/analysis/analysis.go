@@ -18,9 +18,10 @@
 //   - panicguard: panics in non-test library code must either be converted to
 //     returned errors (user-reachable input) or carry an "// invariant:"
 //     comment stating why they are unreachable.
-//   - reservepair: path-sensitive dataflow over the CFG proving every charged
-//     search.Session.Reserve is discharged by exactly one CommitReserved or
-//     ReleaseReserved on every path to function exit (DESIGN §12).
+//   - reservepair: path-sensitive dataflow over the CFG proving every batch
+//     a function reserves with search.Session.ReserveBatch is settled by
+//     exactly one CommitReservedBatch on every path to function exit
+//     (DESIGN §12).
 //   - chargepath: interprocedural whole-call-graph check that every module
 //     path reaching whatif.Optimizer cost methods — a direct call included —
 //     passes through a search.Session charging method (DESIGN §12).
