@@ -206,24 +206,34 @@ func derivedStep(s *search.Session, queries []int, qpos map[int]int, cands []int
 		if cur.Has(ord) || !s.FitsStorage(cur, ord) {
 			continue
 		}
-		delta := 0.0
-		for _, qi := range s.Derived.TouchedQueries(ord) {
-			j := qi
-			if qpos != nil {
-				var ok bool
-				if j, ok = qpos[qi]; !ok {
-					continue
-				}
-			}
-			d := s.Derived.QueryWith(qi, cur, dCur[j], ord)
-			delta += (dCur[j] - d) * s.W.Queries[qi].EffectiveWeight()
-		}
-		if curCost-delta < bestCost {
-			bestCost = curCost - delta
+		if c := curCost - candidateDelta(s, qpos, cur, dCur, ord); c < bestCost {
+			bestCost = c
 			bestOrd = ord
 		}
 	}
 	return bestOrd, bestCost, nil
+}
+
+// candidateDelta is the derived-only greedy's per-candidate kernel: the
+// weighted drop in derived workload cost from adding ord to cur, summed over
+// TouchedQueries(ord) in recording order — the only queries whose derived
+// cost ord can lower. dCur holds d(q, cur) by position; qpos maps a workload
+// query index to that position and is nil when the positions are the
+// workload's own indexes.
+func candidateDelta(s *search.Session, qpos map[int]int, cur iset.Set, dCur []float64, ord int) float64 {
+	delta := 0.0
+	for _, qi := range s.Derived.TouchedQueries(ord) {
+		j := qi
+		if qpos != nil {
+			var ok bool
+			if j, ok = qpos[qi]; !ok {
+				continue
+			}
+		}
+		d := s.Derived.QueryWith(qi, cur, dCur[j], ord)
+		delta += (dCur[j] - d) * s.W.Queries[qi].EffectiveWeight()
+	}
+	return delta
 }
 
 func atomicSet(s *search.Session, mode EvalMode) map[[2]int]bool {
@@ -332,7 +342,9 @@ func (AutoAdmin) Enumerate(s *search.Session) iset.Set {
 }
 
 // DerivedOnly runs Algorithm 1 over the whole workload using derived costs
-// exclusively — the Best-Greedy extraction primitive of Section 6.3.
+// exclusively — the Best-Greedy extraction primitive of Section 6.3. It is
+// a one-shot Extractor; callers that extract repeatedly from a growing
+// store keep the Extractor instead.
 func DerivedOnly(s *search.Session, k int) (iset.Set, float64) {
-	return Search(s, allQueries(s), allOrdinals(s.NumCandidates()), iset.Set{}, k, EvalDerived)
+	return NewExtractor(s, k).Run()
 }
