@@ -219,13 +219,18 @@ type tuner struct {
 	expPriorTotal  float64
 	rave           *raveStats // owned by: coordinator
 	baseW          float64
-	root           *node    // owned by: coordinator
-	bestCfg        iset.Set // owned by: coordinator
-	bestEta        float64  // owned by: coordinator
-	stalled        int      // owned by: coordinator
-	sinceStopCheck int      // owned by: coordinator — committed episodes since the last early-stop check
-	ep             int      // owned by: coordinator — episodes committed so far (trace labeling)
-	inflightN      int      // owned by: coordinator — episodes currently in flight
+	root           *node             // owned by: coordinator
+	bestCfg        iset.Set          // owned by: coordinator
+	bestEta        float64           // owned by: coordinator
+	stalled        int               // owned by: coordinator
+	sinceStopCheck int               // owned by: coordinator — committed episodes since the last early-stop check
+	ep             int               // owned by: coordinator — episodes committed so far (trace labeling)
+	inflightN      int               // owned by: coordinator — episodes currently in flight
+	bg             *greedy.Extractor // owned by: coordinator — memoized Best-Greedy extraction
+	// extracted, when non-nil, observes every Best-Greedy extraction; only
+	// tests set it, to pin the memoized extractor against a from-scratch
+	// greedy at each call.
+	extracted func(cfg iset.Set, cost float64)
 }
 
 // maxStalled bounds consecutive budget-free episodes: an episode normally
@@ -235,19 +240,29 @@ const maxStalled = 2000
 
 // Enumerate implements search.Algorithm (Algorithm 3's Main).
 func (m MCTS) Enumerate(s *search.Session) iset.Set {
+	return m.newTuner(s).enumerate()
+}
+
+func (m MCTS) newTuner(s *search.Session) *tuner {
 	t := &tuner{opts: m.Opts, name: m.Name(), s: s, rng: s.Rng, baseW: s.Derived.BaseWorkload()}
 	t.priors = make([]float64, s.NumCandidates())
-	workers := m.Opts.workerCount(s)
-	if m.Opts.Policy == PolicyPrior || m.Opts.Policy == PolicyBoltzmann {
+	return t
+}
+
+// enumerate runs the prior phase, the episode pipeline and the extraction.
+func (t *tuner) enumerate() iset.Set {
+	s := t.s
+	workers := t.opts.workerCount(s)
+	if t.opts.Policy == PolicyPrior || t.opts.Policy == PolicyBoltzmann {
 		s.Trace.SetPhase(trace.PhasePriors)
 		t.computePriors(workers)
 	}
 	s.Trace.SetPhase(trace.PhaseSearch)
 	t.buildPriorPrefix()
-	if m.Opts.Policy == PolicyBoltzmann {
+	if t.opts.Policy == PolicyBoltzmann {
 		t.buildExpPriorPrefix()
 	}
-	if m.Opts.RAVE {
+	if t.opts.RAVE {
 		t.rave = newRaveStats(s.NumCandidates())
 	}
 	t.root = t.newNode(iset.Set{}, 0)
@@ -268,7 +283,9 @@ func (m MCTS) Enumerate(s *search.Session) iset.Set {
 // the extractable configuration is already within epsilon. Computing that
 // completion is a derived-only greedy run, so it is amortized over an
 // interval of commits; the counter advances in commit order, keeping
-// Workers=N runs deterministic.
+// Workers=N runs deterministic. The extraction is memoized across checks
+// (greedy.Extractor), so each check pays only for the greedy work the
+// entries recorded since the previous check can change.
 const stopCheckInterval = 50
 
 // checkStop runs the cancellation check and the early-stopping rule at an
@@ -292,8 +309,22 @@ func (t *tuner) checkStop() bool {
 		return false
 	}
 	t.sinceStopCheck = 0
-	cfg, _ := greedy.DerivedOnly(s, s.K)
+	cfg, _ := t.bestGreedy()
 	return s.CheckStop(cfg)
+}
+
+// bestGreedy returns the Best-Greedy configuration over the entries recorded
+// so far and its derived workload cost. One extractor serves the run's
+// early-stop checks and its final extraction.
+func (t *tuner) bestGreedy() (iset.Set, float64) {
+	if t.bg == nil {
+		t.bg = greedy.NewExtractor(t.s, t.s.K)
+	}
+	cfg, c := t.bg.Run()
+	if t.extracted != nil {
+		t.extracted(cfg, c)
+	}
+	return cfg, c
 }
 
 // priorBudget returns Algorithm 4's pair budget B' = min(B/2, P).
@@ -711,12 +742,13 @@ func (t *tuner) rollout(n *node) iset.Set {
 // this session has not asked for yet so each episode makes progress. The
 // check is session-local (not the optimizer's global cache), so a shared,
 // pre-warmed what-if cache cannot steer the search differently than a fresh
-// one would.
-func (t *tuner) pickQuery(cfg iset.Set, d []float64, total float64) int {
-	s := t.s
+// one would. seen is scratch of len(d): the first pass asks the session
+// once per query and the later passes read the answers back.
+func (t *tuner) pickQuery(cfg iset.Set, d []float64, total float64, seen []bool) int {
 	uncachedTotal := 0.0
 	for qi := range d {
-		if !s.Seen(qi, cfg) {
+		seen[qi] = t.s.Seen(qi, cfg)
+		if !seen[qi] {
 			uncachedTotal += d[qi]
 		}
 	}
@@ -728,7 +760,7 @@ func (t *tuner) pickQuery(cfg iset.Set, d []float64, total float64) int {
 	if budget <= 0 {
 		// All derived costs are zero: pick the first unseen query, if any.
 		for qi := range d {
-			if !s.Seen(qi, cfg) {
+			if !seen[qi] {
 				return qi
 			}
 		}
@@ -736,7 +768,7 @@ func (t *tuner) pickQuery(cfg iset.Set, d []float64, total float64) int {
 	}
 	x := t.rng.Float64() * budget
 	for qi := range d {
-		if uncachedOnly && s.Seen(qi, cfg) {
+		if uncachedOnly && seen[qi] {
 			continue
 		}
 		x -= d[qi]
@@ -754,10 +786,10 @@ func (t *tuner) extract() iset.Set {
 	case ExtractBCE:
 		return t.trimToK(t.bestCfg)
 	case ExtractBG:
-		cfg, _ := greedy.DerivedOnly(t.s, t.s.K)
+		cfg, _ := t.bestGreedy()
 		return cfg
 	default:
-		bg, bgCost := greedy.DerivedOnly(t.s, t.s.K)
+		bg, bgCost := t.bestGreedy()
 		bce := t.trimToK(t.bestCfg)
 		if t.s.Derived.Workload(bce) < bgCost {
 			return bce

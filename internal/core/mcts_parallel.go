@@ -73,6 +73,7 @@ type episodeSlot struct {
 	path []*node   // owned by: coordinator
 	acts []int     // owned by: coordinator
 	d    []float64 // owned by: coordinator
+	seen []bool    // owned by: coordinator — pickQuery's per-query Seen answers
 
 	cfg      iset.Set // owned by: coordinator
 	total    float64  // owned by: coordinator — derived workload cost of cfg, before the what-if refinement
@@ -169,6 +170,7 @@ func (t *tuner) beginEpisode(sl *episodeSlot) {
 	m := len(s.W.Queries)
 	if cap(sl.d) < m {
 		sl.d = make([]float64, m)
+		sl.seen = make([]bool, m)
 	}
 	d := sl.d[:m]
 	total := 0.0
@@ -177,7 +179,7 @@ func (t *tuner) beginEpisode(sl *episodeSlot) {
 		total += d[qi]
 	}
 	sl.total = total
-	sl.qi = t.pickQuery(cfg, d, total)
+	sl.qi = t.pickQuery(cfg, d, total, sl.seen[:m])
 	sl.awaiting = false
 	charged := false
 	if sl.qi >= 0 {
