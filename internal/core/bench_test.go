@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"indextune/internal/candgen"
+	"indextune/internal/cost"
+	"indextune/internal/greedy"
 	"indextune/internal/iset"
 	"indextune/internal/search"
 	"indextune/internal/workload"
@@ -168,5 +170,88 @@ func BenchmarkMCTSEarlyStop(b *testing.B) {
 		s.StopEpsilon = search.DefaultStopEpsilon
 		b.StartTimer()
 		Default().Enumerate(s)
+	}
+}
+
+// stoppedTPCH runs the early-stopping MCTS session BenchmarkMCTSEarlyStop
+// times and returns it, its store holding every entry of the stopped run,
+// together with the run's entries in recording order, cut at each
+// Best-Greedy extraction: the entries at extraction i are stream[:marks[i]].
+// Within the stretch between two extractions the entries are taken query
+// by query, which keeps each query's recording order.
+func stoppedTPCH(b *testing.B) (s *search.Session, stream []streamEntry, marks []int) {
+	b.Helper()
+	w := workload.ByName("tpch")
+	cands := candgen.Generate(w, candgen.Options{})
+	s = search.NewSession(w, cands, search.NewOptimizer(w, cands), 10, 5000, 1)
+	s.StopEpsilon = search.DefaultStopEpsilon
+	tn := Default().newTuner(s)
+	consumed := make([]int, len(w.Queries))
+	tn.extracted = func(iset.Set, float64) {
+		for qi, from := range consumed {
+			n := s.Derived.Entries(qi)
+			for pos := from; pos < n; pos++ {
+				set, c := s.Derived.EntryAt(qi, pos)
+				stream = append(stream, streamEntry{qi, set.ToSet(), c})
+			}
+			consumed[qi] = n
+		}
+		marks = append(marks, len(stream))
+	}
+	tn.enumerate()
+	if !s.Stopped() || len(marks) < 4 {
+		b.Fatalf("run did not stop after several checks (stopped %v, %d extractions)", s.Stopped(), len(marks))
+	}
+	return s, stream, marks
+}
+
+type streamEntry struct {
+	qi   int
+	cfg  iset.Set
+	cost float64
+}
+
+// BenchmarkDerivedOnly measures one from-scratch Best-Greedy extraction
+// (K = 10) over the store a stopped TPC-H MCTS run leaves: the work every
+// early-stop check paid before extraction was memoized.
+func BenchmarkDerivedOnly(b *testing.B) {
+	s, _, _ := stoppedTPCH(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		greedy.DerivedOnly(s, 10)
+	}
+}
+
+// BenchmarkExtractRefresh measures the memoized extraction at the check
+// that stops the same run: Run after the 50 episodes' worth of entries
+// recorded since the previous check. Each iteration replays the entries
+// into a fresh store off the clock, running the extractor at the two
+// checks before, so the timed Run is a steady-state refresh.
+func BenchmarkExtractRefresh(b *testing.B) {
+	s, stream, marks := stoppedTPCH(b)
+	// The last extraction is the final one, after the stop, with nothing new.
+	checks := marks[len(marks)-4 : len(marks)-1]
+	base := make([]float64, len(s.W.Queries))
+	for qi := range base {
+		base[qi] = s.Derived.Base(qi)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s.Derived = cost.NewDerivedStore(s.W, base)
+		x := greedy.NewExtractor(s, 10)
+		from := 0
+		for j, to := range checks {
+			for _, e := range stream[from:to] {
+				s.Derived.Record(e.qi, e.cfg, e.cost)
+			}
+			from = to
+			if j == len(checks)-1 {
+				b.StartTimer()
+			}
+			x.Run()
+		}
 	}
 }
