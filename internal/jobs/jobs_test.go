@@ -161,6 +161,13 @@ func TestManagerCancelQueued(t *testing.T) {
 // cap; other tenants are unaffected; capacity frees when jobs finish.
 func TestManagerTenantBudgetCap(t *testing.T) {
 	m := NewManager(Options{MaxConcurrent: 1, TenantBudget: 100})
+	// A third tenant's long job holds the single run slot, so alice's job
+	// stays queued — non-terminal, its budget still on her ledger — through
+	// the over-cap and other-tenant submissions, however fast it would run.
+	blocker, err := m.Submit(Spec{Workload: "real-m", Budget: 100, Tenant: "carol"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	a, err := m.Submit(Spec{Workload: "tpch", Budget: 80, K: 4, Tenant: "alice"})
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +177,9 @@ func TestManagerTenantBudgetCap(t *testing.T) {
 	}
 	if _, err := m.Submit(Spec{Workload: "tpch", Budget: 30, K: 4, Tenant: "bob"}); err != nil {
 		t.Fatalf("other tenant must be unaffected: %v", err)
+	}
+	if _, err := m.Cancel(blocker.ID); err != nil {
+		t.Fatal(err)
 	}
 	waitTerminal(t, a)
 	// alice's capacity frees once her job is terminal.
