@@ -126,14 +126,14 @@ func Workloads() []string { return workload.Names() }
 // FROM lists with aliases and INNER JOIN ... ON, WHERE conjunctions of
 // equality/range/join predicates, and GROUP BY / ORDER BY.
 func ParseQuery(db *Database, id, sql string) (*Query, error) {
-	return sqlparse.Parse(db, id, sql, sqlparse.Options{})
+	return sqlparse.Parse(db, id, sql, nil)
 }
 
 // ParseQueryWithStats parses like ParseQuery but estimates predicate
 // selectivities from the catalog's per-column histograms when the predicate
 // carries a numeric literal.
 func ParseQueryWithStats(db *Database, id, sql string, cat *StatsCatalog) (*Query, error) {
-	return sqlparse.Parse(db, id, sql, sqlparse.Options{Stats: cat})
+	return sqlparse.Parse(db, id, sql, cat)
 }
 
 // RenderSQL renders a logical query back to SQL text (placeholder
@@ -216,8 +216,6 @@ type MCTSOptions struct {
 	// Policy: "prior" (default, the paper's ε-greedy variant with singleton
 	// priors), "uct", "boltzmann", or "uniform".
 	Policy string
-	// UCT is a shorthand for Policy: "uct" (kept for convenience).
-	UCT bool
 	// Temperature is the Boltzmann τ (default 0.1).
 	Temperature float64
 	// RAVE blends rapid-action-value (all-moves-as-first) estimates into
@@ -430,11 +428,7 @@ func coreMCTSOptions(m *MCTSOptions) (core.Options, error) {
 		Temperature: m.Temperature,
 		RAVE:        m.RAVE,
 	}
-	policy := m.Policy
-	if policy == "" && m.UCT {
-		policy = "uct"
-	}
-	switch policy {
+	switch m.Policy {
 	case "", "prior":
 		mo.Policy = core.PolicyPrior
 	case "uct":
@@ -444,7 +438,7 @@ func coreMCTSOptions(m *MCTSOptions) (core.Options, error) {
 	case "uniform":
 		mo.Policy = core.PolicyUniform
 	default:
-		return mo, fmt.Errorf("indextune: unknown MCTS policy %q (want prior, uct, boltzmann, or uniform)", policy)
+		return mo, fmt.Errorf("indextune: unknown MCTS policy %q (want prior, uct, boltzmann, or uniform)", m.Policy)
 	}
 	if m.RandomizedRollout {
 		mo.Rollout = core.RolloutRandomStep

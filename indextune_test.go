@@ -76,7 +76,7 @@ func mustBuild(t *testing.T) *Query {
 func TestTuneMCTSVariants(t *testing.T) {
 	w := Workload("tpch")
 	variants := []*MCTSOptions{
-		{UCT: true},
+		{Policy: "uct"},
 		{RandomizedRollout: true},
 		{Extraction: "bce"},
 		{Extraction: "hybrid"},

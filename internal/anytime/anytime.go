@@ -46,8 +46,6 @@ type Options struct {
 	StorageLimit int64
 	// Seed drives randomized decisions.
 	Seed int64
-	// MCTS overrides the search policies; nil uses the paper's best setting.
-	MCTS *core.Options
 	// Trace, when non-nil, receives the session's budget events plus a slice
 	// snapshot after every Step.
 	Trace *trace.Recorder
@@ -102,10 +100,6 @@ func New(w *workload.Workload, opts Options) *Session {
 			opts.SliceCalls = 20
 		}
 	}
-	if opts.MCTS == nil {
-		def := core.Default().Opts
-		opts.MCTS = &def
-	}
 	s := search.NewSession(w, cands, opt, opts.K, budget, opts.Seed)
 	s.StorageLimit = opts.StorageLimit
 	s.Trace = opts.Trace
@@ -118,10 +112,11 @@ func New(w *workload.Workload, opts Options) *Session {
 // reports whether the session has finished (budget exhausted or the
 // minimum-improvement constraint met).
 //
-// Each slice runs MCTS restricted to the slice's call allowance; the search
-// tree is rebuilt per slice but the what-if cache and derived store persist,
-// so later slices resume from everything already learned — the same
-// mechanism that makes cached what-if calls free makes slicing cheap.
+// Each slice runs MCTS in the paper's best setting (core.Default) restricted
+// to the slice's call allowance; the search tree is rebuilt per slice but
+// the what-if cache and derived store persist, so later slices resume from
+// everything already learned — the same mechanism that makes cached what-if
+// calls free makes slicing cheap.
 func (a *Session) Step() (Progress, bool) {
 	if a.done {
 		return a.snapshot(), true
@@ -153,8 +148,7 @@ func (a *Session) Step() (Progress, bool) {
 	saved := a.s.Budget
 	a.s.Budget = target
 	usedBefore := a.s.Used()
-	m := core.MCTS{Opts: *a.opts.MCTS}
-	cfg := m.Enumerate(a.s)
+	cfg := core.Default().Enumerate(a.s)
 	a.s.Budget = saved
 
 	if a.s.Derived.Workload(cfg) < a.s.Derived.Workload(a.best) {

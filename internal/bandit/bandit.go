@@ -21,27 +21,14 @@ import (
 // FeatureDim is the dimensionality of the index feature vectors.
 const FeatureDim = 9
 
-// Options configure the bandit baseline.
-type Options struct {
-	// Alpha scales the exploration bonus (default 0.6).
-	Alpha float64
-	// RidgeLambda is the ridge regularizer (default 1.0).
-	RidgeLambda float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Alpha <= 0 {
-		o.Alpha = 0.6
-	}
-	if o.RidgeLambda <= 0 {
-		o.RidgeLambda = 1.0
-	}
-	return o
-}
+// The bandit's hyperparameters.
+const (
+	alpha       = 0.6 // scale of the exploration bonus
+	ridgeLambda = 1.0 // ridge regularizer
+)
 
 // DBABandits is the bandit enumeration algorithm.
 type DBABandits struct {
-	Opts Options
 	// Trajectory, when non-nil, receives the improvement (percent, measured
 	// on observed what-if costs) of the best configuration found after each
 	// round — the per-round series of Figure 14.
@@ -53,7 +40,6 @@ func (DBABandits) Name() string { return "DBA Bandits" }
 
 // Enumerate implements search.Algorithm.
 func (b DBABandits) Enumerate(s *search.Session) iset.Set {
-	opts := b.Opts.withDefaults()
 	n := s.NumCandidates()
 	if n == 0 {
 		return iset.Set{}
@@ -61,7 +47,7 @@ func (b DBABandits) Enumerate(s *search.Session) iset.Set {
 	feats := featurize(s)
 
 	// Ridge regression state: V = λI + Σ x xᵀ, bvec = Σ r·x.
-	V := identity(FeatureDim, opts.RidgeLambda)
+	V := identity(FeatureDim, ridgeLambda)
 	bvec := make([]float64, FeatureDim)
 
 	baseW := s.Derived.BaseWorkload()
@@ -75,7 +61,7 @@ func (b DBABandits) Enumerate(s *search.Session) iset.Set {
 		usedBefore := s.Used()
 		theta := solve(V, bvec)
 		Vinv := invert(V)
-		cfg := b.selectSuperArm(s, feats, theta, Vinv, opts, round)
+		cfg := b.selectSuperArm(s, feats, theta, Vinv, round)
 
 		// Observe the configuration: one what-if call per query, stopping
 		// when the budget runs out mid-round (remaining queries fall back to
@@ -121,7 +107,7 @@ func (b DBABandits) Enumerate(s *search.Session) iset.Set {
 // selectSuperArm greedily picks up to K arms by UCB score; the first round
 // uses the static potential-benefit feature as its prior signal (all-zero θ
 // makes the score purely exploratory otherwise).
-func (b DBABandits) selectSuperArm(s *search.Session, feats [][]float64, theta []float64, Vinv [][]float64, opts Options, round int) iset.Set {
+func (b DBABandits) selectSuperArm(s *search.Session, feats [][]float64, theta []float64, Vinv [][]float64, round int) iset.Set {
 	n := s.NumCandidates()
 	type scored struct {
 		ord   int
@@ -130,7 +116,7 @@ func (b DBABandits) selectSuperArm(s *search.Session, feats [][]float64, theta [
 	arms := make([]scored, 0, n)
 	for i := 0; i < n; i++ {
 		x := feats[i]
-		score := dot(theta, x) + opts.Alpha*math.Sqrt(quadForm(Vinv, x))
+		score := dot(theta, x) + alpha*math.Sqrt(quadForm(Vinv, x))
 		if round == 0 {
 			// Cold start: rank by the featurized potential-benefit signal.
 			score = x[0] + 0.1*x[7]

@@ -118,7 +118,6 @@ func BenchmarkMCTSFixedBudgetWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			m := Default()
-			m.Opts.Workers = workers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -126,6 +125,7 @@ func BenchmarkMCTSFixedBudgetWorkers(b *testing.B) {
 				opt := search.NewOptimizer(w, cands)
 				opt.SimulatedLatency = 500 * time.Microsecond
 				s := search.NewSession(w, cands, opt, 10, 160, 1)
+				s.Workers = workers
 				b.StartTimer()
 				m.Enumerate(s)
 			}

@@ -22,7 +22,7 @@ func TestDeriveDeterministicAcrossRuns(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var first string
 		for run := 0; run < 3; run++ {
-			got := runTrace(epsSession(t, 120, workers), parallelDefault(workers))
+			got := runTrace(epsSession(t, 120, workers), Default())
 			if run == 0 {
 				first = got
 				continue
@@ -42,7 +42,7 @@ func TestDeriveInterceptsDuringMCTS(t *testing.T) {
 		s := epsSession(t, 120, workers)
 		rec := trace.New(nil)
 		s.Trace = rec
-		r := search.Run(parallelDefault(workers), s)
+		r := search.Run(Default(), s)
 		if r.DerivedBoundHits == 0 {
 			t.Fatalf("workers=%d: no derived-bound hits at default epsilon", workers)
 		}
@@ -68,10 +68,10 @@ func TestDeriveInterceptsDuringMCTS(t *testing.T) {
 // and 4 — the compatibility contract of the feature.
 func TestDeriveEpsilonZeroBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		base := runTrace(session(t, "tpch", 5, 100, 7), parallelDefault(workers))
-		s := session(t, "tpch", 5, 100, 7)
+		base := runTrace(withWorkers(session(t, "tpch", 5, 100, 7), workers), Default())
+		s := withWorkers(session(t, "tpch", 5, 100, 7), workers)
 		s.DeriveEpsilon = 0
-		if got := runTrace(s, parallelDefault(workers)); got != base {
+		if got := runTrace(s, Default()); got != base {
 			t.Fatalf("workers=%d: epsilon 0 diverged:\n  base: %s\n  got:  %s", workers, base, got)
 		}
 	}
@@ -81,8 +81,8 @@ func TestDeriveEpsilonZeroBitIdentical(t *testing.T) {
 // the final improvement must stay in the same ballpark as the exact run
 // (within a few points), while charging no more calls.
 func TestDeriveImprovementComparable(t *testing.T) {
-	exact := search.Run(parallelDefault(1), session(t, "tpch", 5, 120, 7))
-	eps := search.Run(parallelDefault(1), epsSession(t, 120, 1))
+	exact := search.Run(Default(), withWorkers(session(t, "tpch", 5, 120, 7), 1))
+	eps := search.Run(Default(), epsSession(t, 120, 1))
 	if eps.ImprovementPct < exact.ImprovementPct-5 {
 		t.Fatalf("interception degraded improvement: %.2f%% vs %.2f%%", eps.ImprovementPct, exact.ImprovementPct)
 	}

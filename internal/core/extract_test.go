@@ -54,9 +54,9 @@ func TestExtractorMatchesSearch(t *testing.T) {
 		for _, seed := range seeds {
 			for _, workers := range []int{1, 4} {
 				for _, k := range []int{3, 10} {
-					s := search.NewSession(w, cands, opt, k, 800, seed)
+					s := withWorkers(search.NewSession(w, cands, opt, k, 800, seed), workers)
 					s.StopEpsilon = search.DefaultStopEpsilon
-					if _, calls := runCheckingExtractions(t, s, parallelDefault(workers)); calls < 3 {
+					if _, calls := runCheckingExtractions(t, s, Default()); calls < 3 {
 						t.Fatalf("%s seed %d workers %d K %d: %d extractions, want several memo refreshes",
 							wl, seed, workers, k, calls)
 					}

@@ -102,24 +102,8 @@ type Options struct {
 	Rollout     RolloutKind
 	FixedStep   int // look-ahead step for RolloutFixedStep
 	Extraction  Extraction
-	Lambda      float64 // UCT exploration constant; 0 means √2
 	Temperature float64 // Boltzmann temperature τ; 0 means 0.1
 	RAVE        bool    // blend rapid action value estimates (Section 8)
-
-	// Workers sets the number of episodes kept in flight concurrently
-	// (virtual-loss pipelining; see mcts_parallel.go). 0 defers to the
-	// session's Workers hint. Workers = 1 — what all paper figures use — is
-	// the one-slot pipeline: it draws from the session RNG and evaluates each
-	// episode inline before the next begins. Results with Workers = N > 1
-	// are deterministic in (seed, N) but differ from the one-slot trajectory.
-	Workers int
-}
-
-func (o Options) lambda() float64 {
-	if o.Lambda <= 0 {
-		return math.Sqrt2
-	}
-	return o.Lambda
 }
 
 // MCTS is the budget-aware MCTS configuration enumerator.
@@ -252,7 +236,7 @@ func (m MCTS) newTuner(s *search.Session) *tuner {
 // enumerate runs the prior phase, the episode pipeline and the extraction.
 func (t *tuner) enumerate() iset.Set {
 	s := t.s
-	workers := t.opts.workerCount(s)
+	workers := workerCount(s)
 	if t.opts.Policy == PolicyPrior || t.opts.Policy == PolicyBoltzmann {
 		s.Trace.SetPhase(trace.PhasePriors)
 		t.computePriors(workers)
@@ -610,7 +594,8 @@ func (t *tuner) selectUCT(n *node) int {
 	}
 	// In-flight episodes count as visits (virtual loss): both terms shrink
 	// for actions already being explored, steering concurrent selections
-	// apart. With no episodes in flight the formula is exactly Equation 5.
+	// apart. With no episodes in flight the formula is exactly Equation 5
+	// with the exploration constant λ = √2.
 	lnN := math.Log(float64(n.visits+n.vvisits) + 1)
 	best, bestScore := -1, math.Inf(-1)
 	for _, a := range n.statKeys {
@@ -619,7 +604,7 @@ func (t *tuner) selectUCT(n *node) int {
 		if denom <= 0 {
 			denom = 1
 		}
-		score := t.actionValue(n, a) + t.opts.lambda()*math.Sqrt(lnN/denom)
+		score := t.actionValue(n, a) + math.Sqrt2*math.Sqrt(lnN/denom)
 		if score > bestScore {
 			best, bestScore = a, score
 		}

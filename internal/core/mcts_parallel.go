@@ -42,18 +42,17 @@ import (
 	"indextune/internal/search"
 )
 
-// workerCount resolves the effective intra-session parallelism: an explicit
-// Options.Workers wins, otherwise the session's Workers hint applies; values
-// below 2 select the one-slot pipeline.
-func (o Options) workerCount(s *search.Session) int {
-	w := o.Workers
-	if w <= 0 {
-		w = s.Workers
-	}
-	if w <= 1 {
+// workerCount resolves the effective intra-session parallelism from the
+// session's Workers setting; values below 2 select the one-slot pipeline.
+// Workers = 1 — what all paper figures use — draws from the session RNG and
+// evaluates each episode inline before the next begins. Results with
+// Workers = N > 1 are deterministic in (seed, N) but differ from the
+// one-slot trajectory.
+func workerCount(s *search.Session) int {
+	if s.Workers <= 1 {
 		return 1
 	}
-	return w
+	return s.Workers
 }
 
 // pcgStream adapts a math/rand/v2 PCG stream to rngSource. PCG supports

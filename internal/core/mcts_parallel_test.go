@@ -14,10 +14,10 @@ import (
 	"indextune/internal/search"
 )
 
-func parallelDefault(workers int) MCTS {
-	m := Default()
-	m.Opts.Workers = workers
-	return m
+// withWorkers sets the session's intra-session parallelism and returns it.
+func withWorkers(s *search.Session, workers int) *search.Session {
+	s.Workers = workers
+	return s
 }
 
 // trace summarizes everything observable about a finished run: the returned
@@ -35,7 +35,7 @@ func runTrace(s *search.Session, m MCTS) string {
 func TestParallelDeterministicAcrossRuns(t *testing.T) {
 	var first string
 	for run := 0; run < 3; run++ {
-		got := runTrace(session(t, "tpch", 5, 100, 7), parallelDefault(4))
+		got := runTrace(withWorkers(session(t, "tpch", 5, 100, 7), 4), Default())
 		if run == 0 {
 			first = got
 			continue
@@ -50,27 +50,9 @@ func TestParallelDeterministicAcrossRuns(t *testing.T) {
 // bit-identical to the tuner with Workers unset, including the layout trace.
 func TestParallelWorkersOneMatchesSequential(t *testing.T) {
 	seq := runTrace(session(t, "tpch", 5, 100, 7), Default())
-	one := runTrace(session(t, "tpch", 5, 100, 7), parallelDefault(1))
+	one := runTrace(withWorkers(session(t, "tpch", 5, 100, 7), 1), Default())
 	if seq != one {
 		t.Fatalf("Workers=1 diverged from sequential:\n  seq: %s\n  w=1: %s", seq, one)
-	}
-	// The session-level hint routes through the same switch.
-	s := session(t, "tpch", 5, 100, 7)
-	s.Workers = 1
-	if got := runTrace(s, Default()); got != seq {
-		t.Fatalf("session Workers=1 diverged from sequential:\n  seq: %s\n  got: %s", seq, got)
-	}
-}
-
-// The session's Workers hint must be honored when Options.Workers is unset,
-// and produce the same trajectory as the explicit option.
-func TestSessionWorkersHintMatchesOption(t *testing.T) {
-	viaOpt := runTrace(session(t, "tpch", 5, 100, 7), parallelDefault(4))
-	s := session(t, "tpch", 5, 100, 7)
-	s.Workers = 4
-	viaHint := runTrace(s, Default())
-	if viaOpt != viaHint {
-		t.Fatalf("session hint diverged from explicit option:\n  opt:  %s\n  hint: %s", viaOpt, viaHint)
 	}
 }
 
@@ -79,8 +61,7 @@ func TestSessionWorkersHintMatchesOption(t *testing.T) {
 func TestParallelVariantsRespectConstraints(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		for _, m := range allVariants() {
-			m.Opts.Workers = workers
-			s := session(t, "tpch", 5, 60, 3)
+			s := withWorkers(session(t, "tpch", 5, 60, 3), workers)
 			cfg := m.Enumerate(s)
 			if cfg.Len() > 5 {
 				t.Errorf("%s w=%d: |cfg| = %d > K", m.Name(), workers, cfg.Len())
@@ -182,8 +163,8 @@ func TestParallelVirtualLossFullyLifted(t *testing.T) {
 // Parallel search must still find substantial improvements (it explores a
 // different but equally valid trajectory).
 func TestParallelFindsPositiveImprovement(t *testing.T) {
-	s := session(t, "tpch", 10, 200, 1)
-	cfg := parallelDefault(4).Enumerate(s)
+	s := withWorkers(session(t, "tpch", 10, 200, 1), 4)
+	cfg := Default().Enumerate(s)
 	if imp := s.OracleImprovement(cfg); imp <= 0.1 {
 		t.Fatalf("improvement = %v, want > 10%% on TPC-H with 200 calls", imp)
 	}
@@ -194,18 +175,17 @@ func TestParallelFindsPositiveImprovement(t *testing.T) {
 // -race-clean contract.
 func TestParallelRaceStress(t *testing.T) {
 	for _, workers := range []int{2, 8} {
-		s := session(t, "tpch", 5, 150, 11)
-		parallelDefault(workers).Enumerate(s)
+		Default().Enumerate(withWorkers(session(t, "tpch", 5, 150, 11), workers))
 	}
 	// Two sessions over one shared optimizer, each with its own pipeline.
-	base := session(t, "tpch", 5, 120, 5)
-	other := search.NewSession(base.W, base.Cands, base.Opt, 5, 120, 6)
+	base := withWorkers(session(t, "tpch", 5, 120, 5), 4)
+	other := withWorkers(search.NewSession(base.W, base.Cands, base.Opt, 5, 120, 6), 4)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		parallelDefault(4).Enumerate(other)
+		Default().Enumerate(other)
 	}()
-	parallelDefault(4).Enumerate(base)
+	Default().Enumerate(base)
 	<-done
 	if base.Used() > 120 || other.Used() > 120 {
 		t.Fatalf("over-charged: %d / %d", base.Used(), other.Used())

@@ -19,11 +19,11 @@ import (
 // routed through Reserve (or any double count) breaks the sum.
 func TestTracedSpendEqualsWhatIfCalls(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		s := session(t, "tpch", 5, 120, 7)
+		s := withWorkers(session(t, "tpch", 5, 120, 7), workers)
 		var events bytes.Buffer
 		rec := trace.New(&events)
 		s.Trace = rec
-		r := search.Run(parallelDefault(workers), s)
+		r := search.Run(Default(), s)
 		if err := rec.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestTracedSpendEqualsWhatIfCalls(t *testing.T) {
 // past B.
 func TestParallelBudgetNeverExceededMidRun(t *testing.T) {
 	const budget = 150
-	s := session(t, "tpch", 5, budget, 11)
+	s := withWorkers(session(t, "tpch", 5, budget, 11), 4)
 	s.Trace = trace.New(nil)
 
 	stop := make(chan struct{})
@@ -126,7 +126,7 @@ func TestParallelBudgetNeverExceededMidRun(t *testing.T) {
 		}()
 	}
 
-	r := search.Run(parallelDefault(4), s)
+	r := search.Run(Default(), s)
 	close(stop)
 	wg.Wait()
 

@@ -13,49 +13,21 @@ import (
 	"indextune/internal/search"
 )
 
-// Options configure the deep Q-learning baseline.
-type Options struct {
-	Hidden       int     // hidden layer width (default 96, per the paper)
-	Gamma        float64 // discount (default 0.9)
-	EpsilonStart float64 // initial exploration rate (default 1.0)
-	EpsilonEnd   float64 // final exploration rate (default 0.1)
-	ReplaySize   int     // replay buffer capacity (default 512)
-	BatchSize    int     // minibatch per training step (default 8)
-	TargetEvery  int     // rounds between target-network syncs (default 5)
-	LR           float64 // Adam learning rate (default 1e-3)
-}
-
-func (o Options) withDefaults() Options {
-	if o.Hidden <= 0 {
-		o.Hidden = 96
-	}
-	if o.Gamma <= 0 {
-		o.Gamma = 0.9
-	}
-	if o.EpsilonStart <= 0 {
-		o.EpsilonStart = 1.0
-	}
-	if o.EpsilonEnd <= 0 {
-		o.EpsilonEnd = 0.1
-	}
-	if o.ReplaySize <= 0 {
-		o.ReplaySize = 512
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 8
-	}
-	if o.TargetEvery <= 0 {
-		o.TargetEvery = 5
-	}
-	if o.LR <= 0 {
-		o.LR = 1e-3
-	}
-	return o
-}
+// The agent's hyperparameters: the paper's 3×96 network, plus the
+// baseline's Q-learning settings.
+const (
+	hidden       = 96   // hidden layer width
+	gamma        = 0.9  // discount
+	epsilonStart = 1.0  // initial exploration rate
+	epsilonEnd   = 0.1  // final exploration rate
+	replaySize   = 512  // replay buffer capacity
+	batchSize    = 8    // minibatch per training step
+	targetEvery  = 5    // rounds between target-network syncs
+	learningRate = 1e-3 // Adam learning rate
+)
 
 // NoDBA is the deep-RL enumeration algorithm.
 type NoDBA struct {
-	Opts Options
 	// Trajectory, when non-nil, receives the best-so-far improvement
 	// (percent) after each round (Figure 14).
 	Trajectory *[]float64
@@ -74,7 +46,6 @@ type transition struct {
 
 // Enumerate implements search.Algorithm.
 func (d NoDBA) Enumerate(s *search.Session) iset.Set {
-	opts := d.Opts.withDefaults()
 	n := s.NumCandidates()
 	if n == 0 {
 		return iset.Set{}
@@ -86,20 +57,20 @@ func (d NoDBA) Enumerate(s *search.Session) iset.Set {
 	}
 
 	rng := rand.New(rand.NewSource(s.Rng.Int63()))
-	qnet := nn.New(rng, n, opts.Hidden, opts.Hidden, opts.Hidden, n)
-	qnet.LR = opts.LR
-	target := nn.New(rng, n, opts.Hidden, opts.Hidden, opts.Hidden, n)
+	qnet := nn.New(rng, n, hidden, hidden, hidden, n)
+	qnet.LR = learningRate
+	target := nn.New(rng, n, hidden, hidden, hidden, n)
 	target.CopyFrom(qnet)
 
-	replay := make([]transition, 0, opts.ReplaySize)
+	replay := make([]transition, 0, replaySize)
 	replayAt := 0
 	push := func(t transition) {
-		if len(replay) < opts.ReplaySize {
+		if len(replay) < replaySize {
 			replay = append(replay, t)
 			return
 		}
 		replay[replayAt] = t
-		replayAt = (replayAt + 1) % opts.ReplaySize
+		replayAt = (replayAt + 1) % replaySize
 	}
 
 	baseW := s.Derived.BaseWorkload()
@@ -107,9 +78,9 @@ func (d NoDBA) Enumerate(s *search.Session) iset.Set {
 	bestCost := baseW
 
 	for round := 0; round < rounds && !s.Exhausted(); round++ {
-		eps := opts.EpsilonStart
+		eps := epsilonStart
 		if rounds > 1 {
-			eps += (opts.EpsilonEnd - opts.EpsilonStart) * float64(round) / float64(rounds-1)
+			eps += (epsilonEnd - epsilonStart) * float64(round) / float64(rounds-1)
 		}
 		// One episode: greedily grow a configuration of up to K indexes.
 		cfg := iset.NewSet(n)
@@ -148,8 +119,8 @@ func (d NoDBA) Enumerate(s *search.Session) iset.Set {
 			}
 			push(steps[i])
 		}
-		d.train(qnet, target, replay, rng, opts, s)
-		if (round+1)%opts.TargetEvery == 0 {
+		d.train(qnet, target, replay, rng, s)
+		if (round+1)%targetEvery == 0 {
 			target.CopyFrom(qnet)
 		}
 		if d.Trajectory != nil || s.Trace != nil {
@@ -196,12 +167,12 @@ func (d NoDBA) chooseAction(qnet *nn.Network, state []float64, cfg iset.Set, s *
 }
 
 // train runs one minibatch of Q-learning updates from the replay buffer.
-func (d NoDBA) train(qnet, target *nn.Network, replay []transition, rng *rand.Rand, opts Options, s *search.Session) {
+func (d NoDBA) train(qnet, target *nn.Network, replay []transition, rng *rand.Rand, s *search.Session) {
 	if len(replay) == 0 {
 		return
 	}
 	n := s.NumCandidates()
-	for b := 0; b < opts.BatchSize; b++ {
+	for b := 0; b < batchSize; b++ {
 		t := replay[rng.Intn(len(replay))]
 		y := t.reward
 		if !t.done {
@@ -212,7 +183,7 @@ func (d NoDBA) train(qnet, target *nn.Network, replay []transition, rng *rand.Ra
 					best = v
 				}
 			}
-			y += opts.Gamma * best
+			y += gamma * best
 		}
 		out := qnet.Forward(t.state)
 		grad := make([]float64, n)

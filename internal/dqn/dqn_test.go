@@ -18,7 +18,7 @@ func session(t *testing.T, k, budget int) *search.Session {
 
 func TestNoDBARespectsConstraints(t *testing.T) {
 	s := session(t, 5, 120)
-	cfg := NoDBA{Opts: Options{Hidden: 16}}.Enumerate(s)
+	cfg := NoDBA{}.Enumerate(s)
 	if cfg.Len() > 5 {
 		t.Fatalf("|cfg| = %d > K", cfg.Len())
 	}
@@ -30,7 +30,7 @@ func TestNoDBARespectsConstraints(t *testing.T) {
 func TestNoDBATrajectoryNonDecreasing(t *testing.T) {
 	s := session(t, 5, 150)
 	var traj []float64
-	NoDBA{Opts: Options{Hidden: 16}, Trajectory: &traj}.Enumerate(s)
+	NoDBA{Trajectory: &traj}.Enumerate(s)
 	if len(traj) == 0 {
 		t.Fatal("no rounds recorded")
 	}
@@ -44,7 +44,7 @@ func TestNoDBATrajectoryNonDecreasing(t *testing.T) {
 func TestNoDBADeterministicPerSeed(t *testing.T) {
 	run := func() float64 {
 		s := session(t, 5, 100)
-		cfg := NoDBA{Opts: Options{Hidden: 16}}.Enumerate(s)
+		cfg := NoDBA{}.Enumerate(s)
 		return s.OracleImprovement(cfg)
 	}
 	if run() != run() {
@@ -54,7 +54,7 @@ func TestNoDBADeterministicPerSeed(t *testing.T) {
 
 func TestNoDBAReturnsBestObserved(t *testing.T) {
 	s := session(t, 10, 300)
-	cfg := NoDBA{Opts: Options{Hidden: 16}}.Enumerate(s)
+	cfg := NoDBA{}.Enumerate(s)
 	// The returned config is the best of the evaluated rounds, so its
 	// improvement must be non-negative under the oracle as well.
 	if imp := s.OracleImprovement(cfg); imp < 0 {
@@ -62,9 +62,11 @@ func TestNoDBAReturnsBestObserved(t *testing.T) {
 	}
 }
 
+// The agent runs the paper's 3×96 network with the baseline's Q-learning
+// settings.
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Hidden != 96 || o.Gamma != 0.9 || o.BatchSize != 8 || o.ReplaySize != 512 {
-		t.Fatalf("defaults wrong: %+v", o)
+	if hidden != 96 || gamma != 0.9 || batchSize != 8 || replaySize != 512 {
+		t.Fatalf("hyperparameters wrong: hidden %d, gamma %v, batch %d, replay %d",
+			hidden, gamma, batchSize, replaySize)
 	}
 }

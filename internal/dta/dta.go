@@ -22,7 +22,6 @@ import (
 	"indextune/internal/iset"
 	"indextune/internal/schema"
 	"indextune/internal/search"
-	"indextune/internal/trace"
 	"indextune/internal/workload"
 )
 
@@ -35,14 +34,12 @@ type Options struct {
 	K int
 	// StorageLimit caps total index bytes; 0 disables the constraint.
 	StorageLimit int64
-	// Slices is the number of time slices (default 8).
-	Slices int
 	// Seed randomizes tie-breaking in the query priority queue.
 	Seed int64
-	// Trace, when non-nil, receives the run's budget events plus a slice
-	// snapshot (running-recommendation improvement) after each time slice.
-	Trace *trace.Recorder
 }
+
+// slices is the number of time slices a run divides its budget into.
+const slices = 8
 
 // Result is the outcome of a DTA run.
 type Result struct {
@@ -56,9 +53,6 @@ type Result struct {
 // (including merged indexes) and internally converts the time budget into a
 // what-if call allowance using the workload's per-call latency.
 func Tune(w *workload.Workload, opts Options) Result {
-	if opts.Slices <= 0 {
-		opts.Slices = 8
-	}
 	cands := candgen.Generate(w, candgen.Options{})
 	cands = WithMergedCandidates(w, cands)
 	cands.RefreshRelevance(w)
@@ -72,17 +66,15 @@ func Tune(w *workload.Workload, opts Options) Result {
 	}
 	s := search.NewSession(w, cands, opt, opts.K, calls, opts.Seed)
 	s.StorageLimit = opts.StorageLimit
-	s.Trace = opts.Trace
-	s.Trace.SetPhase(trace.PhaseSearch)
 
 	rng := rand.New(rand.NewSource(opts.Seed))
 	order := priorityOrder(s, rng)
 
-	sliceQuota := calls / opts.Slices
+	sliceQuota := calls / slices
 	if sliceQuota < 1 {
 		sliceQuota = 1
 	}
-	batch := (len(order) + opts.Slices - 1) / opts.Slices
+	batch := (len(order) + slices - 1) / slices
 	if batch < 1 {
 		batch = 1
 	}
@@ -90,7 +82,6 @@ func Tune(w *workload.Workload, opts Options) Result {
 	var union []int
 	seen := make(map[int]bool)
 	tuned := 0
-	slice := 0
 
 	for qpos := 0; qpos < len(order) && !s.Exhausted(); {
 		sliceStart := s.Used()
@@ -113,24 +104,10 @@ func Tune(w *workload.Workload, opts Options) Result {
 				}
 			}
 		}
-		if s.Trace != nil {
-			// Snapshot the anytime recommendation as of this slice; derived
-			// greedy and the oracle consume no budget, so tracing cannot
-			// perturb the run.
-			imp := 0.0
-			if len(union) > 0 {
-				rec, _ := greedy.Search(s, allQueries(s), union, iset.Set{}, opts.K, greedy.EvalDerived)
-				imp = 100 * s.OracleImprovement(rec)
-			}
-			s.Trace.Slice("dta", slice, imp, s.Used())
-			s.Trace.Point(s.Used(), imp)
-		}
-		slice++
 	}
 
 	// Final recommendation: Algorithm-1 greedy over the union, derived
 	// costs only, under the storage constraint (anytime recommendation).
-	s.Trace.SetPhase(trace.PhaseFinal)
 	rec := iset.Set{}
 	if len(union) > 0 {
 		rec, _ = greedy.Search(s, allQueries(s), union, iset.Set{}, opts.K, greedy.EvalDerived)

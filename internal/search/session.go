@@ -107,10 +107,10 @@ type Session struct {
 	// optimizer.
 	Clock *vclock.Clock
 
-	// Workers is the intra-session parallelism hint for algorithms that
-	// support it (currently the MCTS tuner; see core.Options.Workers).
-	// 0 or 1 selects one episode in flight, evaluated inline — the setting
-	// all paper figures use.
+	// Workers is the intra-session parallelism for algorithms that support
+	// it (currently the MCTS tuner, which keeps up to Workers episodes in
+	// flight). 0 or 1 selects one episode in flight, evaluated inline — the
+	// setting all paper figures use.
 	Workers int
 
 	// Trace, when non-nil, receives the session's budget-accounting events

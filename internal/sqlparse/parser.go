@@ -11,40 +11,25 @@ import (
 	"indextune/internal/workload"
 )
 
-// Options control selectivity defaults when the parser translates predicates
-// into the statistics-bearing workload representation.
-type Options struct {
-	// RangeSelectivity is assigned to range predicates when no histogram is
-	// available (default 0.3).
-	RangeSelectivity float64
-	// EqSelectivityFloor bounds equality selectivity from below
-	// (default 1e-9).
-	EqSelectivityFloor float64
-	// Stats, when non-nil, supplies per-column histograms: predicates with
-	// numeric literals receive data-dependent selectivity estimates instead
-	// of the defaults.
-	Stats *stats.Catalog
-}
-
-func (o Options) withDefaults() Options {
-	if o.RangeSelectivity <= 0 || o.RangeSelectivity > 1 {
-		o.RangeSelectivity = 0.3
-	}
-	if o.EqSelectivityFloor <= 0 {
-		o.EqSelectivityFloor = 1e-9
-	}
-	return o
-}
+// Selectivity defaults for predicates the statistics cannot estimate.
+const (
+	// rangeSelectivity is assigned to range predicates when no histogram is
+	// available.
+	rangeSelectivity = 0.3
+	// selectivityFloor bounds every selectivity from below.
+	selectivityFloor = 1e-9
+)
 
 // Parse parses a single SELECT statement against db and returns the logical
-// query. The query ID is taken from the id argument.
-func Parse(db *schema.Database, id, sql string, opts Options) (*workload.Query, error) {
-	opts = opts.withDefaults()
+// query. The query ID is taken from the id argument. cat, when non-nil,
+// supplies per-column histograms: predicates with numeric literals receive
+// data-dependent selectivity estimates instead of the defaults.
+func Parse(db *schema.Database, id, sql string, cat *stats.Catalog) (*workload.Query, error) {
 	toks, err := lex(sql)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{db: db, toks: toks, opts: opts}
+	p := &parser{db: db, toks: toks, cat: cat}
 	q, err := p.parseSelect()
 	if err != nil {
 		return nil, fmt.Errorf("sqlparse: %w", err)
@@ -63,7 +48,7 @@ type parser struct {
 	db   *schema.Database
 	toks []token
 	pos  int
-	opts Options
+	cat  *stats.Catalog
 
 	aliases   map[string]string // alias -> table name
 	refOrder  []string          // alias order
@@ -328,7 +313,7 @@ func (p *parser) parseOnePredicate() error {
 		if err != nil {
 			return err
 		}
-		sel := p.opts.RangeSelectivity
+		sel := rangeSelectivity
 		if loNum && hiNum {
 			if h := p.histogram(li, lcol); h != nil {
 				sel = h.SelectivityBetween(lo, hi)
@@ -398,10 +383,10 @@ func (p *parser) parseOnePredicate() error {
 
 // histogram looks up the histogram for a resolved (ref, column) pair.
 func (p *parser) histogram(ref int, col string) *stats.Histogram {
-	if p.opts.Stats == nil {
+	if p.cat == nil {
 		return nil
 	}
-	return p.opts.Stats.Get(p.q.Refs[ref].Table, col)
+	return p.cat.Get(p.q.Refs[ref].Table, col)
 }
 
 // consumeLiteral consumes a literal, returning its numeric value when it is
@@ -434,10 +419,10 @@ func (p *parser) consumeLiteral() (value float64, numeric bool, err error) {
 }
 
 // addFilter records a predicate using the default selectivity model (1/NDV
-// for equality, the configured constant for ranges).
+// for equality, rangeSelectivity for ranges).
 func (p *parser) addFilter(ref int, col string, op workload.PredOp) {
 	r := &p.q.Refs[ref]
-	sel := p.opts.RangeSelectivity
+	sel := rangeSelectivity
 	if op == workload.OpEquality {
 		t := p.db.Table(r.Table)
 		sel = 0.1
@@ -450,8 +435,8 @@ func (p *parser) addFilter(ref int, col string, op workload.PredOp) {
 
 // addFilterSel records a predicate with an explicit selectivity estimate.
 func (p *parser) addFilterSel(ref int, col string, op workload.PredOp, sel float64) {
-	if sel < p.opts.EqSelectivityFloor {
-		sel = p.opts.EqSelectivityFloor
+	if sel < selectivityFloor {
+		sel = selectivityFloor
 	}
 	if sel > 1 {
 		sel = 1

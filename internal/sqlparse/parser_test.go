@@ -24,7 +24,7 @@ func exampleDB() *schema.Database {
 
 func mustParse(t *testing.T, sql string) *workload.Query {
 	t.Helper()
-	q, err := Parse(exampleDB(), "q", sql, Options{})
+	q, err := Parse(exampleDB(), "q", sql, nil)
 	if err != nil {
 		t.Fatalf("Parse(%q): %v", sql, err)
 	}
@@ -148,7 +148,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT a FROM R JOIN S ON R.b = S.zzz", // unknown join col
 	}
 	for _, sql := range cases {
-		if _, err := Parse(exampleDB(), "q", sql, Options{}); err == nil {
+		if _, err := Parse(exampleDB(), "q", sql, nil); err == nil {
 			t.Errorf("Parse(%q): expected error", sql)
 		}
 	}
@@ -158,7 +158,7 @@ func TestParseAmbiguousColumn(t *testing.T) {
 	// Add tables sharing a column name.
 	db := exampleDB()
 	db.AddTable(schema.NewTable("T", 10, schema.Column{Name: "a", NDV: 10, Width: 4}))
-	if _, err := Parse(db, "q", "SELECT a FROM R, T", Options{}); err == nil {
+	if _, err := Parse(db, "q", "SELECT a FROM R, T", nil); err == nil {
 		t.Fatal("ambiguous column should error")
 	}
 }
@@ -172,23 +172,12 @@ func TestParsedQueryValidates(t *testing.T) {
 	}
 }
 
-func TestRangeSelectivityOption(t *testing.T) {
-	q, err := Parse(exampleDB(), "q", "SELECT a FROM R WHERE b > 2", Options{RangeSelectivity: 0.07})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := q.Refs[0].Filters[0].Selectivity; got != 0.07 {
-		t.Fatalf("range selectivity = %v, want 0.07", got)
-	}
-}
-
 func TestHistogramDrivenSelectivity(t *testing.T) {
 	db := exampleDB()
 	var cat stats.Catalog
 	cat.Put("R", "b", stats.Uniform(0, 100, 10, 1000, 500))
-	opts := Options{Stats: &cat}
 
-	q, err := Parse(db, "q", "SELECT a FROM R WHERE b > 75", opts)
+	q, err := Parse(db, "q", "SELECT a FROM R WHERE b > 75", &cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +185,7 @@ func TestHistogramDrivenSelectivity(t *testing.T) {
 		t.Fatalf("histogram range selectivity = %v, want ≈0.25", got)
 	}
 
-	q, err = Parse(db, "q", "SELECT a FROM R WHERE b BETWEEN 10 AND 30", opts)
+	q, err = Parse(db, "q", "SELECT a FROM R WHERE b BETWEEN 10 AND 30", &cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +193,7 @@ func TestHistogramDrivenSelectivity(t *testing.T) {
 		t.Fatalf("histogram between selectivity = %v, want ≈0.2", got)
 	}
 
-	q, err = Parse(db, "q", "SELECT a FROM R WHERE b = 50", opts)
+	q, err = Parse(db, "q", "SELECT a FROM R WHERE b = 50", &cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +202,7 @@ func TestHistogramDrivenSelectivity(t *testing.T) {
 	}
 
 	// Negative literal below the histogram range: tiny but positive.
-	q, err = Parse(db, "q", "SELECT a FROM R WHERE b < -5", opts)
+	q, err = Parse(db, "q", "SELECT a FROM R WHERE b < -5", &cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +211,7 @@ func TestHistogramDrivenSelectivity(t *testing.T) {
 	}
 
 	// String literals bypass histograms and keep the NDV default.
-	q, err = Parse(db, "q", "SELECT a FROM R WHERE a = 'x'", opts)
+	q, err = Parse(db, "q", "SELECT a FROM R WHERE a = 'x'", &cat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestRenderParseRoundTrip(t *testing.T) {
 		w := workload.ByName(name)
 		for _, q := range w.Queries {
 			sql := workload.RenderSQL(q)
-			back, err := Parse(w.DB, q.ID, sql, Options{})
+			back, err := Parse(w.DB, q.ID, sql, nil)
 			if err != nil {
 				t.Fatalf("%s/%s: rendered SQL does not parse: %v\nSQL: %s", name, q.ID, err, sql)
 			}
@@ -37,7 +37,7 @@ func TestRenderParseSelfJoin(t *testing.T) {
 	b.Join(r1, "b", r2, "a").Proj(r1, "a")
 	q := b.Build()
 	sql := workload.RenderSQL(q)
-	back, err := Parse(db, "self", sql, Options{})
+	back, err := Parse(db, "self", sql, nil)
 	if err != nil {
 		t.Fatalf("self-join SQL does not parse: %v\nSQL: %s", err, sql)
 	}
