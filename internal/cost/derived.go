@@ -152,15 +152,16 @@ const smallBuf = 32
 // answers equal those of a scan over every recorded entry, since min and
 // max over the same qualifying entries do not depend on visit order.
 type DerivedStore struct {
-	w       *workload.Workload
-	base    []float64     // c(q, ∅) per query
-	byQ     []postings    // known costs per query, with their ordinal postings
-	touched map[int][]int // candidate ordinal -> queries with entries mentioning it
-	// touchedIn is the membership bitmap behind touched: per candidate
-	// ordinal, one bit per query index. Recording order can interleave
-	// queries arbitrarily (parallel MCTS commits, per-query greedy phases),
-	// so dedup needs true membership, not a last-element check.
-	touchedIn map[int][]uint64
+	w    *workload.Workload
+	base []float64  // c(q, ∅) per query
+	byQ  []postings // known costs per query, with their ordinal postings
+	// touched maps a candidate ordinal to the queries with entries
+	// mentioning it, each listed once, when its first such entry is
+	// recorded. Recording order can interleave queries arbitrarily
+	// (parallel MCTS commits, per-query greedy phases); the query's posting
+	// slot map already records which ordinals it has seen, so a slot miss
+	// is exactly the first entry of the query mentioning the ordinal.
+	touched map[int][]int
 	// floors[i] = c(q_i, U) for the full candidate universe U, or -1 when
 	// not yet probed. By Assumption 1 (monotonicity) this is a lower bound
 	// on c(q_i, C) for every C ⊆ U — the per-query improvement floor the
@@ -175,11 +176,10 @@ type DerivedStore struct {
 // (base[i] = c(w.Queries[i], ∅)).
 func NewDerivedStore(w *workload.Workload, base []float64) *DerivedStore {
 	return &DerivedStore{
-		w:         w,
-		base:      base,
-		byQ:       make([]postings, len(w.Queries)),
-		touched:   make(map[int][]int),
-		touchedIn: make(map[int][]uint64),
+		w:       w,
+		base:    base,
+		byQ:     make([]postings, len(w.Queries)),
+		touched: make(map[int][]int),
 	}
 }
 
@@ -214,21 +214,12 @@ func (ds *DerivedStore) Record(qi int, cfg iset.Set, c float64) {
 			i = int32(len(p.lists))
 			p.slot[o] = i
 			p.lists = append(p.lists, posting{})
+			ds.touched[int(o)] = append(ds.touched[int(o)], qi)
 		}
 		l := &p.lists[i]
 		l.all = append(l.all, pos)
 		if head < 0 || len(l.all) < len(p.lists[head].all) {
 			head = i
-		}
-		ord := int(o)
-		bm := ds.touchedIn[ord]
-		if bm == nil {
-			bm = make([]uint64, (len(ds.base)+63)/64)
-			ds.touchedIn[ord] = bm
-		}
-		if bm[qi>>6]&(1<<uint(qi&63)) == 0 {
-			bm[qi>>6] |= 1 << uint(qi&63)
-			ds.touched[ord] = append(ds.touched[ord], qi)
 		}
 	}
 	if head >= 0 {

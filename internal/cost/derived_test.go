@@ -331,10 +331,10 @@ func TestBoundsConsistentWithQuery(t *testing.T) {
 
 // TestTouchedQueriesDedupInterleaved pins the interleaved-recording fix:
 // recording q0, then q1, then q0 again for the same ordinal must list q0 in
-// TouchedQueries exactly once. Before the membership bitmap, dedup only
-// checked the last appended query, so interleaving duplicated q0 and every
-// incremental consumer (greedy's fast path, the early-stopping checker)
-// double-counted its delta.
+// TouchedQueries exactly once. Dedup rests on true per-query membership
+// (the query's posting slot map); when it only checked the last appended
+// query, interleaving duplicated q0 and every incremental consumer
+// (greedy's fast path, the early-stopping checker) double-counted its delta.
 func TestTouchedQueriesDedupInterleaved(t *testing.T) {
 	ds, _ := newStore()
 	ds.Record(0, iset.FromOrdinals(7), 50)
