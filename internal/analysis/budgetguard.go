@@ -176,33 +176,33 @@ func chargeCallName(info *types.Info, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
+// chargeForbidder returns a check that reports every budget-charging call
+// inside a region as "<call> inside <desc>; <reason>", where desc names the
+// region. Regions may overlap; each call site is reported once.
+func chargeForbidder(pass *Pass, reason string) func(region ast.Node, desc string) {
+	reported := make(map[token.Pos]bool)
+	return func(region ast.Node, desc string) {
+		ast.Inspect(region, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || reported[call.Pos()] {
+				return true
+			}
+			if name, charging := chargeCallName(pass.Info, call); charging {
+				reported[call.Pos()] = true
+				pass.Reportf(call.Pos(), "%s inside %s; %s", name, desc, reason)
+			}
+			return true
+		})
+	}
+}
+
 // checkDerivedAnswers enforces the derived-answer contract (DESIGN §10): a
 // what-if request answered from monotonicity-derived cost bounds is
 // budget-free, so no budget may be reserved, committed, or trace-witnessed
 // as charged inside the decision block emitting a trace.Recorder.DerivedBound
 // event (the interception producer in internal/search, and any other).
 func checkDerivedAnswers(pass *Pass, f *ast.File) {
-	reported := make(map[token.Pos]bool)
-	report := func(call *ast.CallExpr, name, region string) {
-		if reported[call.Pos()] {
-			return
-		}
-		reported[call.Pos()] = true
-		pass.Reportf(call.Pos(), "%s inside %s; derived-bound answers are budget-free and must never charge (call Reserve) or witness a charge", name, region)
-	}
-	forbidCharges := func(region ast.Node, desc string) {
-		ast.Inspect(region, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if name, charging := chargeCallName(pass.Info, call); charging {
-				report(call, name, desc)
-			}
-			return true
-		})
-	}
-
+	forbidCharges := chargeForbidder(pass, "derived-bound answers are budget-free and must never charge (call Reserve) or witness a charge")
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -231,27 +231,7 @@ func checkDerivedAnswers(pass *Pass, f *ast.File) {
 //  2. the decision block emitting a trace.Recorder.Stop event (the stop
 //     producer inside internal/search).
 func checkStopDecisions(pass *Pass, f *ast.File) {
-	reported := make(map[token.Pos]bool)
-	report := func(call *ast.CallExpr, name, region string) {
-		if reported[call.Pos()] {
-			return
-		}
-		reported[call.Pos()] = true
-		pass.Reportf(call.Pos(), "%s inside %s; a stop decision refunds budget and must never charge (call Reserve) or witness a charge", name, region)
-	}
-	forbidCharges := func(region ast.Node, desc string) {
-		ast.Inspect(region, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if name, charging := chargeCallName(pass.Info, call); charging {
-				report(call, name, desc)
-			}
-			return true
-		})
-	}
-
+	forbidCharges := chargeForbidder(pass, "a stop decision refunds budget and must never charge (call Reserve) or witness a charge")
 	ast.Inspect(f, func(n ast.Node) bool {
 		ifs, ok := n.(*ast.IfStmt)
 		if !ok {
