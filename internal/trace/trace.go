@@ -70,7 +70,7 @@ const (
 	KindEpisode Kind = "episode"
 	// KindStep: one greedy/bandit/dqn/dta step decision.
 	KindStep Kind = "step"
-	// KindSlice: one anytime/DTA slice boundary snapshot.
+	// KindSlice: one anytime slice boundary snapshot.
 	KindSlice Kind = "slice"
 	// KindPhase: the current phase changed.
 	KindPhase Kind = "phase"
@@ -358,7 +358,7 @@ func (r *Recorder) Step(algo string, action int, value float64, used int) {
 	r.mu.Unlock()
 }
 
-// Slice records an anytime/DTA slice boundary snapshot.
+// Slice records an anytime slice boundary snapshot.
 func (r *Recorder) Slice(algo string, slice int, improvementPct float64, used int) {
 	if r == nil {
 		return
