@@ -9,8 +9,9 @@ GO ?= go
 # the batched what-if path, projection build, bound derivation, and the
 # parallel-pipeline speedup; bound derivation covers both the TPC-H store
 # and the Real-M two-phase store; the Best-Greedy extraction from scratch
-# and as a memoized refresh at an early-stop check).
-KERNEL_BENCH = BenchmarkEpisode|BenchmarkRollout|BenchmarkComputePriors|BenchmarkMCTSFixedBudgetWorkers|BenchmarkWhatIfCall|BenchmarkWhatIfCacheHit|BenchmarkWhatIfCacheMiss|BenchmarkWhatIfBatch|BenchmarkDerivedLookup|BenchmarkProjectionBuild|BenchmarkWhatIfProjectedCacheHit|BenchmarkBoundDerivation|BenchmarkEarlyStopCheck|BenchmarkMCTSEarlyStop|BenchmarkEvictionChurn|BenchmarkDerivedOnly|BenchmarkExtractRefresh
+# and as a memoized refresh at an early-stop check; the cold Real-M
+# optimizer + session set-up).
+KERNEL_BENCH = BenchmarkEpisode|BenchmarkRollout|BenchmarkComputePriors|BenchmarkMCTSFixedBudgetWorkers|BenchmarkWhatIfCall|BenchmarkWhatIfCacheHit|BenchmarkWhatIfCacheMiss|BenchmarkWhatIfBatch|BenchmarkDerivedLookup|BenchmarkProjectionBuild|BenchmarkWhatIfProjectedCacheHit|BenchmarkBoundDerivation|BenchmarkEarlyStopCheck|BenchmarkMCTSEarlyStop|BenchmarkEvictionChurn|BenchmarkDerivedOnly|BenchmarkExtractRefresh|BenchmarkNewSessionRealM
 
 .PHONY: check vet bench-vet lint lint-json build test race bench-smoke bench-json bench-check profile trace-smoke tuned-smoke
 
@@ -62,32 +63,33 @@ bench-json:
 	@cat BENCH_mcts.json
 
 # bench-check re-runs the episode kernels, the worker-scaling benchmark, the
-# cache-hit kernels, and the what-if kernels, failing on a >20% episode
-# regression vs the committed baseline, if the 4-worker pipeline no longer
-# beats the one-slot pipeline by >= 2x wall-clock, or if the hot paths start
-# allocating again (cache hits must stay at 0 allocs/op; the one-slot
-# episode cycle — BenchmarkEpisode, begin + commit through the batch calls —
-# is pinned at its recorded 13 allocs/op, so the slot's batch keeps reusing
-# its storage; the derived-answer episode cycle is pinned well under half
-# the string-keyed implementation's 96 allocs/op; the steady-state
-# early-stop check runs at every episode commit and must stay at 0
-# allocs/op; the memoized extraction refresh at an early-stop check is
-# pinned at its recorded 7 allocs/op, so a refresh keeps reusing the
-# memo's buffers instead of rebuilding steps; batched scoring amortizes its result slice across the batch
-# and must stay at 0 allocs per scored pair; the uncached what-if call
+# cache-hit kernels, the what-if kernels and the cold Real-M session set-up,
+# failing on a >20% regression of the episode kernel or of the cold set-up
+# (BenchmarkNewSessionRealM) vs the committed baseline, if the 4-worker
+# pipeline no longer beats the one-slot pipeline by >= 2x wall-clock, or if
+# the hot paths start allocating again (cache hits must stay at 0 allocs/op;
+# the one-slot episode cycle — BenchmarkEpisode, begin + commit through the
+# batch calls — is pinned at its recorded 13 allocs/op, so the slot's batch
+# keeps reusing its storage; the derived-answer episode cycle is pinned well
+# under half the string-keyed implementation's 96 allocs/op; the steady-state
+# early-stop check runs at every episode commit and must stay at 0 allocs/op;
+# the memoized extraction refresh at an early-stop check is pinned at its
+# recorded 7 allocs/op, so a refresh keeps reusing the memo's buffers instead
+# of rebuilding steps; batched scoring amortizes its result slice across the
+# batch and must stay at 0 allocs per scored pair; the uncached what-if call
 # scores the interned plan space with pooled scratch and must stay at 0
-# allocs/op; the byte-bounded cache-hit path pays at most the CLOCK
-# reference bit over the unbounded hit — gated at <= 1.1x its ns/op and 0
-# allocs/op; the derived-store reads — Query and Bounds on the TPC-H store,
-# Bounds on the Real-M two-phase store — must stay at 0 allocs/op). The
-# what-if kernels run a fixed iteration count so the miss benchmarks insert
-# a fixed number of cache entries — a time-based budget would let a faster
-# path fill a much larger cache and pay unmatched map-growth cost.
+# allocs/op; the byte-bounded cache-hit path pays at most the CLOCK reference
+# bit over the unbounded hit — gated at <= 1.1x its ns/op and 0 allocs/op; the
+# derived-store reads — Query and Bounds on the TPC-H store, Bounds on the
+# Real-M two-phase store — must stay at 0 allocs/op). The what-if kernels run
+# a fixed iteration count so the miss benchmarks insert a fixed number of
+# cache entries — a time-based budget would let a faster path fill a much
+# larger cache and pay unmatched map-growth cost.
 bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkEpisode|BenchmarkMCTSFixedBudgetWorkers|BenchmarkEarlyStopCheck|BenchmarkExtractRefresh' ./internal/core > benchcheck.out
 	$(GO) test -run '^$$' -bench 'BenchmarkWhatIfCall$$|BenchmarkWhatIfCacheHit$$|BenchmarkWhatIfCacheHitBounded$$|BenchmarkWhatIfProjectedCacheHit$$|BenchmarkWhatIfCacheMiss$$|BenchmarkWhatIfBatch|BenchmarkEvictionChurn$$' -benchtime 2000000x . >> benchcheck.out
-	$(GO) test -run '^$$' -bench 'BenchmarkBoundDerivation|BenchmarkDerivedLookup$$' . >> benchcheck.out
-	$(GO) run ./cmd/benchdiff -baseline BENCH_mcts.json -threshold 1.20 -match '^BenchmarkEpisode$$' benchcheck.out
+	$(GO) test -run '^$$' -bench 'BenchmarkBoundDerivation|BenchmarkDerivedLookup$$|BenchmarkNewSessionRealM$$' . >> benchcheck.out
+	$(GO) run ./cmd/benchdiff -baseline BENCH_mcts.json -threshold 1.20 -match '^(BenchmarkEpisode|BenchmarkNewSessionRealM)$$' benchcheck.out
 	$(GO) run ./cmd/benchdiff -speedup 'BenchmarkMCTSFixedBudgetWorkers/workers=1,BenchmarkMCTSFixedBudgetWorkers/workers=4,2.0' benchcheck.out
 	$(GO) run ./cmd/benchdiff -speedup 'BenchmarkWhatIfCacheHit,BenchmarkWhatIfCacheHitBounded,0.909' benchcheck.out
 	$(GO) run ./cmd/benchdiff -maxallocs 'BenchmarkWhatIfCall,0' -maxallocs 'BenchmarkWhatIfCacheHit,0' -maxallocs 'BenchmarkWhatIfCacheHitBounded,0' -maxallocs 'BenchmarkWhatIfProjectedCacheHit,0' -maxallocs 'BenchmarkEpisode,13' -maxallocs 'BenchmarkEpisodeCached,16' -maxallocs 'BenchmarkEarlyStopCheck,0' -maxallocs 'BenchmarkExtractRefresh,7' -maxallocs 'BenchmarkWhatIfBatch8,0' -maxallocs 'BenchmarkWhatIfBatch64,0' -maxallocs 'BenchmarkBoundDerivation,0' -maxallocs 'BenchmarkBoundDerivationRealM,0' -maxallocs 'BenchmarkDerivedLookup,0' benchcheck.out

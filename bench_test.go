@@ -313,6 +313,21 @@ func BenchmarkProjectionBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkNewSessionRealM measures the cold start every tuning run pays on
+// the largest workload: a fresh optimizer over Real-M's 12,284 candidates
+// plus a session at K 10 and B 5000, whose set-up interns all 317 queries
+// (relevance bitmaps and per-table lists) and scores every baseline cost.
+func BenchmarkNewSessionRealM(b *testing.B) {
+	w := workload.ByName("real-m")
+	cands := candgen.Generate(w, candgen.Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt := search.NewOptimizer(w, cands)
+		search.NewSession(w, cands, opt, 10, 5000, 1)
+	}
+}
+
 // BenchmarkWhatIfProjectedCacheHit measures a what-if request whose
 // configuration was never asked before but projects onto a cached entry:
 // the variants differ from the warmed configuration only in indexes

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"indextune/internal/jobs"
+	"indextune/internal/workload"
 )
 
 func newTestServer(t *testing.T, opts jobs.Options) (*httptest.Server, *jobs.Manager) {
@@ -247,6 +248,39 @@ func TestDaemonErrorStatuses(t *testing.T) {
 	_ = m.Drain(dctx)
 	if got := post(`{"workload":"tpch","budget":10}`); got != http.StatusServiceUnavailable {
 		t.Fatalf("draining: %d", got)
+	}
+}
+
+// POST /jobs bounds its body: an inline Real-M workload, the largest a
+// client is expected to send indented, is accepted, and a body one byte
+// past maxSpecBytes is refused with 413 before it is decoded.
+func TestDaemonSubmitBodyBound(t *testing.T) {
+	srv, m := newTestServer(t, jobs.Options{MaxConcurrent: 1})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = m.Drain(ctx)
+	})
+	var wl bytes.Buffer
+	if err := workload.ByName("real-m").WriteJSON(&wl); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := json.Marshal(map[string]any{"workload_json": json.RawMessage(wl.Bytes()), "budget": 10, "k": 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := postJob(t, srv, string(spec)); snap.ID == "" {
+		t.Fatal("inline Real-M job: empty snapshot")
+	}
+
+	big := `{"workload":"` + strings.Repeat("a", maxSpecBytes) + `"}`
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
 	}
 }
 

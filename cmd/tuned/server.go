@@ -14,7 +14,8 @@ import (
 
 // newServer wires the job manager into the HTTP API:
 //
-//	POST   /jobs            submit a jobs.Spec, returns the job snapshot (202)
+//	POST   /jobs            submit a jobs.Spec, returns the job snapshot (202);
+//	                        a body over maxSpecBytes is refused (413)
 //	GET    /jobs            list all jobs in submission order
 //	GET    /jobs/{id}       one job's snapshot
 //	GET    /jobs/{id}/trace stream the job's trace layer (SSE or JSONL)
@@ -69,12 +70,23 @@ func (s *server) health(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
+// maxSpecBytes bounds a POST /jobs body. An inline workload_json carries the
+// whole schema and query set — Real-M, written indented by WriteJSON, is
+// about 2.7 MB and Real-D about 8.5 MB — so the bound leaves room for both
+// while keeping one request from buffering unbounded memory.
+const maxSpecBytes = 16 << 20
+
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec jobs.Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("decoding job spec: %w", err))
 		return
 	}
 	j, err := s.m.Submit(spec)

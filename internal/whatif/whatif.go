@@ -289,10 +289,15 @@ type Optimizer struct {
 	// shared across goroutines.
 	SimulatedLatency time.Duration
 
-	candsByTable map[string][]int
+	// tables holds, per table, its candidates and their column masks — what
+	// internQuery computes relevance from.
+	tables map[string]*tableCands
 	// relWords is the fixed word width of relevance bitmaps: enough words to
 	// cover every candidate ordinal.
 	relWords int
+	// maxColWords is the widest table's column-mask width, sizing
+	// internQuery's mask scratch.
+	maxColWords int
 	// infos interns per-query state keyed by *workload.Query. Pointer keys
 	// box without allocating, keeping the hot-path lookup allocation-free;
 	// sessions address queries through their workload's stable pointers, and
@@ -408,20 +413,145 @@ func (o *Optimizer) Evictions() int64 { return o.evictions.Load() }
 // New constructs an optimizer over db with the given candidate universe.
 func New(db *schema.Database, candidates []schema.Index) *Optimizer {
 	o := &Optimizer{
-		DB:           db,
-		Candidates:   candidates,
-		PerCallTime:  time.Second,
-		candsByTable: make(map[string][]int),
-		relWords:     (len(candidates) + 63) / 64,
+		DB:          db,
+		Candidates:  candidates,
+		PerCallTime: time.Second,
+		tables:      make(map[string]*tableCands),
+		relWords:    (len(candidates) + 63) / 64,
 	}
 	for i := range o.shards {
 		o.shards[i].m = make(map[Pair]int32)
 		o.shards[i].inflight = make(map[Pair]*inflightCall)
 	}
-	for i, ix := range candidates {
-		o.candsByTable[ix.Table] = append(o.candsByTable[ix.Table], i)
+	for i := range candidates {
+		ix := &candidates[i]
+		tc := o.tables[ix.Table]
+		if tc == nil {
+			tc = &tableCands{cols: make(map[string]int)}
+			o.tables[ix.Table] = tc
+		}
+		tc.ords = append(tc.ords, i)
+		for _, c := range ix.Key {
+			tc.colID(c)
+		}
+		for _, c := range ix.Include {
+			tc.colID(c)
+		}
+	}
+	for _, tc := range o.tables {
+		tc.words = (len(tc.cols) + 63) / 64
+		tc.lead = make([]int, len(tc.ords))
+		tc.masks = make([]uint64, len(tc.ords)*tc.words)
+		for k, ord := range tc.ords {
+			ix := &candidates[ord]
+			tc.lead[k] = -1
+			if len(ix.Key) > 0 {
+				tc.lead[k] = tc.cols[ix.Key[0]]
+			}
+			m := tc.mask(k)
+			for _, c := range ix.Key {
+				setBit(m, tc.cols[c])
+			}
+			for _, c := range ix.Include {
+				setBit(m, tc.cols[c])
+			}
+		}
+		if tc.words > o.maxColWords {
+			o.maxColWords = tc.words
+		}
 	}
 	return o
+}
+
+// tableCands is one table's share of the candidate universe, laid out for
+// the relevance test: the candidates' ordinals in ascending order, a dense
+// dictionary over the columns they store (Key ∪ Include), and per candidate
+// its leading column's id (-1 for a keyless index) and its stored-column
+// bitmask, words uint64s wide so a table may index any number of columns.
+type tableCands struct {
+	ords  []int
+	cols  map[string]int
+	words int
+	lead  []int
+	masks []uint64 // candidate k's mask is masks[k*words : (k+1)*words]
+}
+
+// colID returns the dense id of column c, assigning the next one on first
+// sight.
+func (tc *tableCands) colID(c string) int {
+	id, ok := tc.cols[c]
+	if !ok {
+		id = len(tc.cols)
+		tc.cols[c] = id
+	}
+	return id
+}
+
+// mask returns the stored-column bitmask of the table's k-th candidate.
+func (tc *tableCands) mask(k int) []uint64 { return tc.masks[k*tc.words : (k+1)*tc.words] }
+
+func setBit(m []uint64, i int) { m[i/64] |= 1 << uint(i%64) }
+
+func hasBit(m []uint64, i int) bool { return m[i/64]&(1<<uint(i%64)) != 0 }
+
+// markRelevant sets in rel the ordinals of the table's candidates that can
+// affect the access or join cost of ref r, building its lead and need masks
+// in scratch (at least 2·tc.words long). A candidate is relevant when it
+// has a leading key and either that key is one of r's filter, join or sort
+// columns (leadMask) or the candidate stores every column r reads
+// (needMask ⊆ its mask) — the criterion DESIGN §10 derives from the cost
+// walk: a sargable leading key, a covering payload, or an INL probe on a
+// join column, with sort columns kept as a safety margin. A needed column
+// no candidate of the table stores rules covering out for all of them; an
+// empty Need is covered by every index.
+func (tc *tableCands) markRelevant(r *workload.TableRef, rel, scratch []uint64) {
+	leadMask, needMask := scratch[:tc.words], scratch[tc.words:2*tc.words]
+	clear(leadMask)
+	clear(needMask)
+	for i := range r.Filters {
+		tc.markCol(leadMask, r.Filters[i].Column)
+	}
+	for _, c := range r.JoinCols {
+		tc.markCol(leadMask, c)
+	}
+	for _, c := range r.SortCols {
+		tc.markCol(leadMask, c)
+	}
+	coverable := true
+	for _, c := range r.Need {
+		if !tc.markCol(needMask, c) {
+			coverable = false
+			break
+		}
+	}
+	for k, lead := range tc.lead {
+		if lead < 0 {
+			continue
+		}
+		if hasBit(leadMask, lead) || (coverable && subset(needMask, tc.mask(k))) {
+			setBit(rel, tc.ords[k])
+		}
+	}
+}
+
+// markCol sets column c's bit in m, reporting false when no candidate of the
+// table stores c.
+func (tc *tableCands) markCol(m []uint64, c string) bool {
+	id, ok := tc.cols[c]
+	if ok {
+		setBit(m, id)
+	}
+	return ok
+}
+
+// subset reports whether every bit of a is set in b (equal lengths).
+func subset(a, b []uint64) bool {
+	for i, w := range a {
+		if w&^b[i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // info returns the interned per-query state, building it on first use.
@@ -440,12 +570,11 @@ func (o *Optimizer) internQuery(q *workload.Query) *queryInfo {
 		rel:        make([]uint64, o.relWords),
 		relByTable: make(map[string][]int, len(q.Refs)),
 	}
+	scratch := make([]uint64, 2*o.maxColWords)
 	for ri := range q.Refs {
 		r := &q.Refs[ri]
-		for _, ord := range o.candsByTable[r.Table] {
-			if relevantTo(r, &o.Candidates[ord]) {
-				in.rel[ord/64] |= 1 << uint(ord%64)
-			}
+		if tc := o.tables[r.Table]; tc != nil {
+			tc.markRelevant(r, in.rel, scratch)
 		}
 	}
 	// Per-table relevant ordinal lists are the union over the query's refs of
@@ -457,9 +586,18 @@ func (o *Optimizer) internQuery(q *workload.Query) *queryInfo {
 			continue
 		}
 		var list []int
-		for _, ord := range o.candsByTable[r.Table] {
-			if in.rel[ord/64]&(1<<uint(ord%64)) != 0 {
-				list = append(list, ord)
+		if tc := o.tables[r.Table]; tc != nil {
+			n := 0
+			for _, ord := range tc.ords {
+				if hasBit(in.rel, ord) {
+					n++
+				}
+			}
+			list = make([]int, 0, n)
+			for _, ord := range tc.ords {
+				if hasBit(in.rel, ord) {
+					list = append(list, ord)
+				}
 			}
 		}
 		in.relByTable[r.Table] = list
@@ -469,33 +607,6 @@ func (o *Optimizer) internQuery(q *workload.Query) *queryInfo {
 		return prev.(*queryInfo)
 	}
 	return in
-}
-
-// relevantTo reports whether ix can possibly affect the access or join cost
-// of ref r (same table assumed). The criterion mirrors every way the cost
-// walk can select an index: a sargable leading key (indexAccessCost requires
-// matched > 0, i.e. a filter predicate on Key[0]), a covering payload
-// (matched == 0 scans and covered INL fetches), or a leading key on a join
-// column (INL probes require Key[0] among the connecting join columns, which
-// are always a subset of r.JoinCols). Sort columns are included as a safety
-// margin: order only matters for indexes already admitted by the above, so
-// this keeps the projection a superset of "can affect cost" even if the
-// model later rewards order alone.
-func relevantTo(r *workload.TableRef, ix *schema.Index) bool {
-	if len(ix.Key) == 0 {
-		return false
-	}
-	lead := ix.Key[0]
-	if findPredicate(r, lead) != nil {
-		return true
-	}
-	if ix.Covers(r.Need) {
-		return true
-	}
-	if containsCol(r.JoinCols, lead) {
-		return true
-	}
-	return containsCol(r.SortCols, lead)
 }
 
 // Calls returns the number of counted what-if calls so far.
@@ -759,7 +870,7 @@ func (o *Optimizer) pipelineOrder(q *workload.Query, access []accessChoice) []in
 			if joined[i] {
 				continue
 			}
-			if connectedOnly && len(joinColsTo(q, joined, i)) == 0 {
+			if connectedOnly && !connected(q, joined, i) {
 				continue
 			}
 			if best < 0 || better(access[i], access[best]) {
@@ -796,6 +907,18 @@ func joinColsTo(q *workload.Query, joined []bool, i int) []string {
 		}
 	}
 	return cols
+}
+
+// connected reports whether ref i joins any already-joined ref: whether
+// joinColsTo would return a column, without building the list.
+func connected(q *workload.Query, joined []bool, i int) bool {
+	for ji := range q.Joins {
+		j := &q.Joins[ji]
+		if (j.RightRef == i && joined[j.LeftRef]) || (j.LeftRef == i && joined[j.RightRef]) {
+			return true
+		}
+	}
+	return false
 }
 
 func containsCol(cols []string, c string) bool {
