@@ -35,8 +35,9 @@ bench-vet:
 lint:
 	$(GO) run ./cmd/indexlint ./...
 
-# lint-json emits the same findings as JSON Lines into lint-report.jsonl (CI
-# uploads it as an artifact); the exit code still gates.
+# lint-json emits the same findings as JSON Lines into lint-report.jsonl; the
+# exit code still gates. CI's one blocking lint step runs this target and
+# uploads the report as an artifact.
 lint-json:
 	$(GO) run ./cmd/indexlint -json ./... > lint-report.jsonl
 

@@ -225,6 +225,9 @@ func TestDaemonErrorStatuses(t *testing.T) {
 	if got := post(`{"workload":"tpch","budget":10,"bogus":1}`); got != http.StatusBadRequest {
 		t.Fatalf("unknown field: %d", got)
 	}
+	if got := post(`{"workload":"tpch","budget":10,"workers":100000000}`); got != http.StatusBadRequest {
+		t.Fatalf("workers over the bound: %d", got)
+	}
 	// The first tenant job exhausts the cap exactly and runs long enough to
 	// still hold it when the second submission arrives.
 	if got := post(`{"workload":"tpch","budget":500000,"tenant":"a"}`); got != http.StatusAccepted {

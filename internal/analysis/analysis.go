@@ -82,8 +82,7 @@ type Pass struct {
 	Pkg  *types.Package
 	Info *types.Info
 	// Facts shares run-wide derived structures (CFGs, the module call graph)
-	// across analyzers and packages; nil in hand-built passes that do not
-	// report through dataflow analyzers.
+	// across analyzers and packages; Run always sets it.
 	Facts *Facts
 
 	diags *[]Diagnostic

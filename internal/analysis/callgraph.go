@@ -2,23 +2,19 @@ package analysis
 
 // callgraph.go builds a module-local call graph over every loaded package.
 //
-// The loader type-checks each package in its own go/types universe (cross-
-// package references resolve through the source importer's separately checked
-// copies), so *types.Func pointers do NOT unify across packages: the Session
-// type seen by internal/core is a different types.Object than the one seen
-// while checking internal/search itself. The graph therefore keys every node
-// by a universe-independent Symbol — "pkgpath.(Recv).Name" — and interface
-// devirtualization compares method signatures as strings rendered with
-// package-path qualifiers instead of calling types.Implements across
-// universes.
+// The loader type-checks a whole load in one go/types universe, so every
+// package sees the same *types.Func for a function and interface
+// devirtualization is plain types.Implements. Nodes are still keyed by a
+// Symbol — "pkgpath.(Recv).Name" — which gives the chargepath fixpoint its
+// deterministic visiting order and the reports their names.
 //
 // Edges cover direct calls, method calls, function/method values (a method
 // or function referenced without being called, e.g. passed as a callback),
 // and devirtualized interface calls: a call through an interface method adds
 // one abstract edge to the interface method plus one Devirt edge to every
-// named type in the module that implements the interface and declares a
-// signature-compatible method. Function values that escape the module and
-// reflection are intentionally out of scope (see DESIGN §12).
+// named type in the loaded packages whose pointer implements the interface.
+// Function values that escape the module and reflection are intentionally
+// out of scope (see DESIGN §12).
 
 import (
 	"go/ast"
@@ -26,13 +22,13 @@ import (
 	"sort"
 )
 
-// Symbol is the universe-independent identity of a function or method:
+// Symbol is the printable identity of a function or method:
 // "pkg/path.Name" for package functions, "pkg/path.(Recv).Name" for methods
 // (pointer receivers are stripped), "pkg/path.(Iface).Name" for interface
 // methods.
 type Symbol string
 
-// symbolOf renders f's symbol. Works for any universe's *types.Func.
+// symbolOf renders f's symbol.
 func symbolOf(f *types.Func) Symbol {
 	pkg := funcPkgPath(f)
 	sig, _ := f.Type().(*types.Signature)
@@ -51,16 +47,11 @@ func symbolOf(f *types.Func) Symbol {
 	return Symbol(pkg + "." + f.Name())
 }
 
-// CGNode is one function in the call graph. Decl/Pkg are set when the
-// function's declaring package was loaded in this run (module code); they are
-// nil for out-of-module callees and for abstract interface methods.
+// CGNode is one function in the call graph.
 type CGNode struct {
 	Sym  Symbol
-	Func *types.Func // a representative object (any universe)
-	Decl *ast.FuncDecl
-	Pkg  *Package
+	Func *types.Func
 	Out  []*CGEdge
-	In   []*CGEdge
 }
 
 // CGEdge is one call or reference from Caller to Callee. Site is the AST node
@@ -83,10 +74,7 @@ type CallGraph struct {
 	Nodes map[Symbol]*CGNode
 }
 
-// Node returns the node for sym, or nil.
-func (g *CallGraph) Node(sym Symbol) *CGNode { return g.Nodes[sym] }
-
-// NodeOf returns the node for f (from any universe), or nil.
+// NodeOf returns the node for f, or nil.
 func (g *CallGraph) NodeOf(f *types.Func) *CGNode {
 	if f == nil {
 		return nil
@@ -107,7 +95,6 @@ func (g *CallGraph) ensure(f *types.Func) *CGNode {
 func (g *CallGraph) addEdge(caller *CGNode, callee *types.Func, site ast.Node, devirt, valueRef bool) {
 	e := &CGEdge{Caller: caller, Callee: g.ensure(callee), Site: site, Devirt: devirt, ValueRef: valueRef}
 	caller.Out = append(caller.Out, e)
-	e.Callee.In = append(e.Callee.In, e)
 }
 
 // recvInterface returns the interface type f is declared on, or nil for
@@ -125,44 +112,13 @@ func recvInterface(f *types.Func) *types.Interface {
 	return iface
 }
 
-// symSig renders f's signature (receiver stripped) with full package-path
-// qualifiers, so signatures compare equal across type-checking universes.
-func symSig(f *types.Func) string {
-	sig, ok := f.Type().(*types.Signature)
-	if !ok {
-		return ""
-	}
-	bare := types.NewSignatureType(nil, nil, nil, sig.Params(), sig.Results(), sig.Variadic())
-	return types.TypeString(bare, func(p *types.Package) string { return p.Path() })
-}
-
-// implType is a candidate devirtualization target: a named non-interface
-// type declared in a loaded package.
-type implType struct {
-	named *types.Named
-	pkg   *Package
-}
-
-// implementsSym reports whether named satisfies iface by symbolic signature
-// comparison: every interface method must have a name- and signature-matching
-// method in named's (pointer) method set.
-func implementsSym(named *types.Named, iface *types.Interface) bool {
-	for i := 0; i < iface.NumMethods(); i++ {
-		im := iface.Method(i)
-		obj, _, _ := types.LookupFieldOrMethod(named, true, named.Obj().Pkg(), im.Name())
-		m, ok := obj.(*types.Func)
-		if !ok || symSig(m) != symSig(im) {
-			return false
-		}
-	}
-	return iface.NumMethods() > 0
-}
-
 // buildCallGraph constructs the graph over all loaded packages.
 func buildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{Nodes: make(map[Symbol]*CGNode)}
 
-	var impls []implType
+	// Devirtualization targets: the named non-interface types declared in
+	// the loaded packages.
+	var impls []*types.Named
 	for _, pkg := range pkgs {
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() {
@@ -177,27 +133,7 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 			if _, isIface := named.Underlying().(*types.Interface); isIface {
 				continue
 			}
-			impls = append(impls, implType{named: named, pkg: pkg})
-		}
-	}
-
-	// Register every declared function first so Decl/Pkg are present before
-	// edges reference them.
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				if obj == nil {
-					continue
-				}
-				n := g.ensure(obj)
-				n.Decl = fd
-				n.Pkg = pkg
-			}
+			impls = append(impls, named)
 		}
 	}
 
@@ -225,7 +161,7 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 // function, which matches how the path-sensitive analyzers reason about
 // closures (they execute within the dynamic extent of their creator or
 // escape with it).
-func (g *CallGraph) addEdgesFrom(caller *CGNode, body *ast.BlockStmt, pkg *Package, impls []implType) {
+func (g *CallGraph) addEdgesFrom(caller *CGNode, body *ast.BlockStmt, pkg *Package, impls []*types.Named) {
 	// calleeIdents collects the identifiers consumed as call targets, so the
 	// value-reference pass below can skip them.
 	calleeIdents := make(map[*ast.Ident]bool)
@@ -248,11 +184,11 @@ func (g *CallGraph) addEdgesFrom(caller *CGNode, body *ast.BlockStmt, pkg *Packa
 			// Abstract edge to the interface method plus one Devirt edge per
 			// module implementation.
 			g.addEdge(caller, fn, call, false, false)
-			for _, im := range impls {
-				if !implementsSym(im.named, iface) {
+			for _, named := range impls {
+				if iface.NumMethods() == 0 || !types.Implements(types.NewPointer(named), iface) {
 					continue
 				}
-				obj, _, _ := types.LookupFieldOrMethod(im.named, true, im.named.Obj().Pkg(), fn.Name())
+				obj, _, _ := types.LookupFieldOrMethod(named, true, fn.Pkg(), fn.Name())
 				if m, ok := obj.(*types.Func); ok {
 					g.addEdge(caller, m, call, true, false)
 				}

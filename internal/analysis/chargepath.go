@@ -128,7 +128,7 @@ func ChargePath() *Analyzer {
 		Doc:  "every module path reaching whatif.Optimizer cost methods must pass through a search.Session charging method",
 	}
 	a.Run = func(pass *Pass) {
-		if pass.Facts == nil || !pathGuarded(pass.Path, costGuardedPackages) {
+		if !pathGuarded(pass.Path, costGuardedPackages) {
 			return
 		}
 		g := pass.Facts.CallGraph()

@@ -31,9 +31,6 @@ func NewFacts(pkgs []*Package) *Facts {
 	return &Facts{pkgs: pkgs, cfgs: make(map[*ast.BlockStmt]*CFG), cache: make(map[string]any)}
 }
 
-// Packages returns every package loaded into this run.
-func (f *Facts) Packages() []*Package { return f.pkgs }
-
 // CFG returns the (cached) control-flow graph of body.
 func (f *Facts) CFG(body *ast.BlockStmt) *CFG {
 	f.cfgMu.Lock()

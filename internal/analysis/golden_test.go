@@ -46,12 +46,26 @@ func collectWants(t *testing.T, pkg *Package) []*wantSpec {
 	return wants
 }
 
-func runGolden(t *testing.T, l *Loader, dir string, as ...*Analyzer) {
+// loadTestdata loads the package in testdata/src/dir.
+func loadTestdata(t *testing.T, l *Loader, dir string) *Package {
 	t.Helper()
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", dir))
+	abs, err := filepath.Abs(filepath.Join("testdata", "src", dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load([]string{abs})
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
+	if len(pkgs) != 1 {
+		t.Fatalf("loading %s returned %d packages, want 1", dir, len(pkgs))
+	}
+	return pkgs[0]
+}
+
+func runGolden(t *testing.T, l *Loader, dir string, as ...*Analyzer) {
+	t.Helper()
+	pkg := loadTestdata(t, l, dir)
 	wants := collectWants(t, pkg)
 	diags := Run([]*Package{pkg}, as)
 	for _, d := range diags {
@@ -152,13 +166,10 @@ func TestBadPackagesHaveFindings(t *testing.T) {
 		{"atomicfields/bad", AtomicFields(), 2},
 		{"panicguard/bad", PanicGuard(), 2},
 		{"reservepair/bad", ReservePair(), 4},
-		{"chargepath/bad/internal/core", ChargePath(), 7},
+		{"chargepath/bad/internal/core", ChargePath(), 9},
 		{"lockguard/bad", LockGuard(), 6},
 	} {
-		pkg, err := l.LoadDir(filepath.Join("testdata", "src", tc.dir))
-		if err != nil {
-			t.Fatalf("loading %s: %v", tc.dir, err)
-		}
+		pkg := loadTestdata(t, l, tc.dir)
 		diags := Run([]*Package{pkg}, []*Analyzer{tc.analyzer})
 		if len(diags) < tc.min {
 			t.Errorf("%s: got %d findings from %s, want >= %d", tc.dir, len(diags), tc.analyzer.Name, tc.min)
@@ -174,10 +185,7 @@ func TestCommentsOnOrAbove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", "panicguard", "clean"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkg := loadTestdata(t, l, "panicguard/clean")
 	pass := &Pass{Fset: pkg.Fset, Files: pkg.Files}
 	// Find the panic call by scanning for its diagnostic-free position: the
 	// annotated panic in clean.go sits right below a two-line comment.

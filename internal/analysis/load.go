@@ -26,31 +26,14 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Loader parses and type-checks packages with a shared file set and source
-// importer, so stdlib and intra-module dependencies are checked once per
-// Loader rather than once per package.
+// Loader parses and type-checks packages with a shared file set. Every Load
+// type-checks its packages once, in one go/types universe.
 type Loader struct {
-	fset     *token.FileSet
-	importer types.Importer
+	fset *token.FileSet
 	// ModuleRoot is the directory containing go.mod; import paths are
 	// synthesized as modulePath + "/" + relative directory.
 	ModuleRoot string
 	modulePath string
-}
-
-// lockedImporter serializes Import calls: the go/importer source importer
-// keeps an internal package cache that is not safe for concurrent use, while
-// the shared token.FileSet is. Wrapping the importer is what makes parallel
-// LoadDir calls sound.
-type lockedImporter struct {
-	mu  sync.Mutex
-	imp types.Importer
-}
-
-func (l *lockedImporter) Import(path string) (*types.Package, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.imp.Import(path)
 }
 
 // NewLoader builds a loader rooted at the module containing dir.
@@ -59,13 +42,7 @@ func NewLoader(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	return &Loader{
-		fset:       fset,
-		importer:   &lockedImporter{imp: importer.ForCompiler(fset, "source", nil)},
-		ModuleRoot: root,
-		modulePath: modPath,
-	}, nil
+	return &Loader{fset: token.NewFileSet(), ModuleRoot: root, modulePath: modPath}, nil
 }
 
 // findModule walks up from dir to the enclosing go.mod and returns the
@@ -238,30 +215,17 @@ func (l *Loader) check(p *parsedDir, imp types.Importer) (*Package, error) {
 	return &Package{Dir: p.abs, Path: p.path, Fset: l.fset, Files: p.files, Types: tpkg, Info: info}, nil
 }
 
-// LoadDir parses and type-checks the non-test package in dir through the
-// shared source importer (every dependency is re-checked from source). Batch
-// loads should go through Load, which is dramatically faster for
-// dependency-closed pattern sets.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	p, err := l.parseDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	return l.check(p, l.importer)
-}
-
 // moduleInternal reports whether imp is a package of the loader's module.
 func (l *Loader) moduleInternal(imp string) bool {
 	return imp == l.modulePath || strings.HasPrefix(imp, l.modulePath+"/")
 }
 
-// chainImporter resolves imports for a dependency-closed batch load:
-// module-internal packages come from the batch's own type-checked results
-// (registered as each finishes, so nothing is checked twice), stdlib packages
-// come from compiled export data (the gc importer), and anything else falls
-// back to the shared source importer. The whole chain is serialized by one
-// mutex — resolution is cheap (map hits and export-data reads), the expensive
-// types.Config.Check calls run outside it.
+// chainImporter resolves the imports of one Load: module packages come from
+// the load's own type-checked results (registered as each finishes, so
+// nothing is checked twice), everything else from compiled export data (the
+// gc importer). The chain is serialized by one mutex — resolution is cheap
+// (map hits and export-data reads), the expensive types.Config.Check calls
+// run outside it.
 type chainImporter struct {
 	mu     sync.Mutex
 	loader *Loader
@@ -278,12 +242,17 @@ func (c *chainImporter) Import(path string) (*types.Package, error) {
 	if p := c.loaded[path]; p != nil {
 		return p, nil
 	}
-	if !c.loader.moduleInternal(path) {
-		if p, err := c.gc.Import(path); err == nil && p.Complete() {
-			return p, nil
-		}
+	if c.loader.moduleInternal(path) {
+		return nil, fmt.Errorf("analysis: module package %s did not type-check", path)
 	}
-	return c.loader.importer.Import(path)
+	p, err := c.gc.Import(path)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: importing %s: %w", path, err)
+	}
+	if !p.Complete() {
+		return nil, fmt.Errorf("analysis: incomplete export data for %s", path)
+	}
+	return p, nil
 }
 
 func (c *chainImporter) register(path string, p *types.Package) {
@@ -292,28 +261,66 @@ func (c *chainImporter) register(path string, p *types.Package) {
 	c.mu.Unlock()
 }
 
-// Load expands the patterns and loads every matched package, parsing and
-// type-checking up to GOMAXPROCS directories concurrently. Results keep the
-// sorted directory order from Expand, so output is deterministic regardless
-// of scheduling.
+// Load expands the patterns and loads every matched package. Results keep
+// the sorted directory order from Expand, so output is deterministic
+// regardless of scheduling.
 //
-// When the matched set is closed under module-internal imports (the
-// `indexlint ./...` case), packages are checked in dependency order through a
-// chainImporter: each package is type-checked exactly once, independent
-// subtrees check in parallel, and the stdlib is read from compiled export
-// data instead of being re-checked from source. A batch with module
-// dependencies outside the pattern set (single-package invocations, testdata
-// goldens) falls back to the source importer, where every check lives in its
-// own type-checking universe — the symbol-keyed call graph (callgraph.go) is
-// built to tolerate either world.
+// The load is closed under module-internal imports: every module package a
+// loaded one imports is parsed too, transitively, so the whole set
+// type-checks exactly once, in dependency order, into one go/types universe.
+// These context packages are type-checked but not returned — analyzers and
+// the call graph see only the matched packages.
 func (l *Loader) Load(patterns []string) ([]*Package, error) {
 	dirs, err := l.Expand(patterns)
 	if err != nil {
 		return nil, err
 	}
-	n := len(dirs)
-	parsed := make([]*parsedDir, n)
-	errs := make([]error, n)
+	parsed, err := l.parseAll(dirs)
+	if err != nil {
+		return nil, err
+	}
+	byPath := make(map[string]int, len(parsed))
+	for i, p := range parsed {
+		byPath[p.path] = i
+	}
+	// Close the set one wave of missing module imports at a time.
+	for wave := parsed; len(wave) > 0; {
+		var missing []string
+		for _, p := range wave {
+			for _, imp := range p.imports {
+				if _, ok := byPath[imp]; !ok && l.moduleInternal(imp) {
+					byPath[imp] = -1 // claimed; indexed once parsed
+					missing = append(missing, filepath.Join(l.ModuleRoot, strings.TrimPrefix(imp, l.modulePath)))
+				}
+			}
+		}
+		if wave, err = l.parseAll(missing); err != nil {
+			return nil, err
+		}
+		for _, p := range wave {
+			byPath[p.path] = len(parsed)
+			parsed = append(parsed, p)
+		}
+	}
+	deps := make([][]int, len(parsed))
+	for i, p := range parsed {
+		for _, imp := range p.imports {
+			if j, ok := byPath[imp]; ok && j >= 0 {
+				deps[i] = append(deps[i], j)
+			}
+		}
+	}
+	pkgs, err := l.checkAll(parsed, deps)
+	if err != nil {
+		return nil, err
+	}
+	return pkgs[:len(dirs)], nil
+}
+
+// parseAll parses dirs concurrently, up to GOMAXPROCS at a time.
+func (l *Loader) parseAll(dirs []string) ([]*parsedDir, error) {
+	parsed := make([]*parsedDir, len(dirs))
+	errs := make([]error, len(dirs))
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i, d := range dirs {
@@ -331,102 +338,51 @@ func (l *Loader) Load(patterns []string) ([]*Package, error) {
 			return nil, fmt.Errorf("loading %s: %w", dirs[i], err)
 		}
 	}
-
-	byPath := make(map[string]int, n)
-	for i, p := range parsed {
-		byPath[p.path] = i
-	}
-	closed := true
-	deps := make([][]int, n)
-	for i, p := range parsed {
-		for _, imp := range p.imports {
-			if !l.moduleInternal(imp) {
-				continue
-			}
-			j, ok := byPath[imp]
-			if !ok {
-				closed = false
-			} else {
-				deps[i] = append(deps[i], j)
-			}
-		}
-	}
-
-	pkgs := make([]*Package, n)
-	if !closed {
-		for i := range parsed {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				pkgs[i], errs[i] = l.check(parsed[i], l.importer)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		l.checkClosedBatch(parsed, deps, pkgs, errs)
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("loading %s: %w", dirs[i], err)
-		}
-	}
-	return pkgs, nil
+	return parsed, nil
 }
 
-// checkClosedBatch type-checks a dependency-closed batch in topological
-// order: a package starts as soon as all its module dependencies have
-// registered, with up to GOMAXPROCS checks in flight.
-func (l *Loader) checkClosedBatch(parsed []*parsedDir, deps [][]int, pkgs []*Package, errs []error) {
+// checkAll type-checks a dependency-closed set through one chainImporter: a
+// package starts once every module package it imports has finished (Go
+// forbids import cycles, so every wait ends), with up to GOMAXPROCS checks in
+// flight.
+func (l *Loader) checkAll(parsed []*parsedDir, deps [][]int) ([]*Package, error) {
 	n := len(parsed)
 	chain := &chainImporter{
 		loader: l,
 		loaded: make(map[string]*types.Package, n),
 		gc:     importer.ForCompiler(l.fset, "gc", nil),
 	}
-	dependents := make([][]int, n)
-	remaining := make([]int, n)
-	for i, ds := range deps {
-		remaining[i] = len(ds)
-		for _, j := range ds {
-			dependents[j] = append(dependents[j], i)
-		}
+	pkgs := make([]*Package, n)
+	errs := make([]error, n)
+	done := make([]chan struct{}, n)
+	for i := range done {
+		done[i] = make(chan struct{})
 	}
-	ready := make(chan int, n)
-	for i, r := range remaining {
-		if r == 0 {
-			ready <- i
-		}
-	}
-	var mu sync.Mutex // guards remaining
-	done := make(chan struct{}, n)
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	go func() {
-		for i := range ready {
+	var wg sync.WaitGroup
+	for i, p := range parsed {
+		wg.Add(1)
+		go func(i int, p *parsedDir) {
+			defer wg.Done()
+			defer close(done[i])
+			for _, j := range deps[i] {
+				<-done[j]
+			}
 			sem <- struct{}{}
-			go func(i int) {
-				defer func() { <-sem }()
-				pkgs[i], errs[i] = l.check(parsed[i], chain)
-				if errs[i] == nil {
-					chain.register(parsed[i].path, pkgs[i].Types)
-				}
-				mu.Lock()
-				for _, j := range dependents[i] {
-					remaining[j]--
-					if remaining[j] == 0 {
-						ready <- j
-					}
-				}
-				mu.Unlock()
-				done <- struct{}{}
-			}(i)
-		}
-	}()
-	for range parsed {
-		<-done
+			pkgs[i], errs[i] = l.check(p, chain)
+			<-sem
+			if errs[i] == nil {
+				chain.register(p.path, pkgs[i].Types)
+			}
+		}(i, p)
 	}
-	close(ready)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("loading %s: %w", parsed[i].abs, err)
+		}
+	}
+	return pkgs, nil
 }
 
 // importPath synthesizes the import path of dir from the module path.

@@ -523,9 +523,6 @@ func LockGuard() *Analyzer {
 		Doc:  "fields annotated 'guarded by: mu' require the mutex held; 'owned by:' fields may not leak into spawned goroutines",
 	}
 	a.Run = func(pass *Pass) {
-		if pass.Facts == nil {
-			return
-		}
 		annots := collectLockAnnots(pass)
 		if len(annots.guarded) == 0 && len(annots.owned) == 0 {
 			return

@@ -61,6 +61,10 @@ var (
 	ErrNotFound = errors.New("jobs: no such job")
 )
 
+// MaxWorkers bounds Spec.Workers: a job runs one episode slot and one
+// goroutine per worker, so an unbounded request could exhaust the daemon.
+const MaxWorkers = 64
+
 // Spec is a tuning job request. Exactly one of Workload (a built-in name)
 // or WorkloadJSON (the format written by WorkloadSet.WriteJSON) must be
 // set; built-in workloads share one what-if optimizer per schema across all
@@ -76,7 +80,8 @@ type Spec struct {
 	Budget int `json:"budget"`
 	// Seed drives randomized decisions (default 1).
 	Seed int64 `json:"seed,omitempty"`
-	// Workers is the intra-session MCTS parallelism (0/1 = sequential).
+	// Workers is the intra-session MCTS parallelism (0/1 = sequential, at
+	// most MaxWorkers).
 	Workers int `json:"workers,omitempty"`
 	// DeriveEpsilon answers what-if calls from derived bounds within this
 	// relative gap without charging budget (0 = off).
@@ -106,6 +111,9 @@ func (s *Spec) normalize() (*workload.Workload, error) {
 	}
 	if s.Workers < 0 {
 		s.Workers = 0
+	}
+	if s.Workers > MaxWorkers {
+		return nil, fmt.Errorf("workers must be at most %d (got %d)", MaxWorkers, s.Workers)
 	}
 	if s.DeriveEpsilon < 0 || s.StopEpsilon < 0 {
 		return nil, fmt.Errorf("epsilons must be non-negative")

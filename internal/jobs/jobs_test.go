@@ -209,6 +209,29 @@ func TestManagerSubmitValidation(t *testing.T) {
 	}
 }
 
+// Spec.Workers is clamped below at 0 and refused above MaxWorkers: each
+// worker costs the job an episode slot and a goroutine.
+func TestSpecWorkersBound(t *testing.T) {
+	for _, tc := range []struct {
+		workers, want int
+		ok            bool
+	}{
+		{-3, 0, true},
+		{MaxWorkers, MaxWorkers, true},
+		{MaxWorkers + 1, 0, false},
+		{100000000, 0, false},
+	} {
+		s := Spec{Workload: "tpch", Budget: 1, Workers: tc.workers}
+		_, err := s.normalize()
+		if (err == nil) != tc.ok {
+			t.Fatalf("workers=%d: err = %v, want ok=%v", tc.workers, err, tc.ok)
+		}
+		if tc.ok && s.Workers != tc.want {
+			t.Errorf("workers=%d normalized to %d, want %d", tc.workers, s.Workers, tc.want)
+		}
+	}
+}
+
 // Drain refuses new work, cancels the queue, and — once the context expires
 // — cancels running jobs, which still wind down with refunds.
 func TestManagerDrain(t *testing.T) {
