@@ -22,6 +22,7 @@ import (
 	"indextune/internal/greedy"
 	"indextune/internal/iset"
 	"indextune/internal/search"
+	"indextune/internal/trace/tracetest"
 	"indextune/internal/whatif"
 	"indextune/internal/workload"
 )
@@ -383,8 +384,10 @@ func BenchmarkBoundDerivationRealM(b *testing.B) {
 	s := benchSession(b, "real-m", 10, 5000)
 	s.DeriveEpsilon = search.DefaultDeriveEpsilon
 	s.StopEpsilon = search.DefaultStopEpsilon
+	log := tracetest.New()
+	s.Trace = log.Rec
 	search.Run(greedy.TwoPhase{}, s)
-	cells := s.Layout.Cells()
+	cells := log.Cells(b)
 	probes := make([]iset.Set, len(cells))
 	for i, c := range cells {
 		probes[i] = iset.NewSet(s.NumCandidates())

@@ -20,8 +20,9 @@ var deterministicRandConstructors = map[string]bool{
 }
 
 // wallClockFuncs are the time-package functions that read the wall clock.
-// All simulated durations in this repository flow through vclock.Clock, so
-// non-test code never needs them.
+// All simulated durations in this repository are derived from the what-if
+// spend (search.Run's TuningTime and WhatIfTime), so non-test code never
+// needs them.
 var wallClockFuncs = map[string]bool{
 	"Now":   true,
 	"Since": true,
@@ -69,7 +70,7 @@ func checkForbiddenCalls(pass *Pass, f *ast.File) {
 		switch funcPkgPath(fn) {
 		case "time":
 			if wallClockFuncs[fn.Name()] {
-				pass.Reportf(call.Pos(), "time.%s reads the wall clock; charge virtual time via vclock.Clock instead", fn.Name())
+				pass.Reportf(call.Pos(), "time.%s reads the wall clock; derive simulated time from the what-if spend instead", fn.Name())
 			}
 		case "math/rand", "math/rand/v2":
 			if !deterministicRandConstructors[fn.Name()] {

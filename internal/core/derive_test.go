@@ -17,12 +17,12 @@ func epsSession(t *testing.T, budget int, workers int) *search.Session {
 
 // Interception keeps the search deterministic: with a fixed (seed, workers,
 // epsilon), repeated runs produce the same configuration, budget use, and
-// layout trace — in the one-slot and the four-slot pipeline.
+// charged-call layout — in the one-slot and the four-slot pipeline.
 func TestDeriveDeterministicAcrossRuns(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var first string
 		for run := 0; run < 3; run++ {
-			got := runTrace(epsSession(t, 120, workers), Default())
+			got := runTrace(t, epsSession(t, 120, workers), Default())
 			if run == 0 {
 				first = got
 				continue
@@ -68,10 +68,10 @@ func TestDeriveInterceptsDuringMCTS(t *testing.T) {
 // and 4 — the compatibility contract of the feature.
 func TestDeriveEpsilonZeroBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		base := runTrace(withWorkers(session(t, "tpch", 5, 100, 7), workers), Default())
+		base := runTrace(t, withWorkers(session(t, "tpch", 5, 100, 7), workers), Default())
 		s := withWorkers(session(t, "tpch", 5, 100, 7), workers)
 		s.DeriveEpsilon = 0
-		if got := runTrace(s, Default()); got != base {
+		if got := runTrace(t, s, Default()); got != base {
 			t.Fatalf("workers=%d: epsilon 0 diverged:\n  base: %s\n  got:  %s", workers, base, got)
 		}
 	}

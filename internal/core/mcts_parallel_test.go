@@ -12,6 +12,7 @@ import (
 
 	"indextune/internal/iset"
 	"indextune/internal/search"
+	"indextune/internal/trace/tracetest"
 )
 
 // withWorkers sets the session's intra-session parallelism and returns it.
@@ -20,13 +21,16 @@ func withWorkers(s *search.Session, workers int) *search.Session {
 	return s
 }
 
-// trace summarizes everything observable about a finished run: the returned
-// configuration, the exact budget accounting, and the full what-if layout
-// trace (issue order included).
-func runTrace(s *search.Session, m MCTS) string {
+// runTrace summarizes everything observable about a finished run: the
+// returned configuration, the exact budget accounting, and the full what-if
+// layout read from the commit events (issue order included).
+func runTrace(t *testing.T, s *search.Session, m MCTS) string {
+	t.Helper()
+	log := tracetest.New()
+	s.Trace = log.Rec
 	cfg := m.Enumerate(s)
 	return fmt.Sprintf("cfg=%v used=%d hits=%d layout=%v",
-		cfg.Ordinals(), s.Used(), s.CacheHits(), s.Layout.Cells())
+		cfg.Ordinals(), s.Used(), s.CacheHits(), log.Cells(t))
 }
 
 // The acceptance pin: with a fixed seed, Workers=4 output is stable across
@@ -35,7 +39,7 @@ func runTrace(s *search.Session, m MCTS) string {
 func TestParallelDeterministicAcrossRuns(t *testing.T) {
 	var first string
 	for run := 0; run < 3; run++ {
-		got := runTrace(withWorkers(session(t, "tpch", 5, 100, 7), 4), Default())
+		got := runTrace(t, withWorkers(session(t, "tpch", 5, 100, 7), 4), Default())
 		if run == 0 {
 			first = got
 			continue
@@ -49,8 +53,8 @@ func TestParallelDeterministicAcrossRuns(t *testing.T) {
 // Workers=1 is the default: explicitly requesting one worker is
 // bit-identical to the tuner with Workers unset, including the layout trace.
 func TestParallelWorkersOneMatchesSequential(t *testing.T) {
-	seq := runTrace(session(t, "tpch", 5, 100, 7), Default())
-	one := runTrace(withWorkers(session(t, "tpch", 5, 100, 7), 1), Default())
+	seq := runTrace(t, session(t, "tpch", 5, 100, 7), Default())
+	one := runTrace(t, withWorkers(session(t, "tpch", 5, 100, 7), 1), Default())
 	if seq != one {
 		t.Fatalf("Workers=1 diverged from sequential:\n  seq: %s\n  w=1: %s", seq, one)
 	}
@@ -83,15 +87,15 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden ta
 const priorsGoldenPath = "testdata/priors_golden.tsv"
 
 // priorsDigest renders the prior phase's observable outcome: the float64
-// bits of every prior, the budget accounting, and the layout trace.
-func priorsDigest(s *search.Session, tn *tuner) string {
+// bits of every prior, the budget accounting, and the charged calls.
+func priorsDigest(s *search.Session, tn *tuner, cells []tracetest.Cell) string {
 	h := sha256.New()
 	var buf [8]byte
 	for _, p := range tn.priors {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p))
 		h.Write(buf[:])
 	}
-	layout := sha256.Sum256([]byte(fmt.Sprint(s.Layout.Cells())))
+	layout := sha256.Sum256([]byte(fmt.Sprint(cells)))
 	return fmt.Sprintf("priors=%x\tused=%d\thits=%d\tlayout=%x", h.Sum(nil), s.Used(), s.CacheHits(), layout)
 }
 
@@ -108,10 +112,8 @@ func TestParallelPriorsMatchSequential(t *testing.T) {
 	var got string
 	for _, workers := range []int{1, 4} {
 		s := session(t, "tpch", 5, 100, 1)
-		tn := &tuner{opts: Default().Opts, s: s, rng: s.Rng, baseW: s.Derived.BaseWorkload()}
-		tn.priors = make([]float64, s.NumCandidates())
-		tn.computePriors(workers)
-		got = priorsDigest(s, tn)
+		tn, cells := priorLayout(t, s, workers)
+		got = priorsDigest(s, tn, cells)
 		if !*updateGolden && got != want {
 			t.Errorf("workers=%d diverged from %s:\n  want: %s\n  got:  %s", workers, priorsGoldenPath, want, got)
 		}

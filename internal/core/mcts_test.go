@@ -6,6 +6,7 @@ import (
 	"indextune/internal/candgen"
 	"indextune/internal/iset"
 	"indextune/internal/search"
+	"indextune/internal/trace/tracetest"
 	"indextune/internal/workload"
 )
 
@@ -15,6 +16,18 @@ func session(t *testing.T, wname string, k, budget int, seed int64) *search.Sess
 	cands := candgen.Generate(w, candgen.Options{})
 	opt := search.NewOptimizer(w, cands)
 	return search.NewSession(w, cands, opt, k, budget, seed)
+}
+
+// priorLayout runs Algorithm 4's prior phase on s and returns the tuner and
+// the phase's charged calls in commit order.
+func priorLayout(t *testing.T, s *search.Session, workers int) (*tuner, []tracetest.Cell) {
+	t.Helper()
+	log := tracetest.New()
+	s.Trace = log.Rec
+	tn := &tuner{opts: Default().Opts, s: s, rng: s.Rng, baseW: s.Derived.BaseWorkload()}
+	tn.priors = make([]float64, s.NumCandidates())
+	tn.computePriors(workers)
+	return tn, log.Cells(t)
 }
 
 func allVariants() []MCTS {
@@ -84,11 +97,8 @@ func TestPriorsAreComputedWithinHalfBudget(t *testing.T) {
 // distinct queries.
 func TestPriorPhaseRoundRobin(t *testing.T) {
 	s := session(t, "tpch", 5, 1000, 1)
-	tn := &tuner{opts: Default().Opts, s: s, rng: s.Rng, baseW: s.Derived.BaseWorkload()}
-	tn.priors = make([]float64, s.NumCandidates())
-	tn.computePriors(1)
+	_, cells := priorLayout(t, s, 1)
 	m := len(s.W.Queries)
-	cells := s.Layout.Cells()
 	if len(cells) < m {
 		t.Fatalf("prior phase issued only %d calls", len(cells))
 	}
@@ -104,36 +114,43 @@ func TestPriorPhaseRoundRobin(t *testing.T) {
 	}
 }
 
-// Index-selection policy: within a query, candidates on larger tables are
-// evaluated first.
+// Index-selection policy (sortByTableRows): within a query, candidates on
+// larger tables are evaluated first, and among candidates on equally large
+// tables, those relevant to more queries come first.
 func TestPriorPhaseLargestTableFirst(t *testing.T) {
 	s := session(t, "tpch", 5, 10000, 1)
-	tn := &tuner{opts: Default().Opts, s: s, rng: s.Rng, baseW: s.Derived.BaseWorkload()}
-	tn.priors = make([]float64, s.NumCandidates())
-	tn.computePriors(1)
-	// Reconstruct the per-query order of evaluated singleton candidates.
-	firstRows := make(map[int]int64)
-	for _, cell := range s.Layout.Cells() {
+	_, cells := priorLayout(t, s, 1)
+	// The budget covers every (query, relevant candidate) pair.
+	perQuery := make(map[int][]int)
+	for _, cell := range cells {
 		if len(cell.Config) != 1 {
-			continue
+			t.Fatalf("prior call on non-singleton config %v", cell.Config)
 		}
-		rows := s.Cands.Candidates[cell.Config[0]].TableRows
-		if prev, ok := firstRows[cell.Query]; ok {
-			_ = prev // later calls may be on smaller or equal tables only if order respected per query; tracked below
-		} else {
-			firstRows[cell.Query] = rows
-		}
+		perQuery[cell.Query] = append(perQuery[cell.Query], int(cell.Config[0]))
 	}
-	for qi, rows := range firstRows {
-		maxRows := int64(0)
-		for _, ord := range s.Cands.Relevant[qi] {
-			if r := s.Cands.Candidates[ord].TableRows; r > maxRows {
-				maxRows = r
+	ties := 0
+	for qi, rel := range s.Cands.Relevant {
+		ords := perQuery[qi]
+		if len(ords) != len(rel) {
+			t.Fatalf("query %d: %d prior calls, want one per relevant candidate (%d)", qi, len(ords), len(rel))
+		}
+		for i := 1; i < len(ords); i++ {
+			prev, cur := &s.Cands.Candidates[ords[i-1]], &s.Cands.Candidates[ords[i]]
+			if cur.TableRows > prev.TableRows {
+				t.Fatalf("query %d: call %d on a %d-row table follows one on a %d-row table",
+					qi, i, cur.TableRows, prev.TableRows)
+			}
+			if cur.TableRows == prev.TableRows {
+				ties++
+				if len(cur.Queries) > len(prev.Queries) {
+					t.Fatalf("query %d: call %d's candidate is relevant to %d queries, its predecessor on an equal table to only %d",
+						qi, i, len(cur.Queries), len(prev.Queries))
+				}
 			}
 		}
-		if rows != maxRows {
-			t.Fatalf("query %d: first evaluated candidate on %d-row table, largest relevant is %d", qi, rows, maxRows)
-		}
+	}
+	if ties == 0 {
+		t.Fatal("no equal-table neighbours: the tie-break went unchecked")
 	}
 }
 

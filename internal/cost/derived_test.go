@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -210,55 +209,6 @@ func TestSubmodularityUnderSingletonDerivation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLayoutTrace(t *testing.T) {
-	var l Layout
-	l.Append(iset.FromOrdinals(1), 0)
-	l.Append(iset.FromOrdinals(1, 2), 1)
-	l.Append(iset.FromOrdinals(1), 0) // same cell again
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d", l.Len())
-	}
-	if rows := l.RowsVisited(); len(rows) != 2 {
-		t.Fatalf("RowsVisited = %v", rows)
-	}
-	if cols := l.ColumnsVisited(); len(cols) != 2 || cols[0] != 0 || cols[1] != 1 {
-		t.Fatalf("ColumnsVisited = %v", cols)
-	}
-	if out := l.Outcome(); len(out) != 2 {
-		t.Fatalf("Outcome = %v", out)
-	}
-	var l2 Layout
-	l2.Append(iset.FromOrdinals(1, 2), 1) // different order, same outcome
-	l2.Append(iset.FromOrdinals(1), 0)
-	if !l.SameOutcome(&l2) {
-		t.Fatal("layouts with the same cells should have the same outcome")
-	}
-	l2.Append(iset.FromOrdinals(9), 2)
-	if l.SameOutcome(&l2) {
-		t.Fatal("different cells should differ")
-	}
-}
-
-func TestRenderMatrix(t *testing.T) {
-	var l Layout
-	l.Append(iset.FromOrdinals(0), 0)
-	l.Append(iset.FromOrdinals(0), 1)
-	l.Append(iset.FromOrdinals(0, 1), 2)
-	out := l.String()
-	if !strings.Contains(out, "X") || !strings.Contains(out, "C/q") {
-		t.Fatalf("render = %q", out)
-	}
-	if !strings.Contains(out, "3 what-if calls over 2 configurations and 3 queries") {
-		t.Fatalf("summary line wrong:\n%s", out)
-	}
-	// Custom labels.
-	var b strings.Builder
-	l.RenderMatrix(&b, 3, func(key string) string { return "<" + key + ">" })
-	if !strings.Contains(b.String(), "<0>") {
-		t.Fatalf("custom labels missing:\n%s", b.String())
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"indextune/internal/greedy"
 	"indextune/internal/search"
 	"indextune/internal/trace"
-	"indextune/internal/vclock"
 	"indextune/internal/whatif"
 	"indextune/internal/workload"
 )
@@ -537,7 +536,7 @@ func EarlyStopping(cfg Config, wname string) *Figure {
 	return fig
 }
 
-// TuningTimeSplit reproduces Figure 2: the split of (virtual) tuning time
+// TuningTimeSplit reproduces Figure 2: the split of (simulated) tuning time
 // between what-if calls and other work when running budget-aware greedy on
 // TPC-DS with K = 20 across budgets.
 func TuningTimeSplit(cfg Config) *Figure {
@@ -548,11 +547,10 @@ func TuningTimeSplit(cfg Config) *Figure {
 	whatIf := Series{Label: "Time spent on what-if calls"}
 	other := Series{Label: "Other time spent on index tuning"}
 	for _, b := range cfg.Budgets("TPC-DS") {
-		s := r.session(20, b, 1, 0)
-		greedy.Vanilla{}.Enumerate(s)
+		res := search.Run(greedy.Vanilla{}, r.session(20, b, 1, 0))
 		x := fmt.Sprintf("%d", b)
-		whatIf.Points = append(whatIf.Points, Point{X: x, Mean: s.Clock.Bucket(vclock.BucketWhatIf).Minutes()})
-		other.Points = append(other.Points, Point{X: x, Mean: s.Clock.Bucket(vclock.BucketOther).Minutes()})
+		whatIf.Points = append(whatIf.Points, Point{X: x, Mean: res.WhatIfTime.Minutes()})
+		other.Points = append(other.Points, Point{X: x, Mean: (res.TuningTime - res.WhatIfTime).Minutes()})
 	}
 	panel.Series = append(panel.Series, whatIf, other)
 	fig.Panels = append(fig.Panels, panel)

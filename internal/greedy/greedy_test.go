@@ -8,6 +8,7 @@ import (
 	"indextune/internal/candgen"
 	"indextune/internal/iset"
 	"indextune/internal/search"
+	"indextune/internal/trace/tracetest"
 	"indextune/internal/workload"
 )
 
@@ -17,6 +18,15 @@ func session(t *testing.T, wname string, k, budget int) *search.Session {
 	cands := candgen.Generate(w, candgen.Options{})
 	opt := search.NewOptimizer(w, cands)
 	return search.NewSession(w, cands, opt, k, budget, 1)
+}
+
+// layout runs alg on s and returns its charged calls in commit order.
+func layout(t *testing.T, s *search.Session, alg search.Algorithm) []tracetest.Cell {
+	t.Helper()
+	log := tracetest.New()
+	s.Trace = log.Rec
+	alg.Enumerate(s)
+	return log.Cells(t)
 }
 
 func TestVanillaRespectsBudgetAndK(t *testing.T) {
@@ -40,12 +50,12 @@ func TestTwoPhaseRespectsBudgetAndK(t *testing.T) {
 
 func TestAutoAdminOnlyCallsAtomicConfigs(t *testing.T) {
 	s := session(t, "tpch", 5, 200)
-	AutoAdmin{}.Enumerate(s)
+	cells := layout(t, s, AutoAdmin{})
 	pairs := make(map[[2]int]bool)
 	for _, p := range s.Cands.AtomicPairs {
 		pairs[p] = true
 	}
-	for _, cell := range s.Layout.Cells() {
+	for _, cell := range cells {
 		switch len(cell.Config) {
 		case 0, 1:
 		case 2:
@@ -212,8 +222,7 @@ func TestGreedyApproximationBound(t *testing.T) {
 // configurations) across all queries before moving on.
 func TestVanillaLayoutIsRowMajor(t *testing.T) {
 	s := session(t, "tpch", 5, 100)
-	Vanilla{}.Enumerate(s)
-	cells := s.Layout.Cells()
+	cells := layout(t, s, Vanilla{})
 	if len(cells) == 0 {
 		t.Fatal("no calls traced")
 	}
@@ -236,8 +245,7 @@ func TestVanillaLayoutIsRowMajor(t *testing.T) {
 // cell of the second query.
 func TestTwoPhaseLayoutIsColumnMajorFirst(t *testing.T) {
 	s := session(t, "tpch", 5, 100)
-	TwoPhase{}.Enumerate(s)
-	cells := s.Layout.Cells()
+	cells := layout(t, s, TwoPhase{})
 	if len(cells) < 3 {
 		t.Fatal("too few calls traced")
 	}
@@ -285,9 +293,8 @@ func TestDerivedOnlyEmptyStore(t *testing.T) {
 // pairs after a greedy run.
 func TestDerivedAgreesWithOptimizerCache(t *testing.T) {
 	s := session(t, "tpch", 5, 100)
-	Vanilla{}.Enumerate(s)
-	for _, cell := range s.Layout.Cells() {
-		cfg := cell.Config.ToSet()
+	for _, cell := range layout(t, s, Vanilla{}) {
+		cfg := cell.Set()
 		want := s.Opt.PeekCost(s.W.Queries[cell.Query], cfg)
 		if got := s.Derived.Query(cell.Query, cfg); got > want+1e-9 {
 			t.Fatalf("derived %v > what-if %v for recorded pair", got, want)

@@ -311,7 +311,7 @@ type Options struct {
 	// (CreatedAt/StartedAt/FinishedAt). The daemon passes time.Now; a nil
 	// source leaves the timestamps zero, keeping library use — and tests —
 	// free of wall-clock reads (the repo's determinism contract: simulated
-	// tuning time flows through vclock.Clock, never the wall clock).
+	// tuning time is derived from the what-if spend, never the wall clock).
 	Now func() time.Time
 	// CacheBytes bounds each oracle's what-if cache via
 	// whatif.Optimizer.SetCacheBytes — applied to shared and inline oracles

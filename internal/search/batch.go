@@ -13,8 +13,7 @@ package search
 //
 // Exactness contract: a batch over pairs p_0..p_{n-1} leaves the session in
 // the same state — budget used, the seen set, cache-hit and bound-hit
-// counters, layout trace, derived store, virtual clock, and trace event
-// stream — as n sequential Session.WhatIf calls for the same pairs, and
+// counters, derived store, and trace event stream — as n sequential Session.WhatIf calls for the same pairs, and
 // returns the same costs, PROVIDED no pair's configuration is a subset or
 // superset of an earlier same-query pair's configuration in the batch.
 // Under that precondition every reserve-time decision (seen membership,
@@ -219,8 +218,8 @@ func (b *Batch) eval(s *Session, g *batchGroup) {
 }
 
 // CommitReservedBatch completes the batch under one mutex hold, settling
-// each pair in pair order: charged pairs are recorded in the layout trace
-// and the derived store and charged virtual time; exhausted pairs fall back
+// each pair in pair order: charged pairs are recorded in the derived store;
+// exhausted pairs fall back
 // to the derived cost computed at their position, after earlier pairs'
 // records, exactly as the sequential interleaving would; every pair's trace
 // events are emitted here.

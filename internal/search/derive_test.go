@@ -19,28 +19,37 @@ func seedTightBounds(s *Session) (cfg iset.Set, mid float64) {
 	return iset.FromOrdinals(1, 2), 99
 }
 
-// checkAccounting asserts the session's bound hits, charged calls, layout
-// length, and query 0's derived-store entry count.
-func checkAccounting(t *testing.T, s *Session, boundHits int64, used, layout, entries int) {
+// newCountingSession returns a test session with a summary-only recorder
+// attached, so checkAccounting can count its commit events.
+func newCountingSession(t *testing.T, budget int) *Session {
+	s := newTestSession(t, budget)
+	s.Trace = trace.New(nil)
+	return s
+}
+
+// checkAccounting asserts the session's bound hits, charged calls, commit
+// events, and query 0's derived-store entry count.
+func checkAccounting(t *testing.T, s *Session, boundHits int64, used, commits, entries int) {
 	t.Helper()
-	if s.BoundHits() != boundHits || s.Used() != used || s.Layout.Len() != layout || s.Derived.Entries(0) != entries {
-		t.Fatalf("boundHits=%d used=%d layout=%d entries=%d, want %d/%d/%d/%d",
-			s.BoundHits(), s.Used(), s.Layout.Len(), s.Derived.Entries(0), boundHits, used, layout, entries)
+	got := s.Trace.Summary("", 0).Commits
+	if s.BoundHits() != boundHits || s.Used() != used || got != int64(commits) || s.Derived.Entries(0) != entries {
+		t.Fatalf("boundHits=%d used=%d commits=%d entries=%d, want %d/%d/%d/%d",
+			s.BoundHits(), s.Used(), got, s.Derived.Entries(0), boundHits, used, commits, entries)
 	}
 }
 
 func TestWhatIfBoundDisabledByDefault(t *testing.T) {
-	s := newTestSession(t, 10)
+	s := newCountingSession(t, 10)
 	cfg, _ := seedTightBounds(s)
 	entries := s.Derived.Entries(0)
 	// At DeriveEpsilon = 0 tight bounds are ignored: the call is charged,
-	// laid out, and recorded.
+	// committed, and recorded.
 	s.WhatIf(0, cfg)
 	checkAccounting(t, s, 0, 1, 1, entries+1)
 }
 
 func TestWhatIfBoundAnswersFromMidpoint(t *testing.T) {
-	s := newTestSession(t, 10)
+	s := newCountingSession(t, 10)
 	s.DeriveEpsilon = 0.05
 	cfg, mid := seedTightBounds(s)
 	entries := s.Derived.Entries(0)
@@ -48,7 +57,7 @@ func TestWhatIfBoundAnswersFromMidpoint(t *testing.T) {
 		t.Fatalf("WhatIf = %v, want the bound midpoint %v", c, mid)
 	}
 	// Interception is budget-free and records nothing: the derived store must
-	// keep only true what-if costs, the layout trace only charged calls.
+	// keep only true what-if costs, the commit events only charged calls.
 	checkAccounting(t, s, 1, 0, 0, entries)
 	// The pair stays unseen, so a repeat is intercepted again.
 	if c, _ := s.WhatIf(0, cfg); c != mid {
@@ -58,7 +67,7 @@ func TestWhatIfBoundAnswersFromMidpoint(t *testing.T) {
 }
 
 func TestWhatIfBoundRespectsEpsilon(t *testing.T) {
-	s := newTestSession(t, 10)
+	s := newCountingSession(t, 10)
 	s.DeriveEpsilon = 0.01 // gap 0.02 > ε: must not fire
 	cfg, _ := seedTightBounds(s)
 	entries := s.Derived.Entries(0)

@@ -1,7 +1,6 @@
 // Package search provides the shared context for budget-aware configuration
 // enumeration: a Session bundles the workload, candidate set, what-if
-// optimizer, derived-cost store, budget meter, layout trace, and tuning
-// constraints (cardinality K and optional storage limit). All enumeration
+// optimizer, derived-cost store, budget meter, and tuning constraints (cardinality K and optional storage limit). All enumeration
 // algorithms — greedy variants, MCTS, the RL baselines, and the DTA
 // simulator — run against a Session.
 //
@@ -26,7 +25,6 @@ import (
 	"indextune/internal/earlystop"
 	"indextune/internal/iset"
 	"indextune/internal/trace"
-	"indextune/internal/vclock"
 	"indextune/internal/whatif"
 	"indextune/internal/workload"
 )
@@ -34,11 +32,11 @@ import (
 // otherPerCallDivisor fixes the simulated non-what-if overhead (plan
 // analysis, bookkeeping) at PerCallTime/otherPerCallDivisor per budgeted
 // call (Figure 2's "other" share). Axis-label minute conversions must use
-// TuningTimeFactor so labels match the virtual time sessions actually charge.
+// TuningTimeFactor so labels match the simulated time Run reports.
 const otherPerCallDivisor = 8
 
-// TuningTimeFactor is the ratio of total charged virtual tuning time to pure
-// what-if time: each budgeted call charges PerCallTime +
+// TuningTimeFactor is the ratio of simulated tuning time to pure what-if
+// time: each budgeted call costs PerCallTime +
 // PerCallTime/otherPerCallDivisor.
 func TuningTimeFactor() float64 {
 	return 1 + 1/float64(otherPerCallDivisor)
@@ -83,7 +81,7 @@ const floorProbeHeadroom = 4
 // the seen-pair set and all bookkeeping are guarded by an internal mutex and
 // the counters are atomic, so concurrent chargers can never push Used past
 // Budget or double-charge a pair. The remaining fields
-// (Rng, Derived reads outside the charging methods, Layout reads) follow the
+// (Rng, Derived reads outside the charging methods) follow the
 // single-owner convention: one goroutine drives the algorithm and hands heavy
 // evaluations to helpers via EvaluateReservedBatch (see internal/core's
 // parallel MCTS pipeline).
@@ -100,12 +98,7 @@ type Session struct {
 	Budget int
 
 	Derived *cost.DerivedStore
-	Layout  cost.Layout
 	Rng     *rand.Rand
-	// Clock is this session's virtual clock. NewSession creates a fresh one,
-	// so tuning-time accounting never leaks across sessions sharing an
-	// optimizer.
-	Clock *vclock.Clock
 
 	// Workers is the intra-session parallelism for algorithms that support
 	// it (currently the MCTS tuner, which keeps up to Workers episodes in
@@ -114,7 +107,9 @@ type Session struct {
 	Workers int
 
 	// Trace, when non-nil, receives the session's budget-accounting events
-	// and metrics (reserve/commit, cache hits, derived fallbacks).
+	// and metrics (reserve/commit, cache hits, derived fallbacks). Its
+	// commit events are the record of which (query, configuration) pairs
+	// were charged, in charge order — the ordered layout φ of Definition 1.
 	// A nil recorder disables tracing at zero cost; hot paths guard with a
 	// nil check so no event fields are materialized when disabled.
 	Trace *trace.Recorder
@@ -149,7 +144,7 @@ type Session struct {
 	Ctx context.Context
 
 	// mu guards seen and the bookkeeping performed by CommitReserved
-	// (layout trace, derived store, virtual clock).
+	// (derived store, commit events).
 	mu sync.Mutex
 	// seen tracks the (query, configuration) pairs this session has already
 	// asked for: the first ask is charged against the budget, repeats are
@@ -157,14 +152,12 @@ type Session struct {
 	// projected iff DeriveEpsilon > 0 (see pairFor) — so membership tests
 	// allocate nothing.
 	seen map[whatif.Pair]struct{} // guarded by: mu
-	// used, committed, and cacheHits are accessed with sync/atomic only
-	// (readers may be concurrent with chargers holding mu). used counts
-	// every charged reservation — including reserved-but-uncommitted calls,
-	// so Remaining/Exhausted can never let concurrent chargers over-reserve
-	// past Budget — while committed counts only completed calls; the gap is
-	// Outstanding().
+	// used and cacheHits are accessed with sync/atomic only (readers may be
+	// concurrent with chargers holding mu). used counts every charged
+	// reservation — including reserved-but-uncommitted calls, so
+	// Remaining/Exhausted can never let concurrent chargers over-reserve
+	// past Budget.
 	used      int64
-	committed int64
 	cacheHits int64
 	// boundHits counts unseen pairs answered from derived cost bounds
 	// without charging budget.
@@ -173,13 +166,12 @@ type Session struct {
 	// Early-stopping state. stopped and cancelled are read with sync/atomic
 	// (chargers on any goroutine consult them via Exhausted/Reserve); the
 	// rest follows the single-owner convention — only the coordinator
-	// goroutine calls CheckStop/CheckCancel, and stopGap/refunded are
-	// written before the stopped flag is raised, so readers that observe the
-	// flag see them complete.
+	// goroutine calls CheckStop/CheckCancel, and stopGap is written before
+	// the stopped flag is raised, so readers that observe the flag see it
+	// complete.
 	stopped   int32
 	cancelled int32
 	stopGap   float64
-	refunded  int
 	stopper   *earlystop.Checker
 	floorNext int // next query to floor-probe; len(W.Queries) when done
 	univ      iset.Set
@@ -201,7 +193,6 @@ func NewSession(w *workload.Workload, cands *candgen.Result, opt *whatif.Optimiz
 		Budget:  budget,
 		Derived: cost.NewDerivedStore(w, base),
 		Rng:     rand.New(rand.NewSource(seed)),
-		Clock:   &vclock.Clock{},
 		seen:    make(map[whatif.Pair]struct{}),
 	}
 	return s
@@ -224,15 +215,6 @@ func (s *Session) pairFor(qi int, cfg iset.Set) whatif.Pair {
 // includes outstanding (reserved-but-uncommitted) calls, so mid-pipeline
 // readers see the budget a concurrent charger has already claimed.
 func (s *Session) Used() int { return int(atomic.LoadInt64(&s.used)) }
-
-// Committed returns the number of charged calls whose evaluation has been
-// committed (CommitReserved or the one-shot WhatIf path).
-func (s *Session) Committed() int { return int(atomic.LoadInt64(&s.committed)) }
-
-// Outstanding returns the number of reserved-but-uncommitted calls currently
-// in flight. It is zero whenever no Reserve/CommitReserved pipeline is
-// active.
-func (s *Session) Outstanding() int { return s.Used() - s.Committed() }
 
 // Remaining returns the unconsumed budget. Outstanding reservations count as
 // consumed — the pipeline has already claimed them — so Remaining is never
@@ -403,14 +385,13 @@ func (s *Session) settle(r *request) {
 	}
 }
 
-// commit is the per-pair commit bookkeeping of a charged pair: the call is
-// appended to the layout trace, its cost recorded in the derived store (as
-// the query's floor for a floor probe), and virtual time charged. used is
-// the budget counter the Commit trace event carries.
+// commit is the per-pair commit bookkeeping of a charged pair: its cost is
+// recorded in the derived store (as the query's floor for a floor probe) and
+// its Commit trace event emitted. used is the budget counter the event
+// carries.
 //
 // locked: mu
 func (s *Session) commit(r *request, used int) {
-	s.Layout.Append(r.cfg, r.qi)
 	if r.floor {
 		// A universe-sized entry would put every query on every candidate's
 		// touched list, destroying the sparsity the greedy fast path and the
@@ -420,8 +401,6 @@ func (s *Session) commit(r *request, used int) {
 	} else {
 		s.Derived.Record(r.qi, r.cfg, r.cost)
 	}
-	s.chargeCall()
-	atomic.AddInt64(&s.committed, 1)
 	if s.Trace != nil {
 		s.Trace.Commit(r.qi, r.cfg.Key(), r.cost, used)
 	}
@@ -464,9 +443,9 @@ func (s *Session) EvaluateReserved(qi int, cfg iset.Set) float64 {
 }
 
 // CommitReserved completes a ReserveCharged reservation: the call is
-// recorded in the layout trace and the derived store, and virtual time is
-// charged. Calling it in reservation order makes the layout trace and the
-// derived-store contents independent of evaluation concurrency.
+// recorded in the derived store and emitted as a commit event. Calling it in
+// reservation order makes the commit events and the derived-store contents
+// independent of evaluation concurrency.
 func (s *Session) CommitReserved(qi int, cfg iset.Set, c float64) {
 	r := request{qi: qi, cfg: cfg, key: s.pairFor(qi, cfg), cost: c}
 	s.mu.Lock()
@@ -514,10 +493,10 @@ func (s *Session) CheckStop(cfg iset.Set) bool {
 	gap := s.stopper.Gap(cfg)
 	if gap <= s.StopEpsilon {
 		s.stopGap = gap
-		s.refunded = s.Budget - s.Used()
+		refunded := s.Budget - s.Used()
 		atomic.StoreInt32(&s.stopped, 1)
 		if s.Trace != nil {
-			s.Trace.Stop(gap, s.refunded, s.Used())
+			s.Trace.Stop(gap, refunded, s.Used())
 		}
 		return true
 	}
@@ -605,8 +584,7 @@ func (s *Session) probeFloors() {
 // Otherwise, when bound interception is enabled and the derived bounds are
 // within epsilon, the bound midpoint is returned without consuming budget.
 // Otherwise one unit of budget is consumed, the call is recorded in the
-// layout trace and the derived store, virtual time is charged, and ok is
-// true — even when a shared optimizer answers from a cache warmed by another
+// derived store and emitted as a commit event, and ok is true — even when a shared optimizer answers from a cache warmed by another
 // session, so per-run budget consumption is independent of cache sharing.
 // When the budget is exhausted and the pair is unseen, ok is false and the
 // derived cost is returned instead.
@@ -622,15 +600,6 @@ func (s *Session) WhatIf(qi int, cfg iset.Set) (c float64, ok bool) {
 	s.settle(&r)
 	s.mu.Unlock()
 	return r.cost, r.out != BatchExhausted
-}
-
-// chargeCall charges the virtual time of one budgeted what-if call.
-func (s *Session) chargeCall() {
-	if s.Clock == nil {
-		return
-	}
-	s.Clock.Charge(vclock.BucketWhatIf, s.Opt.PerCallTime)
-	s.Clock.Charge(vclock.BucketOther, s.Opt.PerCallTime/otherPerCallDivisor)
 }
 
 // ConfigSizeBytes returns the storage footprint of cfg.
@@ -684,8 +653,11 @@ type Result struct {
 	// bounds and answered without budget (0 unless DeriveEpsilon > 0).
 	DerivedBoundHits int64
 	Candidates       int
-	TuningTime       time.Duration // virtual
-	WhatIfTime       time.Duration // virtual
+	// TuningTime and WhatIfTime are simulated, derived from the spend: each
+	// charged call costs PerCallTime of what-if time plus
+	// PerCallTime/otherPerCallDivisor of other tuning work.
+	TuningTime time.Duration
+	WhatIfTime time.Duration
 	// EarlyStopped reports whether the run was terminated by the
 	// StopEpsilon rule rather than by budget exhaustion or convergence.
 	EarlyStopped bool
@@ -703,9 +675,10 @@ type Result struct {
 // Run executes alg within the session and evaluates the returned
 // configuration with the oracle. All counters and times in the Result are
 // session-local: sharing one optimizer across runs does not leak calls,
-// cache hits, or virtual time between their Results.
+// cache hits, or simulated time between their Results.
 func Run(alg Algorithm, s *Session) Result {
 	cfg := alg.Enumerate(s)
+	used := time.Duration(s.Used())
 	r := Result{
 		Algorithm:        alg.Name(),
 		Config:           cfg,
@@ -718,11 +691,9 @@ func Run(alg Algorithm, s *Session) Result {
 		Cancelled:        s.Cancelled(),
 		StopGap:          s.StopGap(),
 		RefundedBudget:   s.RefundedBudget(),
+		WhatIfTime:       used * s.Opt.PerCallTime,
 	}
-	if s.Clock != nil {
-		r.WhatIfTime = s.Clock.Bucket(vclock.BucketWhatIf)
-		r.TuningTime = s.Clock.Total()
-	}
+	r.TuningTime = r.WhatIfTime + used*(s.Opt.PerCallTime/otherPerCallDivisor)
 	if s.Trace != nil {
 		s.Trace.SetPhase(trace.PhaseFinal)
 		// The curve is derived-improvement-vs-spend throughout; the final
@@ -736,8 +707,8 @@ func Run(alg Algorithm, s *Session) Result {
 
 // NewOptimizer builds the what-if optimizer for a workload+candidates pair
 // with the workload's simulated per-call latency. The optimizer is safe to
-// share across concurrent sessions; per-session virtual time is kept on each
-// session's own clock, so no clock is bound here.
+// share across concurrent sessions; simulated time is derived from each
+// session's own spend, so nothing time-related is bound here.
 func NewOptimizer(w *workload.Workload, cands *candgen.Result) *whatif.Optimizer {
 	opt := whatif.New(w.DB, cands.Indexes())
 	opt.PerCallTime = PerCallLatency(w.Name)

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -10,7 +11,7 @@ import (
 	"indextune/internal/candgen"
 	"indextune/internal/iset"
 	"indextune/internal/trace"
-	"indextune/internal/vclock"
+	"indextune/internal/trace/tracetest"
 	"indextune/internal/workload"
 )
 
@@ -58,17 +59,29 @@ func TestCachedCallsAreFree(t *testing.T) {
 	}
 }
 
+// distinctCells counts the distinct (query, configuration) cells.
+func distinctCells(cells []tracetest.Cell) int {
+	out := make(map[string]bool, len(cells))
+	for _, c := range cells {
+		out[fmt.Sprint(c)] = true
+	}
+	return len(out)
+}
+
 func TestLayoutMatchesBudgetUse(t *testing.T) {
 	s := newTestSession(t, 4)
+	log := tracetest.New()
+	s.Trace = log.Rec
 	s.WhatIf(0, iset.FromOrdinals(1))
 	s.WhatIf(1, iset.FromOrdinals(1))
 	s.WhatIf(0, iset.FromOrdinals(1)) // cached: no cell
 	s.WhatIf(2, iset.FromOrdinals(1, 2))
-	if s.Layout.Len() != s.Used() {
-		t.Fatalf("layout cells %d != used budget %d", s.Layout.Len(), s.Used())
+	cells := log.Cells(t)
+	if len(cells) != s.Used() {
+		t.Fatalf("layout cells %d != used budget %d", len(cells), s.Used())
 	}
 	// Every budgeted call must be a distinct cell (cache prevents repeats).
-	if got := len(s.Layout.Outcome()); got != s.Used() {
+	if got := distinctCells(cells); got != s.Used() {
 		t.Fatalf("distinct cells = %d, want %d", got, s.Used())
 	}
 }
@@ -116,23 +129,30 @@ func TestOracleImprovementBounds(t *testing.T) {
 	}
 }
 
-func TestVirtualTimeAccounting(t *testing.T) {
-	w := workload.ByName("tpch")
-	cands := candgen.Generate(w, candgen.Options{})
-	opt := NewOptimizer(w, cands)
-	s := NewSession(w, cands, opt, 5, 10, 1)
-	for i := 0; i < 10; i++ {
+// singletons charges c(q_0, {i}) for i < n.
+type singletons int
+
+func (singletons) Name() string { return "singletons" }
+
+func (n singletons) Enumerate(s *Session) iset.Set {
+	for i := 0; i < int(n); i++ {
 		s.WhatIf(0, iset.FromOrdinals(i))
 	}
-	frac := s.Clock.Fraction(vclock.BucketWhatIf)
+	return iset.Set{}
+}
+
+func TestVirtualTimeAccounting(t *testing.T) {
+	s := newTestSession(t, 10)
+	r := Run(singletons(10), s)
+	frac := float64(r.WhatIfTime) / float64(r.TuningTime)
 	// The what-if share should be high, as in Figure 2 (75-93%).
 	if frac < 0.7 || frac > 0.95 {
 		t.Fatalf("what-if time fraction = %v, want ≈0.89", frac)
 	}
-	// The charged total must match the derived label factor exactly.
-	want := time.Duration(float64(s.Used()) * float64(opt.PerCallTime) * TuningTimeFactor())
-	if got := s.Clock.Total(); got != want {
-		t.Fatalf("total virtual time = %v, want %v (TuningTimeFactor %v)", got, want, TuningTimeFactor())
+	// The reported total must match the derived label factor exactly.
+	want := time.Duration(float64(s.Used()) * float64(s.Opt.PerCallTime) * TuningTimeFactor())
+	if r.TuningTime != want {
+		t.Fatalf("total simulated time = %v, want %v (TuningTimeFactor %v)", r.TuningTime, want, TuningTimeFactor())
 	}
 }
 
@@ -313,11 +333,13 @@ func TestConcurrentSessionsSharedOptimizer(t *testing.T) {
 // (run under -race in CI): a mix of WhatIf and workload-sweep batch traffic
 // races to exhaust the budget. However the interleaving lands, the session
 // must never charge past B, and its accounting identity must hold: every
-// distinct charged pair is a layout cell, so Used() == Layout.Len(), and no
-// counter may drift.
+// charged pair is one distinct commit event, so Used() equals the number of
+// commits, and no counter may drift.
 func TestSessionConcurrentChargers(t *testing.T) {
 	const budget = 40
 	s := newTestSession(t, budget)
+	log := tracetest.New()
+	s.Trace = log.Rec
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -344,10 +366,11 @@ func TestSessionConcurrentChargers(t *testing.T) {
 	if !s.Exhausted() {
 		t.Fatalf("8 goroutines of traffic left budget unexhausted: used %d", s.Used())
 	}
-	if s.Layout.Len() != s.Used() {
-		t.Fatalf("layout cells %d != used %d", s.Layout.Len(), s.Used())
+	cells := log.Cells(t)
+	if len(cells) != s.Used() {
+		t.Fatalf("layout cells %d != used %d", len(cells), s.Used())
 	}
-	if got := len(s.Layout.Outcome()); got != s.Used() {
+	if got := distinctCells(cells); got != s.Used() {
 		t.Fatalf("distinct charged pairs = %d, want %d", got, s.Used())
 	}
 	if s.CacheHits() < 0 {
@@ -406,8 +429,12 @@ func TestEvaluateReservedBatchWorkersMatchSequential(t *testing.T) {
 	// Budget 50 < |W|: the budget exhausts mid-workload on the first sweep;
 	// the second sweep is all seen or derived.
 	sP := NewSession(w, cands, NewOptimizer(w, cands), 5, 50, 1)
+	logP := tracetest.New()
+	sP.Trace = logP.Rec
 	gotFirst, gotSecond := sweep(sP, cfg, 4), sweep(sP, cfg, 4)
 	sS := NewSession(w, cands, NewOptimizer(w, cands), 5, 50, 1)
+	logS := tracetest.New()
+	sS.Trace = logS.Rec
 	wantFirst, wantSecond := sweep(sS, cfg, 1), sweep(sS, cfg, 1)
 
 	if gotFirst != wantFirst || gotSecond != wantSecond {
@@ -417,8 +444,8 @@ func TestEvaluateReservedBatchWorkersMatchSequential(t *testing.T) {
 		t.Fatalf("accounting differs: used %d/%d hits %d/%d",
 			sP.Used(), sS.Used(), sP.CacheHits(), sS.CacheHits())
 	}
-	if sP.Layout.Len() != sS.Layout.Len() {
-		t.Fatalf("layout differs: %d vs %d", sP.Layout.Len(), sS.Layout.Len())
+	if p, q := fmt.Sprint(logP.Cells(t)), fmt.Sprint(logS.Cells(t)); p != q {
+		t.Fatalf("layout differs:\n  4 workers: %s\n  1 worker:  %s", p, q)
 	}
 }
 
@@ -474,8 +501,8 @@ func TestTraceSpendMatchesUsed(t *testing.T) {
 	if sum.CacheHits != s.CacheHits() {
 		t.Fatalf("traced cache hits %d != session %d", sum.CacheHits, s.CacheHits())
 	}
-	if sum.Commits != int64(s.Committed()) {
-		t.Fatalf("traced commits %d != committed %d", sum.Commits, s.Committed())
+	if sum.Commits != int64(s.Used()) {
+		t.Fatalf("traced commits %d != used %d", sum.Commits, s.Used())
 	}
 	if sum.DerivedFallbacks == 0 {
 		t.Fatal("exhausted calls did not trace derived fallbacks")
@@ -514,7 +541,6 @@ func TestReserveCommitRaceStress(t *testing.T) {
 					atomic.AddInt64(&violations, 1)
 				}
 				_ = s.CacheHits()
-				_ = s.Outstanding()
 			}
 		}()
 	}
@@ -546,14 +572,12 @@ func TestReserveCommitRaceStress(t *testing.T) {
 	if s.Used() > budget {
 		t.Fatalf("used %d > budget %d", s.Used(), budget)
 	}
-	if s.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d after all pipelines drained", s.Outstanding())
-	}
+	// Once every pipeline has drained, each reservation has committed.
 	sum := s.Trace.Summary("stress", budget)
 	if sum.SpendTotal() != s.Used() {
 		t.Fatalf("traced spend %d != used %d", sum.SpendTotal(), s.Used())
 	}
-	if sum.Commits != int64(s.Committed()) {
-		t.Fatalf("traced commits %d != committed %d", sum.Commits, s.Committed())
+	if sum.Commits != int64(s.Used()) {
+		t.Fatalf("traced commits %d != used %d", sum.Commits, s.Used())
 	}
 }

@@ -162,7 +162,6 @@ func (o *Optimizer) releaseColdSpaces(limit int64) {
 			in.space.Store(nil)
 			o.spaceBytes.Add(-ps.size)
 			o.spaceCount.Add(-1)
-			o.spaceEvicts.Add(1)
 		}
 		in.spaceMu.Unlock()
 		return true
@@ -419,7 +418,6 @@ func (o *Optimizer) WhatIfBatch(q *workload.Query, cfgs []iset.Set) []float64 {
 			sc.acc = growFloats(sc.acc, len(ps.acc))
 		}
 		c = o.evalSpace(ps, cfg, sc.acc, nil)
-		o.computes.Add(1)
 		if o.publish(sh, p, cl, c) {
 			shared = true
 		}

@@ -290,7 +290,7 @@ type Optimizer struct {
 	SimulatedLatency time.Duration
 
 	// tables holds, per table, its candidates and their column masks — what
-	// internQuery computes relevance from.
+	// internQuery derives relevance from.
 	tables map[string]*tableCands
 	// relWords is the fixed word width of relevance bitmaps: enough words to
 	// cover every candidate ordinal.
@@ -309,10 +309,6 @@ type Optimizer struct {
 	shards    [cacheShards]cacheShard
 	calls     atomic.Int64
 	cacheHits atomic.Int64
-	// computes counts cost-model executions performed on behalf of WhatIf /
-	// WhatIfBatch misses — a test hook: with singleflight dedup it must never
-	// exceed the number of distinct pairs, even under racing callers.
-	computes atomic.Int64
 	// evictions counts cache entries removed by the CLOCK sweep (0 forever
 	// in the default unbounded mode).
 	evictions atomic.Int64
@@ -322,13 +318,12 @@ type Optimizer struct {
 	capBytes int64
 	// spaceCap bounds the summed size of interned plan spaces (set by
 	// SetCacheBytes to a quarter of the cache capacity); spaceBytes and
-	// spaceCount track the resident total, spaceEvicts the release sweep's
-	// victims, and sweepMu admits one release sweep at a time.
-	spaceCap    int64
-	spaceBytes  atomic.Int64
-	spaceCount  atomic.Int64
-	spaceEvicts atomic.Int64
-	sweepMu     sync.Mutex
+	// spaceCount track the resident total, and sweepMu admits one release
+	// sweep at a time.
+	spaceCap   int64
+	spaceBytes atomic.Int64
+	spaceCount atomic.Int64
+	sweepMu    sync.Mutex
 }
 
 // CacheStats is a point-in-time view of an optimizer's cache resources,
@@ -772,7 +767,7 @@ func (o *Optimizer) WhatIf(q *workload.Query, cfg iset.Set) float64 {
 		o.cacheHits.Add(1)
 		return c
 	}
-	// Miss: claim the pair. Exactly one goroutine (the leader) computes —
+	// Miss: claim the pair. Exactly one goroutine (the leader) runs the cost model —
 	// losers wait on the in-flight computation and count a cache hit, the
 	// same accounting outcome the old racing-insert scheme converged to.
 	c, cl, leader, cached := sh.claimWith(p, new(inflightCall))
@@ -789,7 +784,6 @@ func (o *Optimizer) WhatIf(q *workload.Query, cfg iset.Set) float64 {
 		time.Sleep(o.SimulatedLatency)
 	}
 	c = o.score(o.space(q, in), cfg)
-	o.computes.Add(1)
 	o.publish(sh, p, cl, c)
 	return c
 }
@@ -809,7 +803,7 @@ func (o *Optimizer) Known(q *workload.Query, cfg iset.Set) bool {
 // PeekCost returns cost(q, cfg) without counting a call, charging time, or
 // mutating the cache. It consults the cache first under the projected key —
 // the cached value is bit-identical to a fresh computation, the model being
-// pure — and computes only on a miss. It exists for oracle evaluation of
+// pure — and runs the model only on a miss. It exists for oracle evaluation of
 // final configurations (the paper measures the improvement of the returned
 // configuration "in terms of the actual what-if cost") and for tests.
 func (o *Optimizer) PeekCost(q *workload.Query, cfg iset.Set) float64 {
