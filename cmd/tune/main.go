@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		storage = fs.String("storage", "", "storage limit: bytes, or a multiple of DB size like \"3x\" (empty = unconstrained)")
 		derive  = fs.Float64("derive-epsilon", indextune.DefaultDeriveEpsilon, "answer what-if calls from derived cost bounds when their relative gap is within this tolerance, without charging budget (0 = off, bit-identical to budget-only accounting)")
 		stopEps = fs.Float64("stop-epsilon", indextune.DefaultStopEpsilon, "terminate the run once the bound on the best possible remaining improvement falls to this fraction of the baseline cost, refunding unspent budget (0 = off)")
-		explain = fs.Bool("explain", false, "print the plan of the costliest query before/after tuning")
+		explain = fs.Bool("explain", false, "print the plan of the workload's first query under the recommendation")
 		any     = fs.Bool("anytime", false, "run the anytime wrapper (budget interpreted as simulated seconds)")
 
 		traceOut   = fs.String("trace-out", "", "write the session's trace event stream as JSONL to this file")
@@ -80,6 +80,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tune: unexpected arguments: %v\n", fs.Args())
 		fs.Usage()
 		return exitUsage
+	}
+	if *any {
+		// The anytime wrapper runs its own MCTS schedule; these flags would
+		// be silently ignored. Visit sees only flags set on the command
+		// line, so their defaults never trip the check.
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "alg", "workers", "derive-epsilon", "policy", "rave":
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			fmt.Fprintf(stderr, "tune: %s cannot be combined with -anytime\n", strings.Join(ignored, ", "))
+			return exitUsage
+		}
 	}
 
 	if *cpuProfile != "" {

@@ -115,7 +115,9 @@ func saveSnapshots(m *jobs.Manager, dir string, stdout, stderr io.Writer) {
 	})
 }
 
-// saveOne writes one oracle's snapshot atomically.
+// saveOne writes one oracle's snapshot atomically: the bytes are synced to
+// stable storage before the rename publishes them, so a crash leaves either
+// the previous snapshot or the complete new one.
 func saveOne(opt *whatif.Optimizer, w *workload.Workload, path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -123,6 +125,11 @@ func saveOne(opt *whatif.Optimizer, w *workload.Workload, path string) error {
 		return err
 	}
 	if err := opt.WriteSnapshot(f, w); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

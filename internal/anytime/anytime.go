@@ -211,15 +211,6 @@ func (a *Session) Run() Progress {
 // Best returns the best configuration found so far (valid at any time).
 func (a *Session) Best() iset.Set { return a.best.Clone() }
 
-// BestIndexes resolves the current best configuration to index identifiers.
-func (a *Session) BestIndexes() []string {
-	var out []string
-	for _, ord := range a.best.Ordinals() {
-		out = append(out, a.cands.Candidates[ord].Index.ID())
-	}
-	return out
-}
-
 // IndexesOf resolves any configuration over this session's candidate
 // universe to index definitions.
 func (a *Session) IndexesOf(cfg iset.Set) []schema.Index {

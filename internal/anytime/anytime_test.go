@@ -100,12 +100,12 @@ func TestBestIndexesResolvable(t *testing.T) {
 	w := workload.ByName("tpch")
 	a := New(w, Options{K: 3, TimeBudget: 20 * time.Second, Seed: 5})
 	a.Run()
-	names := a.BestIndexes()
-	if len(names) != a.Best().Len() {
-		t.Fatalf("resolved %d names for %d indexes", len(names), a.Best().Len())
+	idx := a.IndexesOf(a.Best())
+	if len(idx) != a.Best().Len() {
+		t.Fatalf("resolved %d indexes for %d ordinals", len(idx), a.Best().Len())
 	}
-	for _, n := range names {
-		if n == "" {
+	for _, ix := range idx {
+		if ix.ID() == "" {
 			t.Fatal("empty index name")
 		}
 	}

@@ -191,8 +191,12 @@ func stoppedTPCH(b *testing.B) (s *search.Session, stream []streamEntry, marks [
 		for qi, from := range consumed {
 			n := s.Derived.Entries(qi)
 			for pos := from; pos < n; pos++ {
-				set, c := s.Derived.EntryAt(qi, pos)
-				stream = append(stream, streamEntry{qi, set.ToSet(), c})
+				small, c := s.Derived.EntryAt(qi, pos)
+				var set iset.Set
+				for _, o := range small {
+					set.Add(int(o))
+				}
+				stream = append(stream, streamEntry{qi, set, c})
 			}
 			consumed[qi] = n
 		}

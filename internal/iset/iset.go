@@ -270,15 +270,6 @@ func (m Small) Contains(o int) bool {
 	return i < len(m) && m[i] == int32(o)
 }
 
-// ToSet converts m to a Set.
-func (m Small) ToSet() Set {
-	var s Set
-	for _, o := range m {
-		s.Add(int(o))
-	}
-	return s
-}
-
 // Key returns the canonical key of m, identical to the Key of its Set form.
 func (m Small) Key() string {
 	if len(m) == 0 {

@@ -167,12 +167,3 @@ func (n *Network) CopyFrom(src *Network) {
 		copy(l.B, s.B)
 	}
 }
-
-// NumParams returns the total number of trainable parameters.
-func (n *Network) NumParams() int {
-	p := 0
-	for _, l := range n.Layers {
-		p += len(l.W) + len(l.B)
-	}
-	return p
-}

@@ -12,8 +12,12 @@ func TestNewShapes(t *testing.T) {
 	if len(net.Layers) != 2 {
 		t.Fatalf("layers = %d", len(net.Layers))
 	}
-	if got, want := net.NumParams(), 4*8+8+8*3+3; got != want {
-		t.Fatalf("NumParams = %d, want %d", got, want)
+	params := 0
+	for _, l := range net.Layers {
+		params += len(l.W) + len(l.B)
+	}
+	if want := 4*8 + 8 + 8*3 + 3; params != want {
+		t.Fatalf("trainable parameters = %d, want %d", params, want)
 	}
 	out := net.Forward([]float64{1, 2, 3, 4})
 	if len(out) != 3 {

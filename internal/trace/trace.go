@@ -230,9 +230,6 @@ func New(events io.Writer) *Recorder {
 	return r
 }
 
-// Enabled reports whether the recorder records anything at all.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // emit assigns the sequence number and streams the event. Callers hold r.mu.
 //
 // locked: mu
