@@ -23,8 +23,8 @@ func TestTuneContextNilVsBackgroundBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// TuningTime and WhatIfTime ride the virtual clock, which is seeded
-		// by the session alone, so even those must match exactly.
+		// TuningTime and WhatIfTime are derived from the session's own
+		// spend, so even those must match exactly.
 		if !reflect.DeepEqual(base, ctxd) {
 			t.Fatalf("workers=%d: context.Background changed the result:\nnil: %+v\nctx: %+v",
 				workers, base, ctxd)

@@ -2,6 +2,7 @@ package algo
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,9 +20,9 @@ import (
 // two workloads, at one and four workers, with bound interception and early
 // stopping each on and off.
 func TestTuningTimeDerivesFromSpend(t *testing.T) {
-	// At K=20, B=500 and a stopping tolerance of 0.2, MCTS stops early on
+	// At K=20, B=300 and a stopping tolerance of 0.3, MCTS stops early on
 	// TPC-H; the grid asserts below that it reaches both layers.
-	const k, budget, stopEps = 20, 500, 0.2
+	const k, budget, stopEps = 20, 300, 0.3
 	modes := []struct {
 		name         string
 		derive, stop float64
@@ -31,57 +32,61 @@ func TestTuningTimeDerivesFromSpend(t *testing.T) {
 		{"stop", 0, stopEps},
 		{"derive+stop", search.DefaultDeriveEpsilon, stopEps},
 	}
-	var stopped, intercepted int
-	for _, wname := range []string{"tpch", "job"} {
-		w := workload.ByName(wname)
-		cands := candgen.Generate(w, candgen.Options{})
-		opt := search.NewOptimizer(w, cands)
-		for _, name := range Names() {
-			if name == NameDP {
-				continue
-			}
-			for _, workers := range []int{1, 4} {
-				for _, m := range modes {
-					t.Run(fmt.Sprintf("%s/%s/w%d/%s", wname, name, workers, m.name), func(t *testing.T) {
-						alg, err := ByName(name, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						s := search.NewSession(w, cands, opt, k, budget, 1)
-						s.Workers = workers
-						s.DeriveEpsilon, s.StopEpsilon = m.derive, m.stop
-						log := tracetest.New()
-						s.Trace = log.Rec
-						r := search.Run(alg, s)
-						if r.EarlyStopped {
-							stopped++
-						}
-						if r.DerivedBoundHits > 0 {
-							intercepted++
-						}
-						used := time.Duration(s.Used())
-						if want := used * opt.PerCallTime; r.WhatIfTime != want {
-							t.Errorf("WhatIfTime = %v, want Used·PerCallTime = %v", r.WhatIfTime, want)
-						}
-						if want := r.WhatIfTime + used*(opt.PerCallTime/8); r.TuningTime != want {
-							t.Errorf("TuningTime = %v, want WhatIfTime + Used·PerCallTime/8 = %v", r.TuningTime, want)
-						}
-						commits := 0
-						for _, e := range log.Events(t) {
-							if e.Kind == trace.KindCommit {
-								commits++
+	var stopped, intercepted atomic.Int32
+	// The group returns once every parallel run has finished.
+	t.Run("grid", func(t *testing.T) {
+		for _, wname := range []string{"tpch", "job"} {
+			w := workload.ByName(wname)
+			cands := candgen.Generate(w, candgen.Options{})
+			opt := search.NewOptimizer(w, cands)
+			for _, name := range Names() {
+				if name == NameDP {
+					continue
+				}
+				for _, workers := range []int{1, 4} {
+					for _, m := range modes {
+						t.Run(fmt.Sprintf("%s/%s/w%d/%s", wname, name, workers, m.name), func(t *testing.T) {
+							t.Parallel()
+							alg, err := ByName(name, nil)
+							if err != nil {
+								t.Fatal(err)
 							}
-						}
-						if commits != s.Used() || r.WhatIfCalls != s.Used() {
-							t.Errorf("commit events = %d, WhatIfCalls = %d, want Used() = %d", commits, r.WhatIfCalls, s.Used())
-						}
-					})
+							s := search.NewSession(w, cands, opt, k, budget, 1)
+							s.Workers = workers
+							s.DeriveEpsilon, s.StopEpsilon = m.derive, m.stop
+							log := tracetest.New()
+							s.Trace = log.Rec
+							r := search.Run(alg, s)
+							if r.EarlyStopped {
+								stopped.Add(1)
+							}
+							if r.DerivedBoundHits > 0 {
+								intercepted.Add(1)
+							}
+							used := time.Duration(s.Used())
+							if want := used * opt.PerCallTime; r.WhatIfTime != want {
+								t.Errorf("WhatIfTime = %v, want Used·PerCallTime = %v", r.WhatIfTime, want)
+							}
+							if want := r.WhatIfTime + used*(opt.PerCallTime/8); r.TuningTime != want {
+								t.Errorf("TuningTime = %v, want WhatIfTime + Used·PerCallTime/8 = %v", r.TuningTime, want)
+							}
+							commits := 0
+							for _, e := range log.Events(t) {
+								if e.Kind == trace.KindCommit {
+									commits++
+								}
+							}
+							if commits != s.Used() || r.WhatIfCalls != s.Used() {
+								t.Errorf("commit events = %d, WhatIfCalls = %d, want Used() = %d", commits, r.WhatIfCalls, s.Used())
+							}
+						})
+					}
 				}
 			}
 		}
-	}
+	})
 	// The grid must reach the stopping and interception paths it names.
-	if stopped == 0 || intercepted == 0 {
-		t.Fatalf("%d runs stopped early, %d intercepted calls: the grid misses a path", stopped, intercepted)
+	if stopped.Load() == 0 || intercepted.Load() == 0 {
+		t.Fatalf("%d runs stopped early, %d intercepted calls: the grid misses a path", stopped.Load(), intercepted.Load())
 	}
 }

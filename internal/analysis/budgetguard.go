@@ -21,7 +21,7 @@ const (
 // optimizerCostMethods are the whatif.Optimizer methods that answer cost
 // queries. Reaching one from an enumeration algorithm without a session
 // charging method on the path would bypass the session's budget charging
-// (and its virtual-time accounting); chargepath enforces that every such
+// (and the simulated time derived from it); chargepath enforces that every such
 // path goes through search.Session (or, for final-configuration evaluation,
 // Session.OracleImprovement).
 var optimizerCostMethods = map[string]bool{

@@ -363,8 +363,9 @@ type priorPair struct{ qi, ord int }
 // query, candidates on the largest tables first. The pair sequence is
 // reserved in that order under one mutex hold, the evaluations fan over the
 // workers against per-query plan spaces, and commits land in the same order
-// — so priors, budget consumption, layout trace, derived store, and the
-// trace event stream are the same at any worker count. StopOnExhausted
+// — so priors, budget consumption, derived store, and the trace event
+// stream (its commit events are the call layout) are the same at any worker
+// count. StopOnExhausted
 // truncates the batch at the first failed what-if call, which abandons the
 // pass (including that pair's derived fallback).
 func (t *tuner) computePriors(workers int) {

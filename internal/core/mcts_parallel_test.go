@@ -51,7 +51,7 @@ func TestParallelDeterministicAcrossRuns(t *testing.T) {
 }
 
 // Workers=1 is the default: explicitly requesting one worker is
-// bit-identical to the tuner with Workers unset, including the layout trace.
+// bit-identical to the tuner with Workers unset, including the call layout.
 func TestParallelWorkersOneMatchesSequential(t *testing.T) {
 	seq := runTrace(t, session(t, "tpch", 5, 100, 7), Default())
 	one := runTrace(t, withWorkers(session(t, "tpch", 5, 100, 7), 1), Default())
@@ -102,7 +102,7 @@ func priorsDigest(s *search.Session, tn *tuner, cells []tracetest.Cell) string {
 // The prior phase must reproduce, at every worker count, the golden
 // recorded while the one-pair-at-a-time Algorithm 4 pass still existed and
 // was verified bit-identical to the batched one: same priors, same budget
-// use, same layout trace.
+// use, same call layout.
 func TestParallelPriorsMatchSequential(t *testing.T) {
 	raw, err := os.ReadFile(priorsGoldenPath)
 	if err != nil && !*updateGolden {

@@ -1,7 +1,8 @@
 // Package cost implements the cost-approximation machinery of Section 3:
 // cost derivation over cached what-if calls (Equations 1 and 2), the benefit
-// function and its submodular structure (Theorem 1), percentage improvement
-// (Equation 4), and the budget-allocation matrix / layout trace (Section 3.2).
+// function and its submodular structure (Theorem 1), and percentage
+// improvement (Equation 4). The budget-allocation layout of Section 3.2 is
+// the session's stream of commit trace events (see internal/search).
 package cost
 
 import (

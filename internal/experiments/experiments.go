@@ -128,7 +128,7 @@ var Ks = []int{5, 10, 20}
 // runner caches a generated workload, its candidate set, AND one shared
 // what-if oracle across all runs of a figure. The optimizer's sharded cost
 // cache is concurrency-safe and free of per-run state — budgets, call/hit
-// counters, and virtual time all live on each search.Session — so reusing
+// counters, and simulated time all live on each search.Session — so reusing
 // it across (algorithm, K, budget, seed) runs changes only wall-clock time,
 // never results: every run is charged as if it had asked the optimizer
 // fresh, while identical (query, config) costs are computed once instead of
@@ -266,8 +266,8 @@ func mctsDefault() search.Algorithm { return core.Default() }
 
 // budgetLabel renders an x-axis label "B(minutes)" like the paper's axes.
 // The minute conversion uses search.TuningTimeFactor so the label matches
-// the virtual time a session actually charges per budgeted call
-// (PerCallTime plus the non-what-if overhead).
+// the simulated time search.Run reports per budgeted call (PerCallTime plus
+// the non-what-if overhead).
 func budgetLabel(wname string, budget int) string {
 	perCall := search.PerCallLatency(wname)
 	mins := time.Duration(float64(budget)*float64(perCall)*search.TuningTimeFactor()) / time.Minute

@@ -559,7 +559,7 @@ func (m *Manager) run(j *Job) {
 // execute runs the job's tuning session against the (shared) oracle. The
 // optimizer is concurrency-safe and all per-job accounting lives in the
 // session, so concurrent jobs over one schema never leak spend, cache hits,
-// or virtual time into each other.
+// or simulated time into each other.
 func (m *Manager) execute(j *Job) (*Result, error) {
 	entry, err := m.oracle(j)
 	if err != nil {

@@ -225,7 +225,7 @@ func (randProbeAlg) Enumerate(s *Session) iset.Set {
 
 // TestResultCountersAreSessionLocal is the regression test for the counter
 // leak: two runs against ONE shared optimizer must each report only their
-// own calls, cache hits, and virtual time — the second run's counters start
+// own calls, cache hits, and simulated time — the second run's counters start
 // at zero instead of continuing from optimizer-global totals.
 func TestResultCountersAreSessionLocal(t *testing.T) {
 	w := workload.ByName("tpch")

@@ -371,10 +371,9 @@ func growFloats(s []float64, n int) []float64 {
 }
 
 // WhatIfBatch returns cost(q, cfg) for every configuration in cfgs, with
-// counting, caching, virtual-time charging, and simulated latency per pair
-// exactly as len(cfgs) sequential WhatIf calls would perform them: cached
-// pairs count cache hits, missing pairs count calls and charge PerCallTime,
-// and duplicate configurations within one batch hit the cache after the
+// counting, caching, and simulated latency per pair exactly as len(cfgs)
+// sequential WhatIf calls would perform them: cached pairs count cache hits,
+// missing pairs count calls, and duplicate configurations within one batch hit the cache after the
 // first fills it. The difference is purely mechanical: the plan space is
 // looked up once per batch and leader claims register in a pooled slab, so
 // a batch allocates only the result slice.

@@ -17,8 +17,9 @@
 //     the outer row count, which makes a join index on the other side far
 //     more valuable — benefits are not additive across indexes.
 //
-// Every what-if call is counted and charged virtual time, enabling the
-// budget accounting and tuning-time reporting of the paper (Figure 2).
+// Every what-if call is counted, enabling the budget accounting of the
+// paper; sessions derive the tuning-time reporting (Figure 2) from their
+// spend and PerCallTime.
 package whatif
 
 import (
@@ -272,8 +273,8 @@ type queryInfo struct {
 // evaluations across sessions are answered from cache without recomputing
 // the cost model. Per-run budget accounting does NOT live here — it is the
 // responsibility of search.Session, which tracks the pairs it has asked for
-// and charges its own budget and virtual clock (the paper's per-run budget
-// B stays faithful even when the cache is warm from other runs).
+// and charges its own budget (the paper's per-run budget B stays faithful
+// even when the cache is warm from other runs).
 type Optimizer struct {
 	DB         *schema.Database
 	Candidates []schema.Index
@@ -284,7 +285,7 @@ type Optimizer struct {
 	// evaluation sleep for that wall-clock duration before computing, acting
 	// as a stand-in for the round-trip to a real optimizer. It exists for the
 	// perf harness (latency-hiding benchmarks for the parallel MCTS
-	// pipeline); figure runs leave it zero, so results and virtual-time
+	// pipeline); figure runs leave it zero, so results and simulated-time
 	// accounting never depend on it. Must be set before the optimizer is
 	// shared across goroutines.
 	SimulatedLatency time.Duration
