@@ -13,9 +13,10 @@ package search
 //
 // Exactness contract: a batch over pairs p_0..p_{n-1} leaves the session in
 // the same state — budget used, the seen set, cache-hit and bound-hit
-// counters, derived store, and trace event stream — as n sequential Session.WhatIf calls for the same pairs, and
-// returns the same costs, PROVIDED no pair's configuration is a subset or
-// superset of an earlier same-query pair's configuration in the batch.
+// counters, derived store, and trace event stream — as n sequential
+// Session.WhatIf calls for the same pairs, and returns the same costs,
+// PROVIDED no pair's configuration is a subset or superset of an earlier
+// same-query pair's configuration in the batch.
 // Under that precondition every reserve-time decision (seen membership,
 // derived-bound interception, budget exhaustion) is independent of the
 // commits of earlier pairs in the batch: Bounds(q, C) reads only q's

@@ -1,8 +1,9 @@
 // Package search provides the shared context for budget-aware configuration
 // enumeration: a Session bundles the workload, candidate set, what-if
-// optimizer, derived-cost store, budget meter, and tuning constraints (cardinality K and optional storage limit). All enumeration
-// algorithms — greedy variants, MCTS, the RL baselines, and the DTA
-// simulator — run against a Session.
+// optimizer, derived-cost store, budget meter, and tuning constraints
+// (cardinality K and optional storage limit). All enumeration algorithms —
+// greedy variants, MCTS, the RL baselines, and the DTA simulator — run
+// against a Session.
 //
 // The what-if optimizer may be shared across sessions (and across
 // goroutines): all budget accounting is session-local. A session charges its
@@ -584,8 +585,9 @@ func (s *Session) probeFloors() {
 // Otherwise, when bound interception is enabled and the derived bounds are
 // within epsilon, the bound midpoint is returned without consuming budget.
 // Otherwise one unit of budget is consumed, the call is recorded in the
-// derived store and emitted as a commit event, and ok is true — even when a shared optimizer answers from a cache warmed by another
-// session, so per-run budget consumption is independent of cache sharing.
+// derived store and emitted as a commit event, and ok is true — even when a
+// shared optimizer answers from a cache warmed by another session, so
+// per-run budget consumption is independent of cache sharing.
 // When the budget is exhausted and the pair is unseen, ok is false and the
 // derived cost is returned instead.
 func (s *Session) WhatIf(qi int, cfg iset.Set) (c float64, ok bool) {

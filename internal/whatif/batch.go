@@ -373,10 +373,10 @@ func growFloats(s []float64, n int) []float64 {
 // WhatIfBatch returns cost(q, cfg) for every configuration in cfgs, with
 // counting, caching, and simulated latency per pair exactly as len(cfgs)
 // sequential WhatIf calls would perform them: cached pairs count cache hits,
-// missing pairs count calls, and duplicate configurations within one batch hit the cache after the
-// first fills it. The difference is purely mechanical: the plan space is
-// looked up once per batch and leader claims register in a pooled slab, so
-// a batch allocates only the result slice.
+// missing pairs count calls, and duplicate configurations within one batch
+// hit the cache after the first fills it. The difference is purely
+// mechanical: the plan space is looked up once per batch and leader claims
+// register in a pooled slab, so a batch allocates only the result slice.
 func (o *Optimizer) WhatIfBatch(q *workload.Query, cfgs []iset.Set) []float64 {
 	out := make([]float64, len(cfgs))
 	if len(cfgs) == 0 {

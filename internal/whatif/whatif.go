@@ -291,7 +291,7 @@ type Optimizer struct {
 	SimulatedLatency time.Duration
 
 	// tables holds, per table, its candidates and their column masks — what
-	// internQuery derives relevance from.
+	// internQuery computes relevance from.
 	tables map[string]*tableCands
 	// relWords is the fixed word width of relevance bitmaps: enough words to
 	// cover every candidate ordinal.
@@ -768,7 +768,7 @@ func (o *Optimizer) WhatIf(q *workload.Query, cfg iset.Set) float64 {
 		o.cacheHits.Add(1)
 		return c
 	}
-	// Miss: claim the pair. Exactly one goroutine (the leader) runs the cost model —
+	// Miss: claim the pair. Exactly one goroutine (the leader) computes —
 	// losers wait on the in-flight computation and count a cache hit, the
 	// same accounting outcome the old racing-insert scheme converged to.
 	c, cl, leader, cached := sh.claimWith(p, new(inflightCall))
@@ -804,7 +804,7 @@ func (o *Optimizer) Known(q *workload.Query, cfg iset.Set) bool {
 // PeekCost returns cost(q, cfg) without counting a call, charging time, or
 // mutating the cache. It consults the cache first under the projected key —
 // the cached value is bit-identical to a fresh computation, the model being
-// pure — and runs the model only on a miss. It exists for oracle evaluation of
+// pure — and computes only on a miss. It exists for oracle evaluation of
 // final configurations (the paper measures the improvement of the returned
 // configuration "in terms of the actual what-if cost") and for tests.
 func (o *Optimizer) PeekCost(q *workload.Query, cfg iset.Set) float64 {

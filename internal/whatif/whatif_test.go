@@ -363,7 +363,7 @@ func TestConcurrentWhatIfSharedOptimizer(t *testing.T) {
 	if key, bad := <-errs, false; key != "" || bad {
 		t.Fatalf("wrong concurrent answer for %s", key)
 	}
-	// The optimizer runs the model once per distinct *projected* pair: configs
+	// The optimizer computes once per distinct *projected* pair: configs
 	// differing only in query-irrelevant indexes share one cache entry.
 	distinct := int64(len(projected))
 	if o.Calls() != distinct {
