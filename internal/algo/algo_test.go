@@ -8,7 +8,6 @@ import (
 
 	"indextune/internal/candgen"
 	"indextune/internal/search"
-	"indextune/internal/trace"
 	"indextune/internal/trace/tracetest"
 	"indextune/internal/workload"
 )
@@ -70,12 +69,7 @@ func TestTuningTimeDerivesFromSpend(t *testing.T) {
 							if want := r.WhatIfTime + used*(opt.PerCallTime/8); r.TuningTime != want {
 								t.Errorf("TuningTime = %v, want WhatIfTime + Used·PerCallTime/8 = %v", r.TuningTime, want)
 							}
-							commits := 0
-							for _, e := range log.Events(t) {
-								if e.Kind == trace.KindCommit {
-									commits++
-								}
-							}
+							commits := len(log.Cells(t))
 							if commits != s.Used() || r.WhatIfCalls != s.Used() {
 								t.Errorf("commit events = %d, WhatIfCalls = %d, want Used() = %d", commits, r.WhatIfCalls, s.Used())
 							}

@@ -6,7 +6,6 @@
 package tracetest
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"strconv"
@@ -37,33 +36,20 @@ func New() *Log {
 	return l
 }
 
-// Events flushes the recorder and decodes every event streamed so far.
-func (l *Log) Events(tb testing.TB) []trace.Event {
+// Cells flushes the recorder and returns the charged calls streamed so far,
+// in commit order.
+func (l *Log) Cells(tb testing.TB) []Cell {
 	tb.Helper()
 	if err := l.Rec.Flush(); err != nil {
 		tb.Fatal(err)
 	}
-	var out []trace.Event
-	sc := bufio.NewScanner(bytes.NewReader(l.buf.Bytes()))
-	sc.Buffer(nil, 1<<24)
-	for sc.Scan() {
-		var e trace.Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			tb.Fatalf("decoding trace event %q: %v", sc.Text(), err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		tb.Fatal(err)
-	}
-	return out
-}
-
-// Cells returns the charged calls in commit order.
-func (l *Log) Cells(tb testing.TB) []Cell {
-	tb.Helper()
 	var out []Cell
-	for _, e := range l.Events(tb) {
+	dec := json.NewDecoder(bytes.NewReader(l.buf.Bytes()))
+	for dec.More() {
+		var e trace.Event
+		if err := dec.Decode(&e); err != nil {
+			tb.Fatalf("decoding trace event: %v", err)
+		}
 		if e.Kind != trace.KindCommit {
 			continue
 		}
