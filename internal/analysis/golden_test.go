@@ -65,9 +65,18 @@ func loadTestdata(t *testing.T, l *Loader, dir string) *Package {
 
 func runGolden(t *testing.T, l *Loader, dir string, as ...*Analyzer) {
 	t.Helper()
-	pkg := loadTestdata(t, l, dir)
-	wants := collectWants(t, pkg)
-	diags := Run([]*Package{pkg}, as)
+	checkWants(t, []*Package{loadTestdata(t, l, dir)}, as...)
+}
+
+// checkWants runs the analyzers over pkgs together and matches the findings
+// against every package's want comments.
+func checkWants(t *testing.T, pkgs []*Package, as ...*Analyzer) {
+	t.Helper()
+	var wants []*wantSpec
+	for _, pkg := range pkgs {
+		wants = append(wants, collectWants(t, pkg)...)
+	}
+	diags := Run(pkgs, as)
 	for _, d := range diags {
 		found := false
 		for _, w := range wants {
@@ -128,6 +137,40 @@ func TestGolden(t *testing.T) {
 			}
 			runGolden(t, l, tc.dir, as...)
 		})
+	}
+}
+
+// TestGoldenUnreached loads each unreached fixture whole, naming the
+// fixture's own root package as the API root: bad's wants cover an unreached
+// function, method, and exported function of an internal package, plus a
+// function only its _test.go calls; clean exercises every root kind. Loading
+// a fixture package without its root reports nothing.
+func TestGoldenUnreached(t *testing.T) {
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fixtures = "indextune/internal/analysis/testdata/src/unreached/"
+	for _, dir := range []string{"bad", "clean"} {
+		abs, err := filepath.Abs(filepath.Join("testdata", "src", "unreached", dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs, err := l.Load([]string{abs + "/..."})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := Unreached(fixtures + dir)
+		t.Run(dir, func(t *testing.T) { checkWants(t, pkgs, a) })
+		if n := len(Run(pkgs, []*Analyzer{a})); dir == "bad" && n < 5 {
+			t.Errorf("bad: got %d unreached findings, want >= 5", n)
+		}
+	}
+	for _, dir := range []string{"bad/internal/dead", "clean/internal/thing"} {
+		pkg := loadTestdata(t, l, "unreached/"+dir)
+		if diags := Run([]*Package{pkg}, []*Analyzer{Unreached(fixtures + dir[:strings.Index(dir, "/")])}); len(diags) != 0 {
+			t.Errorf("%s without its root package: got %v, want no findings", dir, diags)
+		}
 	}
 }
 
