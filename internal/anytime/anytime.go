@@ -198,19 +198,6 @@ func (a *Session) finish(reason string) {
 	}
 }
 
-// Run steps until done and returns the final progress.
-func (a *Session) Run() Progress {
-	for {
-		p, done := a.Step()
-		if done {
-			return p
-		}
-	}
-}
-
-// Best returns the best configuration found so far (valid at any time).
-func (a *Session) Best() iset.Set { return a.best.Clone() }
-
 // IndexesOf resolves any configuration over this session's candidate
 // universe to index definitions.
 func (a *Session) IndexesOf(cfg iset.Set) []schema.Index {

@@ -9,10 +9,19 @@ import (
 	"indextune/internal/workload"
 )
 
+// run steps a until done and returns the final progress.
+func run(a *Session) Progress {
+	for {
+		if p, done := a.Step(); done {
+			return p
+		}
+	}
+}
+
 func TestAnytimeRunsToCompletion(t *testing.T) {
 	w := workload.ByName("tpch")
 	a := New(w, Options{K: 5, TimeBudget: 30 * time.Second, Seed: 1})
-	p := a.Run()
+	p := run(a)
 	if p.CallsUsed == 0 {
 		t.Fatal("no calls used")
 	}
@@ -36,7 +45,7 @@ func TestAnytimeBestAvailableEveryStep(t *testing.T) {
 			t.Fatalf("best-so-far improvement decreased: %v -> %v", prevImp, p.ImprovementPct)
 		}
 		prevImp = p.ImprovementPct
-		if a.Best().Len() > 5 {
+		if a.best.Len() > 5 {
 			t.Fatalf("best exceeds K at step %d", steps)
 		}
 		if done {
@@ -57,11 +66,11 @@ func TestAnytimeBestAvailableEveryStep(t *testing.T) {
 func TestAnytimeMinImprovementStopsEarly(t *testing.T) {
 	w := workload.ByName("tpch")
 	unconstrained := New(w, Options{K: 10, TimeBudget: 2 * time.Minute, SliceCalls: 30, Seed: 3})
-	full := unconstrained.Run()
+	full := run(unconstrained)
 
 	constrained := New(w, Options{K: 10, TimeBudget: 2 * time.Minute, SliceCalls: 30, Seed: 3,
 		MinImprovementPct: 10})
-	early := constrained.Run()
+	early := run(constrained)
 	if early.ImprovementPct < 10 {
 		t.Fatalf("stopped below the minimum improvement: %v", early.ImprovementPct)
 	}
@@ -73,7 +82,7 @@ func TestAnytimeMinImprovementStopsEarly(t *testing.T) {
 func TestAnytimeStepAfterDoneIsStable(t *testing.T) {
 	w := workload.ByName("tpch")
 	a := New(w, Options{K: 3, TimeBudget: 10 * time.Second, Seed: 1})
-	a.Run()
+	run(a)
 	p1, done := a.Step()
 	if !done {
 		t.Fatal("session should stay done")
@@ -87,8 +96,8 @@ func TestAnytimeStepAfterDoneIsStable(t *testing.T) {
 func TestRefineNeverWorsens(t *testing.T) {
 	w := workload.ByName("tpch")
 	a := New(w, Options{K: 5, TimeBudget: 30 * time.Second, Seed: 4})
-	a.Run()
-	before := a.s.Derived.Workload(a.Best())
+	run(a)
+	before := a.s.Derived.Workload(a.best)
 	refined := a.Refine()
 	after := a.s.Derived.Workload(refined)
 	if after > before+1e-9 {
@@ -99,10 +108,10 @@ func TestRefineNeverWorsens(t *testing.T) {
 func TestBestIndexesResolvable(t *testing.T) {
 	w := workload.ByName("tpch")
 	a := New(w, Options{K: 3, TimeBudget: 20 * time.Second, Seed: 5})
-	a.Run()
-	idx := a.IndexesOf(a.Best())
-	if len(idx) != a.Best().Len() {
-		t.Fatalf("resolved %d indexes for %d ordinals", len(idx), a.Best().Len())
+	run(a)
+	idx := a.IndexesOf(a.best)
+	if len(idx) != a.best.Len() {
+		t.Fatalf("resolved %d indexes for %d ordinals", len(idx), a.best.Len())
 	}
 	for _, ix := range idx {
 		if ix.ID() == "" {
@@ -161,7 +170,7 @@ func TestAnytimeFoldsRemainderIntoLastSlice(t *testing.T) {
 	if a.s.Budget != 100 {
 		t.Fatalf("budget = %d, want 100 (per-call latency changed?)", a.s.Budget)
 	}
-	p := a.Run()
+	p := run(a)
 	if p.CallsUsed != a.s.Budget {
 		t.Fatalf("total spend %d != budget %d", p.CallsUsed, a.s.Budget)
 	}
@@ -187,7 +196,7 @@ func TestAnytimeTraceSliceEvents(t *testing.T) {
 	w := workload.ByName("tpch")
 	rec := trace.New(nil)
 	a := New(w, Options{K: 5, TimeBudget: 28 * time.Second, SliceCalls: 30, Seed: 3, Trace: rec})
-	a.Run()
+	run(a)
 	sum := rec.Summary("anytime", a.s.Budget)
 	if sum.SpendTotal() != a.s.Used() {
 		t.Fatalf("traced spend %d != used %d", sum.SpendTotal(), a.s.Used())
@@ -202,20 +211,21 @@ func TestAnytimeTraceSliceEvents(t *testing.T) {
 
 // TestRefineResultIsolatedFromCaller pins the satellite fix: Refine must
 // Clone the greedy result before storing it as the session's best, so
-// mutating the returned set never corrupts later Best()/snapshot values.
+// mutating the returned set never corrupts the session best or later
+// snapshots.
 func TestRefineResultIsolatedFromCaller(t *testing.T) {
 	w := workload.ByName("tpch")
 	a := New(w, Options{K: 5, TimeBudget: 30 * time.Second, Seed: 6})
-	a.Run()
+	run(a)
 	refined := a.Refine()
-	want := a.Best() // Best clones, so this snapshot is safe
+	want := a.best.Clone()
 	// Mutate the returned set in place: grow it well past K.
 	for ord := 0; ord < 64; ord++ {
 		refined.Add(ord)
 	}
-	got := a.Best()
+	got := a.best
 	if !got.Equal(want) {
-		t.Fatalf("mutating Refine's return changed Best: %v -> %v", want, got)
+		t.Fatalf("mutating Refine's return changed the session best: %v -> %v", want, got)
 	}
 	if got.Len() > 5 {
 		t.Fatalf("session best exceeds K after caller mutation: %d", got.Len())
@@ -228,7 +238,7 @@ func TestRefineResultIsolatedFromCaller(t *testing.T) {
 func TestAnytimeEarlyStopReason(t *testing.T) {
 	w := workload.ByName("tpch")
 	a := New(w, Options{K: 5, TimeBudget: time.Minute, SliceCalls: 200, Seed: 7, StopEpsilon: 1.0})
-	p := a.Run()
+	p := run(a)
 	if !a.Stopped() {
 		t.Fatal("epsilon=1 session should early-stop")
 	}
@@ -253,7 +263,7 @@ func TestAnytimeEarlyStopReason(t *testing.T) {
 func TestAnytimeNoStopWithZeroEpsilon(t *testing.T) {
 	w := workload.ByName("tpch")
 	a := New(w, Options{K: 5, TimeBudget: 30 * time.Second, Seed: 8})
-	p := a.Run()
+	p := run(a)
 	if a.Stopped() || p.Reason == "early-stop" {
 		t.Fatalf("epsilon=0 session stopped early (reason %q)", p.Reason)
 	}

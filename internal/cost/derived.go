@@ -356,20 +356,3 @@ func (ds *DerivedStore) Improvement(cfg iset.Set) float64 {
 	}
 	return 1 - ds.Workload(cfg)/base
 }
-
-// Benefit returns b(W, cfg) = d(W, ∅) − d(W, cfg) (Section 3.1.2).
-func (ds *DerivedStore) Benefit(cfg iset.Set) float64 {
-	return ds.BaseWorkload() - ds.Workload(cfg)
-}
-
-// SingletonDerived computes d(q_i, C) restricted to singleton subsets
-// (Equation 2), used by the theory of Section 3.1.2 and its tests.
-func (ds *DerivedStore) SingletonDerived(qi int, cfg iset.Set) float64 {
-	d := ds.base[qi]
-	for _, e := range ds.byQ[qi].entries {
-		if len(e.set) == 1 && e.cost < d && cfg.Has(int(e.set[0])) {
-			d = e.cost
-		}
-	}
-	return d
-}

@@ -141,7 +141,8 @@ func TestImprovementAndBenefit(t *testing.T) {
 	if got := ds.Workload(cfg); got != 550 {
 		t.Fatalf("Workload = %v", got)
 	}
-	if got := ds.Benefit(cfg); got != 50 {
+	// b(W, cfg) = d(W, ∅) − d(W, cfg) (Section 3.1.2).
+	if got := ds.BaseWorkload() - ds.Workload(cfg); got != 50 {
 		t.Fatalf("Benefit = %v", got)
 	}
 	if got := ds.Improvement(cfg); math.Abs(got-50.0/600) > 1e-12 {
@@ -158,11 +159,23 @@ func TestWeightedWorkloadCost(t *testing.T) {
 	}
 }
 
+// singletonDerived computes d(q_i, C) restricted to singleton subsets
+// (Equation 2), the derivation the theory of Section 3.1.2 assumes.
+func singletonDerived(ds *DerivedStore, qi int, cfg iset.Set) float64 {
+	d := ds.base[qi]
+	for _, e := range ds.byQ[qi].entries {
+		if len(e.set) == 1 && e.cost < d && cfg.Has(int(e.set[0])) {
+			d = e.cost
+		}
+	}
+	return d
+}
+
 func TestSingletonDerivedIgnoresLargerEntries(t *testing.T) {
 	ds, _ := newStore()
 	ds.Record(0, iset.FromOrdinals(1), 80)
 	ds.Record(0, iset.FromOrdinals(1, 2), 10) // pair: excluded by Eq. 2
-	if got := ds.SingletonDerived(0, iset.FromOrdinals(1, 2)); got != 80 {
+	if got := singletonDerived(ds, 0, iset.FromOrdinals(1, 2)); got != 80 {
 		t.Fatalf("singleton derived = %v, want 80", got)
 	}
 }
@@ -182,7 +195,7 @@ func TestSubmodularityUnderSingletonDerivation(t *testing.T) {
 				ds.Record(qi, iset.FromOrdinals(z), base*rng.Float64())
 			}
 		}
-		singleton := func(qi int, cfg iset.Set) float64 { return ds.SingletonDerived(qi, cfg) }
+		singleton := func(qi int, cfg iset.Set) float64 { return singletonDerived(ds, qi, cfg) }
 		benefit := func(cfg iset.Set) float64 {
 			t := 0.0
 			for qi := 0; qi < 3; qi++ {

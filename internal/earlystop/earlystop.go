@@ -149,12 +149,3 @@ func (c *Checker) Gap(cfg iset.Set) float64 {
 	}
 	return gap
 }
-
-// Improvement returns the derived improvement fraction of the tracked
-// configuration as of the last Gap call — the achieved side of the bound.
-func (c *Checker) Improvement() float64 {
-	if c.baseW <= 0 {
-		return 0
-	}
-	return 1 - c.dSum/c.baseW
-}

@@ -238,22 +238,6 @@ func SmallFromSet(s Set) Small {
 	return out
 }
 
-// NewSmall builds a sorted, deduplicated Small from ordinals.
-func NewSmall(ords ...int) Small {
-	out := make(Small, 0, len(ords))
-	for _, o := range ords {
-		out = append(out, int32(o))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	dedup := out[:0]
-	for i, v := range out {
-		if i == 0 || v != out[i-1] {
-			dedup = append(dedup, v)
-		}
-	}
-	return dedup
-}
-
 // SubsetOfSet reports whether every ordinal of m is present in s.
 func (m Small) SubsetOfSet(s Set) bool {
 	for _, o := range m {

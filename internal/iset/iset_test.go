@@ -128,19 +128,6 @@ func TestSmallConversions(t *testing.T) {
 	}
 }
 
-func TestNewSmallDedupes(t *testing.T) {
-	sm := NewSmall(5, 1, 5, 3, 1)
-	want := Small{1, 3, 5}
-	if len(sm) != len(want) {
-		t.Fatalf("NewSmall = %v, want %v", sm, want)
-	}
-	for i := range want {
-		if sm[i] != want[i] {
-			t.Fatalf("NewSmall = %v, want %v", sm, want)
-		}
-	}
-}
-
 // randSet builds a random set for property tests.
 func randSet(rng *rand.Rand, n int) Set {
 	var s Set

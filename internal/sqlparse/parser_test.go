@@ -175,7 +175,7 @@ func TestParsedQueryValidates(t *testing.T) {
 func TestHistogramDrivenSelectivity(t *testing.T) {
 	db := exampleDB()
 	var cat stats.Catalog
-	cat.Put("R", "b", stats.Uniform(0, 100, 10, 1000, 500))
+	cat.Put("R", "b", &stats.Histogram{Buckets: []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}, Rows: 1000, NDV: 500})
 
 	q, err := Parse(db, "q", "SELECT a FROM R WHERE b > 75", &cat)
 	if err != nil {

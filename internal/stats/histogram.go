@@ -6,12 +6,6 @@
 // data-dependent selectivities instead of fixed defaults.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
 // Histogram is an equi-depth (equi-height) histogram over a numeric column.
 // Each bucket holds approximately Rows/len(Buckets) rows between its bounds.
 type Histogram struct {
@@ -24,47 +18,6 @@ type Histogram struct {
 	Rows int64
 	// NDV is the number of distinct values.
 	NDV int64
-}
-
-// Build constructs an equi-depth histogram with at most buckets buckets from
-// a sample of values. The sample is copied and sorted.
-func Build(sample []float64, buckets int, rows, ndv int64) (*Histogram, error) {
-	if len(sample) == 0 {
-		return nil, fmt.Errorf("stats: empty sample")
-	}
-	if buckets <= 0 {
-		return nil, fmt.Errorf("stats: need at least one bucket, got %d", buckets)
-	}
-	vals := append([]float64(nil), sample...)
-	sort.Float64s(vals)
-	if buckets > len(vals) {
-		buckets = len(vals)
-	}
-	h := &Histogram{Min: vals[0], Rows: rows, NDV: ndv}
-	for b := 1; b <= buckets; b++ {
-		idx := b*len(vals)/buckets - 1
-		bound := vals[idx]
-		if len(h.Buckets) == 0 || bound > h.Buckets[len(h.Buckets)-1] {
-			h.Buckets = append(h.Buckets, bound)
-		}
-	}
-	if h.Rows <= 0 {
-		h.Rows = int64(len(vals))
-	}
-	if h.NDV <= 0 {
-		h.NDV = distinct(vals)
-	}
-	return h, nil
-}
-
-func distinct(sorted []float64) int64 {
-	n := int64(0)
-	for i, v := range sorted {
-		if i == 0 || v != sorted[i-1] {
-			n++
-		}
-	}
-	return n
 }
 
 // Max returns the histogram's highest bound.
@@ -144,56 +97,6 @@ func clampSel(s float64, rows int64) float64 {
 		return 1
 	}
 	return s
-}
-
-// Uniform builds a histogram for a column assumed uniform on [min, max]
-// with the given row count and NDV — the fallback when no sample exists.
-func Uniform(min, max float64, buckets int, rows, ndv int64) *Histogram {
-	if buckets < 1 {
-		buckets = 1
-	}
-	if max < min {
-		min, max = max, min
-	}
-	h := &Histogram{Min: min, Rows: rows, NDV: ndv}
-	for b := 1; b <= buckets; b++ {
-		h.Buckets = append(h.Buckets, min+(max-min)*float64(b)/float64(buckets))
-	}
-	return h
-}
-
-// Zipf builds a histogram for a skewed column: values 1..ndv with
-// frequencies ∝ 1/rank^theta, materialized via a synthetic sample.
-func Zipf(ndv int64, theta float64, buckets int, rows int64) *Histogram {
-	if ndv < 1 {
-		ndv = 1
-	}
-	if theta < 0 {
-		theta = 0
-	}
-	// Build a deterministic sample proportional to the Zipf mass.
-	const sampleSize = 4096
-	norm := 0.0
-	for r := int64(1); r <= ndv; r++ {
-		norm += 1 / math.Pow(float64(r), theta)
-	}
-	var sample []float64
-	for r := int64(1); r <= ndv && len(sample) < sampleSize; r++ {
-		cnt := int(math.Round(sampleSize / norm / math.Pow(float64(r), theta)))
-		if cnt < 1 {
-			cnt = 1
-		}
-		for i := 0; i < cnt && len(sample) < sampleSize; i++ {
-			sample = append(sample, float64(r))
-		}
-	}
-	h, err := Build(sample, buckets, rows, ndv)
-	if err != nil {
-		// invariant: unreachable — the Zipf sample loop above always emits at
-		// least one value, and Build only fails on an empty sample.
-		panic(err)
-	}
-	return h
 }
 
 // Catalog maps table.column names to histograms. The zero value is an empty

@@ -2,49 +2,22 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-func uniformSample(n int, lo, hi float64) []float64 {
-	rng := rand.New(rand.NewSource(1))
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = lo + (hi-lo)*rng.Float64()
+// evenHistogram is the histogram of a column uniform on [lo, hi]: n
+// equal-width buckets, each holding an equal share of the rows.
+func evenHistogram(lo, hi float64, n int, rows, ndv int64) *Histogram {
+	h := &Histogram{Min: lo, Rows: rows, NDV: ndv}
+	for b := 1; b <= n; b++ {
+		h.Buckets = append(h.Buckets, lo+(hi-lo)*float64(b)/float64(n))
 	}
-	return out
-}
-
-func TestBuildErrors(t *testing.T) {
-	if _, err := Build(nil, 4, 0, 0); err == nil {
-		t.Fatal("empty sample should error")
-	}
-	if _, err := Build([]float64{1}, 0, 0, 0); err == nil {
-		t.Fatal("zero buckets should error")
-	}
-}
-
-func TestBuildBucketsSortedAndBounded(t *testing.T) {
-	h, err := Build(uniformSample(1000, 0, 100), 8, 10000, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Buckets) == 0 || len(h.Buckets) > 8 {
-		t.Fatalf("buckets = %d", len(h.Buckets))
-	}
-	for i := 1; i < len(h.Buckets); i++ {
-		if h.Buckets[i] <= h.Buckets[i-1] {
-			t.Fatalf("bucket bounds not increasing: %v", h.Buckets)
-		}
-	}
-	if h.Min > h.Buckets[0] {
-		t.Fatal("min above first bound")
-	}
+	return h
 }
 
 func TestSelectivityLessMonotone(t *testing.T) {
-	h, _ := Build(uniformSample(1000, 0, 100), 10, 10000, 500)
+	h := evenHistogram(0, 100, 10, 10000, 500)
 	f := func(a, b float64) bool {
 		a, b = math.Mod(math.Abs(a), 120)-10, math.Mod(math.Abs(b), 120)-10
 		if a > b {
@@ -58,7 +31,7 @@ func TestSelectivityLessMonotone(t *testing.T) {
 }
 
 func TestSelectivityBoundsUniform(t *testing.T) {
-	h, _ := Build(uniformSample(5000, 0, 100), 16, 100000, 1000)
+	h := evenHistogram(0, 100, 16, 100000, 1000)
 	// P(x <= 50) should be ≈ 0.5 on uniform data.
 	if got := h.SelectivityLess(50); math.Abs(got-0.5) > 0.08 {
 		t.Fatalf("Sel(<=50) = %v, want ≈0.5", got)
@@ -76,7 +49,7 @@ func TestSelectivityBoundsUniform(t *testing.T) {
 }
 
 func TestSelectivityOutOfRange(t *testing.T) {
-	h, _ := Build(uniformSample(100, 10, 20), 4, 1000, 50)
+	h := evenHistogram(10, 20, 4, 1000, 50)
 	if got := h.SelectivityLess(5); got > 0.01 {
 		t.Fatalf("below min: %v", got)
 	}
@@ -89,7 +62,7 @@ func TestSelectivityOutOfRange(t *testing.T) {
 }
 
 func TestSelectivityNeverZeroOrAboveOne(t *testing.T) {
-	h, _ := Build(uniformSample(200, 0, 10), 4, 100, 10)
+	h := evenHistogram(0, 10, 4, 100, 10)
 	f := func(v float64) bool {
 		v = math.Mod(v, 20)
 		for _, s := range []float64{
@@ -107,37 +80,12 @@ func TestSelectivityNeverZeroOrAboveOne(t *testing.T) {
 	}
 }
 
-func TestUniformHistogram(t *testing.T) {
-	h := Uniform(0, 100, 10, 1000, 100)
-	if got := h.SelectivityLess(50); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("uniform Sel(<=50) = %v", got)
-	}
-	// Swapped bounds are tolerated.
-	h2 := Uniform(100, 0, 10, 1000, 100)
-	if h2.Min != 0 {
-		t.Fatal("swapped bounds not normalized")
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	h := Zipf(1000, 1.0, 16, 100000)
-	// Skewed data: the first values carry far more mass, so
-	// P(x <= 10) must exceed the uniform 1%.
-	if got := h.SelectivityLess(10); got < 0.05 {
-		t.Fatalf("zipf Sel(<=10) = %v, want heavy head", got)
-	}
-	flat := Zipf(1000, 0, 16, 100000)
-	if got := flat.SelectivityLess(10); got > 0.2 {
-		t.Fatalf("theta=0 should be near-uniform, got %v", got)
-	}
-}
-
 func TestCatalog(t *testing.T) {
 	var c Catalog
 	if c.Get("t", "x") != nil || c.Len() != 0 {
 		t.Fatal("empty catalog should return nil")
 	}
-	h := Uniform(0, 1, 2, 10, 2)
+	h := &Histogram{Buckets: []float64{0.5, 1}, Rows: 10, NDV: 2}
 	c.Put("t", "x", h)
 	if c.Get("t", "x") != h || c.Len() != 1 {
 		t.Fatal("catalog Put/Get failed")

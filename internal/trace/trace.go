@@ -442,17 +442,8 @@ func (r *Recorder) Point(spend int, improvementPct float64) {
 	r.mu.Unlock()
 }
 
-// Err returns the first event-stream write error, if any.
-func (r *Recorder) Err() error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
-
-// Flush drains the buffered event stream.
+// Flush drains the buffered event stream and returns the first event-stream
+// write error, if any.
 func (r *Recorder) Flush() error {
 	if r == nil {
 		return nil

@@ -21,9 +21,6 @@ func TestNilRecorderNoOps(t *testing.T) {
 	r.Step("greedy", 3, 0.1, 1)
 	r.Slice("anytime", 1, 10, 5)
 	r.Point(1, 10)
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}
