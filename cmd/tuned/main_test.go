@@ -228,6 +228,14 @@ func TestDaemonErrorStatuses(t *testing.T) {
 	if got := post(`{"workload":"tpch","budget":10,"workers":100000000}`); got != http.StatusBadRequest {
 		t.Fatalf("workers over the bound: %d", got)
 	}
+	// An inline workload whose sort column the table lacks is refused
+	// before it reaches the cost model.
+	badSort := `{"budget":10,"workload_json":{"name":"w","database":{"name":"d","tables":[
+		{"name":"t","rows":100,"columns":[{"name":"a","ndv":10,"width":4}]}]},
+		"queries":[{"id":"q1","refs":[{"table":"t","need":["a"],"sort_cols":["zz"]}]}]}}`
+	if got := post(badSort); got != http.StatusBadRequest {
+		t.Fatalf("inline workload with an unknown sort column: %d", got)
+	}
 	// The first tenant job exhausts the cap exactly and runs long enough to
 	// still hold it when the second submission arrives.
 	if got := post(`{"workload":"tpch","budget":500000,"tenant":"a"}`); got != http.StatusAccepted {

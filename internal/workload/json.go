@@ -107,6 +107,11 @@ func ReadJSON(r io.Reader) (*Workload, error) {
 	}
 	db := schema.NewDatabase(in.Database.Name)
 	for _, jt := range in.Database.Tables {
+		// AddTable replaces a table of the same name; reject the duplicate
+		// before it silently discards the first definition.
+		if db.Table(jt.Name) != nil {
+			return nil, fmt.Errorf("workload: database %s declares table %s twice", in.Database.Name, jt.Name)
+		}
 		cols := make([]schema.Column, 0, len(jt.Columns))
 		for _, c := range jt.Columns {
 			cols = append(cols, schema.Column{Name: c.Name, NDV: c.NDV, Width: c.Width})

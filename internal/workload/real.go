@@ -153,7 +153,10 @@ func Synthesize(spec SynthSpec) (*Workload, error) {
 			cols = append(cols, schema.Column{Name: fmt.Sprintf("a%d", a), NDV: ndv, Width: 4 + rng.Intn(16)})
 		}
 		payload := spec.PayloadMin + rng.Intn(spec.PayloadMax-spec.PayloadMin+1)
-		cols = append(cols, schema.Column{Name: "payload", NDV: rows, Width: payload})
+		if payload > 0 {
+			// A zero-width payload adds no row width, so it adds no column.
+			cols = append(cols, schema.Column{Name: "payload", NDV: rows, Width: payload})
+		}
 		db.AddTable(schema.NewTable(fmt.Sprintf("t%04d", ti), rows, cols...))
 	}
 

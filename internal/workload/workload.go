@@ -147,9 +147,32 @@ func (w *Workload) ComputeStats() Stats {
 	return st
 }
 
-// Validate checks every query against the database schema.
+// Validate checks the database's statistics and every query against the
+// schema. The cost model reads rows, NDV and widths as positive counts, and
+// every column a query names must exist: a missing one would silently cost
+// as a default instead of failing.
 func (w *Workload) Validate() error {
+	for _, t := range w.DB.Tables() {
+		if t.Rows <= 0 {
+			return fmt.Errorf("workload %s: table %s has %d rows, want > 0", w.Name, t.Name, t.Rows)
+		}
+		seen := make(map[string]bool, len(t.Columns))
+		for _, c := range t.Columns {
+			switch {
+			case seen[c.Name]:
+				return fmt.Errorf("workload %s: table %s declares column %s twice", w.Name, t.Name, c.Name)
+			case c.NDV <= 0:
+				return fmt.Errorf("workload %s: column %s.%s has ndv %d, want > 0", w.Name, t.Name, c.Name, c.NDV)
+			case c.Width <= 0:
+				return fmt.Errorf("workload %s: column %s.%s has width %d, want > 0", w.Name, t.Name, c.Name, c.Width)
+			}
+			seen[c.Name] = true
+		}
+	}
 	for _, q := range w.Queries {
+		if !(q.Weight >= 0) {
+			return fmt.Errorf("workload %s: query %s has weight %g, want >= 0", w.Name, q.ID, q.Weight)
+		}
 		for ri := range q.Refs {
 			r := &q.Refs[ri]
 			t := w.DB.Table(r.Table)
@@ -160,12 +183,12 @@ func (w *Workload) Validate() error {
 				if !t.HasColumn(p.Column) {
 					return fmt.Errorf("workload %s: query %s filters unknown column %s.%s", w.Name, q.ID, r.Table, p.Column)
 				}
-				if p.Selectivity <= 0 || p.Selectivity > 1 {
+				if !(p.Selectivity > 0 && p.Selectivity <= 1) {
 					return fmt.Errorf("workload %s: query %s predicate on %s.%s has selectivity %g outside (0,1]",
 						w.Name, q.ID, r.Table, p.Column, p.Selectivity)
 				}
 			}
-			for _, c := range append(append([]string{}, r.JoinCols...), r.Need...) {
+			for _, c := range append(append(append([]string{}, r.JoinCols...), r.Need...), r.SortCols...) {
 				if !t.HasColumn(c) {
 					return fmt.Errorf("workload %s: query %s uses unknown column %s.%s", w.Name, q.ID, r.Table, c)
 				}
@@ -174,6 +197,14 @@ func (w *Workload) Validate() error {
 		for _, j := range q.Joins {
 			if j.LeftRef < 0 || j.LeftRef >= len(q.Refs) || j.RightRef < 0 || j.RightRef >= len(q.Refs) {
 				return fmt.Errorf("workload %s: query %s join references out-of-range table ref", w.Name, q.ID)
+			}
+			for _, side := range []struct {
+				ref int
+				col string
+			}{{j.LeftRef, j.LeftCol}, {j.RightRef, j.RightCol}} {
+				if t := q.Refs[side.ref].Table; !w.DB.Table(t).HasColumn(side.col) {
+					return fmt.Errorf("workload %s: query %s joins on unknown column %s.%s", w.Name, q.ID, t, side.col)
+				}
 			}
 		}
 	}
