@@ -13,9 +13,9 @@ GO ?= go
 # optimizer + session set-up).
 KERNEL_BENCH = BenchmarkEpisode|BenchmarkRollout|BenchmarkComputePriors|BenchmarkMCTSFixedBudgetWorkers|BenchmarkWhatIfCall|BenchmarkWhatIfCacheHit|BenchmarkWhatIfCacheMiss|BenchmarkWhatIfBatch|BenchmarkDerivedLookup|BenchmarkProjectionBuild|BenchmarkWhatIfProjectedCacheHit|BenchmarkBoundDerivation|BenchmarkEarlyStopCheck|BenchmarkMCTSEarlyStop|BenchmarkEvictionChurn|BenchmarkDerivedOnly|BenchmarkExtractRefresh|BenchmarkNewSessionRealM
 
-.PHONY: check vet bench-vet lint lint-json build test race bench-smoke bench-json bench-check profile trace-smoke tuned-smoke
+.PHONY: check vet bench-vet lint lint-json build test race fuzz bench-smoke bench-json bench-check profile trace-smoke tuned-smoke
 
-check: vet bench-vet lint build test race tuned-smoke
+check: vet bench-vet lint build test race fuzz tuned-smoke
 
 vet:
 	$(GO) vet ./...
@@ -28,9 +28,10 @@ bench-vet:
 	cd bench && $(GO) vet ./...
 
 # lint runs the full DefaultAnalyzers suite (budgetguard, determinism,
-# atomicfields, panicguard, reservepair, chargepath, lockguard) over the root
-# module; reservepair checks every ReserveBatch → CommitReservedBatch pairing
-# on a local batch. Packages are loaded and analyzed in parallel, output
+# atomicfields, panicguard, reservepair, chargepath, lockguard, unreached)
+# over the root module; reservepair checks every ReserveBatch →
+# CommitReservedBatch pairing on a local batch, and unreached reports every
+# function no entry point reaches. Packages are loaded and analyzed in parallel, output
 # order is deterministic.
 lint:
 	$(GO) run ./cmd/indexlint ./...
@@ -49,6 +50,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz runs each native fuzz target for a short window: FuzzReadJSON (the
+# workload JSON reader; an accepted workload must tune within budget) and
+# FuzzParse (the SQL parser; an accepted query must validate and round-trip
+# through RenderSQL). A crasher lands in the package's testdata/fuzz/ and
+# replays in every `go test` once committed.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 15s .
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/sqlparse
 
 # bench-smoke compiles and executes every benchmark exactly once — it proves
 # the harness runs, not that it is fast.
