@@ -276,7 +276,8 @@ type Result struct {
 	Candidates int
 	// Algorithm is the display name of the algorithm that ran.
 	Algorithm string
-	// TuningTime and WhatIfTime are simulated (virtual-clock) durations.
+	// TuningTime and WhatIfTime are simulated durations derived from the
+	// what-if spend.
 	TuningTime, WhatIfTime time.Duration
 	// StorageBytes is the total estimated size of the recommended indexes.
 	StorageBytes int64
