@@ -10,8 +10,8 @@ GO ?= go
 # parallel-pipeline speedup; bound derivation covers both the TPC-H store
 # and the Real-M two-phase store; the Best-Greedy extraction from scratch
 # and as a memoized refresh at an early-stop check; the cold Real-M
-# optimizer + session set-up).
-KERNEL_BENCH = BenchmarkEpisode|BenchmarkRollout|BenchmarkComputePriors|BenchmarkMCTSFixedBudgetWorkers|BenchmarkWhatIfCall|BenchmarkWhatIfCacheHit|BenchmarkWhatIfCacheMiss|BenchmarkWhatIfBatch|BenchmarkDerivedLookup|BenchmarkProjectionBuild|BenchmarkWhatIfProjectedCacheHit|BenchmarkBoundDerivation|BenchmarkEarlyStopCheck|BenchmarkMCTSEarlyStop|BenchmarkEvictionChurn|BenchmarkDerivedOnly|BenchmarkExtractRefresh|BenchmarkNewSessionRealM
+# optimizer + session set-up; the per-episode seen-set pass over every query).
+KERNEL_BENCH = BenchmarkEpisode|BenchmarkRollout|BenchmarkComputePriors|BenchmarkMCTSFixedBudgetWorkers|BenchmarkWhatIfCall|BenchmarkWhatIfCacheHit|BenchmarkWhatIfCacheMiss|BenchmarkWhatIfBatch|BenchmarkDerivedLookup|BenchmarkProjectionBuild|BenchmarkWhatIfProjectedCacheHit|BenchmarkBoundDerivation|BenchmarkEarlyStopCheck|BenchmarkMCTSEarlyStop|BenchmarkEvictionChurn|BenchmarkDerivedOnly|BenchmarkExtractRefresh|BenchmarkNewSessionRealM|BenchmarkSessionSeen
 
 .PHONY: check vet bench-vet lint lint-json build test race fuzz bench-smoke bench-json bench-check profile trace-smoke tuned-smoke
 
@@ -52,13 +52,15 @@ race:
 	$(GO) test -race ./...
 
 # fuzz runs each native fuzz target for a short window: FuzzReadJSON (the
-# workload JSON reader; an accepted workload must tune within budget) and
+# workload JSON reader; an accepted workload must tune within budget),
 # FuzzParse (the SQL parser; an accepted query must validate and round-trip
-# through RenderSQL). A crasher lands in the package's testdata/fuzz/ and
-# replays in every `go test` once committed.
+# through RenderSQL) and FuzzLoadSnapshot (the cache snapshot reader; it must
+# return an error or load entries, never panic). A crasher lands in the
+# package's testdata/fuzz/ and replays in every `go test` once committed.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 15s .
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/sqlparse
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 15s ./internal/whatif
 
 # bench-smoke compiles and executes every benchmark exactly once — it proves
 # the harness runs, not that it is fast.
@@ -80,10 +82,11 @@ bench-json:
 # pipeline no longer beats the one-slot pipeline by >= 2x wall-clock, or if
 # the hot paths start allocating again (cache hits must stay at 0 allocs/op;
 # the one-slot episode cycle — BenchmarkEpisode, begin + commit through the
-# batch calls — is pinned at its measured 11 allocs/op, so the slot's batch
-# keeps reusing its storage; the derived-answer episode cycle is pinned at its
-# measured 8 allocs/op, far under the string-keyed implementation's 96; the
-# steady-state
+# batch calls — is pinned at its measured 6 allocs/op, so the slot's batch
+# keeps reusing its storage and node stats stay by value; the derived-answer
+# episode cycle is pinned at its measured 3 allocs/op, far under the
+# string-keyed implementation's 96; the seen-set pass over every query must
+# stay at 0 allocs/op; the steady-state
 # early-stop check runs at every episode commit and must stay at 0 allocs/op;
 # the memoized extraction refresh at an early-stop check is pinned at its
 # recorded 7 allocs/op, so a refresh keeps reusing the memo's buffers instead
@@ -100,11 +103,11 @@ bench-json:
 bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkEpisode|BenchmarkMCTSFixedBudgetWorkers|BenchmarkEarlyStopCheck|BenchmarkExtractRefresh' ./internal/core > benchcheck.out
 	$(GO) test -run '^$$' -bench 'BenchmarkWhatIfCall$$|BenchmarkWhatIfCacheHit$$|BenchmarkWhatIfCacheHitBounded$$|BenchmarkWhatIfProjectedCacheHit$$|BenchmarkWhatIfCacheMiss$$|BenchmarkWhatIfBatch|BenchmarkEvictionChurn$$' -benchtime 2000000x . >> benchcheck.out
-	$(GO) test -run '^$$' -bench 'BenchmarkBoundDerivation|BenchmarkDerivedLookup$$|BenchmarkNewSessionRealM$$' . >> benchcheck.out
+	$(GO) test -run '^$$' -bench 'BenchmarkBoundDerivation|BenchmarkDerivedLookup$$|BenchmarkNewSessionRealM$$|BenchmarkSessionSeen$$' . >> benchcheck.out
 	$(GO) run ./cmd/benchdiff -baseline BENCH_mcts.json -threshold 1.20 -match '^(BenchmarkEpisode|BenchmarkNewSessionRealM)$$' benchcheck.out
 	$(GO) run ./cmd/benchdiff -speedup 'BenchmarkMCTSFixedBudgetWorkers/workers=1,BenchmarkMCTSFixedBudgetWorkers/workers=4,2.0' benchcheck.out
 	$(GO) run ./cmd/benchdiff -speedup 'BenchmarkWhatIfCacheHit,BenchmarkWhatIfCacheHitBounded,0.909' benchcheck.out
-	$(GO) run ./cmd/benchdiff -maxallocs 'BenchmarkWhatIfCall,0' -maxallocs 'BenchmarkWhatIfCacheHit,0' -maxallocs 'BenchmarkWhatIfCacheHitBounded,0' -maxallocs 'BenchmarkWhatIfProjectedCacheHit,0' -maxallocs 'BenchmarkEpisode,11' -maxallocs 'BenchmarkEpisodeCached,8' -maxallocs 'BenchmarkEarlyStopCheck,0' -maxallocs 'BenchmarkExtractRefresh,7' -maxallocs 'BenchmarkWhatIfBatch8,0' -maxallocs 'BenchmarkWhatIfBatch64,0' -maxallocs 'BenchmarkBoundDerivation,0' -maxallocs 'BenchmarkBoundDerivationRealM,0' -maxallocs 'BenchmarkDerivedLookup,0' benchcheck.out
+	$(GO) run ./cmd/benchdiff -maxallocs 'BenchmarkWhatIfCall,0' -maxallocs 'BenchmarkWhatIfCacheHit,0' -maxallocs 'BenchmarkWhatIfCacheHitBounded,0' -maxallocs 'BenchmarkWhatIfProjectedCacheHit,0' -maxallocs 'BenchmarkEpisode,6' -maxallocs 'BenchmarkEpisodeCached,3' -maxallocs 'BenchmarkEarlyStopCheck,0' -maxallocs 'BenchmarkExtractRefresh,7' -maxallocs 'BenchmarkWhatIfBatch8,0' -maxallocs 'BenchmarkWhatIfBatch64,0' -maxallocs 'BenchmarkBoundDerivation,0' -maxallocs 'BenchmarkBoundDerivationRealM,0' -maxallocs 'BenchmarkDerivedLookup,0' -maxallocs 'BenchmarkSessionSeen,0' benchcheck.out
 	@rm -f benchcheck.out
 
 # profile runs a representative tuning session under the CPU and heap

@@ -135,6 +135,27 @@ func BenchmarkDerivedLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionSeen measures the seen-set pass an MCTS episode makes
+// before it picks its query: Seen for every query of TPC-H against a
+// session warmed by a 500-call MCTS run, with projected keys as under the
+// command-line default DeriveEpsilon, over three configurations in turn:
+// the run's result, the result plus one index, and a fixed one. One op is
+// one pass over the workload; it must not allocate.
+func BenchmarkSessionSeen(b *testing.B) {
+	s := benchSession(b, "tpch", 10, 500)
+	s.DeriveEpsilon = search.DefaultDeriveEpsilon
+	best := core.Default().Enumerate(s)
+	cfgs := []iset.Set{best, best.With(s.NumCandidates() - 1), iset.FromOrdinals(0, 3, 7, 11, 19)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := cfgs[i%len(cfgs)]
+		for qi := range s.W.Queries {
+			s.Seen(qi, cfg)
+		}
+	}
+}
+
 // BenchmarkGreedyDerivedStep measures one full derived-only greedy search
 // (the Best-Greedy extraction kernel) on TPC-H.
 func BenchmarkGreedyDerivedStep(b *testing.B) {

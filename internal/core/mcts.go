@@ -137,21 +137,39 @@ type node struct {
 	// vvisits counts episodes currently in flight through this node (virtual
 	// loss). Owned by the coordinator goroutine like every other tree field;
 	// zero whenever a one-slot pipeline selects, and after every commit.
-	vvisits  int // owned by: coordinator
-	stats    map[int]*actionStat
-	statKeys []int // stats keys in first-touch order (deterministic walks)
+	vvisits int // owned by: coordinator
+	// stats holds the actions' statistics by value in first-touch order,
+	// parallel to statKeys: stats[i] belongs to action statKeys[i], so the
+	// selection passes walk both slices without a lookup per action.
+	// statIdx maps an action to its index in both. It and children are
+	// made on first insert: most nodes are frontier leaves that never get
+	// either.
+	stats    []actionStat
+	statKeys []int
+	statIdx  map[int]int32
 	children map[int]*node
 }
 
 // stat returns the node's stat for action a, creating it on first touch.
+// The pointer is valid until the next stat is created.
 func (n *node) stat(a int, prior float64) *actionStat {
-	st, ok := n.stats[a]
+	i, ok := n.statIdx[a]
 	if !ok {
-		st = &actionStat{prior: prior}
-		n.stats[a] = st
+		if n.statIdx == nil {
+			n.statIdx = make(map[int]int32)
+		}
+		i = int32(len(n.stats))
+		n.statIdx[a] = i
+		n.stats = append(n.stats, actionStat{prior: prior})
 		n.statKeys = append(n.statKeys, a)
 	}
-	return st
+	return &n.stats[i]
+}
+
+// taken reports whether action a has a stat at n.
+func (n *node) taken(a int) bool {
+	_, ok := n.statIdx[a]
+	return ok
 }
 
 type actionStat struct {
@@ -426,12 +444,7 @@ func sortByTableRows(s *search.Session, per []int) []int {
 }
 
 func (t *tuner) newNode(cfg iset.Set, depth int) *node {
-	return &node{
-		cfg:      cfg,
-		depth:    depth,
-		stats:    make(map[int]*actionStat),
-		children: make(map[int]*node),
-	}
+	return &node{cfg: cfg, depth: depth}
 }
 
 // buildPriorPrefix precomputes cumulative prior sums for O(log n)
@@ -558,6 +571,9 @@ func (t *tuner) sample(n *node, path *[]*node, acts *[]int) iset.Set {
 	*acts = append(*acts, a)
 	child, ok := n.children[a]
 	if !ok {
+		if n.children == nil {
+			n.children = make(map[int]*node)
+		}
 		child = t.newNode(n.cfg.With(a), n.depth+1)
 		n.children[a] = child
 	}
@@ -580,11 +596,7 @@ func (t *tuner) selectAction(n *node) int {
 
 func (t *tuner) selectUCT(n *node) int {
 	excluded := func(ord int) bool {
-		if n.cfg.Has(ord) || !t.s.FitsStorage(n.cfg, ord) {
-			return true
-		}
-		_, taken := n.stats[ord]
-		return taken
+		return n.cfg.Has(ord) || !t.s.FitsStorage(n.cfg, ord) || n.taken(ord)
 	}
 	// Unvisited actions have infinite UCB score: visit one first. With
 	// sparse stats, any candidate without a stat entry is unvisited.
@@ -599,19 +611,24 @@ func (t *tuner) selectUCT(n *node) int {
 	// with the exploration constant λ = √2.
 	lnN := math.Log(float64(n.visits+n.vvisits) + 1)
 	best, bestScore := -1, math.Inf(-1)
-	for _, a := range n.statKeys {
-		st := n.stats[a]
+	for i, a := range n.statKeys {
+		st := &n.stats[i]
 		denom := float64(st.n + st.vloss)
 		if denom <= 0 {
 			denom = 1
 		}
-		score := t.actionValue(n, a) + math.Sqrt2*math.Sqrt(lnN/denom)
+		score := t.actionValue(a, st) + math.Sqrt2*math.Sqrt(lnN/denom)
 		if score > bestScore {
 			best, bestScore = a, score
 		}
 	}
 	return best
 }
+
+// cfgBuf sizes the stack buffer the selection passes list a node's
+// configuration into: nodes hold at most K members, so for K < cfgBuf the
+// walk allocates nothing; a larger configuration spills to the heap.
+const cfgBuf = 32
 
 // claim materializes the stat entry for a freshly selected action.
 func (t *tuner) claim(n *node, a int) int {
@@ -625,25 +642,20 @@ func (t *tuner) claim(n *node, a int) int {
 // back to uniform when the total mass is zero.
 func (t *tuner) selectProportional(n *node) int {
 	inCfgOrStats := func(ord int) bool {
-		if n.cfg.Has(ord) || !t.s.FitsStorage(n.cfg, ord) {
-			return true
-		}
-		_, taken := n.stats[ord]
-		return taken
+		return n.cfg.Has(ord) || !t.s.FitsStorage(n.cfg, ord) || n.taken(ord)
 	}
-	// Mass of the explicit stats plus the residual prior mass.
+	// Mass of the explicit stats plus the residual prior mass: the prior
+	// total less the configuration's priors and then the stats' priors.
+	// One pass over the stats feeds both sums, each in its own order.
 	sumStats := 0.0
-	for _, a := range n.statKeys {
-		if !n.cfg.Has(a) {
-			sumStats += t.actionValue(n, a)
-		}
-	}
 	rest := t.priorTotal
-	for _, ord := range n.cfg.Ordinals() {
+	var buf [cfgBuf]int32
+	for _, ord := range n.cfg.AppendSmall(buf[:0]) {
 		rest -= t.priors[ord]
 	}
-	for _, a := range n.statKeys {
+	for i, a := range n.statKeys {
 		if !n.cfg.Has(a) {
+			sumStats += t.actionValue(a, &n.stats[i])
 			rest -= t.priors[a]
 		}
 	}
@@ -662,11 +674,11 @@ func (t *tuner) selectProportional(n *node) int {
 	}
 	x := t.rng.Float64() * total
 	if x < sumStats {
-		for _, a := range n.statKeys {
+		for i, a := range n.statKeys {
 			if n.cfg.Has(a) {
 				continue
 			}
-			x -= t.actionValue(n, a)
+			x -= t.actionValue(a, &n.stats[i])
 			if x <= 0 {
 				return a
 			}

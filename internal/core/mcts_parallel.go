@@ -232,7 +232,7 @@ func (t *tuner) commitEpisode(sl *episodeSlot) {
 	for i, n := range sl.path {
 		n.vvisits--
 		if i < len(sl.acts) {
-			n.stats[sl.acts[i]].vloss--
+			n.stats[n.statIdx[sl.acts[i]]].vloss--
 		}
 	}
 	eta := 0.0

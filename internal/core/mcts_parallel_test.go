@@ -145,8 +145,8 @@ func TestParallelVirtualLossFullyLifted(t *testing.T) {
 			t.Fatalf("node %v retains vvisits = %d after drain", n.cfg.Ordinals(), n.vvisits)
 		}
 		sum := 0
-		for _, a := range n.statKeys {
-			st := n.stats[a]
+		for i, a := range n.statKeys {
+			st := &n.stats[i]
 			if st.vloss != 0 {
 				t.Fatalf("action %d retains vloss = %d after drain", a, st.vloss)
 			}

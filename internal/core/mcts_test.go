@@ -208,8 +208,8 @@ func TestRewardsWithinUnitInterval(t *testing.T) {
 	}
 	var walk func(n *node)
 	walk = func(n *node) {
-		for _, a := range n.statKeys {
-			st := n.stats[a]
+		for i := range n.statKeys {
+			st := &n.stats[i]
 			if st.n > 0 {
 				q := st.sum / float64(st.n)
 				if q < 0 || q > 1 {
@@ -244,8 +244,8 @@ func TestTreeVisitAccounting(t *testing.T) {
 		t.Fatalf("root visits %d != episodes %d", tn.root.visits, episodes)
 	}
 	sum := 0
-	for _, a := range tn.root.statKeys {
-		sum += tn.root.stats[a].n
+	for i := range tn.root.statKeys {
+		sum += tn.root.stats[i].n
 	}
 	if sum > tn.root.visits {
 		t.Fatalf("Σ n(s,a) = %d exceeds N(s) = %d", sum, tn.root.visits)

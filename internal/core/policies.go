@@ -74,26 +74,21 @@ func (o Options) boltzmannTemperature() float64 {
 func (t *tuner) selectBoltzmann(n *node) int {
 	tau := t.opts.boltzmannTemperature()
 	excluded := func(ord int) bool {
-		if n.cfg.Has(ord) || !t.s.FitsStorage(n.cfg, ord) {
-			return true
-		}
-		_, taken := n.stats[ord]
-		return taken
+		return n.cfg.Has(ord) || !t.s.FitsStorage(n.cfg, ord) || n.taken(ord)
 	}
-	// Explicit stats mass.
+	// Explicit stats mass, and the residual mass from the exp-prior
+	// prefix corrected for exclusions: the configuration's, then the
+	// stats'. One pass over the stats feeds both sums, each in its own
+	// order.
 	sumStats := 0.0
-	for _, a := range n.statKeys {
-		if !n.cfg.Has(a) {
-			sumStats += math.Exp(t.actionValue(n, a) / tau)
-		}
-	}
-	// Residual mass from the exp-prior prefix, corrected for exclusions.
 	rest := t.expPriorTotal
-	for _, ord := range n.cfg.Ordinals() {
-		rest -= t.expPriorWeight(ord)
+	var buf [cfgBuf]int32
+	for _, ord := range n.cfg.AppendSmall(buf[:0]) {
+		rest -= t.expPriorWeight(int(ord))
 	}
-	for _, a := range n.statKeys {
+	for i, a := range n.statKeys {
 		if !n.cfg.Has(a) {
+			sumStats += math.Exp(t.actionValue(a, &n.stats[i]) / tau)
 			rest -= t.expPriorWeight(a)
 		}
 	}
@@ -109,11 +104,11 @@ func (t *tuner) selectBoltzmann(n *node) int {
 	}
 	x := t.rng.Float64() * total
 	if x < sumStats {
-		for _, a := range n.statKeys {
+		for i, a := range n.statKeys {
 			if n.cfg.Has(a) {
 				continue
 			}
-			x -= math.Exp(t.actionValue(n, a) / tau)
+			x -= math.Exp(t.actionValue(a, &n.stats[i]) / tau)
 			if x <= 0 {
 				return a
 			}
@@ -142,19 +137,12 @@ func (t *tuner) selectUniformPolicy(n *node) int {
 	return t.claim(n, a)
 }
 
-// actionValue returns the (optionally RAVE-blended) estimate for (n, a).
-func (t *tuner) actionValue(n *node, a int) float64 {
-	st := n.stats[a]
-	var q float64
-	var visits int
-	if st != nil {
-		q = st.q(t.opts.Policy != PolicyUCT)
-		visits = st.n
-	} else {
-		q = t.priors[a]
-	}
+// actionValue returns the (optionally RAVE-blended) estimate for action a
+// with stat st at its node.
+func (t *tuner) actionValue(a int, st *actionStat) float64 {
+	q := st.q(t.opts.Policy != PolicyUCT)
 	if t.opts.RAVE && t.rave != nil {
-		return t.rave.blend(a, q, visits)
+		return t.rave.blend(a, q, st.n)
 	}
 	return q
 }

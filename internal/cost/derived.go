@@ -6,6 +6,8 @@
 package cost
 
 import (
+	"math/bits"
+
 	"indextune/internal/iset"
 	"indextune/internal/workload"
 )
@@ -18,30 +20,87 @@ type entry struct {
 
 // postings is one query's share of the store: its entries in recording
 // order plus an inverted index from candidate ordinal to entry positions.
-// The index is keyed by the ordinals the query's entries actually mention —
-// never sized to the candidate universe — so memory grows with what was
-// recorded.
+// Entries are recorded unprojected, whatever ordinals they hold. An ordinal
+// in Relevance(q) finds its posting through its rank there, in a slot
+// array of |Relevance(q)|; any other ordinal an entry mentions is an
+// overflow ordinal, found in the query's small open-addressed overflow
+// table. So the index of a query takes memory in proportion to
+// |Relevance(q)| plus what was recorded, never to the candidate universe.
 type postings struct {
 	entries []entry
-	empty   []int32         // positions of empty-configuration entries
-	slot    map[int32]int32 // candidate ordinal -> index into lists
-	lists   []posting
+	empty   []int32 // positions of empty-configuration entries
+	// rel ranks the query's relevant ordinals (the zero Rank ranks none).
+	// It is held by value, sharing the ranked words, so a lookup reads no
+	// pointer before the word.
+	rel iset.Rank
+	// slot[r] is 1 + the index into lists of the posting of the relevant
+	// ordinal with rank r, or 0 while no entry mentions it. It is sized
+	// rel.Len() by the first entry mentioning a relevant ordinal.
+	slot []int32
+	// over is the overflow table: a linear-probing hash table, at most half
+	// full, mapping each ordinal outside rel that entries mention to the
+	// index into lists of its posting; free slots hold ord and list −1.
+	over  []overSlot
+	overN int // occupied slots of over
+	lists []posting
 }
 
-// posting holds the entry positions of one (query, ordinal) pair, ascending.
-// all lists every entry mentioning the ordinal; head lists only the entries
+// overSlot maps one overflow ordinal to its posting.
+type overSlot struct {
+	ord, list int32
+}
+
+// overMinSlots is the initial size of an overflow table (a power of two).
+const overMinSlots = 8
+
+// posting holds the entries of one (query, ordinal) pair as refs, ascending
+// by position. all lists every entry mentioning the ordinal; head lists only the entries
 // filed under it, each non-empty entry being filed under exactly one of its
 // ordinals — the one with the shortest list when it was recorded, so
 // entries land on rare ordinals rather than on the ones every configuration
 // of a greedy run shares.
 type posting struct {
-	all  []int32
-	head []int32
+	all  []ref
+	head []ref
+}
+
+// ref is one entry on a posting list: its position and, copied from the
+// entry, its cost, which reads test before they touch the entry.
+type ref struct {
+	cost float64
+	pos  int32
+}
+
+// find returns the index into lists of ordinal o's posting, or -1 when no
+// entry mentions o.
+func (p *postings) find(o int32) int32 {
+	if r, ok := p.rel.Of(o); ok {
+		if p.slot == nil {
+			return -1
+		}
+		return p.slot[r] - 1
+	}
+	if p.overN == 0 {
+		return -1
+	}
+	return p.over[p.overAt(o)].list
+}
+
+// overAt returns the position of overflow ordinal o in the table, or of
+// the free slot where it would go. The table must not be empty.
+func (p *postings) overAt(o int32) int {
+	mask := len(p.over) - 1
+	// Fibonacci hashing: the top bits of the product index the table.
+	i := int(uint32(o) * 0x9e3779b1 >> bits.LeadingZeros32(uint32(mask)))
+	for p.over[i].ord != o && p.over[i].ord >= 0 {
+		i = (i + 1) & mask
+	}
+	return i
 }
 
 // list returns the posting of ordinal o, or nil when no entry mentions it.
 func (p *postings) list(o int32) *posting {
-	if i, ok := p.slot[o]; ok {
+	if i := p.find(o); i >= 0 {
 		return &p.lists[i]
 	}
 	return nil
@@ -63,10 +122,9 @@ func (p *postings) subsetMin(d float64, cfg iset.Set, ords iset.Small) float64 {
 		if l == nil {
 			continue
 		}
-		for _, pos := range l.head {
-			e := &p.entries[pos]
-			if e.cost < d && e.set.SubsetOfSet(cfg) {
-				d = e.cost
+		for _, r := range l.head {
+			if r.cost < d && p.entries[r.pos].set.SubsetOfSet(cfg) {
+				d = r.cost
 			}
 		}
 	}
@@ -101,7 +159,7 @@ func (p *postings) supersetMax(lo float64, ords iset.Small) float64 {
 		}
 		return lo
 	}
-	var short []int32
+	var short []ref
 	for i, o := range ords {
 		l := p.list(o)
 		if l == nil {
@@ -111,10 +169,9 @@ func (p *postings) supersetMax(lo float64, ords iset.Small) float64 {
 			short = l.all
 		}
 	}
-	for _, pos := range short {
-		e := &p.entries[pos]
-		if e.cost > lo && containsAll(e.set, ords) {
-			lo = e.cost
+	for _, r := range short {
+		if r.cost > lo && containsAll(p.entries[r.pos].set, ords) {
+			lo = r.cost
 		}
 	}
 	return lo
@@ -159,9 +216,9 @@ type DerivedStore struct {
 	// touched maps a candidate ordinal to the queries with entries
 	// mentioning it, each listed once, when its first such entry is
 	// recorded. Recording order can interleave queries arbitrarily
-	// (parallel MCTS commits, per-query greedy phases); the query's posting
-	// slot map already records which ordinals it has seen, so a slot miss
-	// is exactly the first entry of the query mentioning the ordinal.
+	// (parallel MCTS commits, per-query greedy phases); the query's
+	// postings already record which ordinals it has seen, so a posting
+	// miss is exactly the first entry of the query mentioning the ordinal.
 	touched map[int][]int
 	// floors[i] = c(q_i, U) for the full candidate universe U, or -1 when
 	// not yet probed. By Assumption 1 (monotonicity) this is a lower bound
@@ -174,14 +231,30 @@ type DerivedStore struct {
 }
 
 // NewDerivedStore creates a store for w with the given baseline costs
-// (base[i] = c(w.Queries[i], ∅)).
+// (base[i] = c(w.Queries[i], ∅)) and no relevance: every ordinal is an
+// overflow ordinal. Its answers, and the entries its reads visit, equal a
+// ranked store's.
 func NewDerivedStore(w *workload.Workload, base []float64) *DerivedStore {
-	return &DerivedStore{
+	return NewRankedStore(w, base, nil)
+}
+
+// NewRankedStore creates a store for w with the given baseline costs whose
+// posting index for query i is dense over rel[i], the rank of
+// Relevance(w.Queries[i]) (whatif.QueryKey.Relevance). A nil rel, or a nil
+// rank, ranks no ordinal.
+func NewRankedStore(w *workload.Workload, base []float64, rel []*iset.Rank) *DerivedStore {
+	ds := &DerivedStore{
 		w:       w,
 		base:    base,
 		byQ:     make([]postings, len(w.Queries)),
 		touched: make(map[int][]int),
 	}
+	for i := range ds.byQ {
+		if rel != nil && rel[i] != nil {
+			ds.byQ[i].rel = *rel[i]
+		}
+	}
+	return ds
 }
 
 // Base returns c(q_i, ∅).
@@ -205,27 +278,55 @@ func (ds *DerivedStore) Record(qi int, cfg iset.Set, c float64) {
 	if len(sm) == 0 {
 		p.empty = append(p.empty, pos)
 	}
-	if p.slot == nil && len(sm) > 0 {
-		p.slot = make(map[int32]int32)
-	}
 	head := int32(-1)
 	for _, o := range sm {
-		i, ok := p.slot[o]
-		if !ok {
-			i = int32(len(p.lists))
-			p.slot[o] = i
-			p.lists = append(p.lists, posting{})
+		i := p.find(o)
+		if i < 0 {
+			i = p.add(o)
 			ds.touched[int(o)] = append(ds.touched[int(o)], qi)
 		}
 		l := &p.lists[i]
-		l.all = append(l.all, pos)
+		l.all = append(l.all, ref{cost: c, pos: pos})
 		if head < 0 || len(l.all) < len(p.lists[head].all) {
 			head = i
 		}
 	}
 	if head >= 0 {
-		p.lists[head].head = append(p.lists[head].head, pos)
+		p.lists[head].head = append(p.lists[head].head, ref{cost: c, pos: pos})
 	}
+}
+
+// add creates the posting of ordinal o, which no entry mentioned before,
+// and returns its index into lists.
+func (p *postings) add(o int32) int32 {
+	i := int32(len(p.lists))
+	p.lists = append(p.lists, posting{})
+	if r, ok := p.rel.Of(o); ok {
+		if p.slot == nil {
+			p.slot = make([]int32, p.rel.Len())
+		}
+		p.slot[r] = i + 1
+		return i
+	}
+	if 2*(p.overN+1) > len(p.over) {
+		old := p.over
+		size := 2 * len(old)
+		if size == 0 {
+			size = overMinSlots
+		}
+		p.over = make([]overSlot, size)
+		for j := range p.over {
+			p.over[j] = overSlot{ord: -1, list: -1}
+		}
+		for _, sl := range old {
+			if sl.ord >= 0 {
+				p.over[p.overAt(sl.ord)] = sl
+			}
+		}
+	}
+	p.over[p.overAt(o)] = overSlot{ord: o, list: i}
+	p.overN++
+	return i
 }
 
 // RecordFloor registers the probed cost c = c(q_i, U) of the full candidate
@@ -319,20 +420,19 @@ func (ds *DerivedStore) QueryWith(qi int, base iset.Set, dBase float64, add int)
 	if l == nil {
 		return d
 	}
-	for _, pos := range l.all {
-		e := &p.entries[pos]
-		if e.cost >= d {
+	for _, r := range l.all {
+		if r.cost >= d {
 			continue
 		}
 		ok := true
-		for _, o := range e.set {
+		for _, o := range p.entries[r.pos].set {
 			if int(o) != add && !base.Has(int(o)) {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			d = e.cost
+			d = r.cost
 		}
 	}
 	return d

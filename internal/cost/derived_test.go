@@ -295,7 +295,7 @@ func TestBoundsConsistentWithQuery(t *testing.T) {
 // TestTouchedQueriesDedupInterleaved pins the interleaved-recording fix:
 // recording q0, then q1, then q0 again for the same ordinal must list q0 in
 // TouchedQueries exactly once. Dedup rests on true per-query membership
-// (the query's posting slot map); when it only checked the last appended
+// (the query's postings); when it only checked the last appended
 // query, interleaving duplicated q0 and every incremental consumer
 // (greedy's fast path, the early-stopping checker) double-counted its delta.
 func TestTouchedQueriesDedupInterleaved(t *testing.T) {

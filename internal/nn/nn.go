@@ -35,6 +35,9 @@ type Network struct {
 	Beta2   float64
 	Epsilon float64
 	step    int
+	// bias1 and bias2 are Adam's bias corrections 1 − β₁^step and
+	// 1 − β₂^step, computed once per step by Backward.
+	bias1, bias2 float64
 }
 
 // New builds a network with the given layer sizes; all hidden layers use
@@ -110,6 +113,8 @@ func (l *Layer) forward(x []float64) []float64 {
 // output (dLoss/dOut for the most recent Forward) and applies one Adam step.
 func (n *Network) Backward(gradOut []float64) {
 	n.step++
+	n.bias1 = 1 - math.Pow(n.Beta1, float64(n.step))
+	n.bias2 = 1 - math.Pow(n.Beta2, float64(n.step))
 	grad := gradOut
 	for li := len(n.Layers) - 1; li >= 0; li-- {
 		grad = n.Layers[li].backward(grad, n)
@@ -143,8 +148,8 @@ func (l *Layer) backward(gradOut []float64, n *Network) []float64 {
 }
 
 func (n *Network) adamDelta(m, v float64) float64 {
-	mh := m / (1 - math.Pow(n.Beta1, float64(n.step)))
-	vh := v / (1 - math.Pow(n.Beta2, float64(n.step)))
+	mh := m / n.bias1
+	vh := v / n.bias2
 	return n.LR * mh / (math.Sqrt(vh) + n.Epsilon)
 }
 

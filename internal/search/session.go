@@ -149,10 +149,13 @@ type Session struct {
 	mu sync.Mutex
 	// seen tracks the (query, configuration) pairs this session has already
 	// asked for: the first ask is charged against the budget, repeats are
-	// free session cache hits. Keys are interned whatif.Pair fingerprints —
-	// projected iff DeriveEpsilon > 0 (see pairFor) — so membership tests
-	// allocate nothing.
-	seen map[whatif.Pair]struct{} // guarded by: mu
+	// free session cache hits. Keys are whatif.Pair fingerprints — projected
+	// iff DeriveEpsilon > 0 (see pairFor) — in an open-addressed set, so
+	// membership tests allocate nothing.
+	seen pairSet // guarded by: mu
+	// keys holds each query's interned identity, resolved once by
+	// NewSession, so pairFor never consults the optimizer's intern map.
+	keys []whatif.QueryKey
 	// used and cacheHits are accessed with sync/atomic only (readers may be
 	// concurrent with chargers holding mu). used counts every charged
 	// reservation — including reserved-but-uncommitted calls, so
@@ -183,20 +186,23 @@ type Session struct {
 // (they come from workload analysis, not from the budget).
 func NewSession(w *workload.Workload, cands *candgen.Result, opt *whatif.Optimizer, k, budget int, seed int64) *Session {
 	base := make([]float64, len(w.Queries))
+	keys := make([]whatif.QueryKey, len(w.Queries))
+	rel := make([]*iset.Rank, len(w.Queries))
 	for i, q := range w.Queries {
 		base[i] = opt.BaseCost(q)
+		keys[i] = opt.KeyOf(q)
+		rel[i] = keys[i].Relevance()
 	}
-	s := &Session{
+	return &Session{
 		W:       w,
 		Cands:   cands,
 		Opt:     opt,
 		K:       k,
 		Budget:  budget,
-		Derived: cost.NewDerivedStore(w, base),
+		Derived: cost.NewRankedStore(w, base, rel),
 		Rng:     rand.New(rand.NewSource(seed)),
-		seen:    make(map[whatif.Pair]struct{}),
+		keys:    keys,
 	}
-	return s
 }
 
 // pairFor returns the seen-set key of (q_i, cfg). With interception on,
@@ -207,9 +213,9 @@ func NewSession(w *workload.Workload, cands *candgen.Result, opt *whatif.Optimiz
 // string-keyed accounting bit for bit.
 func (s *Session) pairFor(qi int, cfg iset.Set) whatif.Pair {
 	if s.DeriveEpsilon > 0 {
-		return s.Opt.PairOf(s.W.Queries[qi], cfg)
+		return s.keys[qi].Pair(cfg)
 	}
-	return s.Opt.UnprojectedPairOf(s.W.Queries[qi], cfg)
+	return s.keys[qi].UnprojectedPair(cfg)
 }
 
 // Used returns the number of budgeted what-if calls charged so far. It
@@ -280,7 +286,7 @@ func (s *Session) OracleCacheStats() whatif.CacheStats { return s.Opt.Stats() }
 func (s *Session) Seen(qi int, cfg iset.Set) bool {
 	p := s.pairFor(qi, cfg)
 	s.mu.Lock()
-	_, ok := s.seen[p]
+	ok := s.seen.has(p)
 	s.mu.Unlock()
 	return ok
 }
@@ -316,7 +322,7 @@ const (
 //
 // locked: mu
 func (s *Session) reserve(r *request, intercept bool) {
-	if _, hit := s.seen[r.key]; hit {
+	if s.seen.has(r.key) {
 		atomic.AddInt64(&s.cacheHits, 1)
 		r.out = BatchCached
 		return
@@ -334,7 +340,7 @@ func (s *Session) reserve(r *request, intercept bool) {
 		return
 	}
 	r.usedAt = int(atomic.AddInt64(&s.used, 1))
-	s.seen[r.key] = struct{}{}
+	s.seen.add(r.key)
 	r.out = BatchCharged
 }
 

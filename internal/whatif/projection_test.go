@@ -145,7 +145,7 @@ func TestPairOfCollapsesIrrelevant(t *testing.T) {
 	if o.PairOf(q2, base) != o.PairOf(q2, plus) {
 		t.Fatal("projected pair should ignore irrelevant indexes")
 	}
-	if o.UnprojectedPairOf(q2, base) == o.UnprojectedPairOf(q2, plus) {
+	if o.KeyOf(q2).UnprojectedPair(base) == o.KeyOf(q2).UnprojectedPair(plus) {
 		t.Fatal("unprojected pair must distinguish any config difference")
 	}
 	other := iset.Set{}
@@ -180,7 +180,7 @@ func TestPairFingerprintCanonical(t *testing.T) {
 	if o.PairOf(q, a) != o.PairOf(q, b) {
 		t.Fatal("projected fingerprint depends on backing length")
 	}
-	if o.UnprojectedPairOf(q, a) != o.UnprojectedPairOf(q, b) {
+	if o.KeyOf(q).UnprojectedPair(a) != o.KeyOf(q).UnprojectedPair(b) {
 		t.Fatal("unprojected fingerprint depends on backing length")
 	}
 	// Distinct queries intern distinct ids even for equal configs.
@@ -223,14 +223,58 @@ func TestHotPairPathDoesNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { o.PairOf(q, cfg) }); n != 0 {
 		t.Fatalf("PairOf allocates %v/op", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { o.UnprojectedPairOf(q, cfg) }); n != 0 {
-		t.Fatalf("UnprojectedPairOf allocates %v/op", n)
+	if n := testing.AllocsPerRun(100, func() { o.KeyOf(q).UnprojectedPair(cfg) }); n != 0 {
+		t.Fatalf("UnprojectedPair allocates %v/op", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { o.WhatIf(q, cfg) }); n != 0 {
 		t.Fatalf("cache-hit WhatIf allocates %v/op", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { o.Known(q, cfg) }); n != 0 {
 		t.Fatalf("Known allocates %v/op", n)
+	}
+	k := o.KeyOf(q)
+	if n := testing.AllocsPerRun(100, func() { k.Pair(cfg) }); n != 0 {
+		t.Fatalf("QueryKey.Pair allocates %v/op", n)
+	}
+}
+
+// TestQueryKeyMatchesPairOf: a resolved key builds exactly the pairs the
+// per-call lookup builds — the projected one equal to PairOf, the
+// unprojected one the query id plus the full fingerprint — over random
+// configurations of several widths, and its rank covers Relevance(q).
+func TestQueryKeyMatchesPairOf(t *testing.T) {
+	for _, w := range synthWorkloads(t) {
+		o := New(w.DB, candidatesFor(w))
+		n := len(o.Candidates)
+		rng := rand.New(rand.NewSource(5))
+		for _, q := range w.Queries {
+			k := o.KeyOf(q)
+			if k2 := o.KeyOf(q); k2.qid != k.qid || k2.rank != k.rank {
+				t.Fatalf("%s: KeyOf not stable", q.ID)
+			}
+			rel := o.Relevance(q)
+			if k.Relevance().Len() != rel.Len() {
+				t.Fatalf("%s: rank holds %d members, relevance %d", q.ID, k.Relevance().Len(), rel.Len())
+			}
+			for i, ord := range rel.Ordinals() {
+				if r, ok := k.Relevance().Of(int32(ord)); !ok || int(r) != i {
+					t.Fatalf("%s: rank of %d = %d, %v; want %d", q.ID, ord, r, ok, i)
+				}
+			}
+			for trial := 0; trial < 30; trial++ {
+				cfg := iset.NewSet(n + 64*rng.Intn(3))
+				for j := rng.Intn(12); j > 0 && n > 0; j-- {
+					cfg.Add(rng.Intn(n))
+				}
+				if got, want := k.Pair(cfg), o.PairOf(q, cfg); got != want {
+					t.Fatalf("%s %v: Pair = %v, PairOf = %v", q.ID, cfg.Ordinals(), got, want)
+				}
+				want := Pair{QID: o.info(q).qid, FP: fingerprintFull(cfg)}
+				if got := k.UnprojectedPair(cfg); got != want {
+					t.Fatalf("%s %v: UnprojectedPair = %v, want %v", q.ID, cfg.Ordinals(), got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -272,18 +316,18 @@ func TestFingerprintHighBitsDistinct(t *testing.T) {
 		if o.PairOf(q, pr[0]) == o.PairOf(q, pr[1]) {
 			t.Errorf("PairOf collides: %v vs %v", pr[0].Ordinals(), pr[1].Ordinals())
 		}
-		if o.UnprojectedPairOf(q, pr[0]) == o.UnprojectedPairOf(q, pr[1]) {
-			t.Errorf("UnprojectedPairOf collides: %v vs %v", pr[0].Ordinals(), pr[1].Ordinals())
+		if o.KeyOf(q).UnprojectedPair(pr[0]) == o.KeyOf(q).UnprojectedPair(pr[1]) {
+			t.Errorf("UnprojectedPair collides: %v vs %v", pr[0].Ordinals(), pr[1].Ordinals())
 		}
 	}
 	proj := map[Pair][]int{o.PairOf(q, iset.Set{}): nil}
-	full := map[Pair][]int{o.UnprojectedPairOf(q, iset.Set{}): nil}
+	full := map[Pair][]int{o.KeyOf(q).UnprojectedPair(iset.Set{}): nil}
 	check := func(ords ...int) {
 		cfg := iset.FromOrdinals(ords...)
 		for _, seen := range []struct {
 			m map[Pair][]int
 			p Pair
-		}{{proj, o.PairOf(q, cfg)}, {full, o.UnprojectedPairOf(q, cfg)}} {
+		}{{proj, o.PairOf(q, cfg)}, {full, o.KeyOf(q).UnprojectedPair(cfg)}} {
 			if prev, dup := seen.m[seen.p]; dup {
 				t.Fatalf("fingerprint of %v collides with %v", ords, prev)
 			}

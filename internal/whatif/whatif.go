@@ -216,8 +216,8 @@ func (o *Optimizer) publish(sh *cacheShard, p Pair, cl *inflightCall, c float64)
 // "queryID|cfgKey" keys on the hot path. The optimizer's own cache always
 // uses the *projected* fingerprint (configuration ∩ per-query relevance), so
 // configurations differing only in indexes irrelevant to the query collapse
-// to one entry; sessions choose between projected and unprojected pairs via
-// PairOf/UnprojectedPairOf.
+// to one entry; sessions choose between projected and unprojected pairs
+// through a QueryKey.
 //
 // Fingerprints are 64-bit hashes, not canonical encodings: two distinct
 // configurations colliding on the same fingerprint would alias a cache entry
@@ -239,6 +239,9 @@ type queryInfo struct {
 	// words of fixed width (o.relWords) so configuration fingerprints can
 	// mask against it without allocating.
 	rel []uint64
+	// rank numbers rel's members densely; sessions index their per-query
+	// derived-store postings by it (see QueryKey.Relevance).
+	rank *iset.Rank
 	// relByTable lists, per table referenced by the query, the relevant
 	// candidate ordinals in ascending order — the only indexes the cost walk
 	// needs to visit for that table's refs.
@@ -598,6 +601,7 @@ func (o *Optimizer) internQuery(q *workload.Query) *queryInfo {
 		}
 		in.relByTable[r.Table] = list
 	}
+	in.rank = iset.NewRank(in.rel)
 	in.qid = o.nextQID.Add(1) - 1
 	if prev, loaded := o.infos.LoadOrStore(q, in); loaded {
 		return prev.(*queryInfo)
@@ -681,19 +685,43 @@ func fingerprintFull(cfg iset.Set) uint64 {
 // collapse the optimizer cache exploits, and provably cost-preserving (see
 // Relevance).
 func (o *Optimizer) PairOf(q *workload.Query, cfg iset.Set) Pair {
-	in := o.info(q)
-	return Pair{QID: in.qid, FP: fingerprint(cfg, in.rel)}
+	return o.KeyOf(q).Pair(cfg)
 }
 
-// UnprojectedPairOf returns the identity of (q, cfg) with no relevance
+// QueryKey is a query's interned identity, resolved once by KeyOf: its
+// query id and relevance bitmap. Building a Pair from it reads neither the
+// optimizer's intern map nor the query, so callers that key many
+// configurations of the same queries — a session's seen set — resolve one
+// key per query up front. The zero QueryKey is not valid.
+type QueryKey struct {
+	qid  uint32
+	rel  []uint64
+	rank *iset.Rank
+}
+
+// KeyOf returns q's interned key, interning q on first use.
+func (o *Optimizer) KeyOf(q *workload.Query) QueryKey {
+	in := o.info(q)
+	return QueryKey{qid: in.qid, rel: in.rel, rank: in.rank}
+}
+
+// Pair returns the projected identity of (q, cfg), equal to PairOf(q, cfg).
+func (k QueryKey) Pair(cfg iset.Set) Pair {
+	return Pair{QID: k.qid, FP: fingerprint(cfg, k.rel)}
+}
+
+// UnprojectedPair returns the identity of (q, cfg) with no relevance
 // projection: distinct configurations map to distinct fingerprints (modulo
 // 64-bit collisions). Sessions use it for their seen-pair budget accounting
 // when bound derivation is disabled, preserving the exact charging behaviour
 // of the string-keyed implementation.
-func (o *Optimizer) UnprojectedPairOf(q *workload.Query, cfg iset.Set) Pair {
-	in := o.info(q)
-	return Pair{QID: in.qid, FP: fingerprintFull(cfg)}
+func (k QueryKey) UnprojectedPair(cfg iset.Set) Pair {
+	return Pair{QID: k.qid, FP: fingerprintFull(cfg)}
 }
+
+// Relevance returns the dense rank over Relevance(q). It is shared by every
+// holder of the key and must not be modified.
+func (k QueryKey) Relevance() *iset.Rank { return k.rank }
 
 // Relevance returns the set of candidate ordinals that can possibly affect
 // cost(q, ·) — the projection bitmap. For every configuration C,
