@@ -54,7 +54,8 @@ type overSlot struct {
 const overMinSlots = 8
 
 // posting holds the entries of one (query, ordinal) pair as refs, ascending
-// by position. all lists every entry mentioning the ordinal; head lists only the entries
+// by cost, so a read seeking the cheapest (or dearest) qualifying entry
+// stops at the first it finds. all lists every entry mentioning the ordinal; head lists only the entries
 // filed under it, each non-empty entry being filed under exactly one of its
 // ordinals — the one with the shortest list when it was recorded, so
 // entries land on rare ordinals rather than on the ones every configuration
@@ -65,10 +66,24 @@ type posting struct {
 }
 
 // ref is one entry on a posting list: its position and, copied from the
-// entry, its cost, which reads test before they touch the entry.
+// entry, its cost, which orders the list and which reads test before they
+// touch the entry.
 type ref struct {
 	cost float64
 	pos  int32
+}
+
+// insertRef inserts r into list, which ascends by cost, after the refs of
+// equal cost.
+func insertRef(list []ref, r ref) []ref {
+	i := len(list)
+	for i > 0 && list[i-1].cost > r.cost {
+		i--
+	}
+	list = append(list, ref{})
+	copy(list[i+1:], list[i:])
+	list[i] = r
+	return list
 }
 
 // find returns the index into lists of ordinal o's posting, or -1 when no
@@ -122,9 +137,14 @@ func (p *postings) subsetMin(d float64, cfg iset.Set, ords iset.Small) float64 {
 		if l == nil {
 			continue
 		}
+		// The list ascends by cost: its first subset is its minimum.
 		for _, r := range l.head {
-			if r.cost < d && p.entries[r.pos].set.SubsetOfSet(cfg) {
+			if r.cost >= d {
+				break
+			}
+			if p.entries[r.pos].set.SubsetOfSet(cfg) {
 				d = r.cost
+				break
 			}
 		}
 	}
@@ -169,9 +189,15 @@ func (p *postings) supersetMax(lo float64, ords iset.Small) float64 {
 			short = l.all
 		}
 	}
-	for _, r := range short {
-		if r.cost > lo && containsAll(p.entries[r.pos].set, ords) {
-			lo = r.cost
+	// The list ascends by cost: walked from the top, its first superset is
+	// its maximum.
+	for i := len(short) - 1; i >= 0; i-- {
+		r := short[i]
+		if r.cost <= lo {
+			break
+		}
+		if containsAll(p.entries[r.pos].set, ords) {
+			return r.cost
 		}
 	}
 	return lo
@@ -286,13 +312,13 @@ func (ds *DerivedStore) Record(qi int, cfg iset.Set, c float64) {
 			ds.touched[int(o)] = append(ds.touched[int(o)], qi)
 		}
 		l := &p.lists[i]
-		l.all = append(l.all, ref{cost: c, pos: pos})
+		l.all = insertRef(l.all, ref{cost: c, pos: pos})
 		if head < 0 || len(l.all) < len(p.lists[head].all) {
 			head = i
 		}
 	}
 	if head >= 0 {
-		p.lists[head].head = append(p.lists[head].head, ref{cost: c, pos: pos})
+		p.lists[head].head = insertRef(p.lists[head].head, ref{cost: c, pos: pos})
 	}
 }
 
@@ -420,9 +446,10 @@ func (ds *DerivedStore) QueryWith(qi int, base iset.Set, dBase float64, add int)
 	if l == nil {
 		return d
 	}
+	// The list ascends by cost: its first qualifying entry is its minimum.
 	for _, r := range l.all {
 		if r.cost >= d {
-			continue
+			break
 		}
 		ok := true
 		for _, o := range p.entries[r.pos].set {
@@ -432,7 +459,7 @@ func (ds *DerivedStore) QueryWith(qi int, base iset.Set, dBase float64, add int)
 			}
 		}
 		if ok {
-			d = r.cost
+			return r.cost
 		}
 	}
 	return d
