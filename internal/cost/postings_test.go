@@ -172,10 +172,10 @@ func (r *refTouched) record(qi int, cfg iset.Set) {
 // The indexed reads equal the linear scans exactly over random interleaved
 // record streams at Real-M width: empty and duplicate configurations,
 // universe floors, and probes at, below and above recorded entries. Each
-// stream runs against a store without relevance, where every ordinal
-// overflows, and against one ranked over a random mask, where the overflow
-// posting carries the entries mentioning an ordinal outside it; both keep
-// TouchedQueries equal to its definition.
+// stream runs against a store without relevance, where every ordinal is
+// an overflow ordinal, and against one ranked over a random mask, which
+// leaves ordinals out for the overflow table; both keep TouchedQueries
+// equal to its definition.
 func TestPostingReadsMatchLinearScan(t *testing.T) {
 	const nq = 5
 	for _, ranked := range []bool{false, true} {
@@ -194,7 +194,7 @@ func TestPostingReadsMatchLinearScan(t *testing.T) {
 			checkPostingStream(t, g, ds, seed)
 			overflowed := 0
 			for qi := range ds.byQ {
-				overflowed += len(ds.byQ[qi].over)
+				overflowed += ds.byQ[qi].overN
 			}
 			if overflowed == 0 {
 				t.Fatalf("ranked=%v seed %d: no entry mentioned an overflow ordinal", ranked, seed)
