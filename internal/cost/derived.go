@@ -20,94 +20,55 @@ type entry struct {
 
 // postings is one query's share of the store: its entries in recording
 // order plus an inverted index from candidate ordinal to entry positions.
-// Entries are recorded unprojected, whatever ordinals they hold. An ordinal
-// in Relevance(q) finds its posting through its rank there, in a slot
-// array of |Relevance(q)|; any other ordinal an entry mentions is an
-// overflow ordinal, found in the query's small open-addressed overflow
-// table. So the index of a query takes memory in proportion to
-// |Relevance(q)| plus what was recorded, never to the candidate universe.
+// Entries are recorded unprojected, whatever ordinals they hold. The index
+// is a small open-addressed table keyed by the ordinals the query's entries
+// mention, so it takes memory in proportion to what was recorded, never to
+// the candidate universe.
 type postings struct {
 	entries []entry
 	empty   []int32 // positions of empty-configuration entries
-	// rel ranks the query's relevant ordinals (the zero Rank ranks none).
-	// It is held by value, sharing the ranked words, so a lookup reads no
-	// pointer before the word.
-	rel iset.Rank
-	// slot[r] is 1 + the index into lists of the posting of the relevant
-	// ordinal with rank r, or 0 while no entry mentions it. It is sized
-	// rel.Len() by the first entry mentioning a relevant ordinal.
-	slot []int32
-	// over is the overflow table: a linear-probing hash table, at most half
-	// full, mapping each ordinal outside rel that entries mention to the
-	// index into lists of its posting; free slots hold ord and list −1.
-	over  []overSlot
-	overN int // occupied slots of over
+	// index is a linear-probing hash table, at most half full, mapping each
+	// ordinal the entries mention to the index into lists of its posting;
+	// free slots hold ord and list −1. Its occupied slots number len(lists).
+	index []indexSlot
 	lists []posting
 }
 
-// overSlot maps one overflow ordinal to its posting.
-type overSlot struct {
+// indexSlot maps one ordinal to its posting.
+type indexSlot struct {
 	ord, list int32
 }
 
-// overMinSlots is the initial size of an overflow table (a power of two).
-const overMinSlots = 8
+// indexMinSlots is the initial size of an index table (a power of two).
+const indexMinSlots = 8
 
-// posting holds the entries of one (query, ordinal) pair as refs, ascending
-// by cost, so a read seeking the cheapest (or dearest) qualifying entry
-// stops at the first it finds. all lists every entry mentioning the ordinal; head lists only the entries
+// posting holds the entry positions of one (query, ordinal) pair, ascending.
+// all lists every entry mentioning the ordinal; head lists only the entries
 // filed under it, each non-empty entry being filed under exactly one of its
 // ordinals — the one with the shortest list when it was recorded, so
 // entries land on rare ordinals rather than on the ones every configuration
 // of a greedy run shares.
 type posting struct {
-	all  []ref
-	head []ref
-}
-
-// ref is one entry on a posting list: its position and, copied from the
-// entry, its cost, which orders the list and which reads test before they
-// touch the entry.
-type ref struct {
-	cost float64
-	pos  int32
-}
-
-// insertRef inserts r into list, which ascends by cost, after the refs of
-// equal cost.
-func insertRef(list []ref, r ref) []ref {
-	i := len(list)
-	for i > 0 && list[i-1].cost > r.cost {
-		i--
-	}
-	list = append(list, ref{})
-	copy(list[i+1:], list[i:])
-	list[i] = r
-	return list
+	all  []int32
+	head []int32
 }
 
 // find returns the index into lists of ordinal o's posting, or -1 when no
 // entry mentions o.
 func (p *postings) find(o int32) int32 {
-	if r, ok := p.rel.Of(o); ok {
-		if p.slot == nil {
-			return -1
-		}
-		return p.slot[r] - 1
-	}
-	if p.overN == 0 {
+	if len(p.lists) == 0 {
 		return -1
 	}
-	return p.over[p.overAt(o)].list
+	return p.index[p.slotOf(o)].list
 }
 
-// overAt returns the position of overflow ordinal o in the table, or of
-// the free slot where it would go. The table must not be empty.
-func (p *postings) overAt(o int32) int {
-	mask := len(p.over) - 1
+// slotOf returns the position of ordinal o in the index, or of the free
+// slot where it would go. The index must not be empty.
+func (p *postings) slotOf(o int32) int {
+	mask := len(p.index) - 1
 	// Fibonacci hashing: the top bits of the product index the table.
 	i := int(uint32(o) * 0x9e3779b1 >> bits.LeadingZeros32(uint32(mask)))
-	for p.over[i].ord != o && p.over[i].ord >= 0 {
+	for p.index[i].ord != o && p.index[i].ord >= 0 {
 		i = (i + 1) & mask
 	}
 	return i
@@ -137,14 +98,10 @@ func (p *postings) subsetMin(d float64, cfg iset.Set, ords iset.Small) float64 {
 		if l == nil {
 			continue
 		}
-		// The list ascends by cost: its first subset is its minimum.
-		for _, r := range l.head {
-			if r.cost >= d {
-				break
-			}
-			if p.entries[r.pos].set.SubsetOfSet(cfg) {
-				d = r.cost
-				break
+		for _, pos := range l.head {
+			e := &p.entries[pos]
+			if e.cost < d && e.set.SubsetOfSet(cfg) {
+				d = e.cost
 			}
 		}
 	}
@@ -179,7 +136,7 @@ func (p *postings) supersetMax(lo float64, ords iset.Small) float64 {
 		}
 		return lo
 	}
-	var short []ref
+	var short []int32
 	for i, o := range ords {
 		l := p.list(o)
 		if l == nil {
@@ -189,15 +146,10 @@ func (p *postings) supersetMax(lo float64, ords iset.Small) float64 {
 			short = l.all
 		}
 	}
-	// The list ascends by cost: walked from the top, its first superset is
-	// its maximum.
-	for i := len(short) - 1; i >= 0; i-- {
-		r := short[i]
-		if r.cost <= lo {
-			break
-		}
-		if containsAll(p.entries[r.pos].set, ords) {
-			return r.cost
+	for _, pos := range short {
+		e := &p.entries[pos]
+		if e.cost > lo && containsAll(e.set, ords) {
+			lo = e.cost
 		}
 	}
 	return lo
@@ -257,30 +209,14 @@ type DerivedStore struct {
 }
 
 // NewDerivedStore creates a store for w with the given baseline costs
-// (base[i] = c(w.Queries[i], ∅)) and no relevance: every ordinal is an
-// overflow ordinal. Its answers, and the entries its reads visit, equal a
-// ranked store's.
+// (base[i] = c(w.Queries[i], ∅)).
 func NewDerivedStore(w *workload.Workload, base []float64) *DerivedStore {
-	return NewRankedStore(w, base, nil)
-}
-
-// NewRankedStore creates a store for w with the given baseline costs whose
-// posting index for query i is dense over rel[i], the rank of
-// Relevance(w.Queries[i]) (whatif.QueryKey.Relevance). A nil rel, or a nil
-// rank, ranks no ordinal.
-func NewRankedStore(w *workload.Workload, base []float64, rel []*iset.Rank) *DerivedStore {
-	ds := &DerivedStore{
+	return &DerivedStore{
 		w:       w,
 		base:    base,
 		byQ:     make([]postings, len(w.Queries)),
 		touched: make(map[int][]int),
 	}
-	for i := range ds.byQ {
-		if rel != nil && rel[i] != nil {
-			ds.byQ[i].rel = *rel[i]
-		}
-	}
-	return ds
 }
 
 // Base returns c(q_i, ∅).
@@ -312,13 +248,13 @@ func (ds *DerivedStore) Record(qi int, cfg iset.Set, c float64) {
 			ds.touched[int(o)] = append(ds.touched[int(o)], qi)
 		}
 		l := &p.lists[i]
-		l.all = insertRef(l.all, ref{cost: c, pos: pos})
+		l.all = append(l.all, pos)
 		if head < 0 || len(l.all) < len(p.lists[head].all) {
 			head = i
 		}
 	}
 	if head >= 0 {
-		p.lists[head].head = insertRef(p.lists[head].head, ref{cost: c, pos: pos})
+		p.lists[head].head = append(p.lists[head].head, pos)
 	}
 }
 
@@ -327,31 +263,23 @@ func (ds *DerivedStore) Record(qi int, cfg iset.Set, c float64) {
 func (p *postings) add(o int32) int32 {
 	i := int32(len(p.lists))
 	p.lists = append(p.lists, posting{})
-	if r, ok := p.rel.Of(o); ok {
-		if p.slot == nil {
-			p.slot = make([]int32, p.rel.Len())
-		}
-		p.slot[r] = i + 1
-		return i
-	}
-	if 2*(p.overN+1) > len(p.over) {
-		old := p.over
+	if 2*len(p.lists) > len(p.index) {
+		old := p.index
 		size := 2 * len(old)
 		if size == 0 {
-			size = overMinSlots
+			size = indexMinSlots
 		}
-		p.over = make([]overSlot, size)
-		for j := range p.over {
-			p.over[j] = overSlot{ord: -1, list: -1}
+		p.index = make([]indexSlot, size)
+		for j := range p.index {
+			p.index[j] = indexSlot{ord: -1, list: -1}
 		}
 		for _, sl := range old {
 			if sl.ord >= 0 {
-				p.over[p.overAt(sl.ord)] = sl
+				p.index[p.slotOf(sl.ord)] = sl
 			}
 		}
 	}
-	p.over[p.overAt(o)] = overSlot{ord: o, list: i}
-	p.overN++
+	p.index[p.slotOf(o)] = indexSlot{ord: o, list: i}
 	return i
 }
 
@@ -446,20 +374,20 @@ func (ds *DerivedStore) QueryWith(qi int, base iset.Set, dBase float64, add int)
 	if l == nil {
 		return d
 	}
-	// The list ascends by cost: its first qualifying entry is its minimum.
-	for _, r := range l.all {
-		if r.cost >= d {
-			break
+	for _, pos := range l.all {
+		e := &p.entries[pos]
+		if e.cost >= d {
+			continue
 		}
 		ok := true
-		for _, o := range p.entries[r.pos].set {
+		for _, o := range e.set {
 			if int(o) != add && !base.Has(int(o)) {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			return r.cost
+			d = e.cost
 		}
 	}
 	return d

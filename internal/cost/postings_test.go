@@ -132,27 +132,6 @@ func (g *streamGen) probe(recorded []iset.Set) (cfg iset.Set, exact bool) {
 	return cfg, false
 }
 
-// relevanceMask draws a rank over a random part of the universe for each of
-// nq queries: about half of g's hot ordinals and a few hundred others, so
-// the records mention ordinals on both sides of it.
-func relevanceMask(g *streamGen, nq int) []*iset.Rank {
-	rel := make([]*iset.Rank, nq)
-	for qi := range rel {
-		words := make([]uint64, (realMWidth+63)/64)
-		set := func(o int) { words[o/64] |= 1 << uint(o%64) }
-		for _, o := range g.hot {
-			if g.rng.Intn(2) == 0 {
-				set(o)
-			}
-		}
-		for i := 0; i < 300; i++ {
-			set(g.rng.Intn(realMWidth))
-		}
-		rel[qi] = iset.NewRank(words)
-	}
-	return rel
-}
-
 // refTouched lists, per ordinal, the queries whose entries mention it, in
 // the order of each query's first such entry — TouchedQueries' contract.
 type refTouched struct {
@@ -172,116 +151,96 @@ func (r *refTouched) record(qi int, cfg iset.Set) {
 // The indexed reads equal the linear scans exactly over random interleaved
 // record streams at Real-M width: empty and duplicate configurations,
 // universe floors, and probes at, below and above recorded entries. Each
-// stream runs against a store without relevance, where every ordinal is
-// an overflow ordinal, and against one ranked over a random mask, which
-// leaves ordinals out for the overflow table; both keep TouchedQueries
-// equal to its definition.
+// stream also keeps TouchedQueries equal to its definition and every
+// query's index sized by the ordinals it recorded.
 func TestPostingReadsMatchLinearScan(t *testing.T) {
 	const nq = 5
-	for _, ranked := range []bool{false, true} {
-		for seed := int64(1); seed <= 20; seed++ {
-			g := newStreamGen(seed)
-			base := make([]float64, nq)
-			for i := range base {
-				base[i] = 100 + 900*g.rng.Float64()
-			}
-			var ds *DerivedStore
-			if ranked {
-				ds = NewRankedStore(nQueryWorkload(nq), base, relevanceMask(g, nq))
-			} else {
-				ds = NewDerivedStore(nQueryWorkload(nq), base)
-			}
-			checkPostingStream(t, g, ds, seed)
-			overflowed := 0
-			for qi := range ds.byQ {
-				overflowed += ds.byQ[qi].overN
-			}
-			if overflowed == 0 {
-				t.Fatalf("ranked=%v seed %d: no entry mentioned an overflow ordinal", ranked, seed)
-			}
+	for seed := int64(1); seed <= 20; seed++ {
+		g := newStreamGen(seed)
+		base := make([]float64, nq)
+		for i := range base {
+			base[i] = 100 + 900*g.rng.Float64()
 		}
-	}
-}
-
-// checkPostingStream records a random stream into ds, comparing its reads
-// against the linear scans every 25 records and its touched lists at the
-// end.
-func checkPostingStream(t *testing.T, g *streamGen, ds *DerivedStore, seed int64) {
-	t.Helper()
-	nq := len(ds.byQ)
-	recorded := make([][]iset.Set, nq)
-	touched := refTouched{lists: map[int][]int{}, seen: map[[2]int]bool{}}
-	for step := 0; step < 1000; step++ {
-		qi := g.rng.Intn(nq)
-		base := ds.Base(qi)
-		switch r := g.rng.Intn(20); {
-		case r == 0:
-			ds.RecordFloor(qi, base*g.rng.Float64()*0.5)
-		case r < 3 && len(recorded[qi]) > 0:
-			// A duplicate configuration at a different cost.
-			cfg := recorded[qi][g.rng.Intn(len(recorded[qi]))]
-			ds.Record(qi, cfg, base*g.rng.Float64())
-		default:
-			cfg := g.cfg()
-			ds.Record(qi, cfg, base*g.rng.Float64())
-			recorded[qi] = append(recorded[qi], cfg)
-			touched.record(qi, cfg)
-		}
-		if step%25 != 24 {
-			continue
-		}
-		for k := 0; k < 20; k++ {
+		ds := NewDerivedStore(nQueryWorkload(nq), base)
+		recorded := make([][]iset.Set, nq)
+		touched := refTouched{lists: map[int][]int{}, seen: map[[2]int]bool{}}
+		for step := 0; step < 1000; step++ {
 			qi := g.rng.Intn(nq)
-			cfg, exact := g.probe(recorded[qi])
-			if got, want := ds.Query(qi, cfg), refQuery(ds, qi, cfg); got != want {
-				t.Fatalf("seed %d step %d: Query(q%d, %v) = %v, want %v", seed, step, qi, cfg, got, want)
+			base := ds.Base(qi)
+			switch r := g.rng.Intn(20); {
+			case r == 0:
+				ds.RecordFloor(qi, base*g.rng.Float64()*0.5)
+			case r < 3 && len(recorded[qi]) > 0:
+				// A duplicate configuration at a different cost.
+				cfg := recorded[qi][g.rng.Intn(len(recorded[qi]))]
+				ds.Record(qi, cfg, base*g.rng.Float64())
+			default:
+				cfg := g.cfg()
+				ds.Record(qi, cfg, base*g.rng.Float64())
+				recorded[qi] = append(recorded[qi], cfg)
+				touched.record(qi, cfg)
 			}
-			lo, hi := ds.Bounds(qi, cfg)
-			wlo, whi := refBounds(ds, qi, cfg)
-			if lo != wlo || hi != whi {
-				t.Fatalf("seed %d step %d: Bounds(q%d, %v) = (%v, %v), want (%v, %v)",
-					seed, step, qi, cfg, lo, hi, wlo, whi)
+			if step%25 != 24 {
+				continue
 			}
-			if exact && lo != hi {
-				t.Fatalf("seed %d step %d: recorded %v has open bounds (%v, %v)", seed, step, cfg, lo, hi)
-			}
-			add := g.ord()
-			cfg.Remove(add)
-			dBase := refQuery(ds, qi, cfg)
-			if got, want := ds.QueryWith(qi, cfg, dBase, add), refQueryWith(ds, qi, cfg, dBase, add); got != want {
-				t.Fatalf("seed %d step %d: QueryWith(q%d, %v, +%d) = %v, want %v", seed, step, qi, cfg, add, got, want)
+			for k := 0; k < 20; k++ {
+				qi := g.rng.Intn(nq)
+				cfg, exact := g.probe(recorded[qi])
+				if got, want := ds.Query(qi, cfg), refQuery(ds, qi, cfg); got != want {
+					t.Fatalf("seed %d step %d: Query(q%d, %v) = %v, want %v", seed, step, qi, cfg, got, want)
+				}
+				lo, hi := ds.Bounds(qi, cfg)
+				wlo, whi := refBounds(ds, qi, cfg)
+				if lo != wlo || hi != whi {
+					t.Fatalf("seed %d step %d: Bounds(q%d, %v) = (%v, %v), want (%v, %v)",
+						seed, step, qi, cfg, lo, hi, wlo, whi)
+				}
+				if exact && lo != hi {
+					t.Fatalf("seed %d step %d: recorded %v has open bounds (%v, %v)", seed, step, cfg, lo, hi)
+				}
+				add := g.ord()
+				cfg.Remove(add)
+				dBase := refQuery(ds, qi, cfg)
+				if got, want := ds.QueryWith(qi, cfg, dBase, add), refQueryWith(ds, qi, cfg, dBase, add); got != want {
+					t.Fatalf("seed %d step %d: QueryWith(q%d, %v, +%d) = %v, want %v", seed, step, qi, cfg, add, got, want)
+				}
 			}
 		}
-	}
-	if len(ds.touched) != len(touched.lists) {
-		t.Fatalf("seed %d: %d ordinals touched, want %d", seed, len(ds.touched), len(touched.lists))
-	}
-	for o, want := range touched.lists {
-		if got := ds.TouchedQueries(o); !slices.Equal(got, want) {
-			t.Fatalf("seed %d: TouchedQueries(%d) = %v, want %v", seed, o, got, want)
+		if len(ds.touched) != len(touched.lists) {
+			t.Fatalf("seed %d: %d ordinals touched, want %d", seed, len(ds.touched), len(touched.lists))
+		}
+		for o, want := range touched.lists {
+			if got := ds.TouchedQueries(o); !slices.Equal(got, want) {
+				t.Fatalf("seed %d: TouchedQueries(%d) = %v, want %v", seed, o, got, want)
+			}
+		}
+		// The index grows by doubling once it is half full, so it never holds
+		// more than four slots per ordinal recorded.
+		for qi := range ds.byQ {
+			p := &ds.byQ[qi]
+			if len(p.index) > max(indexMinSlots, 4*len(p.lists)) {
+				t.Fatalf("seed %d: q%d index has %d slots for %d ordinals", seed, qi, len(p.index), len(p.lists))
+			}
 		}
 	}
 }
 
 // Query, Bounds and QueryWith read through stack buffers and never
-// allocate, even with a configuration spanning the Real-M universe, with or
-// without a relevance rank.
+// allocate, even with a configuration spanning the Real-M universe.
 func TestPostingReadsAllocationFree(t *testing.T) {
 	g := newStreamGen(3)
-	w, base := nQueryWorkload(2), []float64{500, 700}
-	for _, ds := range []*DerivedStore{NewDerivedStore(w, base), NewRankedStore(w, base, relevanceMask(g, 2))} {
-		for i := 0; i < 300; i++ {
-			ds.Record(i%2, g.cfg(), 400*g.rng.Float64())
-		}
-		cfg := iset.FromOrdinals(g.hot[:10]...)
-		cfg.Add(realMWidth - 1)
-		allocs := testing.AllocsPerRun(100, func() {
-			ds.Query(0, cfg)
-			ds.Bounds(1, cfg)
-			ds.QueryWith(0, cfg, 500, g.hot[11])
-		})
-		if allocs != 0 {
-			t.Fatalf("reads allocate %v times per run", allocs)
-		}
+	ds := NewDerivedStore(nQueryWorkload(2), []float64{500, 700})
+	for i := 0; i < 300; i++ {
+		ds.Record(i%2, g.cfg(), 400*g.rng.Float64())
+	}
+	cfg := iset.FromOrdinals(g.hot[:10]...)
+	cfg.Add(realMWidth - 1)
+	allocs := testing.AllocsPerRun(100, func() {
+		ds.Query(0, cfg)
+		ds.Bounds(1, cfg)
+		ds.QueryWith(0, cfg, 500, g.hot[11])
+	})
+	if allocs != 0 {
+		t.Fatalf("reads allocate %v times per run", allocs)
 	}
 }

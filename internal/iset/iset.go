@@ -263,46 +263,3 @@ func (m Small) Key() string {
 	}
 	return string(buf)
 }
-
-// Rank numbers the members of a fixed bitmap densely: the member ordinals,
-// in ascending order, get ranks 0..Len()−1. A rank is the count of members
-// in the words before the member's word, stored next to that word, plus the
-// in-word popcount below it, so Of reads one word slot and takes one
-// popcount whatever the bitmap's width.
-type Rank struct {
-	words []rankWord
-	n     int32
-}
-
-// rankWord is one bitmap word with the member count of the words before it.
-type rankWord struct {
-	bits  uint64
-	below int32
-}
-
-// NewRank ranks the members of the bitmap words, which it copies.
-func NewRank(words []uint64) *Rank {
-	r := &Rank{words: make([]rankWord, len(words))}
-	for i, w := range words {
-		r.words[i] = rankWord{bits: w, below: r.n}
-		r.n += int32(bits.OnesCount64(w))
-	}
-	return r
-}
-
-// Len returns the number of members.
-func (r *Rank) Len() int { return int(r.n) }
-
-// Of returns the rank of ordinal o, with ok false when o is not a member.
-func (r *Rank) Of(o int32) (rank int32, ok bool) {
-	wi := uint(o) / wordBits
-	if wi >= uint(len(r.words)) {
-		return 0, false
-	}
-	w := r.words[wi]
-	bit := uint64(1) << (uint(o) % wordBits)
-	if w.bits&bit == 0 {
-		return 0, false
-	}
-	return w.below + int32(bits.OnesCount64(w.bits&(bit-1))), true
-}

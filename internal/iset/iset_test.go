@@ -249,35 +249,6 @@ func TestKeyMatchesReference(t *testing.T) {
 	}
 }
 
-func TestRankMatchesOrdinalPosition(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 40; trial++ {
-		s := NewSet(300)
-		for j := 0; j < rng.Intn(120); j++ {
-			s.Add(rng.Intn(300))
-		}
-		words := make([]uint64, s.NumWords())
-		for i := range words {
-			words[i] = s.Word(i)
-		}
-		r := NewRank(words)
-		if r.Len() != s.Len() {
-			t.Fatalf("Len = %d, want %d", r.Len(), s.Len())
-		}
-		want := make(map[int]int32)
-		for i, o := range s.Ordinals() {
-			want[o] = int32(i)
-		}
-		for o := -1; o < 400; o++ {
-			got, ok := r.Of(int32(o))
-			w, member := want[o]
-			if ok != member || got != w {
-				t.Fatalf("Of(%d) = %d, %v; want %d, %v", o, got, ok, w, member)
-			}
-		}
-	}
-}
-
 // benchSet is a representative configuration: K=10 indexes spread over a
 // few hundred candidates, as in the what-if cache hot path.
 func benchSet() Set {

@@ -187,11 +187,9 @@ type Session struct {
 func NewSession(w *workload.Workload, cands *candgen.Result, opt *whatif.Optimizer, k, budget int, seed int64) *Session {
 	base := make([]float64, len(w.Queries))
 	keys := make([]whatif.QueryKey, len(w.Queries))
-	rel := make([]*iset.Rank, len(w.Queries))
 	for i, q := range w.Queries {
 		base[i] = opt.BaseCost(q)
 		keys[i] = opt.KeyOf(q)
-		rel[i] = keys[i].Relevance()
 	}
 	return &Session{
 		W:       w,
@@ -199,7 +197,7 @@ func NewSession(w *workload.Workload, cands *candgen.Result, opt *whatif.Optimiz
 		Opt:     opt,
 		K:       k,
 		Budget:  budget,
-		Derived: cost.NewRankedStore(w, base, rel),
+		Derived: cost.NewDerivedStore(w, base),
 		Rng:     rand.New(rand.NewSource(seed)),
 		keys:    keys,
 	}

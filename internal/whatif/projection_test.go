@@ -241,7 +241,7 @@ func TestHotPairPathDoesNotAllocate(t *testing.T) {
 // TestQueryKeyMatchesPairOf: a resolved key builds exactly the pairs the
 // per-call lookup builds — the projected one equal to PairOf, the
 // unprojected one the query id plus the full fingerprint — over random
-// configurations of several widths, and its rank covers Relevance(q).
+// configurations of several widths.
 func TestQueryKeyMatchesPairOf(t *testing.T) {
 	for _, w := range synthWorkloads(t) {
 		o := New(w.DB, candidatesFor(w))
@@ -249,17 +249,8 @@ func TestQueryKeyMatchesPairOf(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
 		for _, q := range w.Queries {
 			k := o.KeyOf(q)
-			if k2 := o.KeyOf(q); k2.qid != k.qid || k2.rank != k.rank {
+			if k2 := o.KeyOf(q); k2.qid != k.qid {
 				t.Fatalf("%s: KeyOf not stable", q.ID)
-			}
-			rel := o.Relevance(q)
-			if k.Relevance().Len() != rel.Len() {
-				t.Fatalf("%s: rank holds %d members, relevance %d", q.ID, k.Relevance().Len(), rel.Len())
-			}
-			for i, ord := range rel.Ordinals() {
-				if r, ok := k.Relevance().Of(int32(ord)); !ok || int(r) != i {
-					t.Fatalf("%s: rank of %d = %d, %v; want %d", q.ID, ord, r, ok, i)
-				}
 			}
 			for trial := 0; trial < 30; trial++ {
 				cfg := iset.NewSet(n + 64*rng.Intn(3))

@@ -239,9 +239,6 @@ type queryInfo struct {
 	// words of fixed width (o.relWords) so configuration fingerprints can
 	// mask against it without allocating.
 	rel []uint64
-	// rank numbers rel's members densely; sessions index their per-query
-	// derived-store postings by it (see QueryKey.Relevance).
-	rank *iset.Rank
 	// relByTable lists, per table referenced by the query, the relevant
 	// candidate ordinals in ascending order — the only indexes the cost walk
 	// needs to visit for that table's refs.
@@ -601,7 +598,6 @@ func (o *Optimizer) internQuery(q *workload.Query) *queryInfo {
 		}
 		in.relByTable[r.Table] = list
 	}
-	in.rank = iset.NewRank(in.rel)
 	in.qid = o.nextQID.Add(1) - 1
 	if prev, loaded := o.infos.LoadOrStore(q, in); loaded {
 		return prev.(*queryInfo)
@@ -694,15 +690,14 @@ func (o *Optimizer) PairOf(q *workload.Query, cfg iset.Set) Pair {
 // configurations of the same queries — a session's seen set — resolve one
 // key per query up front. The zero QueryKey is not valid.
 type QueryKey struct {
-	qid  uint32
-	rel  []uint64
-	rank *iset.Rank
+	qid uint32
+	rel []uint64
 }
 
 // KeyOf returns q's interned key, interning q on first use.
 func (o *Optimizer) KeyOf(q *workload.Query) QueryKey {
 	in := o.info(q)
-	return QueryKey{qid: in.qid, rel: in.rel, rank: in.rank}
+	return QueryKey{qid: in.qid, rel: in.rel}
 }
 
 // Pair returns the projected identity of (q, cfg), equal to PairOf(q, cfg).
@@ -718,10 +713,6 @@ func (k QueryKey) Pair(cfg iset.Set) Pair {
 func (k QueryKey) UnprojectedPair(cfg iset.Set) Pair {
 	return Pair{QID: k.qid, FP: fingerprintFull(cfg)}
 }
-
-// Relevance returns the dense rank over Relevance(q). It is shared by every
-// holder of the key and must not be modified.
-func (k QueryKey) Relevance() *iset.Rank { return k.rank }
 
 // Relevance returns the set of candidate ordinals that can possibly affect
 // cost(q, ·) — the projection bitmap. For every configuration C,
