@@ -166,17 +166,16 @@ func TestPostingReadsMatchLinearScan(t *testing.T) {
 		touched := refTouched{lists: map[int][]int{}, seen: map[[2]int]bool{}}
 		for step := 0; step < 1000; step++ {
 			qi := g.rng.Intn(nq)
-			base := ds.Base(qi)
 			switch r := g.rng.Intn(20); {
 			case r == 0:
-				ds.RecordFloor(qi, base*g.rng.Float64()*0.5)
+				ds.RecordFloor(qi, base[qi]*g.rng.Float64()*0.5)
 			case r < 3 && len(recorded[qi]) > 0:
 				// A duplicate configuration at a different cost.
 				cfg := recorded[qi][g.rng.Intn(len(recorded[qi]))]
-				ds.Record(qi, cfg, base*g.rng.Float64())
+				ds.Record(qi, cfg, base[qi]*g.rng.Float64())
 			default:
 				cfg := g.cfg()
-				ds.Record(qi, cfg, base*g.rng.Float64())
+				ds.Record(qi, cfg, base[qi]*g.rng.Float64())
 				recorded[qi] = append(recorded[qi], cfg)
 				touched.record(qi, cfg)
 			}
