@@ -20,10 +20,9 @@ type entry struct {
 
 // postings is one query's share of the store: its entries in recording
 // order plus an inverted index from candidate ordinal to entry positions.
-// Entries are recorded unprojected, whatever ordinals they hold. The index
-// is a small open-addressed table keyed by the ordinals the query's entries
-// mention, so it takes memory in proportion to what was recorded, never to
-// the candidate universe.
+// The index is a small open-addressed table keyed by the ordinals the
+// query's entries mention, so it takes memory in proportion to what was
+// recorded, never to the candidate universe.
 type postings struct {
 	entries []entry
 	empty   []int32 // positions of empty-configuration entries
