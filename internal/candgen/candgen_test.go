@@ -118,58 +118,6 @@ func TestPerQueryOrdinalsConsistent(t *testing.T) {
 	}
 }
 
-func TestRelevantIsSupersetOfPerQuery(t *testing.T) {
-	w := workload.ByName("tpch")
-	res := Generate(w, Options{})
-	for qi := range res.PerQuery {
-		rel := make(map[int]bool, len(res.Relevant[qi]))
-		for _, o := range res.Relevant[qi] {
-			rel[o] = true
-		}
-		for _, o := range res.PerQuery[qi] {
-			if !rel[o] {
-				t.Fatalf("query %d: PerQuery ordinal %d missing from Relevant", qi, o)
-			}
-		}
-	}
-}
-
-func TestRelevantCandidatesAreSargableOrCovering(t *testing.T) {
-	w := workload.ByName("tpch")
-	res := Generate(w, Options{})
-	for qi, rel := range res.Relevant {
-		q := w.Queries[qi]
-		for _, ord := range rel {
-			ix := res.Candidates[ord].Index
-			ok := false
-			for ri := range q.Refs {
-				ref := &q.Refs[ri]
-				if ref.Table != ix.Table {
-					continue
-				}
-				if sargableFor(&ix, ref) || ix.Covers(ref.Need) {
-					ok = true
-					break
-				}
-			}
-			// PerQuery members are always allowed even if not sargable
-			// (e.g. pure covering fallbacks).
-			if !ok && !contains(res.PerQuery[qi], ord) {
-				t.Fatalf("query %d: relevant candidate %s is neither sargable nor covering", qi, ix.ID())
-			}
-		}
-	}
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 func TestAtomicPairsAreSorted(t *testing.T) {
 	res := Generate(workload.ByName("tpch"), Options{})
 	if len(res.AtomicPairs) == 0 {
@@ -221,24 +169,5 @@ func TestMaxIncludeColsCap(t *testing.T) {
 		if len(c.Index.Include) > 4 { // wide candidates may use 2×cap
 			t.Fatalf("candidate %s exceeds include cap", c.Index.ID())
 		}
-	}
-}
-
-func TestRefreshRelevanceAfterAppend(t *testing.T) {
-	w := figure3Workload()
-	res := Generate(w, Options{})
-	res.Candidates = append(res.Candidates, Candidate{
-		Index:   schema.Index{Table: "R", Key: []string{"b"}},
-		Ordinal: len(res.Candidates),
-	})
-	res.RefreshRelevance(w)
-	found := false
-	for _, o := range res.Relevant[0] {
-		if o == len(res.Candidates)-1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("appended join-leading candidate should become relevant to Q1")
 	}
 }

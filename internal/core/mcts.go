@@ -329,10 +329,11 @@ func (t *tuner) bestGreedy() (iset.Set, float64) {
 	return cfg, c
 }
 
-// priorBudget returns Algorithm 4's pair budget B' = min(B/2, P).
-func (t *tuner) priorBudget() int {
+// priorBudget returns Algorithm 4's pair budget B' = min(B/2, P), where P
+// counts the (query, relevant candidate) pairs of rel.
+func (t *tuner) priorBudget(rel [][]int) int {
 	totalPairs := 0
-	for _, per := range t.s.Cands.Relevant {
+	for _, per := range rel {
 		totalPairs += len(per)
 	}
 	budget := t.s.Budget / 2
@@ -343,13 +344,12 @@ func (t *tuner) priorBudget() int {
 }
 
 // priorPairs enumerates the (query, candidate) pair sequence Algorithm 4
-// evaluates — round-robin over queries, largest tables first within a query —
-// which is enumerable without any cost values.
-func (t *tuner) priorPairs(budget int) []priorPair {
-	s := t.s
-	order := make([][]int, len(s.Cands.Relevant))
-	for qi, per := range s.Cands.Relevant {
-		order[qi] = sortByTableRows(s, per)
+// evaluates over the relevant lists rel — round-robin over queries, largest
+// tables first within a query — which is enumerable without any cost values.
+func (t *tuner) priorPairs(rel [][]int, budget int) []priorPair {
+	order := make([][]int, len(rel))
+	for qi, per := range rel {
+		order[qi] = sortByTableRows(t.s, per)
 	}
 	next := make([]int, len(order))
 	pairs := make([]priorPair, 0, budget)
@@ -388,8 +388,12 @@ type priorPair struct{ qi, ord int }
 // pass (including that pair's derived fallback).
 func (t *tuner) computePriors(workers int) {
 	s := t.s
-	budget := t.priorBudget()
-	pairs := t.priorPairs(budget)
+	rel := make([][]int, len(s.W.Queries))
+	for qi := range rel {
+		rel[qi] = s.Relevant(qi)
+	}
+	budget := t.priorBudget(rel)
+	pairs := t.priorPairs(rel, budget)
 
 	costW := make([]float64, s.NumCandidates())
 	for i := range costW {
@@ -424,8 +428,9 @@ func (t *tuner) computePriors(workers int) {
 
 // sortByTableRows orders a query's candidate ordinals for Algorithm 4's
 // IndexSelection: indexes on the largest tables first (the paper's policy),
-// breaking ties by how many queries the candidate is relevant to — an index
-// shared by many queries is evaluated before a single-query specialist.
+// breaking ties by how many queries the candidate was generated for
+// (Candidate.Queries) — an index shared by many queries is evaluated before
+// a single-query specialist.
 func sortByTableRows(s *search.Session, per []int) []int {
 	out := append([]int(nil), per...)
 	key := func(ord int) (int64, int) {

@@ -63,7 +63,7 @@ func TestPairSetMatchesMap(t *testing.T) {
 // unprojected and projected keys.
 func TestSeenAllocationFree(t *testing.T) {
 	s := newTestSession(t, 1000)
-	cfg := iset.FromOrdinals(s.Cands.Relevant[0][0])
+	cfg := iset.FromOrdinals(s.Relevant(0)[0])
 	s.WhatIf(0, cfg)
 	if !s.Seen(0, cfg) {
 		t.Fatal("a charged pair is not seen")

@@ -292,6 +292,19 @@ func (s *Session) Seen(qi int, cfg iset.Set) bool {
 // NumCandidates returns the size of the candidate universe.
 func (s *Session) NumCandidates() int { return len(s.Cands.Candidates) }
 
+// Relevant returns the ascending ordinals of the candidates that can affect
+// query qi: the optimizer's relevance set (DESIGN §10) together with the
+// candidates generated for qi, which include pure-covering fallbacks the
+// relevance criterion need not admit. Query-level tuning and Algorithm 4's
+// singleton priors iterate over this list.
+func (s *Session) Relevant(qi int) []int {
+	rel := s.Opt.Relevance(s.W.Queries[qi])
+	for _, o := range s.Cands.PerQuery[qi] {
+		rel.Add(o)
+	}
+	return rel.Ordinals()
+}
+
 // Reservation is the outcome of Reserve: how a (query, configuration) pair
 // relates to this session's budget at reservation time.
 type Reservation int
