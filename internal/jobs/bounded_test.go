@@ -126,13 +126,14 @@ func TestResultCarriesOracleCacheSummary(t *testing.T) {
 
 // Completed jobs keep only a bounded replay tail: manager memory must not
 // grow with the number of finished jobs, and what remains must still be
-// whole JSONL records ending in the final trace events.
+// whole JSONL records ending in the final trace events. Each job's stream
+// is longer than the tail, so every one of them is trimmed.
 func TestReplayBufferTrimmedAfterTerminal(t *testing.T) {
-	const tail = 2 << 10
-	m := NewManager(Options{MaxConcurrent: 2, ReplayTailBytes: tail})
+	const tail = replayTail
+	m := NewManager(Options{MaxConcurrent: 2})
 	const n = 6
 	for i := 0; i < n; i++ {
-		j, err := m.Submit(Spec{Workload: "tpch", Budget: 120, K: 4, Seed: int64(i + 1)})
+		j, err := m.Submit(Spec{Workload: "tpch", Budget: 400, K: 4, Seed: int64(i + 1)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,9 +153,12 @@ func TestReplayBufferTrimmedAfterTerminal(t *testing.T) {
 
 		// A late reader replaying from offset 0 is advanced past the trimmed
 		// prefix and still sees only whole lines, each valid JSON.
-		data, _, open, _ := j.Stream().Next(0)
+		data, end, open, _ := j.Stream().Next(0)
 		if open {
 			t.Fatalf("job %s stream still open after terminal state", j.ID)
+		}
+		if end <= tail {
+			t.Fatalf("job %s streamed %d bytes, no more than the %d-byte tail", j.ID, end, tail)
 		}
 		if len(data) == 0 {
 			t.Fatalf("job %s replay empty after trim", j.ID)
@@ -171,21 +175,6 @@ func TestReplayBufferTrimmedAfterTerminal(t *testing.T) {
 	}
 	if total > n*tail {
 		t.Fatalf("total retained %d bytes across %d jobs, cap %d", total, n, n*tail)
-	}
-}
-
-// Negative ReplayTailBytes preserves the pre-trim behaviour: full replay
-// forever.
-func TestReplayTrimDisabled(t *testing.T) {
-	m := NewManager(Options{MaxConcurrent: 1, ReplayTailBytes: -1})
-	j, err := m.Submit(Spec{Workload: "tpch", Budget: 200, K: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTerminal(t, j)
-	data, _, _, _ := j.Stream().Next(0)
-	if len(data) != j.Stream().Resident() || len(data) <= 2<<10 {
-		t.Fatalf("untrimmed stream looks trimmed: %d bytes", len(data))
 	}
 }
 
@@ -239,9 +228,9 @@ func TestBroadcastTrim(t *testing.T) {
 // still replays every byte from offset 0 after the manager has trimmed the
 // finished job, and the trim lands as soon as it detaches.
 func TestAttachedReaderDefersReplayTrim(t *testing.T) {
-	const tail = 1 << 10
-	m := NewManager(Options{MaxConcurrent: 1, ReplayTailBytes: tail})
-	j, err := m.Submit(Spec{Workload: "tpch", Budget: 120, K: 4, Seed: 1})
+	const tail = replayTail
+	m := NewManager(Options{MaxConcurrent: 1})
+	j, err := m.Submit(Spec{Workload: "tpch", Budget: 400, K: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

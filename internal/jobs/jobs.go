@@ -320,22 +320,17 @@ type Options struct {
 	// warm≡cold invariant makes it recomputation-only), so bounded managers
 	// stay bit-identical to unbounded ones.
 	CacheBytes int64
-	// ReplayTailBytes bounds each finished job's retained trace-replay
-	// buffer: after a job reaches a terminal state its Broadcast is trimmed
-	// to roughly this many tail bytes on a line boundary, so late readers
-	// still get the final summary event while manager memory stops growing
-	// with completed-job count. Readers attached when the job finishes keep
-	// the full replay; the trim waits for the last of them to detach. 0
-	// applies the 64 KiB default; negative
-	// disables trimming (full replay forever).
-	ReplayTailBytes int
 }
 
-// defaultReplayTail is the post-terminal replay tail retained per job when
-// Options.ReplayTailBytes is 0 — comfortably larger than any final
-// job-summary/trace-summary pair, small enough that thousands of completed
-// jobs stay cheap.
-const defaultReplayTail = 64 << 10
+// replayTail bounds each finished job's retained trace-replay buffer:
+// after a job reaches a terminal state its Broadcast is trimmed to at most
+// this many tail bytes on a line boundary, so late readers still get the
+// final summary events while manager memory stops growing with
+// completed-job count. Readers attached when the job finishes keep the full
+// replay; the trim waits for the last of them to detach. 64 KiB is
+// comfortably larger than any final job-summary/trace-summary pair and
+// small enough that thousands of completed jobs stay cheap.
+const replayTail = 64 << 10
 
 // oracleEntry is the shared per-schema tuning substrate: one workload
 // instance, its candidate universe, and one concurrency-safe what-if
@@ -544,12 +539,7 @@ func (m *Manager) run(j *Job) {
 	// memory does not grow with every trace ever produced. Readers still
 	// attached hold the trim off until the last detaches; the final summary
 	// events always fit in the tail.
-	if tail := m.opts.ReplayTailBytes; tail >= 0 {
-		if tail == 0 {
-			tail = defaultReplayTail
-		}
-		j.stream.Trim(tail)
-	}
+	j.stream.Trim(replayTail)
 	m.mu.Lock()
 	m.running--
 	m.dispatchLocked()
