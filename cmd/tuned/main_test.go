@@ -331,3 +331,15 @@ func TestSSELineSpanningChunks(t *testing.T) {
 		t.Fatalf("SSE frames:\n%q\nwant\n%q", out.String(), want)
 	}
 }
+
+// Every shared oracle's snapshot file name resolves back, through
+// workload.ByName, to the workload it was saved from.
+func TestSnapFileResolvesToWorkload(t *testing.T) {
+	for _, name := range workload.Names() {
+		w := workload.ByName(name)
+		f := snapFile(w.Name)
+		if got := workload.ByName(strings.TrimSuffix(f, ".snap")); got == nil || got.Name != w.Name {
+			t.Fatalf("%s: snapshot file %s does not resolve back to %s", name, f, w.Name)
+		}
+	}
+}

@@ -24,20 +24,10 @@ type snapshotLoad struct {
 }
 
 // snapFile maps a workload display name ("TPC-H") to its snapshot file name
-// ("tpch.snap"): lowercase alphanumerics only, which workload.ByName resolves
-// back case-insensitively.
+// ("tpch.snap"): the name as workload.NormalizeName canonicalizes it, which
+// workload.ByName resolves back.
 func snapFile(name string) string {
-	var b []byte
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'A' && c <= 'Z':
-			b = append(b, c+'a'-'A')
-		case c >= 'a' && c <= 'z' || c >= '0' && c <= '9':
-			b = append(b, c)
-		}
-	}
-	return string(b) + ".snap"
+	return workload.NormalizeName(name) + ".snap"
 }
 
 // loadSnapshots scans dir for *.snap files, warms the matching shared oracle

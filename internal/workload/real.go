@@ -288,7 +288,7 @@ func poisson(rng *rand.Rand, mean float64) int {
 // unknown name. Both short names ("tpch") and display names ("TPC-H") are
 // accepted, case-insensitively.
 func ByName(name string) *Workload {
-	switch normalizeName(name) {
+	switch NormalizeName(name) {
 	case "tpch":
 		return TPCH()
 	case "tpcds":
@@ -303,7 +303,10 @@ func ByName(name string) *Workload {
 	return nil
 }
 
-func normalizeName(name string) string {
+// NormalizeName canonicalizes a workload name the way ByName matches it:
+// ASCII letters lowercased, every character but a letter or a digit
+// dropped ("TPC-H" → "tpch").
+func NormalizeName(name string) string {
 	var b []byte
 	for i := 0; i < len(name); i++ {
 		c := name[i]
