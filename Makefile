@@ -54,13 +54,16 @@ race:
 # fuzz runs each native fuzz target for a short window: FuzzReadJSON (the
 # workload JSON reader; an accepted workload must tune within budget),
 # FuzzParse (the SQL parser; an accepted query must validate and round-trip
-# through RenderSQL) and FuzzLoadSnapshot (the cache snapshot reader; it must
-# return an error or load entries, never panic). A crasher lands in the
-# package's testdata/fuzz/ and replays in every `go test` once committed.
+# through RenderSQL), FuzzLoadSnapshot (the cache snapshot reader; it must
+# return an error or load entries, never panic) and FuzzSpecNormalize (the
+# daemon's job-spec validation; an accepted spec must be in range). A crasher
+# lands in the package's testdata/fuzz/ and replays in every `go test` once
+# committed.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 15s .
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 15s ./internal/whatif
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecNormalize$$' -fuzztime 15s ./internal/jobs
 
 # bench-smoke compiles and executes every benchmark exactly once — it proves
 # the harness runs, not that it is fast.
