@@ -14,7 +14,7 @@ import (
 // and its counter effects equal those of the same requests
 // issued one by one through WhatIf against a second optimizer.
 func TestWhatIfBatchBitIdenticalToScalar(t *testing.T) {
-	golden := readCostGolden(t)
+	golden := readCostGolden(t, costGoldenPath)
 	for _, w := range digestWorkloads(t) {
 		cands := digestCandidates(w)
 		ob := New(w.DB, cands) // serves batches

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"indextune/internal/candgen"
 	"indextune/internal/iset"
 	"indextune/internal/schema"
 	"indextune/internal/workload"
@@ -24,8 +25,13 @@ import (
 //	go test -run TestCostDigest ./internal/whatif -update-golden
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden tables from the current tree")
 
-// costGoldenPath holds one line per (workload, query) of the cost digest.
-const costGoldenPath = "testdata/cost_golden.tsv"
+// costGoldenPath holds one line per (workload, query) of the cost digest
+// over TPC-H and a synthesized schema; realCostGoldenPath holds the same
+// lines for Real-D and Real-M.
+const (
+	costGoldenPath     = "testdata/cost_golden.tsv"
+	realCostGoldenPath = "testdata/cost_real_golden.tsv"
+)
 
 // digestWorkloads is the cost digest's population: TPC-H plus one
 // synthesized schema.
@@ -131,11 +137,11 @@ func costBitsDigest(costs []float64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// readCostGolden loads the "name<TAB>line" digest table.
-func readCostGolden(t *testing.T) map[string]string {
+// readCostGolden loads the "name<TAB>line" digest table at path.
+func readCostGolden(t *testing.T, path string) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
-	f, err := os.Open(costGoldenPath)
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return out
 	}
@@ -168,6 +174,48 @@ func costField(line, key string) string {
 	return ""
 }
 
+// realDigestWorkloads is the real-workload digest's population.
+func realDigestWorkloads(*testing.T) []*workload.Workload {
+	return []*workload.Workload{workload.ByName("real-d"), workload.ByName("real-m")}
+}
+
+// generatedCandidates is the candidate universe the tuner itself builds for
+// w.
+func generatedCandidates(w *workload.Workload) []schema.Index {
+	return candgen.Generate(w, candgen.Options{}).Indexes()
+}
+
+// realDigestConfigs extends digestConfigs with two configurations built
+// around ordinals outside the query's relevance set: up to eight irrelevant
+// ordinals alone (cfg ∩ Relevance = ∅), and the same plus one relevant
+// ordinal.
+func realDigestConfigs(o *Optimizer, q *workload.Query, qi int) []iset.Set {
+	cfgs := digestConfigs(o, q, qi)
+	rng := rand.New(rand.NewSource(int64(qi) + 101))
+	rel := o.Relevance(q)
+	var irr iset.Set
+	for tries := 0; tries < 64 && irr.Len() < 8; tries++ {
+		if ord := rng.Intn(len(o.Candidates)); !rel.Has(ord) {
+			irr.Add(ord)
+		}
+	}
+	cfgs = append(cfgs, irr)
+	if ords := rel.Ordinals(); len(ords) > 0 {
+		cfgs = append(cfgs, irr.With(ords[rng.Intn(len(ords))]))
+	}
+	return cfgs
+}
+
+// costDigest is one committed cost digest: its golden table, its
+// population, and how each workload's candidates and each query's seeded
+// configurations are built.
+type costDigest struct {
+	path      string
+	workloads func(*testing.T) []*workload.Workload
+	cands     func(*workload.Workload) []schema.Index
+	configs   func(*Optimizer, *workload.Query, int) []iset.Set
+}
+
 // TestCostDigest pins the cost model against a digest recorded while two
 // independent walks (the per-configuration plan walk and the plan-space
 // evaluation) were still verified bit-identical: for every query of the
@@ -175,12 +223,25 @@ func costField(line, key string) string {
 // of BaseCost and PeekCost and the Plan JSON must hash to the committed
 // values.
 func TestCostDigest(t *testing.T) {
-	want := readCostGolden(t)
+	checkCostDigest(t, costDigest{costGoldenPath, digestWorkloads, digestCandidates, digestConfigs})
+}
+
+// TestCostDigestReal pins the same digest on Real-D and Real-M over the
+// generated candidate universe, whose queries are far wider (about 21 refs
+// per Real-M query) and whose configurations mostly miss each query's
+// relevance set.
+func TestCostDigestReal(t *testing.T) {
+	checkCostDigest(t, costDigest{realCostGoldenPath, realDigestWorkloads, generatedCandidates, realDigestConfigs})
+}
+
+// checkCostDigest compares (or, with -update-golden, rewrites) one digest.
+func checkCostDigest(t *testing.T, d costDigest) {
+	want := readCostGolden(t, d.path)
 	got := make(map[string]string)
-	for _, w := range digestWorkloads(t) {
-		o := New(w.DB, digestCandidates(w))
+	for _, w := range d.workloads(t) {
+		o := New(w.DB, d.cands(w))
 		for qi, q := range w.Queries {
-			cfgs := digestConfigs(o, q, qi)
+			cfgs := d.configs(o, q, qi)
 			costs := make([]float64, len(cfgs))
 			plans := sha256.New()
 			for k, cfg := range cfgs {
@@ -198,7 +259,7 @@ func TestCostDigest(t *testing.T) {
 				"plan=" + hex.EncodeToString(plans.Sum(nil)),
 			}, "\t")
 			if !*updateGolden && got[name] != want[name] {
-				t.Errorf("%s diverged from %s:\n  want: %s\n  got:  %s", name, costGoldenPath, want[name], got[name])
+				t.Errorf("%s diverged from %s:\n  want: %s\n  got:  %s", name, d.path, want[name], got[name])
 			}
 		}
 	}
@@ -209,15 +270,48 @@ func TestCostDigest(t *testing.T) {
 		}
 		sort.Strings(names)
 		var b strings.Builder
-		b.WriteString("# TestCostDigest golden: workload/query, BaseCost bits, SHA-256 of PeekCost bits and of Plan JSON over the seeded configurations.\n")
+		b.WriteString("# " + t.Name() + " golden: workload/query, BaseCost bits, SHA-256 of PeekCost bits and of Plan JSON over the seeded configurations.\n")
 		for _, name := range names {
 			b.WriteString(name + "\t" + got[name] + "\n")
 		}
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(costGoldenPath, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(d.path, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestCostPathsAgreeOnBuiltinWorkloads holds the three ways a cost is read
+// to each other, bit for bit, on every built-in workload over its generated
+// candidates and the real digest's seeded configurations: WhatIf against a
+// resident full plan space, PeekCost on an optimizer that never built one,
+// and Plan's total on that cold optimizer. A configuration that misses the
+// query's relevance set must cost exactly BaseCost.
+func TestCostPathsAgreeOnBuiltinWorkloads(t *testing.T) {
+	for _, name := range workload.Names() {
+		w := workload.ByName(name)
+		cands := generatedCandidates(w)
+		warm, cold := New(w.DB, cands), New(w.DB, cands)
+		for qi, q := range w.Queries {
+			warm.WhatIf(q, iset.Set{})
+			rel := warm.Relevance(q)
+			base := cold.BaseCost(q)
+			for _, cfg := range realDigestConfigs(warm, q, qi) {
+				got := warm.WhatIf(q, cfg)
+				peek := cold.PeekCost(q, cfg)
+				plan := cold.Plan(q, cfg).TotalCost
+				if math.Float64bits(got) != math.Float64bits(peek) || math.Float64bits(peek) != math.Float64bits(plan) {
+					t.Fatalf("%s %s cfg %v: WhatIf %v, PeekCost %v, Plan %v", name, q.ID, cfg, got, peek, plan)
+				}
+				if cfg.Intersect(rel).Empty() && math.Float64bits(peek) != math.Float64bits(base) {
+					t.Fatalf("%s %s cfg %v misses the relevance set: PeekCost %v != BaseCost %v", name, q.ID, cfg, peek, base)
+				}
+			}
+		}
+		if st := cold.Stats(); st.PlanSpaces != 0 {
+			t.Fatalf("%s: the cold optimizer interned %d plan spaces", name, st.PlanSpaces)
 		}
 	}
 }

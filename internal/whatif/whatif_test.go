@@ -174,9 +174,8 @@ func TestMonotonicityOnGeneratedWorkloads(t *testing.T) {
 	}
 }
 
-// candidatesFor builds a simple candidate list without importing candgen
-// (which would create an import cycle in tests at this layer): one covering
-// index per (ref, leading need column).
+// candidatesFor builds a simple candidate list independent of candgen's
+// policies: one covering index per (ref, leading need column).
 func candidatesFor(w *workload.Workload) []schema.Index {
 	seen := make(map[string]bool)
 	var out []schema.Index
