@@ -2,6 +2,7 @@ package whatif
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -12,11 +13,10 @@ import (
 
 // This file implements the cost model proper. Every cost — WhatIf and
 // WhatIfBatch misses, PeekCost, BaseCost, Plan and Explain — is scored
-// against the query's interned plan space: buildSpace walks the parts of
-// the plan that do not depend on the configuration ONCE — join order,
-// cardinality chain, per-candidate access and probe facts — and evalSpace
-// scores a configuration by selecting per-operator minima from the
-// precomputed tables.
+// against a plan space of the query: its skeleton, built once per interned
+// query, plus a table of index alternatives grouped by candidate ordinal.
+// evalSpace scores a configuration by applying the alternatives of its own
+// members and selecting per-operator minima.
 //
 // Why the split is sound: the baseline access facts (selectivity, output
 // rows) come from table statistics and the ref's own predicates only, never
@@ -24,33 +24,20 @@ import (
 // joinColsTo, and the curRows/fetched cardinality chain are the same for
 // every configuration of one query. The configuration enters the model in
 // exactly two places, both minima over admitted alternatives: the per-ref
-// access choice and the per-join INL probe choice. planSpace tabulates the
-// alternatives' costs; evalSpace replays the minima under a membership
-// filter.
+// access choice and the per-join INL probe choice. Neither alternative's
+// cost depends on the configuration either, so both are tabulated once and
+// evalSpace replays the minima over the configuration's members.
 
-// accessEntry is one candidate access path for a ref: the ordinal and its
-// full access cost (indexAccessCost plus the sort penalty when the key does
-// not provide the ref's order).
-type accessEntry struct {
-	ord  int
-	cost float64
-}
-
-// refAccess is the per-ref slice of the plan space: the configuration-free
-// baseline (heap scan, or the missing-table unit cost) and the admitted
-// index alternatives in relevance order.
+// refAccess is the per-ref part of the skeleton: the configuration-free
+// baseline (heap scan, or the missing-table unit cost), the filtered output
+// rows, the sort penalty a path not ordered on the ref's sort columns pays,
+// and the pipeline step that joins the ref in (-1 for the seed and for a
+// standalone ref, which no index can probe).
 type refAccess struct {
 	baseCost float64
 	rowsOut  float64
-	entries  []accessEntry
-}
-
-// inlEntry is one candidate inner-side join index for a pipeline step: the
-// ordinal plus the covering flag and entry width that decide its fetch cost.
-type inlEntry struct {
-	ord    int
-	covers bool
-	ew     float64 // float64(ix.EntryWidth(db)), folded once at build time
+	sortCost float64
+	step     int
 }
 
 // joinStep is one pipeline step after the seed ref, with every
@@ -62,43 +49,53 @@ type joinStep struct {
 	fetched    float64
 	hasTable   bool
 	pages      float64
-	inl        []inlEntry // admitted probe indexes, in relevance order
+	innerCols  []string // the ref's columns joining it to the pipeline
 }
 
-// planSpace is the interned configuration-independent plan structure of one
-// query: the pipeline seed, the join steps in pipeline order, the per-ref
-// access tables, and the final output cardinality.
+// alternative is one index alternative of a plan operator, at slot i <
+// len(acc) the access path of ref i and at len(acc)+si the INL probe of
+// step si, with its full operator cost.
+type alternative struct {
+	slot int32
+	cost float64
+}
+
+// planSpace is the configuration-independent plan structure of one query:
+// the pipeline seed, the join steps in pipeline order, the per-ref access
+// facts and the final output cardinality — the skeleton — plus, except in
+// the skeleton itself, the index alternatives in CSR form: the
+// alternatives of the relevant ordinal of rank r in rel are
+// alts[off[r]:off[r+1]]. rank[w] counts rel's members below word w, and
+// rank[len(rel)] counts them all.
 type planSpace struct {
 	empty     bool
 	seed      int // order[0]
 	acc       []refAccess
 	steps     []joinStep
 	finalRows float64
-	// size is the approximate resident footprint charged against the
-	// optimizer's plan-space budget, computed once at build time.
+	rel       []uint64
+	rank      []int32
+	off       []int32
+	alts      []alternative
+	// size is the approximate resident footprint of the alternative table,
+	// charged against the optimizer's plan-space budget at interning.
 	size int64
 }
 
-// sizeBytes estimates a plan space's resident footprint: struct headers plus
-// the per-ref and per-step alternative tables.
+// sizeBytes estimates the resident footprint of a plan space's alternative
+// table: its header plus the offsets and alternatives. The skeleton it
+// shares is per-query state like rel and is not counted.
 func (ps *planSpace) sizeBytes() int64 {
-	n := int64(96)
-	for i := range ps.acc {
-		n += 40 + 16*int64(len(ps.acc[i].entries))
-	}
-	for i := range ps.steps {
-		n += 64 + 24*int64(len(ps.steps[i].inl))
-	}
-	return n
+	return 96 + 4*int64(len(ps.off)) + 16*int64(len(ps.alts))
 }
 
-// batchScratch is the reusable per-call arena of WhatIfBatch: the per-ref
-// access-cost minima for the configuration currently being scored, plus a
+// batchScratch is the reusable per-call arena of WhatIfBatch: the
+// per-operator minima for the configuration currently being scored, plus a
 // slab of inflight registrations so leader claims allocate nothing. The slab
 // returns to the pool only when no pair attracted a concurrent waiter — a
 // waiter may still be reading its slot after the batch completes.
 type batchScratch struct {
-	acc []float64
+	win []choice
 	cls []inflightCall
 }
 
@@ -168,45 +165,27 @@ func (o *Optimizer) releaseColdSpaces(limit int64) {
 	})
 }
 
-// buildSpace walks the configuration-independent part of the plan once:
-// baseline access facts, pipeline order, cardinality chain, and the admitted
-// index alternatives per operator. Only the query's relevant candidates are
-// visited, cost-preserving by construction of the relevance projection.
-// within, when non-nil, further restricts the alternatives to its members;
-// the result scores exactly the configurations contained in *within (an
-// empty set leaves only the baseline, which scores cost(q, ∅)).
-func (o *Optimizer) buildSpace(q *workload.Query, in *queryInfo, within *iset.Set) *planSpace {
+// skeleton returns q's plan space without alternatives, building it once:
+// baseline access facts, pipeline order, each step's join columns and the
+// cardinality chain. It scores exactly cost(q, ∅).
+func (o *Optimizer) skeleton(q *workload.Query, in *queryInfo) *planSpace {
+	in.skelOnce.Do(func() { in.skel = o.buildSkeleton(q, in) })
+	return in.skel
+}
+
+func (o *Optimizer) buildSkeleton(q *workload.Query, in *queryInfo) *planSpace {
 	n := len(q.Refs)
 	if n == 0 {
 		return &planSpace{empty: true}
 	}
 	access := make([]accessChoice, n)
+	ps := &planSpace{acc: make([]refAccess, n), rel: in.rel, rank: make([]int32, len(in.rel)+1)}
 	for i := range q.Refs {
 		access[i] = o.baseAccess(&q.Refs[i])
+		ps.acc[i] = refAccess{baseCost: access[i].cost, rowsOut: access[i].rowsOut, sortCost: access[i].sortCost, step: -1}
 	}
-	ps := &planSpace{seed: -1, acc: make([]refAccess, n)}
-	for i := range q.Refs {
-		r := &q.Refs[i]
-		ra := refAccess{baseCost: access[i].cost, rowsOut: access[i].rowsOut}
-		t := o.DB.Table(r.Table)
-		if t != nil {
-			needSort := len(r.SortCols) > 0
-			for _, ord := range in.relByTable[r.Table] {
-				if within != nil && !within.Has(ord) {
-					continue
-				}
-				ix := &o.Candidates[ord]
-				c, ok, ordered := o.indexAccessCost(t, r, ix, access[i].rowsOut)
-				if !ok {
-					continue
-				}
-				if needSort && !ordered {
-					c += access[i].sortCost
-				}
-				ra.entries = append(ra.entries, accessEntry{ord: ord, cost: c})
-			}
-		}
-		ps.acc[i] = ra
+	for wi, w := range in.rel {
+		ps.rank[wi+1] = ps.rank[wi] + int32(bits.OnesCount64(w))
 	}
 
 	order := o.pipelineOrder(q, access)
@@ -216,42 +195,121 @@ func (o *Optimizer) buildSpace(q *workload.Query, in *queryInfo, within *iset.Se
 	curRows := access[order[0]].rowsOut
 	for _, i := range order[1:] {
 		r := &q.Refs[i]
-		innerCols := joinColsTo(q, joined, i)
-		st := joinStep{ref: i}
-		if len(innerCols) == 0 {
+		st := joinStep{ref: i, innerCols: joinColsTo(q, joined, i)}
+		joined[i] = true
+		if len(st.innerCols) == 0 {
 			// Disconnected ref (independent subquery): accessed on its own,
 			// producing its own output rows.
 			st.standalone = true
-			joined[i] = true
 			ps.steps = append(ps.steps, st)
 			continue
 		}
 		st.curRows = curRows
-		st.fetched = joinOutputRows(o.DB, curRows, r, innerCols[0], access[i].rowsOut)
+		st.fetched = joinOutputRows(o.DB, curRows, r, st.innerCols[0], access[i].rowsOut)
 		t := o.DB.Table(r.Table)
 		st.hasTable = t != nil
 		if t != nil {
 			st.pages = t.Pages()
 		}
-		// Index-nested-loop candidates: an inner-side index whose leading
-		// key is one of the connecting join columns.
-		for _, ord := range in.relByTable[r.Table] {
-			ix := &o.Candidates[ord]
-			if (within != nil && !within.Has(ord)) || !containsCol(innerCols, ix.Key[0]) {
-				continue
-			}
-			st.inl = append(st.inl, inlEntry{
-				ord:    ord,
-				covers: ix.Covers(r.Need),
-				ew:     float64(ix.EntryWidth(o.DB)),
-			})
-		}
 		curRows = st.fetched
-		joined[i] = true
+		ps.acc[i].step = len(ps.steps)
 		ps.steps = append(ps.steps, st)
 	}
 	ps.finalRows = curRows
 	return ps
+}
+
+// buildSpace returns q's skeleton extended with the alternatives of every
+// relevant candidate — cost-preserving by construction of the relevance
+// projection. within, when non-nil, further restricts the alternatives to
+// its members; the result scores exactly the configurations contained in
+// *within, and when *within misses the relevance set the skeleton itself
+// is returned.
+func (o *Optimizer) buildSpace(q *workload.Query, in *queryInfo, within *iset.Set) *planSpace {
+	skel := o.skeleton(q, in)
+	if skel.empty || (within != nil && !overlaps(*within, skel.rel)) {
+		return skel
+	}
+	ps := *skel
+	ps.off = make([]int32, ps.rank[len(ps.rel)]+1)
+	next := 0
+	for wi, w := range ps.rel {
+		if within != nil {
+			w &= within.Word(wi)
+		}
+		for ; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			for r := ps.rankOf(wi, b); next <= r; next++ {
+				ps.off[next] = int32(len(ps.alts))
+			}
+			ps.alts = o.appendAlternatives(ps.alts, q, &ps, wi*64+b)
+		}
+	}
+	for ; next < len(ps.off); next++ {
+		ps.off[next] = int32(len(ps.alts))
+	}
+	return &ps
+}
+
+// rankOf returns the rank in rel of the relevant ordinal wi*64+b.
+func (ps *planSpace) rankOf(wi, b int) int {
+	return int(ps.rank[wi]) + bits.OnesCount64(ps.rel[wi]&(1<<uint(b)-1))
+}
+
+// overlaps reports whether cfg has a member in the bitmap rel.
+func overlaps(cfg iset.Set, rel []uint64) bool {
+	for wi, w := range rel {
+		if cfg.Word(wi)&w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// appendAlternatives appends the alternatives candidate ord offers q's plan
+// operators: per ref of its table, the index access path when the index
+// offers one (costed with the sort penalty when its key does not deliver
+// the ref's order), and the index-nested-loop probe when the ref is joined
+// in on the index's leading key column.
+func (o *Optimizer) appendAlternatives(alts []alternative, q *workload.Query, ps *planSpace, ord int) []alternative {
+	ix := &o.Candidates[ord]
+	t := o.DB.Table(ix.Table)
+	for i := range q.Refs {
+		r := &q.Refs[i]
+		if r.Table != ix.Table {
+			continue
+		}
+		ra := &ps.acc[i]
+		if t != nil {
+			if c, ok, ordered := o.indexAccessCost(t, r, ix, ra.rowsOut); ok {
+				if len(r.SortCols) > 0 && !ordered {
+					c += ra.sortCost
+				}
+				alts = append(alts, alternative{slot: int32(i), cost: c})
+			}
+		}
+		if ra.step < 0 {
+			continue
+		}
+		st := &ps.steps[ra.step]
+		if !containsCol(st.innerCols, ix.Key[0]) {
+			continue
+		}
+		c := st.curRows*inlDescend + cpuPerRow*st.fetched
+		if ix.Covers(r.Need) {
+			// Fetched rows stream off the index leaves.
+			c += st.fetched * float64(ix.EntryWidth(o.DB)) / schema.PageSize
+		} else if st.hasTable {
+			// Random heap lookups, capped at re-reading the table.
+			lookups := st.fetched
+			if lookups > st.pages {
+				lookups = st.pages
+			}
+			c += lookups
+		}
+		alts = append(alts, alternative{slot: int32(len(ps.acc) + ra.step), cost: c})
+	}
+	return alts
 }
 
 // choice is the winning alternative of one plan operator: the candidate
@@ -262,77 +320,63 @@ type choice struct {
 	cost float64
 }
 
-// evalSpace scores cfg against the plan space, using acc (len(ps.acc)) as
-// scratch for the per-ref access minima. When win is non-nil (len(ps.acc) +
-// len(ps.steps)), it also records the winner of every operator — per ref
-// the access path and its cost, then per step the join alternative and its
-// join cost — for Plan; the hot paths pass nil.
-func (o *Optimizer) evalSpace(ps *planSpace, cfg iset.Set, acc []float64, win []choice) float64 {
+// evalSpace scores cfg against the plan space, using win (len(ps.acc) +
+// len(ps.steps)) as scratch. On return win holds the winner of every
+// operator — per ref the access path and its cost, then per step the join
+// alternative and its join cost — which Plan reads.
+//
+// The minima are exact: the alternatives of cfg's members are applied in
+// ascending ordinal order, so each operator sees its admitted alternatives
+// in the same relevance order a per-operator scan would, and a strict <
+// keeps the same first minimum.
+func (o *Optimizer) evalSpace(ps *planSpace, cfg iset.Set, win []choice) float64 {
 	if ps.empty {
 		return 0
 	}
-	// Per-ref access minima: a strict-< scan over admitted alternatives,
-	// seeded with the baseline.
+	nAcc := len(ps.acc)
 	for i := range ps.acc {
-		ra := &ps.acc[i]
-		best, bestOrd := ra.baseCost, -1
-		for _, e := range ra.entries {
-			if cfg.Has(e.ord) && e.cost < best {
-				best, bestOrd = e.cost, e.ord
-			}
+		win[i] = choice{-1, ps.acc[i].baseCost}
+	}
+	for si := range ps.steps {
+		win[nAcc+si] = choice{-1, math.Inf(1)}
+	}
+	if ps.off != nil {
+		n := cfg.NumWords()
+		if n > len(ps.rel) {
+			n = len(ps.rel)
 		}
-		acc[i] = best
-		if win != nil {
-			win[i] = choice{bestOrd, best}
+		for wi := 0; wi < n; wi++ {
+			for w := cfg.Word(wi) & ps.rel[wi]; w != 0; w &= w - 1 {
+				b := bits.TrailingZeros64(w)
+				r := ps.rankOf(wi, b)
+				for _, a := range ps.alts[ps.off[r]:ps.off[r+1]] {
+					if a.cost < win[a.slot].cost {
+						win[a.slot] = choice{wi*64 + b, a.cost}
+					}
+				}
+			}
 		}
 	}
 
-	total := acc[ps.seed]
+	total := win[ps.seed].cost
 	for si := range ps.steps {
 		st := &ps.steps[si]
 		i := st.ref
+		acc := win[i].cost
 		if st.standalone {
-			total += acc[i] + cpuPerRow*ps.acc[i].rowsOut
-			if win != nil {
-				win[len(ps.acc)+si] = choice{-1, acc[i]}
-			}
+			total += acc + cpuPerRow*ps.acc[i].rowsOut
+			win[nAcc+si] = choice{-1, acc}
 			continue
 		}
-		curRows := st.curRows
-		fetched := st.fetched
-		// Hash join: access the inner by its best path, then build+probe.
-		hash := acc[i] + hashPerRow*(curRows+ps.acc[i].rowsOut)
-		// Index-nested-loop: probe an inner-side index, replacing the inner
+		// Hash join: access the inner by its best path, then build+probe;
+		// the index-nested-loop probe, when one won, replaces the inner
 		// access.
-		inl, inlOrd := math.Inf(1), -1
-		for _, e := range st.inl {
-			if !cfg.Has(e.ord) {
-				continue
-			}
-			c := curRows*inlDescend + cpuPerRow*fetched
-			if e.covers {
-				// Fetched rows stream off the index leaves.
-				c += fetched * e.ew / schema.PageSize
-			} else if st.hasTable {
-				// Random heap lookups, capped at re-reading the table.
-				lookups := fetched
-				if lookups > st.pages {
-					lookups = st.pages
-				}
-				c += lookups
-			}
-			if c < inl {
-				inl, inlOrd = c, e.ord
-			}
-		}
-		join := choice{-1, hash}
-		if inl < hash {
-			join = choice{inlOrd, inl}
+		join := choice{-1, acc + hashPerRow*(st.curRows+ps.acc[i].rowsOut)}
+		if inl := win[nAcc+si]; inl.cost < join.cost {
+			join = inl
 		}
 		total += join.cost
-		if win != nil {
-			win[len(ps.acc)+si] = join
-		}
+		win[nAcc+si] = join
 	}
 	total += cpuPerRow * ps.finalRows
 	if total < 1 {
@@ -344,17 +388,18 @@ func (o *Optimizer) evalSpace(ps *planSpace, cfg iset.Set, acc []float64, win []
 // score evaluates cfg against ps with pooled scratch.
 func (o *Optimizer) score(ps *planSpace, cfg iset.Set) float64 {
 	sc := scratchPool.Get().(*batchScratch)
-	sc.acc = growFloats(sc.acc, len(ps.acc))
-	c := o.evalSpace(ps, cfg, sc.acc, nil)
+	sc.win = growChoices(sc.win, len(ps.acc)+len(ps.steps))
+	c := o.evalSpace(ps, cfg, sc.win)
 	scratchPool.Put(sc)
 	return c
 }
 
 // peekSpace returns a plan space that scores cfg for a one-shot evaluation
-// (PeekCost, Plan): q's interned space when it is resident, else a space
-// restricted to cfg's alternatives, built without interning — so the oracle
-// evaluation of a final configuration does not pay for the full
-// alternative tables of queries the search never scored.
+// (PeekCost, Plan): q's interned space when it is resident, else the
+// skeleton extended with cfg's alternatives only, built without interning
+// — so the oracle evaluation of a final configuration does not pay for the
+// full alternative tables of queries the search never scored, nor for any
+// table at all when cfg misses the query's relevance set.
 func (o *Optimizer) peekSpace(q *workload.Query, in *queryInfo, cfg iset.Set) *planSpace {
 	if ps := in.space.Load(); ps != nil {
 		return ps
@@ -362,10 +407,10 @@ func (o *Optimizer) peekSpace(q *workload.Query, in *queryInfo, cfg iset.Set) *p
 	return o.buildSpace(q, in, &cfg)
 }
 
-// growFloats returns s resized to n, reusing its capacity.
-func growFloats(s []float64, n int) []float64 {
+// growChoices returns s resized to n, reusing its capacity.
+func growChoices(s []choice, n int) []choice {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]choice, n)
 	}
 	return s[:n]
 }
@@ -414,9 +459,9 @@ func (o *Optimizer) WhatIfBatch(q *workload.Query, cfgs []iset.Set) []float64 {
 		}
 		if ps == nil {
 			ps = o.space(q, in)
-			sc.acc = growFloats(sc.acc, len(ps.acc))
+			sc.win = growChoices(sc.win, len(ps.acc)+len(ps.steps))
 		}
-		c = o.evalSpace(ps, cfg, sc.acc, nil)
+		c = o.evalSpace(ps, cfg, sc.win)
 		if o.publish(sh, p, cl, c) {
 			shared = true
 		}

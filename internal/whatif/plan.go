@@ -47,7 +47,7 @@ func (o *Optimizer) Plan(q *workload.Query, cfg iset.Set) *Plan {
 	}
 	p.QueryID = q.ID
 	win := make([]choice, len(ps.acc)+len(ps.steps))
-	p.TotalCost = o.evalSpace(ps, cfg, make([]float64, len(ps.acc)), win)
+	p.TotalCost = o.evalSpace(ps, cfg, win)
 	p.OutputRows = ps.finalRows
 	p.op(o, q, ps, win, ps.seed, -1, "", 0)
 	for si := range ps.steps {

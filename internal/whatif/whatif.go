@@ -239,19 +239,21 @@ type queryInfo struct {
 	// words of fixed width (o.relWords) so configuration fingerprints can
 	// mask against it without allocating.
 	rel []uint64
-	// relByTable lists, per table referenced by the query, the relevant
-	// candidate ordinals in ascending order — the only indexes the cost walk
-	// needs to visit for that table's refs.
-	relByTable map[string][]int
-
 	// base memoizes cost(q, ∅) under baseOnce, replacing the global
 	// string-keyed base-cost cache so workload-wide warmup never serializes
 	// on one lock.
 	baseOnce sync.Once
 	base     float64
 
-	// space memoizes the query's config-independent plan space, against which
-	// every cost is scored (evalSpace). An atomic pointer (not a sync.Once) because the bounded mode
+	// skel is the query's plan skeleton (buildSkeleton), built once under
+	// skelOnce and kept for the optimizer's lifetime, like rel: BaseCost
+	// scores it directly, and every plan space extends it.
+	skelOnce sync.Once
+	skel     *planSpace
+
+	// space memoizes the query's full plan space — the skeleton plus the
+	// alternatives of every relevant candidate — against which charged costs
+	// are scored (evalSpace). An atomic pointer (not a sync.Once) because the bounded mode
 	// releases cold spaces: nil means "not built or released", and a released
 	// space is rebuilt deterministically on next use — the plan space is a
 	// pure function of (schema, candidates, query), so release can only cost
@@ -562,41 +564,13 @@ func (o *Optimizer) info(q *workload.Query) *queryInfo {
 // may both build; LoadOrStore keeps exactly one (a discarded qid leaves a
 // harmless gap in the id space).
 func (o *Optimizer) internQuery(q *workload.Query) *queryInfo {
-	in := &queryInfo{
-		rel:        make([]uint64, o.relWords),
-		relByTable: make(map[string][]int, len(q.Refs)),
-	}
+	in := &queryInfo{rel: make([]uint64, o.relWords)}
 	scratch := make([]uint64, 2*o.maxColWords)
 	for ri := range q.Refs {
 		r := &q.Refs[ri]
 		if tc := o.tables[r.Table]; tc != nil {
 			tc.markRelevant(r, in.rel, scratch)
 		}
-	}
-	// Per-table relevant ordinal lists are the union over the query's refs of
-	// that table (self-joins): the cost walk re-checks per-ref eligibility,
-	// so a union list only prunes, never admits, index choices.
-	for ri := range q.Refs {
-		r := &q.Refs[ri]
-		if _, done := in.relByTable[r.Table]; done {
-			continue
-		}
-		var list []int
-		if tc := o.tables[r.Table]; tc != nil {
-			n := 0
-			for _, ord := range tc.ords {
-				if hasBit(in.rel, ord) {
-					n++
-				}
-			}
-			list = make([]int, 0, n)
-			for _, ord := range tc.ords {
-				if hasBit(in.rel, ord) {
-					list = append(list, ord)
-				}
-			}
-		}
-		in.relByTable[r.Table] = list
 	}
 	in.qid = o.nextQID.Add(1) - 1
 	if prev, loaded := o.infos.LoadOrStore(q, in); loaded {
@@ -748,10 +722,9 @@ func (o *Optimizer) shardFor(p Pair) *cacheShard {
 func (o *Optimizer) BaseCost(q *workload.Query) float64 {
 	in := o.info(q)
 	in.baseOnce.Do(func() {
-		// A space without alternatives: session set-up scores every query's
-		// baseline, and many queries are never scored under an index.
-		var none iset.Set
-		in.base = o.score(o.buildSpace(q, in, &none), none)
+		// The skeleton holds no alternatives: session set-up scores every
+		// query's baseline, and many queries are never scored under an index.
+		in.base = o.score(o.skeleton(q, in), iset.Set{})
 	})
 	return in.base
 }
@@ -872,6 +845,9 @@ func (o *Optimizer) pipelineOrder(q *workload.Query, access []accessChoice) []in
 	n := len(q.Refs)
 	order := make([]int, 0, n)
 	joined := make([]bool, n)
+	// connected[i] reports whether ref i joins an already-joined ref; each
+	// ref sets it on its join partners as it joins.
+	connected := make([]bool, n)
 	better := func(a, b accessChoice) bool {
 		if a.sel != b.sel {
 			return a.sel < b.sel
@@ -881,10 +857,7 @@ func (o *Optimizer) pipelineOrder(q *workload.Query, access []accessChoice) []in
 	pick := func(connectedOnly bool) int {
 		best := -1
 		for i := 0; i < n; i++ {
-			if joined[i] {
-				continue
-			}
-			if connectedOnly && !connected(q, joined, i) {
+			if joined[i] || (connectedOnly && !connected[i]) {
 				continue
 			}
 			if best < 0 || better(access[i], access[best]) {
@@ -893,17 +866,26 @@ func (o *Optimizer) pipelineOrder(q *workload.Query, access []accessChoice) []in
 		}
 		return best
 	}
+	join := func(i int) {
+		order = append(order, i)
+		joined[i] = true
+		for ji := range q.Joins {
+			j := &q.Joins[ji]
+			if j.LeftRef == i {
+				connected[j.RightRef] = true
+			} else if j.RightRef == i {
+				connected[j.LeftRef] = true
+			}
+		}
+	}
 	// Seed with the globally smallest ref.
-	first := pick(false)
-	order = append(order, first)
-	joined[first] = true
+	join(pick(false))
 	for len(order) < n {
 		next := pick(true)
 		if next < 0 {
 			next = pick(false)
 		}
-		order = append(order, next)
-		joined[next] = true
+		join(next)
 	}
 	return order
 }
@@ -921,18 +903,6 @@ func joinColsTo(q *workload.Query, joined []bool, i int) []string {
 		}
 	}
 	return cols
-}
-
-// connected reports whether ref i joins any already-joined ref: whether
-// joinColsTo would return a column, without building the list.
-func connected(q *workload.Query, joined []bool, i int) bool {
-	for ji := range q.Joins {
-		j := &q.Joins[ji]
-		if (j.RightRef == i && joined[j.LeftRef]) || (j.LeftRef == i && joined[j.RightRef]) {
-			return true
-		}
-	}
-	return false
 }
 
 func containsCol(cols []string, c string) bool {
