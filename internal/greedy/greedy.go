@@ -166,8 +166,9 @@ func chargedStep(s *search.Session, queries []int, cands []int, cur iset.Set, dC
 		if cur.Has(ord) || !s.FitsStorage(cur, ord) {
 			continue
 		}
-		cfg := cur.With(ord)
-		whatIf := mode == EvalWhatIf || isAtomic(cfg, atomic)
+		// Only the atomic mode needs the extended configuration here; the
+		// what-if mode charged every extension.
+		whatIf := mode == EvalWhatIf || isAtomic(cur.With(ord), atomic)
 		total := 0.0
 		for j, qi := range queries {
 			var c float64
