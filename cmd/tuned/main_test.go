@@ -228,6 +228,12 @@ func TestDaemonErrorStatuses(t *testing.T) {
 	if got := post(`{"workload":"tpch","budget":10,"workers":100000000}`); got != http.StatusBadRequest {
 		t.Fatalf("workers over the bound: %d", got)
 	}
+	if got := post(`{"workload":"tpch","budget":1000001}`); got != http.StatusBadRequest {
+		t.Fatalf("budget over the bound: %d", got)
+	}
+	if got := post(`{"workload":"tpch","budget":10,"k":1001}`); got != http.StatusBadRequest {
+		t.Fatalf("k over the bound: %d", got)
+	}
 	// An inline workload whose sort column the table lacks is refused
 	// before it reaches the cost model.
 	badSort := `{"budget":10,"workload_json":{"name":"w","database":{"name":"d","tables":[

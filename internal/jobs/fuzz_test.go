@@ -10,9 +10,10 @@ import (
 
 // FuzzSpecNormalize decodes arbitrary bytes into a job Spec, as the daemon
 // does with a request body, and normalizes it. It must never panic, and a
-// spec it accepts must carry a positive budget and K, a nonzero seed, a
-// worker count within [0, MaxWorkers], non-negative epsilons, a registered
-// algorithm and exactly one workload source.
+// spec it accepts must carry a budget within [1, MaxBudget], a K within
+// [1, MaxK], a nonzero seed, a worker count within [0, MaxWorkers],
+// non-negative epsilons, a registered algorithm and exactly one workload
+// source.
 func FuzzSpecNormalize(f *testing.F) {
 	for _, seed := range []string{
 		`{"workload":"tpch","budget":400,"k":8}`,
@@ -20,6 +21,9 @@ func FuzzSpecNormalize(f *testing.F) {
 		`{"workload":"job","budget":10,"k":-1,"workers":-2,"derive_epsilon":0.05,"stop_epsilon":0.1}`,
 		`{"workload":"real-d","budget":0}`,
 		`{"workload":"tpch","budget":5,"workers":99}`,
+		`{"workload":"tpch","budget":1000000,"k":1000}`,
+		`{"workload":"tpch","budget":1000001}`,
+		`{"workload":"tpch","budget":5,"k":1001}`,
 		`{"workload":"tpch","budget":5,"stop_epsilon":-1}`,
 		`{"workload":"tpch","budget":5,"algorithm":"nope"}`,
 		`{"workload":"nope","budget":5}`,
@@ -39,7 +43,7 @@ func FuzzSpecNormalize(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if s.Budget <= 0 || s.K <= 0 || s.Seed == 0 {
+		if s.Budget <= 0 || s.Budget > MaxBudget || s.K <= 0 || s.K > MaxK || s.Seed == 0 {
 			t.Fatalf("accepted budget %d, k %d, seed %d", s.Budget, s.K, s.Seed)
 		}
 		if s.Workers < 0 || s.Workers > MaxWorkers {

@@ -61,9 +61,16 @@ var (
 	ErrNotFound = errors.New("jobs: no such job")
 )
 
-// MaxWorkers bounds Spec.Workers: a job runs one episode slot and one
-// goroutine per worker, so an unbounded request could exhaust the daemon.
-const MaxWorkers = 64
+// Upper bounds of a Spec. MaxWorkers bounds Workers: a job runs one episode
+// slot and one goroutine per worker, so an unbounded request could exhaust
+// the daemon. MaxBudget and MaxK bound Budget and K: a job's run time and
+// its per-session tables grow with both, and a client asking for more than
+// the largest workload can use has made a mistake.
+const (
+	MaxWorkers = 64
+	MaxBudget  = 1_000_000
+	MaxK       = 1_000
+)
 
 // Spec is a tuning job request. Exactly one of Workload (a built-in name)
 // or WorkloadJSON (the format written by WorkloadSet.WriteJSON) must be
@@ -74,9 +81,10 @@ type Spec struct {
 	WorkloadJSON json.RawMessage `json:"workload_json,omitempty"`
 	// Algorithm is a name from algo.Names (default "mcts").
 	Algorithm string `json:"algorithm,omitempty"`
-	// K is the cardinality constraint (default 10).
+	// K is the cardinality constraint (default 10, at most MaxK).
 	K int `json:"k,omitempty"`
-	// Budget is the what-if call budget (required, positive).
+	// Budget is the what-if call budget (required, positive, at most
+	// MaxBudget).
 	Budget int `json:"budget"`
 	// Seed drives randomized decisions (default 1).
 	Seed int64 `json:"seed,omitempty"`
@@ -103,8 +111,14 @@ func (s *Spec) normalize() (*workload.Workload, error) {
 	if s.Budget <= 0 {
 		return nil, fmt.Errorf("budget must be positive (got %d)", s.Budget)
 	}
+	if s.Budget > MaxBudget {
+		return nil, fmt.Errorf("budget must be at most %d (got %d)", MaxBudget, s.Budget)
+	}
 	if s.K <= 0 {
 		s.K = 10
+	}
+	if s.K > MaxK {
+		return nil, fmt.Errorf("k must be at most %d (got %d)", MaxK, s.K)
 	}
 	if s.Seed == 0 {
 		s.Seed = 1

@@ -232,6 +232,26 @@ func TestSpecWorkersBound(t *testing.T) {
 	}
 }
 
+// Spec.Budget and Spec.K are refused above MaxBudget and MaxK, and
+// accepted at the bounds.
+func TestSpecBudgetAndKBounds(t *testing.T) {
+	for _, tc := range []struct {
+		budget, k int
+		ok        bool
+	}{
+		{MaxBudget, MaxK, true},
+		{MaxBudget + 1, 10, false},
+		{1 << 40, 10, false},
+		{100, MaxK + 1, false},
+		{100, 1 << 40, false},
+	} {
+		s := Spec{Workload: "tpch", Budget: tc.budget, K: tc.k}
+		if _, err := s.normalize(); (err == nil) != tc.ok {
+			t.Fatalf("budget=%d k=%d: err = %v, want ok=%v", tc.budget, tc.k, err, tc.ok)
+		}
+	}
+}
+
 // Drain refuses new work, cancels the queue, and — once the context expires
 // — cancels running jobs, which still wind down with refunds.
 func TestManagerDrain(t *testing.T) {
