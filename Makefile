@@ -6,7 +6,9 @@ GO ?= go
 # Kernel micro-benchmarks recorded into BENCH_mcts.json (episode — one slot
 # of the MCTS episode pipeline, begin + commit, as Workers=1 runs it —,
 # rollout, prior phase, the uncached what-if call, what-if cache hit/miss,
-# the batched what-if path, projection build, bound derivation, and the
+# the batched what-if path — on TPC-H (BenchmarkWhatIfBatch8/64) and on one
+# Real-M query scoring greedy-step extensions cur ∪ {a}
+# (BenchmarkWhatIfBatchRealM) —, projection build, bound derivation, and the
 # parallel-pipeline speedup; bound derivation covers both the TPC-H store
 # and the Real-M two-phase store; the Best-Greedy extraction from scratch
 # and as a memoized refresh at an early-stop check; the cold Real-M
@@ -94,7 +96,8 @@ bench-json:
 # the memoized extraction refresh at an early-stop check is pinned at its
 # recorded 7 allocs/op, so a refresh keeps reusing the memo's buffers instead
 # of rebuilding steps; batched scoring amortizes its result slice across the
-# batch and must stay at 0 allocs per scored pair; the uncached what-if call
+# batch and must stay at 0 allocs per scored pair, on TPC-H and on the Real-M
+# query (BenchmarkWhatIfBatchRealM); the uncached what-if call
 # scores the interned plan space with pooled scratch and must stay at 0
 # allocs/op; the byte-bounded cache-hit path pays at most the CLOCK reference
 # bit over the unbounded hit — gated at <= 1.1x its ns/op and 0 allocs/op; the
@@ -110,7 +113,7 @@ bench-check:
 	$(GO) run ./cmd/benchdiff -baseline BENCH_mcts.json -threshold 1.20 -match '^(BenchmarkEpisode|BenchmarkNewSessionRealM)$$' benchcheck.out
 	$(GO) run ./cmd/benchdiff -speedup 'BenchmarkMCTSFixedBudgetWorkers/workers=1,BenchmarkMCTSFixedBudgetWorkers/workers=4,2.0' benchcheck.out
 	$(GO) run ./cmd/benchdiff -speedup 'BenchmarkWhatIfCacheHit,BenchmarkWhatIfCacheHitBounded,0.909' benchcheck.out
-	$(GO) run ./cmd/benchdiff -maxallocs 'BenchmarkWhatIfCall,0' -maxallocs 'BenchmarkWhatIfCacheHit,0' -maxallocs 'BenchmarkWhatIfCacheHitBounded,0' -maxallocs 'BenchmarkWhatIfProjectedCacheHit,0' -maxallocs 'BenchmarkEpisode,6' -maxallocs 'BenchmarkEpisodeCached,3' -maxallocs 'BenchmarkEarlyStopCheck,0' -maxallocs 'BenchmarkExtractRefresh,7' -maxallocs 'BenchmarkWhatIfBatch8,0' -maxallocs 'BenchmarkWhatIfBatch64,0' -maxallocs 'BenchmarkBoundDerivation,0' -maxallocs 'BenchmarkBoundDerivationRealM,0' -maxallocs 'BenchmarkDerivedLookup,0' -maxallocs 'BenchmarkSessionSeen,0' benchcheck.out
+	$(GO) run ./cmd/benchdiff -maxallocs 'BenchmarkWhatIfCall,0' -maxallocs 'BenchmarkWhatIfCacheHit,0' -maxallocs 'BenchmarkWhatIfCacheHitBounded,0' -maxallocs 'BenchmarkWhatIfProjectedCacheHit,0' -maxallocs 'BenchmarkEpisode,6' -maxallocs 'BenchmarkEpisodeCached,3' -maxallocs 'BenchmarkEarlyStopCheck,0' -maxallocs 'BenchmarkExtractRefresh,7' -maxallocs 'BenchmarkWhatIfBatch8,0' -maxallocs 'BenchmarkWhatIfBatch64,0' -maxallocs 'BenchmarkWhatIfBatchRealM,0' -maxallocs 'BenchmarkBoundDerivation,0' -maxallocs 'BenchmarkBoundDerivationRealM,0' -maxallocs 'BenchmarkDerivedLookup,0' -maxallocs 'BenchmarkSessionSeen,0' benchcheck.out
 	@rm -f benchcheck.out
 
 # profile runs a representative tuning session under the CPU and heap

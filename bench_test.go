@@ -276,11 +276,10 @@ func BenchmarkEvictionChurn(b *testing.B) {
 }
 
 // benchWhatIfBatch measures the batched cache-missing what-if path: one
-// plan-space walk per batch, every configuration scored from the precomputed
-// per-ref access tables. Each loop step scores `size` fresh configurations
-// but advances the counter per pair, so ns/op is per scored pair — the
-// number `make bench-check` gates at >= 2x cheaper than
-// BenchmarkWhatIfCacheMiss via cmd/benchdiff -speedup. Configurations follow
+// plan-space lookup per batch, every configuration scored from its own
+// members' precomputed alternatives. Each loop step scores `size` fresh
+// configurations but advances the counter per pair, so ns/op is per scored
+// pair. Configurations follow
 // the same digit recurrence as BenchmarkWhatIfCacheMiss but are updated in
 // place (preallocated word storage), so the measured allocations are
 // WhatIfBatch's own: the result slice, and nothing else in steady state
@@ -316,6 +315,60 @@ func benchWhatIfBatch(b *testing.B, size int) {
 
 func BenchmarkWhatIfBatch8(b *testing.B)  { benchWhatIfBatch(b, 8) }
 func BenchmarkWhatIfBatch64(b *testing.B) { benchWhatIfBatch(b, 64) }
+
+// BenchmarkWhatIfBatchRealM measures batched cache-missing scoring on the
+// Real-M query with the most relevant candidates, in the shape of a greedy
+// step at K 10: 64 configurations cur ∪ {a}, where cur holds six fixed
+// relevant candidates plus three that follow a digit recurrence over the
+// query's other relevant candidates (a new cur per batch), and a is one of
+// 64 further relevant candidates. Every pair projects onto a fresh
+// relevant configuration, so ns/op is per scored pair; `make bench-check`
+// pins it at 0 allocs/op.
+func BenchmarkWhatIfBatchRealM(b *testing.B) {
+	w := workload.ByName("real-m")
+	cands := candgen.Generate(w, candgen.Options{})
+	opt := search.NewOptimizer(w, cands)
+	var q *workload.Query
+	var rel []int
+	for _, wq := range w.Queries {
+		if r := opt.Relevance(wq).Ordinals(); len(r) > len(rel) {
+			q, rel = wq, r
+		}
+	}
+	const size, nfixed = 64, 6
+	if len(rel) < nfixed+2*size {
+		b.Fatalf("widest query has %d relevant candidates, want at least %d", len(rel), nfixed+2*size)
+	}
+	fixed, ext, free := rel[:nfixed], rel[nfixed:nfixed+size], rel[nfixed+size:]
+	m := len(free)
+	digits := func(c int) [3]int { return [3]int{free[c%m], free[(c/m)%m], free[(c/(m*m))%m]} }
+	cur := digits(0)
+	cfgs := make([]iset.Set, size)
+	for j := range cfgs {
+		cfgs[j] = iset.NewSet(len(cands.Candidates))
+		for _, ord := range fixed {
+			cfgs[j].Add(ord)
+		}
+		cfgs[j].Add(ext[j])
+	}
+	next := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += size {
+		d := digits(next)
+		next++
+		for j := range cfgs {
+			for _, ord := range cur {
+				cfgs[j].Remove(ord)
+			}
+			for _, ord := range d {
+				cfgs[j].Add(ord)
+			}
+		}
+		cur = d
+		opt.WhatIfBatch(q, cfgs)
+	}
+}
 
 // BenchmarkProjectionBuild measures building the relevance projections of a
 // whole workload: optimizer construction plus interning every query's
