@@ -372,8 +372,8 @@ func BenchmarkWhatIfBatchRealM(b *testing.B) {
 
 // BenchmarkProjectionBuild measures building the relevance projections of a
 // whole workload: optimizer construction plus interning every query's
-// relevance bitmap and per-table candidate lists (the one-time cost that the
-// projected cache keys amortize), on the 99-query TPC-DS workload.
+// relevance bitmap (the one-time cost that the projected cache keys
+// amortize), on the 99-query TPC-DS workload.
 func BenchmarkProjectionBuild(b *testing.B) {
 	w := workload.ByName("tpcds")
 	cands := candgen.Generate(w, candgen.Options{})
@@ -391,7 +391,8 @@ func BenchmarkProjectionBuild(b *testing.B) {
 // BenchmarkNewSessionRealM measures the cold start every tuning run pays on
 // the largest workload: a fresh optimizer over Real-M's 12,284 candidates
 // plus a session at K 10 and B 5000, whose set-up interns all 317 queries
-// (relevance bitmaps and per-table lists) and scores every baseline cost.
+// (relevance bitmaps) and scores every baseline cost on each query's plan
+// skeleton.
 func BenchmarkNewSessionRealM(b *testing.B) {
 	w := workload.ByName("real-m")
 	cands := candgen.Generate(w, candgen.Options{})

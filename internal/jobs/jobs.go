@@ -64,8 +64,8 @@ var (
 // Upper bounds of a Spec. MaxWorkers bounds Workers: a job runs one episode
 // slot and one goroutine per worker, so an unbounded request could exhaust
 // the daemon. MaxBudget and MaxK bound Budget and K: a job's run time and
-// its per-session tables grow with both, and a client asking for more than
-// the largest workload can use has made a mistake.
+// its per-session state grow with both, so an unbounded request could hold
+// a job slot and its memory indefinitely.
 const (
 	MaxWorkers = 64
 	MaxBudget  = 1_000_000

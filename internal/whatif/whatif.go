@@ -253,13 +253,14 @@ type queryInfo struct {
 
 	// space memoizes the query's full plan space — the skeleton plus the
 	// alternatives of every relevant candidate — against which charged costs
-	// are scored (evalSpace). An atomic pointer (not a sync.Once) because the bounded mode
-	// releases cold spaces: nil means "not built or released", and a released
-	// space is rebuilt deterministically on next use — the plan space is a
-	// pure function of (schema, candidates, query), so release can only cost
-	// recomputation, never change a cost. spaceMu serializes build/release so
-	// the byte accounting never double-counts; spaceRef is the CLOCK bit of
-	// the release sweep, set on every batch that uses the space.
+	// are scored (evalSpace). An atomic pointer (not a sync.Once) because the
+	// bounded mode releases cold spaces: nil means "not built or released",
+	// and a released space is rebuilt deterministically on next use — the
+	// plan space is a pure function of (schema, candidates, query), so
+	// release can only cost recomputation, never change a cost. spaceMu
+	// serializes build/release so the byte accounting never double-counts;
+	// spaceRef is the CLOCK bit of the release sweep, set on every batch that
+	// uses the space.
 	spaceMu  sync.Mutex
 	space    atomic.Pointer[planSpace]
 	spaceRef atomic.Uint32
@@ -845,9 +846,9 @@ func (o *Optimizer) pipelineOrder(q *workload.Query, access []accessChoice) []in
 	n := len(q.Refs)
 	order := make([]int, 0, n)
 	joined := make([]bool, n)
-	// connected[i] reports whether ref i joins an already-joined ref; each
-	// ref sets it on its join partners as it joins.
-	connected := make([]bool, n)
+	// reaches[i] reports whether ref i joins an already-joined ref; each ref
+	// sets it on its join partners as it joins.
+	reaches := make([]bool, n)
 	better := func(a, b accessChoice) bool {
 		if a.sel != b.sel {
 			return a.sel < b.sel
@@ -857,7 +858,7 @@ func (o *Optimizer) pipelineOrder(q *workload.Query, access []accessChoice) []in
 	pick := func(connectedOnly bool) int {
 		best := -1
 		for i := 0; i < n; i++ {
-			if joined[i] || (connectedOnly && !connected[i]) {
+			if joined[i] || (connectedOnly && !reaches[i]) {
 				continue
 			}
 			if best < 0 || better(access[i], access[best]) {
@@ -872,9 +873,9 @@ func (o *Optimizer) pipelineOrder(q *workload.Query, access []accessChoice) []in
 		for ji := range q.Joins {
 			j := &q.Joins[ji]
 			if j.LeftRef == i {
-				connected[j.RightRef] = true
+				reaches[j.RightRef] = true
 			} else if j.RightRef == i {
-				connected[j.LeftRef] = true
+				reaches[j.LeftRef] = true
 			}
 		}
 	}
