@@ -325,6 +325,10 @@ type choice struct {
 // operator — per ref the access path and its cost, then per step the join
 // alternative and its join cost — which Plan reads.
 //
+// ps must tabulate every member of cfg ∩ rel: the full space does, a
+// restricted space does for the configuration it was built for, and the
+// skeleton scores only configurations that miss rel.
+//
 // The minima are exact: the alternatives of cfg's members are applied in
 // ascending ordinal order, so each operator sees its admitted alternatives
 // in the same relevance order a per-operator scan would, and a strict <
@@ -340,19 +344,17 @@ func (o *Optimizer) evalSpace(ps *planSpace, cfg iset.Set, win []choice) float64
 	for si := range ps.steps {
 		win[nAcc+si] = choice{-1, math.Inf(1)}
 	}
-	if ps.off != nil {
-		n := cfg.NumWords()
-		if n > len(ps.rel) {
-			n = len(ps.rel)
-		}
-		for wi := 0; wi < n; wi++ {
-			for w := cfg.Word(wi) & ps.rel[wi]; w != 0; w &= w - 1 {
-				b := bits.TrailingZeros64(w)
-				r := ps.rankOf(wi, b)
-				for _, a := range ps.alts[ps.off[r]:ps.off[r+1]] {
-					if a.cost < win[a.slot].cost {
-						win[a.slot] = choice{wi*64 + b, a.cost}
-					}
+	n := cfg.NumWords()
+	if n > len(ps.rel) {
+		n = len(ps.rel)
+	}
+	for wi := 0; wi < n; wi++ {
+		for w := cfg.Word(wi) & ps.rel[wi]; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			r := ps.rankOf(wi, b)
+			for _, a := range ps.alts[ps.off[r]:ps.off[r+1]] {
+				if a.cost < win[a.slot].cost {
+					win[a.slot] = choice{wi*64 + b, a.cost}
 				}
 			}
 		}
