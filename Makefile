@@ -12,8 +12,10 @@ GO ?= go
 # parallel-pipeline speedup; bound derivation covers both the TPC-H store
 # and the Real-M two-phase store; the Best-Greedy extraction from scratch
 # and as a memoized refresh at an early-stop check; the cold Real-M
-# optimizer + session set-up; the per-episode seen-set pass over every query).
-KERNEL_BENCH = BenchmarkEpisode|BenchmarkRollout|BenchmarkComputePriors|BenchmarkMCTSFixedBudgetWorkers|BenchmarkWhatIfCall|BenchmarkWhatIfCacheHit|BenchmarkWhatIfCacheMiss|BenchmarkWhatIfBatch|BenchmarkDerivedLookup|BenchmarkProjectionBuild|BenchmarkWhatIfProjectedCacheHit|BenchmarkBoundDerivation|BenchmarkEarlyStopCheck|BenchmarkMCTSEarlyStop|BenchmarkEvictionChurn|BenchmarkDerivedOnly|BenchmarkExtractRefresh|BenchmarkNewSessionRealM|BenchmarkSessionSeen
+# optimizer + session set-up; the per-episode seen-set pass over every query;
+# one trace event through an auto-flushing recorder into the daemon's
+# broadcast stream).
+KERNEL_BENCH = BenchmarkEpisode|BenchmarkRollout|BenchmarkComputePriors|BenchmarkMCTSFixedBudgetWorkers|BenchmarkWhatIfCall|BenchmarkWhatIfCacheHit|BenchmarkWhatIfCacheMiss|BenchmarkWhatIfBatch|BenchmarkDerivedLookup|BenchmarkProjectionBuild|BenchmarkWhatIfProjectedCacheHit|BenchmarkBoundDerivation|BenchmarkEarlyStopCheck|BenchmarkMCTSEarlyStop|BenchmarkEvictionChurn|BenchmarkDerivedOnly|BenchmarkExtractRefresh|BenchmarkNewSessionRealM|BenchmarkSessionSeen|BenchmarkRecorderEmit
 
 .PHONY: check vet bench-vet lint lint-json build test race fuzz bench-smoke bench-json bench-check profile trace-smoke tuned-smoke
 
@@ -58,14 +60,16 @@ race:
 # FuzzParse (the SQL parser; an accepted query must validate and round-trip
 # through RenderSQL), FuzzLoadSnapshot (the cache snapshot reader; it must
 # return an error or load entries, never panic) and FuzzSpecNormalize (the
-# daemon's job-spec validation; an accepted spec must be in range). A crasher
-# lands in the package's testdata/fuzz/ and replays in every `go test` once
-# committed.
+# daemon's job-spec validation; an accepted spec must be in range) and
+# FuzzAppendEvent (the trace event encoder; its line must equal
+# encoding/json's, or both must fail). A crasher lands in the package's
+# testdata/fuzz/ and replays in every `go test` once committed.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 15s .
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 15s ./internal/whatif
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecNormalize$$' -fuzztime 15s ./internal/jobs
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendEvent$$' -fuzztime 15s ./internal/trace
 
 # bench-smoke compiles and executes every benchmark exactly once — it proves
 # the harness runs, not that it is fast.
@@ -102,18 +106,20 @@ bench-json:
 # allocs/op; the byte-bounded cache-hit path pays at most the CLOCK reference
 # bit over the unbounded hit — gated at <= 1.1x its ns/op and 0 allocs/op; the
 # derived-store reads — Query and Bounds on the TPC-H store, Bounds on the
-# Real-M two-phase store — must stay at 0 allocs/op). The what-if kernels run
+# Real-M two-phase store — must stay at 0 allocs/op; one trace event on the
+# daemon's path — BenchmarkRecorderEmit, encode + flush + broadcast append —
+# must stay at 0 allocs/op). The what-if kernels run
 # a fixed iteration count so the miss benchmarks insert a fixed number of
 # cache entries — a time-based budget would let a faster path fill a much
 # larger cache and pay unmatched map-growth cost.
 bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkEpisode|BenchmarkMCTSFixedBudgetWorkers|BenchmarkEarlyStopCheck|BenchmarkExtractRefresh' ./internal/core > benchcheck.out
 	$(GO) test -run '^$$' -bench 'BenchmarkWhatIfCall$$|BenchmarkWhatIfCacheHit$$|BenchmarkWhatIfCacheHitBounded$$|BenchmarkWhatIfProjectedCacheHit$$|BenchmarkWhatIfCacheMiss$$|BenchmarkWhatIfBatch|BenchmarkEvictionChurn$$' -benchtime 2000000x . >> benchcheck.out
-	$(GO) test -run '^$$' -bench 'BenchmarkBoundDerivation|BenchmarkDerivedLookup$$|BenchmarkNewSessionRealM$$|BenchmarkSessionSeen$$' . >> benchcheck.out
+	$(GO) test -run '^$$' -bench 'BenchmarkBoundDerivation|BenchmarkDerivedLookup$$|BenchmarkNewSessionRealM$$|BenchmarkSessionSeen$$|BenchmarkRecorderEmit$$' . >> benchcheck.out
 	$(GO) run ./cmd/benchdiff -baseline BENCH_mcts.json -threshold 1.20 -match '^(BenchmarkEpisode|BenchmarkNewSessionRealM)$$' benchcheck.out
 	$(GO) run ./cmd/benchdiff -speedup 'BenchmarkMCTSFixedBudgetWorkers/workers=1,BenchmarkMCTSFixedBudgetWorkers/workers=4,2.0' benchcheck.out
 	$(GO) run ./cmd/benchdiff -speedup 'BenchmarkWhatIfCacheHit,BenchmarkWhatIfCacheHitBounded,0.909' benchcheck.out
-	$(GO) run ./cmd/benchdiff -maxallocs 'BenchmarkWhatIfCall,0' -maxallocs 'BenchmarkWhatIfCacheHit,0' -maxallocs 'BenchmarkWhatIfCacheHitBounded,0' -maxallocs 'BenchmarkWhatIfProjectedCacheHit,0' -maxallocs 'BenchmarkEpisode,6' -maxallocs 'BenchmarkEpisodeCached,3' -maxallocs 'BenchmarkEarlyStopCheck,0' -maxallocs 'BenchmarkExtractRefresh,7' -maxallocs 'BenchmarkWhatIfBatch8,0' -maxallocs 'BenchmarkWhatIfBatch64,0' -maxallocs 'BenchmarkWhatIfBatchRealM,0' -maxallocs 'BenchmarkBoundDerivation,0' -maxallocs 'BenchmarkBoundDerivationRealM,0' -maxallocs 'BenchmarkDerivedLookup,0' -maxallocs 'BenchmarkSessionSeen,0' benchcheck.out
+	$(GO) run ./cmd/benchdiff -maxallocs 'BenchmarkWhatIfCall,0' -maxallocs 'BenchmarkWhatIfCacheHit,0' -maxallocs 'BenchmarkWhatIfCacheHitBounded,0' -maxallocs 'BenchmarkWhatIfProjectedCacheHit,0' -maxallocs 'BenchmarkEpisode,6' -maxallocs 'BenchmarkEpisodeCached,3' -maxallocs 'BenchmarkEarlyStopCheck,0' -maxallocs 'BenchmarkExtractRefresh,7' -maxallocs 'BenchmarkWhatIfBatch8,0' -maxallocs 'BenchmarkWhatIfBatch64,0' -maxallocs 'BenchmarkWhatIfBatchRealM,0' -maxallocs 'BenchmarkBoundDerivation,0' -maxallocs 'BenchmarkBoundDerivationRealM,0' -maxallocs 'BenchmarkDerivedLookup,0' -maxallocs 'BenchmarkSessionSeen,0' -maxallocs 'BenchmarkRecorderEmit,0' benchcheck.out
 	@rm -f benchcheck.out
 
 # profile runs a representative tuning session under the CPU and heap

@@ -21,7 +21,9 @@ import (
 	"indextune/internal/experiments"
 	"indextune/internal/greedy"
 	"indextune/internal/iset"
+	"indextune/internal/jobs"
 	"indextune/internal/search"
+	"indextune/internal/trace"
 	"indextune/internal/trace/tracetest"
 	"indextune/internal/whatif"
 	"indextune/internal/workload"
@@ -153,6 +155,33 @@ func BenchmarkSessionSeen(b *testing.B) {
 		for qi := range s.W.Queries {
 			s.Seen(qi, cfg)
 		}
+	}
+}
+
+// BenchmarkRecorderEmit measures one trace event on the daemon's path: a
+// Commit into a recorder with auto-flush on, streaming into a
+// jobs.Broadcast that no reader waits on, so one op encodes the event,
+// flushes it and appends it to the stream. The stream is trimmed outside
+// the timer every 1<<16 events to keep memory flat. It must not allocate
+// beyond the stream's amortized growth.
+func BenchmarkRecorderEmit(b *testing.B) {
+	stream := jobs.NewBroadcast()
+	rec := trace.New(stream)
+	rec.SetAutoFlush(true)
+	cfg := iset.FromOrdinals(3, 17, 42, 108, 250).Key()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i&(1<<16-1) == 1<<16-1 {
+			b.StopTimer()
+			stream.Trim(0)
+			b.StartTimer()
+		}
+		rec.Commit(i%22, cfg, 1234.5678+float64(i%97), i+1)
+	}
+	b.StopTimer()
+	if err := rec.Flush(); err != nil {
+		b.Fatal(err)
 	}
 }
 

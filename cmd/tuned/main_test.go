@@ -242,6 +242,12 @@ func TestDaemonErrorStatuses(t *testing.T) {
 	if got := post(badSort); got != http.StatusBadRequest {
 		t.Fatalf("inline workload with an unknown sort column: %d", got)
 	}
+	if got := post(inlineSpec(jobs.MaxQueries+1, 1)); got != http.StatusBadRequest {
+		t.Fatalf("inline workload over the query bound: %d", got)
+	}
+	if got := post(inlineSpec(1, jobs.MaxColumns+1)); got != http.StatusBadRequest {
+		t.Fatalf("inline workload over the column bound: %d", got)
+	}
 	// The first tenant job exhausts the cap exactly and runs long enough to
 	// still hold it when the second submission arrives.
 	if got := post(`{"workload":"tpch","budget":500000,"tenant":"a"}`); got != http.StatusAccepted {
@@ -266,6 +272,28 @@ func TestDaemonErrorStatuses(t *testing.T) {
 	if got := post(`{"workload":"tpch","budget":10}`); got != http.StatusServiceUnavailable {
 		t.Fatalf("draining: %d", got)
 	}
+}
+
+// inlineSpec renders a job spec whose inline workload has one table with
+// the given number of columns and the given number of single-table queries.
+func inlineSpec(queries, columns int) string {
+	var sb strings.Builder
+	sb.WriteString(`{"budget":10,"workload_json":{"name":"w","database":{"name":"d","tables":[{"name":"t","rows":100,"columns":[`)
+	for c := 0; c < columns; c++ {
+		if c > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, `{"name":"c%d","ndv":10,"width":4}`, c)
+	}
+	sb.WriteString(`]}]},"queries":[`)
+	for q := 0; q < queries; q++ {
+		if q > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, `{"id":"q%d","refs":[{"table":"t","need":["c0"]}]}`, q)
+	}
+	sb.WriteString(`]}}`)
+	return sb.String()
 }
 
 // POST /jobs bounds its body: an inline Real-M workload, the largest a

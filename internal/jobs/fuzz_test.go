@@ -13,7 +13,8 @@ import (
 // spec it accepts must carry a budget within [1, MaxBudget], a K within
 // [1, MaxK], a nonzero seed, a worker count within [0, MaxWorkers],
 // non-negative epsilons, a registered algorithm and exactly one workload
-// source.
+// source; an inline workload must hold at most MaxQueries queries and
+// MaxColumns columns.
 func FuzzSpecNormalize(f *testing.F) {
 	for _, seed := range []string{
 		`{"workload":"tpch","budget":400,"k":8}`,
@@ -60,6 +61,16 @@ func FuzzSpecNormalize(f *testing.F) {
 		}
 		if (inline != nil) != (len(s.WorkloadJSON) > 0) {
 			t.Fatalf("inline workload %v for %d bytes of workload_json", inline != nil, len(s.WorkloadJSON))
+		}
+		if inline == nil {
+			return
+		}
+		cols := 0
+		for _, tb := range inline.DB.Tables() {
+			cols += len(tb.Columns)
+		}
+		if len(inline.Queries) > MaxQueries || cols > MaxColumns {
+			t.Fatalf("accepted inline workload of %d queries, %d columns", len(inline.Queries), cols)
 		}
 	})
 }

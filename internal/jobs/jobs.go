@@ -66,10 +66,19 @@ var (
 // the daemon. MaxBudget and MaxK bound Budget and K: a job's run time and
 // its per-session state grow with both, so an unbounded request could hold
 // a job slot and its memory indefinitely.
+//
+// MaxQueries and MaxColumns (summed over all tables) bound an inline
+// workload, which otherwise only the request body cap limits. Its private
+// oracle, candidate universe and session set-up grow with both, all before
+// the first what-if call is charged. The built-ins top out at Real-M's 317
+// queries and Real-D's 75,045 columns; the bounds leave about 13x and 1.7x
+// of headroom over those.
 const (
 	MaxWorkers = 64
 	MaxBudget  = 1_000_000
 	MaxK       = 1_000
+	MaxQueries = 4_096
+	MaxColumns = 131_072
 )
 
 // Spec is a tuning job request. Exactly one of Workload (a built-in name)
@@ -145,6 +154,16 @@ func (s *Spec) normalize() (*workload.Workload, error) {
 		w, err := workload.ReadJSON(bytes.NewReader(s.WorkloadJSON))
 		if err != nil {
 			return nil, fmt.Errorf("workload_json: %w", err)
+		}
+		if n := len(w.Queries); n > MaxQueries {
+			return nil, fmt.Errorf("workload_json must have at most %d queries (got %d)", MaxQueries, n)
+		}
+		cols := 0
+		for _, t := range w.DB.Tables() {
+			cols += len(t.Columns)
+		}
+		if cols > MaxColumns {
+			return nil, fmt.Errorf("workload_json must have at most %d columns (got %d)", MaxColumns, cols)
 		}
 		return w, nil
 	}

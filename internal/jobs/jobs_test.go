@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -248,6 +249,73 @@ func TestSpecBudgetAndKBounds(t *testing.T) {
 		s := Spec{Workload: "tpch", Budget: tc.budget, K: tc.k}
 		if _, err := s.normalize(); (err == nil) != tc.ok {
 			t.Fatalf("budget=%d k=%d: err = %v, want ok=%v", tc.budget, tc.k, err, tc.ok)
+		}
+	}
+}
+
+// inlineWorkload renders an inline workload of one table with the given
+// number of columns and the given number of single-table queries.
+func inlineWorkload(queries, columns int) json.RawMessage {
+	var sb strings.Builder
+	sb.WriteString(`{"name":"w","database":{"name":"d","tables":[{"name":"t","rows":100,"columns":[`)
+	for c := 0; c < columns; c++ {
+		if c > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, `{"name":"c%d","ndv":10,"width":4}`, c)
+	}
+	sb.WriteString(`]}]},"queries":[`)
+	for q := 0; q < queries; q++ {
+		if q > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, `{"id":"q%d","refs":[{"table":"t","need":["c0"]}]}`, q)
+	}
+	sb.WriteString(`]}`)
+	return json.RawMessage(sb.String())
+}
+
+// An inline workload is refused above MaxQueries queries or MaxColumns
+// columns, and accepted at the bounds.
+func TestSpecWorkloadSizeBounds(t *testing.T) {
+	for _, tc := range []struct {
+		queries, columns int
+		ok               bool
+	}{
+		{MaxQueries, 1, true},
+		{1, MaxColumns, true},
+		{MaxQueries + 1, 1, false},
+		{1, MaxColumns + 1, false},
+	} {
+		s := Spec{WorkloadJSON: inlineWorkload(tc.queries, tc.columns), Budget: 10}
+		if _, err := s.normalize(); (err == nil) != tc.ok {
+			t.Fatalf("%d queries, %d columns: err = %v, want ok=%v", tc.queries, tc.columns, err, tc.ok)
+		}
+	}
+}
+
+// A job whose trace hits a float JSON cannot encode fails with
+// encoding/json's error: two queries weighted 1e308 overflow the workload
+// cost to +Inf, and the improvement the search reports becomes NaN.
+func TestJobFailsOnUnencodableTraceValue(t *testing.T) {
+	wj := `{"name":"w","database":{"name":"d","tables":[{"name":"t","rows":100,"columns":[
+		{"name":"a","ndv":10,"width":4},{"name":"b","ndv":10,"width":4}]}]},"queries":[
+		{"id":"q1","weight":1e308,"refs":[{"table":"t","need":["a"],"filters":[{"column":"a","op":"eq","selectivity":0.1}]}]},
+		{"id":"q2","weight":1e308,"refs":[{"table":"t","need":["b"],"filters":[{"column":"b","op":"eq","selectivity":0.1}]}]}]}`
+	m := NewManager(Options{MaxConcurrent: 1})
+	j, err := m.Submit(Spec{WorkloadJSON: json.RawMessage(wj), Budget: 50, K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, j)
+	const want = "flushing trace: json: unsupported value: NaN"
+	if j.State() != StateFailed || j.Err() == nil || j.Err().Error() != want {
+		t.Fatalf("state %s, err %v; want failed with %q", j.State(), j.Err(), want)
+	}
+	// The failing event left no partial line in the replay stream.
+	for _, line := range bytes.Split(bytes.TrimSuffix(j.Stream().Bytes(), []byte("\n")), []byte("\n")) {
+		if !json.Valid(line) {
+			t.Fatalf("stream holds a partial line %q", line)
 		}
 	}
 }

@@ -13,9 +13,12 @@ import (
 // a reader attaching after the job finished still sees the complete stream.
 //
 // Readers poll with Next and park on the returned wake channel, which the
-// writer closes (and replaces) on every append; Close closes the final wake
-// channel and leaves it closed, so late readers never block on a finished
-// stream.
+// next append closes; Close closes the final wake channel and leaves it
+// closed, so late readers never block on a finished stream. An append
+// replaces the channel only if Next handed it out since the previous
+// append: a stream nobody is waiting on (a job whose readers are all
+// between polls, or have none) appends without allocating a channel per
+// event.
 //
 // Offsets are absolute stream positions, not buffer indices: after the owner
 // Trims a finished stream to a bounded tail, the dropped prefix is simply
@@ -30,6 +33,7 @@ type Broadcast struct {
 	start   int           // guarded by: mu — absolute offset of buf[0]
 	closed  bool          // guarded by: mu
 	wake    chan struct{} // guarded by: mu
+	handed  bool          // guarded by: mu — Next returned wake since the last append
 	readers int           // guarded by: mu — attached readers
 	keep    int           // guarded by: mu — deferred Trim's keep, or -1
 }
@@ -68,8 +72,11 @@ func (b *Broadcast) Write(p []byte) (int, error) {
 		return 0, errors.New("jobs: write to closed stream")
 	}
 	b.buf = append(b.buf, p...)
-	close(b.wake)
-	b.wake = make(chan struct{})
+	if b.handed {
+		close(b.wake)
+		b.wake = make(chan struct{})
+		b.handed = false
+	}
 	return len(p), nil
 }
 
@@ -143,6 +150,7 @@ func (b *Broadcast) Next(off int) (data []byte, next int, open bool, wake <-chan
 		off = end
 	}
 	i := off - b.start
+	b.handed = true
 	return b.buf[i:len(b.buf):len(b.buf)], end, !b.closed, b.wake
 }
 

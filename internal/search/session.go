@@ -383,10 +383,13 @@ func (s *Session) boundAnswer(qi int, cfg iset.Set) (mid, gap float64, ok bool) 
 func (s *Session) settle(r *request) {
 	switch r.out {
 	case BatchCharged:
+		// The pair's Reserve and Commit events carry one formatted key.
+		var key string
 		if s.Trace != nil {
-			s.Trace.Reserve(r.qi, r.cfg.Key(), r.usedAt)
+			key = r.cfg.Key()
+			s.Trace.Reserve(r.qi, key, r.usedAt)
 		}
-		s.commit(r, r.usedAt)
+		s.commit(r, r.usedAt, key)
 	case BatchCached:
 		if s.Trace != nil {
 			s.Trace.CacheHit(r.qi, r.cfg.Key())
@@ -406,10 +409,11 @@ func (s *Session) settle(r *request) {
 // commit is the per-pair commit bookkeeping of a charged pair: its cost is
 // recorded in the derived store (as the query's floor for a floor probe) and
 // its Commit trace event emitted. used is the budget counter the event
-// carries.
+// carries and key the pair's formatted configuration, which callers fill
+// in when s.Trace is set.
 //
 // locked: mu
-func (s *Session) commit(r *request, used int) {
+func (s *Session) commit(r *request, used int, key string) {
 	if r.floor {
 		// A universe-sized entry would put every query on every candidate's
 		// touched list, destroying the sparsity the greedy fast path and the
@@ -420,7 +424,7 @@ func (s *Session) commit(r *request, used int) {
 		s.Derived.Record(r.qi, r.cfg, r.cost)
 	}
 	if s.Trace != nil {
-		s.Trace.Commit(r.qi, r.cfg.Key(), r.cost, used)
+		s.Trace.Commit(r.qi, key, r.cost, used)
 	}
 }
 
@@ -466,8 +470,12 @@ func (s *Session) EvaluateReserved(qi int, cfg iset.Set) float64 {
 // independent of evaluation concurrency.
 func (s *Session) CommitReserved(qi int, cfg iset.Set, c float64) {
 	r := request{qi: qi, cfg: cfg, key: s.pairFor(qi, cfg), cost: c}
+	var key string
+	if s.Trace != nil {
+		key = cfg.Key()
+	}
 	s.mu.Lock()
-	s.commit(&r, int(atomic.LoadInt64(&s.used)))
+	s.commit(&r, int(atomic.LoadInt64(&s.used)), key)
 	s.mu.Unlock()
 }
 

@@ -380,11 +380,13 @@ func TestSessionConcurrentChargers(t *testing.T) {
 
 // TestReserveCommitMatchesWhatIf pins the two-phase API against the one-shot
 // path: reserving, evaluating, and committing a pair must leave the session
-// in exactly the state a plain WhatIf call would, and a second Reserve of
-// the same pair must be a free cache hit.
+// in exactly the state — and the trace — a plain WhatIf call would, and a
+// second Reserve of the same pair must be a free cache hit.
 func TestReserveCommitMatchesWhatIf(t *testing.T) {
 	a := newTestSession(t, 5)
 	b := newTestSession(t, 5)
+	logA, logB := tracetest.New(), tracetest.New()
+	a.Trace, b.Trace = logA.Rec, logB.Rec
 	cfg := iset.FromOrdinals(2, 4)
 
 	if r := a.Reserve(1, cfg); r != ReserveCharged {
@@ -402,6 +404,9 @@ func TestReserveCommitMatchesWhatIf(t *testing.T) {
 	}
 	if a.Derived.Query(1, cfg) != b.Derived.Query(1, cfg) {
 		t.Fatal("derived stores differ after commit")
+	}
+	if p, q := fmt.Sprint(logA.Cells(t)), fmt.Sprint(logB.Cells(t)); p != q {
+		t.Fatalf("commit events differ: two-phase %s, WhatIf %s", p, q)
 	}
 	if r := a.Reserve(1, cfg); r != ReserveCached {
 		t.Fatalf("repeat Reserve = %v, want cached", r)

@@ -191,9 +191,9 @@ type Recorder struct {
 	phase Phase  // guarded by: mu
 	seq   uint64 // guarded by: mu
 
-	buf *bufio.Writer // nil when no event stream is attached; guarded by: mu
-	enc *json.Encoder // guarded by: mu
-	err error         // guarded by: mu
+	buf  *bufio.Writer // nil when no event stream is attached; guarded by: mu
+	line []byte        // appendEvent's reused output; guarded by: mu
+	err  error         // first encode or write error; guarded by: mu
 
 	spend    map[Phase]int // guarded by: mu
 	perQuery map[int]int   // guarded by: mu
@@ -225,22 +225,28 @@ func New(events io.Writer) *Recorder {
 	}
 	if events != nil {
 		r.buf = bufio.NewWriter(events)
-		r.enc = json.NewEncoder(r.buf)
 	}
 	return r
 }
 
-// emit assigns the sequence number and streams the event. Callers hold r.mu.
+// emit assigns the sequence number and streams the event as one JSONL line.
+// The first error — an unencodable float or a failed write — is kept in
+// r.err; nothing of the failing event is written and every later event is
+// dropped. Callers hold r.mu.
 //
 // locked: mu
 func (r *Recorder) emit(e Event) {
 	r.seq++
 	e.Seq = r.seq
-	if r.enc != nil && r.err == nil {
-		r.err = r.enc.Encode(e)
-		if r.autoFlush && r.err == nil {
-			r.err = r.buf.Flush()
-		}
+	if r.buf == nil || r.err != nil {
+		return
+	}
+	r.line, r.err = appendEvent(r.line[:0], &e)
+	if r.err == nil {
+		_, r.err = r.buf.Write(r.line)
+	}
+	if r.autoFlush && r.err == nil {
+		r.err = r.buf.Flush()
 	}
 }
 
