@@ -43,7 +43,7 @@ func TestTuneCancelledContextRefundsBudget(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, alg := range []string{AlgorithmMCTS, AlgorithmTwoPhase} {
-		res, err := Tune(w, Options{K: 5, Budget: 500, Seed: 1, Algorithm: alg, Context: ctx})
+		res, err := Tune(w, Options{K: 5, Budget: 500, Seed: 1, Algorithm: alg, Context: ctx, CollectTrace: true})
 		if err != nil {
 			t.Fatalf("%s: cancellation must yield a partial result, not an error: %v", alg, err)
 		}
@@ -56,6 +56,10 @@ func TestTuneCancelledContextRefundsBudget(t *testing.T) {
 		if res.WhatIfCalls+res.RefundedBudget != 500 {
 			t.Fatalf("%s: refund invariant broken: used %d + refunded %d != budget 500",
 				alg, res.WhatIfCalls, res.RefundedBudget)
+		}
+		// The cancel event carries the refund the Result reports.
+		if res.Trace == nil || res.Trace.RefundedBudget != res.RefundedBudget {
+			t.Fatalf("%s: traced refund %+v, want %d", alg, res.Trace, res.RefundedBudget)
 		}
 		if res.ImprovementPct < 0 {
 			t.Fatalf("%s: partial result regressed below baseline: %v", alg, res.ImprovementPct)

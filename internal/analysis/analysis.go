@@ -12,9 +12,10 @@
 //     not read the wall clock or use math/rand's seeded-by-default global
 //     functions, and map iteration may not feed ordered output without an
 //     intervening sort.
-//   - atomicfields: a struct field accessed through sync/atomic anywhere must
-//     be accessed atomically everywhere (the PR-1 counter discipline in
-//     internal/whatif and internal/search).
+//   - atomicfields: no struct field may be passed by address to a
+//     package-level sync/atomic function; concurrent counters and flags are
+//     typed atomics (atomic.Int64, atomic.Bool), as in internal/whatif,
+//     internal/jobs and internal/search.
 //   - panicguard: panics in non-test library code must either be converted to
 //     returned errors (user-reachable input) or carry an "// invariant:"
 //     comment stating why they are unreachable.

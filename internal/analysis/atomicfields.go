@@ -2,96 +2,47 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
-// atomicFuncs are the sync/atomic package-level functions whose first
-// argument is the address of the guarded word.
-var atomicFuncs = map[string]bool{
-	"AddInt32": true, "AddInt64": true, "AddUint32": true, "AddUint64": true, "AddUintptr": true,
-	"LoadInt32": true, "LoadInt64": true, "LoadUint32": true, "LoadUint64": true, "LoadUintptr": true, "LoadPointer": true,
-	"StoreInt32": true, "StoreInt64": true, "StoreUint32": true, "StoreUint64": true, "StoreUintptr": true, "StorePointer": true,
-	"SwapInt32": true, "SwapInt64": true, "SwapUint32": true, "SwapUint64": true, "SwapUintptr": true, "SwapPointer": true,
-	"CompareAndSwapInt32": true, "CompareAndSwapInt64": true, "CompareAndSwapUint32": true,
-	"CompareAndSwapUint64": true, "CompareAndSwapUintptr": true, "CompareAndSwapPointer": true,
-	"AndInt32": true, "AndInt64": true, "AndUint32": true, "AndUint64": true, "AndUintptr": true,
-	"OrInt32": true, "OrInt64": true, "OrUint32": true, "OrUint64": true, "OrUintptr": true,
-}
-
-// AtomicFields builds the atomicfields analyzer: any struct field that is
-// passed by address to a sync/atomic function anywhere in the package must
-// be accessed that way everywhere — one plain read or write racing with the
-// atomic users is enough to lose counter updates (the whatif call/cache-hit
-// counters and session counters rely on this discipline).
-//
-// Fields of the typed atomic wrappers (atomic.Int64 &c.) are safe by
-// construction — their only access is through methods — and copying such a
-// struct is already flagged by go vet's copylocks.
+// AtomicFields builds the atomicfields analyzer: a struct field may not be
+// passed by address to a package-level sync/atomic function. A raw atomic
+// field is one plain read or write away from racing with its atomic users;
+// the typed wrappers (atomic.Int64, atomic.Bool &c.) are accessed only
+// through their methods, so that race cannot be written, and copying one is
+// already flagged by go vet's copylocks. Local variables are out of scope:
+// tests count into them from a few goroutines and read them after a wait.
 func AtomicFields() *Analyzer {
 	a := &Analyzer{
 		Name: "atomicfields",
-		Doc:  "struct fields accessed via sync/atomic must be accessed atomically everywhere",
+		Doc:  "struct fields may not be passed to sync/atomic functions; use the typed atomics",
 	}
 	a.Run = func(pass *Pass) {
-		atomicSet := make(map[types.Object]bool)       // fields with >=1 atomic access
-		sanctioned := make(map[*ast.SelectorExpr]bool) // selectors inside atomic calls
-
-		// Pass 1: collect fields whose address feeds a sync/atomic call.
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
-				if !ok {
+				if !ok || len(call.Args) == 0 {
 					return true
 				}
 				fn := calleeFunc(pass.Info, call)
-				if fn == nil || funcPkgPath(fn) != "sync/atomic" || !atomicFuncs[fn.Name()] {
-					return true
-				}
-				if len(call.Args) == 0 {
+				if funcPkgPath(fn) != "sync/atomic" || fn.Type().(*types.Signature).Recv() != nil {
 					return true
 				}
 				un, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-				if !ok {
+				if !ok || un.Op != token.AND {
 					return true
 				}
 				sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr)
 				if !ok {
 					return true
 				}
-				if obj := fieldObject(pass.Info, sel); obj != nil {
-					atomicSet[obj] = true
-					sanctioned[sel] = true
+				if s, ok := pass.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+					pass.Reportf(call.Pos(), "field %q is passed to atomic.%s; declare it as a typed atomic (atomic.Int64, atomic.Bool, ...)", s.Obj().Name(), fn.Name())
 				}
-				return true
-			})
-		}
-		if len(atomicSet) == 0 {
-			return
-		}
-
-		// Pass 2: every other access to those fields is a report.
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok || sanctioned[sel] {
-					return true
-				}
-				obj := fieldObject(pass.Info, sel)
-				if obj == nil || !atomicSet[obj] {
-					return true
-				}
-				pass.Reportf(sel.Pos(), "field %q is accessed with sync/atomic elsewhere in this package; plain access races with the atomic users", obj.Name())
 				return true
 			})
 		}
 	}
 	return a
-}
-
-// fieldObject resolves sel to the struct-field variable it selects, or nil.
-func fieldObject(info *types.Info, sel *ast.SelectorExpr) types.Object {
-	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-		return s.Obj()
-	}
-	return nil
 }

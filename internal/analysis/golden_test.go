@@ -206,7 +206,7 @@ func TestBadPackagesHaveFindings(t *testing.T) {
 		{"derivebad/internal/core", NewBudgetGuard(nil), 3},
 		{"stopbad/internal/core", NewBudgetGuard(nil), 5},
 		{"determinism/bad", Determinism(), 6},
-		{"atomicfields/bad", AtomicFields(), 2},
+		{"atomicfields/bad", AtomicFields(), 5},
 		{"panicguard/bad", PanicGuard(), 2},
 		{"reservepair/bad", ReservePair(), 4},
 		{"chargepath/bad/internal/core", ChargePath(), 9},

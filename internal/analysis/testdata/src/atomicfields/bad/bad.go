@@ -1,5 +1,6 @@
-// Package bad seeds an atomicfields violation: a counter field updated via
-// sync/atomic on the hot path but read and reset with plain accesses.
+// Package bad seeds atomicfields violations: counter fields passed by
+// address to sync/atomic functions, whether or not every other access is
+// atomic too.
 package bad
 
 import "sync/atomic"
@@ -12,17 +13,17 @@ type Meter struct {
 
 // Inc is the concurrent hot path.
 func (m *Meter) Inc() {
-	atomic.AddInt64(&m.calls, 1)
+	atomic.AddInt64(&m.calls, 1) // want "field \"calls\" is passed to atomic.AddInt64"
 }
 
 // Snapshot reads the counter without atomic, racing with Inc.
 func (m *Meter) Snapshot() int64 {
-	return m.calls // want "field \"calls\" is accessed with sync/atomic elsewhere"
+	return m.calls
 }
 
 // Reset writes the counter without atomic, racing with Inc.
 func (m *Meter) Reset() {
-	m.calls = 0 // want "field \"calls\" is accessed with sync/atomic elsewhere"
+	m.calls = 0
 }
 
 // Name is plain access to a non-atomic field — fine.

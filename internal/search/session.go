@@ -80,8 +80,8 @@ const floorProbeHeadroom = 4
 // Budget charging (WhatIf, the Batch pipeline, Reserve/CommitReserved, and
 // the read-side counters) is safe for concurrent use by multiple goroutines:
 // the seen-pair set and all bookkeeping are guarded by an internal mutex and
-// the counters are atomic, so concurrent chargers can never push Used past
-// Budget or double-charge a pair. The remaining fields
+// the counters and stop flags are typed atomics, so concurrent chargers can
+// never push Used past Budget or double-charge a pair. The remaining fields
 // (Rng, Derived reads outside the charging methods) follow the
 // single-owner convention: one goroutine drives the algorithm and hands heavy
 // evaluations to helpers via EvaluateReservedBatch (see internal/core's
@@ -156,30 +156,28 @@ type Session struct {
 	// keys holds each query's interned identity, resolved once by
 	// NewSession, so pairFor never consults the optimizer's intern map.
 	keys []whatif.QueryKey
-	// used and cacheHits are accessed with sync/atomic only (readers may be
-	// concurrent with chargers holding mu). used counts every charged
-	// reservation — including reserved-but-uncommitted calls, so
-	// Remaining/Exhausted can never let concurrent chargers over-reserve
-	// past Budget.
-	used      int64
-	cacheHits int64
-	// boundHits counts unseen pairs answered from derived cost bounds
-	// without charging budget.
-	boundHits int64
+	// The counters are typed atomics: readers may be concurrent with
+	// chargers holding mu. used counts every charged reservation —
+	// including reserved-but-uncommitted calls, so Remaining/Exhausted can
+	// never let concurrent chargers over-reserve past Budget. boundHits
+	// counts unseen pairs answered from derived cost bounds without
+	// charging budget.
+	used      atomic.Int64
+	cacheHits atomic.Int64
+	boundHits atomic.Int64
 
-	// Early-stopping state. stopped and cancelled are read with sync/atomic
-	// (chargers on any goroutine consult them via Exhausted/Reserve); the
-	// rest follows the single-owner convention — only the coordinator
-	// goroutine calls CheckStop/CheckCancel, and stopGap is written before
-	// the stopped flag is raised, so readers that observe the flag see it
+	// Early-stopping state. stopped and cancelled are atomic flags
+	// (chargers on any goroutine consult them via Exhausted); the rest
+	// follows the single-owner convention — only the coordinator goroutine
+	// calls CheckStop/CheckCancel, and stopGap is written before the
+	// stopped flag is raised, so readers that observe the flag see it
 	// complete.
-	stopped   int32
-	cancelled int32
+	stopped   atomic.Bool
+	cancelled atomic.Bool
 	stopGap   float64
 	stopper   *earlystop.Checker
-	floorNext int // next query to floor-probe; len(W.Queries) when done
-	univ      iset.Set
-	univBuilt bool
+	floorNext int      // next query to floor-probe; len(W.Queries) when done
+	univ      iset.Set // the full candidate universe, built by the first probe
 }
 
 // NewSession builds a session. Baseline costs c(q, ∅) are computed up front
@@ -219,7 +217,7 @@ func (s *Session) pairFor(qi int, cfg iset.Set) whatif.Pair {
 // Used returns the number of budgeted what-if calls charged so far. It
 // includes outstanding (reserved-but-uncommitted) calls, so mid-pipeline
 // readers see the budget a concurrent charger has already claimed.
-func (s *Session) Used() int { return int(atomic.LoadInt64(&s.used)) }
+func (s *Session) Used() int { return int(s.used.Load()) }
 
 // Remaining returns the unconsumed budget. Outstanding reservations count as
 // consumed — the pipeline has already claimed them — so Remaining is never
@@ -231,16 +229,15 @@ func (s *Session) Remaining() int { return s.Budget - s.Used() }
 // does), the early-stopping rule has terminated the run, or the run was
 // cancelled through Ctx.
 func (s *Session) Exhausted() bool {
-	return s.Used() >= s.Budget || atomic.LoadInt32(&s.stopped) != 0 ||
-		atomic.LoadInt32(&s.cancelled) != 0
+	return s.Used() >= s.Budget || s.stopped.Load() || s.cancelled.Load()
 }
 
 // Stopped reports whether the early-stopping rule terminated the session.
-func (s *Session) Stopped() bool { return atomic.LoadInt32(&s.stopped) != 0 }
+func (s *Session) Stopped() bool { return s.stopped.Load() }
 
 // Cancelled reports whether the session was terminated by Ctx cancellation
 // (observed by CheckCancel at an enumerator commit point).
-func (s *Session) Cancelled() bool { return atomic.LoadInt32(&s.cancelled) != 0 }
+func (s *Session) Cancelled() bool { return s.cancelled.Load() }
 
 // StopGap returns the bound gap recorded at stop time (0 unless Stopped).
 func (s *Session) StopGap() float64 {
@@ -267,11 +264,11 @@ func (s *Session) RefundedBudget() int {
 
 // CacheHits returns the number of this session's what-if requests that were
 // repeats of pairs it had already asked for (answered without budget).
-func (s *Session) CacheHits() int64 { return atomic.LoadInt64(&s.cacheHits) }
+func (s *Session) CacheHits() int64 { return s.cacheHits.Load() }
 
 // BoundHits returns the number of unseen pairs answered from derived cost
 // bounds without charging budget (always 0 when DeriveEpsilon is 0).
-func (s *Session) BoundHits() int64 { return atomic.LoadInt64(&s.boundHits) }
+func (s *Session) BoundHits() int64 { return s.boundHits.Load() }
 
 // OracleCacheStats returns the shared optimizer's cache statistics — the
 // cross-job view (entries, resident bytes, lifetime hit rate, evictions,
@@ -327,30 +324,29 @@ const (
 // already asked for is a free cache hit; with intercept set and
 // DeriveEpsilon > 0, an unseen pair whose derived bounds are tight is
 // answered from the bound midpoint without charging; otherwise an unseen
-// pair is refused when the budget is spent or the session has stopped or
-// been cancelled, and charged one unit — marked seen — when not.
+// pair is refused when the session is Exhausted (budget spent, stopped or
+// cancelled), and charged one unit — marked seen — when not.
 // It emits no trace events; r.key must already hold pairFor(r.qi, r.cfg).
 //
 // locked: mu
 func (s *Session) reserve(r *request, intercept bool) {
 	if s.seen.has(r.key) {
-		atomic.AddInt64(&s.cacheHits, 1)
+		s.cacheHits.Add(1)
 		r.out = BatchCached
 		return
 	}
 	if intercept {
 		if mid, gap, ok := s.boundAnswer(r.qi, r.cfg); ok {
-			atomic.AddInt64(&s.boundHits, 1)
+			s.boundHits.Add(1)
 			r.out, r.cost, r.gap = BatchBound, mid, gap
 			return
 		}
 	}
-	if atomic.LoadInt64(&s.used) >= int64(s.Budget) || atomic.LoadInt32(&s.stopped) != 0 ||
-		atomic.LoadInt32(&s.cancelled) != 0 {
+	if s.Exhausted() {
 		r.out = BatchExhausted
 		return
 	}
-	r.usedAt = int(atomic.AddInt64(&s.used, 1))
+	r.usedAt = int(s.used.Add(1))
 	s.seen.add(r.key)
 	r.out = BatchCharged
 }
@@ -475,7 +471,7 @@ func (s *Session) CommitReserved(qi int, cfg iset.Set, c float64) {
 		key = cfg.Key()
 	}
 	s.mu.Lock()
-	s.commit(&r, int(atomic.LoadInt64(&s.used)), key)
+	s.commit(&r, s.Used(), key)
 	s.mu.Unlock()
 }
 
@@ -504,7 +500,7 @@ func (s *Session) CheckStop(cfg iset.Set) bool {
 	if s.StopEpsilon <= 0 {
 		return false
 	}
-	if atomic.LoadInt32(&s.stopped) != 0 || atomic.LoadInt32(&s.cancelled) != 0 {
+	if s.Stopped() || s.Cancelled() {
 		return true
 	}
 	if s.Used() >= s.Budget {
@@ -519,10 +515,9 @@ func (s *Session) CheckStop(cfg iset.Set) bool {
 	gap := s.stopper.Gap(cfg)
 	if gap <= s.StopEpsilon {
 		s.stopGap = gap
-		refunded := s.Budget - s.Used()
-		atomic.StoreInt32(&s.stopped, 1)
+		s.stopped.Store(true)
 		if s.Trace != nil {
-			s.Trace.Stop(gap, refunded, s.Used())
+			s.Trace.Stop(gap, s.RefundedBudget(), s.Used())
 		}
 		return true
 	}
@@ -544,24 +539,20 @@ func (s *Session) CheckStop(cfg iset.Set) bool {
 // fast path and MCTS extracts from the recorded entries — so callers always
 // get a usable partial result.
 func (s *Session) CheckCancel() bool {
-	if atomic.LoadInt32(&s.cancelled) != 0 {
+	if s.Cancelled() {
 		return true
 	}
 	if s.Ctx == nil || s.Ctx.Err() == nil {
 		return false
 	}
-	if atomic.LoadInt32(&s.stopped) != 0 {
+	if s.Stopped() {
 		// The early-stopping rule already terminated the run and recorded
 		// its refund; a cancellation arriving later changes nothing.
 		return true
 	}
-	refund := s.Budget - s.Used()
-	if refund < 0 {
-		refund = 0
-	}
-	atomic.StoreInt32(&s.cancelled, 1)
+	s.cancelled.Store(true)
 	if s.Trace != nil {
-		s.Trace.Cancel(refund, s.Used())
+		s.Trace.Cancel(s.RefundedBudget(), s.Used())
 	}
 	return true
 }
@@ -578,12 +569,11 @@ func (s *Session) probeFloors() {
 	if s.floorNext == 0 && s.Remaining() < floorProbeHeadroom*nq {
 		return
 	}
-	if !s.univBuilt {
+	if s.univ.Empty() {
 		s.univ = iset.NewSet(s.NumCandidates())
 		for ord := 0; ord < s.NumCandidates(); ord++ {
 			s.univ.Add(ord)
 		}
-		s.univBuilt = true
 	}
 	for s.floorNext < nq {
 		qi := s.floorNext
