@@ -12,11 +12,29 @@ import (
 // knobsGoldenPath holds one line per case of TestFixedKnobsGolden.
 const knobsGoldenPath = "testdata/knobs_golden.tsv"
 
+// mctsVariants are the MCTS action-selection and rollout settings
+// TestFixedKnobsGolden pins besides the default (which the mcts and batch
+// golden tables cover): UCT with λ = √2, the Boltzmann policy with and
+// without RAVE, the prior policy with RAVE, the uniform policy, and the
+// prior policy with the randomized rollout, whose look-ahead samples the
+// prior prefix.
+var mctsVariants = []struct {
+	name string
+	opts MCTSOptions
+}{
+	{"uct", MCTSOptions{Policy: "uct"}},
+	{"boltzmann", MCTSOptions{Policy: "boltzmann"}},
+	{"boltzmann-rave", MCTSOptions{Policy: "boltzmann", RAVE: true}},
+	{"prior-rave", MCTSOptions{Policy: "prior", RAVE: true}},
+	{"uniform", MCTSOptions{Policy: "uniform"}},
+	{"prior-randrollout", MCTSOptions{Policy: "prior", RandomizedRollout: true}},
+}
+
 // TestFixedKnobsGolden pins the paths whose hyperparameters are fixed
-// constants rather than options — the DBA-bandits and No-DBA baselines, UCT
-// with λ = √2 at one and four workers, the DTA simulator's eight time
-// slices, the anytime wrapper's default MCTS, and the parser's selectivity
-// defaults — so every run reproduces the recorded configuration,
+// constants rather than options — the DBA-bandits and No-DBA baselines, the
+// MCTS policy and rollout variants at one and four workers, the DTA
+// simulator's eight time slices, the anytime wrapper's default MCTS, and the
+// parser's selectivity defaults — so every run reproduces the recorded configuration,
 // improvement bits, budget accounting and (where the API traces) the
 // Workers=1 JSONL stream SHA-256, and every parsed predicate the recorded
 // selectivity bits.
@@ -47,14 +65,17 @@ func TestFixedKnobsGolden(t *testing.T) {
 				}))
 			})
 		}
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("%s/mcts-uct/w%d", wl.name, workers)
-			t.Run(name, func(t *testing.T) {
-				check(t, name, goldenRun(t, wl.w, Options{
-					K: 5, Budget: 150, Seed: 7, Algorithm: AlgorithmMCTS,
-					SessionWorkers: workers, MCTS: &MCTSOptions{Policy: "uct"},
-				}))
-			})
+		for _, v := range mctsVariants {
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("%s/mcts-%s/w%d", wl.name, v.name, workers)
+				t.Run(name, func(t *testing.T) {
+					mo := v.opts
+					check(t, name, goldenRun(t, wl.w, Options{
+						K: 5, Budget: 150, Seed: 7, Algorithm: AlgorithmMCTS,
+						SessionWorkers: workers, MCTS: &mo,
+					}))
+				})
+			}
 		}
 	}
 
