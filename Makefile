@@ -17,9 +17,15 @@ GO ?= go
 # broadcast stream).
 KERNEL_BENCH = BenchmarkEpisode|BenchmarkRollout|BenchmarkComputePriors|BenchmarkMCTSFixedBudgetWorkers|BenchmarkWhatIfCall|BenchmarkWhatIfCacheHit|BenchmarkWhatIfCacheMiss|BenchmarkWhatIfBatch|BenchmarkDerivedLookup|BenchmarkProjectionBuild|BenchmarkWhatIfProjectedCacheHit|BenchmarkBoundDerivation|BenchmarkEarlyStopCheck|BenchmarkMCTSEarlyStop|BenchmarkEvictionChurn|BenchmarkDerivedOnly|BenchmarkExtractRefresh|BenchmarkNewSessionRealM|BenchmarkSessionSeen|BenchmarkRecorderEmit
 
-.PHONY: check vet bench-vet lint lint-json build test race fuzz bench-smoke bench-json bench-check profile trace-smoke tuned-smoke
+.PHONY: check fmt vet bench-vet lint lint-json build test race fuzz bench-smoke bench-json bench-check profile trace-smoke tuned-smoke
 
-check: vet bench-vet lint build test race fuzz tuned-smoke
+check: fmt vet bench-vet lint build test race fuzz tuned-smoke
+
+# fmt fails when gofmt would rewrite any Go file in the tree — the root
+# module, the benchmark harness under bench/ and the analyzers' testdata
+# alike — and lists those files.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

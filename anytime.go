@@ -89,8 +89,11 @@ func TuneAnytime(w *WorkloadSet, opts AnytimeOptions, onProgress func(AnytimePro
 		Trace:             rec,
 		Ctx:               opts.Context,
 	})
-	for {
-		p, done := sess.Step()
+	// The last progress step carries the final spend and budget: the
+	// session's history skips a step that finishes before any slice runs.
+	var p anytime.Progress
+	for done := false; !done; {
+		p, done = sess.Step()
 		if onProgress != nil {
 			onProgress(AnytimeProgress{
 				Slice:          p.Slice,
@@ -98,25 +101,16 @@ func TuneAnytime(w *WorkloadSet, opts AnytimeOptions, onProgress func(AnytimePro
 				Budget:         p.Budget,
 				BudgetFraction: p.BudgetFraction,
 				ImprovementPct: p.ImprovementPct,
-				Indexes:        resolveNames(sess, p.Config),
+				Indexes:        sess.IndexesOf(p.Config),
 				Reason:         p.Reason,
 			})
 		}
-		if done {
-			break
-		}
 	}
 	best := sess.Refine()
-	final := sess.History()
-	calls, budget := 0, 0
-	if len(final) > 0 {
-		calls = final[len(final)-1].CallsUsed
-		budget = final[len(final)-1].Budget
-	}
 	res := &Result{
-		Indexes:        resolveNames(sess, best),
+		Indexes:        sess.IndexesOf(best),
 		ImprovementPct: sess.OracleImprovementPct(),
-		WhatIfCalls:    calls,
+		WhatIfCalls:    p.CallsUsed,
 		Algorithm:      "MCTS (anytime)",
 		EarlyStopped:   sess.Stopped(),
 		Cancelled:      sess.Cancelled(),
@@ -126,21 +120,15 @@ func TuneAnytime(w *WorkloadSet, opts AnytimeOptions, onProgress func(AnytimePro
 	if rec != nil {
 		// The curve stays in derived-improvement units end to end; the
 		// oracle number is carried by the summary only.
-		rec.Point(calls, sess.DerivedImprovementPct())
+		rec.Point(p.CallsUsed, sess.DerivedImprovementPct())
 		rec.Oracle(res.ImprovementPct)
 		if err := rec.Flush(); err != nil {
 			return nil, fmt.Errorf("indextune: writing trace events: %w", err)
 		}
-		sum := rec.Summary(res.Algorithm, budget)
+		sum := rec.Summary(res.Algorithm, p.Budget)
 		res.Trace = &sum
 	}
 	return res, nil
-}
-
-// resolveNames maps a configuration back to index definitions through the
-// session's candidate universe.
-func resolveNames(sess *anytime.Session, cfg iset.Set) []Index {
-	return sess.IndexesOf(cfg)
 }
 
 // CompressionResult describes a workload compression outcome.

@@ -98,14 +98,17 @@ func TestTuneCancelMidRun(t *testing.T) {
 }
 
 // The anytime wrapper reports cancellation through Progress.Reason and the
-// Result's Cancelled flag.
+// Result's Cancelled flag. A context cancelled before the first slice
+// refunds the whole budget, and the trace summary still reports that
+// budget: the final progress step carries it, while the slice history
+// holds no slice.
 func TestTuneAnytimeCancelled(t *testing.T) {
 	w := Workload("tpch")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var last AnytimeProgress
 	res, err := TuneAnytime(w, AnytimeOptions{
-		K: 5, TimeBudget: 300 * time.Second, Seed: 1, Context: ctx,
+		K: 5, TimeBudget: 300 * time.Second, Seed: 1, Context: ctx, CollectTrace: true,
 	}, func(p AnytimeProgress) { last = p })
 	if err != nil {
 		t.Fatal(err)
@@ -115,6 +118,13 @@ func TestTuneAnytimeCancelled(t *testing.T) {
 	}
 	if last.Reason != "cancelled" {
 		t.Fatalf("final progress reason = %q, want cancelled", last.Reason)
+	}
+	if res.RefundedBudget == 0 || res.Trace == nil {
+		t.Fatalf("nothing refunded or no trace: %+v", res)
+	}
+	if res.Trace.Budget != res.WhatIfCalls+res.RefundedBudget {
+		t.Fatalf("trace budget %d != whatif calls %d + refunded %d",
+			res.Trace.Budget, res.WhatIfCalls, res.RefundedBudget)
 	}
 }
 

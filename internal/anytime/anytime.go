@@ -208,9 +208,6 @@ func (a *Session) IndexesOf(cfg iset.Set) []schema.Index {
 	return out
 }
 
-// History returns the per-slice progress so far.
-func (a *Session) History() []Progress { return a.history }
-
 // OracleImprovementPct evaluates the current best against the cost oracle.
 func (a *Session) OracleImprovementPct() float64 {
 	return 100 * a.s.OracleImprovement(a.best)

@@ -58,7 +58,7 @@ func TestAnytimeBestAvailableEveryStep(t *testing.T) {
 	if steps < 2 {
 		t.Fatalf("expected multiple slices, got %d", steps)
 	}
-	if len(a.History()) == 0 {
+	if len(a.history) == 0 {
 		t.Fatal("history empty")
 	}
 }
@@ -180,7 +180,7 @@ func TestAnytimeFoldsRemainderIntoLastSlice(t *testing.T) {
 	}
 	// The last slice must not be a runt: its spend is at least SliceCalls
 	// (pre-fix the trailing slice spent only Budget mod SliceCalls = 10).
-	h := a.History()
+	h := a.history
 	if len(h) < 2 {
 		t.Fatalf("expected multiple slices, got %d", len(h))
 	}
@@ -201,8 +201,8 @@ func TestAnytimeTraceSliceEvents(t *testing.T) {
 	if sum.SpendTotal() != a.s.Used() {
 		t.Fatalf("traced spend %d != used %d", sum.SpendTotal(), a.s.Used())
 	}
-	if sum.Slices != int64(len(a.History())) {
-		t.Fatalf("traced slices %d != history %d", sum.Slices, len(a.History()))
+	if sum.Slices != int64(len(a.history)) {
+		t.Fatalf("traced slices %d != history %d", sum.Slices, len(a.history))
 	}
 	if len(sum.Curve) == 0 {
 		t.Fatal("no improvement-vs-spend curve points")

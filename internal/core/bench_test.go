@@ -42,7 +42,7 @@ func oneSlot(tn *tuner) *episodeSlot {
 func BenchmarkEpisode(b *testing.B) {
 	tn := benchTuner(b, 1<<30)
 	tn.computePriors(1)
-	tn.buildPriorPrefix()
+	tn.buildPrefix()
 	tn.root = tn.newNode(iset.Set{}, 0)
 	tn.bestCfg = iset.Set{}
 	sl := oneSlot(tn)
@@ -61,7 +61,7 @@ func BenchmarkEpisode(b *testing.B) {
 // construction before keys were interned Pair fingerprints.
 func BenchmarkEpisodeCached(b *testing.B) {
 	tn := benchTuner(b, 0)
-	tn.buildPriorPrefix()
+	tn.buildPrefix()
 	tn.root = tn.newNode(iset.Set{}, 0)
 	tn.bestCfg = iset.Set{}
 	sl := oneSlot(tn)
@@ -79,7 +79,7 @@ func BenchmarkRollout(b *testing.B) {
 	tn := benchTuner(b, 1<<30)
 	tn.opts.Rollout = RolloutRandomStep
 	tn.computePriors(1)
-	tn.buildPriorPrefix()
+	tn.buildPrefix()
 	n := tn.newNode(iset.Set{}, 0)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -214,11 +214,11 @@ type tuner struct {
 	name           string
 	s              *search.Session
 	rng            rngSource
-	priors         []float64 // singleton improvement priors, per candidate ordinal
-	priorPrefix    []float64 // cumulative sums of priors, for proportional sampling
-	priorTotal     float64
-	expPriorPrefix []float64 // cumulative sums of exp(prior/τ), for Boltzmann
-	expPriorTotal  float64
+	priors         []float64  // singleton improvement priors, per candidate ordinal
+	weights        []float64  // proportional policies' per-candidate mass (buildPrefix)
+	prefix         []float64  // cumulative sums of weights, prefix[0] = 0
+	weightTotal    float64    // the weights' sum, prefix's last entry
+	tau            float64    // Boltzmann τ; 0 under the other policies
 	rave           *raveStats // owned by: coordinator
 	baseW          float64
 	root           *node             // owned by: coordinator
@@ -248,6 +248,12 @@ func (m MCTS) Enumerate(s *search.Session) iset.Set {
 func (m MCTS) newTuner(s *search.Session) *tuner {
 	t := &tuner{opts: m.Opts, name: m.Name(), s: s, rng: s.Rng, baseW: s.Derived.BaseWorkload()}
 	t.priors = make([]float64, s.NumCandidates())
+	if m.Opts.Policy == PolicyBoltzmann {
+		t.tau = m.Opts.Temperature
+		if t.tau <= 0 {
+			t.tau = 0.1
+		}
+	}
 	return t
 }
 
@@ -258,12 +264,9 @@ func (t *tuner) enumerate() iset.Set {
 	if t.opts.Policy == PolicyPrior || t.opts.Policy == PolicyBoltzmann {
 		s.Trace.SetPhase(trace.PhasePriors)
 		t.computePriors(workers)
+		t.buildPrefix()
 	}
 	s.Trace.SetPhase(trace.PhaseSearch)
-	t.buildPriorPrefix()
-	if t.opts.Policy == PolicyBoltzmann {
-		t.buildExpPriorPrefix()
-	}
 	if t.opts.RAVE {
 		t.rave = newRaveStats(s.NumCandidates())
 	}
@@ -452,54 +455,70 @@ func (t *tuner) newNode(cfg iset.Set, depth int) *node {
 	return &node{cfg: cfg, depth: depth}
 }
 
-// buildPriorPrefix precomputes cumulative prior sums for O(log n)
-// proportional sampling over the candidate universe.
-func (t *tuner) buildPriorPrefix() {
-	t.priorPrefix = make([]float64, len(t.priors)+1)
+// buildPrefix builds the proportional policies' fallback mass: the
+// cumulative sums of each candidate's prior — under Boltzmann, of
+// exp(prior/τ) — that sampleWeighted draws from, and the per-candidate
+// weights selectProportional subtracts from their total: the priors
+// themselves, or under Boltzmann the prefix's steps.
+func (t *tuner) buildPrefix() {
+	t.prefix = make([]float64, len(t.priors)+1)
 	for i, p := range t.priors {
-		t.priorPrefix[i+1] = t.priorPrefix[i] + p
+		t.prefix[i+1] = t.prefix[i] + t.weight(p)
 	}
-	t.priorTotal = t.priorPrefix[len(t.priors)]
+	t.weightTotal = t.prefix[len(t.priors)]
+	t.weights = t.priors
+	if t.tau > 0 {
+		t.weights = make([]float64, len(t.priors))
+		for i := range t.weights {
+			t.weights[i] = t.prefix[i+1] - t.prefix[i]
+		}
+	}
 }
 
-// samplePrior draws a candidate ordinal with probability proportional to its
-// prior, rejecting members of the excluded function. Returns -1 when the
-// prior mass is empty or rejection keeps failing.
-func (t *tuner) samplePrior(excluded func(int) bool) int {
-	if t.priorTotal <= 0 {
+// sampleWeighted draws a candidate ordinal with probability proportional to
+// its weight, rejecting excluded ones. Returns -1 when the weight mass is
+// empty or rejection keeps failing.
+func (t *tuner) sampleWeighted(cfg iset.Set, from *node) int {
+	if t.weightTotal <= 0 {
 		return -1
 	}
 	for try := 0; try < 64; try++ {
-		x := t.rng.Float64() * t.priorTotal
-		ord := sort.SearchFloat64s(t.priorPrefix, x)
-		if ord > 0 {
-			ord--
-		}
-		// SearchFloat64s finds the insertion point; map it to the owning
-		// candidate interval [prefix[ord], prefix[ord+1]).
-		for ord < len(t.priors) && t.priorPrefix[ord+1] < x {
-			ord++
-		}
-		if ord >= len(t.priors) {
-			ord = len(t.priors) - 1
-		}
-		if !excluded(ord) {
+		ord := searchPrefix(t.prefix, t.rng.Float64()*t.weightTotal)
+		if !t.excluded(cfg, from, ord) {
 			return ord
 		}
 	}
 	return -1
 }
 
-// sampleUniform draws a uniform candidate ordinal outside the excluded set,
-// or -1 if none can be found.
-func (t *tuner) sampleUniform(excluded func(int) bool) int {
+// searchPrefix maps a mass coordinate into the owning interval of a
+// cumulative-sum array (prefix[0] = 0).
+func searchPrefix(prefix []float64, x float64) int {
+	lo, hi := 0, len(prefix)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if prefix[mid+1] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo >= len(prefix)-1 {
+		return len(prefix) - 2
+	}
+	return lo
+}
+
+// sampleUniform draws a uniform candidate ordinal that is not excluded, or
+// -1 if none can be found.
+func (t *tuner) sampleUniform(cfg iset.Set, from *node) int {
 	n := t.s.NumCandidates()
 	if n == 0 {
 		return -1
 	}
 	for try := 0; try < 64; try++ {
 		ord := t.rng.Intn(n)
-		if !excluded(ord) {
+		if !t.excluded(cfg, from, ord) {
 			return ord
 		}
 	}
@@ -507,11 +526,18 @@ func (t *tuner) sampleUniform(excluded func(int) bool) int {
 	start := t.rng.Intn(n)
 	for i := 0; i < n; i++ {
 		ord := (start + i) % n
-		if !excluded(ord) {
+		if !t.excluded(cfg, from, ord) {
 			return ord
 		}
 	}
 	return -1
+}
+
+// excluded reports whether action ord cannot extend cfg: it is a member, it
+// would exceed the storage limit, or — when from is non-nil — it already
+// has a stat at from.
+func (t *tuner) excluded(cfg iset.Set, from *node, ord int) bool {
+	return cfg.Has(ord) || !t.s.FitsStorage(cfg, ord) || (from != nil && from.taken(ord))
 }
 
 // backup propagates an episode's reward: best-configuration tracking, RAVE
@@ -590,23 +616,18 @@ func (t *tuner) selectAction(n *node) int {
 	switch t.opts.Policy {
 	case PolicyUCT:
 		return t.selectUCT(n)
-	case PolicyBoltzmann:
-		return t.selectBoltzmann(n)
 	case PolicyUniform:
-		return t.selectUniformPolicy(n)
+		return t.claim(n, t.sampleUniform(n.cfg, nil))
 	default:
 		return t.selectProportional(n)
 	}
 }
 
 func (t *tuner) selectUCT(n *node) int {
-	excluded := func(ord int) bool {
-		return n.cfg.Has(ord) || !t.s.FitsStorage(n.cfg, ord) || n.taken(ord)
-	}
 	// Unvisited actions have infinite UCB score: visit one first. With
 	// sparse stats, any candidate without a stat entry is unvisited.
 	if len(n.statKeys) < t.s.NumCandidates()-n.cfg.Len() {
-		if a := t.sampleUniform(excluded); a >= 0 {
+		if a := t.sampleUniform(n.cfg, n); a >= 0 {
 			return t.claim(n, a)
 		}
 	}
@@ -635,33 +656,34 @@ func (t *tuner) selectUCT(n *node) int {
 // walk allocates nothing; a larger configuration spills to the heap.
 const cfgBuf = 32
 
-// claim materializes the stat entry for a freshly selected action.
+// claim materializes the stat entry for a freshly selected action; a = -1
+// (nothing selectable) passes through.
 func (t *tuner) claim(n *node, a int) int {
-	n.stat(a, t.priors[a])
+	if a >= 0 {
+		n.stat(a, t.priors[a])
+	}
 	return a
 }
 
 // selectProportional samples an action with probability proportional to its
-// estimated action value (Equation 6): actions already taken from this node
-// use their running estimate; all others fall back to their prior. Falls
-// back to uniform when the total mass is zero.
+// weight: its estimated action value (Equation 6), or exp(Q̂(s,a)/τ) under
+// Boltzmann (Section 6.1.2). Actions taken from this node use their running
+// estimate; all others fall back to their prior's weight. Falls back to
+// uniform when the total mass is zero.
 func (t *tuner) selectProportional(n *node) int {
-	inCfgOrStats := func(ord int) bool {
-		return n.cfg.Has(ord) || !t.s.FitsStorage(n.cfg, ord) || n.taken(ord)
-	}
-	// Mass of the explicit stats plus the residual prior mass: the prior
-	// total less the configuration's priors and then the stats' priors.
+	// Mass of the explicit stats plus the residual prior mass: the weight
+	// total less the configuration's weights and then the stats' weights.
 	// One pass over the stats feeds both sums, each in its own order.
 	sumStats := 0.0
-	rest := t.priorTotal
+	rest := t.weightTotal
 	var buf [cfgBuf]int32
 	for _, ord := range n.cfg.AppendSmall(buf[:0]) {
-		rest -= t.priors[ord]
+		rest -= t.weights[ord]
 	}
 	for i, a := range n.statKeys {
 		if !n.cfg.Has(a) {
-			sumStats += t.actionValue(a, &n.stats[i])
-			rest -= t.priors[a]
+			sumStats += t.weight(t.actionValue(a, &n.stats[i]))
+			rest -= t.weights[a]
 		}
 	}
 	if rest < 0 {
@@ -669,13 +691,13 @@ func (t *tuner) selectProportional(n *node) int {
 	}
 	total := sumStats + rest
 	if total <= 0 {
-		a := t.sampleUniform(func(ord int) bool {
-			return n.cfg.Has(ord) || !t.s.FitsStorage(n.cfg, ord)
-		})
-		if a >= 0 {
-			return t.claim(n, a)
+		// The prior policy's uniform draw may land on an action that
+		// already has a stat; Boltzmann's draws an untried one.
+		var from *node
+		if t.tau > 0 {
+			from = n
 		}
-		return -1
+		return t.claim(n, t.sampleUniform(n.cfg, from))
 	}
 	x := t.rng.Float64() * total
 	if x < sumStats {
@@ -683,23 +705,32 @@ func (t *tuner) selectProportional(n *node) int {
 			if n.cfg.Has(a) {
 				continue
 			}
-			x -= t.actionValue(a, &n.stats[i])
+			x -= t.weight(t.actionValue(a, &n.stats[i]))
 			if x <= 0 {
 				return a
 			}
 		}
 	}
-	if a := t.samplePrior(inCfgOrStats); a >= 0 {
+	if a := t.sampleWeighted(n.cfg, n); a >= 0 {
 		return t.claim(n, a)
 	}
 	// Prior mass exhausted by exclusions: any untried candidate.
-	if a := t.sampleUniform(inCfgOrStats); a >= 0 {
+	if a := t.sampleUniform(n.cfg, n); a >= 0 {
 		return t.claim(n, a)
 	}
 	if len(n.statKeys) > 0 {
 		return n.statKeys[t.rng.Intn(len(n.statKeys))]
 	}
 	return -1
+}
+
+// weight maps an action value to its selection mass: the value itself, or
+// exp(value/τ) under Boltzmann.
+func (t *tuner) weight(v float64) float64 {
+	if t.tau > 0 {
+		return math.Exp(v / t.tau)
+	}
+	return v
 }
 
 // rollout implements Section 6.2: draw a look-ahead step size l and insert l
@@ -722,16 +753,13 @@ func (t *tuner) rollout(n *node) iset.Set {
 		return n.cfg
 	}
 	cfg := n.cfg.Clone()
-	excluded := func(ord int) bool {
-		return cfg.Has(ord) || !t.s.FitsStorage(cfg, ord)
-	}
 	for step := 0; step < l; step++ {
 		ord := -1
 		if t.opts.Policy == PolicyPrior {
-			ord = t.samplePrior(excluded)
+			ord = t.sampleWeighted(cfg, nil)
 		}
 		if ord < 0 {
-			ord = t.sampleUniform(excluded)
+			ord = t.sampleUniform(cfg, nil)
 		}
 		if ord < 0 {
 			break

@@ -134,7 +134,7 @@ func TestParallelVirtualLossFullyLifted(t *testing.T) {
 	s := session(t, "tpch", 5, 120, 4)
 	tn := &tuner{opts: Default().Opts, s: s, rng: s.Rng, baseW: s.Derived.BaseWorkload()}
 	tn.priors = make([]float64, s.NumCandidates())
-	tn.buildPriorPrefix()
+	tn.buildPrefix()
 	tn.root = tn.newNode(iset.Set{}, 0)
 	tn.bestCfg = iset.Set{}
 	tn.run(4)

@@ -198,7 +198,7 @@ func TestRewardsWithinUnitInterval(t *testing.T) {
 	s := session(t, "tpch", 5, 80, 3)
 	tn := &tuner{opts: Default().Opts, s: s, rng: s.Rng, baseW: s.Derived.BaseWorkload()}
 	tn.priors = make([]float64, s.NumCandidates())
-	tn.buildPriorPrefix()
+	tn.buildPrefix()
 	tn.root = tn.newNode(iset.Set{}, 0)
 	tn.bestCfg = iset.Set{}
 	sl := oneSlot(tn)
@@ -228,7 +228,7 @@ func TestTreeVisitAccounting(t *testing.T) {
 	s := session(t, "tpch", 5, 100, 4)
 	tn := &tuner{opts: Default().Opts, s: s, rng: s.Rng, baseW: s.Derived.BaseWorkload()}
 	tn.priors = make([]float64, s.NumCandidates())
-	tn.buildPriorPrefix()
+	tn.buildPrefix()
 	tn.root = tn.newNode(iset.Set{}, 0)
 	tn.bestCfg = iset.Set{}
 	episodes := 0

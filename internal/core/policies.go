@@ -4,7 +4,9 @@ package core
 //
 //   - Boltzmann exploration (Section 6.1.2): Pr(a|s) ∝ exp(Q̂(s,a)/τ). The
 //     paper motivates its ε-greedy variant as a hyperparameter-free
-//     alternative; the original is provided for the ablation.
+//     alternative; the original is provided for the ablation. It is the
+//     ε-greedy variant's draw (selectProportional) with every weight, the
+//     priors' included, mapped through exp(·/τ).
 //   - Uniform-random selection: the paper notes that even uniform action
 //     selection preserves MCTS convergence in the long run [48].
 //   - RAVE (rapid action value estimation, Gelly & Silver 2011): Section 8
@@ -59,84 +61,6 @@ func (r *raveStats) blend(a int, nodeQ float64, nodeN int) float64 {
 	return (1-beta)*nodeQ + beta*r.value(a)
 }
 
-// boltzmannTemperature returns the configured τ (default 0.1).
-func (o Options) boltzmannTemperature() float64 {
-	if o.Temperature <= 0 {
-		return 0.1
-	}
-	return o.Temperature
-}
-
-// selectBoltzmann samples an action with probability proportional to
-// exp(Q̂(s,a)/τ). Actions without node statistics fall back to their prior
-// (as in the ε-greedy variant), sampled via the precomputed exp-prior
-// prefix.
-func (t *tuner) selectBoltzmann(n *node) int {
-	tau := t.opts.boltzmannTemperature()
-	excluded := func(ord int) bool {
-		return n.cfg.Has(ord) || !t.s.FitsStorage(n.cfg, ord) || n.taken(ord)
-	}
-	// Explicit stats mass, and the residual mass from the exp-prior
-	// prefix corrected for exclusions: the configuration's, then the
-	// stats'. One pass over the stats feeds both sums, each in its own
-	// order.
-	sumStats := 0.0
-	rest := t.expPriorTotal
-	var buf [cfgBuf]int32
-	for _, ord := range n.cfg.AppendSmall(buf[:0]) {
-		rest -= t.expPriorWeight(int(ord))
-	}
-	for i, a := range n.statKeys {
-		if !n.cfg.Has(a) {
-			sumStats += math.Exp(t.actionValue(a, &n.stats[i]) / tau)
-			rest -= t.expPriorWeight(a)
-		}
-	}
-	if rest < 0 {
-		rest = 0
-	}
-	total := sumStats + rest
-	if total <= 0 {
-		if a := t.sampleUniform(excluded); a >= 0 {
-			return t.claim(n, a)
-		}
-		return -1
-	}
-	x := t.rng.Float64() * total
-	if x < sumStats {
-		for i, a := range n.statKeys {
-			if n.cfg.Has(a) {
-				continue
-			}
-			x -= math.Exp(t.actionValue(a, &n.stats[i]) / tau)
-			if x <= 0 {
-				return a
-			}
-		}
-	}
-	if a := t.sampleExpPrior(excluded); a >= 0 {
-		return t.claim(n, a)
-	}
-	if a := t.sampleUniform(excluded); a >= 0 {
-		return t.claim(n, a)
-	}
-	if len(n.statKeys) > 0 {
-		return n.statKeys[t.rng.Intn(len(n.statKeys))]
-	}
-	return -1
-}
-
-// selectUniformPolicy samples uniformly among admissible actions.
-func (t *tuner) selectUniformPolicy(n *node) int {
-	a := t.sampleUniform(func(ord int) bool {
-		return n.cfg.Has(ord) || !t.s.FitsStorage(n.cfg, ord)
-	})
-	if a < 0 {
-		return -1
-	}
-	return t.claim(n, a)
-}
-
 // actionValue returns the (optionally RAVE-blended) estimate for action a
 // with stat st at its node.
 func (t *tuner) actionValue(a int, st *actionStat) float64 {
@@ -145,52 +69,4 @@ func (t *tuner) actionValue(a int, st *actionStat) float64 {
 		return t.rave.blend(a, q, st.n)
 	}
 	return q
-}
-
-// buildExpPriorPrefix precomputes cumulative sums of exp(prior/τ) for
-// Boltzmann sampling.
-func (t *tuner) buildExpPriorPrefix() {
-	tau := t.opts.boltzmannTemperature()
-	t.expPriorPrefix = make([]float64, len(t.priors)+1)
-	for i, p := range t.priors {
-		t.expPriorPrefix[i+1] = t.expPriorPrefix[i] + math.Exp(p/tau)
-	}
-	t.expPriorTotal = t.expPriorPrefix[len(t.priors)]
-}
-
-func (t *tuner) expPriorWeight(ord int) float64 {
-	return t.expPriorPrefix[ord+1] - t.expPriorPrefix[ord]
-}
-
-// sampleExpPrior draws an ordinal ∝ exp(prior/τ), rejecting excluded ones.
-func (t *tuner) sampleExpPrior(excluded func(int) bool) int {
-	if t.expPriorTotal <= 0 {
-		return -1
-	}
-	for try := 0; try < 64; try++ {
-		x := t.rng.Float64() * t.expPriorTotal
-		ord := searchPrefix(t.expPriorPrefix, x)
-		if ord >= 0 && !excluded(ord) {
-			return ord
-		}
-	}
-	return -1
-}
-
-// searchPrefix maps a mass coordinate into the owning interval of a
-// cumulative-sum array (prefix[0] = 0).
-func searchPrefix(prefix []float64, x float64) int {
-	lo, hi := 0, len(prefix)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if prefix[mid+1] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(prefix)-1 {
-		return len(prefix) - 2
-	}
-	return lo
 }

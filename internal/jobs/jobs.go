@@ -699,21 +699,27 @@ func (m *Manager) WarmOracle(name string) (*whatif.Optimizer, *workload.Workload
 // (private) oracles are not visited: they die with their job and have no
 // restart identity to snapshot under.
 func (m *Manager) EachOracle(f func(name string, opt *whatif.Optimizer, w *workload.Workload)) {
+	names, entries := m.sortedOracles()
+	for i, e := range entries {
+		f(names[i], e.opt, e.w)
+	}
+}
+
+// sortedOracles copies the shared built-in oracles under oracleMu, in sorted
+// workload order: names[i] is the key of entries[i].
+func (m *Manager) sortedOracles() (names []string, entries []*oracleEntry) {
 	m.oracleMu.Lock()
-	names := make([]string, 0, len(m.oracles))
+	defer m.oracleMu.Unlock()
+	names = make([]string, 0, len(m.oracles))
 	for name := range m.oracles {
 		names = append(names, name)
 	}
-	entries := make(map[string]*oracleEntry, len(m.oracles))
-	for name, e := range m.oracles {
-		entries[name] = e
-	}
-	m.oracleMu.Unlock()
 	sort.Strings(names)
-	for _, name := range names {
-		e := entries[name]
-		f(name, e.opt, e.w)
+	entries = make([]*oracleEntry, len(names))
+	for i, name := range names {
+		entries[i] = m.oracles[name]
 	}
+	return names, entries
 }
 
 // OracleStat is the cross-job cache view of one shared oracle, as served by
@@ -734,18 +740,16 @@ type OracleStat struct {
 // budget effects.
 func (m *Manager) OracleStats() []OracleStat {
 	var out []OracleStat
-	m.EachOracle(func(name string, opt *whatif.Optimizer, w *workload.Workload) {
-		m.oracleMu.Lock()
-		e := m.oracles[name]
-		m.oracleMu.Unlock()
-		st := opt.Stats()
+	names, entries := m.sortedOracles()
+	for i, e := range entries {
+		st := e.opt.Stats()
 		out = append(out, OracleStat{
-			Workload: name,
+			Workload: names[i],
 			Jobs:     e.jobs.Load(),
 			HitRate:  st.HitRate(),
 			Cache:    st,
 		})
-	})
+	}
 	return out
 }
 
