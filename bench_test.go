@@ -209,8 +209,14 @@ func BenchmarkMCTSRun(b *testing.B) {
 
 // BenchmarkCandidateGeneration measures candidate-index generation for the
 // 99-query TPC-DS workload.
-func BenchmarkCandidateGeneration(b *testing.B) {
-	w := workload.ByName("tpcds")
+func BenchmarkCandidateGeneration(b *testing.B) { benchCandidateGeneration(b, "tpcds") }
+
+// BenchmarkCandidateGenerationRealM is its Real-M case (317 queries, 12,284
+// candidates), the largest universe the fan-out sort orders.
+func BenchmarkCandidateGenerationRealM(b *testing.B) { benchCandidateGeneration(b, "real-m") }
+
+func benchCandidateGeneration(b *testing.B, name string) {
+	w := workload.ByName(name)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -34,7 +34,6 @@ import (
 	"indextune/internal/candgen"
 	"indextune/internal/core"
 	"indextune/internal/dta"
-	"indextune/internal/iset"
 	"indextune/internal/schema"
 	"indextune/internal/search"
 	"indextune/internal/sqlparse"
@@ -395,12 +394,7 @@ func GenerateCandidates(w *WorkloadSet) ([]Index, error) {
 // ExplainQuery renders the optimizer's plan summary for one query of the
 // workload under the given configuration of indexes.
 func ExplainQuery(w *WorkloadSet, q *Query, indexes []Index) string {
-	opt := whatif.New(w.DB, indexes)
-	full := iset.NewSet(len(indexes))
-	for i := range indexes {
-		full.Add(i)
-	}
-	return opt.Explain(q, full)
+	return PlanQuery(w, q, indexes).String()
 }
 
 func algorithmByName(opts Options) (search.Algorithm, error) {

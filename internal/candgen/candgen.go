@@ -84,6 +84,7 @@ func Generate(w *workload.Workload, opts Options) *Result {
 	opts = opts.withDefaults()
 	res := &Result{PerQuery: make([][]int, len(w.Queries))}
 	byID := make(map[string]int)
+	var ids []string // ids[ord] is candidate ord's Index.ID(), pre-sort ordinals
 	type joinSide struct {
 		q, ref int
 		col    string
@@ -97,6 +98,7 @@ func Generate(w *workload.Workload, opts Options) *Result {
 		if !ok {
 			ord = len(res.Candidates)
 			byID[id] = ord
+			ids = append(ids, id)
 			rows := int64(0)
 			if t := w.DB.Table(ix.Table); t != nil {
 				rows = t.Rows
@@ -145,15 +147,16 @@ func Generate(w *workload.Workload, opts Options) *Result {
 	}
 	res.AtomicPairs = dedupePairs(res.AtomicPairs)
 	addWorkloadCandidates(w, res, opts, addCand)
-	res.reorderByFanOut()
+	res.reorderByFanOut(ids)
 	return res
 }
 
 // reorderByFanOut sorts the candidate universe by descending query fan-out,
-// breaking ties lexicographically by index ID, and remaps every ordinal
-// reference. Tuners order candidates deterministically after workload
-// analysis; this is the order FCFS budget allocation consumes.
-func (r *Result) reorderByFanOut() {
+// breaking ties lexicographically by index ID (ids, indexed by the current
+// ordinals), and remaps every ordinal reference. Tuners order candidates
+// deterministically after workload analysis; this is the order FCFS budget
+// allocation consumes.
+func (r *Result) reorderByFanOut(ids []string) {
 	n := len(r.Candidates)
 	perm := make([]int, n) // perm[newOrd] = oldOrd
 	for i := range perm {
@@ -164,7 +167,7 @@ func (r *Result) reorderByFanOut() {
 		if fa != fb {
 			return fa > fb
 		}
-		return r.Candidates[perm[a]].Index.ID() < r.Candidates[perm[b]].Index.ID()
+		return ids[perm[a]] < ids[perm[b]]
 	})
 	inv := make([]int, n) // inv[oldOrd] = newOrd
 	for newOrd, oldOrd := range perm {

@@ -673,7 +673,8 @@ func (t *tuner) claim(n *node, a int) int {
 func (t *tuner) selectProportional(n *node) int {
 	// Mass of the explicit stats plus the residual prior mass: the weight
 	// total less the configuration's weights and then the stats' weights.
-	// One pass over the stats feeds both sums, each in its own order.
+	// One pass over the stats feeds both sums, each in its own order; a
+	// node's stat keys were selected at it, so none is in its configuration.
 	sumStats := 0.0
 	rest := t.weightTotal
 	var buf [cfgBuf]int32
@@ -681,10 +682,8 @@ func (t *tuner) selectProportional(n *node) int {
 		rest -= t.weights[ord]
 	}
 	for i, a := range n.statKeys {
-		if !n.cfg.Has(a) {
-			sumStats += t.weight(t.actionValue(a, &n.stats[i]))
-			rest -= t.weights[a]
-		}
+		sumStats += t.weight(t.actionValue(a, &n.stats[i]))
+		rest -= t.weights[a]
 	}
 	if rest < 0 {
 		rest = 0
@@ -702,9 +701,6 @@ func (t *tuner) selectProportional(n *node) int {
 	x := t.rng.Float64() * total
 	if x < sumStats {
 		for i, a := range n.statKeys {
-			if n.cfg.Has(a) {
-				continue
-			}
 			x -= t.weight(t.actionValue(a, &n.stats[i]))
 			if x <= 0 {
 				return a
@@ -815,36 +811,17 @@ func (t *tuner) extract() iset.Set {
 	t.s.Trace.SetPhase(trace.PhaseFinal)
 	switch t.opts.Extraction {
 	case ExtractBCE:
-		return t.trimToK(t.bestCfg)
+		return t.bestCfg
 	case ExtractBG:
 		cfg, _ := t.bestGreedy()
 		return cfg
 	default:
 		bg, bgCost := t.bestGreedy()
-		bce := t.trimToK(t.bestCfg)
-		if t.s.Derived.Workload(bce) < bgCost {
-			return bce
+		if t.s.Derived.Workload(t.bestCfg) < bgCost {
+			return t.bestCfg
 		}
 		return bg
 	}
-}
-
-// trimToK drops the least useful indexes when a rollout produced a
-// configuration larger than K (possible only via storage-constraint
-// retries), keeping extraction within the cardinality constraint.
-func (t *tuner) trimToK(cfg iset.Set) iset.Set {
-	for cfg.Len() > t.s.K {
-		ords := cfg.Ordinals()
-		bestDrop, bestCost := ords[0], math.Inf(1)
-		for _, o := range ords {
-			c := t.s.Derived.Workload(cfg.Without(o))
-			if c < bestCost {
-				bestDrop, bestCost = o, c
-			}
-		}
-		cfg = cfg.Without(bestDrop)
-	}
-	return cfg
 }
 
 // Default returns the paper's recommended configuration: ε-greedy with

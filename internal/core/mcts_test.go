@@ -42,15 +42,26 @@ func allVariants() []MCTS {
 	return out
 }
 
+// TestAllVariantsRespectConstraints runs every variant with no storage
+// limit and with one that fits about three candidates, so storage-constraint
+// retries reach every rollout and extraction.
 func TestAllVariantsRespectConstraints(t *testing.T) {
-	for _, m := range allVariants() {
-		s := session(t, "tpch", 5, 60, 3)
-		cfg := m.Enumerate(s)
-		if cfg.Len() > 5 {
-			t.Errorf("%s: |cfg| = %d > K", m.Name(), cfg.Len())
-		}
-		if s.Used() > 60 {
-			t.Errorf("%s: used %d > budget 60", m.Name(), s.Used())
+	for _, storage := range []bool{false, true} {
+		for _, m := range allVariants() {
+			s := session(t, "tpch", 5, 60, 3)
+			if storage {
+				s.StorageLimit = 3 * s.Cands.Candidates[0].Index.SizeBytes(s.W.DB)
+			}
+			cfg := m.Enumerate(s)
+			if cfg.Len() > 5 {
+				t.Errorf("%s storage=%v: |cfg| = %d > K", m.Name(), storage, cfg.Len())
+			}
+			if s.StorageLimit > 0 && s.ConfigSizeBytes(cfg) > s.StorageLimit {
+				t.Errorf("%s: config uses %d bytes > limit %d", m.Name(), s.ConfigSizeBytes(cfg), s.StorageLimit)
+			}
+			if s.Used() > 60 {
+				t.Errorf("%s storage=%v: used %d > budget 60", m.Name(), storage, s.Used())
+			}
 		}
 	}
 }

@@ -648,14 +648,21 @@ func (m *Manager) oracle(j *Job) (*oracleEntry, error) {
 		if err := j.inline.Validate(); err != nil {
 			return nil, err
 		}
-		cands := candgen.Generate(j.inline, candgen.Options{})
-		opt := search.NewOptimizer(j.inline, cands)
-		if m.opts.CacheBytes > 0 {
-			opt.SetCacheBytes(m.opts.CacheBytes)
-		}
-		return &oracleEntry{w: j.inline, cands: cands, opt: opt}, nil
+		return m.newOracle(j.inline), nil
 	}
 	return m.builtinOracle(j.Spec.Workload)
+}
+
+// newOracle builds an oracle entry over w: its candidate universe and a
+// what-if optimizer bounded to the manager's cache budget before any job
+// sees it.
+func (m *Manager) newOracle(w *workload.Workload) *oracleEntry {
+	cands := candgen.Generate(w, candgen.Options{})
+	opt := search.NewOptimizer(w, cands)
+	if m.opts.CacheBytes > 0 {
+		opt.SetCacheBytes(m.opts.CacheBytes)
+	}
+	return &oracleEntry{w: w, cands: cands, opt: opt}
 }
 
 // builtinOracle returns the shared oracle entry for a built-in workload
@@ -671,12 +678,7 @@ func (m *Manager) builtinOracle(name string) (*oracleEntry, error) {
 	if e, ok := m.oracles[w.Name]; ok {
 		return e, nil
 	}
-	cands := candgen.Generate(w, candgen.Options{})
-	opt := search.NewOptimizer(w, cands)
-	if m.opts.CacheBytes > 0 {
-		opt.SetCacheBytes(m.opts.CacheBytes)
-	}
-	e := &oracleEntry{w: w, cands: cands, opt: opt}
+	e := m.newOracle(w)
 	m.oracles[w.Name] = e
 	return e, nil
 }

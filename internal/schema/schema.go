@@ -43,9 +43,16 @@ func (t *Table) reindex() {
 	}
 }
 
+// ColumnIndex returns the named column's position in Columns, reporting
+// false if the table has no such column.
+func (t *Table) ColumnIndex(name string) (int, bool) {
+	i, ok := t.byName[name]
+	return i, ok
+}
+
 // Column returns the named column, or nil if absent.
 func (t *Table) Column(name string) *Column {
-	if i, ok := t.byName[name]; ok {
+	if i, ok := t.ColumnIndex(name); ok {
 		return &t.Columns[i]
 	}
 	return nil
@@ -53,7 +60,7 @@ func (t *Table) Column(name string) *Column {
 
 // HasColumn reports whether the table defines the named column.
 func (t *Table) HasColumn(name string) bool {
-	_, ok := t.byName[name]
+	_, ok := t.ColumnIndex(name)
 	return ok
 }
 

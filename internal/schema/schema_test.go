@@ -30,6 +30,12 @@ func TestTableBasics(t *testing.T) {
 	if c := r.Column("b"); c == nil || c.NDV != 1000 {
 		t.Fatalf("Column(b) = %+v", r.Column("b"))
 	}
+	if i, ok := r.ColumnIndex("pay"); !ok || i != 2 {
+		t.Fatalf("ColumnIndex(pay) = %d, %v, want 2, true", i, ok)
+	}
+	if _, ok := r.ColumnIndex("zz"); ok {
+		t.Fatal("ColumnIndex(zz) found an absent column")
+	}
 	if got, want := r.RowWidth(), 100; got != want {
 		t.Fatalf("RowWidth = %d, want %d", got, want)
 	}

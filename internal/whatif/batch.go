@@ -12,7 +12,7 @@ import (
 )
 
 // This file implements the cost model proper. Every cost — WhatIf and
-// WhatIfBatch misses, PeekCost, BaseCost, Plan and Explain — is scored
+// WhatIfBatch misses, PeekCost, BaseCost and Plan — is scored
 // against a plan space of the query: its skeleton, built once per interned
 // query, plus a table of index alternatives grouped by candidate ordinal.
 // evalSpace scores a configuration by applying the alternatives of its own

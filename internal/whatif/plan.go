@@ -107,8 +107,8 @@ func (p *Plan) UsesIndex(ord int) bool {
 	return false
 }
 
-// MarshalJSON is the default struct encoding; Plan also implements a
-// human-readable String.
+// String renders the plan as a human-readable summary, one line per
+// operator; JSON renders the same plan for tooling.
 func (p *Plan) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query %s cost=%.1f (%.0f rows out)\n", p.QueryID, p.TotalCost, p.OutputRows)

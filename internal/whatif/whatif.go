@@ -426,64 +426,45 @@ func New(db *schema.Database, candidates []schema.Index) *Optimizer {
 		ix := &candidates[i]
 		tc := o.tables[ix.Table]
 		if tc == nil {
-			tc = &tableCands{cols: make(map[string]int)}
+			t := db.Table(ix.Table)
+			if t == nil {
+				continue // no valid query references a table the schema lacks
+			}
+			tc = &tableCands{t: t, words: (len(t.Columns) + 63) / 64}
 			o.tables[ix.Table] = tc
+			o.maxColWords = max(o.maxColWords, tc.words)
 		}
+		k := len(tc.ords)
 		tc.ords = append(tc.ords, i)
+		tc.lead = append(tc.lead, -1)
+		tc.masks = append(tc.masks, make([]uint64, tc.words)...)
+		if len(ix.Key) > 0 {
+			if id, ok := tc.t.ColumnIndex(ix.Key[0]); ok {
+				tc.lead[k] = id
+			}
+		}
+		m := tc.mask(k)
 		for _, c := range ix.Key {
-			tc.colID(c)
+			tc.markCol(m, c)
 		}
 		for _, c := range ix.Include {
-			tc.colID(c)
-		}
-	}
-	for _, tc := range o.tables {
-		tc.words = (len(tc.cols) + 63) / 64
-		tc.lead = make([]int, len(tc.ords))
-		tc.masks = make([]uint64, len(tc.ords)*tc.words)
-		for k, ord := range tc.ords {
-			ix := &candidates[ord]
-			tc.lead[k] = -1
-			if len(ix.Key) > 0 {
-				tc.lead[k] = tc.cols[ix.Key[0]]
-			}
-			m := tc.mask(k)
-			for _, c := range ix.Key {
-				setBit(m, tc.cols[c])
-			}
-			for _, c := range ix.Include {
-				setBit(m, tc.cols[c])
-			}
-		}
-		if tc.words > o.maxColWords {
-			o.maxColWords = tc.words
+			tc.markCol(m, c)
 		}
 	}
 	return o
 }
 
 // tableCands is one table's share of the candidate universe, laid out for
-// the relevance test: the candidates' ordinals in ascending order, a dense
-// dictionary over the columns they store (Key ∪ Include), and per candidate
-// its leading column's id (-1 for a keyless index) and its stored-column
-// bitmask, words uint64s wide so a table may index any number of columns.
+// the relevance test: the candidates' ordinals in ascending order and, per
+// candidate, its leading column's position in t.Columns (-1 for a keyless
+// index or a key column t lacks) and its stored-column bitmask over those
+// positions, words uint64s wide so a table may have any number of columns.
 type tableCands struct {
+	t     *schema.Table
 	ords  []int
-	cols  map[string]int
 	words int
 	lead  []int
 	masks []uint64 // candidate k's mask is masks[k*words : (k+1)*words]
-}
-
-// colID returns the dense id of column c, assigning the next one on first
-// sight.
-func (tc *tableCands) colID(c string) int {
-	id, ok := tc.cols[c]
-	if !ok {
-		id = len(tc.cols)
-		tc.cols[c] = id
-	}
-	return id
 }
 
 // mask returns the stored-column bitmask of the table's k-th candidate.
@@ -501,8 +482,9 @@ func hasBit(m []uint64, i int) bool { return m[i/64]&(1<<uint(i%64)) != 0 }
 // (needMask ⊆ its mask) — the criterion DESIGN §10 derives from the cost
 // walk: a sargable leading key, a covering payload, or an INL probe on a
 // join column, with sort columns kept as a safety margin. A needed column
-// no candidate of the table stores rules covering out for all of them; an
-// empty Need is covered by every index.
+// no candidate of the table stores sets a bit no mask has, and one the
+// table lacks rules covering out, so neither is covered; an empty Need is
+// covered by every index.
 func (tc *tableCands) markRelevant(r *workload.TableRef, rel, scratch []uint64) {
 	leadMask, needMask := scratch[:tc.words], scratch[tc.words:2*tc.words]
 	clear(leadMask)
@@ -533,10 +515,10 @@ func (tc *tableCands) markRelevant(r *workload.TableRef, rel, scratch []uint64) 
 	}
 }
 
-// markCol sets column c's bit in m, reporting false when no candidate of the
-// table stores c.
+// markCol sets column c's bit in m, reporting false when the table has no
+// column c.
 func (tc *tableCands) markCol(m []uint64, c string) bool {
-	id, ok := tc.cols[c]
+	id, ok := tc.t.ColumnIndex(c)
 	if ok {
 		setBit(m, id)
 	}
@@ -1034,10 +1016,4 @@ func log2(x float64) float64 {
 		return 1
 	}
 	return math.Log2(x)
-}
-
-// Explain renders a human-readable plan summary of cost(q, cfg), intended
-// for examples and debugging. It performs no budget accounting.
-func (o *Optimizer) Explain(q *workload.Query, cfg iset.Set) string {
-	return o.Plan(q, cfg).String()
 }

@@ -231,7 +231,7 @@ func TestConfigSizeBytes(t *testing.T) {
 func TestExplainMentionsChosenPaths(t *testing.T) {
 	w, cands := fixture()
 	o := New(w.DB, cands)
-	out := o.Explain(w.Queries[0], iset.FromOrdinals(0, 4))
+	out := o.Plan(w.Queries[0], iset.FromOrdinals(0, 4)).String()
 	if out == "" {
 		t.Fatal("empty explain")
 	}
