@@ -12,11 +12,13 @@ GO ?= go
 # parallel-pipeline speedup; bound derivation covers both the TPC-H store
 # and the Real-M two-phase store; the Best-Greedy extraction from scratch
 # and as a memoized refresh at an early-stop check; the cold Real-M
-# optimizer + session set-up; the per-episode seen-set pass over every query;
+# optimizer + session set-up, which builds no relevance bitmap, and the
+# full relevance build over every Real-M query (BenchmarkRelevanceRealM)
+# that MCTS and DTA still pay; the per-episode seen-set pass over every query;
 # one trace event through an auto-flushing recorder into the daemon's
 # broadcast stream; candidate generation on Real-M,
 # BenchmarkCandidateGenerationRealM).
-KERNEL_BENCH = BenchmarkEpisode|BenchmarkRollout|BenchmarkComputePriors|BenchmarkMCTSFixedBudgetWorkers|BenchmarkWhatIfCall|BenchmarkWhatIfCacheHit|BenchmarkWhatIfCacheMiss|BenchmarkWhatIfBatch|BenchmarkDerivedLookup|BenchmarkProjectionBuild|BenchmarkWhatIfProjectedCacheHit|BenchmarkBoundDerivation|BenchmarkEarlyStopCheck|BenchmarkMCTSEarlyStop|BenchmarkEvictionChurn|BenchmarkDerivedOnly|BenchmarkExtractRefresh|BenchmarkNewSessionRealM|BenchmarkSessionSeen|BenchmarkRecorderEmit|BenchmarkCandidateGenerationRealM
+KERNEL_BENCH = BenchmarkEpisode|BenchmarkRollout|BenchmarkComputePriors|BenchmarkMCTSFixedBudgetWorkers|BenchmarkWhatIfCall|BenchmarkWhatIfCacheHit|BenchmarkWhatIfCacheMiss|BenchmarkWhatIfBatch|BenchmarkDerivedLookup|BenchmarkProjectionBuild|BenchmarkWhatIfProjectedCacheHit|BenchmarkBoundDerivation|BenchmarkEarlyStopCheck|BenchmarkMCTSEarlyStop|BenchmarkEvictionChurn|BenchmarkDerivedOnly|BenchmarkExtractRefresh|BenchmarkNewSessionRealM|BenchmarkRelevanceRealM|BenchmarkSessionSeen|BenchmarkRecorderEmit|BenchmarkCandidateGenerationRealM
 
 .PHONY: check fmt vet bench-vet lint lint-json build test race fuzz bench-smoke bench-json bench-check profile trace-smoke tuned-smoke
 
@@ -92,9 +94,11 @@ bench-json:
 	@cat BENCH_mcts.json
 
 # bench-check re-runs the episode kernels, the worker-scaling benchmark, the
-# cache-hit kernels, the what-if kernels and the cold Real-M session set-up,
-# failing on a >20% regression of the episode kernel or of the cold set-up
-# (BenchmarkNewSessionRealM) vs the committed baseline, if the 4-worker
+# cache-hit kernels, the what-if kernels, the cold Real-M session set-up and
+# the Real-M relevance build, failing on a >20% regression of the episode
+# kernel, of the cold set-up (BenchmarkNewSessionRealM) or of the relevance
+# build it leaves to first need (BenchmarkRelevanceRealM) vs the committed
+# baseline — so work moved out of the set-up cannot grow unseen —, if the 4-worker
 # pipeline no longer beats the one-slot pipeline by >= 2x wall-clock, or if
 # the hot paths start allocating again (cache hits must stay at 0 allocs/op;
 # the one-slot episode cycle — BenchmarkEpisode, begin + commit through the
@@ -122,8 +126,8 @@ bench-json:
 bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkEpisode|BenchmarkMCTSFixedBudgetWorkers|BenchmarkEarlyStopCheck|BenchmarkExtractRefresh' ./internal/core > benchcheck.out
 	$(GO) test -run '^$$' -bench 'BenchmarkWhatIfCall$$|BenchmarkWhatIfCacheHit$$|BenchmarkWhatIfCacheHitBounded$$|BenchmarkWhatIfProjectedCacheHit$$|BenchmarkWhatIfCacheMiss$$|BenchmarkWhatIfBatch|BenchmarkEvictionChurn$$' -benchtime 2000000x . >> benchcheck.out
-	$(GO) test -run '^$$' -bench 'BenchmarkBoundDerivation|BenchmarkDerivedLookup$$|BenchmarkNewSessionRealM$$|BenchmarkSessionSeen$$|BenchmarkRecorderEmit$$' . >> benchcheck.out
-	$(GO) run ./cmd/benchdiff -baseline BENCH_mcts.json -threshold 1.20 -match '^(BenchmarkEpisode|BenchmarkNewSessionRealM)$$' benchcheck.out
+	$(GO) test -run '^$$' -bench 'BenchmarkBoundDerivation|BenchmarkDerivedLookup$$|BenchmarkNewSessionRealM$$|BenchmarkRelevanceRealM$$|BenchmarkSessionSeen$$|BenchmarkRecorderEmit$$' . >> benchcheck.out
+	$(GO) run ./cmd/benchdiff -baseline BENCH_mcts.json -threshold 1.20 -match '^(BenchmarkEpisode|BenchmarkNewSessionRealM|BenchmarkRelevanceRealM)$$' benchcheck.out
 	$(GO) run ./cmd/benchdiff -speedup 'BenchmarkMCTSFixedBudgetWorkers/workers=1,BenchmarkMCTSFixedBudgetWorkers/workers=4,2.0' benchcheck.out
 	$(GO) run ./cmd/benchdiff -speedup 'BenchmarkWhatIfCacheHit,BenchmarkWhatIfCacheHitBounded,0.909' benchcheck.out
 	$(GO) run ./cmd/benchdiff -maxallocs 'BenchmarkWhatIfCall,0' -maxallocs 'BenchmarkWhatIfCacheHit,0' -maxallocs 'BenchmarkWhatIfCacheHitBounded,0' -maxallocs 'BenchmarkWhatIfProjectedCacheHit,0' -maxallocs 'BenchmarkEpisode,6' -maxallocs 'BenchmarkEpisodeCached,3' -maxallocs 'BenchmarkEarlyStopCheck,0' -maxallocs 'BenchmarkExtractRefresh,7' -maxallocs 'BenchmarkWhatIfBatch8,0' -maxallocs 'BenchmarkWhatIfBatch64,0' -maxallocs 'BenchmarkWhatIfBatchRealM,0' -maxallocs 'BenchmarkBoundDerivation,0' -maxallocs 'BenchmarkBoundDerivationRealM,0' -maxallocs 'BenchmarkDerivedLookup,0' -maxallocs 'BenchmarkSessionSeen,0' -maxallocs 'BenchmarkRecorderEmit,0' benchcheck.out

@@ -103,8 +103,11 @@ func Search(s *search.Session, queries, cands []int, start iset.Set, k int, mode
 		// workload-level search (per-query phase-one configs are not the
 		// run's configuration, and derived-only search spends nothing to
 		// save). After a stop, Exhausted() is true and the remaining steps
-		// complete the configuration through the derived-only fast path.
-		if mode != EvalDerived && len(queries) == len(s.W.Queries) && s.StopEpsilon > 0 {
+		// complete the configuration through the derived-only fast path. An
+		// exhausted session skips the check: CheckStop has nothing left to
+		// save once the budget is spent and returns unchanged once stopped
+		// or cancelled, so the completion it would score is discarded.
+		if mode != EvalDerived && len(queries) == len(s.W.Queries) && s.StopEpsilon > 0 && !s.Exhausted() {
 			s.CheckStop(stopConfig(s, cands, cur, k))
 		}
 	}

@@ -91,9 +91,12 @@ func (s Set) Clone() Set {
 	return Set{words: w}
 }
 
-// With returns a copy of s with ordinal i added.
+// With returns a copy of s with ordinal i added, allocated once at the
+// length Clone followed by Add would grow it to.
 func (s Set) With(i int) Set {
-	c := s.Clone()
+	w := make([]uint64, max(len(s.words), i/wordBits+1))
+	copy(w, s.words)
+	c := Set{words: w}
 	c.Add(i)
 	return c
 }

@@ -55,6 +55,18 @@ func TestWithWithoutDoNotAlias(t *testing.T) {
 	if wo.Has(1) || !wo.Has(9) {
 		t.Fatalf("Without result wrong: %v", wo)
 	}
+	// With sizes its copy once: an empty set extended by Real-M's top
+	// ordinal takes one allocation, not one per word the copy grows by.
+	var empty Set
+	if n := testing.AllocsPerRun(100, func() { empty.With(12283) }); n != 1 {
+		t.Fatalf("With on an empty set allocates %v times, want 1", n)
+	}
+	if got := empty.With(12283); got.NumWords() != 12283/64+1 || !got.Has(12283) || got.Len() != 1 {
+		t.Fatalf("With(12283) = %d words, members %v", got.NumWords(), got.Ordinals())
+	}
+	if got := FromOrdinals(200).With(3); got.NumWords() != 4 || !got.Has(3) || !got.Has(200) {
+		t.Fatalf("With below the top word = %d words, members %v", got.NumWords(), got.Ordinals())
+	}
 }
 
 func TestSubsetUnionIntersect(t *testing.T) {

@@ -153,9 +153,11 @@ type Session struct {
 	// iff DeriveEpsilon > 0 (see pairFor) — in an open-addressed set, so
 	// membership tests allocate nothing.
 	seen pairSet // guarded by: mu
-	// keys holds each query's interned identity, resolved once by
-	// NewSession, so pairFor never consults the optimizer's intern map.
-	keys []whatif.QueryKey
+	// keys holds each query's interned identity, resolved by pairFor on the
+	// query's first use and kept, so later pairs cost one atomic load and
+	// never consult the optimizer's intern map, and the session builds no
+	// relevance bitmap for a query it never keys.
+	keys []atomic.Pointer[whatif.QueryKey]
 	// The counters are typed atomics: readers may be concurrent with
 	// chargers holding mu. used counts every charged reservation —
 	// including reserved-but-uncommitted calls, so Remaining/Exhausted can
@@ -181,13 +183,13 @@ type Session struct {
 }
 
 // NewSession builds a session. Baseline costs c(q, ∅) are computed up front
-// (they come from workload analysis, not from the budget).
+// (they come from workload analysis, not from the budget); scoring them
+// interns every query in workload order, so query ids do not depend on
+// which queries the run later charges.
 func NewSession(w *workload.Workload, cands *candgen.Result, opt *whatif.Optimizer, k, budget int, seed int64) *Session {
 	base := make([]float64, len(w.Queries))
-	keys := make([]whatif.QueryKey, len(w.Queries))
 	for i, q := range w.Queries {
 		base[i] = opt.BaseCost(q)
-		keys[i] = opt.KeyOf(q)
 	}
 	return &Session{
 		W:       w,
@@ -197,7 +199,7 @@ func NewSession(w *workload.Workload, cands *candgen.Result, opt *whatif.Optimiz
 		Budget:  budget,
 		Derived: cost.NewDerivedStore(w, base),
 		Rng:     rand.New(rand.NewSource(seed)),
-		keys:    keys,
+		keys:    make([]atomic.Pointer[whatif.QueryKey], len(w.Queries)),
 	}
 }
 
@@ -208,10 +210,22 @@ func NewSession(w *workload.Workload, cands *candgen.Result, opt *whatif.Optimiz
 // the key distinguishes every configuration, matching the historical
 // string-keyed accounting bit for bit.
 func (s *Session) pairFor(qi int, cfg iset.Set) whatif.Pair {
-	if s.DeriveEpsilon > 0 {
-		return s.keys[qi].Pair(cfg)
+	k := s.keys[qi].Load()
+	if k == nil {
+		k = s.resolveKey(qi)
 	}
-	return s.keys[qi].UnprojectedPair(cfg)
+	if s.DeriveEpsilon > 0 {
+		return k.Pair(cfg)
+	}
+	return k.UnprojectedPair(cfg)
+}
+
+// resolveKey resolves and keeps query qi's key. Concurrent first uses may
+// both resolve; they store equal keys.
+func (s *Session) resolveKey(qi int) *whatif.QueryKey {
+	k := s.Opt.KeyOf(s.W.Queries[qi])
+	s.keys[qi].Store(&k)
+	return &k
 }
 
 // Used returns the number of budgeted what-if calls charged so far. It

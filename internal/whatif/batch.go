@@ -14,7 +14,9 @@ import (
 // This file implements the cost model proper. Every cost — WhatIf and
 // WhatIfBatch misses, PeekCost, BaseCost and Plan — is scored
 // against a plan space of the query: its skeleton, built once per interned
-// query, plus a table of index alternatives grouped by candidate ordinal.
+// query, plus a table of index alternatives grouped by candidate ordinal —
+// every relevant candidate's in the interned full space, only a
+// configuration's own in the restricted space of a one-shot peek.
 // evalSpace scores a configuration by applying the alternatives of its own
 // members and selecting per-operator minima.
 //
@@ -63,10 +65,12 @@ type alternative struct {
 // planSpace is the configuration-independent plan structure of one query:
 // the pipeline seed, the join steps in pipeline order, the per-ref access
 // facts and the final output cardinality — the skeleton — plus, except in
-// the skeleton itself, the index alternatives in CSR form: the
-// alternatives of the relevant ordinal of rank r in rel are
-// alts[off[r]:off[r+1]]. rank[w] counts rel's members below word w, and
-// rank[len(rel)] counts them all.
+// the skeleton itself, the ordinals it tabulates (rel: the query's
+// relevance bitmap in a full space, rel(q) ∩ cfg in a restricted one) and
+// their index alternatives in CSR form: the alternatives of rel's member of
+// rank r are alts[off[r]:off[r+1]]. rank[w] counts rel's members below word
+// w, and rank[len(rel)] counts them all. The skeleton holds no rel or rank:
+// it needs no relevance, and scores only configurations that miss it.
 type planSpace struct {
 	empty     bool
 	seed      int // order[0]
@@ -84,7 +88,8 @@ type planSpace struct {
 
 // sizeBytes estimates the resident footprint of a plan space's alternative
 // table: its header plus the offsets and alternatives. The skeleton it
-// shares is per-query state like rel and is not counted.
+// shares is per-query state and is not counted, nor are rel (the query's
+// relevance bitmap) and rank, whose widths are fixed by the universe.
 func (ps *planSpace) sizeBytes() int64 {
 	return 96 + 4*int64(len(ps.off)) + 16*int64(len(ps.alts))
 }
@@ -116,7 +121,7 @@ func (o *Optimizer) space(q *workload.Query, in *queryInfo) *planSpace {
 	in.spaceMu.Lock()
 	ps := in.space.Load()
 	if ps == nil {
-		ps = o.buildSpace(q, in, nil)
+		ps = o.buildSpace(q, in, o.relevance(q, in))
 		ps.size = ps.sizeBytes()
 		in.spaceRef.Store(1)
 		in.space.Store(ps)
@@ -169,23 +174,20 @@ func (o *Optimizer) releaseColdSpaces(limit int64) {
 // baseline access facts, pipeline order, each step's join columns and the
 // cardinality chain. It scores exactly cost(q, ∅).
 func (o *Optimizer) skeleton(q *workload.Query, in *queryInfo) *planSpace {
-	in.skelOnce.Do(func() { in.skel = o.buildSkeleton(q, in) })
+	in.skelOnce.Do(func() { in.skel = o.buildSkeleton(q) })
 	return in.skel
 }
 
-func (o *Optimizer) buildSkeleton(q *workload.Query, in *queryInfo) *planSpace {
+func (o *Optimizer) buildSkeleton(q *workload.Query) *planSpace {
 	n := len(q.Refs)
 	if n == 0 {
 		return &planSpace{empty: true}
 	}
 	access := make([]accessChoice, n)
-	ps := &planSpace{acc: make([]refAccess, n), rel: in.rel, rank: make([]int32, len(in.rel)+1)}
+	ps := &planSpace{acc: make([]refAccess, n)}
 	for i := range q.Refs {
 		access[i] = o.baseAccess(&q.Refs[i])
 		ps.acc[i] = refAccess{baseCost: access[i].cost, rowsOut: access[i].rowsOut, sortCost: access[i].sortCost, step: -1}
-	}
-	for wi, w := range in.rel {
-		ps.rank[wi+1] = ps.rank[wi] + int32(bits.OnesCount64(w))
 	}
 
 	order := o.pipelineOrder(q, access)
@@ -220,50 +222,37 @@ func (o *Optimizer) buildSkeleton(q *workload.Query, in *queryInfo) *planSpace {
 }
 
 // buildSpace returns q's skeleton extended with the alternatives of every
-// relevant candidate — cost-preserving by construction of the relevance
-// projection. within, when non-nil, further restricts the alternatives to
-// its members; the result scores exactly the configurations contained in
-// *within, and when *within misses the relevance set the skeleton itself
-// is returned.
-func (o *Optimizer) buildSpace(q *workload.Query, in *queryInfo, within *iset.Set) *planSpace {
+// member of rel, ranked over rel. With q's relevance bitmap it is the full
+// plan space — cost-preserving by construction of the relevance projection;
+// with rel(q) ∩ C it scores exactly the configurations whose relevant
+// members all lie in C.
+func (o *Optimizer) buildSpace(q *workload.Query, in *queryInfo, rel []uint64) *planSpace {
 	skel := o.skeleton(q, in)
-	if skel.empty || (within != nil && !overlaps(*within, skel.rel)) {
+	if skel.empty {
 		return skel
 	}
 	ps := *skel
-	ps.off = make([]int32, ps.rank[len(ps.rel)]+1)
-	next := 0
-	for wi, w := range ps.rel {
-		if within != nil {
-			w &= within.Word(wi)
-		}
+	ps.rel = rel
+	ps.rank = make([]int32, len(rel)+1)
+	for wi, w := range rel {
+		ps.rank[wi+1] = ps.rank[wi] + int32(bits.OnesCount64(w))
+	}
+	ps.off = make([]int32, ps.rank[len(rel)]+1)
+	r := 0
+	for wi, w := range rel {
 		for ; w != 0; w &= w - 1 {
-			b := bits.TrailingZeros64(w)
-			for r := ps.rankOf(wi, b); next <= r; next++ {
-				ps.off[next] = int32(len(ps.alts))
-			}
-			ps.alts = o.appendAlternatives(ps.alts, q, &ps, wi*64+b)
+			ps.off[r] = int32(len(ps.alts))
+			ps.alts = o.appendAlternatives(ps.alts, q, &ps, wi*64+bits.TrailingZeros64(w))
+			r++
 		}
 	}
-	for ; next < len(ps.off); next++ {
-		ps.off[next] = int32(len(ps.alts))
-	}
+	ps.off[r] = int32(len(ps.alts))
 	return &ps
 }
 
 // rankOf returns the rank in rel of the relevant ordinal wi*64+b.
 func (ps *planSpace) rankOf(wi, b int) int {
 	return int(ps.rank[wi]) + bits.OnesCount64(ps.rel[wi]&(1<<uint(b)-1))
-}
-
-// overlaps reports whether cfg has a member in the bitmap rel.
-func overlaps(cfg iset.Set, rel []uint64) bool {
-	for wi, w := range rel {
-		if cfg.Word(wi)&w != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // appendAlternatives appends the alternatives candidate ord offers q's plan
@@ -396,17 +385,39 @@ func (o *Optimizer) score(ps *planSpace, cfg iset.Set) float64 {
 	return c
 }
 
-// peekSpace returns a plan space that scores cfg for a one-shot evaluation
-// (PeekCost, Plan): q's interned space when it is resident, else the
-// skeleton extended with cfg's alternatives only, built without interning
-// — so the oracle evaluation of a final configuration does not pay for the
-// full alternative tables of queries the search never scored, nor for any
-// table at all when cfg misses the query's relevance set.
-func (o *Optimizer) peekSpace(q *workload.Query, in *queryInfo, cfg iset.Set) *planSpace {
+// peekRel returns what a one-shot evaluation of cfg (PeekCost, Plan) keys
+// and scores by: q's interned plan space and its relevance bitmap when the
+// space is resident, else no space and rel(q) ∩ cfg — masked from q's
+// bitmap when that is built, and otherwise computed by testing cfg's
+// members alone, so the oracle evaluation of a final configuration neither
+// builds the relevance of queries the search never charged nor tabulates
+// more than cfg's alternatives. fingerprint(cfg, rel(q) ∩ cfg) equals
+// fingerprint(cfg, rel(q)), so every answer keys the same cache entry.
+func (o *Optimizer) peekRel(q *workload.Query, in *queryInfo, cfg iset.Set) (*planSpace, []uint64) {
 	if ps := in.space.Load(); ps != nil {
-		return ps
+		return ps, ps.rel
 	}
-	return o.buildSpace(q, in, &cfg)
+	if in.relBuilt.Load() {
+		rel := make([]uint64, min(len(in.rel), cfg.NumWords()))
+		for wi := range rel {
+			rel[wi] = in.rel[wi] & cfg.Word(wi)
+		}
+		return nil, rel
+	}
+	return nil, o.relevanceOf(q, &cfg)
+}
+
+// restrictedSpace returns a plan space built without interning that scores
+// the configurations whose relevant members lie in rel (peekRel's rel(q) ∩
+// cfg): the skeleton extended with rel's alternatives, or the skeleton
+// itself when rel is empty.
+func (o *Optimizer) restrictedSpace(q *workload.Query, in *queryInfo, rel []uint64) *planSpace {
+	for _, w := range rel {
+		if w != 0 {
+			return o.buildSpace(q, in, rel)
+		}
+	}
+	return o.skeleton(q, in)
 }
 
 // growChoices returns s resized to n, reusing its capacity.
@@ -430,6 +441,7 @@ func (o *Optimizer) WhatIfBatch(q *workload.Query, cfgs []iset.Set) []float64 {
 		return out
 	}
 	in := o.info(q)
+	rel := o.relevance(q, in)
 	sc := scratchPool.Get().(*batchScratch)
 	if cap(sc.cls) < len(cfgs) {
 		sc.cls = make([]inflightCall, len(cfgs))
@@ -438,7 +450,7 @@ func (o *Optimizer) WhatIfBatch(q *workload.Query, cfgs []iset.Set) []float64 {
 	var ps *planSpace
 	shared := false
 	for k, cfg := range cfgs {
-		p := Pair{QID: in.qid, FP: fingerprint(cfg, in.rel)}
+		p := Pair{QID: in.qid, FP: fingerprint(cfg, rel)}
 		sh := o.shardFor(p)
 		// No read-locked pre-check here: in a batch most pairs are fresh
 		// misses (the session routes seen pairs to the cache path), so

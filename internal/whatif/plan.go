@@ -41,7 +41,11 @@ type PlanOperator struct {
 // derived from the winning ordinals.
 func (o *Optimizer) Plan(q *workload.Query, cfg iset.Set) *Plan {
 	p := &Plan{}
-	ps := o.peekSpace(q, o.info(q), cfg)
+	in := o.info(q)
+	ps, rel := o.peekRel(q, in, cfg)
+	if ps == nil {
+		ps = o.restrictedSpace(q, in, rel)
+	}
 	if ps.empty {
 		return p
 	}

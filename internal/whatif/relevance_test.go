@@ -18,7 +18,7 @@ import (
 // leads with a join column of r (INL probes require Key[0] among the
 // connecting join columns, always a subset of r.JoinCols), or leads with a
 // sort column of r (a safety margin: order only matters for indexes the
-// other routes already admit). internQuery computes the same predicate from
+// other routes already admit). relevanceOf computes the same predicate from
 // column masks; TestRelevanceMatchesReference holds the two equal.
 func relevantTo(r *workload.TableRef, ix *schema.Index) bool {
 	if len(ix.Key) == 0 {

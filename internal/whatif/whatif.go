@@ -237,8 +237,14 @@ type queryInfo struct {
 	qid uint32
 	// rel is the relevance bitmap over candidate ordinals, stored as raw
 	// words of fixed width (o.relWords) so configuration fingerprints can
-	// mask against it without allocating.
-	rel []uint64
+	// mask against it without allocating. Interning assigns only the query
+	// id; rel is built the first time something needs it (relevance), so a
+	// session that never charges a query never tests the candidate universe
+	// against it. It is written once, under relMu, before relBuilt is
+	// raised, and only read after relBuilt is seen set.
+	relMu    sync.Mutex
+	relBuilt atomic.Bool
+	rel      []uint64
 	// base memoizes cost(q, ∅) under baseOnce, replacing the global
 	// string-keyed base-cost cache so workload-wide warmup never serializes
 	// on one lock.
@@ -246,8 +252,8 @@ type queryInfo struct {
 	base     float64
 
 	// skel is the query's plan skeleton (buildSkeleton), built once under
-	// skelOnce and kept for the optimizer's lifetime, like rel: BaseCost
-	// scores it directly, and every plan space extends it.
+	// skelOnce and kept for the optimizer's lifetime: BaseCost scores it
+	// directly, and every plan space extends it.
 	skelOnce sync.Once
 	skel     *planSpace
 
@@ -294,13 +300,15 @@ type Optimizer struct {
 	SimulatedLatency time.Duration
 
 	// tables holds, per table, its candidates and their column masks — what
-	// internQuery computes relevance from.
+	// relevanceOf computes relevance from. ordAt files every candidate
+	// ordinal under its table (a nil table for one the schema lacks).
 	tables map[string]*tableCands
+	ordAt  []candSlot
 	// relWords is the fixed word width of relevance bitmaps: enough words to
 	// cover every candidate ordinal.
 	relWords int
 	// maxColWords is the widest table's column-mask width, sizing
-	// internQuery's mask scratch.
+	// relevanceOf's mask scratch.
 	maxColWords int
 	// infos interns per-query state keyed by *workload.Query. Pointer keys
 	// box without allocating, keeping the hot-path lookup allocation-free;
@@ -409,13 +417,16 @@ func (o *Optimizer) Stats() CacheStats {
 // Evictions returns the number of cache entries evicted so far.
 func (o *Optimizer) Evictions() int64 { return o.evictions.Load() }
 
-// New constructs an optimizer over db with the given candidate universe.
+// New constructs an optimizer over db with the given candidate universe. It
+// only files each candidate under its table; a table's column masks are
+// built the first time a relevance computation reads the table.
 func New(db *schema.Database, candidates []schema.Index) *Optimizer {
 	o := &Optimizer{
 		DB:          db,
 		Candidates:  candidates,
 		PerCallTime: time.Second,
 		tables:      make(map[string]*tableCands),
+		ordAt:       make([]candSlot, len(candidates)),
 		relWords:    (len(candidates) + 63) / 64,
 	}
 	for i := range o.shards {
@@ -434,24 +445,17 @@ func New(db *schema.Database, candidates []schema.Index) *Optimizer {
 			o.tables[ix.Table] = tc
 			o.maxColWords = max(o.maxColWords, tc.words)
 		}
-		k := len(tc.ords)
+		o.ordAt[i] = candSlot{tc: tc, k: int32(len(tc.ords))}
 		tc.ords = append(tc.ords, i)
-		tc.lead = append(tc.lead, -1)
-		tc.masks = append(tc.masks, make([]uint64, tc.words)...)
-		if len(ix.Key) > 0 {
-			if id, ok := tc.t.ColumnIndex(ix.Key[0]); ok {
-				tc.lead[k] = id
-			}
-		}
-		m := tc.mask(k)
-		for _, c := range ix.Key {
-			tc.markCol(m, c)
-		}
-		for _, c := range ix.Include {
-			tc.markCol(m, c)
-		}
 	}
 	return o
+}
+
+// candSlot locates a candidate ordinal in its table's share of the
+// universe: the table and the candidate's position k there.
+type candSlot struct {
+	tc *tableCands
+	k  int32
 }
 
 // tableCands is one table's share of the candidate universe, laid out for
@@ -459,12 +463,40 @@ func New(db *schema.Database, candidates []schema.Index) *Optimizer {
 // candidate, its leading column's position in t.Columns (-1 for a keyless
 // index or a key column t lacks) and its stored-column bitmask over those
 // positions, words uint64s wide so a table may have any number of columns.
+// lead and masks are built under once (build), on the table's first
+// relevance test.
 type tableCands struct {
 	t     *schema.Table
 	ords  []int
 	words int
+	once  sync.Once
 	lead  []int
 	masks []uint64 // candidate k's mask is masks[k*words : (k+1)*words]
+}
+
+// build fills the table's lead columns and column masks from cands (the
+// optimizer's universe), once.
+func (tc *tableCands) build(cands []schema.Index) {
+	tc.once.Do(func() {
+		tc.lead = make([]int, len(tc.ords))
+		tc.masks = make([]uint64, len(tc.ords)*tc.words)
+		for k, ord := range tc.ords {
+			ix := &cands[ord]
+			tc.lead[k] = -1
+			if len(ix.Key) > 0 {
+				if id, ok := tc.t.ColumnIndex(ix.Key[0]); ok {
+					tc.lead[k] = id
+				}
+			}
+			m := tc.mask(k)
+			for _, c := range ix.Key {
+				tc.markCol(m, c)
+			}
+			for _, c := range ix.Include {
+				tc.markCol(m, c)
+			}
+		}
+	})
 }
 
 // mask returns the stored-column bitmask of the table's k-th candidate.
@@ -475,17 +507,18 @@ func setBit(m []uint64, i int) { m[i/64] |= 1 << uint(i%64) }
 func hasBit(m []uint64, i int) bool { return m[i/64]&(1<<uint(i%64)) != 0 }
 
 // markRelevant sets in rel the ordinals of the table's candidates that can
-// affect the access or join cost of ref r, building its lead and need masks
-// in scratch (at least 2·tc.words long). A candidate is relevant when it
-// has a leading key and either that key is one of r's filter, join or sort
-// columns (leadMask) or the candidate stores every column r reads
-// (needMask ⊆ its mask) — the criterion DESIGN §10 derives from the cost
-// walk: a sargable leading key, a covering payload, or an INL probe on a
-// join column, with sort columns kept as a safety margin. A needed column
-// no candidate of the table stores sets a bit no mask has, and one the
-// table lacks rules covering out, so neither is covered; an empty Need is
-// covered by every index.
-func (tc *tableCands) markRelevant(r *workload.TableRef, rel, scratch []uint64) {
+// affect the access or join cost of ref r, testing the candidates at the
+// positions ks (every candidate when ks is nil) and building r's lead and
+// need masks in scratch (at least 2·tc.words long); the table must be
+// built. A candidate is relevant when it has a leading key and either that
+// key is one of r's filter, join or sort columns (leadMask) or the
+// candidate stores every column r reads (needMask ⊆ its mask) — the
+// criterion DESIGN §10 derives from the cost walk: a sargable leading key,
+// a covering payload, or an INL probe on a join column, with sort columns
+// kept as a safety margin. A needed column no candidate of the table stores
+// sets a bit no mask has, and one the table lacks rules covering out, so
+// neither is covered; an empty Need is covered by every index.
+func (tc *tableCands) markRelevant(r *workload.TableRef, ks []int32, rel, scratch []uint64) {
 	leadMask, needMask := scratch[:tc.words], scratch[tc.words:2*tc.words]
 	clear(leadMask)
 	clear(needMask)
@@ -505,14 +538,26 @@ func (tc *tableCands) markRelevant(r *workload.TableRef, rel, scratch []uint64) 
 			break
 		}
 	}
-	for k, lead := range tc.lead {
-		if lead < 0 {
-			continue
+	if ks == nil {
+		for k, ord := range tc.ords {
+			if tc.admits(k, leadMask, needMask, coverable) {
+				setBit(rel, ord)
+			}
 		}
-		if hasBit(leadMask, lead) || (coverable && subset(needMask, tc.mask(k))) {
+		return
+	}
+	for _, k := range ks {
+		if tc.admits(int(k), leadMask, needMask, coverable) {
 			setBit(rel, tc.ords[k])
 		}
 	}
+}
+
+// admits is markRelevant's test of the table's k-th candidate against a
+// ref's lead and need masks.
+func (tc *tableCands) admits(k int, leadMask, needMask []uint64, coverable bool) bool {
+	lead := tc.lead[k]
+	return lead >= 0 && (hasBit(leadMask, lead) || (coverable && subset(needMask, tc.mask(k))))
 }
 
 // markCol sets column c's bit in m, reporting false when the table has no
@@ -543,23 +588,83 @@ func (o *Optimizer) info(q *workload.Query) *queryInfo {
 	return o.internQuery(q)
 }
 
-// internQuery builds and publishes the queryInfo for q. Concurrent callers
-// may both build; LoadOrStore keeps exactly one (a discarded qid leaves a
-// harmless gap in the id space).
+// internQuery assigns q its query id and publishes its queryInfo; nothing
+// else is computed up front. Concurrent callers may both assign; LoadOrStore
+// keeps exactly one (a discarded qid leaves a harmless gap in the id space).
 func (o *Optimizer) internQuery(q *workload.Query) *queryInfo {
-	in := &queryInfo{rel: make([]uint64, o.relWords)}
-	scratch := make([]uint64, 2*o.maxColWords)
-	for ri := range q.Refs {
-		r := &q.Refs[ri]
-		if tc := o.tables[r.Table]; tc != nil {
-			tc.markRelevant(r, in.rel, scratch)
-		}
-	}
-	in.qid = o.nextQID.Add(1) - 1
+	in := &queryInfo{qid: o.nextQID.Add(1) - 1}
 	if prev, loaded := o.infos.LoadOrStore(q, in); loaded {
 		return prev.(*queryInfo)
 	}
 	return in
+}
+
+// relevance returns q's relevance bitmap, building it once, on first need;
+// after that it costs one atomic load. WhatIf, WhatIfBatch, Relevance,
+// KeyOf and full plan-space builds all read it here.
+func (o *Optimizer) relevance(q *workload.Query, in *queryInfo) []uint64 {
+	if in.relBuilt.Load() {
+		return in.rel
+	}
+	return o.buildRelevance(q, in)
+}
+
+// buildRelevance is relevance's first-need path: concurrent first callers
+// serialize on in.relMu, and exactly one computes.
+func (o *Optimizer) buildRelevance(q *workload.Query, in *queryInfo) []uint64 {
+	in.relMu.Lock()
+	defer in.relMu.Unlock()
+	if !in.relBuilt.Load() {
+		in.rel = o.relevanceOf(q, nil)
+		in.relBuilt.Store(true)
+	}
+	return in.rel
+}
+
+// relevanceOf computes q's relevance by markRelevant's criterion over one
+// of two domains: every candidate when within is nil (a bitmap o.relWords
+// wide), else only within's members — rel(q) ∩ *within, as wide as the
+// narrower of the two, which tests only within's members of each table q
+// references. Both domains run the same test, so the restricted bitmap is
+// exactly the full one masked by *within. A table's masks are built the
+// first time it is tested.
+func (o *Optimizer) relevanceOf(q *workload.Query, within *iset.Set) []uint64 {
+	n := o.relWords
+	var members []candSlot
+	if within != nil {
+		n = min(n, within.NumWords())
+		for wi := 0; wi < n; wi++ {
+			for w := within.Word(wi); w != 0; w &= w - 1 {
+				if ord := wi*64 + bits.TrailingZeros64(w); ord < len(o.ordAt) && o.ordAt[ord].tc != nil {
+					members = append(members, o.ordAt[ord])
+				}
+			}
+		}
+	}
+	rel := make([]uint64, n)
+	scratch := make([]uint64, 2*o.maxColWords)
+	var ks []int32
+	for ri := range q.Refs {
+		r := &q.Refs[ri]
+		tc := o.tables[r.Table]
+		if tc == nil {
+			continue
+		}
+		if within != nil {
+			ks = ks[:0]
+			for _, m := range members {
+				if m.tc == tc {
+					ks = append(ks, m.k)
+				}
+			}
+			if len(ks) == 0 {
+				continue
+			}
+		}
+		tc.build(o.Candidates)
+		tc.markRelevant(r, ks, rel, scratch)
+	}
+	return rel
 }
 
 // Calls returns the number of counted what-if calls so far.
@@ -641,20 +746,22 @@ func (o *Optimizer) PairOf(q *workload.Query, cfg iset.Set) Pair {
 	return o.KeyOf(q).Pair(cfg)
 }
 
-// QueryKey is a query's interned identity, resolved once by KeyOf: its
-// query id and relevance bitmap. Building a Pair from it reads neither the
+// QueryKey is a query's interned identity, resolved by KeyOf: its query id
+// and its built relevance bitmap. Building a Pair from it reads neither the
 // optimizer's intern map nor the query, so callers that key many
-// configurations of the same queries — a session's seen set — resolve one
-// key per query up front. The zero QueryKey is not valid.
+// configurations of the same queries — a session's seen set — resolve a
+// query's key once, on its first use, and keep it. The zero QueryKey is not
+// valid.
 type QueryKey struct {
 	qid uint32
 	rel []uint64
 }
 
-// KeyOf returns q's interned key, interning q on first use.
+// KeyOf returns q's interned key, interning q and building its relevance
+// bitmap on first use.
 func (o *Optimizer) KeyOf(q *workload.Query) QueryKey {
 	in := o.info(q)
-	return QueryKey{qid: in.qid, rel: in.rel}
+	return QueryKey{qid: in.qid, rel: o.relevance(q, in)}
 }
 
 // Pair returns the projected identity of (q, cfg), equal to PairOf(q, cfg).
@@ -681,7 +788,7 @@ func (k QueryKey) UnprojectedPair(cfg iset.Set) Pair {
 func (o *Optimizer) Relevance(q *workload.Query) iset.Set {
 	in := o.info(q)
 	var s iset.Set
-	for wi, w := range in.rel {
+	for wi, w := range o.relevance(q, in) {
 		for w != 0 {
 			s.Add(wi*64 + bits.TrailingZeros64(w))
 			w &= w - 1
@@ -705,8 +812,9 @@ func (o *Optimizer) shardFor(p Pair) *cacheShard {
 func (o *Optimizer) BaseCost(q *workload.Query) float64 {
 	in := o.info(q)
 	in.baseOnce.Do(func() {
-		// The skeleton holds no alternatives: session set-up scores every
-		// query's baseline, and many queries are never scored under an index.
+		// The skeleton holds no alternatives and needs no relevance: session
+		// set-up scores every query's baseline, and many queries are never
+		// scored under an index.
 		in.base = o.score(o.skeleton(q, in), iset.Set{})
 	})
 	return in.base
@@ -721,7 +829,7 @@ func (o *Optimizer) BaseCost(q *workload.Query) float64 {
 // warmth never changes results — neutral to session-level budget accounting.
 func (o *Optimizer) WhatIf(q *workload.Query, cfg iset.Set) float64 {
 	in := o.info(q)
-	p := Pair{QID: in.qid, FP: fingerprint(cfg, in.rel)}
+	p := Pair{QID: in.qid, FP: fingerprint(cfg, o.relevance(q, in))}
 	sh := o.shardFor(p)
 	// Hit path: read the slot by value under the read lock. The CLOCK bit is
 	// set through an atomic store (safe under RLock against concurrent
@@ -781,10 +889,13 @@ func (o *Optimizer) Known(q *workload.Query, cfg iset.Set) bool {
 // the cached value is bit-identical to a fresh computation, the model being
 // pure — and computes only on a miss. It exists for oracle evaluation of
 // final configurations (the paper measures the improvement of the returned
-// configuration "in terms of the actual what-if cost") and for tests.
+// configuration "in terms of the actual what-if cost") and for tests. On a
+// query whose plan space is not resident it keys and scores by rel(q) ∩ cfg
+// (peekRel), the same fingerprint the full relevance gives.
 func (o *Optimizer) PeekCost(q *workload.Query, cfg iset.Set) float64 {
 	in := o.info(q)
-	p := Pair{QID: in.qid, FP: fingerprint(cfg, in.rel)}
+	ps, rel := o.peekRel(q, in, cfg)
+	p := Pair{QID: in.qid, FP: fingerprint(cfg, rel)}
 	sh := o.shardFor(p)
 	sh.mu.RLock()
 	idx, ok := sh.m[p]
@@ -798,7 +909,10 @@ func (o *Optimizer) PeekCost(q *workload.Query, cfg iset.Set) float64 {
 	if ok {
 		return c
 	}
-	return o.score(o.peekSpace(q, in, cfg), cfg)
+	if ps == nil {
+		ps = o.restrictedSpace(q, in, rel)
+	}
+	return o.score(ps, cfg)
 }
 
 // ConfigSizeBytes returns the total estimated storage of the configuration.
