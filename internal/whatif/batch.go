@@ -387,22 +387,15 @@ func (o *Optimizer) score(ps *planSpace, cfg iset.Set) float64 {
 
 // peekRel returns what a one-shot evaluation of cfg (PeekCost, Plan) keys
 // and scores by: q's interned plan space and its relevance bitmap when the
-// space is resident, else no space and rel(q) ∩ cfg — masked from q's
-// bitmap when that is built, and otherwise computed by testing cfg's
-// members alone, so the oracle evaluation of a final configuration neither
-// builds the relevance of queries the search never charged nor tabulates
-// more than cfg's alternatives. fingerprint(cfg, rel(q) ∩ cfg) equals
-// fingerprint(cfg, rel(q)), so every answer keys the same cache entry.
+// space is resident, else no space and rel(q) ∩ cfg, computed by testing
+// cfg's members alone, so the oracle evaluation of a final configuration
+// neither builds the relevance of queries the search never charged nor
+// tabulates more than cfg's alternatives. fingerprint(cfg, rel(q) ∩ cfg)
+// equals fingerprint(cfg, rel(q)), so every answer keys the same cache
+// entry.
 func (o *Optimizer) peekRel(q *workload.Query, in *queryInfo, cfg iset.Set) (*planSpace, []uint64) {
 	if ps := in.space.Load(); ps != nil {
 		return ps, ps.rel
-	}
-	if in.relBuilt.Load() {
-		rel := make([]uint64, min(len(in.rel), cfg.NumWords()))
-		for wi := range rel {
-			rel[wi] = in.rel[wi] & cfg.Word(wi)
-		}
-		return nil, rel
 	}
 	return nil, o.relevanceOf(q, &cfg)
 }

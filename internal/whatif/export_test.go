@@ -7,7 +7,7 @@ package whatif
 func BuiltRelevance(o *Optimizer) (interned, queries, tables int) {
 	o.infos.Range(func(_, v any) bool {
 		interned++
-		if v.(*queryInfo).relBuilt.Load() {
+		if v.(*queryInfo).rel != nil {
 			queries++
 		}
 		return true

@@ -83,7 +83,7 @@ func TestRestrictedPeekMatchesRelevance(t *testing.T) {
 					t.Fatalf("%s %s cfg %v: cold PeekCost %v, WhatIf %v", name, q.ID, cfg.Ordinals(), peeks[k], c)
 				}
 			}
-			if cold.info(q).relBuilt.Load() {
+			if cold.info(q).rel != nil {
 				t.Fatalf("%s %s: a peek built the query's relevance", name, q.ID)
 			}
 			cold.Relevance(q)

@@ -240,11 +240,9 @@ type queryInfo struct {
 	// mask against it without allocating. Interning assigns only the query
 	// id; rel is built the first time something needs it (relevance), so a
 	// session that never charges a query never tests the candidate universe
-	// against it. It is written once, under relMu, before relBuilt is
-	// raised, and only read after relBuilt is seen set.
-	relMu    sync.Mutex
-	relBuilt atomic.Bool
-	rel      []uint64
+	// against it. It is written once, under relOnce.
+	relOnce sync.Once
+	rel     []uint64
 	// base memoizes cost(q, ∅) under baseOnce, replacing the global
 	// string-keyed base-cost cache so workload-wide warmup never serializes
 	// on one lock.
@@ -599,25 +597,11 @@ func (o *Optimizer) internQuery(q *workload.Query) *queryInfo {
 	return in
 }
 
-// relevance returns q's relevance bitmap, building it once, on first need;
-// after that it costs one atomic load. WhatIf, WhatIfBatch, Relevance,
-// KeyOf and full plan-space builds all read it here.
+// relevance returns q's relevance bitmap, building it once, on first need.
+// WhatIf, WhatIfBatch, Relevance, KeyOf and full plan-space builds all read
+// it here.
 func (o *Optimizer) relevance(q *workload.Query, in *queryInfo) []uint64 {
-	if in.relBuilt.Load() {
-		return in.rel
-	}
-	return o.buildRelevance(q, in)
-}
-
-// buildRelevance is relevance's first-need path: concurrent first callers
-// serialize on in.relMu, and exactly one computes.
-func (o *Optimizer) buildRelevance(q *workload.Query, in *queryInfo) []uint64 {
-	in.relMu.Lock()
-	defer in.relMu.Unlock()
-	if !in.relBuilt.Load() {
-		in.rel = o.relevanceOf(q, nil)
-		in.relBuilt.Store(true)
-	}
+	in.relOnce.Do(func() { in.rel = o.relevanceOf(q, nil) })
 	return in.rel
 }
 
