@@ -25,6 +25,7 @@ package whatif
 import (
 	"math"
 	"math/bits"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -298,10 +299,8 @@ type Optimizer struct {
 	SimulatedLatency time.Duration
 
 	// tables holds, per table, its candidates and their column masks — what
-	// relevanceOf computes relevance from. ordAt files every candidate
-	// ordinal under its table (a nil table for one the schema lacks).
+	// relevanceOf computes relevance from.
 	tables map[string]*tableCands
-	ordAt  []candSlot
 	// relWords is the fixed word width of relevance bitmaps: enough words to
 	// cover every candidate ordinal.
 	relWords int
@@ -424,7 +423,6 @@ func New(db *schema.Database, candidates []schema.Index) *Optimizer {
 		Candidates:  candidates,
 		PerCallTime: time.Second,
 		tables:      make(map[string]*tableCands),
-		ordAt:       make([]candSlot, len(candidates)),
 		relWords:    (len(candidates) + 63) / 64,
 	}
 	for i := range o.shards {
@@ -443,17 +441,9 @@ func New(db *schema.Database, candidates []schema.Index) *Optimizer {
 			o.tables[ix.Table] = tc
 			o.maxColWords = max(o.maxColWords, tc.words)
 		}
-		o.ordAt[i] = candSlot{tc: tc, k: int32(len(tc.ords))}
 		tc.ords = append(tc.ords, i)
 	}
 	return o
-}
-
-// candSlot locates a candidate ordinal in its table's share of the
-// universe: the table and the candidate's position k there.
-type candSlot struct {
-	tc *tableCands
-	k  int32
 }
 
 // tableCands is one table's share of the candidate universe, laid out for
@@ -609,21 +599,13 @@ func (o *Optimizer) relevance(q *workload.Query, in *queryInfo) []uint64 {
 // of two domains: every candidate when within is nil (a bitmap o.relWords
 // wide), else only within's members — rel(q) ∩ *within, as wide as the
 // narrower of the two, which tests only within's members of each table q
-// references. Both domains run the same test, so the restricted bitmap is
-// exactly the full one masked by *within. A table's masks are built the
-// first time it is tested.
+// references, each found in its table by binary search. Both domains run
+// the same test, so the restricted bitmap is exactly the full one masked by
+// *within. A table's masks are built the first time it is tested.
 func (o *Optimizer) relevanceOf(q *workload.Query, within *iset.Set) []uint64 {
 	n := o.relWords
-	var members []candSlot
 	if within != nil {
 		n = min(n, within.NumWords())
-		for wi := 0; wi < n; wi++ {
-			for w := within.Word(wi); w != 0; w &= w - 1 {
-				if ord := wi*64 + bits.TrailingZeros64(w); ord < len(o.ordAt) && o.ordAt[ord].tc != nil {
-					members = append(members, o.ordAt[ord])
-				}
-			}
-		}
 	}
 	rel := make([]uint64, n)
 	scratch := make([]uint64, 2*o.maxColWords)
@@ -636,9 +618,12 @@ func (o *Optimizer) relevanceOf(q *workload.Query, within *iset.Set) []uint64 {
 		}
 		if within != nil {
 			ks = ks[:0]
-			for _, m := range members {
-				if m.tc == tc {
-					ks = append(ks, m.k)
+			for wi := 0; wi < n; wi++ {
+				for w := within.Word(wi); w != 0; w &= w - 1 {
+					ord := wi*64 + bits.TrailingZeros64(w)
+					if ord < len(o.Candidates) && o.Candidates[ord].Table == r.Table {
+						ks = append(ks, int32(sort.SearchInts(tc.ords, ord)))
+					}
 				}
 			}
 			if len(ks) == 0 {
