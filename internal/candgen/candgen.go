@@ -9,7 +9,10 @@
 package candgen
 
 import (
+	"encoding/binary"
+	"slices"
 	"sort"
+	"strings"
 
 	"indextune/internal/iset"
 	"indextune/internal/schema"
@@ -22,7 +25,14 @@ type Candidate struct {
 	Index     schema.Index
 	Ordinal   int   // position in the workload-level universe
 	TableRows int64 // rows of the indexed table (index-selection policy §6.1)
-	Queries   []int // indices into the workload's query list, ascending
+	// Queries holds the queries, as indices into the workload's query list,
+	// that proposed the candidate, in generation order: ascending over the
+	// per-query pass, then the queries on its table if it is also a wide
+	// candidate. A query is deduped only against the previous entry, so an
+	// entry can repeat and the list need not be ascending (ROADMAP:
+	// "candgen.Candidate.Queries is neither ascending nor free of
+	// duplicates"). Its length is the fan-out the universe is ordered by.
+	Queries []int
 }
 
 // Result is the output of candidate generation for a workload.
@@ -81,53 +91,35 @@ func (o Options) withDefaults() Options {
 
 // Generate produces the candidate set for w.
 func Generate(w *workload.Workload, opts Options) *Result {
-	opts = opts.withDefaults()
-	res := &Result{PerQuery: make([][]int, len(w.Queries))}
-	byID := make(map[string]int)
-	var ids []string // ids[ord] is candidate ord's Index.ID(), pre-sort ordinals
+	g := &generator{
+		w:      w,
+		opts:   opts.withDefaults(),
+		res:    &Result{PerQuery: make([][]int, len(w.Queries))},
+		tables: make(map[string]*tableState),
+		byKey:  make(map[string]int),
+	}
 	type joinSide struct {
-		q, ref int
-		col    string
+		ref int
+		col string
 	}
-	// For atomic pairs: candidate ordinals keyed by (query, ref, join col).
+	// For atomic pairs: the query's candidate ordinals keyed by (ref, join
+	// col), reset per query.
 	joinIndexOf := make(map[joinSide]int)
-
-	addCand := func(qi int, ix schema.Index) int {
-		id := ix.ID()
-		ord, ok := byID[id]
-		if !ok {
-			ord = len(res.Candidates)
-			byID[id] = ord
-			ids = append(ids, id)
-			rows := int64(0)
-			if t := w.DB.Table(ix.Table); t != nil {
-				rows = t.Rows
-			}
-			res.Candidates = append(res.Candidates, Candidate{Index: ix, Ordinal: ord, TableRows: rows})
-		}
-		c := &res.Candidates[ord]
-		if len(c.Queries) == 0 || c.Queries[len(c.Queries)-1] != qi {
-			c.Queries = append(c.Queries, qi)
-		}
-		if !containsInt(res.PerQuery[qi], ord) {
-			res.PerQuery[qi] = append(res.PerQuery[qi], ord)
-		}
-		return ord
-	}
-
 	for qi, q := range w.Queries {
+		clear(joinIndexOf)
 		for ri := range q.Refs {
 			r := &q.Refs[ri]
-			emitted := 0
-			for _, ix := range refCandidates(r, opts) {
-				if emitted >= opts.MaxPerRef {
-					break
-				}
-				ord := addCand(qi, ix)
-				emitted++
+			ts := g.table(r.Table)
+			props := g.refCandidates(r, ts)
+			if len(props) > g.opts.MaxPerRef {
+				props = props[:g.opts.MaxPerRef]
+			}
+			for _, p := range props {
+				ord := g.intern(r.Table, ts, p)
+				g.attach(qi, ord)
 				// Remember join-leading candidates for atomic pairs.
-				if len(ix.Key) > 0 && containsStr(r.JoinCols, ix.Key[0]) {
-					key := joinSide{q: qi, ref: ri, col: ix.Key[0]}
+				if lead := p.key[0].name; containsStr(r.JoinCols, lead) {
+					key := joinSide{ref: ri, col: lead}
 					if _, seen := joinIndexOf[key]; !seen {
 						joinIndexOf[key] = ord
 					}
@@ -135,51 +127,200 @@ func Generate(w *workload.Workload, opts Options) *Result {
 			}
 		}
 		for _, j := range q.Joins {
-			l, lok := joinIndexOf[joinSide{q: qi, ref: j.LeftRef, col: j.LeftCol}]
-			r, rok := joinIndexOf[joinSide{q: qi, ref: j.RightRef, col: j.RightCol}]
+			l, lok := joinIndexOf[joinSide{ref: j.LeftRef, col: j.LeftCol}]
+			r, rok := joinIndexOf[joinSide{ref: j.RightRef, col: j.RightCol}]
 			if lok && rok && l != r {
 				if l > r {
 					l, r = r, l
 				}
-				res.AtomicPairs = append(res.AtomicPairs, [2]int{l, r})
+				g.res.AtomicPairs = append(g.res.AtomicPairs, [2]int{l, r})
 			}
 		}
 	}
-	res.AtomicPairs = dedupePairs(res.AtomicPairs)
-	addWorkloadCandidates(w, res, opts, addCand)
-	res.reorderByFanOut(ids)
-	return res
+	g.res.AtomicPairs = dedupePairs(g.res.AtomicPairs)
+	g.addWorkloadCandidates()
+	g.finish()
+	return g.res
 }
 
-// reorderByFanOut sorts the candidate universe by descending query fan-out,
-// breaking ties lexicographically by index ID (ids, indexed by the current
-// ordinals), and remaps every ordinal reference. Tuners order candidates
-// deterministically after workload analysis; this is the order FCFS budget
-// allocation consumes.
-func (r *Result) reorderByFanOut(ids []string) {
-	n := len(r.Candidates)
-	perm := make([]int, n) // perm[newOrd] = oldOrd
+// generator is one Generate call's state. Proposals are interned by column
+// positions: each distinct candidate is materialized as a schema.Index, and
+// its ID built, once, when its first proposal arrives.
+type generator struct {
+	w      *workload.Workload
+	opts   Options
+	res    *Result
+	tables map[string]*tableState
+	byKey  map[string]int // position key → candidate ordinal (pre-sort)
+	// The candidates by pre-sort ordinal, in chunks of chunkLen that never
+	// move, and their IDs.
+	cands [][]Candidate
+	ids   []string
+	strs  []string // the current chunk names carves Key and Include from
+
+	// Per-ref scratch, reused across refCandidates calls.
+	props  []proposal
+	cols   []col
+	keyBuf []byte
+	incPos []int
+}
+
+// col is a proposal column: its name and its tableState.pos position.
+type col struct {
+	name string
+	pos  int
+}
+
+// proposal is a candidate index in column form: key and include columns in
+// proposal order.
+type proposal struct{ key, inc []col }
+
+// tableState is the generator's per-table state.
+type tableState struct {
+	t       *schema.Table  // nil if the database has no such table
+	id      int            // the table's prefix in position keys
+	extra   map[string]int // names t lacks, numbered -1, -2, ...
+	queries []int          // queries referencing the table, ascending
+	// Wide-candidate demand: join/filter column usage, needed-column usage.
+	leadCount, colCount map[string]int
+}
+
+func (g *generator) table(name string) *tableState {
+	ts := g.tables[name]
+	if ts == nil {
+		ts = &tableState{
+			t:         g.w.DB.Table(name),
+			id:        len(g.tables),
+			leadCount: make(map[string]int),
+			colCount:  make(map[string]int),
+		}
+		g.tables[name] = ts
+	}
+	return ts
+}
+
+// pos returns name's position in the table. A column the schema lacks gets
+// a negative position of its own, so unvalidated workloads intern exactly as
+// their names do.
+func (ts *tableState) pos(name string) int {
+	if ts.t != nil {
+		if i, ok := ts.t.ColumnIndex(name); ok {
+			return i
+		}
+	}
+	p, ok := ts.extra[name]
+	if !ok {
+		if ts.extra == nil {
+			ts.extra = make(map[string]int)
+		}
+		p = -1 - len(ts.extra)
+		ts.extra[name] = p
+	}
+	return p
+}
+
+// resolve appends names' columns to the scratch and returns them.
+func (g *generator) resolve(ts *tableState, names []string) []col {
+	start := len(g.cols)
+	for _, n := range names {
+		g.cols = append(g.cols, col{n, ts.pos(n)})
+	}
+	return g.cols[start:len(g.cols):len(g.cols)]
+}
+
+// intern returns the ordinal of p's candidate on table, adding the
+// candidate if no earlier proposal had its table, key positions and sorted
+// include positions. The key is built in a reused buffer, so a lookup of a
+// known candidate allocates nothing.
+func (g *generator) intern(table string, ts *tableState, p proposal) int {
+	g.incPos = g.incPos[:0]
+	for _, c := range p.inc {
+		g.incPos = append(g.incPos, c.pos)
+	}
+	slices.Sort(g.incPos)
+	b := binary.AppendUvarint(g.keyBuf[:0], uint64(ts.id))
+	b = binary.AppendUvarint(b, uint64(len(p.key)))
+	for _, c := range p.key {
+		b = binary.AppendVarint(b, int64(c.pos))
+	}
+	for _, pos := range g.incPos {
+		b = binary.AppendVarint(b, int64(pos))
+	}
+	g.keyBuf = b
+	if ord, ok := g.byKey[string(b)]; ok {
+		return ord
+	}
+	ord := len(g.ids)
+	g.byKey[string(b)] = ord
+	ix := schema.Index{Table: table, Key: g.names(p.key), Include: g.names(p.inc)}
+	g.ids = append(g.ids, ix.ID())
+	rows := int64(0)
+	if ts.t != nil {
+		rows = ts.t.Rows
+	}
+	if ord%chunkLen == 0 {
+		g.cands = append(g.cands, make([]Candidate, 0, chunkLen))
+	}
+	last := &g.cands[len(g.cands)-1]
+	*last = append(*last, Candidate{Index: ix, TableRows: rows})
+	return ord
+}
+
+const chunkLen = 1024
+
+// cand returns candidate ord by pre-sort ordinal.
+func (g *generator) cand(ord int) *Candidate { return &g.cands[ord/chunkLen][ord%chunkLen] }
+
+// names returns cols' names, nil for none, carved from a shared chunk.
+func (g *generator) names(cols []col) []string {
+	if len(cols) == 0 {
+		return nil
+	}
+	if cap(g.strs)-len(g.strs) < len(cols) {
+		g.strs = make([]string, 0, max(chunkLen, len(cols)))
+	}
+	start := len(g.strs)
+	for _, c := range cols {
+		g.strs = append(g.strs, c.name)
+	}
+	return g.strs[start:len(g.strs):len(g.strs)]
+}
+
+// attach records that candidate ord was proposed for query qi during the
+// per-query pass, where each query's proposals arrive together: a candidate
+// already listed for qi has qi as its last query.
+func (g *generator) attach(qi, ord int) {
+	c := g.cand(ord)
+	if len(c.Queries) == 0 || c.Queries[len(c.Queries)-1] != qi {
+		c.Queries = append(c.Queries, qi)
+		g.res.PerQuery[qi] = append(g.res.PerQuery[qi], ord)
+	}
+}
+
+// finish fills Result.Candidates with the universe sorted by descending
+// query fan-out, ties broken lexicographically by index ID, and remaps every
+// ordinal reference. Tuners order candidates deterministically after
+// workload analysis; this is the order FCFS budget allocation consumes. IDs
+// are unique, so the order is total.
+func (g *generator) finish() {
+	perm := make([]int, len(g.ids)) // perm[newOrd] = oldOrd
 	for i := range perm {
 		perm[i] = i
 	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		fa, fb := len(r.Candidates[perm[a]].Queries), len(r.Candidates[perm[b]].Queries)
-		if fa != fb {
-			return fa > fb
+	slices.SortFunc(perm, func(a, b int) int {
+		if fa, fb := len(g.cand(a).Queries), len(g.cand(b).Queries); fa != fb {
+			return fb - fa
 		}
-		return ids[perm[a]] < ids[perm[b]]
+		return strings.Compare(g.ids[a], g.ids[b])
 	})
-	inv := make([]int, n) // inv[oldOrd] = newOrd
+	r := g.res
+	r.Candidates = make([]Candidate, len(perm))
+	inv := make([]int, len(perm)) // inv[oldOrd] = newOrd
 	for newOrd, oldOrd := range perm {
 		inv[oldOrd] = newOrd
+		r.Candidates[newOrd] = *g.cand(oldOrd)
+		r.Candidates[newOrd].Ordinal = newOrd
 	}
-	newCands := make([]Candidate, n)
-	for newOrd, oldOrd := range perm {
-		c := r.Candidates[oldOrd]
-		c.Ordinal = newOrd
-		newCands[newOrd] = c
-	}
-	r.Candidates = newCands
 	for qi := range r.PerQuery {
 		for i, o := range r.PerQuery[qi] {
 			r.PerQuery[qi][i] = inv[o]
@@ -200,66 +341,64 @@ func (r *Result) reorderByFanOut(ids []string) {
 // These merged candidates let a single index serve many queries — the effect
 // index merging achieves in AutoAdmin/DTA — and are what makes small
 // cardinality constraints (K = 5..20) meaningful on many-query workloads.
-func addWorkloadCandidates(w *workload.Workload, res *Result, opts Options, addCand func(int, schema.Index) int) {
-	type tstat struct {
-		leadCount map[string]int // join/filter column usage
-		colCount  map[string]int // needed-column demand
-		queries   map[int]bool   // queries touching the table
-	}
-	stats := make(map[string]*tstat)
-	get := func(t string) *tstat {
-		st := stats[t]
-		if st == nil {
-			st = &tstat{leadCount: map[string]int{}, colCount: map[string]int{}, queries: map[int]bool{}}
-			stats[t] = st
-		}
-		return st
-	}
-	for qi, q := range w.Queries {
+// Each wide candidate is interned once and attached to every query on its
+// table.
+func (g *generator) addWorkloadCandidates() {
+	for qi, q := range g.w.Queries {
 		for ri := range q.Refs {
 			r := &q.Refs[ri]
-			st := get(r.Table)
-			st.queries[qi] = true
+			ts := g.table(r.Table)
+			if n := len(ts.queries); n == 0 || ts.queries[n-1] != qi {
+				ts.queries = append(ts.queries, qi)
+			}
 			for _, c := range r.JoinCols {
-				st.leadCount[c] += 2 // join columns weigh more as leads
+				ts.leadCount[c] += 2 // join columns weigh more as leads
 			}
 			for _, p := range r.Filters {
-				st.leadCount[p.Column]++
+				ts.leadCount[p.Column]++
 			}
 			for _, c := range r.Need {
-				st.colCount[c]++
+				ts.colCount[c]++
 			}
 		}
 	}
-	var tables []string
-	for t := range stats {
+	tables := make([]string, 0, len(g.tables))
+	for t := range g.tables {
 		tables = append(tables, t)
 	}
 	sort.Strings(tables)
 	for _, t := range tables {
-		st := stats[t]
-		if len(st.queries) < 2 {
+		ts := g.tables[t]
+		if len(ts.queries) < 2 {
 			continue // nothing to share
 		}
-		leads := topKeys(st.leadCount, 4)
+		leads := topKeys(ts.leadCount, 4)
 		// Wide candidates may include more columns than per-query ones: they
 		// exist to serve many queries from one index, as merged indexes do.
-		wideInc := topKeys(st.colCount, 2*opts.MaxIncludeCols)
+		wideInc := topKeys(ts.colCount, 2*g.opts.MaxIncludeCols)
 		for _, lead := range leads {
-			var inc []string
+			g.cols = g.cols[:0]
+			key := g.resolve(ts, []string{lead})
+			start := len(g.cols)
 			for _, c := range wideInc {
-				if c != lead && len(inc) < 2*opts.MaxIncludeCols {
-					inc = append(inc, c)
+				if c != lead {
+					g.cols = append(g.cols, col{c, ts.pos(c)})
 				}
 			}
-			ix := schema.Index{Table: t, Key: []string{lead}, Include: inc}
-			var qs []int
-			for qi := range st.queries {
-				qs = append(qs, qi)
-			}
-			sort.Ints(qs)
-			for _, qi := range qs {
-				addCand(qi, ix)
+			ord := g.intern(t, ts, proposal{key: key, inc: g.cols[start:]})
+			// The per-query pass listed ord for the ascending queries in
+			// prior. A query is deduped in Queries only against the last
+			// entry (see Candidate.Queries).
+			c := g.cand(ord)
+			prior := c.Queries
+			c.Queries = slices.Grow(c.Queries, len(ts.queries))
+			for _, qi := range ts.queries {
+				if n := len(c.Queries); n == 0 || c.Queries[n-1] != qi {
+					c.Queries = append(c.Queries, qi)
+				}
+				if _, listed := slices.BinarySearch(prior, qi); !listed {
+					g.res.PerQuery[qi] = append(g.res.PerQuery[qi], ord)
+				}
 			}
 		}
 	}
@@ -276,11 +415,11 @@ func topKeys(m map[string]int, k int) []string {
 	for key, n := range m {
 		items = append(items, kv{key, n})
 	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].n != items[j].n {
-			return items[i].n > items[j].n
+	slices.SortFunc(items, func(a, b kv) int {
+		if a.n != b.n {
+			return b.n - a.n
 		}
-		return items[i].key < items[j].key
+		return strings.Compare(a.key, b.key)
 	})
 	if len(items) > k {
 		items = items[:k]
@@ -292,81 +431,86 @@ func topKeys(m map[string]int, k int) []string {
 	return out
 }
 
-// refCandidates emits candidate indexes for one table reference, in priority
-// order: filter-leading covering index, join-leading covering indexes,
-// filter+join mixed key, sort-leading index, and a pure covering index when
-// nothing is sargable.
-func refCandidates(r *workload.TableRef, opts Options) []schema.Index {
-	var out []schema.Index
-	eqCols, rangeCols := splitFilters(r)
+// refCandidates proposes candidate indexes for one table reference, in
+// priority order: filter-leading covering index, join-leading covering
+// indexes, filter+join mixed key, sort-leading index, and a pure covering
+// index when nothing is sargable. The proposals live in the generator's
+// scratch until the next call.
+func (g *generator) refCandidates(r *workload.TableRef, ts *tableState) []proposal {
+	g.props, g.cols = g.props[:0], g.cols[:0]
+	eqNames, rangeNames := splitFilters(r)
+	eqCols, rangeCols := g.resolve(ts, eqNames), g.resolve(ts, rangeNames)
+	joinCols, need := g.resolve(ts, r.JoinCols), g.resolve(ts, r.Need)
 
-	include := func(key []string) []string {
-		var inc []string
-		for _, n := range r.Need {
-			if !containsStr(key, n) && len(inc) < opts.MaxIncludeCols {
-				inc = append(inc, n)
+	// concat appends parts to the scratch as one key.
+	concat := func(parts ...[]col) []col {
+		start := len(g.cols)
+		for _, p := range parts {
+			g.cols = append(g.cols, p...)
+		}
+		return g.cols[start:len(g.cols):len(g.cols)]
+	}
+	emit := func(key []col, covering bool) {
+		if len(key) == 0 {
+			return
+		}
+		p := proposal{key: key}
+		if covering {
+			start := len(g.cols)
+			for _, n := range need {
+				if !containsCol(key, n) && len(g.cols)-start < g.opts.MaxIncludeCols {
+					g.cols = append(g.cols, n)
+				}
 			}
+			p.inc = g.cols[start:len(g.cols):len(g.cols)]
 		}
-		return inc
-	}
-	emit := func(key []string) {
-		if len(key) == 0 {
-			return
-		}
-		out = append(out, schema.Index{Table: r.Table, Key: key, Include: include(key)})
-	}
-
-	emitBare := func(key []string) {
-		if len(key) == 0 {
-			return
-		}
-		out = append(out, schema.Index{Table: r.Table, Key: key})
+		g.props = append(g.props, p)
 	}
 
 	// 1. Filter index: equality columns first, then one range column.
-	filterKey := append([]string{}, eqCols...)
+	filterKey := eqCols
 	if len(rangeCols) > 0 {
-		filterKey = append(filterKey, rangeCols[0])
+		filterKey = concat(eqCols, rangeCols[:1])
 	}
-	emit(filterKey)
+	emit(filterKey, true)
 
 	// 2. Single-column filter indexes, one per predicate column.
 	if len(filterKey) > 1 {
-		for _, c := range eqCols {
-			emit([]string{c})
+		for i := range eqCols {
+			emit(eqCols[i:i+1], true)
 		}
-		for _, c := range rangeCols {
-			emit([]string{c})
+		for i := range rangeCols {
+			emit(rangeCols[i:i+1], true)
 		}
 	}
 
 	// 3. Join indexes, one per join column, in covering and key-only forms
 	// (the key-only form trades lookups for storage).
-	for _, jc := range r.JoinCols {
-		emit([]string{jc})
-		emitBare([]string{jc})
+	for i := range joinCols {
+		emit(joinCols[i:i+1], true)
+		emit(joinCols[i:i+1], false)
 	}
 
 	// 4. Mixed keys: filters then each join column (index-only join probes
 	// with a sargable prefix).
 	if len(filterKey) > 0 {
-		for _, jc := range r.JoinCols {
-			if !containsStr(filterKey, jc) {
-				emit(append(append([]string{}, filterKey...), jc))
+		for i, jc := range joinCols {
+			if !containsCol(filterKey, jc) {
+				emit(concat(filterKey, joinCols[i:i+1]), true)
 			}
 		}
 	}
 
 	// 5. Sort-leading index (avoids the explicit sort).
 	if len(r.SortCols) > 0 && !prefixEq(filterKey, r.SortCols) {
-		emit(append([]string{}, r.SortCols...))
+		emit(g.resolve(ts, r.SortCols), true)
 	}
 
 	// 6. Pure covering index when nothing above applies.
-	if len(out) == 0 && len(r.Need) > 0 {
-		emit([]string{r.Need[0]})
+	if len(g.props) == 0 && len(need) > 0 {
+		emit(need[:1], true)
 	}
-	return out
+	return g.props
 }
 
 // splitFilters partitions a ref's filter columns by predicate class, most
@@ -400,12 +544,12 @@ func splitFilters(r *workload.TableRef) (eq, rng []string) {
 	return eq, rng
 }
 
-func prefixEq(key, sort []string) bool {
+func prefixEq(key []col, sort []string) bool {
 	if len(key) < len(sort) {
 		return false
 	}
 	for i := range sort {
-		if key[i] != sort[i] {
+		if key[i].name != sort[i] {
 			return false
 		}
 	}
@@ -421,9 +565,9 @@ func containsStr(s []string, v string) bool {
 	return false
 }
 
-func containsInt(s []int, v int) bool {
+func containsCol(s []col, v col) bool {
 	for _, x := range s {
-		if x == v {
+		if x.pos == v.pos {
 			return true
 		}
 	}

@@ -5,7 +5,7 @@ package schema
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -148,19 +148,37 @@ type Index struct {
 // ID returns the canonical identifier of the index. Key order is
 // significant; include columns are sorted.
 func (ix Index) ID() string {
-	inc := append([]string(nil), ix.Include...)
-	sort.Strings(inc)
+	var buf [16]string
+	inc := append(buf[:0], ix.Include...)
+	slices.Sort(inc)
+	n := len(ix.Table) + len(ix.Key) + len(inc) + 4
+	for _, c := range ix.Key {
+		n += len(c)
+	}
+	for _, c := range inc {
+		n += len(c)
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteString(ix.Table)
-	b.WriteString("(")
-	b.WriteString(strings.Join(ix.Key, ","))
-	b.WriteString(")")
+	writeList(&b, ix.Key)
 	if len(inc) > 0 {
-		b.WriteString("+(")
-		b.WriteString(strings.Join(inc, ","))
-		b.WriteString(")")
+		b.WriteByte('+')
+		writeList(&b, inc)
 	}
 	return b.String()
+}
+
+// writeList writes cols as "(a,b,c)".
+func writeList(b *strings.Builder, cols []string) {
+	b.WriteByte('(')
+	for i, c := range cols {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(c)
+	}
+	b.WriteByte(')')
 }
 
 // String implements fmt.Stringer.
