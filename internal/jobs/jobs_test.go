@@ -294,6 +294,18 @@ func TestSpecWorkloadSizeBounds(t *testing.T) {
 	}
 }
 
+// An inline workload whose column name holds an index ID's delimiter is
+// refused, so the daemon answers 400 for it.
+func TestSpecRefusesIDDelimiterNames(t *testing.T) {
+	wj := `{"name":"w","database":{"name":"d","tables":[{"name":"t","rows":100,"columns":[
+		{"name":"a,b","ndv":10,"width":4},{"name":"a","ndv":10,"width":4},{"name":"b","ndv":10,"width":4}]}]},
+		"queries":[{"id":"q1","refs":[{"table":"t","need":["a,b","a","b"]}]}]}`
+	s := Spec{WorkloadJSON: json.RawMessage(wj), Budget: 10}
+	if _, err := s.normalize(); err == nil || !strings.Contains(err.Error(), "a,b") {
+		t.Fatalf("err = %v, want a refusal naming column a,b", err)
+	}
+}
+
 // A job whose trace hits a float JSON cannot encode fails with
 // encoding/json's error: two queries weighted 1e308 overflow the workload
 // cost to +Inf, and the improvement the search reports becomes NaN.

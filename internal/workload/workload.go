@@ -5,6 +5,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"indextune/internal/schema"
 )
@@ -147,18 +148,29 @@ func (w *Workload) ComputeStats() Stats {
 	return st
 }
 
+// idDelimiters are the characters schema.Index.ID writes between names.
+// A table or column name holding one could give two different indexes one
+// ID (key ["a,b"] and key ["a","b"] both read t(a,b)).
+const idDelimiters = "(),+"
+
 // Validate checks the database's statistics and every query against the
 // schema. The cost model reads rows, NDV and widths as positive counts, and
 // every column a query names must exist: a missing one would silently cost
-// as a default instead of failing.
+// as a default instead of failing. Table and column names must not hold an
+// index ID's delimiters, so that an index's ID identifies it.
 func (w *Workload) Validate() error {
 	for _, t := range w.DB.Tables() {
+		if strings.ContainsAny(t.Name, idDelimiters) {
+			return fmt.Errorf("workload %s: table name %q holds one of %q", w.Name, t.Name, idDelimiters)
+		}
 		if t.Rows <= 0 {
 			return fmt.Errorf("workload %s: table %s has %d rows, want > 0", w.Name, t.Name, t.Rows)
 		}
 		seen := make(map[string]bool, len(t.Columns))
 		for _, c := range t.Columns {
 			switch {
+			case strings.ContainsAny(c.Name, idDelimiters):
+				return fmt.Errorf("workload %s: column name %s.%q holds one of %q", w.Name, t.Name, c.Name, idDelimiters)
 			case seen[c.Name]:
 				return fmt.Errorf("workload %s: table %s declares column %s twice", w.Name, t.Name, c.Name)
 			case c.NDV <= 0:

@@ -84,6 +84,32 @@ func TestValidateCatchesBadQueries(t *testing.T) {
 	}
 }
 
+// Names holding an index ID's delimiters are refused: with them, key
+// ["a,b"] and key ["a","b"] would share the ID t(a,b).
+func TestValidateRejectsIDDelimiters(t *testing.T) {
+	if a, b := (schema.Index{Table: "t", Key: []string{"a,b"}}), (schema.Index{Table: "t", Key: []string{"a", "b"}}); a.ID() != b.ID() {
+		t.Fatalf("IDs %q and %q differ; the delimiter case no longer collides", a.ID(), b.ID())
+	}
+	mk := func(table, column string) *Workload {
+		db := schema.NewDatabase("d")
+		db.AddTable(schema.NewTable(table, 10, schema.Column{Name: column, NDV: 10, Width: 4}))
+		b := NewBuilder("q")
+		b.Proj(b.Ref(table), column)
+		return &Workload{Name: "w", DB: db, Queries: []*Query{b.Build()}}
+	}
+	if err := mk("t", "a").Validate(); err != nil {
+		t.Fatalf("valid workload rejected: %v", err)
+	}
+	for _, d := range []string{"(", ")", ",", "+"} {
+		if err := mk("t"+d, "a").Validate(); err == nil {
+			t.Errorf("table name %q passed validation", "t"+d)
+		}
+		if err := mk("t", "a"+d+"b").Validate(); err == nil {
+			t.Errorf("column name %q passed validation", "a"+d+"b")
+		}
+	}
+}
+
 func TestPredOpString(t *testing.T) {
 	if OpEquality.String() != "eq" || OpRange.String() != "range" {
 		t.Fatal("PredOp strings wrong")
