@@ -86,19 +86,28 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # bench-json records the kernel micro-benchmarks into BENCH_mcts.json, the
-# committed baseline that bench-check gates against.
+# committed baseline that bench-check gates against; the episode kernels run
+# at the fixed iteration count bench-check uses.
 bench-json:
-	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' ./internal/core . > bench.out
+	$(GO) test -run '^$$' -bench '^BenchmarkEpisode(Cached)?$$' -benchtime 200000x ./internal/core > bench.out
+	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -skip '^BenchmarkEpisode' ./internal/core . >> bench.out
 	$(GO) run ./cmd/benchdiff -emit -o BENCH_mcts.json bench.out
 	@rm -f bench.out
 	@cat BENCH_mcts.json
 
-# bench-check re-runs the episode kernels, the worker-scaling benchmark, the
-# cache-hit kernels, the what-if kernels, the cold Real-M session set-up and
-# the Real-M relevance build, failing on a >20% regression of the episode
-# kernel, of the cold set-up (BenchmarkNewSessionRealM) or of the relevance
-# build it leaves to first need (BenchmarkRelevanceRealM) vs the committed
-# baseline — so work moved out of the set-up cannot grow unseen —, if the 4-worker
+# bench-check re-runs the episode kernels at a fixed 200000 iterations (their
+# tree grows across iterations, so BenchmarkEpisode's ns/op and
+# BenchmarkEpisodeCached's allocs/op depend on b.N, and a time-based run
+# would pick b.N from host speed; BENCH_mcts.json's BenchmarkEpisode entry
+# is recorded at that count), the worker-scaling benchmark, the cache-hit
+# kernels, the what-if kernels, the cold Real-M session set-up, the Real-M
+# relevance build and Real-M candidate generation, failing on a >20%
+# regression of the episode kernel, of the cold set-up
+# (BenchmarkNewSessionRealM), of the relevance build it leaves to first need
+# (BenchmarkRelevanceRealM) or of candidate generation
+# (BenchmarkCandidateGenerationRealM, the rest of a Real-M set-up) vs the
+# committed baseline — so work moved out of the set-up cannot grow unseen —,
+# if the 4-worker
 # pipeline no longer beats the one-slot pipeline by >= 2x wall-clock, or if
 # the hot paths start allocating again (cache hits must stay at 0 allocs/op;
 # the one-slot episode cycle — BenchmarkEpisode, begin + commit through the
@@ -124,10 +133,11 @@ bench-json:
 # cache entries — a time-based budget would let a faster path fill a much
 # larger cache and pay unmatched map-growth cost.
 bench-check:
-	$(GO) test -run '^$$' -bench 'BenchmarkEpisode|BenchmarkMCTSFixedBudgetWorkers|BenchmarkEarlyStopCheck|BenchmarkExtractRefresh' ./internal/core > benchcheck.out
+	$(GO) test -run '^$$' -bench '^BenchmarkEpisode(Cached)?$$' -benchtime 200000x ./internal/core > benchcheck.out
+	$(GO) test -run '^$$' -bench 'BenchmarkMCTSFixedBudgetWorkers|BenchmarkEarlyStopCheck|BenchmarkExtractRefresh' ./internal/core >> benchcheck.out
 	$(GO) test -run '^$$' -bench 'BenchmarkWhatIfCall$$|BenchmarkWhatIfCacheHit$$|BenchmarkWhatIfCacheHitBounded$$|BenchmarkWhatIfProjectedCacheHit$$|BenchmarkWhatIfCacheMiss$$|BenchmarkWhatIfBatch|BenchmarkEvictionChurn$$' -benchtime 2000000x . >> benchcheck.out
-	$(GO) test -run '^$$' -bench 'BenchmarkBoundDerivation|BenchmarkDerivedLookup$$|BenchmarkNewSessionRealM$$|BenchmarkRelevanceRealM$$|BenchmarkSessionSeen$$|BenchmarkRecorderEmit$$' . >> benchcheck.out
-	$(GO) run ./cmd/benchdiff -baseline BENCH_mcts.json -threshold 1.20 -match '^(BenchmarkEpisode|BenchmarkNewSessionRealM|BenchmarkRelevanceRealM)$$' benchcheck.out
+	$(GO) test -run '^$$' -bench 'BenchmarkBoundDerivation|BenchmarkDerivedLookup$$|BenchmarkNewSessionRealM$$|BenchmarkRelevanceRealM$$|BenchmarkSessionSeen$$|BenchmarkRecorderEmit$$|BenchmarkCandidateGenerationRealM$$' . >> benchcheck.out
+	$(GO) run ./cmd/benchdiff -baseline BENCH_mcts.json -threshold 1.20 -match '^(BenchmarkEpisode|BenchmarkNewSessionRealM|BenchmarkRelevanceRealM|BenchmarkCandidateGenerationRealM)$$' benchcheck.out
 	$(GO) run ./cmd/benchdiff -speedup 'BenchmarkMCTSFixedBudgetWorkers/workers=1,BenchmarkMCTSFixedBudgetWorkers/workers=4,2.0' benchcheck.out
 	$(GO) run ./cmd/benchdiff -speedup 'BenchmarkWhatIfCacheHit,BenchmarkWhatIfCacheHitBounded,0.909' benchcheck.out
 	$(GO) run ./cmd/benchdiff -maxallocs 'BenchmarkWhatIfCall,0' -maxallocs 'BenchmarkWhatIfCacheHit,0' -maxallocs 'BenchmarkWhatIfCacheHitBounded,0' -maxallocs 'BenchmarkWhatIfProjectedCacheHit,0' -maxallocs 'BenchmarkEpisode,6' -maxallocs 'BenchmarkEpisodeCached,3' -maxallocs 'BenchmarkEarlyStopCheck,0' -maxallocs 'BenchmarkExtractRefresh,7' -maxallocs 'BenchmarkWhatIfBatch8,0' -maxallocs 'BenchmarkWhatIfBatch64,0' -maxallocs 'BenchmarkWhatIfBatchRealM,0' -maxallocs 'BenchmarkBoundDerivation,0' -maxallocs 'BenchmarkBoundDerivationRealM,0' -maxallocs 'BenchmarkDerivedLookup,0' -maxallocs 'BenchmarkSessionSeen,0' -maxallocs 'BenchmarkRecorderEmit,0' benchcheck.out
