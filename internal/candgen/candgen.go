@@ -185,6 +185,7 @@ type tableState struct {
 	leadCount, colCount map[string]int
 }
 
+// table returns the named table's state, made on first use.
 func (g *generator) table(name string) *tableState {
 	ts := g.tables[name]
 	if ts == nil {
@@ -377,15 +378,14 @@ func (g *generator) addWorkloadCandidates() {
 		// exist to serve many queries from one index, as merged indexes do.
 		wideInc := topKeys(ts.colCount, 2*g.opts.MaxIncludeCols)
 		for _, lead := range leads {
-			g.cols = g.cols[:0]
-			key := g.resolve(ts, []string{lead})
-			start := len(g.cols)
+			inc := g.cols[:0]
 			for _, c := range wideInc {
 				if c != lead {
-					g.cols = append(g.cols, col{c, ts.pos(c)})
+					inc = append(inc, col{c, ts.pos(c)})
 				}
 			}
-			ord := g.intern(t, ts, proposal{key: key, inc: g.cols[start:]})
+			g.cols = inc
+			ord := g.intern(t, ts, proposal{key: []col{{lead, ts.pos(lead)}}, inc: inc})
 			// The per-query pass listed ord for the ascending queries in
 			// prior. A query is deduped in Queries only against the last
 			// entry (see Candidate.Queries).
