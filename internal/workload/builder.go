@@ -2,7 +2,7 @@ package workload
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder assembles a Query incrementally. It is used both by the workload
@@ -10,15 +10,12 @@ import (
 type Builder struct {
 	q      *Query
 	refIdx map[string]int
-	need   []map[string]bool
+	need   [][]string // per ref, every needed column as added; Build sorts and dedupes
 }
 
 // NewBuilder starts a query with the given identifier.
 func NewBuilder(id string) *Builder {
-	return &Builder{
-		q:      &Query{ID: id},
-		refIdx: make(map[string]int),
-	}
+	return &Builder{q: &Query{ID: id}}
 }
 
 // Ref adds (or returns) the table reference for the named table. Repeated
@@ -33,11 +30,19 @@ func (b *Builder) RefAs(table, alias string) int {
 	if i, ok := b.refIdx[alias]; ok {
 		return i
 	}
-	i := len(b.q.Refs)
+	if b.refIdx == nil {
+		b.refIdx = make(map[string]int)
+	}
+	i := b.newRef(table)
 	b.refIdx[alias] = i
-	b.q.Refs = append(b.q.Refs, TableRef{Table: table})
-	b.need = append(b.need, make(map[string]bool))
 	return i
+}
+
+// newRef adds a table reference that no alias returns again.
+func (b *Builder) newRef(table string) int {
+	b.q.Refs = append(b.q.Refs, TableRef{Table: table})
+	b.need = append(b.need, nil)
+	return len(b.q.Refs) - 1
 }
 
 // Eq adds an equality filter on ref's column with the given selectivity.
@@ -52,7 +57,7 @@ func (b *Builder) Range(ref int, col string, sel float64) *Builder {
 
 func (b *Builder) filter(ref int, col string, op PredOp, sel float64) *Builder {
 	b.q.Refs[ref].Filters = append(b.q.Refs[ref].Filters, Predicate{Column: col, Op: op, Selectivity: sel})
-	b.need[ref][col] = true
+	b.need[ref] = append(b.need[ref], col)
 	return b
 }
 
@@ -61,16 +66,14 @@ func (b *Builder) Join(l int, lcol string, r int, rcol string) *Builder {
 	b.q.Joins = append(b.q.Joins, JoinPred{LeftRef: l, LeftCol: lcol, RightRef: r, RightCol: rcol})
 	b.q.Refs[l].JoinCols = appendUniq(b.q.Refs[l].JoinCols, lcol)
 	b.q.Refs[r].JoinCols = appendUniq(b.q.Refs[r].JoinCols, rcol)
-	b.need[l][lcol] = true
-	b.need[r][rcol] = true
+	b.need[l] = append(b.need[l], lcol)
+	b.need[r] = append(b.need[r], rcol)
 	return b
 }
 
 // Proj marks columns of ref as projected (needed) by the query.
 func (b *Builder) Proj(ref int, cols ...string) *Builder {
-	for _, c := range cols {
-		b.need[ref][c] = true
-	}
+	b.need[ref] = append(b.need[ref], cols...)
 	return b
 }
 
@@ -78,8 +81,8 @@ func (b *Builder) Proj(ref int, cols ...string) *Builder {
 func (b *Builder) Sort(ref int, cols ...string) *Builder {
 	for _, c := range cols {
 		b.q.Refs[ref].SortCols = appendUniq(b.q.Refs[ref].SortCols, c)
-		b.need[ref][c] = true
 	}
+	b.need[ref] = append(b.need[ref], cols...)
 	return b
 }
 
@@ -91,12 +94,12 @@ func (b *Builder) Weight(w float64) *Builder {
 
 // Build finalizes the query, freezing the per-ref Need column sets.
 func (b *Builder) Build() *Query {
-	for i := range b.q.Refs {
-		cols := make([]string, 0, len(b.need[i]))
-		for c := range b.need[i] {
-			cols = append(cols, c)
+	for i, cols := range b.need {
+		slices.Sort(cols)
+		if cols = slices.Compact(cols); cols == nil {
+			cols = []string{}
 		}
-		sort.Strings(cols)
+		b.need[i] = cols
 		b.q.Refs[i].Need = cols
 	}
 	return b.q

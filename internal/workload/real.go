@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"indextune/internal/schema"
 )
@@ -126,14 +127,20 @@ func Synthesize(spec SynthSpec) (*Workload, error) {
 		pool = spec.NumTables
 	}
 	logMin, logMax := math.Log(float64(spec.RowsMin)), math.Log(float64(spec.RowsMax))
-	for ti := 0; ti < spec.NumTables; ti++ {
+	tables := make([]synthTable, spec.NumTables)
+	var slab []schema.Column // backs the tables' columns, maxSynthColumns at a time
+	for ti := range tables {
 		rows := int64(math.Exp(logMin + rng.Float64()*(logMax-logMin)))
 		if ti >= pool {
 			// Tables never touched by the workload stay small, so total
 			// database size tracks the hot working set (Table 1's sizes).
 			rows = int64(1000 + rng.Intn(50000))
 		}
-		cols := []schema.Column{{Name: "id", NDV: rows, Width: 8}}
+		if cap(slab)-len(slab) < maxSynthColumns {
+			slab = make([]schema.Column, 0, 256*maxSynthColumns)
+		}
+		first := len(slab)
+		slab = append(slab, schema.Column{Name: "id", NDV: rows, Width: 8})
 		nfk := 2 + rng.Intn(3)
 		for f := 0; f < nfk; f++ {
 			// Small foreign-key fan-out keeps join cardinalities sane across
@@ -142,7 +149,7 @@ func Synthesize(spec SynthSpec) (*Workload, error) {
 			if ndv < 1 {
 				ndv = 1
 			}
-			cols = append(cols, schema.Column{Name: fmt.Sprintf("fk%d", f), NDV: ndv, Width: 8})
+			slab = append(slab, schema.Column{Name: fkNames[f], NDV: ndv, Width: 8})
 		}
 		nattr := 3 + rng.Intn(4)
 		for a := 0; a < nattr; a++ {
@@ -150,81 +157,80 @@ func Synthesize(spec SynthSpec) (*Workload, error) {
 			if ndv > rows {
 				ndv = rows
 			}
-			cols = append(cols, schema.Column{Name: fmt.Sprintf("a%d", a), NDV: ndv, Width: 4 + rng.Intn(16)})
+			slab = append(slab, schema.Column{Name: attrNames[a], NDV: ndv, Width: 4 + rng.Intn(16)})
 		}
 		payload := spec.PayloadMin + rng.Intn(spec.PayloadMax-spec.PayloadMin+1)
 		if payload > 0 {
 			// A zero-width payload adds no row width, so it adds no column.
-			cols = append(cols, schema.Column{Name: "payload", NDV: rows, Width: payload})
+			slab = append(slab, schema.Column{Name: "payload", NDV: rows, Width: payload})
 		}
-		db.AddTable(schema.NewTable(fmt.Sprintf("t%04d", ti), rows, cols...))
+		t := schema.NewTable(tableName(ti), rows, slab[first:len(slab):len(slab)]...)
+		db.AddTable(t)
+		tables[ti] = synthTable{Table: t, nfk: nfk, nattr: nattr}
 	}
 
 	hot := spec.HotTables
 	if hot <= 0 || hot > pool {
 		hot = pool
 	}
-	pickTable := func() *schema.Table {
-		var ti int
+	pickTable := func() *synthTable {
 		if rng.Float64() < spec.HotProb {
-			ti = rng.Intn(hot)
-		} else {
-			ti = rng.Intn(pool)
+			return &tables[rng.Intn(hot)]
 		}
-		return db.Table(fmt.Sprintf("t%04d", ti))
+		return &tables[rng.Intn(pool)]
 	}
 
-	var qs []*Query
+	qs := make([]*Query, 0, spec.NumQueries)
+	var refTables []*synthTable // refTables[ri] is ref ri's table; reused per query
 	for qi := 0; qi < spec.NumQueries; qi++ {
 		scans := int(spec.ScansMean + spec.ScansJitter*rng.NormFloat64() + 0.5)
 		if scans < 2 {
 			scans = 2
 		}
 		b := NewBuilder(fmt.Sprintf("q%03d", qi+1))
+		b.q.Refs = make([]TableRef, 0, scans)
 		filtersWanted := poisson(rng, spec.FiltersMean)
-		var refs []int
-		var refTables []*schema.Table
+		refTables = refTables[:0]
 		for si := 0; si < scans; si++ {
+			// Every scan is its own ref: ri == si.
 			t := pickTable()
-			ri := b.RefAs(t.Name, fmt.Sprintf("%s_r%d", t.Name, si))
-			refs = append(refs, ri)
+			ri := b.newRef(t.Name)
 			refTables = append(refTables, t)
 			// Project one or two attribute columns.
-			b.Proj(ri, attrCol(rng, t))
+			b.Proj(ri, t.attrCol(rng))
 			if rng.Float64() < 0.4 {
-				b.Proj(ri, attrCol(rng, t))
+				b.Proj(ri, t.attrCol(rng))
 			}
 			if si > 0 && rng.Float64() >= spec.ExtraScan {
 				// Join to a random earlier ref. Mostly N:1 lookups into the
 				// new ref's primary key (the dominant OLAP pattern); the rest
 				// are 1:N expansions with small fan-out.
 				pi := rng.Intn(si)
-				prev, prevT := refs[pi], refTables[pi]
 				if rng.Float64() < 0.85 {
-					b.Join(prev, fkCol(rng, prevT), ri, "id")
+					b.Join(pi, refTables[pi].fkCol(rng), ri, "id")
 				} else {
-					b.Join(prev, "id", ri, fkCol(rng, t))
+					b.Join(pi, "id", ri, t.fkCol(rng))
 				}
 			}
 		}
 		for f := 0; f < filtersWanted; f++ {
-			ri := rng.Intn(len(refs))
+			ri := rng.Intn(len(refTables))
 			t := refTables[ri]
-			col := attrCol(rng, t)
+			col := t.attrCol(rng)
 			if rng.Float64() < 0.6 {
-				ndv := float64(colNDV(t, col))
+				ndv := float64(colNDV(t.Table, col))
 				sel := 1 / ndv
 				if sel < 1e-6 {
 					sel = 1e-6
 				}
-				b.Eq(refs[ri], col, sel)
+				b.Eq(ri, col, sel)
 			} else {
-				b.Range(refs[ri], col, 0.02+0.3*rng.Float64())
+				b.Range(ri, col, 0.02+0.3*rng.Float64())
 			}
 		}
 		if rng.Float64() < 0.3 {
-			ri := rng.Intn(len(refs))
-			b.Sort(refs[ri], attrCol(rng, refTables[ri]))
+			ri := rng.Intn(len(refTables))
+			b.Sort(ri, refTables[ri].attrCol(rng))
 		}
 		qs = append(qs, b.Build())
 	}
@@ -233,31 +239,45 @@ func Synthesize(spec SynthSpec) (*Workload, error) {
 	return w.MustValidate(), nil
 }
 
+// A synthesized table holds id, 2–4 foreign keys, 3–6 attributes and an
+// optional payload, so its column names come from fixed lists.
+var (
+	fkNames   = [...]string{"fk0", "fk1", "fk2", "fk3"}
+	attrNames = [...]string{"a0", "a1", "a2", "a3", "a4", "a5"}
+)
+
+const maxSynthColumns = 2 + len(fkNames) + len(attrNames)
+
+// synthTable is a synthesized table with its foreign-key and attribute
+// counts: its columns are id, fkNames[:nfk], attrNames[:nattr] and perhaps
+// payload.
+type synthTable struct {
+	*schema.Table
+	nfk, nattr int
+}
+
+// tableName returns fmt.Sprintf("t%04d", ti) for ti >= 0.
+func tableName(ti int) string {
+	d := strconv.Itoa(ti)
+	if len(d) < 4 {
+		return "t" + "000"[len(d)-1:] + d
+	}
+	return "t" + d
+}
+
 // attrCol picks an attribute column, skewed toward the leading attributes so
 // queries across the workload reuse the same columns (which is what lets
 // candidate indexes be shared between queries, as in real workloads).
-func attrCol(rng *rand.Rand, t *schema.Table) string {
-	var attrs []string
-	for _, c := range t.Columns {
-		if len(c.Name) >= 2 && c.Name[0] == 'a' {
-			attrs = append(attrs, c.Name)
-		}
-	}
-	i := rng.Intn(len(attrs))
-	if j := rng.Intn(len(attrs)); j < i {
+func (t *synthTable) attrCol(rng *rand.Rand) string {
+	i := rng.Intn(t.nattr)
+	if j := rng.Intn(t.nattr); j < i {
 		i = j
 	}
-	return attrs[i]
+	return attrNames[i]
 }
 
-func fkCol(rng *rand.Rand, t *schema.Table) string {
-	var fks []string
-	for _, c := range t.Columns {
-		if len(c.Name) >= 2 && c.Name[0] == 'f' {
-			fks = append(fks, c.Name)
-		}
-	}
-	return fks[rng.Intn(len(fks))]
+func (t *synthTable) fkCol(rng *rand.Rand) string {
+	return fkNames[rng.Intn(t.nfk)]
 }
 
 func colNDV(t *schema.Table, col string) int64 {

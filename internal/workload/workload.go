@@ -5,6 +5,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"indextune/internal/schema"
@@ -159,26 +160,34 @@ const idDelimiters = "(),+"
 // as a default instead of failing. Table and column names must not hold an
 // index ID's delimiters, so that an index's ID identifies it.
 func (w *Workload) Validate() error {
+	// repeat[j] marks the name whose last position is j as seen. A table's
+	// column index (schema.NewTable builds it over every column) keeps each
+	// name's last position, so a column whose slot is already marked repeats
+	// an earlier name. This finds the first repeat in column order, as a set
+	// of seen names would, without a map per table.
+	var repeat []bool
 	for _, t := range w.DB.Tables() {
-		if strings.ContainsAny(t.Name, idDelimiters) {
+		if hasIDDelimiter(t.Name) {
 			return fmt.Errorf("workload %s: table name %q holds one of %q", w.Name, t.Name, idDelimiters)
 		}
 		if t.Rows <= 0 {
 			return fmt.Errorf("workload %s: table %s has %d rows, want > 0", w.Name, t.Name, t.Rows)
 		}
-		seen := make(map[string]bool, len(t.Columns))
+		repeat = slices.Grow(repeat[:0], len(t.Columns))[:len(t.Columns)]
+		clear(repeat)
 		for _, c := range t.Columns {
+			last, _ := t.ColumnIndex(c.Name)
 			switch {
-			case strings.ContainsAny(c.Name, idDelimiters):
+			case hasIDDelimiter(c.Name):
 				return fmt.Errorf("workload %s: column name %s.%q holds one of %q", w.Name, t.Name, c.Name, idDelimiters)
-			case seen[c.Name]:
+			case repeat[last]:
 				return fmt.Errorf("workload %s: table %s declares column %s twice", w.Name, t.Name, c.Name)
 			case c.NDV <= 0:
 				return fmt.Errorf("workload %s: column %s.%s has ndv %d, want > 0", w.Name, t.Name, c.Name, c.NDV)
 			case c.Width <= 0:
 				return fmt.Errorf("workload %s: column %s.%s has width %d, want > 0", w.Name, t.Name, c.Name, c.Width)
 			}
-			seen[c.Name] = true
+			repeat[last] = true
 		}
 	}
 	for _, q := range w.Queries {
@@ -200,9 +209,11 @@ func (w *Workload) Validate() error {
 						w.Name, q.ID, r.Table, p.Column, p.Selectivity)
 				}
 			}
-			for _, c := range append(append(append([]string{}, r.JoinCols...), r.Need...), r.SortCols...) {
-				if !t.HasColumn(c) {
-					return fmt.Errorf("workload %s: query %s uses unknown column %s.%s", w.Name, q.ID, r.Table, c)
+			for _, cols := range [...][]string{r.JoinCols, r.Need, r.SortCols} {
+				for _, c := range cols {
+					if !t.HasColumn(c) {
+						return fmt.Errorf("workload %s: query %s uses unknown column %s.%s", w.Name, q.ID, r.Table, c)
+					}
 				}
 			}
 		}
@@ -221,4 +232,15 @@ func (w *Workload) Validate() error {
 		}
 	}
 	return nil
+}
+
+// hasIDDelimiter reports whether name holds one of idDelimiters. They are
+// ASCII, so a byte scan finds them in any UTF-8 name.
+func hasIDDelimiter(name string) bool {
+	for i := 0; i < len(name); i++ {
+		if strings.IndexByte(idDelimiters, name[i]) >= 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -107,6 +108,35 @@ func TestValidateRejectsIDDelimiters(t *testing.T) {
 		if err := mk("t", "a"+d+"b").Validate(); err == nil {
 			t.Errorf("column name %q passed validation", "a"+d+"b")
 		}
+	}
+}
+
+// A repeated column name is found in time linear in the table's width, at
+// the daemon's bound on an inline workload's columns (jobs.MaxColumns), and
+// the first fault in column order is the one reported.
+func TestValidateFindsRepeatedColumns(t *testing.T) {
+	const width = 131_072
+	mk := func(cols ...schema.Column) *Workload {
+		db := schema.NewDatabase("d")
+		db.AddTable(schema.NewTable("t", 10, cols...))
+		return &Workload{Name: "w", DB: db}
+	}
+	cols := make([]schema.Column, width)
+	for i := range cols {
+		cols[i] = schema.Column{Name: "c" + strconv.Itoa(i), NDV: 10, Width: 4}
+	}
+	if err := mk(cols...).Validate(); err != nil {
+		t.Fatalf("distinct names rejected: %v", err)
+	}
+	cols[width-1].Name = "c70000"
+	err := mk(cols...).Validate()
+	if err == nil || !strings.Contains(err.Error(), "declares column c70000 twice") {
+		t.Fatalf("repeat of c70000 as the last of %d columns: err = %v", width, err)
+	}
+	err = mk(schema.Column{Name: "a", NDV: 10, Width: 4}, schema.Column{Name: "b", NDV: 0, Width: 4},
+		schema.Column{Name: "a", NDV: 10, Width: 4}).Validate()
+	if err == nil || !strings.Contains(err.Error(), "column t.b has ndv 0") {
+		t.Fatalf("b's ndv precedes a's repeat: err = %v", err)
 	}
 }
 
