@@ -170,10 +170,22 @@ func (s *Spec) normalize() (*workload.Workload, error) {
 	if s.Workload == "" {
 		return nil, fmt.Errorf("one of workload or workload_json is required")
 	}
-	if workload.ByName(s.Workload) == nil {
+	if !isBuiltin(s.Workload) {
 		return nil, fmt.Errorf("unknown workload %q (want one of %v)", s.Workload, workload.Names())
 	}
 	return nil, nil
+}
+
+// isBuiltin reports whether workload.ByName accepts name, without building
+// the workload: Real-D alone takes milliseconds to synthesize.
+func isBuiltin(name string) bool {
+	key := workload.NormalizeName(name)
+	for _, n := range workload.Names() {
+		if workload.NormalizeName(n) == key {
+			return true
+		}
+	}
+	return false
 }
 
 // Result is the JSON-friendly outcome of a finished job. For cancelled and
@@ -391,7 +403,7 @@ type Manager struct {
 	wg       sync.WaitGroup // running jobs
 
 	oracleMu sync.Mutex
-	oracles  map[string]*oracleEntry // built-in workload name → shared oracle
+	oracles  map[string]*oracleEntry // normalized built-in workload name → shared oracle
 }
 
 // NewManager builds a manager.
@@ -666,20 +678,22 @@ func (m *Manager) newOracle(w *workload.Workload) *oracleEntry {
 }
 
 // builtinOracle returns the shared oracle entry for a built-in workload
-// name, building (and byte-bounding) it on first use. The cache bound is
-// applied before the entry is published, so no job ever observes a resize.
+// name, building the workload and its (byte-bounded) oracle on first use
+// only. The cache bound is applied before the entry is published, so no job
+// ever observes a resize.
 func (m *Manager) builtinOracle(name string) (*oracleEntry, error) {
-	w := workload.ByName(name)
+	key := workload.NormalizeName(name)
+	m.oracleMu.Lock()
+	defer m.oracleMu.Unlock()
+	if e, ok := m.oracles[key]; ok {
+		return e, nil
+	}
+	w := workload.ByName(key)
 	if w == nil {
 		return nil, fmt.Errorf("unknown workload %q", name)
 	}
-	m.oracleMu.Lock()
-	defer m.oracleMu.Unlock()
-	if e, ok := m.oracles[w.Name]; ok {
-		return e, nil
-	}
 	e := m.newOracle(w)
-	m.oracles[w.Name] = e
+	m.oracles[key] = e
 	return e, nil
 }
 
@@ -701,33 +715,28 @@ func (m *Manager) WarmOracle(name string) (*whatif.Optimizer, *workload.Workload
 // (private) oracles are not visited: they die with their job and have no
 // restart identity to snapshot under.
 func (m *Manager) EachOracle(f func(name string, opt *whatif.Optimizer, w *workload.Workload)) {
-	names, entries := m.sortedOracles()
-	for i, e := range entries {
-		f(names[i], e.opt, e.w)
+	for _, e := range m.sortedOracles() {
+		f(e.w.Name, e.opt, e.w)
 	}
 }
 
-// sortedOracles copies the shared built-in oracles under oracleMu, in sorted
-// workload order: names[i] is the key of entries[i].
-func (m *Manager) sortedOracles() (names []string, entries []*oracleEntry) {
+// sortedOracles copies the shared built-in oracles under oracleMu, sorted
+// by their workload's name ("TPC-H").
+func (m *Manager) sortedOracles() []*oracleEntry {
 	m.oracleMu.Lock()
-	defer m.oracleMu.Unlock()
-	names = make([]string, 0, len(m.oracles))
-	for name := range m.oracles {
-		names = append(names, name)
+	entries := make([]*oracleEntry, 0, len(m.oracles))
+	for _, e := range m.oracles {
+		entries = append(entries, e)
 	}
-	sort.Strings(names)
-	entries = make([]*oracleEntry, len(names))
-	for i, name := range names {
-		entries[i] = m.oracles[name]
-	}
-	return names, entries
+	m.oracleMu.Unlock()
+	sort.Slice(entries, func(i, j int) bool { return entries[i].w.Name < entries[j].w.Name })
+	return entries
 }
 
 // OracleStat is the cross-job cache view of one shared oracle, as served by
 // the daemon's GET /stats endpoint.
 type OracleStat struct {
-	// Workload is the canonical workload name (the shared-oracle key).
+	// Workload is the workload's name ("TPC-H"), one per shared oracle.
 	Workload string `json:"workload"`
 	// Jobs counts tuning jobs executed against this oracle since boot.
 	Jobs int64 `json:"jobs"`
@@ -742,11 +751,10 @@ type OracleStat struct {
 // budget effects.
 func (m *Manager) OracleStats() []OracleStat {
 	var out []OracleStat
-	names, entries := m.sortedOracles()
-	for i, e := range entries {
+	for _, e := range m.sortedOracles() {
 		st := e.opt.Stats()
 		out = append(out, OracleStat{
-			Workload: names[i],
+			Workload: e.w.Name,
 			Jobs:     e.jobs.Load(),
 			HitRate:  st.HitRate(),
 			Cache:    st,

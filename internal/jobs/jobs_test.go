@@ -210,6 +210,23 @@ func TestManagerSubmitValidation(t *testing.T) {
 	}
 }
 
+// Submitting a built-in workload checks its name without synthesizing it:
+// Real-M's synthesis alone allocates tens of thousands of objects, while
+// the name check allocates a handful.
+func TestSpecNormalizeBuildsNoWorkload(t *testing.T) {
+	for _, name := range []string{"real-m", "Real-D", "tpch"} {
+		allocs := testing.AllocsPerRun(20, func() {
+			s := Spec{Workload: name, Budget: 1}
+			if _, err := s.normalize(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 32 {
+			t.Errorf("normalizing a %s spec allocates %v objects, want a name check's few", name, allocs)
+		}
+	}
+}
+
 // Spec.Workers is clamped below at 0 and refused above MaxWorkers: each
 // worker costs the job an episode slot and a goroutine.
 func TestSpecWorkersBound(t *testing.T) {
