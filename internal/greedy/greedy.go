@@ -35,7 +35,13 @@ const (
 // It returns the best configuration found and its (derived) workload cost
 // restricted to the given queries.
 func Search(s *search.Session, queries, cands []int, start iset.Set, k int, mode EvalMode) (iset.Set, float64) {
-	atomic := atomicSet(s, mode)
+	return searchWith(s, queries, cands, start, k, mode, atomicSet(s, mode))
+}
+
+// searchWith is Search with the session's atomic pairs already indexed
+// (nil unless mode is EvalAtomic), so a caller searching many times builds
+// the index once.
+func searchWith(s *search.Session, queries, cands []int, start iset.Set, k int, mode EvalMode, atomic map[[2]int]bool) (iset.Set, float64) {
 	cur := start.Clone()
 	// dCur[j] = d(queries[j], cur): incremental derived costs.
 	dCur := make([]float64, len(queries))
@@ -305,7 +311,7 @@ func (TwoPhase) Enumerate(s *search.Session) iset.Set {
 	// Phase one's per-query tuning plays the role Algorithm 4's priors play
 	// for MCTS, so it is attributed to the priors phase in traces.
 	s.Trace.SetPhase(trace.PhasePriors)
-	refined := phaseOne(s, EvalWhatIf)
+	refined := phaseOne(s, EvalWhatIf, nil)
 	s.Trace.SetPhase(trace.PhaseSearch)
 	cfg, _ := Search(s, allQueries(s), refined, iset.Set{}, s.K, EvalWhatIf)
 	return cfg
@@ -313,12 +319,12 @@ func (TwoPhase) Enumerate(s *search.Session) iset.Set {
 
 // phaseOne tunes each query individually over the candidates generated for
 // it and returns the union of the selected indexes, preserving
-// first-selection order.
-func phaseOne(s *search.Session, mode EvalMode) []int {
+// first-selection order. atomic is atomicSet(s, mode).
+func phaseOne(s *search.Session, mode EvalMode, atomic map[[2]int]bool) []int {
 	var union []int
 	seen := make(map[int]bool)
 	for qi := range s.W.Queries {
-		per, _ := Search(s, []int{qi}, s.Cands.PerQuery[qi], iset.Set{}, s.K, mode)
+		per, _ := searchWith(s, []int{qi}, s.Cands.PerQuery[qi], iset.Set{}, s.K, mode, atomic)
 		for _, ord := range per.Ordinals() {
 			if !seen[ord] {
 				seen[ord] = true
@@ -338,10 +344,12 @@ func (AutoAdmin) Name() string { return "AutoAdmin Greedy" }
 
 // Enumerate implements search.Algorithm.
 func (AutoAdmin) Enumerate(s *search.Session) iset.Set {
+	// Both phases test configurations against the same atomic pairs.
+	atomic := atomicSet(s, EvalAtomic)
 	s.Trace.SetPhase(trace.PhasePriors)
-	refined := phaseOne(s, EvalAtomic)
+	refined := phaseOne(s, EvalAtomic, atomic)
 	s.Trace.SetPhase(trace.PhaseSearch)
-	cfg, _ := Search(s, allQueries(s), refined, iset.Set{}, s.K, EvalAtomic)
+	cfg, _ := searchWith(s, allQueries(s), refined, iset.Set{}, s.K, EvalAtomic, atomic)
 	return cfg
 }
 
