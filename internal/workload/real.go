@@ -128,7 +128,6 @@ func Synthesize(spec SynthSpec) (*Workload, error) {
 	}
 	logMin, logMax := math.Log(float64(spec.RowsMin)), math.Log(float64(spec.RowsMax))
 	tables := make([]synthTable, spec.NumTables)
-	var slab []schema.Column // backs the tables' columns, maxSynthColumns at a time
 	for ti := range tables {
 		rows := int64(math.Exp(logMin + rng.Float64()*(logMax-logMin)))
 		if ti >= pool {
@@ -136,11 +135,8 @@ func Synthesize(spec SynthSpec) (*Workload, error) {
 			// database size tracks the hot working set (Table 1's sizes).
 			rows = int64(1000 + rng.Intn(50000))
 		}
-		if cap(slab)-len(slab) < maxSynthColumns {
-			slab = make([]schema.Column, 0, 256*maxSynthColumns)
-		}
-		first := len(slab)
-		slab = append(slab, schema.Column{Name: "id", NDV: rows, Width: 8})
+		cols := make([]schema.Column, 1, maxSynthColumns)
+		cols[0] = schema.Column{Name: "id", NDV: rows, Width: 8}
 		nfk := 2 + rng.Intn(3)
 		for f := 0; f < nfk; f++ {
 			// Small foreign-key fan-out keeps join cardinalities sane across
@@ -149,7 +145,7 @@ func Synthesize(spec SynthSpec) (*Workload, error) {
 			if ndv < 1 {
 				ndv = 1
 			}
-			slab = append(slab, schema.Column{Name: fkNames[f], NDV: ndv, Width: 8})
+			cols = append(cols, schema.Column{Name: fkNames[f], NDV: ndv, Width: 8})
 		}
 		nattr := 3 + rng.Intn(4)
 		for a := 0; a < nattr; a++ {
@@ -157,14 +153,14 @@ func Synthesize(spec SynthSpec) (*Workload, error) {
 			if ndv > rows {
 				ndv = rows
 			}
-			slab = append(slab, schema.Column{Name: attrNames[a], NDV: ndv, Width: 4 + rng.Intn(16)})
+			cols = append(cols, schema.Column{Name: attrNames[a], NDV: ndv, Width: 4 + rng.Intn(16)})
 		}
 		payload := spec.PayloadMin + rng.Intn(spec.PayloadMax-spec.PayloadMin+1)
 		if payload > 0 {
 			// A zero-width payload adds no row width, so it adds no column.
-			slab = append(slab, schema.Column{Name: "payload", NDV: rows, Width: payload})
+			cols = append(cols, schema.Column{Name: "payload", NDV: rows, Width: payload})
 		}
-		t := schema.NewTable(tableName(ti), rows, slab[first:len(slab):len(slab)]...)
+		t := schema.NewTable(tableName(ti), rows, cols...)
 		db.AddTable(t)
 		tables[ti] = synthTable{Table: t, nfk: nfk, nattr: nattr}
 	}
