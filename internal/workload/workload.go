@@ -160,14 +160,12 @@ const idDelimiters = "(),+"
 // as a default instead of failing. Table and column names must not hold an
 // index ID's delimiters, so that an index's ID identifies it.
 func (w *Workload) Validate() error {
-	// repeat[j] marks the name whose last position is j as seen. A table's
-	// column index (schema.NewTable builds it over every column) keeps each
-	// name's last position, so a column whose slot is already marked repeats
-	// an earlier name. This finds the first repeat in column order, as a set
-	// of seen names would, without a map per table.
+	// A table's column index keeps each name's last position, so a column
+	// whose slot in repeat is already marked repeats an earlier name: the
+	// first repeat in column order, as a set of seen names would find it.
 	var repeat []bool
 	for _, t := range w.DB.Tables() {
-		if hasIDDelimiter(t.Name) {
+		if strings.ContainsAny(t.Name, idDelimiters) {
 			return fmt.Errorf("workload %s: table name %q holds one of %q", w.Name, t.Name, idDelimiters)
 		}
 		if t.Rows <= 0 {
@@ -178,7 +176,7 @@ func (w *Workload) Validate() error {
 		for _, c := range t.Columns {
 			last, _ := t.ColumnIndex(c.Name)
 			switch {
-			case hasIDDelimiter(c.Name):
+			case strings.ContainsAny(c.Name, idDelimiters):
 				return fmt.Errorf("workload %s: column name %s.%q holds one of %q", w.Name, t.Name, c.Name, idDelimiters)
 			case repeat[last]:
 				return fmt.Errorf("workload %s: table %s declares column %s twice", w.Name, t.Name, c.Name)
@@ -232,15 +230,4 @@ func (w *Workload) Validate() error {
 		}
 	}
 	return nil
-}
-
-// hasIDDelimiter reports whether name holds one of idDelimiters. They are
-// ASCII, so a byte scan finds them in any UTF-8 name.
-func hasIDDelimiter(name string) bool {
-	for i := 0; i < len(name); i++ {
-		if strings.IndexByte(idDelimiters, name[i]) >= 0 {
-			return true
-		}
-	}
-	return false
 }
