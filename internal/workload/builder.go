@@ -15,7 +15,10 @@ type Builder struct {
 
 // NewBuilder starts a query with the given identifier.
 func NewBuilder(id string) *Builder {
-	return &Builder{q: &Query{ID: id}}
+	return &Builder{
+		q:      &Query{ID: id},
+		refIdx: make(map[string]int),
+	}
 }
 
 // Ref adds (or returns) the table reference for the named table. Repeated
@@ -29,9 +32,6 @@ func (b *Builder) Ref(table string) int {
 func (b *Builder) RefAs(table, alias string) int {
 	if i, ok := b.refIdx[alias]; ok {
 		return i
-	}
-	if b.refIdx == nil {
-		b.refIdx = make(map[string]int)
 	}
 	i := b.newRef(table)
 	b.refIdx[alias] = i
