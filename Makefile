@@ -17,8 +17,9 @@ GO ?= go
 # that MCTS and DTA still pay; the per-episode seen-set pass over every query;
 # one trace event through an auto-flushing recorder into the daemon's
 # broadcast stream; candidate generation on Real-M,
-# BenchmarkCandidateGenerationRealM).
-KERNEL_BENCH = BenchmarkEpisode|BenchmarkRollout|BenchmarkComputePriors|BenchmarkMCTSFixedBudgetWorkers|BenchmarkWhatIfCall|BenchmarkWhatIfCacheHit|BenchmarkWhatIfCacheMiss|BenchmarkWhatIfBatch|BenchmarkDerivedLookup|BenchmarkProjectionBuild|BenchmarkWhatIfProjectedCacheHit|BenchmarkBoundDerivation|BenchmarkEarlyStopCheck|BenchmarkMCTSEarlyStop|BenchmarkEvictionChurn|BenchmarkDerivedOnly|BenchmarkExtractRefresh|BenchmarkNewSessionRealM|BenchmarkRelevanceRealM|BenchmarkSessionSeen|BenchmarkRecorderEmit|BenchmarkCandidateGenerationRealM
+# BenchmarkCandidateGenerationRealM; and synthesis of the Real-M and Real-D
+# workloads, BenchmarkWorkloadGeneration and BenchmarkWorkloadGenerationRealD).
+KERNEL_BENCH = BenchmarkEpisode|BenchmarkRollout|BenchmarkComputePriors|BenchmarkMCTSFixedBudgetWorkers|BenchmarkWhatIfCall|BenchmarkWhatIfCacheHit|BenchmarkWhatIfCacheMiss|BenchmarkWhatIfBatch|BenchmarkDerivedLookup|BenchmarkProjectionBuild|BenchmarkWhatIfProjectedCacheHit|BenchmarkBoundDerivation|BenchmarkEarlyStopCheck|BenchmarkMCTSEarlyStop|BenchmarkEvictionChurn|BenchmarkDerivedOnly|BenchmarkExtractRefresh|BenchmarkNewSessionRealM|BenchmarkRelevanceRealM|BenchmarkSessionSeen|BenchmarkRecorderEmit|BenchmarkCandidateGenerationRealM|BenchmarkWorkloadGeneration
 
 .PHONY: check fmt vet bench-vet lint lint-json build test race fuzz bench-smoke bench-json bench-check profile trace-smoke tuned-smoke
 
@@ -101,11 +102,13 @@ bench-json:
 # would pick b.N from host speed; BENCH_mcts.json's BenchmarkEpisode entry
 # is recorded at that count), the worker-scaling benchmark, the cache-hit
 # kernels, the what-if kernels, the cold Real-M session set-up, the Real-M
-# relevance build and Real-M candidate generation, failing on a >20%
-# regression of the episode kernel, of the cold set-up
-# (BenchmarkNewSessionRealM), of the relevance build it leaves to first need
-# (BenchmarkRelevanceRealM) or of candidate generation
-# (BenchmarkCandidateGenerationRealM, the rest of a Real-M set-up) vs the
+# relevance build, Real-M candidate generation and Real-M and Real-D
+# synthesis, failing on a >20% regression of the episode kernel, of the cold
+# set-up (BenchmarkNewSessionRealM), of the relevance build it leaves to
+# first need (BenchmarkRelevanceRealM), of candidate generation
+# (BenchmarkCandidateGenerationRealM, the rest of a Real-M set-up) or of
+# workload synthesis (BenchmarkWorkloadGeneration on Real-M,
+# BenchmarkWorkloadGenerationRealD, most of a Real-D set-up) vs the
 # committed baseline — so work moved out of the set-up cannot grow unseen —,
 # if the 4-worker
 # pipeline no longer beats the one-slot pipeline by >= 2x wall-clock, or if
@@ -128,7 +131,9 @@ bench-json:
 # derived-store reads — Query and Bounds on the TPC-H store, Bounds on the
 # Real-M two-phase store — must stay at 0 allocs/op; one trace event on the
 # daemon's path — BenchmarkRecorderEmit, encode + flush + broadcast append —
-# must stay at 0 allocs/op). The what-if kernels run
+# must stay at 0 allocs/op; Real-M and Real-D synthesis are pinned at their
+# recorded allocs/op, so per-table or per-ref allocations cannot creep back).
+# The what-if kernels run
 # a fixed iteration count so the miss benchmarks insert a fixed number of
 # cache entries — a time-based budget would let a faster path fill a much
 # larger cache and pay unmatched map-growth cost.
@@ -136,11 +141,11 @@ bench-check:
 	$(GO) test -run '^$$' -bench '^BenchmarkEpisode(Cached)?$$' -benchtime 200000x ./internal/core > benchcheck.out
 	$(GO) test -run '^$$' -bench 'BenchmarkMCTSFixedBudgetWorkers|BenchmarkEarlyStopCheck|BenchmarkExtractRefresh' ./internal/core >> benchcheck.out
 	$(GO) test -run '^$$' -bench 'BenchmarkWhatIfCall$$|BenchmarkWhatIfCacheHit$$|BenchmarkWhatIfCacheHitBounded$$|BenchmarkWhatIfProjectedCacheHit$$|BenchmarkWhatIfCacheMiss$$|BenchmarkWhatIfBatch|BenchmarkEvictionChurn$$' -benchtime 2000000x . >> benchcheck.out
-	$(GO) test -run '^$$' -bench 'BenchmarkBoundDerivation|BenchmarkDerivedLookup$$|BenchmarkNewSessionRealM$$|BenchmarkRelevanceRealM$$|BenchmarkSessionSeen$$|BenchmarkRecorderEmit$$|BenchmarkCandidateGenerationRealM$$' . >> benchcheck.out
-	$(GO) run ./cmd/benchdiff -baseline BENCH_mcts.json -threshold 1.20 -match '^(BenchmarkEpisode|BenchmarkNewSessionRealM|BenchmarkRelevanceRealM|BenchmarkCandidateGenerationRealM)$$' benchcheck.out
+	$(GO) test -run '^$$' -bench 'BenchmarkBoundDerivation|BenchmarkDerivedLookup$$|BenchmarkNewSessionRealM$$|BenchmarkRelevanceRealM$$|BenchmarkSessionSeen$$|BenchmarkRecorderEmit$$|BenchmarkCandidateGenerationRealM$$|BenchmarkWorkloadGeneration(RealD)?$$' . >> benchcheck.out
+	$(GO) run ./cmd/benchdiff -baseline BENCH_mcts.json -threshold 1.20 -match '^(BenchmarkEpisode|BenchmarkNewSessionRealM|BenchmarkRelevanceRealM|BenchmarkCandidateGenerationRealM|BenchmarkWorkloadGeneration|BenchmarkWorkloadGenerationRealD)$$' benchcheck.out
 	$(GO) run ./cmd/benchdiff -speedup 'BenchmarkMCTSFixedBudgetWorkers/workers=1,BenchmarkMCTSFixedBudgetWorkers/workers=4,2.0' benchcheck.out
 	$(GO) run ./cmd/benchdiff -speedup 'BenchmarkWhatIfCacheHit,BenchmarkWhatIfCacheHitBounded,0.909' benchcheck.out
-	$(GO) run ./cmd/benchdiff -maxallocs 'BenchmarkWhatIfCall,0' -maxallocs 'BenchmarkWhatIfCacheHit,0' -maxallocs 'BenchmarkWhatIfCacheHitBounded,0' -maxallocs 'BenchmarkWhatIfProjectedCacheHit,0' -maxallocs 'BenchmarkEpisode,6' -maxallocs 'BenchmarkEpisodeCached,3' -maxallocs 'BenchmarkEarlyStopCheck,0' -maxallocs 'BenchmarkExtractRefresh,7' -maxallocs 'BenchmarkWhatIfBatch8,0' -maxallocs 'BenchmarkWhatIfBatch64,0' -maxallocs 'BenchmarkWhatIfBatchRealM,0' -maxallocs 'BenchmarkBoundDerivation,0' -maxallocs 'BenchmarkBoundDerivationRealM,0' -maxallocs 'BenchmarkDerivedLookup,0' -maxallocs 'BenchmarkSessionSeen,0' -maxallocs 'BenchmarkRecorderEmit,0' benchcheck.out
+	$(GO) run ./cmd/benchdiff -maxallocs 'BenchmarkWhatIfCall,0' -maxallocs 'BenchmarkWhatIfCacheHit,0' -maxallocs 'BenchmarkWhatIfCacheHitBounded,0' -maxallocs 'BenchmarkWhatIfProjectedCacheHit,0' -maxallocs 'BenchmarkEpisode,6' -maxallocs 'BenchmarkEpisodeCached,3' -maxallocs 'BenchmarkEarlyStopCheck,0' -maxallocs 'BenchmarkExtractRefresh,7' -maxallocs 'BenchmarkWhatIfBatch8,0' -maxallocs 'BenchmarkWhatIfBatch64,0' -maxallocs 'BenchmarkWhatIfBatchRealM,0' -maxallocs 'BenchmarkBoundDerivation,0' -maxallocs 'BenchmarkBoundDerivationRealM,0' -maxallocs 'BenchmarkDerivedLookup,0' -maxallocs 'BenchmarkSessionSeen,0' -maxallocs 'BenchmarkRecorderEmit,0' -maxallocs 'BenchmarkWorkloadGeneration,39432' -maxallocs 'BenchmarkWorkloadGenerationRealD,62088' benchcheck.out
 	@rm -f benchcheck.out
 
 # profile runs a representative tuning session under the CPU and heap

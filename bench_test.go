@@ -225,11 +225,17 @@ func benchCandidateGeneration(b *testing.B, name string) {
 }
 
 // BenchmarkWorkloadGeneration measures synthesis of the Real-M workload
-// (317 queries over 474 tables).
-func BenchmarkWorkloadGeneration(b *testing.B) {
+// (317 queries over 474 tables), validation included.
+func BenchmarkWorkloadGeneration(b *testing.B) { benchWorkloadGeneration(b, workload.RealM) }
+
+// BenchmarkWorkloadGenerationRealD is its Real-D case (32 queries over
+// 7,912 tables), which is most of a Real-D run's set-up.
+func BenchmarkWorkloadGenerationRealD(b *testing.B) { benchWorkloadGeneration(b, workload.RealD) }
+
+func benchWorkloadGeneration(b *testing.B, gen func() *workload.Workload) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		workload.RealM()
+		gen()
 	}
 }
 
