@@ -1,36 +1,59 @@
 package indextune
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
 	"time"
+
+	"indextune/internal/core"
 )
 
-// A nil context and a live context.Background must both leave every result
-// field byte-identical to each other — the cancellation layer is free until
-// the context is actually cancelled — at the sequential and parallel worker
-// counts.
+// A nil context and a live context.Background must leave every registered
+// algorithm's result and JSONL trace event stream byte-identical to each
+// other — the cancellation layer is free until the context is actually
+// cancelled — at the sequential and parallel worker counts. DP runs on a
+// universe small enough for its exact solver rather than its fallback.
 func TestTuneContextNilVsBackgroundBitIdentical(t *testing.T) {
-	w := Workload("tpch")
-	for _, workers := range []int{1, 4} {
-		base, err := Tune(w, Options{K: 5, Budget: 120, Seed: 7, SessionWorkers: workers})
-		if err != nil {
-			t.Fatal(err)
+	tpch := Workload("tpch")
+	tiny, err := Synthesize(SynthSpec{Name: "dp-tiny", Seed: 5, NumTables: 4, NumQueries: 3,
+		ScansMean: 2, FiltersMean: 1, RowsMin: 200_000, RowsMax: 2_000_000, PayloadMin: 80, PayloadMax: 160})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range Algorithms() {
+		w := tpch
+		if alg == AlgorithmDP {
+			w = tiny
 		}
-		ctxd, err := Tune(w, Options{K: 5, Budget: 120, Seed: 7, SessionWorkers: workers,
-			Context: context.Background()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// TuningTime and WhatIfTime are derived from the session's own
-		// spend, so even those must match exactly.
-		if !reflect.DeepEqual(base, ctxd) {
-			t.Fatalf("workers=%d: context.Background changed the result:\nnil: %+v\nctx: %+v",
-				workers, base, ctxd)
-		}
-		if base.Cancelled {
-			t.Fatalf("workers=%d: never-cancelled run reported Cancelled", workers)
+		for _, workers := range []int{1, 4} {
+			run := func(ctx context.Context) (*Result, []byte) {
+				var events bytes.Buffer
+				res, err := Tune(w, Options{K: 5, Budget: 120, Seed: 7, Algorithm: alg,
+					SessionWorkers: workers, Context: ctx, TraceEvents: &events})
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", alg, workers, err)
+				}
+				return res, events.Bytes()
+			}
+			base, baseEvents := run(nil)
+			ctxd, ctxdEvents := run(context.Background())
+			if alg == AlgorithmDP && base.Candidates > core.MaxDPCandidates {
+				t.Fatalf("dp universe %d exceeds %d: the exact solver never ran", base.Candidates, core.MaxDPCandidates)
+			}
+			// TuningTime and WhatIfTime are derived from the session's own
+			// spend, so even those must match exactly.
+			if !reflect.DeepEqual(base, ctxd) {
+				t.Fatalf("%s workers=%d: context.Background changed the result:\nnil: %+v\nctx: %+v",
+					alg, workers, base, ctxd)
+			}
+			if !bytes.Equal(baseEvents, ctxdEvents) {
+				t.Fatalf("%s workers=%d: context.Background changed the trace event stream", alg, workers)
+			}
+			if base.Cancelled {
+				t.Fatalf("%s workers=%d: never-cancelled run reported Cancelled", alg, workers)
+			}
 		}
 	}
 }
