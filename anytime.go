@@ -40,8 +40,8 @@ type AnytimeOptions struct {
 	// CollectTrace enables summary-only tracing without an event stream.
 	CollectTrace bool
 	// Context, when non-nil, cancels a running TuneAnytime call: the
-	// cancellation is observed at slice boundaries and at the commit points
-	// inside a slice, the session refunds its unspent budget exactly like an
+	// session's next charged what-if call is refused instead, the session
+	// refunds its unspent budget exactly like an
 	// early stop, the final AnytimeProgress reports Reason "cancelled", and
 	// the Result carries the partial recommendation with the Cancelled flag
 	// set. A nil or never-cancelled context changes nothing.

@@ -10,6 +10,21 @@ import (
 	"indextune/internal/core"
 )
 
+// dpTinyWorkload is a workload whose candidate universe fits the DP
+// solver's exact enumeration.
+func dpTinyWorkload(t *testing.T) *WorkloadSet {
+	t.Helper()
+	w, err := Synthesize(SynthSpec{Name: "dp-tiny", Seed: 5, NumTables: 4, NumQueries: 3,
+		ScansMean: 2, FiltersMean: 1, RowsMin: 200_000, RowsMax: 2_000_000, PayloadMin: 80, PayloadMax: 160})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ixs, _ := GenerateCandidates(w); len(ixs) > core.MaxDPCandidates {
+		t.Fatalf("dp universe %d exceeds %d: the exact solver would not run", len(ixs), core.MaxDPCandidates)
+	}
+	return w
+}
+
 // A nil context and a live context.Background must leave every registered
 // algorithm's result and JSONL trace event stream byte-identical to each
 // other — the cancellation layer is free until the context is actually
@@ -17,11 +32,7 @@ import (
 // universe small enough for its exact solver rather than its fallback.
 func TestTuneContextNilVsBackgroundBitIdentical(t *testing.T) {
 	tpch := Workload("tpch")
-	tiny, err := Synthesize(SynthSpec{Name: "dp-tiny", Seed: 5, NumTables: 4, NumQueries: 3,
-		ScansMean: 2, FiltersMean: 1, RowsMin: 200_000, RowsMax: 2_000_000, PayloadMin: 80, PayloadMax: 160})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tiny := dpTinyWorkload(t)
 	for _, alg := range Algorithms() {
 		w := tpch
 		if alg == AlgorithmDP {
@@ -39,9 +50,6 @@ func TestTuneContextNilVsBackgroundBitIdentical(t *testing.T) {
 			}
 			base, baseEvents := run(nil)
 			ctxd, ctxdEvents := run(context.Background())
-			if alg == AlgorithmDP && base.Candidates > core.MaxDPCandidates {
-				t.Fatalf("dp universe %d exceeds %d: the exact solver never ran", base.Candidates, core.MaxDPCandidates)
-			}
 			// TuningTime and WhatIfTime are derived from the session's own
 			// spend, so even those must match exactly.
 			if !reflect.DeepEqual(base, ctxd) {
@@ -58,34 +66,42 @@ func TestTuneContextNilVsBackgroundBitIdentical(t *testing.T) {
 	}
 }
 
-// An already-cancelled context terminates the run at the first commit point
-// with the early-stop refund semantics: the partial result is still
-// returned, and the unspent budget is refunded exactly.
+// An already-cancelled context is observed at every algorithm's first
+// charge attempt: the run charges nothing, refunds its whole budget, records
+// exactly one cancel event carrying that refund, and still returns a
+// partial result. DP runs on a universe small enough for its exact solver,
+// which charges (its fallback spends nothing, so it never sees a cancel).
 func TestTuneCancelledContextRefundsBudget(t *testing.T) {
-	w := Workload("tpch")
+	tpch := Workload("tpch")
+	tiny := dpTinyWorkload(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, alg := range []string{AlgorithmMCTS, AlgorithmTwoPhase} {
-		res, err := Tune(w, Options{K: 5, Budget: 500, Seed: 1, Algorithm: alg, Context: ctx, CollectTrace: true})
-		if err != nil {
-			t.Fatalf("%s: cancellation must yield a partial result, not an error: %v", alg, err)
+	for _, alg := range Algorithms() {
+		w := tpch
+		if alg == AlgorithmDP {
+			w = tiny
 		}
-		if !res.Cancelled {
-			t.Fatalf("%s: Cancelled not set: %+v", alg, res)
-		}
-		if res.EarlyStopped {
-			t.Fatalf("%s: cancellation misreported as early stop", alg)
-		}
-		if res.WhatIfCalls+res.RefundedBudget != 500 {
-			t.Fatalf("%s: refund invariant broken: used %d + refunded %d != budget 500",
-				alg, res.WhatIfCalls, res.RefundedBudget)
-		}
-		// The cancel event carries the refund the Result reports.
-		if res.Trace == nil || res.Trace.RefundedBudget != res.RefundedBudget {
-			t.Fatalf("%s: traced refund %+v, want %d", alg, res.Trace, res.RefundedBudget)
-		}
-		if res.ImprovementPct < 0 {
-			t.Fatalf("%s: partial result regressed below baseline: %v", alg, res.ImprovementPct)
+		for _, workers := range []int{1, 4} {
+			res, err := Tune(w, Options{K: 5, Budget: 500, Seed: 1, Algorithm: alg,
+				SessionWorkers: workers, Context: ctx, CollectTrace: true})
+			if err != nil {
+				t.Fatalf("%s: cancellation must yield a partial result, not an error: %v", alg, err)
+			}
+			if !res.Cancelled || res.EarlyStopped {
+				t.Fatalf("%s workers=%d: Cancelled=%v EarlyStopped=%v, want a cancel", alg, workers,
+					res.Cancelled, res.EarlyStopped)
+			}
+			if res.WhatIfCalls != 0 || res.RefundedBudget != 500 {
+				t.Fatalf("%s workers=%d: charged %d and refunded %d, want 0 and 500", alg, workers,
+					res.WhatIfCalls, res.RefundedBudget)
+			}
+			if res.Trace == nil || res.Trace.Cancellations != 1 || res.Trace.RefundedBudget != res.RefundedBudget {
+				t.Fatalf("%s workers=%d: trace %+v, want one cancel refunding %d", alg, workers,
+					res.Trace, res.RefundedBudget)
+			}
+			if res.ImprovementPct < 0 {
+				t.Fatalf("%s workers=%d: partial result regressed below baseline: %v", alg, workers, res.ImprovementPct)
+			}
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 //	GET    /jobs/{id}       one job's snapshot
 //	GET    /jobs/{id}/trace stream the job's trace layer (SSE or JSONL)
 //	DELETE /jobs/{id}       cancel (queued: immediate; running: at the next
-//	                        commit point, with the early-stop refund)
+//	                        charged call, with the early-stop refund)
 //	GET    /stats           cross-job cache observability: job counts,
 //	                        per-oracle cache stats, boot snapshot loads
 //	GET    /healthz         liveness probe

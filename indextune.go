@@ -198,9 +198,8 @@ type Options struct {
 	// to an unbounded run at any SessionWorkers count; the bound trades CPU
 	// for memory, never accuracy or budget accounting.
 	CacheBytes int64
-	// Context, when non-nil, cancels a running Tune call: the cancellation
-	// is observed at the same enumerator commit points as the StopEpsilon
-	// rule, the session refunds its unspent budget exactly like an early
+	// Context, when non-nil, cancels a running Tune call: the run's next
+	// charged what-if call is refused instead, the session refunds its unspent budget exactly like an early
 	// stop (WhatIfCalls + RefundedBudget == Budget), and Tune returns the
 	// partial Result assembled from everything learned, with the Cancelled
 	// flag set. A nil or never-cancelled context (including

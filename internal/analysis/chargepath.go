@@ -34,7 +34,6 @@ var sessionGatewayMethods = map[string]bool{
 	"CommitReservedBatch":   true,
 	"OracleImprovement":     true,
 	"CheckStop":             true,
-	"CheckCancel":           true,
 }
 
 // searchGatewayFuncs are package-level search functions sanctioned to touch

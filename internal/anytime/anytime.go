@@ -49,9 +49,10 @@ type Options struct {
 	// Trace, when non-nil, receives the session's budget events plus a slice
 	// snapshot after every Step.
 	Trace *trace.Recorder
-	// Ctx, when non-nil, cancels the session: a cancellation observed at a
-	// commit point finishes the session with Progress.Reason "cancelled" and
-	// the early-stop refund semantics (see search.Session.CheckCancel).
+	// Ctx, when non-nil, cancels the session: the slice's next charge
+	// attempt observes the cancellation and finishes the session with
+	// Progress.Reason "cancelled" and the early-stop refund semantics (see
+	// search.Session.Ctx).
 	Ctx context.Context
 }
 
@@ -119,14 +120,6 @@ func New(w *workload.Workload, opts Options) *Session {
 // calls free makes slicing cheap.
 func (a *Session) Step() (Progress, bool) {
 	if a.done {
-		return a.snapshot(), true
-	}
-	// A cancellation that arrived between slices finishes the session before
-	// the next slice spends anything; one observed inside a slice is handled
-	// by the post-slice switch below.
-	if a.s.CheckCancel() && a.s.Cancelled() {
-		a.done = true
-		a.finish("cancelled")
 		return a.snapshot(), true
 	}
 	sliceBudget := a.opts.SliceCalls

@@ -57,7 +57,7 @@ func (b DBABandits) Enumerate(s *search.Session) iset.Set {
 	m := len(s.W.Queries)
 	round := 0
 	stalled := 0
-	for s.Remaining() >= 1 && stalled < 3 {
+	for !s.Exhausted() && stalled < 3 {
 		usedBefore := s.Used()
 		theta := solve(V, bvec)
 		Vinv := invert(V)

@@ -272,9 +272,6 @@ func (t *tuner) enumerate() iset.Set {
 	}
 	t.root = t.newNode(iset.Set{}, 0)
 	t.bestCfg = iset.Set{}
-	// A cancellation that arrived during the prior phase takes effect before
-	// the first episode rather than after it.
-	s.CheckCancel()
 	t.run(workers)
 	return t.extract()
 }
@@ -293,16 +290,10 @@ func (t *tuner) enumerate() iset.Set {
 // entries recorded since the previous check can change.
 const stopCheckInterval = 50
 
-// checkStop runs the cancellation check and the early-stopping rule at an
-// episode commit point, reporting whether the session is (now) terminated.
-// Cancellation is checked first and unconditionally: it is a single context
-// poll, needs no StopEpsilon, and a cancelled session must wind down even
-// when stopping is disarmed.
+// checkStop runs the early-stopping rule at an episode commit point,
+// reporting whether the session is (now) stopped.
 func (t *tuner) checkStop() bool {
 	s := t.s
-	if s.CheckCancel() {
-		return true
-	}
 	if s.StopEpsilon <= 0 {
 		return false
 	}

@@ -33,7 +33,8 @@ package core
 // episode j+1 selects, so the virtual-loss counters are zero at every
 // selection and the selection formulas are exactly Equations 5 and 6. The
 // loop guard runs before every reserve, on the only goroutine that charges,
-// so no episode's pair is ever over budget.
+// so an episode's pair is over budget only when its own reserve observed a
+// cancellation, after which the guard ends the loop.
 
 import (
 	randv2 "math/rand/v2"
@@ -222,8 +223,9 @@ func (t *tuner) commitEpisode(sl *episodeSlot) {
 		}
 		// Commit on the coordinator in episode order: charged calls are
 		// recorded and their trace events emitted here. The loop guard
-		// precedes every reserve, so no episode's pair is exhausted; if one
-		// were, the episode would keep its derived total.
+		// precedes every reserve, so a pair is exhausted only when its
+		// reserve observed a cancellation; the episode keeps its derived
+		// total.
 		t.s.CommitReservedBatch(sl.b)
 		if sl.b.Outcome(0) != search.BatchExhausted {
 			total += -sl.dQi + sl.b.Cost(0)*t.s.W.Queries[sl.qi].EffectiveWeight()

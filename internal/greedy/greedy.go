@@ -96,15 +96,6 @@ func searchWith(s *search.Session, queries, cands []int, start iset.Set, k int, 
 		if s.Trace != nil && mode != EvalDerived {
 			s.Trace.Step("greedy", bestOrd, curCost, s.Used())
 		}
-		// Cancellation check at the step commit point: budgeted modes poll
-		// the context on every committed step (derived-only search spends
-		// nothing, so there is nothing to save by interrupting it). After a
-		// cancel, Exhausted() is true and the remaining steps complete the
-		// configuration through the derived-only fast path — the same wind-
-		// down an early stop uses.
-		if mode != EvalDerived {
-			s.CheckCancel()
-		}
 		// Early-stopping check at the step commit point, only for budgeted
 		// workload-level search (per-query phase-one configs are not the
 		// run's configuration, and derived-only search spends nothing to

@@ -222,7 +222,7 @@ type Snapshot struct {
 }
 
 // Job is one tuning run moving through the lifecycle. All fields behind mu;
-// the ctx/cancel pair carries cancellation into the session's commit points.
+// the ctx/cancel pair carries cancellation into the session's charged calls.
 type Job struct {
 	ID   string
 	Spec Spec
@@ -273,7 +273,7 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 func (j *Job) Stream() *Broadcast { return j.stream }
 
 // Cancel requests cancellation. Running jobs observe it at the session's
-// next commit point, wind down with the early-stop refund semantics, and
+// next charged call, wind down with the early-stop refund semantics, and
 // finish as StateCancelled with a partial result; terminal jobs ignore it.
 func (j *Job) Cancel() { j.cancel() }
 
@@ -481,7 +481,7 @@ func (m *Manager) List() []*Job {
 
 // Cancel cancels the job with the given ID: a queued job finishes as
 // StateCancelled without ever spending budget, a running one winds down at
-// its next commit point with the early-stop refund semantics, a terminal
+// its next charged call with the early-stop refund semantics, a terminal
 // one is left as is. The returned job reflects the state transition that
 // was actually triggered.
 func (m *Manager) Cancel(id string) (*Job, error) {

@@ -29,7 +29,8 @@ package search
 // Trace events are not emitted at reserve time; CommitReservedBatch emits
 // each pair's events in pair order — Reserve+Commit for charged pairs (with
 // the budget counter recorded at that pair's reserve), CacheHit for repeats,
-// DerivedBound for interceptions, DerivedFallback for over-budget pairs — so
+// DerivedBound for interceptions, DerivedFallback for over-budget pairs
+// (after the Cancel event of the pair that observed a cancellation) — so
 // the batched stream is literally the sequential stream.
 
 import (
@@ -53,7 +54,7 @@ const (
 	// BatchBound: unseen pair answered from derived cost bounds, budget-free.
 	BatchBound
 	// BatchExhausted: unseen pair and no budget left (or the session
-	// stopped); answered from the derived cost.
+	// stopped or was cancelled); answered from the derived cost.
 	BatchExhausted
 )
 
@@ -69,6 +70,7 @@ type request struct {
 	gap    float64 // relative bound gap of a BatchBound answer
 	usedAt int     // budget counter right after a BatchCharged reservation
 	floor  bool    // a floor probe: commit records the query's floor, not an entry
+	cancel bool    // this pair's reserve observed Ctx cancellation
 }
 
 // Batch is a reusable ordered collection of (query, configuration) pairs
@@ -125,7 +127,7 @@ func (s *Session) ReserveBatch(b *Batch) {
 	for i := range b.reqs {
 		r := &b.reqs[i]
 		r.key = s.pairFor(r.qi, r.cfg)
-		r.cost, r.gap = 0, 0
+		r.cost, r.gap, r.cancel = 0, 0, false
 	}
 	s.mu.Lock()
 	for i := range b.reqs {

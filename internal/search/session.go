@@ -136,12 +136,12 @@ type Session struct {
 	StopEpsilon float64
 
 	// Ctx, when non-nil, carries the caller's cancellation signal into the
-	// run: CheckCancel — called at the same enumerator commit points as
-	// CheckStop — terminates the session once the context is done, with the
-	// exact refund semantics of an early stop (Exhausted() turns true,
-	// further Reserves are refused, Used() + RefundedBudget() == Budget).
-	// A nil or never-cancelled context leaves every path bit-identical to a
-	// session without the cancellation layer at any worker count.
+	// run: the first charge attempt after the context is done is refused
+	// like an over-budget pair and terminates the session, with the exact
+	// refund semantics of an early stop (Exhausted() turns true, further
+	// Reserves are refused, Used() + RefundedBudget() == Budget). A nil or
+	// never-cancelled context leaves every path bit-identical to a session
+	// without the cancellation layer at any worker count.
 	Ctx context.Context
 
 	// mu guards seen and the bookkeeping performed by CommitReserved
@@ -169,11 +169,11 @@ type Session struct {
 	boundHits atomic.Int64
 
 	// Early-stopping state. stopped and cancelled are atomic flags
-	// (chargers on any goroutine consult them via Exhausted); the rest
-	// follows the single-owner convention — only the coordinator goroutine
-	// calls CheckStop/CheckCancel, and stopGap is written before the
-	// stopped flag is raised, so readers that observe the flag see it
-	// complete.
+	// (chargers on any goroutine consult them via Exhausted; cancelled is
+	// raised by reserve under mu); the rest follows the single-owner
+	// convention — only the coordinator goroutine calls CheckStop, and
+	// stopGap is written before the stopped flag is raised, so readers that
+	// observe the flag see it complete.
 	stopped   atomic.Bool
 	cancelled atomic.Bool
 	stopGap   float64
@@ -250,7 +250,7 @@ func (s *Session) Exhausted() bool {
 func (s *Session) Stopped() bool { return s.stopped.Load() }
 
 // Cancelled reports whether the session was terminated by Ctx cancellation
-// (observed by CheckCancel at an enumerator commit point).
+// (observed by a charge attempt).
 func (s *Session) Cancelled() bool { return s.cancelled.Load() }
 
 // StopGap returns the bound gap recorded at stop time (0 unless Stopped).
@@ -339,8 +339,12 @@ const (
 // DeriveEpsilon > 0, an unseen pair whose derived bounds are tight is
 // answered from the bound midpoint without charging; otherwise an unseen
 // pair is refused when the session is Exhausted (budget spent, stopped or
-// cancelled), and charged one unit — marked seen — when not.
-// It emits no trace events; r.key must already hold pairFor(r.qi, r.cfg).
+// cancelled), and charged one unit — marked seen — when not. A charge
+// attempt is where cancellation is observed: once Ctx is done the pair is
+// refused and the session cancelled, by a non-blocking receive polled at
+// most once per charged call and never once the session is exhausted.
+// It emits no trace events (settle emits the cancel for r.cancel); r.key
+// must already hold pairFor(r.qi, r.cfg).
 //
 // locked: mu
 func (s *Session) reserve(r *request, intercept bool) {
@@ -359,6 +363,15 @@ func (s *Session) reserve(r *request, intercept bool) {
 	if s.Exhausted() {
 		r.out = BatchExhausted
 		return
+	}
+	if s.Ctx != nil {
+		select {
+		case <-s.Ctx.Done():
+			s.cancelled.Store(true)
+			r.out, r.cancel = BatchExhausted, true
+			return
+		default:
+		}
 	}
 	r.usedAt = int(s.used.Add(1))
 	s.seen.add(r.key)
@@ -387,7 +400,8 @@ func (s *Session) boundAnswer(qi int, cfg iset.Set) (mid, gap float64, ok bool) 
 // settle completes a reserved pair and emits its trace events: a charged
 // pair is committed (preceded by its Reserve event), a cached or
 // bound-answered pair is witnessed, and an exhausted pair is answered from
-// the derived cost computed now, after every earlier commit.
+// the derived cost computed now, after every earlier commit (preceded by
+// the Cancel event when its reserve observed the cancellation).
 //
 // locked: mu
 func (s *Session) settle(r *request) {
@@ -409,10 +423,21 @@ func (s *Session) settle(r *request) {
 			s.Trace.DerivedBound(r.qi, r.cfg.Key(), r.cost, r.gap)
 		}
 	default:
+		s.traceCancel(r)
 		r.cost = s.Derived.Query(r.qi, r.cfg)
 		if s.Trace != nil {
 			s.Trace.DerivedFallback(r.qi, r.cfg.Key())
 		}
+	}
+}
+
+// traceCancel emits the Cancel event of the one pair whose reserve observed
+// the cancellation, carrying the refund and spend at that decision.
+//
+// locked: mu
+func (s *Session) traceCancel(r *request) {
+	if r.cancel && s.Trace != nil {
+		s.Trace.Cancel(s.RefundedBudget(), s.Used())
 	}
 }
 
@@ -458,6 +483,7 @@ func (s *Session) Reserve(qi int, cfg iset.Set) Reservation {
 		}
 		return ReserveCached
 	case BatchExhausted:
+		s.traceCancel(&r)
 		return ReserveExhausted
 	}
 	if s.Trace != nil {
@@ -523,6 +549,11 @@ func (s *Session) CheckStop(cfg iset.Set) bool {
 		return false
 	}
 	s.probeFloors()
+	if s.Cancelled() {
+		// A floor probe observed the cancellation: the run winds down with
+		// the cancel's refund, and no gap is computed.
+		return true
+	}
 	if s.stopper == nil {
 		s.stopper = earlystop.New(s.Derived, s.W)
 	}
@@ -536,39 +567,6 @@ func (s *Session) CheckStop(cfg iset.Set) bool {
 		return true
 	}
 	return false
-}
-
-// CheckCancel observes Ctx cancellation at an enumerator commit point: once
-// the context is done the session is terminated with the exact semantics of
-// an early stop — Exhausted() turns true, further Reserves are refused, and
-// the unspent budget Budget−Used is refunded (RefundedBudget), so
-// Used() + RefundedBudget() == Budget. It returns whether the run should
-// wind down (cancelled, or already stopped). With Ctx nil — or non-nil but
-// never cancelled — it has no effect of any kind, preserving bit-identity
-// with a session without the cancellation layer at any worker count.
-//
-// Like CheckStop it follows the single-owner convention: call it only from
-// the goroutine driving the algorithm. A cancelled session completes like a
-// stopped one — greedy finishes its configuration through the derived-only
-// fast path and MCTS extracts from the recorded entries — so callers always
-// get a usable partial result.
-func (s *Session) CheckCancel() bool {
-	if s.Cancelled() {
-		return true
-	}
-	if s.Ctx == nil || s.Ctx.Err() == nil {
-		return false
-	}
-	if s.Stopped() {
-		// The early-stopping rule already terminated the run and recorded
-		// its refund; a cancellation arriving later changes nothing.
-		return true
-	}
-	s.cancelled.Store(true)
-	if s.Trace != nil {
-		s.Trace.Cancel(s.RefundedBudget(), s.Used())
-	}
-	return true
 }
 
 // probeFloors charges the per-query universe probes the stopping bound
@@ -594,10 +592,12 @@ func (s *Session) probeFloors() {
 		r := request{qi: qi, cfg: s.univ, key: s.pairFor(qi, s.univ), floor: true}
 		s.mu.Lock()
 		s.reserve(&r, false)
-		s.mu.Unlock()
 		if r.out == BatchExhausted {
+			s.traceCancel(&r)
+			s.mu.Unlock()
 			return
 		}
+		s.mu.Unlock()
 		r.cost = s.Opt.WhatIf(s.W.Queries[qi], s.univ)
 		s.mu.Lock()
 		s.settle(&r)
