@@ -137,10 +137,10 @@ func TestTuneCancelMidRun(t *testing.T) {
 }
 
 // The anytime wrapper reports cancellation through Progress.Reason and the
-// Result's Cancelled flag. A context cancelled before the first slice
-// refunds the whole budget, and the trace summary still reports that
-// budget: the final progress step carries it, while the slice history
-// holds no slice.
+// Result's Cancelled flag. A context cancelled before the first slice is
+// observed by that slice's first charge attempt and refunds the whole
+// budget; the trace summary reports the session's full budget and refund,
+// not the slice-narrowed refund the cancel event carries.
 func TestTuneAnytimeCancelled(t *testing.T) {
 	w := Workload("tpch")
 	ctx, cancel := context.WithCancel(context.Background())
@@ -164,6 +164,9 @@ func TestTuneAnytimeCancelled(t *testing.T) {
 	if res.Trace.Budget != res.WhatIfCalls+res.RefundedBudget {
 		t.Fatalf("trace budget %d != whatif calls %d + refunded %d",
 			res.Trace.Budget, res.WhatIfCalls, res.RefundedBudget)
+	}
+	if res.Trace.RefundedBudget != res.RefundedBudget {
+		t.Fatalf("traced refund %d != refund %d", res.Trace.RefundedBudget, res.RefundedBudget)
 	}
 }
 

@@ -136,7 +136,7 @@ type Summary struct {
 	Curve            []CurvePoint   `json:"curve,omitempty"`
 	// EarlyStops counts stop decisions (0 or 1 per session), StopGap is the
 	// bound gap at the decision, and RefundedBudget the budget returned
-	// unspent. The spend invariant is unaffected: refunded budget was never
+	// unspent: Budget − TotalSpend once a stop or cancel is recorded. The spend invariant is unaffected: refunded budget was never
 	// charged, so SpendByPhase still sums to TotalSpend.
 	EarlyStops     int64   `json:"early_stops,omitempty"`
 	StopGap        float64 `json:"stop_gap,omitempty"`
@@ -207,7 +207,6 @@ type Recorder struct {
 	stops         int64   // guarded by: mu
 	cancels       int64   // guarded by: mu
 	stopGap       float64 // guarded by: mu
-	refunded      int     // guarded by: mu
 	oraclePct     float64 // guarded by: mu
 
 	autoFlush bool // guarded by: mu
@@ -383,7 +382,6 @@ func (r *Recorder) Stop(gap float64, refunded, used int) {
 	r.mu.Lock()
 	r.stops++
 	r.stopGap = gap
-	r.refunded += refunded
 	r.emit(Event{Kind: KindStop, Phase: r.phase, Query: -1, Value: gap, Refunded: refunded, Used: used})
 	r.mu.Unlock()
 }
@@ -397,7 +395,6 @@ func (r *Recorder) Cancel(refunded, used int) {
 	}
 	r.mu.Lock()
 	r.cancels++
-	r.refunded += refunded
 	r.emit(Event{Kind: KindCancel, Phase: r.phase, Query: -1, Refunded: refunded, Used: used})
 	r.mu.Unlock()
 }
@@ -465,7 +462,8 @@ func (r *Recorder) Flush() error {
 }
 
 // Summary snapshots the aggregate metrics. algorithm and budget annotate the
-// document; pass zero values when unknown.
+// document, and budget also yields the refund of a stopped or cancelled
+// run; pass zero values when unknown.
 func (r *Recorder) Summary(algorithm string, budget int) Summary {
 	if r == nil {
 		return Summary{Algorithm: algorithm, Budget: budget, SpendByPhase: map[Phase]int{}}
@@ -485,7 +483,6 @@ func (r *Recorder) Summary(algorithm string, budget int) Summary {
 		EarlyStops:           r.stops,
 		Cancellations:        r.cancels,
 		StopGap:              r.stopGap,
-		RefundedBudget:       r.refunded,
 		OracleImprovementPct: r.oraclePct,
 		Curve:                append([]CurvePoint(nil), r.curve...),
 	}
@@ -496,6 +493,12 @@ func (r *Recorder) Summary(algorithm string, budget int) Summary {
 	for p, n := range r.spend {
 		s.SpendByPhase[p] = n
 		s.TotalSpend += n
+	}
+	if r.stops+r.cancels > 0 {
+		// The refund is whatever the run never charged. An event's own
+		// refund is measured against the session's budget at the decision,
+		// which a caller may have narrowed (anytime slices).
+		s.RefundedBudget = max(budget-s.TotalSpend, 0)
 	}
 	if len(r.perQuery) > 0 {
 		s.PerQuerySpend = make(map[string]int, len(r.perQuery))

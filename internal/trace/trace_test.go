@@ -30,6 +30,22 @@ func TestNilRecorderNoOps(t *testing.T) {
 	}
 }
 
+// The summary refund is the budget the run never charged, whatever refund a
+// stop or cancel event carried against a narrowed budget; a run that
+// recorded neither reports none.
+func TestSummaryRefundIsUnchargedBudget(t *testing.T) {
+	r := New(nil)
+	r.Reserve(0, "a", 1)
+	r.Commit(0, "a", 2.5, 1)
+	if s := r.Summary("test", 10); s.RefundedBudget != 0 {
+		t.Fatalf("refund %d without a stop or cancel, want 0", s.RefundedBudget)
+	}
+	r.Cancel(3, 1) // measured against a budget narrowed to 4
+	if s := r.Summary("test", 10); s.RefundedBudget != 9 || s.Cancellations != 1 {
+		t.Fatalf("refund %d cancellations %d, want 9 and 1", s.RefundedBudget, s.Cancellations)
+	}
+}
+
 func TestCountersAndSummary(t *testing.T) {
 	r := New(nil)
 	r.SetPhase(PhasePriors)

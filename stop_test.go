@@ -3,6 +3,7 @@ package indextune
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 // synthStopWorkload builds a small random workload for the early-stopping
@@ -153,5 +154,28 @@ func TestStopSpendInvariantWithRefunds(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// An anytime run that stops inside a slice reports the session's refund in
+// its trace summary, not the refund against the slice-narrowed budget the
+// stop event carries.
+func TestStopAnytimeTraceRefund(t *testing.T) {
+	w := Workload("tpch")
+	res, err := TuneAnytime(w, AnytimeOptions{
+		K: 10, TimeBudget: 25 * time.Minute, StopEpsilon: 0.1, Seed: 1, CollectTrace: true,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.EarlyStopped {
+		t.Fatalf("run did not stop early: %+v", res)
+	}
+	if res.Trace.RefundedBudget != res.RefundedBudget {
+		t.Fatalf("traced refund %d != refund %d", res.Trace.RefundedBudget, res.RefundedBudget)
+	}
+	if res.Trace.TotalSpend+res.Trace.RefundedBudget != res.Trace.Budget {
+		t.Fatalf("traced spend %d + refund %d != budget %d",
+			res.Trace.TotalSpend, res.Trace.RefundedBudget, res.Trace.Budget)
 	}
 }
