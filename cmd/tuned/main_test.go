@@ -100,13 +100,28 @@ func TestDaemonSubmitStreamComplete(t *testing.T) {
 }
 
 // Submit → stream live → DELETE mid-run → the stream ends with a cancelled
-// summary whose refund accounting is exact.
+// summary whose refund accounting is exact. Bandit polls no cancellation of
+// its own; the session refuses its next charged call. The trace request
+// carries a deadline, so a job that ignores the DELETE fails the test
+// instead of hanging it.
 func TestDaemonCancelMidStream(t *testing.T) {
+	for _, alg := range []string{"mcts", "bandit"} {
+		t.Run(alg, func(t *testing.T) { testDaemonCancelMidStream(t, alg) })
+	}
+}
+
+func testDaemonCancelMidStream(t *testing.T, alg string) {
 	srv, _ := newTestServer(t, jobs.Options{MaxConcurrent: 1})
 	const budget = 500000
-	snap := postJob(t, srv, fmt.Sprintf(`{"workload":"tpch","budget":%d,"k":8,"seed":2}`, budget))
+	snap := postJob(t, srv, fmt.Sprintf(`{"workload":"tpch","algorithm":%q,"budget":%d,"k":8,"seed":2}`, alg, budget))
 
-	resp, err := http.Get(srv.URL + "/jobs/" + snap.ID + "/trace")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	treq, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/jobs/"+snap.ID+"/trace", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(treq)
 	if err != nil {
 		t.Fatal(err)
 	}

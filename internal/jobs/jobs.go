@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -562,10 +563,24 @@ func (m *Manager) releaseLocked(j *Job) {
 	}
 }
 
-// run executes one job to a terminal state and frees its run slot.
+// algorithmByName resolves a job's algorithm; tests swap it to inject one.
+var algorithmByName = algo.ByName
+
+// run executes one job to a terminal state and frees its run slot. A panic
+// on the job's goroutine fails that job alone, with the panic value and
+// stack as its error; the slot and tenant budget are freed as usual and the
+// manager keeps serving. Panics on goroutines the job starts (MCTS slot
+// workers at Workers > 1) are not recovered and still end the process.
 func (m *Manager) run(j *Job) {
 	defer m.wg.Done()
-	res, err := m.execute(j)
+	res, err := func() (res *Result, err error) {
+		defer func() {
+			if v := recover(); v != nil {
+				res, err = nil, fmt.Errorf("job panicked: %v\n%s", v, debug.Stack())
+			}
+		}()
+		return m.execute(j)
+	}()
 	// Free the tenant's admission budget before the job turns terminal, as
 	// Cancel does for queued jobs, so a submission made once Done closes is
 	// admitted against the freed capacity.
@@ -600,7 +615,7 @@ func (m *Manager) execute(j *Job) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	alg, err := algo.ByName(j.Spec.Algorithm, nil)
+	alg, err := algorithmByName(j.Spec.Algorithm, nil)
 	if err != nil {
 		return nil, err
 	}

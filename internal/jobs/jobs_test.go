@@ -11,6 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"indextune/internal/algo"
+	"indextune/internal/core"
+	"indextune/internal/iset"
+	"indextune/internal/search"
 	"indextune/internal/trace"
 )
 
@@ -426,5 +430,75 @@ func TestBroadcastReplayAndLiveReaders(t *testing.T) {
 	}
 	if _, err := b.Write([]byte("late")); err == nil {
 		t.Fatal("write after Close must fail")
+	}
+}
+
+type panicAlg struct{}
+
+func (panicAlg) Name() string                       { return "panic" }
+func (panicAlg) Enumerate(*search.Session) iset.Set { panic("deliberate test panic") }
+
+// A panic on a job's goroutine fails that job with the panic value and
+// stack, frees its run slot and tenant budget, and leaves the manager
+// serving: the next job on the same manager completes.
+func TestManagerPanicFailsOnlyThatJob(t *testing.T) {
+	algorithmByName = func(string, *core.Options) (search.Algorithm, error) { return panicAlg{}, nil }
+	t.Cleanup(func() { algorithmByName = algo.ByName })
+	m := NewManager(Options{MaxConcurrent: 1, TenantBudget: 60})
+	bad, err := m.Submit(Spec{Workload: "tpch", Budget: 60, K: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, bad)
+	if st := bad.State(); st != StateFailed || bad.Result() != nil {
+		t.Fatalf("panicking job: state %s result %+v, want failed with no result", st, bad.Result())
+	}
+	if msg := bad.Err().Error(); !strings.Contains(msg, "deliberate test panic") || !strings.Contains(msg, "panicAlg.Enumerate") {
+		t.Fatalf("error must carry the panic value and stack: %q", msg)
+	}
+	algorithmByName = algo.ByName
+	// The tenant cap admits this job only if the failed job's budget was
+	// released, and MaxConcurrent 1 runs it only if its slot was freed.
+	good, err := m.Submit(Spec{Workload: "tpch", Budget: 60, K: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, good)
+	if st := good.State(); st != StateDone {
+		t.Fatalf("next job: state %s, err %v", st, good.Err())
+	}
+	if c := m.JobCounts(); c.Running != 0 || c.Failed != 1 || c.Done != 1 {
+		t.Fatalf("counts %+v", c)
+	}
+}
+
+// The drain's forced cancel stops a nodba job, which polls no cancellation
+// of its own, at its next charged call: the drain returns promptly and the
+// job refunds exactly what it did not spend.
+func TestManagerDrainCancelsNoDBA(t *testing.T) {
+	m := NewManager(Options{MaxConcurrent: 1})
+	const budget = 1_000_000
+	j, err := m.Submit(Spec{Workload: "tpch", Algorithm: algo.NameNoDBA, Budget: budget, K: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	drained := make(chan error, 1)
+	go func() { drained <- m.Drain(ctx) }()
+	select {
+	case err = <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("drain still waiting after 10 s; job state %s", j.State())
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("drain err = %v, want the forced-cancel deadline", err)
+	}
+	if st := j.State(); st != StateCancelled {
+		t.Fatalf("state %s, want cancelled (err %v)", st, j.Err())
+	}
+	res := j.Result()
+	if res == nil || res.WhatIfCalls+res.RefundedBudget != budget {
+		t.Fatalf("refund invariant broken: %+v", res)
 	}
 }
