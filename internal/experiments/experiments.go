@@ -33,10 +33,6 @@ type Config struct {
 	Seeds int
 	// Scale divides every budget, for quick runs (1 = full fidelity).
 	Scale int
-	// Parallel bounds concurrent tuning runs (default GOMAXPROCS). Every
-	// run owns its session while sharing one concurrency-safe what-if
-	// oracle, so results are independent of the degree of parallelism.
-	Parallel int
 	// SessionWorkers sets intra-session MCTS parallelism (the pipelined
 	// episode evaluation of internal/core) for every tuning run. 0 or 1
 	// keeps one episode in flight, as all paper figures do; N > 1 changes
@@ -67,13 +63,13 @@ func (c Config) withDefaults() Config {
 	if c.Scale <= 0 {
 		c.Scale = 1
 	}
-	if c.Parallel <= 0 {
-		c.Parallel = runtime.GOMAXPROCS(0)
-	}
 	return c
 }
 
 // forEach runs fn(0..n-1) on up to parallel goroutines and waits for all.
+// The figures fan their budget points over GOMAXPROCS goroutines: every run
+// owns its session while sharing one concurrency-safe what-if oracle, so
+// results are independent of the degree of parallelism.
 func forEach(n, parallel int, fn func(i int)) {
 	if parallel <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
@@ -288,14 +284,14 @@ func GreedyComparison(cfg Config, wname string) *Figure {
 		for _, alg := range greedyVariants() {
 			alg := alg
 			series := Series{Label: alg.Name(), Points: make([]Point, len(budgets))}
-			forEach(len(budgets), cfg.Parallel, func(bi int) {
+			forEach(len(budgets), runtime.GOMAXPROCS(0), func(bi int) {
 				res := r.run(alg, k, budgets[bi], 1, 0)
 				series.Points[bi] = Point{X: budgetLabel(wname, budgets[bi]), Mean: res.ImprovementPct, Calls: float64(res.WhatIfCalls)}
 			})
 			panel.Series = append(panel.Series, series)
 		}
 		series := Series{Label: "MCTS Greedy", Points: make([]Point, len(budgets))}
-		forEach(len(budgets), cfg.Parallel, func(bi int) {
+		forEach(len(budgets), runtime.GOMAXPROCS(0), func(bi int) {
 			mean, std, calls := r.runSeedsN(mctsDefault(), k, budgets[bi], cfg.Seeds, 0, 1)
 			series.Points[bi] = Point{X: budgetLabel(wname, budgets[bi]), Mean: mean, Std: std, Calls: calls}
 		})
@@ -318,14 +314,14 @@ func RLComparison(cfg Config, wname string) *Figure {
 		for _, alg := range []search.Algorithm{bandit.DBABandits{}, dqn.NoDBA{}} {
 			alg := alg
 			series := Series{Label: alg.Name(), Points: make([]Point, len(budgets))}
-			forEach(len(budgets), cfg.Parallel, func(bi int) {
+			forEach(len(budgets), runtime.GOMAXPROCS(0), func(bi int) {
 				res := r.run(alg, k, budgets[bi], 1, 0)
 				series.Points[bi] = Point{X: budgetLabel(wname, budgets[bi]), Mean: res.ImprovementPct, Calls: float64(res.WhatIfCalls)}
 			})
 			panel.Series = append(panel.Series, series)
 		}
 		series := Series{Label: "MCTS", Points: make([]Point, len(budgets))}
-		forEach(len(budgets), cfg.Parallel, func(bi int) {
+		forEach(len(budgets), runtime.GOMAXPROCS(0), func(bi int) {
 			mean, std, calls := r.runSeedsN(mctsDefault(), k, budgets[bi], cfg.Seeds, 0, 1)
 			series.Points[bi] = Point{X: budgetLabel(wname, budgets[bi]), Mean: mean, Std: std, Calls: calls}
 		})
@@ -402,7 +398,7 @@ func DTAComparison(cfg Config, wname string, withSC bool) *Figure {
 		k := k
 		dtaSeries := Series{Label: fmt.Sprintf("DTA (K=%d)", k), Points: make([]Point, len(budgets))}
 		mctsSeries := Series{Label: fmt.Sprintf("MCTS (K=%d)", k), Points: make([]Point, len(budgets))}
-		forEach(len(budgets), cfg.Parallel, func(bi int) {
+		forEach(len(budgets), runtime.GOMAXPROCS(0), func(bi int) {
 			b := budgets[bi]
 			timeBudget := time.Duration(float64(b) * float64(perCall) * search.TuningTimeFactor())
 			res := dta.Tune(r.w, dta.Options{TimeBudget: timeBudget, K: k, StorageLimit: storage, Seed: int64(b)})
@@ -478,7 +474,7 @@ func PolicyExtensions(cfg Config, wname string) *Figure {
 		for _, v := range variants {
 			v := v
 			series := Series{Label: v.label, Points: make([]Point, len(budgets))}
-			forEach(len(budgets), cfg.Parallel, func(bi int) {
+			forEach(len(budgets), runtime.GOMAXPROCS(0), func(bi int) {
 				mean, std, calls := r.runSeedsN(core.MCTS{Opts: v.opts}, k, budgets[bi], cfg.Seeds, 0, 1)
 				series.Points[bi] = Point{X: fmt.Sprintf("%d", budgets[bi]), Mean: mean, Std: std, Calls: calls}
 			})
@@ -525,7 +521,7 @@ func EarlyStopping(cfg Config, wname string) *Figure {
 			r.stopEps = eps
 			label := fmt.Sprintf("%s (ε=%g)", alg.Name(), eps)
 			series := Series{Label: label, Points: make([]Point, len(budgets))}
-			forEach(len(budgets), cfg.Parallel, func(bi int) {
+			forEach(len(budgets), runtime.GOMAXPROCS(0), func(bi int) {
 				mean, std, calls := r.runSeedsN(alg, k, budgets[bi], cfg.Seeds, 0, 1)
 				series.Points[bi] = Point{X: fmt.Sprintf("%d", budgets[bi]), Mean: mean, Std: std, Calls: calls}
 			})
