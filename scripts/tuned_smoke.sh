@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Smoke test for the tuned daemon: boot it on an ephemeral port, submit a
-# job, stream its trace, cancel a long-running job and check the refund
-# invariant (used + refunded == budget), SIGTERM-drain with a cache
-# snapshot save, then reboot from the snapshot and require the warmed
-# oracle to answer an identical job at a strictly higher cache hit rate
-# (GET /stats). Run via `make tuned-smoke`.
+# job, stream its trace, cancel a long-running MCTS job and a running nodba
+# job and check the refund invariant (used + refunded == budget) for each,
+# SIGTERM-drain with a cache snapshot save, then reboot from the snapshot
+# and require the warmed oracle to answer an identical job at a strictly
+# higher cache hit rate (GET /stats). Run via `make tuned-smoke`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -74,6 +74,26 @@ assert res["cancelled"], res
 used, refunded = res["whatif_calls"], res["refunded_budget"]
 assert used + refunded == 500000, (used, refunded)
 print("  cancelled: used %d + refunded %d == budget 500000" % (used, refunded))
+'
+
+echo "== cancel a running nodba job, which polls no cancellation of its own"
+id=$(curl -sf -X POST "$base/jobs" -d '{"workload":"tpch","algorithm":"nodba","budget":1000000}' |
+    python3 -c 'import sys,json; print(json.load(sys.stdin)["id"])')
+curl -sN "$base/jobs/$id/trace" | head -c 200 >/dev/null || true
+curl -sf -X DELETE "$base/jobs/$id" >/dev/null
+for i in $(seq 1 100); do
+    state=$(curl -sf "$base/jobs/$id" | python3 -c 'import sys,json; print(json.load(sys.stdin)["state"])')
+    [ "$state" != "running" ] && [ "$state" != "queued" ] && break
+    sleep 0.1
+done
+curl -sf "$base/jobs/$id" | python3 -c '
+import sys, json
+job = json.load(sys.stdin)
+assert job["state"] == "cancelled", job
+res = job["result"]
+used, refunded = res["whatif_calls"], res["refunded_budget"]
+assert used + refunded == 1000000, (used, refunded)
+print("  nodba cancelled: used %d + refunded %d == budget 1000000" % (used, refunded))
 '
 
 echo "== SIGTERM drain"
