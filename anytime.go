@@ -41,10 +41,10 @@ type AnytimeOptions struct {
 	CollectTrace bool
 	// Context, when non-nil, cancels a running TuneAnytime call: the
 	// session's next charged what-if call is refused instead, the session
-	// refunds its unspent budget exactly like an
-	// early stop, the final AnytimeProgress reports Reason "cancelled", and
-	// the Result carries the partial recommendation with the Cancelled flag
-	// set. A nil or never-cancelled context changes nothing.
+	// refunds its unspent budget exactly like an early stop, the final
+	// AnytimeProgress reports Reason "cancelled", and the Result carries the
+	// partial recommendation with the Cancelled flag set. A nil or
+	// never-cancelled context changes nothing.
 	Context context.Context
 }
 

@@ -199,12 +199,12 @@ type Options struct {
 	// for memory, never accuracy or budget accounting.
 	CacheBytes int64
 	// Context, when non-nil, cancels a running Tune call: the run's next
-	// charged what-if call is refused instead, the session refunds its unspent budget exactly like an early
-	// stop (WhatIfCalls + RefundedBudget == Budget), and Tune returns the
-	// partial Result assembled from everything learned, with the Cancelled
-	// flag set. A nil or never-cancelled context (including
-	// context.Background) leaves results bit-identical to earlier releases
-	// at any SessionWorkers count.
+	// charged what-if call is refused instead, the session refunds its
+	// unspent budget exactly like an early stop (WhatIfCalls +
+	// RefundedBudget == Budget), and Tune returns the partial Result
+	// assembled from everything learned, with the Cancelled flag set. A nil
+	// or never-cancelled context (including context.Background) leaves
+	// results bit-identical to earlier releases at any SessionWorkers count.
 	Context context.Context
 }
 

@@ -3,6 +3,7 @@ package search
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 
 	"indextune/internal/iset"
@@ -176,5 +177,39 @@ func TestCancelAfterStopChangesNothing(t *testing.T) {
 	sum := rec.Summary("test", s.Budget)
 	if sum.EarlyStops != 1 || sum.Cancellations != 0 || sum.RefundedBudget != s.RefundedBudget() {
 		t.Fatalf("summary %+v", sum)
+	}
+}
+
+// Chargers on several goroutines racing a real cancellation: exactly one
+// charge attempt observes it, so one cancel event is recorded, and the
+// refund covers everything not charged. The budget exceeds every pair the
+// goroutines can ask for, so only the cancel can end the spending.
+func TestCancelConcurrentChargers(t *testing.T) {
+	const budget = 100_000
+	s := newTestSession(t, budget)
+	ctx, cancel := context.WithCancel(context.Background())
+	s.Ctx = ctx
+	rec := trace.New(nil)
+	s.Trace = rec
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				if g == 0 && i == 20 {
+					cancel()
+				}
+				s.WhatIf(i%len(s.W.Queries), iset.FromOrdinals(i%13, (i+g)%17))
+			}
+		}(g)
+	}
+	wg.Wait()
+	if !s.Cancelled() || s.Used()+s.RefundedBudget() != budget {
+		t.Fatalf("cancelled=%v used %d + refunded %d != %d", s.Cancelled(), s.Used(), s.RefundedBudget(), budget)
+	}
+	sum := rec.Summary("test", budget)
+	if sum.Cancellations != 1 || sum.TotalSpend != s.Used() || sum.RefundedBudget != s.RefundedBudget() {
+		t.Fatalf("summary %+v, used %d", sum, s.Used())
 	}
 }

@@ -136,8 +136,9 @@ type Summary struct {
 	Curve            []CurvePoint   `json:"curve,omitempty"`
 	// EarlyStops counts stop decisions (0 or 1 per session), StopGap is the
 	// bound gap at the decision, and RefundedBudget the budget returned
-	// unspent: Budget − TotalSpend once a stop or cancel is recorded. The spend invariant is unaffected: refunded budget was never
-	// charged, so SpendByPhase still sums to TotalSpend.
+	// unspent: Budget − TotalSpend once a stop or cancel is recorded. The
+	// spend invariant is unaffected: refunded budget was never charged, so
+	// SpendByPhase still sums to TotalSpend.
 	EarlyStops     int64   `json:"early_stops,omitempty"`
 	StopGap        float64 `json:"stop_gap,omitempty"`
 	RefundedBudget int     `json:"refunded_budget,omitempty"`
