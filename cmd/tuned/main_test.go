@@ -101,19 +101,24 @@ func TestDaemonSubmitStreamComplete(t *testing.T) {
 
 // Submit → stream live → DELETE mid-run → the stream ends with a cancelled
 // summary whose refund accounting is exact. Bandit polls no cancellation of
-// its own; the session refuses its next charged call. The trace request
-// carries a deadline, so a job that ignores the DELETE fails the test
-// instead of hanging it.
+// its own; the session refuses its next charged call. Its job runs on Real-M
+// at K 20, where it spends for over a second before converging (on TPC-H it
+// converges within milliseconds, before a DELETE could land). The trace
+// request carries a deadline, so a job that ignores the DELETE fails the
+// test instead of hanging it.
 func TestDaemonCancelMidStream(t *testing.T) {
-	for _, alg := range []string{"mcts", "bandit"} {
-		t.Run(alg, func(t *testing.T) { testDaemonCancelMidStream(t, alg) })
+	const budget = 500000
+	for _, c := range []struct{ alg, spec string }{
+		{"mcts", `{"workload":"tpch","algorithm":"mcts","budget":500000,"k":8,"seed":2}`},
+		{"bandit", `{"workload":"real-m","algorithm":"bandit","budget":500000,"k":20,"seed":2}`},
+	} {
+		t.Run(c.alg, func(t *testing.T) { testDaemonCancelMidStream(t, c.spec, budget) })
 	}
 }
 
-func testDaemonCancelMidStream(t *testing.T, alg string) {
+func testDaemonCancelMidStream(t *testing.T, spec string, budget int) {
 	srv, _ := newTestServer(t, jobs.Options{MaxConcurrent: 1})
-	const budget = 500000
-	snap := postJob(t, srv, fmt.Sprintf(`{"workload":"tpch","algorithm":%q,"budget":%d,"k":8,"seed":2}`, alg, budget))
+	snap := postJob(t, srv, spec)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

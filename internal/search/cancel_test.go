@@ -188,6 +188,7 @@ func TestCancelConcurrentChargers(t *testing.T) {
 	const budget = 100_000
 	s := newTestSession(t, budget)
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	s.Ctx = ctx
 	rec := trace.New(nil)
 	s.Trace = rec
