@@ -291,8 +291,8 @@ type Result struct {
 	// a fraction of the baseline workload cost — at the stop decision
 	// (0 unless EarlyStopped).
 	StopGap float64
-	// RefundedBudget is the budget left uncharged by the early stop:
-	// WhatIfCalls + RefundedBudget == Options.Budget for early-stopped runs.
+	// RefundedBudget is the budget an early stop or a cancel left uncharged,
+	// 0 otherwise: WhatIfCalls + RefundedBudget == Options.Budget for both.
 	RefundedBudget int
 	// Trace holds the run's aggregate trace metrics when tracing was enabled
 	// (Options.TraceEvents or Options.CollectTrace); nil otherwise. Its

@@ -251,6 +251,6 @@ func (a *Session) Cancelled() bool { return a.s.Cancelled() }
 // StopGap returns the bound gap at the stop decision (0 unless Stopped).
 func (a *Session) StopGap() float64 { return a.s.StopGap() }
 
-// RefundedBudget returns the budget refunded by the early stop (0 unless
-// Stopped).
+// RefundedBudget returns the budget refunded because the session stopped
+// early or was cancelled (0 unless Stopped or Cancelled).
 func (a *Session) RefundedBudget() int { return a.s.RefundedBudget() }
