@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		figID    = fs.String("fig", "", "experiment id: table1, 2, 8-23, earlystop, or policies")
+		figID    = fs.String("fig", "", "experiment ids, comma-separated: "+strings.Join(experiments.IDs(), " "))
 		all      = fs.Bool("all", false, "run every experiment")
 		quick    = fs.Bool("quick", false, "reduced fidelity (smaller budgets, fewer seeds)")
 		seeds    = fs.Int("seeds", 0, "override number of RNG seeds (default 5, quick 2)")

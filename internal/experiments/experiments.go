@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section 7 and Appendices B-C). Each experiment function
-// returns a Figure containing the same panels/series the paper plots; the
-// cmd/experiments binary and the root bench suite call into this package.
+// evaluation (Section 7 and Appendices B-C). The specs table in registry.go
+// declares every experiment once; ByID builds its Figure, with the same
+// panels/series the paper plots, for the cmd/experiments binary and the
+// root bench suite.
 package experiments
 
 import (
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -66,60 +68,35 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// forEach runs fn(0..n-1) on up to parallel goroutines and waits for all.
-// The figures fan their budget points over GOMAXPROCS goroutines: every run
-// owns its session while sharing one concurrency-safe what-if oracle, so
-// results are independent of the degree of parallelism.
-func forEach(n, parallel int, fn func(i int)) {
-	if parallel <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	sem := make(chan struct{}, parallel)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
 // Quick is a reduced-fidelity configuration for tests and benchmarks.
 var Quick = Config{Seeds: 2, Scale: 10}
 
 // Full is the paper-fidelity configuration.
 var Full = Config{Seeds: 5, Scale: 1}
 
-// Budgets returns the paper's budget sweep for a workload (small workloads
-// use 50..1000, large ones 1000..5000), divided by the config scale.
-func (c Config) Budgets(wname string) []int {
-	var base []int
+// budgets returns the paper's budget sweep for a workload (small workloads
+// use 50..1000, large ones 1000..5000), scaled.
+func (c Config) budgets(wname string) []int {
 	switch wname {
 	case "TPC-H", "JOB":
-		base = []int{50, 100, 200, 500, 1000}
+		return c.scaled(50, 100, 200, 500, 1000)
 	default:
-		base = []int{1000, 2000, 3000, 4000, 5000}
+		return c.scaled(1000, 2000, 3000, 4000, 5000)
 	}
+}
+
+// scaled divides each paper budget by the config scale, keeping at least
+// 10 what-if calls.
+func (c Config) scaled(base ...int) []int {
 	out := make([]int, len(base))
 	for i, b := range base {
-		v := b / c.Scale
-		if v < 10 {
-			v = 10
-		}
-		out[i] = v
+		out[i] = max(b/c.Scale, 10)
 	}
 	return out
 }
 
-// Ks is the paper's cardinality-constraint sweep.
-var Ks = []int{5, 10, 20}
+// ks is the paper's cardinality-constraint sweep.
+var ks = []int{5, 10, 20}
 
 // runner caches a generated workload, its candidate set, AND one shared
 // what-if oracle across all runs of a figure. The optimizer's sharded cost
@@ -128,16 +105,14 @@ var Ks = []int{5, 10, 20}
 // it across (algorithm, K, budget, seed) runs changes only wall-clock time,
 // never results: every run is charged as if it had asked the optimizer
 // fresh, while identical (query, config) costs are computed once instead of
-// thousands of times across the figure suite.
+// thousands of times across the figure suite. A shallow copy shares the
+// oracle and may carry its own cfg.
 type runner struct {
-	w        *workload.Workload
-	cands    *candgen.Result
-	opt      *whatif.Optimizer
-	workers  int     // intra-session parallelism applied to every session
-	wname    string  // workload name, for trace file naming
-	traceDir string  // per-run trace output directory ("" = tracing off)
-	eps      float64 // DeriveEpsilon applied to every session
-	stopEps  float64 // StopEpsilon applied to every session
+	w     *workload.Workload
+	cands *candgen.Result
+	opt   *whatif.Optimizer
+	wname string // workload name, for budgets, labels and trace file naming
+	cfg   Config // seeds, budget scale, and the knobs applied to every session
 }
 
 func newRunner(cfg Config, wname string) *runner {
@@ -148,31 +123,27 @@ func newRunner(cfg Config, wname string) *runner {
 		panic(fmt.Sprintf("experiments: unknown workload %q", wname))
 	}
 	cands := candgen.Generate(w, candgen.Options{})
-	return &runner{
-		w: w, cands: cands, opt: search.NewOptimizer(w, cands),
-		workers: cfg.SessionWorkers, wname: wname, traceDir: cfg.TraceDir,
-		eps: cfg.DeriveEpsilon, stopEps: cfg.StopEpsilon,
-	}
+	return &runner{w: w, cands: cands, opt: search.NewOptimizer(w, cands), wname: wname, cfg: cfg.withDefaults()}
 }
 
 // session builds a fresh budget-metered session over the shared oracle.
 func (r *runner) session(k, budget int, seed int64, storage int64) *search.Session {
 	s := search.NewSession(r.w, r.cands, r.opt, k, budget, seed)
 	s.StorageLimit = storage
-	s.Workers = r.workers
-	s.DeriveEpsilon = r.eps
-	s.StopEpsilon = r.stopEps
+	s.Workers = r.cfg.SessionWorkers
+	s.DeriveEpsilon = r.cfg.DeriveEpsilon
+	s.StopEpsilon = r.cfg.StopEpsilon
 	return s
 }
 
 // run executes one algorithm once and returns the oracle improvement (%).
 func (r *runner) run(alg search.Algorithm, k, budget int, seed int64, storage int64) search.Result {
 	s := r.session(k, budget, seed, storage)
-	if r.traceDir == "" {
+	if r.cfg.TraceDir == "" {
 		return search.Run(alg, s)
 	}
 	base := traceFileName(r.wname, alg.Name(), k, budget, seed)
-	f, err := os.Create(filepath.Join(r.traceDir, base+".jsonl"))
+	f, err := os.Create(filepath.Join(r.cfg.TraceDir, base+".jsonl"))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments: trace:", err)
 		return search.Run(alg, s)
@@ -186,7 +157,7 @@ func (r *runner) run(alg search.Algorithm, k, budget int, seed int64, storage in
 	if err := f.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments: trace:", err)
 	}
-	sf, err := os.Create(filepath.Join(r.traceDir, base+".summary.json"))
+	sf, err := os.Create(filepath.Join(r.cfg.TraceDir, base+".summary.json"))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments: trace:", err)
 		return res
@@ -216,25 +187,23 @@ func traceFileName(wname, alg string, k, budget int, seed int64) string {
 	return fmt.Sprintf("%s_%s_k%d_b%d_seed%d", clean(wname), clean(alg), k, budget, seed)
 }
 
-// runSeeds runs a (possibly randomized) algorithm over several seeds in
-// parallel and returns mean and stddev of the improvement, plus the mean
-// number of charged what-if calls — the cost side of the
-// improvement-at-equal-spend comparisons bound interception enables.
-func (r *runner) runSeeds(alg search.Algorithm, k, budget, seeds int, storage int64) (mean, std, calls float64) {
-	return r.runSeedsN(alg, k, budget, seeds, storage, runtime.GOMAXPROCS(0))
-}
-
-func (r *runner) runSeedsN(alg search.Algorithm, k, budget, seeds int, storage int64, parallel int) (mean, std, calls float64) {
-	vals := make([]float64, seeds)
-	callCounts := make([]float64, seeds)
-	forEach(seeds, parallel, func(i int) {
+// runSeeds runs a (possibly randomized) algorithm once per configured seed,
+// one after another, and returns the mean and stddev of the improvement,
+// plus the mean number of charged what-if calls — the cost side of the
+// improvement-at-equal-spend comparisons bound interception enables. The
+// sweeps fan their budget points out instead (budgetSeries).
+func (r *runner) runSeeds(alg search.Algorithm, k, budget int, storage int64) Point {
+	vals := make([]float64, r.cfg.Seeds)
+	callCounts := make([]float64, r.cfg.Seeds)
+	for i := range vals {
 		res := r.run(alg, k, budget, int64(1000+i*7919), storage)
 		vals[i] = res.ImprovementPct
 		callCounts[i] = float64(res.WhatIfCalls)
-	})
-	mean, std = meanStd(vals)
-	calls, _ = meanStd(callCounts)
-	return mean, std, calls
+	}
+	var p Point
+	p.Mean, p.Std = meanStd(vals)
+	p.Calls, _ = meanStd(callCounts)
+	return p
 }
 
 func meanStd(vals []float64) (mean, std float64) {
@@ -252,317 +221,228 @@ func meanStd(vals []float64) (mean, std float64) {
 	return mean, std
 }
 
-// greedyVariants are the three budget-aware greedy baselines of Section 4.2.
-func greedyVariants() []search.Algorithm {
-	return []search.Algorithm{greedy.Vanilla{}, greedy.TwoPhase{}, greedy.AutoAdmin{}}
+// tuningTime is the simulated tuning time a budget buys on the workload:
+// search.Run's per-call time (PerCallTime plus the non-what-if overhead)
+// for every budgeted call.
+func (r *runner) tuningTime(budget int) time.Duration {
+	return time.Duration(float64(budget) * float64(search.PerCallLatency(r.wname)) * search.TuningTimeFactor())
 }
-
-// mctsDefault is the paper's recommended MCTS setting.
-func mctsDefault() search.Algorithm { return core.Default() }
 
 // budgetLabel renders an x-axis label "B(minutes)" like the paper's axes.
-// The minute conversion uses search.TuningTimeFactor so the label matches
-// the simulated time search.Run reports per budgeted call (PerCallTime plus
-// the non-what-if overhead).
-func budgetLabel(wname string, budget int) string {
-	perCall := search.PerCallLatency(wname)
-	mins := time.Duration(float64(budget)*float64(perCall)*search.TuningTimeFactor()) / time.Minute
-	return fmt.Sprintf("%d(%d)", budget, int(mins))
+func (r *runner) budgetLabel(budget int) string {
+	return fmt.Sprintf("%d(%d)", budget, int(r.tuningTime(budget)/time.Minute))
 }
 
-// GreedyComparison builds one greedy-vs-MCTS figure panel set (Figures 8-10,
-// 16-17): per K, improvement vs budget for the three greedy variants and
-// MCTS.
-func GreedyComparison(cfg Config, wname string) *Figure {
-	cfg = cfg.withDefaults()
-	r := newRunner(cfg, wname)
-	fig := &Figure{Caption: fmt.Sprintf("End-to-end comparison on %s with budget-aware Greedy variants", wname)}
-	budgets := cfg.Budgets(wname)
-	for _, k := range Ks {
-		k := k
-		panel := Panel{Title: fmt.Sprintf("K = %d", k), XLabel: "budget (what-if calls, minutes)", YLabel: "Improvement (%)"}
-		for _, alg := range greedyVariants() {
-			alg := alg
-			series := Series{Label: alg.Name(), Points: make([]Point, len(budgets))}
-			forEach(len(budgets), runtime.GOMAXPROCS(0), func(bi int) {
-				res := r.run(alg, k, budgets[bi], 1, 0)
-				series.Points[bi] = Point{X: budgetLabel(wname, budgets[bi]), Mean: res.ImprovementPct, Calls: float64(res.WhatIfCalls)}
-			})
-			panel.Series = append(panel.Series, series)
+// budgetSeries measures one series at every budget, fanning the points over
+// GOMAXPROCS goroutines: every run owns its session while sharing the
+// runner's concurrency-safe oracle, so results are independent of the
+// degree of parallelism. x labels each point.
+func budgetSeries(label string, budgets []int, x func(int) string, at func(budget int) Point) Series {
+	s := Series{Label: label, Points: make([]Point, len(budgets))}
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, b := range budgets {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			s.Points[i] = at(b)
+			s.Points[i].X = x(b)
+		}()
+	}
+	wg.Wait()
+	return s
+}
+
+// line is one series of a budgetSweep: its label and how the point at
+// cardinality k and budget b is measured.
+type line struct {
+	label string
+	at    func(r *runner, k, b int) Point
+}
+
+// once plots alg from one run at seed 1, as the paper plots its baselines.
+func once(alg search.Algorithm) line {
+	return line{alg.Name(), func(r *runner, k, b int) Point {
+		res := r.run(alg, k, b, 1, 0)
+		return Point{Mean: res.ImprovementPct, Calls: float64(res.WhatIfCalls)}
+	}}
+}
+
+// averaged plots alg's mean and spread over the configured seeds.
+func averaged(label string, alg search.Algorithm) line {
+	return line{label, func(r *runner, k, b int) Point { return r.runSeeds(alg, k, b, 0) }}
+}
+
+// budgetSweep plots improvement against the workload's budget sweep, one
+// panel per K in ks with one series per line. It is both the
+// baselines-vs-MCTS sweep (Figures 8-13, 16-19) and the MCTS-variants
+// sweep (Figures 22-23, the policies extension); minutes labels each budget
+// with the tuning time it buys, as the end-to-end figures do.
+func budgetSweep(minutes bool, lines ...line) sweep {
+	return func(r *runner) []Panel {
+		xlabel, x := "budget (what-if calls)", strconv.Itoa
+		if minutes {
+			xlabel, x = "budget (what-if calls, minutes)", r.budgetLabel
 		}
-		series := Series{Label: "MCTS Greedy", Points: make([]Point, len(budgets))}
-		forEach(len(budgets), runtime.GOMAXPROCS(0), func(bi int) {
-			mean, std, calls := r.runSeedsN(mctsDefault(), k, budgets[bi], cfg.Seeds, 0, 1)
-			series.Points[bi] = Point{X: budgetLabel(wname, budgets[bi]), Mean: mean, Std: std, Calls: calls}
-		})
-		panel.Series = append(panel.Series, series)
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig
-}
-
-// RLComparison builds one RL-baselines figure panel set (Figures 11-13,
-// 18-19): per K, improvement vs budget for DBA bandits, No DBA, and MCTS.
-func RLComparison(cfg Config, wname string) *Figure {
-	cfg = cfg.withDefaults()
-	r := newRunner(cfg, wname)
-	fig := &Figure{Caption: fmt.Sprintf("End-to-end comparison on %s with existing RL approaches", wname)}
-	budgets := cfg.Budgets(wname)
-	for _, k := range Ks {
-		k := k
-		panel := Panel{Title: fmt.Sprintf("K = %d", k), XLabel: "budget (what-if calls, minutes)", YLabel: "Improvement (%)"}
-		for _, alg := range []search.Algorithm{bandit.DBABandits{}, dqn.NoDBA{}} {
-			alg := alg
-			series := Series{Label: alg.Name(), Points: make([]Point, len(budgets))}
-			forEach(len(budgets), runtime.GOMAXPROCS(0), func(bi int) {
-				res := r.run(alg, k, budgets[bi], 1, 0)
-				series.Points[bi] = Point{X: budgetLabel(wname, budgets[bi]), Mean: res.ImprovementPct, Calls: float64(res.WhatIfCalls)}
-			})
-			panel.Series = append(panel.Series, series)
-		}
-		series := Series{Label: "MCTS", Points: make([]Point, len(budgets))}
-		forEach(len(budgets), runtime.GOMAXPROCS(0), func(bi int) {
-			mean, std, calls := r.runSeedsN(mctsDefault(), k, budgets[bi], cfg.Seeds, 0, 1)
-			series.Points[bi] = Point{X: budgetLabel(wname, budgets[bi]), Mean: mean, Std: std, Calls: calls}
-		})
-		panel.Series = append(panel.Series, series)
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig
-}
-
-// Convergence builds a Figure-14/21-style per-round convergence panel for
-// one workload: improvement of the best configuration found by DBA bandits
-// and No DBA after each round, with the MCTS average as reference.
-func Convergence(cfg Config, wname string, k, budget int) Panel {
-	cfg = cfg.withDefaults()
-	r := newRunner(cfg, wname)
-	b := budget / cfg.Scale
-	if b < 10 {
-		b = 10
-	}
-
-	var banditTraj []float64
-	r.run(bandit.DBABandits{Trajectory: &banditTraj}, k, b, 1, 0)
-	var dqnTraj []float64
-	r.run(dqn.NoDBA{Trajectory: &dqnTraj}, k, b, 1, 0)
-	mctsMean, _, _ := r.runSeeds(mctsDefault(), k, b, cfg.Seeds, 0)
-
-	panel := Panel{
-		Title:  fmt.Sprintf("%s, K = %d, B = %d", wname, k, b),
-		XLabel: "Round", YLabel: "Improvement (%)",
-	}
-	toSeries := func(label string, traj []float64) Series {
-		s := Series{Label: label}
-		for i, v := range traj {
-			s.Points = append(s.Points, Point{X: fmt.Sprintf("%d", i+1), Mean: v})
-		}
-		return s
-	}
-	panel.Series = append(panel.Series, toSeries("DBA Bandits", banditTraj))
-	panel.Series = append(panel.Series, toSeries("No DBA", dqnTraj))
-	rounds := len(banditTraj)
-	if len(dqnTraj) > rounds {
-		rounds = len(dqnTraj)
-	}
-	if rounds == 0 {
-		rounds = 1
-	}
-	mcts := Series{Label: "MCTS (avg)"}
-	for i := 0; i < rounds; i++ {
-		mcts.Points = append(mcts.Points, Point{X: fmt.Sprintf("%d", i+1), Mean: mctsMean})
-	}
-	panel.Series = append(panel.Series, mcts)
-	return panel
-}
-
-// DTAComparison builds a Figure-15/20-style panel: improvement vs budget for
-// DTA (given matching virtual tuning time) and MCTS, per K, with or without
-// the storage constraint (3× database size).
-func DTAComparison(cfg Config, wname string, withSC bool) *Figure {
-	cfg = cfg.withDefaults()
-	r := newRunner(cfg, wname)
-	sc := ""
-	var storage int64
-	if withSC {
-		sc = "with SC"
-		storage = 3 * r.w.DB.SizeBytes()
-	} else {
-		sc = "without SC"
-	}
-	fig := &Figure{Caption: fmt.Sprintf("Comparison vs DTA on %s, %s", wname, sc)}
-	panel := Panel{Title: sc, XLabel: "budget (what-if calls, minutes)", YLabel: "Improvement (%)"}
-	perCall := search.PerCallLatency(wname)
-	budgets := cfg.Budgets(wname)
-	for _, k := range Ks {
-		k := k
-		dtaSeries := Series{Label: fmt.Sprintf("DTA (K=%d)", k), Points: make([]Point, len(budgets))}
-		mctsSeries := Series{Label: fmt.Sprintf("MCTS (K=%d)", k), Points: make([]Point, len(budgets))}
-		forEach(len(budgets), runtime.GOMAXPROCS(0), func(bi int) {
-			b := budgets[bi]
-			timeBudget := time.Duration(float64(b) * float64(perCall) * search.TuningTimeFactor())
-			res := dta.Tune(r.w, dta.Options{TimeBudget: timeBudget, K: k, StorageLimit: storage, Seed: int64(b)})
-			dtaSeries.Points[bi] = Point{X: budgetLabel(wname, b), Mean: res.ImprovementPct, Calls: float64(res.WhatIfCalls)}
-			mean, std, calls := r.runSeedsN(mctsDefault(), k, b, cfg.Seeds, storage, 1)
-			mctsSeries.Points[bi] = Point{X: budgetLabel(wname, b), Mean: mean, Std: std, Calls: calls}
-		})
-		panel.Series = append(panel.Series, dtaSeries, mctsSeries)
-	}
-	fig.Panels = append(fig.Panels, panel)
-	return fig
-}
-
-// Ablation builds a Figure-22/23-style panel set for one workload: the four
-// policy combinations {UCT, Prior} × {BCE(-Only), +Greedy(BG)} under fixed-
-// or randomized-step rollout.
-func Ablation(cfg Config, wname string, randomStep bool) *Figure {
-	cfg = cfg.withDefaults()
-	r := newRunner(cfg, wname)
-	roll := core.RolloutFixedStep
-	name := "fixed step size"
-	if randomStep {
-		roll = core.RolloutRandomStep
-		name = "randomized step size"
-	}
-	variants := []struct {
-		label string
-		opts  core.Options
-	}{
-		{"UCT Only", core.Options{Policy: core.PolicyUCT, Rollout: roll, Extraction: core.ExtractBCE}},
-		{"UCT + Greedy", core.Options{Policy: core.PolicyUCT, Rollout: roll, Extraction: core.ExtractBG}},
-		{"Prior Only", core.Options{Policy: core.PolicyPrior, Rollout: roll, Extraction: core.ExtractBCE}},
-		{"Prior + Greedy", core.Options{Policy: core.PolicyPrior, Rollout: roll, Extraction: core.ExtractBG}},
-	}
-	fig := &Figure{Caption: fmt.Sprintf("MCTS policy ablation on %s with %s rollout", wname, name)}
-	for _, k := range Ks {
-		panel := Panel{Title: fmt.Sprintf("K = %d", k), XLabel: "budget (what-if calls)", YLabel: "Improvement (%)"}
-		for _, v := range variants {
-			series := Series{Label: v.label}
-			for _, b := range cfg.Budgets(wname) {
-				mean, std, calls := r.runSeeds(core.MCTS{Opts: v.opts}, k, b, cfg.Seeds, 0)
-				series.Points = append(series.Points, Point{X: fmt.Sprintf("%d", b), Mean: mean, Std: std, Calls: calls})
+		budgets := r.cfg.budgets(r.wname)
+		var panels []Panel
+		for _, k := range ks {
+			p := Panel{Title: fmt.Sprintf("K = %d", k), XLabel: xlabel, YLabel: "Improvement (%)"}
+			for _, l := range lines {
+				p.Series = append(p.Series, budgetSeries(l.label, budgets, x, func(b int) Point { return l.at(r, k, b) }))
 			}
-			panel.Series = append(panel.Series, series)
+			panels = append(panels, p)
 		}
-		fig.Panels = append(fig.Panels, panel)
+		return panels
 	}
-	return fig
 }
 
-// PolicyExtensions is an ablation beyond the paper: the proposed ε-greedy
+// vsGreedy compares MCTS with the three budget-aware greedy variants of
+// Section 4.2 (Figures 8-10, 16-17).
+var vsGreedy = budgetSweep(true,
+	once(greedy.Vanilla{}), once(greedy.TwoPhase{}), once(greedy.AutoAdmin{}),
+	averaged("MCTS Greedy", core.Default()))
+
+// vsRL compares MCTS with DBA bandits and No DBA (Figures 11-13, 18-19).
+var vsRL = budgetSweep(true, once(bandit.DBABandits{}), once(dqn.NoDBA{}), averaged("MCTS", core.Default()))
+
+// ablation is the sweep of Figures 22-23: the four policy combinations
+// {UCT, Prior} × {BCE(-Only), +Greedy(BG)} under the given rollout.
+func ablation(roll core.RolloutKind) sweep {
+	mcts := func(p core.Policy, e core.Extraction) core.MCTS {
+		return core.MCTS{Opts: core.Options{Policy: p, Rollout: roll, Extraction: e}}
+	}
+	return budgetSweep(false,
+		averaged("UCT Only", mcts(core.PolicyUCT, core.ExtractBCE)),
+		averaged("UCT + Greedy", mcts(core.PolicyUCT, core.ExtractBG)),
+		averaged("Prior Only", mcts(core.PolicyPrior, core.ExtractBCE)),
+		averaged("Prior + Greedy", mcts(core.PolicyPrior, core.ExtractBG)))
+}
+
+// policyVariants is an ablation beyond the paper: the proposed ε-greedy
 // prior policy against Boltzmann exploration (Section 6.1.2's starting
 // point), RAVE-augmented priors (the Section 8 suggestion), and uniform
-// selection (the convergence baseline of [48]). One panel per K on the
-// given workload.
-func PolicyExtensions(cfg Config, wname string) *Figure {
-	cfg = cfg.withDefaults()
-	r := newRunner(cfg, wname)
-	variants := []struct {
-		label string
-		opts  core.Options
-	}{
-		{"Prior (paper)", core.Default().Opts},
-		{"Boltzmann", core.Options{Policy: core.PolicyBoltzmann, Rollout: core.RolloutFixedStep, Extraction: core.ExtractBG}},
-		{"Prior + RAVE", core.Options{Policy: core.PolicyPrior, RAVE: true, Rollout: core.RolloutFixedStep, Extraction: core.ExtractBG}},
-		{"Uniform", core.Options{Policy: core.PolicyUniform, Rollout: core.RolloutFixedStep, Extraction: core.ExtractBG}},
-	}
-	fig := &Figure{Caption: fmt.Sprintf("Extended policy ablation on %s (beyond the paper)", wname)}
-	budgets := cfg.Budgets(wname)
-	for _, k := range Ks {
-		k := k
-		panel := Panel{Title: fmt.Sprintf("K = %d", k), XLabel: "budget (what-if calls)", YLabel: "Improvement (%)"}
-		for _, v := range variants {
-			v := v
-			series := Series{Label: v.label, Points: make([]Point, len(budgets))}
-			forEach(len(budgets), runtime.GOMAXPROCS(0), func(bi int) {
-				mean, std, calls := r.runSeedsN(core.MCTS{Opts: v.opts}, k, budgets[bi], cfg.Seeds, 0, 1)
-				series.Points[bi] = Point{X: fmt.Sprintf("%d", budgets[bi]), Mean: mean, Std: std, Calls: calls}
-			})
-			panel.Series = append(panel.Series, series)
+// selection (the convergence baseline of [48]).
+var policyVariants = budgetSweep(false,
+	averaged("Prior (paper)", core.Default()),
+	averaged("Boltzmann", core.MCTS{Opts: core.Options{Policy: core.PolicyBoltzmann, Rollout: core.RolloutFixedStep, Extraction: core.ExtractBG}}),
+	averaged("Prior + RAVE", core.MCTS{Opts: core.Options{Policy: core.PolicyPrior, RAVE: true, Rollout: core.RolloutFixedStep, Extraction: core.ExtractBG}}),
+	averaged("Uniform", core.MCTS{Opts: core.Options{Policy: core.PolicyUniform, Rollout: core.RolloutFixedStep, Extraction: core.ExtractBG}}))
+
+// convergence is the sweep of Figures 14 and 21 at cardinality k and the
+// scaled budget: the improvement of the best configuration found by DBA
+// bandits and No DBA after each round, with the MCTS average as reference.
+func convergence(k, budget int) sweep {
+	return func(r *runner) []Panel {
+		b := r.cfg.scaled(budget)[0]
+		var banditTraj, dqnTraj []float64
+		r.run(bandit.DBABandits{Trajectory: &banditTraj}, k, b, 1, 0)
+		r.run(dqn.NoDBA{Trajectory: &dqnTraj}, k, b, 1, 0)
+		mctsMean := r.runSeeds(core.Default(), k, b, 0).Mean
+
+		panel := Panel{Title: fmt.Sprintf("K = %d, B = %d", k, b), XLabel: "Round", YLabel: "Improvement (%)"}
+		toSeries := func(label string, traj []float64) Series {
+			s := Series{Label: label}
+			for i, v := range traj {
+				s.Points = append(s.Points, Point{X: strconv.Itoa(i + 1), Mean: v})
+			}
+			return s
 		}
-		fig.Panels = append(fig.Panels, panel)
+		mcts := make([]float64, max(len(banditTraj), len(dqnTraj), 1))
+		for i := range mcts {
+			mcts[i] = mctsMean
+		}
+		panel.Series = append(panel.Series,
+			toSeries("DBA Bandits", banditTraj), toSeries("No DBA", dqnTraj), toSeries("MCTS (avg)", mcts))
+		return []Panel{panel}
 	}
-	return fig
 }
 
-// EarlyStopping is an experiment beyond the paper: for each algorithm it
+// dtaVsMCTS is the sweep of Figures 15 and 20: one panel per storage
+// setting, improvement vs budget for DTA (given the tuning time the budget
+// buys) and MCTS, per K. With the storage constraint (SC) the indexes may
+// take 3× the database size.
+func dtaVsMCTS(withSC ...bool) sweep {
+	return func(r *runner) []Panel {
+		budgets := r.cfg.budgets(r.wname)
+		var panels []Panel
+		for _, sc := range withSC {
+			title, storage := "without SC", int64(0)
+			if sc {
+				title, storage = "with SC", 3*r.w.DB.SizeBytes()
+			}
+			p := Panel{Title: title, XLabel: "budget (what-if calls, minutes)", YLabel: "Improvement (%)"}
+			for _, k := range ks {
+				dtaSeries := budgetSeries(fmt.Sprintf("DTA (K=%d)", k), budgets, r.budgetLabel, func(b int) Point {
+					res := dta.Tune(r.w, dta.Options{TimeBudget: r.tuningTime(b), K: k, StorageLimit: storage, Seed: int64(b)})
+					return Point{Mean: res.ImprovementPct, Calls: float64(res.WhatIfCalls)}
+				})
+				mctsSeries := budgetSeries(fmt.Sprintf("MCTS (K=%d)", k), budgets, r.budgetLabel, func(b int) Point {
+					return r.runSeeds(core.Default(), k, b, storage)
+				})
+				p.Series = append(p.Series, dtaSeries, mctsSeries)
+			}
+			panels = append(panels, p)
+		}
+		return panels
+	}
+}
+
+// earlyStopping is an experiment beyond the paper: for each algorithm it
 // compares a full-budget run (StopEpsilon = 0, the paper's behavior) against
 // the same run with Esc-style early stopping enabled, across a budget sweep
 // reaching well past the point of diminishing returns. The Calls column
 // carries the charged what-if calls, so the CSV shows the charged-call
 // reduction early stopping buys at equal (or better) oracle improvement.
-func EarlyStopping(cfg Config, wname string) *Figure {
-	cfg = cfg.withDefaults()
-	epsOn := cfg.StopEpsilon
+func earlyStopping(r *runner) []Panel {
+	epsOn := r.cfg.StopEpsilon
 	if epsOn <= 0 {
 		epsOn = search.DefaultStopEpsilon
 	}
-	r := newRunner(cfg, wname)
-	fig := &Figure{Caption: fmt.Sprintf("Early stopping on derived cost bounds on %s (beyond the paper)", wname)}
 	// Budgets reach 5x the workload's usual sweep: early stopping matters
 	// exactly where the budget outlives the remaining improvement headroom.
-	base := []int{500, 1000, 2000, 5000}
-	budgets := make([]int, len(base))
-	for i, b := range base {
-		if v := b / cfg.Scale; v >= 10 {
-			budgets[i] = v
-		} else {
-			budgets[i] = 10
-		}
-	}
+	budgets := r.cfg.scaled(500, 1000, 2000, 5000)
 	const k = 10
-	panel := Panel{Title: fmt.Sprintf("K = %d", k), XLabel: "budget (what-if calls)", YLabel: "Improvement (%)"}
-	algs := []search.Algorithm{greedy.TwoPhase{}, greedy.AutoAdmin{}, mctsDefault()}
-	for _, alg := range algs {
-		alg := alg
+	p := Panel{Title: fmt.Sprintf("K = %d", k), XLabel: "budget (what-if calls)", YLabel: "Improvement (%)"}
+	for _, alg := range []search.Algorithm{greedy.TwoPhase{}, greedy.AutoAdmin{}, core.Default()} {
 		for _, eps := range []float64{0, epsOn} {
-			// Series are run strictly one after another, so retargeting the
-			// shared runner's per-session StopEpsilon between them is safe.
-			r.stopEps = eps
-			label := fmt.Sprintf("%s (ε=%g)", alg.Name(), eps)
-			series := Series{Label: label, Points: make([]Point, len(budgets))}
-			forEach(len(budgets), runtime.GOMAXPROCS(0), func(bi int) {
-				mean, std, calls := r.runSeedsN(alg, k, budgets[bi], cfg.Seeds, 0, 1)
-				series.Points[bi] = Point{X: fmt.Sprintf("%d", budgets[bi]), Mean: mean, Std: std, Calls: calls}
-			})
-			panel.Series = append(panel.Series, series)
+			withEps := *r
+			withEps.cfg.StopEpsilon = eps
+			p.Series = append(p.Series, budgetSeries(fmt.Sprintf("%s (ε=%g)", alg.Name(), eps), budgets, strconv.Itoa, func(b int) Point {
+				return withEps.runSeeds(alg, k, b, 0)
+			}))
 		}
 	}
-	fig.Panels = append(fig.Panels, panel)
-	return fig
+	return []Panel{p}
 }
 
-// TuningTimeSplit reproduces Figure 2: the split of (simulated) tuning time
+// tuningTimeSplit reproduces Figure 2: the split of (simulated) tuning time
 // between what-if calls and other work when running budget-aware greedy on
-// TPC-DS with K = 20 across budgets.
-func TuningTimeSplit(cfg Config) *Figure {
-	cfg = cfg.withDefaults()
-	r := newRunner(cfg, "TPC-DS")
-	fig := &Figure{Caption: "Tuning time split on TPC-DS (greedy, K = 20)"}
+// the workload with K = 20 across budgets.
+func tuningTimeSplit(r *runner) []Panel {
 	panel := Panel{Title: "K = 20", XLabel: "# of what-if calls", YLabel: "Time (minutes)"}
 	whatIf := Series{Label: "Time spent on what-if calls"}
 	other := Series{Label: "Other time spent on index tuning"}
-	for _, b := range cfg.Budgets("TPC-DS") {
+	for _, b := range r.cfg.budgets(r.wname) {
 		res := search.Run(greedy.Vanilla{}, r.session(20, b, 1, 0))
-		x := fmt.Sprintf("%d", b)
+		x := strconv.Itoa(b)
 		whatIf.Points = append(whatIf.Points, Point{X: x, Mean: res.WhatIfTime.Minutes()})
 		other.Points = append(other.Points, Point{X: x, Mean: (res.TuningTime - res.WhatIfTime).Minutes()})
 	}
 	panel.Series = append(panel.Series, whatIf, other)
-	fig.Panels = append(fig.Panels, panel)
-	return fig
+	return []Panel{panel}
 }
 
-// WorkloadStats reproduces Table 1.
-func WorkloadStats() *Figure {
-	fig := &Figure{Caption: "Summary of database and workload statistics (Table 1)"}
+// workloadStats reproduces Table 1.
+func workloadStats(Config) []Panel {
 	panel := Panel{Title: "Table 1", XLabel: "workload", YLabel: "value"}
 	var size, nq, nt, aj, af, as Series
 	size.Label, nq.Label, nt.Label = "Size (GB)", "# Queries", "# Tables"
 	aj.Label, af.Label, as.Label = "Avg # Joins", "Avg # Filters", "Avg # Scans"
 	for _, name := range workload.Names() {
-		w := workload.ByName(name)
-		st := w.ComputeStats()
+		st := workload.ByName(name).ComputeStats()
 		size.Points = append(size.Points, Point{X: st.Name, Mean: float64(st.SizeBytes) / (1 << 30)})
 		nq.Points = append(nq.Points, Point{X: st.Name, Mean: float64(st.NumQueries)})
 		nt.Points = append(nt.Points, Point{X: st.Name, Mean: float64(st.NumTables)})
@@ -571,6 +451,5 @@ func WorkloadStats() *Figure {
 		as.Points = append(as.Points, Point{X: st.Name, Mean: st.AvgScans})
 	}
 	panel.Series = append(panel.Series, size, nq, nt, aj, af, as)
-	fig.Panels = append(fig.Panels, panel)
-	return fig
+	return []Panel{panel}
 }

@@ -2,53 +2,32 @@ package experiments
 
 import (
 	"encoding/json"
-	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
-	"indextune/internal/candgen"
-	"indextune/internal/iset"
-	"indextune/internal/search"
+	"indextune/internal/core"
+	"indextune/internal/greedy"
 	"indextune/internal/trace"
-	"indextune/internal/workload"
 )
-
-// oracleBest brute-forces the optimum over subsets of cands (≤ k) for tiny
-// instances, using uncounted PeekCost: it is a test oracle, which is why it
-// lives in the test file — budgetguard forbids direct optimizer cost queries
-// in the package proper.
-func oracleBest(s *search.Session, cands []int, k int) (iset.Set, float64) {
-	best := iset.Set{}
-	bestCost := math.Inf(1)
-	var rec func(i int, cur iset.Set)
-	rec = func(i int, cur iset.Set) {
-		if cur.Len() <= k {
-			c := 0.0
-			for _, q := range s.W.Queries {
-				c += s.Opt.PeekCost(q, cur) * q.EffectiveWeight()
-			}
-			if c < bestCost {
-				bestCost = c
-				best = cur.Clone()
-			}
-		}
-		if i >= len(cands) || cur.Len() >= k {
-			return
-		}
-		rec(i+1, cur)
-		rec(i+1, cur.With(cands[i]))
-	}
-	rec(0, iset.Set{})
-	return best, bestCost
-}
 
 // tiny is small enough for unit tests.
 var tiny = Config{Seeds: 1, Scale: 50}
 
+// figure builds one experiment through ByID at the tiny configuration.
+func figure(t *testing.T, id string) *Figure {
+	t.Helper()
+	fig, err := ByID(tiny, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fig
+}
+
 func TestWorkloadStatsTable(t *testing.T) {
-	fig := WorkloadStats()
+	fig := figure(t, "table1")
 	if len(fig.Panels) != 1 {
 		t.Fatalf("panels = %d", len(fig.Panels))
 	}
@@ -70,7 +49,7 @@ func TestWorkloadStatsTable(t *testing.T) {
 }
 
 func TestTuningTimeSplitShape(t *testing.T) {
-	fig := TuningTimeSplit(tiny)
+	fig := figure(t, "2")
 	p := fig.Panels[0]
 	if len(p.Series) != 2 {
 		t.Fatalf("series = %d", len(p.Series))
@@ -90,8 +69,8 @@ func TestTuningTimeSplitShape(t *testing.T) {
 }
 
 func TestGreedyComparisonSmall(t *testing.T) {
-	fig := GreedyComparison(tiny, "TPC-H")
-	if len(fig.Panels) != len(Ks) {
+	fig := figure(t, "17")
+	if len(fig.Panels) != len(ks) {
 		t.Fatalf("panels = %d", len(fig.Panels))
 	}
 	for _, p := range fig.Panels {
@@ -112,7 +91,7 @@ func TestGreedyComparisonSmall(t *testing.T) {
 }
 
 func TestConvergencePanel(t *testing.T) {
-	p := Convergence(tiny, "TPC-H", 5, 1000)
+	p := convergence(5, 1000)(newRunner(tiny, "TPC-H"))[0]
 	if len(p.Series) != 3 {
 		t.Fatalf("series = %d, want bandits, nodba, mcts", len(p.Series))
 	}
@@ -143,15 +122,34 @@ func TestByIDKnownCheapOnes(t *testing.T) {
 	}
 }
 
+// TestIDsCoverPaper checks the specs table: one unique id per spec, every
+// spec named, captioned and buildable, and every table and figure of the
+// paper's evaluation (Table 1, Figure 2, Figures 8-23) among them.
 func TestIDsCoverPaper(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 20 {
-		t.Fatalf("IDs = %v, want 20 experiments (Table 1, Fig 2, Figs 8-23, earlystop, policies)", ids)
+	if len(ids) != len(specs) {
+		t.Fatalf("IDs = %v, want one per spec (%d)", ids, len(specs))
+	}
+	seen := make(map[string]bool)
+	for _, s := range specs {
+		if seen[s.id] || s.name == "" || s.caption == "" || s.build == nil {
+			t.Fatalf("spec %q: duplicate id or missing name, caption or build", s.id)
+		}
+		seen[s.id] = true
+	}
+	paper := []string{"table1", "2"}
+	for f := 8; f <= 23; f++ {
+		paper = append(paper, strconv.Itoa(f))
+	}
+	for _, id := range paper {
+		if !seen[id] {
+			t.Fatalf("IDs = %v, missing the paper's %q", ids, id)
+		}
 	}
 }
 
 func TestFigureCSV(t *testing.T) {
-	fig := WorkloadStats()
+	fig := figure(t, "table1")
 	var sb strings.Builder
 	if err := fig.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
@@ -178,46 +176,16 @@ func TestMeanStd(t *testing.T) {
 
 func TestBudgetsScale(t *testing.T) {
 	full := Config{Seeds: 1, Scale: 1}
-	if got := full.Budgets("TPC-DS"); got[0] != 1000 || got[4] != 5000 {
+	if got := full.budgets("TPC-DS"); got[0] != 1000 || got[4] != 5000 {
 		t.Fatalf("full budgets = %v", got)
 	}
-	if got := full.Budgets("TPC-H"); got[0] != 50 || got[4] != 1000 {
+	if got := full.budgets("TPC-H"); got[0] != 50 || got[4] != 1000 {
 		t.Fatalf("small-workload budgets = %v", got)
 	}
 	scaled := Config{Seeds: 1, Scale: 10}
-	if got := scaled.Budgets("TPC-DS"); got[0] != 100 {
+	if got := scaled.budgets("TPC-DS"); got[0] != 100 {
 		t.Fatalf("scaled budgets = %v", got)
 	}
-}
-
-// The brute-force oracle used by shape tests must itself be correct on a
-// tiny instance: it finds a configuration at least as good as greedy.
-func TestOracleBestBeatsGreedy(t *testing.T) {
-	w := workload.ByName("tpch")
-	cands := candgen.Generate(w, candgen.Options{})
-	opt := search.NewOptimizer(w, cands)
-	s := search.NewSession(w, cands, opt, 2, 10, 1)
-	sub := []int{0, 1, 2, 3, 4, 5}
-	_, bruteCost := oracleBest(s, sub, 2)
-	// Exhaustive over 6 candidates: must be ≤ any specific pair.
-	for i := 0; i < len(sub); i++ {
-		for j := i + 1; j < len(sub); j++ {
-			c := 0.0
-			cfg := s.Cands.Candidates[sub[i]].Index
-			_ = cfg
-			pair := pairSet(sub[i], sub[j])
-			for _, q := range s.W.Queries {
-				c += s.Opt.PeekCost(q, pair)
-			}
-			if bruteCost > c+1e-6 {
-				t.Fatalf("oracleBest %v worse than pair (%d,%d) %v", bruteCost, i, j, c)
-			}
-		}
-	}
-}
-
-func pairSet(a, b int) iset.Set {
-	return iset.FromOrdinals(a, b)
 }
 
 // TestFigureDeterministicUnderSharedCache regenerates one figure twice: the
@@ -225,8 +193,8 @@ func pairSet(a, b int) iset.Set {
 // runner each time vs reused state inside a runner). Budget-aware results
 // must not depend on cache temperature.
 func TestFigureDeterministicUnderSharedCache(t *testing.T) {
-	cold := GreedyComparison(tiny, "TPC-H")
-	warm := GreedyComparison(tiny, "TPC-H")
+	cold := figure(t, "17")
+	warm := figure(t, "17")
 	if cold.String() != warm.String() {
 		t.Fatalf("figure differs across regenerations:\n%s\nvs\n%s", cold.String(), warm.String())
 	}
@@ -234,8 +202,8 @@ func TestFigureDeterministicUnderSharedCache(t *testing.T) {
 	// One runner, two identical runs: same improvement, and the second run's
 	// session-local counters must match the first (no leakage).
 	r := newRunner(Config{}, "TPC-H")
-	a := r.run(greedyVariants()[0], 5, 40, 1, 0)
-	b := r.run(greedyVariants()[0], 5, 40, 1, 0)
+	a := r.run(greedy.Vanilla{}, 5, 40, 1, 0)
+	b := r.run(greedy.Vanilla{}, 5, 40, 1, 0)
 	if a.ImprovementPct != b.ImprovementPct || a.Config.Key() != b.Config.Key() {
 		t.Fatalf("warm rerun changed the result: %+v vs %+v", a, b)
 	}
@@ -250,10 +218,10 @@ func TestFigureDeterministicUnderSharedCache(t *testing.T) {
 func TestTraceDirWritesPerRunFiles(t *testing.T) {
 	cfg := tiny
 	cfg.TraceDir = t.TempDir()
-	r := newRunner(cfg.withDefaults(), "TPC-H")
-	res := r.run(mctsDefault(), 5, 50, 1, 0)
+	r := newRunner(cfg, "TPC-H")
+	res := r.run(core.Default(), 5, 50, 1, 0)
 
-	base := traceFileName("TPC-H", mctsDefault().Name(), 5, 50, 1)
+	base := traceFileName("TPC-H", core.Default().Name(), 5, 50, 1)
 	events, err := os.ReadFile(filepath.Join(cfg.TraceDir, base+".jsonl"))
 	if err != nil {
 		t.Fatalf("event stream not written: %v", err)

@@ -1,121 +1,104 @@
 package experiments
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
 
-// ByID regenerates the identified table or figure. Accepted ids: "table1",
-// "2", and "8" through "23" (figures), matching DESIGN.md's per-experiment
-// index, plus the beyond-the-paper extensions "earlystop" and "policies".
-// Multi-panel convergence figures (14, 21) bundle their panels.
-func ByID(cfg Config, id string) (*Figure, error) {
-	var fig *Figure
-	switch id {
-	case "table1":
-		fig = WorkloadStats()
-	case "2":
-		fig = TuningTimeSplit(cfg)
-	case "8":
-		fig = GreedyComparison(cfg, "TPC-DS")
-	case "9":
-		fig = GreedyComparison(cfg, "Real-D")
-	case "10":
-		fig = GreedyComparison(cfg, "Real-M")
-	case "11":
-		fig = RLComparison(cfg, "TPC-DS")
-	case "12":
-		fig = RLComparison(cfg, "Real-D")
-	case "13":
-		fig = RLComparison(cfg, "Real-M")
-	case "14":
-		fig = &Figure{Caption: "Convergence of DBA bandits and No DBA (B = 5000)"}
-		fig.Panels = append(fig.Panels,
-			Convergence(cfg, "TPC-DS", 10, 5000),
-			Convergence(cfg, "Real-D", 10, 5000),
-			Convergence(cfg, "Real-M", 20, 5000))
-	case "15":
-		fig = &Figure{Caption: "Comparison vs DTA with and without storage constraint"}
-		for _, w := range []string{"TPC-DS", "Real-D", "Real-M"} {
-			for _, sc := range []bool{true, false} {
-				sub := DTAComparison(cfg, w, sc)
-				for i := range sub.Panels {
-					sub.Panels[i].Title = fmt.Sprintf("%s, %s", w, sub.Panels[i].Title)
-				}
-				fig.Panels = append(fig.Panels, sub.Panels...)
-			}
-		}
-	case "16":
-		fig = GreedyComparison(cfg, "JOB")
-	case "17":
-		fig = GreedyComparison(cfg, "TPC-H")
-	case "18":
-		fig = RLComparison(cfg, "JOB")
-	case "19":
-		fig = RLComparison(cfg, "TPC-H")
-	case "20":
-		fig = &Figure{Caption: "Comparison vs DTA on JOB and TPC-H"}
-		sub := DTAComparison(cfg, "JOB", false)
-		sub.Panels[0].Title = "JOB, without SC"
-		fig.Panels = append(fig.Panels, sub.Panels...)
-		for _, sc := range []bool{true, false} {
-			sub := DTAComparison(cfg, "TPC-H", sc)
-			sub.Panels[0].Title = fmt.Sprintf("TPC-H, %s", sub.Panels[0].Title)
-			fig.Panels = append(fig.Panels, sub.Panels...)
-		}
-	case "21":
-		fig = &Figure{Caption: "Convergence of DBA bandits and No DBA on JOB and TPC-H (B = 1000)"}
-		fig.Panels = append(fig.Panels,
-			Convergence(cfg, "JOB", 10, 1000),
-			Convergence(cfg, "TPC-H", 10, 1000))
-	case "22":
-		fig = &Figure{Caption: "MCTS policy ablation, fixed-step rollout"}
-		for _, w := range []string{"JOB", "TPC-H", "TPC-DS", "Real-D", "Real-M"} {
-			sub := Ablation(cfg, w, false)
-			for i := range sub.Panels {
-				sub.Panels[i].Title = fmt.Sprintf("%s, %s", w, sub.Panels[i].Title)
-			}
-			fig.Panels = append(fig.Panels, sub.Panels...)
-		}
-	case "23":
-		fig = &Figure{Caption: "MCTS policy ablation, randomized-step rollout"}
-		for _, w := range []string{"JOB", "TPC-H", "TPC-DS", "Real-D", "Real-M"} {
-			sub := Ablation(cfg, w, true)
-			for i := range sub.Panels {
-				sub.Panels[i].Title = fmt.Sprintf("%s, %s", w, sub.Panels[i].Title)
-			}
-			fig.Panels = append(fig.Panels, sub.Panels...)
-		}
-	case "earlystop":
-		fig = EarlyStopping(cfg, "TPC-H")
-	case "policies":
-		fig = &Figure{Caption: "Extended MCTS policy ablation (Boltzmann, RAVE, Uniform)"}
-		for _, w := range []string{"TPC-H", "TPC-DS"} {
-			sub := PolicyExtensions(cfg, w)
-			for i := range sub.Panels {
-				sub.Panels[i].Title = fmt.Sprintf("%s, %s", w, sub.Panels[i].Title)
-			}
-			fig.Panels = append(fig.Panels, sub.Panels...)
-		}
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment id %q (want table1, 2, 8-23, earlystop, or policies)", id)
-	}
-	fig.ID = displayID(id)
-	return fig, nil
+	"indextune/internal/core"
+)
+
+// spec declares one experiment: the id ByID takes, the name and caption its
+// figure prints under, and how its panels are built.
+type spec struct {
+	id, name, caption string
+	build             func(cfg Config) []Panel
 }
 
-func displayID(id string) string {
-	switch id {
-	case "table1":
-		return "Table 1"
-	case "earlystop":
-		return "Extension: early stopping"
-	case "policies":
-		return "Extension: policy ablation"
-	default:
-		return "Figure " + id
+// specs is the one place an experiment is declared, in paper order: ByID,
+// IDs, the CLI's -fig help and the root BenchmarkFigures all read it. The
+// ids are DESIGN.md's per-experiment index — "table1", "2", "8" through
+// "23" — plus the beyond-the-paper extensions "earlystop" and "policies".
+var specs = []spec{
+	{"table1", "Table 1", "Summary of database and workload statistics (Table 1)", workloadStats},
+	{"2", "Figure 2", "Tuning time split on TPC-DS (greedy, K = 20)", on(tuningTimeSplit, "TPC-DS")},
+	{"8", "Figure 8", "End-to-end comparison on TPC-DS with budget-aware Greedy variants", on(vsGreedy, "TPC-DS")},
+	{"9", "Figure 9", "End-to-end comparison on Real-D with budget-aware Greedy variants", on(vsGreedy, "Real-D")},
+	{"10", "Figure 10", "End-to-end comparison on Real-M with budget-aware Greedy variants", on(vsGreedy, "Real-M")},
+	{"11", "Figure 11", "End-to-end comparison on TPC-DS with existing RL approaches", on(vsRL, "TPC-DS")},
+	{"12", "Figure 12", "End-to-end comparison on Real-D with existing RL approaches", on(vsRL, "Real-D")},
+	{"13", "Figure 13", "End-to-end comparison on Real-M with existing RL approaches", on(vsRL, "Real-M")},
+	{"14", "Figure 14", "Convergence of DBA bandits and No DBA (B = 5000)",
+		concat(across(convergence(10, 5000), "TPC-DS", "Real-D"), across(convergence(20, 5000), "Real-M"))},
+	{"15", "Figure 15", "Comparison vs DTA with and without storage constraint",
+		across(dtaVsMCTS(true, false), "TPC-DS", "Real-D", "Real-M")},
+	{"16", "Figure 16", "End-to-end comparison on JOB with budget-aware Greedy variants", on(vsGreedy, "JOB")},
+	{"17", "Figure 17", "End-to-end comparison on TPC-H with budget-aware Greedy variants", on(vsGreedy, "TPC-H")},
+	{"18", "Figure 18", "End-to-end comparison on JOB with existing RL approaches", on(vsRL, "JOB")},
+	{"19", "Figure 19", "End-to-end comparison on TPC-H with existing RL approaches", on(vsRL, "TPC-H")},
+	// The paper plots JOB without the storage constraint only.
+	{"20", "Figure 20", "Comparison vs DTA on JOB and TPC-H",
+		concat(across(dtaVsMCTS(false), "JOB"), across(dtaVsMCTS(true, false), "TPC-H"))},
+	{"21", "Figure 21", "Convergence of DBA bandits and No DBA on JOB and TPC-H (B = 1000)",
+		across(convergence(10, 1000), "JOB", "TPC-H")},
+	{"22", "Figure 22", "MCTS policy ablation, fixed-step rollout",
+		across(ablation(core.RolloutFixedStep), "JOB", "TPC-H", "TPC-DS", "Real-D", "Real-M")},
+	{"23", "Figure 23", "MCTS policy ablation, randomized-step rollout",
+		across(ablation(core.RolloutRandomStep), "JOB", "TPC-H", "TPC-DS", "Real-D", "Real-M")},
+	{"earlystop", "Extension: early stopping", "Early stopping on derived cost bounds on TPC-H (beyond the paper)",
+		on(earlyStopping, "TPC-H")},
+	{"policies", "Extension: policy ablation", "Extended MCTS policy ablation (Boltzmann, RAVE, Uniform)",
+		across(policyVariants, "TPC-H", "TPC-DS")},
+}
+
+// sweep builds one workload's panels on its runner.
+type sweep func(r *runner) []Panel
+
+// on builds a single-workload figure from s.
+func on(s sweep, wname string) func(Config) []Panel {
+	return func(cfg Config) []Panel { return s(newRunner(cfg, wname)) }
+}
+
+// across builds s on each workload in turn and titles every panel
+// "<workload>, <title>".
+func across(s sweep, wnames ...string) func(Config) []Panel {
+	return func(cfg Config) []Panel {
+		var panels []Panel
+		for _, w := range wnames {
+			for _, p := range s(newRunner(cfg, w)) {
+				p.Title = w + ", " + p.Title
+				panels = append(panels, p)
+			}
+		}
+		return panels
 	}
+}
+
+// concat builds the parts of a figure in order and joins their panels.
+func concat(parts ...func(Config) []Panel) func(Config) []Panel {
+	return func(cfg Config) []Panel {
+		var panels []Panel
+		for _, part := range parts {
+			panels = append(panels, part(cfg)...)
+		}
+		return panels
+	}
+}
+
+// ByID regenerates the identified table or figure; see specs for the ids.
+func ByID(cfg Config, id string) (*Figure, error) {
+	for _, s := range specs {
+		if s.id == id {
+			return &Figure{ID: s.name, Caption: s.caption, Panels: s.build(cfg)}, nil
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown experiment id %q (ids: %s)", id, strings.Join(IDs(), " "))
 }
 
 // IDs lists all experiment identifiers in paper order.
 func IDs() []string {
-	return []string{"table1", "2", "8", "9", "10", "11", "12", "13", "14", "15",
-		"16", "17", "18", "19", "20", "21", "22", "23", "earlystop", "policies"}
+	ids := make([]string, len(specs))
+	for i, s := range specs {
+		ids[i] = s.id
+	}
+	return ids
 }
