@@ -115,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		csvFile = f
 	}
 
-	for _, id := range ids {
+	for i, id := range ids {
 		fig, err := experiments.ByID(cfg, id)
 		if err != nil {
 			fmt.Fprintln(stderr, "experiments:", err)
@@ -123,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		fig.WriteText(stdout)
 		if csvFile != nil {
-			if err := fig.WriteCSV(csvFile); err != nil {
+			if err := fig.WriteCSV(csvFile, i == 0); err != nil {
 				fmt.Fprintln(stderr, "experiments: csv:", err)
 				return exitRuntime
 			}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,5 +64,41 @@ func TestRunWritesTextAndCSV(t *testing.T) {
 	data, err := os.ReadFile(csv)
 	if err != nil || len(data) == 0 {
 		t.Fatalf("csv: %d bytes, err %v", len(data), err)
+	}
+}
+
+// A multi-id run writes one CSV file with one header row: every row is a
+// 7-field record and only the first is the header.
+func TestMultiFigureCSVHasOneHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.csv")
+	if code, _, stderr := runCmd("-fig", "table1,2", "-seeds", "1", "-scale", "100", "-csv", path); code != exitOK {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	headers := 0
+	figures := make(map[string]bool)
+	for i, row := range rows {
+		if len(row) != 7 {
+			t.Fatalf("row %d has %d fields, want 7: %q", i, len(row), row)
+		}
+		if row[0] == "figure" {
+			headers++
+			if i != 0 {
+				t.Fatalf("header repeated at row %d", i)
+			}
+			continue
+		}
+		figures[row[0]] = true
+	}
+	if headers != 1 || len(figures) != 2 {
+		t.Fatalf("%d header rows and figures %v, want 1 header and 2 figures", headers, figures)
 	}
 }

@@ -151,7 +151,7 @@ func TestIDsCoverPaper(t *testing.T) {
 func TestFigureCSV(t *testing.T) {
 	fig := figure(t, "table1")
 	var sb strings.Builder
-	if err := fig.WriteCSV(&sb); err != nil {
+	if err := fig.WriteCSV(&sb, true); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")

@@ -88,12 +88,15 @@ func (f *Figure) WriteText(w io.Writer) {
 }
 
 // WriteCSV renders the figure as CSV rows:
-// figure,panel,series,x,mean,std,calls.
-func (f *Figure) WriteCSV(w io.Writer) error {
+// figure,panel,series,x,mean,std,calls. header writes that column header
+// first; a file holding several figures takes it before the first only.
+func (f *Figure) WriteCSV(w io.Writer, header bool) error {
 	cw := csv.NewWriter(w)
 	defer cw.Flush()
-	if err := cw.Write([]string{"figure", "panel", "series", "x", "mean", "std", "calls"}); err != nil {
-		return err
+	if header {
+		if err := cw.Write([]string{"figure", "panel", "series", "x", "mean", "std", "calls"}); err != nil {
+			return err
+		}
 	}
 	for _, p := range f.Panels {
 		for _, s := range p.Series {

@@ -50,7 +50,7 @@ func TestFiguresGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := sha256.New()
-		if err := fig.WriteCSV(h); err != nil {
+		if err := fig.WriteCSV(h, true); err != nil {
 			t.Fatal(err)
 		}
 		got[id] = hex.EncodeToString(h.Sum(nil))
