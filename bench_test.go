@@ -1,9 +1,9 @@
 package indextune
 
-// Benchmark harness: one benchmark per table and figure of the paper (see
-// DESIGN.md's per-experiment index). Each benchmark regenerates its
-// experiment at reduced fidelity (internal/experiments.Quick: budgets ÷10,
-// 2 seeds) so the full suite completes in minutes; run
+// Benchmark harness: one sub-benchmark per table and figure of the paper
+// (BenchmarkFigures/<id>, see DESIGN.md's per-experiment index). Each
+// regenerates its experiment at reduced fidelity (internal/experiments.Quick:
+// budgets ÷10, 2 seeds) so the full suite completes in minutes; run
 //
 //	go run ./cmd/experiments -fig <id>
 //
@@ -45,59 +45,24 @@ func benchConfigFromEnv() experiments.Config {
 	}
 }
 
-func benchFigure(b *testing.B, id string) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.ByID(benchCfg, id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(fig.Panels) == 0 {
-			b.Fatal("empty figure")
-		}
+// BenchmarkFigures regenerates every experiment of experiments.IDs() as
+// its own sub-benchmark, BenchmarkFigures/<id>.
+func BenchmarkFigures(b *testing.B) {
+	for _, id := range experiments.IDs() {
+		b.Run(id, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fig, err := experiments.ByID(benchCfg, id)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(fig.Panels) == 0 {
+					b.Fatal("empty figure")
+				}
+			}
+		})
 	}
 }
-
-// Table 1: workload statistics.
-func BenchmarkTable1WorkloadStats(b *testing.B) { benchFigure(b, "table1") }
-
-// Figure 2: tuning-time split between what-if calls and other work.
-func BenchmarkFig2TuningTimeSplit(b *testing.B) { benchFigure(b, "2") }
-
-// Figures 8-10: MCTS vs budget-aware greedy variants.
-func BenchmarkFig8TPCDSGreedy(b *testing.B)  { benchFigure(b, "8") }
-func BenchmarkFig9RealDGreedy(b *testing.B)  { benchFigure(b, "9") }
-func BenchmarkFig10RealMGreedy(b *testing.B) { benchFigure(b, "10") }
-
-// Figures 11-13: MCTS vs DBA bandits and No DBA.
-func BenchmarkFig11TPCDSRL(b *testing.B) { benchFigure(b, "11") }
-func BenchmarkFig12RealDRL(b *testing.B) { benchFigure(b, "12") }
-func BenchmarkFig13RealMRL(b *testing.B) { benchFigure(b, "13") }
-
-// Figure 14: per-round convergence of the RL baselines.
-func BenchmarkFig14Convergence(b *testing.B) { benchFigure(b, "14") }
-
-// Figure 15: comparison with DTA, with and without the storage constraint.
-func BenchmarkFig15DTA(b *testing.B) { benchFigure(b, "15") }
-
-// Figures 16-17: greedy comparison on the small workloads.
-func BenchmarkFig16JOBGreedy(b *testing.B)  { benchFigure(b, "16") }
-func BenchmarkFig17TPCHGreedy(b *testing.B) { benchFigure(b, "17") }
-
-// Figures 18-19: RL comparison on the small workloads.
-func BenchmarkFig18JOBRL(b *testing.B)  { benchFigure(b, "18") }
-func BenchmarkFig19TPCHRL(b *testing.B) { benchFigure(b, "19") }
-
-// Figure 20: DTA comparison on the small workloads.
-func BenchmarkFig20DTASmall(b *testing.B) { benchFigure(b, "20") }
-
-// Figure 21: convergence on the small workloads.
-func BenchmarkFig21ConvergenceSmall(b *testing.B) { benchFigure(b, "21") }
-
-// Figures 22-23: MCTS policy ablations (fixed vs randomized rollout step).
-func BenchmarkFig22AblationFixed(b *testing.B)  { benchFigure(b, "22") }
-func BenchmarkFig23AblationRandom(b *testing.B) { benchFigure(b, "23") }
 
 // --- Kernel micro-benchmarks ------------------------------------------------
 
@@ -540,6 +505,3 @@ func BenchmarkPublicTune(b *testing.B) {
 		}
 	}
 }
-
-// Extension: the extended policy ablation (Boltzmann, RAVE, Uniform).
-func BenchmarkExtPolicyAblation(b *testing.B) { benchFigure(b, "policies") }
