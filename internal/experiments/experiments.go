@@ -118,8 +118,8 @@ type runner struct {
 func newRunner(cfg Config, wname string) *runner {
 	w := workload.ByName(wname)
 	if w == nil {
-		// invariant: figure functions only pass the compile-time workload
-		// names of Table 1; user-supplied experiment ids are validated by ByID.
+		// invariant: specs only names the compile-time workloads of
+		// Table 1; user-supplied experiment ids are validated by ByID.
 		panic(fmt.Sprintf("experiments: unknown workload %q", wname))
 	}
 	cands := candgen.Generate(w, candgen.Options{})
