@@ -21,7 +21,7 @@ GO ?= go
 # workloads, BenchmarkWorkloadGeneration and BenchmarkWorkloadGenerationRealD).
 KERNEL_BENCH = BenchmarkEpisode|BenchmarkRollout|BenchmarkComputePriors|BenchmarkMCTSFixedBudgetWorkers|BenchmarkWhatIfCall|BenchmarkWhatIfCacheHit|BenchmarkWhatIfCacheMiss|BenchmarkWhatIfBatch|BenchmarkDerivedLookup|BenchmarkProjectionBuild|BenchmarkWhatIfProjectedCacheHit|BenchmarkBoundDerivation|BenchmarkEarlyStopCheck|BenchmarkMCTSEarlyStop|BenchmarkEvictionChurn|BenchmarkDerivedOnly|BenchmarkExtractRefresh|BenchmarkNewSessionRealM|BenchmarkRelevanceRealM|BenchmarkSessionSeen|BenchmarkRecorderEmit|BenchmarkCandidateGenerationRealM|BenchmarkWorkloadGeneration
 
-.PHONY: check fmt vet bench-vet lint lint-json build test race fuzz bench-smoke bench-json bench-check profile trace-smoke tuned-smoke
+.PHONY: check fmt vet bench-vet lint lint-json build test race fuzz bench-smoke bench-json bench-check profile trace-smoke tuned-smoke figures
 
 check: fmt vet bench-vet lint build test race fuzz tuned-smoke
 
@@ -169,3 +169,10 @@ trace-smoke:
 		-trace-out trace-out/tune.jsonl -metrics-out trace-out/tune.summary.json
 	$(GO) run ./cmd/experiments -fig 14 -quick -trace-dir trace-out
 	@ls -l trace-out
+
+# figures regenerates every experiment id at the smallest fidelity (one seed,
+# budgets ÷100) into figures.csv, one header row for the whole file, so a
+# change's movement on every figure can be diffed. The text tables go to
+# stdout.
+figures:
+	$(GO) run ./cmd/experiments -all -seeds 1 -scale 100 -csv figures.csv
