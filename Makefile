@@ -8,8 +8,10 @@ GO ?= go
 # rollout, prior phase, the uncached what-if call, what-if cache hit/miss,
 # the batched what-if path — on TPC-H (BenchmarkWhatIfBatch8/64) and on one
 # Real-M query scoring greedy-step extensions cur ∪ {a}
-# (BenchmarkWhatIfBatchRealM) —, projection build, bound derivation, and the
-# parallel-pipeline speedup; bound derivation covers both the TPC-H store
+# (BenchmarkWhatIfBatchRealM) —, projection build, the derived cost of one
+# query and of all 22 TPC-H queries in one read (BenchmarkDerivedLookup,
+# BenchmarkDerivedQueryAll), bound derivation, and the parallel-pipeline
+# speedup; bound derivation covers both the TPC-H store
 # and the Real-M two-phase store; the Best-Greedy extraction from scratch
 # and as a memoized refresh at an early-stop check; the cold Real-M
 # optimizer + session set-up, which builds no relevance bitmap, and the
@@ -19,7 +21,7 @@ GO ?= go
 # broadcast stream; candidate generation on Real-M,
 # BenchmarkCandidateGenerationRealM; and synthesis of the Real-M and Real-D
 # workloads, BenchmarkWorkloadGeneration and BenchmarkWorkloadGenerationRealD).
-KERNEL_BENCH = BenchmarkEpisode|BenchmarkRollout|BenchmarkComputePriors|BenchmarkMCTSFixedBudgetWorkers|BenchmarkWhatIfCall|BenchmarkWhatIfCacheHit|BenchmarkWhatIfCacheMiss|BenchmarkWhatIfBatch|BenchmarkDerivedLookup|BenchmarkProjectionBuild|BenchmarkWhatIfProjectedCacheHit|BenchmarkBoundDerivation|BenchmarkEarlyStopCheck|BenchmarkMCTSEarlyStop|BenchmarkEvictionChurn|BenchmarkDerivedOnly|BenchmarkExtractRefresh|BenchmarkNewSessionRealM|BenchmarkRelevanceRealM|BenchmarkSessionSeen|BenchmarkRecorderEmit|BenchmarkCandidateGenerationRealM|BenchmarkWorkloadGeneration
+KERNEL_BENCH = BenchmarkEpisode|BenchmarkRollout|BenchmarkComputePriors|BenchmarkMCTSFixedBudgetWorkers|BenchmarkWhatIfCall|BenchmarkWhatIfCacheHit|BenchmarkWhatIfCacheMiss|BenchmarkWhatIfBatch|BenchmarkDerivedLookup|BenchmarkDerivedQueryAll|BenchmarkProjectionBuild|BenchmarkWhatIfProjectedCacheHit|BenchmarkBoundDerivation|BenchmarkEarlyStopCheck|BenchmarkMCTSEarlyStop|BenchmarkEvictionChurn|BenchmarkDerivedOnly|BenchmarkExtractRefresh|BenchmarkNewSessionRealM|BenchmarkRelevanceRealM|BenchmarkSessionSeen|BenchmarkRecorderEmit|BenchmarkCandidateGenerationRealM|BenchmarkWorkloadGeneration
 
 .PHONY: check fmt vet bench-vet lint lint-json build test race fuzz bench-smoke bench-json bench-check profile trace-smoke tuned-smoke figures
 
@@ -128,8 +130,8 @@ bench-json:
 # scores the interned plan space with pooled scratch and must stay at 0
 # allocs/op; the byte-bounded cache-hit path pays at most the CLOCK reference
 # bit over the unbounded hit — gated at <= 1.1x its ns/op and 0 allocs/op; the
-# derived-store reads — Query and Bounds on the TPC-H store, Bounds on the
-# Real-M two-phase store — must stay at 0 allocs/op; one trace event on the
+# derived-store reads — Query, QueryAll and Bounds on the TPC-H store,
+# Bounds on the Real-M two-phase store — must stay at 0 allocs/op; one trace event on the
 # daemon's path — BenchmarkRecorderEmit, encode + flush + broadcast append —
 # must stay at 0 allocs/op; Real-M and Real-D synthesis are pinned at their
 # recorded allocs/op, so per-table or per-ref allocations cannot creep back).
@@ -141,11 +143,11 @@ bench-check:
 	$(GO) test -run '^$$' -bench '^BenchmarkEpisode(Cached)?$$' -benchtime 200000x ./internal/core > benchcheck.out
 	$(GO) test -run '^$$' -bench 'BenchmarkMCTSFixedBudgetWorkers|BenchmarkEarlyStopCheck|BenchmarkExtractRefresh' ./internal/core >> benchcheck.out
 	$(GO) test -run '^$$' -bench 'BenchmarkWhatIfCall$$|BenchmarkWhatIfCacheHit$$|BenchmarkWhatIfCacheHitBounded$$|BenchmarkWhatIfProjectedCacheHit$$|BenchmarkWhatIfCacheMiss$$|BenchmarkWhatIfBatch|BenchmarkEvictionChurn$$' -benchtime 2000000x . >> benchcheck.out
-	$(GO) test -run '^$$' -bench 'BenchmarkBoundDerivation|BenchmarkDerivedLookup$$|BenchmarkNewSessionRealM$$|BenchmarkRelevanceRealM$$|BenchmarkSessionSeen$$|BenchmarkRecorderEmit$$|BenchmarkCandidateGenerationRealM$$|BenchmarkWorkloadGeneration(RealD)?$$' . >> benchcheck.out
+	$(GO) test -run '^$$' -bench 'BenchmarkBoundDerivation|BenchmarkDerivedLookup$$|BenchmarkDerivedQueryAll$$|BenchmarkNewSessionRealM$$|BenchmarkRelevanceRealM$$|BenchmarkSessionSeen$$|BenchmarkRecorderEmit$$|BenchmarkCandidateGenerationRealM$$|BenchmarkWorkloadGeneration(RealD)?$$' . >> benchcheck.out
 	$(GO) run ./cmd/benchdiff -baseline BENCH_mcts.json -threshold 1.20 -match '^(BenchmarkEpisode|BenchmarkNewSessionRealM|BenchmarkRelevanceRealM|BenchmarkCandidateGenerationRealM|BenchmarkWorkloadGeneration|BenchmarkWorkloadGenerationRealD)$$' benchcheck.out
 	$(GO) run ./cmd/benchdiff -speedup 'BenchmarkMCTSFixedBudgetWorkers/workers=1,BenchmarkMCTSFixedBudgetWorkers/workers=4,2.0' benchcheck.out
 	$(GO) run ./cmd/benchdiff -speedup 'BenchmarkWhatIfCacheHit,BenchmarkWhatIfCacheHitBounded,0.909' benchcheck.out
-	$(GO) run ./cmd/benchdiff -maxallocs 'BenchmarkWhatIfCall,0' -maxallocs 'BenchmarkWhatIfCacheHit,0' -maxallocs 'BenchmarkWhatIfCacheHitBounded,0' -maxallocs 'BenchmarkWhatIfProjectedCacheHit,0' -maxallocs 'BenchmarkEpisode,6' -maxallocs 'BenchmarkEpisodeCached,3' -maxallocs 'BenchmarkEarlyStopCheck,0' -maxallocs 'BenchmarkExtractRefresh,7' -maxallocs 'BenchmarkWhatIfBatch8,0' -maxallocs 'BenchmarkWhatIfBatch64,0' -maxallocs 'BenchmarkWhatIfBatchRealM,0' -maxallocs 'BenchmarkBoundDerivation,0' -maxallocs 'BenchmarkBoundDerivationRealM,0' -maxallocs 'BenchmarkDerivedLookup,0' -maxallocs 'BenchmarkSessionSeen,0' -maxallocs 'BenchmarkRecorderEmit,0' -maxallocs 'BenchmarkWorkloadGeneration,39432' -maxallocs 'BenchmarkWorkloadGenerationRealD,62088' benchcheck.out
+	$(GO) run ./cmd/benchdiff -maxallocs 'BenchmarkWhatIfCall,0' -maxallocs 'BenchmarkWhatIfCacheHit,0' -maxallocs 'BenchmarkWhatIfCacheHitBounded,0' -maxallocs 'BenchmarkWhatIfProjectedCacheHit,0' -maxallocs 'BenchmarkEpisode,6' -maxallocs 'BenchmarkEpisodeCached,3' -maxallocs 'BenchmarkEarlyStopCheck,0' -maxallocs 'BenchmarkExtractRefresh,7' -maxallocs 'BenchmarkWhatIfBatch8,0' -maxallocs 'BenchmarkWhatIfBatch64,0' -maxallocs 'BenchmarkWhatIfBatchRealM,0' -maxallocs 'BenchmarkBoundDerivation,0' -maxallocs 'BenchmarkBoundDerivationRealM,0' -maxallocs 'BenchmarkDerivedLookup,0' -maxallocs 'BenchmarkDerivedQueryAll,0' -maxallocs 'BenchmarkSessionSeen,0' -maxallocs 'BenchmarkRecorderEmit,0' -maxallocs 'BenchmarkWorkloadGeneration,39432' -maxallocs 'BenchmarkWorkloadGenerationRealD,62088' benchcheck.out
 	@rm -f benchcheck.out
 
 # profile runs a representative tuning session under the CPU and heap

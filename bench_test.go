@@ -102,6 +102,21 @@ func BenchmarkDerivedLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkDerivedQueryAll measures d(q, C) for all 22 queries in one read
+// (QueryAll, as an MCTS episode prices its configuration) over the same
+// store and configuration as BenchmarkDerivedLookup.
+func BenchmarkDerivedQueryAll(b *testing.B) {
+	s := benchSession(b, "tpch", 10, 500)
+	greedy.Vanilla{}.Enumerate(s)
+	cfg := iset.FromOrdinals(0, 3, 7, 11, 19)
+	d := make([]float64, len(s.W.Queries))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Derived.QueryAll(cfg, d)
+	}
+}
+
 // BenchmarkSessionSeen measures the seen-set pass an MCTS episode makes
 // before it picks its query: Seen for every query of TPC-H against a
 // session warmed by a 500-call MCTS run, with projected keys as under the

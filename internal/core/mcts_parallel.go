@@ -173,9 +173,10 @@ func (t *tuner) beginEpisode(sl *episodeSlot) {
 		sl.seen = make([]bool, m)
 	}
 	d := sl.d[:m]
+	s.Derived.QueryAll(cfg, d)
 	total := 0.0
-	for qi := range s.W.Queries {
-		d[qi] = s.Derived.Query(qi, cfg) * s.W.Queries[qi].EffectiveWeight()
+	for qi, q := range s.W.Queries {
+		d[qi] *= q.EffectiveWeight()
 		total += d[qi]
 	}
 	sl.total = total

@@ -178,6 +178,13 @@ func containsAll(sup, sub iset.Small) bool {
 // the heap and are answered the same.
 const smallBuf = 32
 
+// Touch names one query whose recorded entries mention an ordinal, and that
+// ordinal's posting among the query's postings.
+type Touch struct {
+	Query   int32
+	posting int32
+}
+
 // DerivedStore records the what-if costs observed so far and answers derived
 // cost queries: d(q, C) = min over known subsets S ⊆ C of c(q, S)
 // (Equation 1), with d(q, ∅) = c(q, ∅).
@@ -190,13 +197,14 @@ type DerivedStore struct {
 	w    *workload.Workload
 	base []float64  // c(q, ∅) per query
 	byQ  []postings // known costs per query, with their ordinal postings
-	// touched maps a candidate ordinal to the queries with entries
-	// mentioning it, each listed once, when its first such entry is
-	// recorded. Recording order can interleave queries arbitrarily
+	// byOrd[o] lists the queries with entries mentioning ordinal o, each
+	// once, with o's posting in that query, in the order of each query's
+	// first such entry. Recording order can interleave queries arbitrarily
 	// (parallel MCTS commits, per-query greedy phases); the query's
 	// postings already record which ordinals it has seen, so a posting
 	// miss is exactly the first entry of the query mentioning the ordinal.
-	touched map[int][]int
+	// It is as long as the largest recorded ordinal plus one.
+	byOrd [][]Touch
 	// floors[i] = c(q_i, U) for the full candidate universe U, or -1 when
 	// not yet probed. By Assumption 1 (monotonicity) this is a lower bound
 	// on c(q_i, C) for every C ⊆ U — the per-query improvement floor the
@@ -211,10 +219,9 @@ type DerivedStore struct {
 // (base[i] = c(w.Queries[i], ∅)).
 func NewDerivedStore(w *workload.Workload, base []float64) *DerivedStore {
 	return &DerivedStore{
-		w:       w,
-		base:    base,
-		byQ:     make([]postings, len(w.Queries)),
-		touched: make(map[int][]int),
+		w:    w,
+		base: base,
+		byQ:  make([]postings, len(w.Queries)),
 	}
 }
 
@@ -244,7 +251,10 @@ func (ds *DerivedStore) Record(qi int, cfg iset.Set, c float64) {
 		i := p.find(o)
 		if i < 0 {
 			i = p.add(o)
-			ds.touched[int(o)] = append(ds.touched[int(o)], qi)
+			for int(o) >= len(ds.byOrd) {
+				ds.byOrd = append(ds.byOrd, nil)
+			}
+			ds.byOrd[o] = append(ds.byOrd[o], Touch{Query: int32(qi), posting: i})
 		}
 		l := &p.lists[i]
 		l.all = append(l.all, pos)
@@ -314,10 +324,13 @@ func (ds *DerivedStore) EntryAt(qi, pos int) (set iset.Small, cost float64) {
 }
 
 // TouchedQueries returns the queries that have at least one recorded entry
-// mentioning candidate ord. The slice is in recording order (not sorted)
-// and must not be modified.
-func (ds *DerivedStore) TouchedQueries(ord int) []int {
-	return ds.touched[ord]
+// mentioning candidate ord, each with ord's posting for QueryWithTouch. The
+// slice is in recording order (not sorted) and must not be modified.
+func (ds *DerivedStore) TouchedQueries(ord int) []Touch {
+	if ord >= len(ds.byOrd) {
+		return nil
+	}
+	return ds.byOrd[ord]
 }
 
 // Entries returns the number of recorded what-if costs for query qi.
@@ -363,16 +376,62 @@ func (ds *DerivedStore) Bounds(qi int, cfg iset.Set) (lo, hi float64) {
 	return lo, hi
 }
 
+// QueryAll sets d[q] = d(q, cfg) for every query of the workload (len(d)
+// must be the query count). It collects cfg's members once and walks, for
+// each, the head lists of the queries its byOrd list names: every entry
+// S ⊆ cfg is empty or filed under a member of cfg, so each query's answer
+// is the minimum over the same qualifying entries Query visits.
+func (ds *DerivedStore) QueryAll(cfg iset.Set, d []float64) {
+	for qi := range ds.byQ {
+		p := &ds.byQ[qi]
+		d[qi] = ds.base[qi]
+		for _, pos := range p.empty {
+			if c := p.entries[pos].cost; c < d[qi] {
+				d[qi] = c
+			}
+		}
+	}
+	var buf [smallBuf]int32
+	for _, o := range cfg.AppendSmall(buf[:0]) {
+		if int(o) >= len(ds.byOrd) {
+			break
+		}
+		for _, t := range ds.byOrd[o] {
+			p := &ds.byQ[t.Query]
+			dq := d[t.Query]
+			for _, pos := range p.lists[t.posting].head {
+				e := &p.entries[pos]
+				if e.cost < dq && e.set.SubsetOfSet(cfg) {
+					dq = e.cost
+				}
+			}
+			d[t.Query] = dq
+		}
+	}
+}
+
 // QueryWith returns d(q_i, base ∪ {add}) given dBase = d(q_i, base),
 // examining only entries that mention the added index. This is the
 // incremental form the greedy inner loop relies on.
 func (ds *DerivedStore) QueryWith(qi int, base iset.Set, dBase float64, add int) float64 {
 	p := &ds.byQ[qi]
-	d := dBase
 	l := p.list(int32(add))
 	if l == nil {
-		return d
+		return dBase
 	}
+	return p.withMin(l, base, dBase, add)
+}
+
+// QueryWithTouch is QueryWith for the query t names, t taken from
+// TouchedQueries(add): it reads add's posting without looking it up.
+func (ds *DerivedStore) QueryWithTouch(t Touch, base iset.Set, dBase float64, add int) float64 {
+	p := &ds.byQ[t.Query]
+	return p.withMin(&p.lists[t.posting], base, dBase, add)
+}
+
+// withMin returns the minimum of d and the costs of the entries on l, the
+// posting of add, whose other ordinals are all in base.
+func (p *postings) withMin(l *posting, base iset.Set, d float64, add int) float64 {
 	for _, pos := range l.all {
 		e := &p.entries[pos]
 		if e.cost >= d {
@@ -394,9 +453,11 @@ func (ds *DerivedStore) QueryWith(qi int, base iset.Set, dBase float64, add int)
 
 // Workload returns d(W, cfg) = Σ_q weight(q)·d(q, cfg).
 func (ds *DerivedStore) Workload(cfg iset.Set) float64 {
+	d := make([]float64, len(ds.byQ))
+	ds.QueryAll(cfg, d)
 	t := 0.0
-	for qi := range ds.byQ {
-		t += ds.Query(qi, cfg) * ds.w.Queries[qi].EffectiveWeight()
+	for qi, dq := range d {
+		t += dq * ds.w.Queries[qi].EffectiveWeight()
 	}
 	return t
 }

@@ -125,7 +125,7 @@ func TestTouchedQueries(t *testing.T) {
 	ds.Record(0, iset.FromOrdinals(7), 50)
 	ds.Record(2, iset.FromOrdinals(7, 8), 60)
 	tq := ds.TouchedQueries(7)
-	if len(tq) != 2 || tq[0] != 0 || tq[1] != 2 {
+	if len(tq) != 2 || tq[0].Query != 0 || tq[1].Query != 2 {
 		t.Fatalf("TouchedQueries(7) = %v", tq)
 	}
 	if got := ds.TouchedQueries(99); len(got) != 0 {
@@ -304,13 +304,13 @@ func TestTouchedQueriesDedupInterleaved(t *testing.T) {
 	ds.Record(1, iset.FromOrdinals(7), 150)
 	ds.Record(0, iset.FromOrdinals(7, 8), 40) // q0 again, interleaved
 	tq := ds.TouchedQueries(7)
-	if len(tq) != 2 || tq[0] != 0 || tq[1] != 1 {
+	if len(tq) != 2 || tq[0].Query != 0 || tq[1].Query != 1 {
 		t.Fatalf("TouchedQueries(7) = %v, want [0 1] (q0 deduped)", tq)
 	}
 	// Same-query consecutive recording stays deduped too.
 	ds.Record(2, iset.FromOrdinals(9), 250)
 	ds.Record(2, iset.FromOrdinals(9, 7), 240)
-	if tq := ds.TouchedQueries(9); len(tq) != 1 || tq[0] != 2 {
+	if tq := ds.TouchedQueries(9); len(tq) != 1 || tq[0].Query != 2 {
 		t.Fatalf("TouchedQueries(9) = %v, want [2]", tq)
 	}
 }

@@ -1,8 +1,8 @@
 package cost
 
 import (
+	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"indextune/internal/iset"
@@ -133,7 +133,8 @@ func (g *streamGen) probe(recorded []iset.Set) (cfg iset.Set, exact bool) {
 }
 
 // refTouched lists, per ordinal, the queries whose entries mention it, in
-// the order of each query's first such entry — TouchedQueries' contract.
+// the order of each query's first such entry — the queries of byOrd's
+// (query, posting) relation.
 type refTouched struct {
 	lists map[int][]int
 	seen  map[[2]int]bool
@@ -148,11 +149,43 @@ func (r *refTouched) record(qi int, cfg iset.Set) {
 	}
 }
 
+// checkByOrd reports the first way the ordinal-major relation departs from
+// its definition: TouchedQueries(o) lists the queries of want[o] in order,
+// each with the posting its index maps o to, and no other ordinal has a
+// list.
+func checkByOrd(ds *DerivedStore, want map[int][]int) error {
+	n := 0
+	for _, l := range ds.byOrd {
+		if len(l) > 0 {
+			n++
+		}
+	}
+	if n != len(want) {
+		return fmt.Errorf("%d ordinals have queries, want %d", n, len(want))
+	}
+	for o, qs := range want {
+		got := ds.TouchedQueries(o)
+		if len(got) != len(qs) {
+			return fmt.Errorf("TouchedQueries(%d) lists %d queries, want %v", o, len(got), qs)
+		}
+		for i, tc := range got {
+			if int(tc.Query) != qs[i] {
+				return fmt.Errorf("TouchedQueries(%d)[%d] is q%d, want q%d", o, i, tc.Query, qs[i])
+			}
+			if p := ds.byQ[tc.Query].find(int32(o)); tc.posting != p {
+				return fmt.Errorf("TouchedQueries(%d)[%d] names posting %d of q%d, want %d", o, i, tc.posting, tc.Query, p)
+			}
+		}
+	}
+	return nil
+}
+
 // The indexed reads equal the linear scans exactly over random interleaved
 // record streams at Real-M width: empty and duplicate configurations,
 // universe floors, and probes at, below and above recorded entries. Each
-// stream also keeps TouchedQueries equal to its definition and every
-// query's index sized by the ordinals it recorded.
+// stream also keeps the ordinal-major (query, posting) relation equal to
+// its definition and every query's index sized by the ordinals it
+// recorded.
 func TestPostingReadsMatchLinearScan(t *testing.T) {
 	const nq = 5
 	for seed := int64(1); seed <= 20; seed++ {
@@ -182,11 +215,18 @@ func TestPostingReadsMatchLinearScan(t *testing.T) {
 			if step%25 != 24 {
 				continue
 			}
+			all := make([]float64, nq)
 			for k := 0; k < 20; k++ {
 				qi := g.rng.Intn(nq)
 				cfg, exact := g.probe(recorded[qi])
 				if got, want := ds.Query(qi, cfg), refQuery(ds, qi, cfg); got != want {
 					t.Fatalf("seed %d step %d: Query(q%d, %v) = %v, want %v", seed, step, qi, cfg, got, want)
+				}
+				ds.QueryAll(cfg, all)
+				for qj, got := range all {
+					if want := refQuery(ds, qj, cfg); got != want {
+						t.Fatalf("seed %d step %d: QueryAll(%v)[q%d] = %v, want %v", seed, step, cfg, qj, got, want)
+					}
 				}
 				lo, hi := ds.Bounds(qi, cfg)
 				wlo, whi := refBounds(ds, qi, cfg)
@@ -200,17 +240,20 @@ func TestPostingReadsMatchLinearScan(t *testing.T) {
 				add := g.ord()
 				cfg.Remove(add)
 				dBase := refQuery(ds, qi, cfg)
-				if got, want := ds.QueryWith(qi, cfg, dBase, add), refQueryWith(ds, qi, cfg, dBase, add); got != want {
+				want := refQueryWith(ds, qi, cfg, dBase, add)
+				if got := ds.QueryWith(qi, cfg, dBase, add); got != want {
 					t.Fatalf("seed %d step %d: QueryWith(q%d, %v, +%d) = %v, want %v", seed, step, qi, cfg, add, got, want)
 				}
+				for _, tc := range ds.TouchedQueries(add) {
+					qi := int(tc.Query)
+					dBase := refQuery(ds, qi, cfg)
+					if got, want := ds.QueryWithTouch(tc, cfg, dBase, add), refQueryWith(ds, qi, cfg, dBase, add); got != want {
+						t.Fatalf("seed %d step %d: QueryWithTouch(q%d, %v, +%d) = %v, want %v", seed, step, qi, cfg, add, got, want)
+					}
+				}
 			}
-		}
-		if len(ds.touched) != len(touched.lists) {
-			t.Fatalf("seed %d: %d ordinals touched, want %d", seed, len(ds.touched), len(touched.lists))
-		}
-		for o, want := range touched.lists {
-			if got := ds.TouchedQueries(o); !slices.Equal(got, want) {
-				t.Fatalf("seed %d: TouchedQueries(%d) = %v, want %v", seed, o, got, want)
+			if err := checkByOrd(ds, touched.lists); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 		}
 		// The index grows by doubling once it is half full, so it never holds
@@ -224,8 +267,9 @@ func TestPostingReadsMatchLinearScan(t *testing.T) {
 	}
 }
 
-// Query, Bounds and QueryWith read through stack buffers and never
-// allocate, even with a configuration spanning the Real-M universe.
+// Query, QueryAll, Bounds, QueryWith and QueryWithTouch read through stack
+// buffers and never allocate, even with a configuration spanning the
+// Real-M universe.
 func TestPostingReadsAllocationFree(t *testing.T) {
 	g := newStreamGen(3)
 	ds := NewDerivedStore(nQueryWorkload(2), []float64{500, 700})
@@ -234,10 +278,17 @@ func TestPostingReadsAllocationFree(t *testing.T) {
 	}
 	cfg := iset.FromOrdinals(g.hot[:10]...)
 	cfg.Add(realMWidth - 1)
+	d := make([]float64, 2)
+	touched := ds.TouchedQueries(g.hot[11])
+	if len(touched) == 0 {
+		t.Fatal("no query touches the probed ordinal")
+	}
 	allocs := testing.AllocsPerRun(100, func() {
 		ds.Query(0, cfg)
+		ds.QueryAll(cfg, d)
 		ds.Bounds(1, cfg)
 		ds.QueryWith(0, cfg, 500, g.hot[11])
+		ds.QueryWithTouch(touched[0], cfg, 500, g.hot[11])
 	})
 	if allocs != 0 {
 		t.Fatalf("reads allocate %v times per run", allocs)

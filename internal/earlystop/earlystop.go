@@ -67,8 +67,8 @@ func New(ds *cost.DerivedStore, w *workload.Workload) *Checker {
 		c.weights[qi] = q.EffectiveWeight()
 	}
 	c.baseW = ds.BaseWorkload()
+	ds.QueryAll(c.tracked, c.dCur)
 	for qi := range c.dCur {
-		c.dCur[qi] = ds.Query(qi, c.tracked)
 		c.dSum += c.weights[qi] * c.dCur[qi]
 		c.processed[qi] = ds.Entries(qi)
 	}
@@ -118,8 +118,9 @@ func (c *Checker) Gap(cfg iset.Set) float64 {
 				}
 			}
 			for _, ord := range c.scratch {
-				for _, qi := range c.ds.TouchedQueries(ord) {
-					d := c.ds.QueryWith(qi, c.tracked, c.dCur[qi], ord)
+				for _, t := range c.ds.TouchedQueries(ord) {
+					qi := t.Query
+					d := c.ds.QueryWithTouch(t, c.tracked, c.dCur[qi], ord)
 					if d != c.dCur[qi] {
 						c.dSum += c.weights[qi] * (d - c.dCur[qi])
 						c.dCur[qi] = d
@@ -131,8 +132,8 @@ func (c *Checker) Gap(cfg iset.Set) float64 {
 			// Arbitrary move (an MCTS best-config switch): full recompute.
 			c.tracked = cfg.Clone()
 			c.dSum = 0
+			c.ds.QueryAll(cfg, c.dCur)
 			for qi := range c.dCur {
-				c.dCur[qi] = c.ds.Query(qi, cfg)
 				c.dSum += c.weights[qi] * c.dCur[qi]
 			}
 		}

@@ -42,7 +42,11 @@ type Config struct {
 	SessionWorkers int
 	// TraceDir, when non-empty, writes one trace event stream (JSONL) and
 	// one summary JSON per tuning run into the directory, named
-	// <workload>_<algorithm>_k<K>_b<budget>_seed<seed>. File errors are
+	// <workload>_<algorithm>_k<K>_b<budget>_seed<seed>, then _eps<ε> for a
+	// stop ε, _sc<bytes> for a storage limit and _rollout-random or
+	// _step<n> for an MCTS rollout other than the default, then _run<n>
+	// for the n-th run of this process with the same name (budget points
+	// that scale to one value, a run two figures share). File errors are
 	// reported on stderr and skip tracing for that run; they never abort
 	// the experiment.
 	TraceDir string
@@ -142,8 +146,8 @@ func (r *runner) run(alg search.Algorithm, k, budget int, seed int64, storage in
 	if r.cfg.TraceDir == "" {
 		return search.Run(alg, s)
 	}
-	base := traceFileName(r.wname, alg.Name(), k, budget, seed)
-	f, err := os.Create(filepath.Join(r.cfg.TraceDir, base+".jsonl"))
+	base := claimTraceStem(r.cfg.TraceDir, traceFileName(r.wname, alg.Name(), k, budget, seed)+r.traceVariant(alg, storage))
+	f, err := os.Create(base + ".jsonl")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments: trace:", err)
 		return search.Run(alg, s)
@@ -157,7 +161,7 @@ func (r *runner) run(alg search.Algorithm, k, budget int, seed int64, storage in
 	if err := f.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments: trace:", err)
 	}
-	sf, err := os.Create(filepath.Join(r.cfg.TraceDir, base+".summary.json"))
+	sf, err := os.Create(base + ".summary.json")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments: trace:", err)
 		return res
@@ -185,6 +189,49 @@ func traceFileName(wname, alg string, k, budget int, seed int64) string {
 		}, s)
 	}
 	return fmt.Sprintf("%s_%s_k%d_b%d_seed%d", clean(wname), clean(alg), k, budget, seed)
+}
+
+// traceVariant names the settings that set a run apart beyond
+// traceFileName's fields: a stop ε, a storage limit, and an MCTS rollout
+// other than the default's.
+func (r *runner) traceVariant(alg search.Algorithm, storage int64) string {
+	var v string
+	if r.cfg.StopEpsilon > 0 {
+		v += "_eps" + strconv.FormatFloat(r.cfg.StopEpsilon, 'g', -1, 64)
+	}
+	if storage > 0 {
+		v += "_sc" + strconv.FormatInt(storage, 10)
+	}
+	if m, ok := alg.(core.MCTS); ok {
+		switch {
+		case m.Opts.Rollout == core.RolloutRandomStep:
+			v += "_rollout-random"
+		case m.Opts.FixedStep != 0:
+			v += "_step" + strconv.Itoa(m.Opts.FixedStep)
+		}
+	}
+	return v
+}
+
+// traceStems holds every trace path stem this process has claimed.
+var traceStems = struct {
+	sync.Mutex
+	taken map[string]bool
+}{taken: map[string]bool{}}
+
+// claimTraceStem returns the path stem of a new run's trace files in dir:
+// dir/name, or dir/name_run<n> when n−1 runs of this process already
+// claimed the name. Runs that share a name have the same parameters, and
+// so write the same streams, whichever claims first.
+func claimTraceStem(dir, name string) string {
+	traceStems.Lock()
+	defer traceStems.Unlock()
+	stem := filepath.Join(dir, name)
+	for n := 2; traceStems.taken[stem]; n++ {
+		stem = filepath.Join(dir, name+"_run"+strconv.Itoa(n))
+	}
+	traceStems.taken[stem] = true
+	return stem
 }
 
 // runSeeds runs a (possibly randomized) algorithm once per configured seed,

@@ -242,6 +242,26 @@ func TestTraceDirWritesPerRunFiles(t *testing.T) {
 	}
 }
 
+// TestTraceDirNamesEveryRun runs the early-stopping experiment at one seed
+// and budgets ÷100 with a trace directory: its 24 runs (three algorithms,
+// two stop ε, four budget points, two of which scale to the same 10 calls)
+// must leave 24 event streams and 24 summaries, none overwritten.
+func TestTraceDirNamesEveryRun(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := ByID(Config{Seeds: 1, Scale: 100, TraceDir: dir}, "earlystop"); err != nil {
+		t.Fatal(err)
+	}
+	for _, ext := range []string{".jsonl", ".summary.json"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*"+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != 24 {
+			t.Fatalf("%d %s files for 24 runs: %v", len(files), ext, files)
+		}
+	}
+}
+
 // TestTraceFileNameSanitizes keeps algorithm labels filesystem-safe.
 func TestTraceFileNameSanitizes(t *testing.T) {
 	got := traceFileName("TPC-H", "Two-Phase Greedy", 10, 500, 42)

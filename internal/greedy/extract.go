@@ -115,8 +115,8 @@ func (x *Extractor) consume() {
 			}
 			for _, o := range set {
 				touched := ds.TouchedQueries(int(o))
-				for _, tq := range touched[x.touchedSeen[o]:] {
-					x.mentions[tq] = append(x.mentions[tq], o)
+				for _, t := range touched[x.touchedSeen[o]:] {
+					x.mentions[t.Query] = append(x.mentions[t.Query], o)
 				}
 				x.touchedSeen[o] = len(touched)
 			}
@@ -130,9 +130,7 @@ func (x *Extractor) start() {
 	st := x.push()
 	st.cur = iset.Set{}
 	st.dCur = resize(st.dCur, len(x.consumed))
-	for qi := range st.dCur {
-		st.dCur[qi] = x.s.Derived.Query(qi, st.cur)
-	}
+	x.s.Derived.QueryAll(st.cur, st.dCur)
 	st.cost = x.workloadCost(st.dCur)
 	x.choose(st)
 }
@@ -145,8 +143,8 @@ func (x *Extractor) advance(prev *extractStep) {
 	st.cur = prev.cur.With(prev.ord)
 	st.dCur = resize(st.dCur, len(prev.dCur))
 	copy(st.dCur, prev.dCur)
-	for _, qi := range x.s.Derived.TouchedQueries(prev.ord) {
-		st.dCur[qi] = x.s.Derived.QueryWith(qi, prev.cur, prev.dCur[qi], prev.ord)
+	for _, t := range x.s.Derived.TouchedQueries(prev.ord) {
+		st.dCur[t.Query] = x.s.Derived.QueryWithTouch(t, prev.cur, prev.dCur[t.Query], prev.ord)
 	}
 	st.cost = prev.cost - prev.delta[prev.ord]
 	x.choose(st)

@@ -45,19 +45,21 @@ func searchWith(s *search.Session, queries, cands []int, start iset.Set, k int, 
 	cur := start.Clone()
 	// dCur[j] = d(queries[j], cur): incremental derived costs.
 	dCur := make([]float64, len(queries))
-	curCost := 0.0
-	for j, qi := range queries {
-		dCur[j] = s.Derived.Query(qi, cur)
-		curCost += dCur[j] * s.W.Queries[qi].EffectiveWeight()
-	}
-
-	// qpos maps a workload query index to its position in queries.
+	// qpos maps a workload query index to its position in queries; it is
+	// nil when queries is the whole workload in order.
 	var qpos map[int]int
 	if len(queries) != len(s.W.Queries) {
 		qpos = make(map[int]int, len(queries))
 		for j, qi := range queries {
 			qpos[qi] = j
+			dCur[j] = s.Derived.Query(qi, cur)
 		}
+	} else {
+		s.Derived.QueryAll(cur, dCur)
+	}
+	curCost := 0.0
+	for j, qi := range queries {
+		curCost += dCur[j] * s.W.Queries[qi].EffectiveWeight()
 	}
 
 	var eb search.Batch // reused across budgeted steps
@@ -78,15 +80,15 @@ func searchWith(s *search.Session, queries, cands []int, start iset.Set, k int, 
 		if bestD == nil {
 			// Fast path returned only the winner; refresh touched positions
 			// before growing the configuration.
-			for _, qi := range s.Derived.TouchedQueries(bestOrd) {
-				j := qi
+			for _, t := range s.Derived.TouchedQueries(bestOrd) {
+				j := int(t.Query)
 				if qpos != nil {
 					var ok bool
-					if j, ok = qpos[qi]; !ok {
+					if j, ok = qpos[j]; !ok {
 						continue
 					}
 				}
-				dCur[j] = s.Derived.QueryWith(qi, cur, dCur[j], bestOrd)
+				dCur[j] = s.Derived.QueryWithTouch(t, cur, dCur[j], bestOrd)
 			}
 		} else {
 			copy(dCur, bestD)
@@ -223,7 +225,8 @@ func derivedStep(s *search.Session, queries []int, qpos map[int]int, cands []int
 // workload's own indexes.
 func candidateDelta(s *search.Session, qpos map[int]int, cur iset.Set, dCur []float64, ord int) float64 {
 	delta := 0.0
-	for _, qi := range s.Derived.TouchedQueries(ord) {
+	for _, t := range s.Derived.TouchedQueries(ord) {
+		qi := int(t.Query)
 		j := qi
 		if qpos != nil {
 			var ok bool
@@ -231,7 +234,7 @@ func candidateDelta(s *search.Session, qpos map[int]int, cur iset.Set, dCur []fl
 				continue
 			}
 		}
-		d := s.Derived.QueryWith(qi, cur, dCur[j], ord)
+		d := s.Derived.QueryWithTouch(t, cur, dCur[j], ord)
 		delta += (dCur[j] - d) * s.W.Queries[qi].EffectiveWeight()
 	}
 	return delta

@@ -599,13 +599,18 @@ func (o *Optimizer) relevance(q *workload.Query, in *queryInfo) []uint64 {
 // of two domains: every candidate when within is nil (a bitmap o.relWords
 // wide), else only within's members — rel(q) ∩ *within, as wide as the
 // narrower of the two, which tests only within's members of each table q
-// references, each found in its table by binary search. Both domains run
-// the same test, so the restricted bitmap is exactly the full one masked by
-// *within. A table's masks are built the first time it is tested.
+// references, each found in its table by binary search. within's members
+// are collected once per call, ascending, so each ref's positions are too.
+// Both domains run the same test, so the restricted bitmap is exactly the
+// full one masked by *within. A table's masks are built the first time it
+// is tested.
 func (o *Optimizer) relevanceOf(q *workload.Query, within *iset.Set) []uint64 {
 	n := o.relWords
+	var buf [32]int32
+	var members iset.Small
 	if within != nil {
 		n = min(n, within.NumWords())
+		members = within.AppendSmall(buf[:0])
 	}
 	rel := make([]uint64, n)
 	scratch := make([]uint64, 2*o.maxColWords)
@@ -618,12 +623,12 @@ func (o *Optimizer) relevanceOf(q *workload.Query, within *iset.Set) []uint64 {
 		}
 		if within != nil {
 			ks = ks[:0]
-			for wi := 0; wi < n; wi++ {
-				for w := within.Word(wi); w != 0; w &= w - 1 {
-					ord := wi*64 + bits.TrailingZeros64(w)
-					if ord < len(o.Candidates) && o.Candidates[ord].Table == r.Table {
-						ks = append(ks, int32(sort.SearchInts(tc.ords, ord)))
-					}
+			for _, ord := range members {
+				if int(ord) >= len(o.Candidates) {
+					break
+				}
+				if o.Candidates[ord].Table == r.Table {
+					ks = append(ks, int32(sort.SearchInts(tc.ords, int(ord))))
 				}
 			}
 			if len(ks) == 0 {
