@@ -197,14 +197,19 @@ type DerivedStore struct {
 	w    *workload.Workload
 	base []float64  // c(q, ∅) per query
 	byQ  []postings // known costs per query, with their ordinal postings
-	// byOrd[o] lists the queries with entries mentioning ordinal o, each
-	// once, with o's posting in that query, in the order of each query's
-	// first such entry. Recording order can interleave queries arbitrarily
-	// (parallel MCTS commits, per-query greedy phases); the query's
-	// postings already record which ordinals it has seen, so a posting
-	// miss is exactly the first entry of the query mentioning the ordinal.
-	// It is as long as the largest recorded ordinal plus one.
+	// byOrd holds, for each ordinal some entry mentions, the queries with
+	// entries mentioning it, each once, with the ordinal's posting in that
+	// query, in the order of each query's first such entry. Recording
+	// order can interleave queries arbitrarily (parallel MCTS commits,
+	// per-query greedy phases); the query's postings already record which
+	// ordinals it has seen, so a posting miss is exactly the first entry
+	// of the query mentioning the ordinal.
 	byOrd [][]Touch
+	// ordIdx[o] is one more than the index of ordinal o's list in byOrd,
+	// or 0 when no entry mentions o. It is as long as the largest recorded
+	// ordinal plus one, at 4 bytes an ordinal, so an ordinal no entry
+	// mentions costs no slice header (DESIGN §16).
+	ordIdx []int32
 	// floors[i] = c(q_i, U) for the full candidate universe U, or -1 when
 	// not yet probed. By Assumption 1 (monotonicity) this is a lower bound
 	// on c(q_i, C) for every C ⊆ U — the per-query improvement floor the
@@ -251,10 +256,15 @@ func (ds *DerivedStore) Record(qi int, cfg iset.Set, c float64) {
 		i := p.find(o)
 		if i < 0 {
 			i = p.add(o)
-			for int(o) >= len(ds.byOrd) {
-				ds.byOrd = append(ds.byOrd, nil)
+			for int(o) >= len(ds.ordIdx) {
+				ds.ordIdx = append(ds.ordIdx, 0)
 			}
-			ds.byOrd[o] = append(ds.byOrd[o], Touch{Query: int32(qi), posting: i})
+			if ds.ordIdx[o] == 0 {
+				ds.byOrd = append(ds.byOrd, nil)
+				ds.ordIdx[o] = int32(len(ds.byOrd))
+			}
+			l := &ds.byOrd[ds.ordIdx[o]-1]
+			*l = append(*l, Touch{Query: int32(qi), posting: i})
 		}
 		l := &p.lists[i]
 		l.all = append(l.all, pos)
@@ -327,10 +337,10 @@ func (ds *DerivedStore) EntryAt(qi, pos int) (set iset.Small, cost float64) {
 // mentioning candidate ord, each with ord's posting for QueryWithTouch. The
 // slice is in recording order (not sorted) and must not be modified.
 func (ds *DerivedStore) TouchedQueries(ord int) []Touch {
-	if ord >= len(ds.byOrd) {
+	if ord >= len(ds.ordIdx) || ds.ordIdx[ord] == 0 {
 		return nil
 	}
-	return ds.byOrd[ord]
+	return ds.byOrd[ds.ordIdx[ord]-1]
 }
 
 // Entries returns the number of recorded what-if costs for query qi.
@@ -378,7 +388,7 @@ func (ds *DerivedStore) Bounds(qi int, cfg iset.Set) (lo, hi float64) {
 
 // QueryAll sets d[q] = d(q, cfg) for every query of the workload (len(d)
 // must be the query count). It collects cfg's members once and walks, for
-// each, the head lists of the queries its byOrd list names: every entry
+// each, the head lists of the queries TouchedQueries names: every entry
 // S ⊆ cfg is empty or filed under a member of cfg, so each query's answer
 // is the minimum over the same qualifying entries Query visits.
 func (ds *DerivedStore) QueryAll(cfg iset.Set, d []float64) {
@@ -393,10 +403,10 @@ func (ds *DerivedStore) QueryAll(cfg iset.Set, d []float64) {
 	}
 	var buf [smallBuf]int32
 	for _, o := range cfg.AppendSmall(buf[:0]) {
-		if int(o) >= len(ds.byOrd) {
+		if int(o) >= len(ds.ordIdx) {
 			break
 		}
-		for _, t := range ds.byOrd[o] {
+		for _, t := range ds.TouchedQueries(int(o)) {
 			p := &ds.byQ[t.Query]
 			dq := d[t.Query]
 			for _, pos := range p.lists[t.posting].head {

@@ -133,8 +133,8 @@ func (g *streamGen) probe(recorded []iset.Set) (cfg iset.Set, exact bool) {
 }
 
 // refTouched lists, per ordinal, the queries whose entries mention it, in
-// the order of each query's first such entry — the queries of byOrd's
-// (query, posting) relation.
+// the order of each query's first such entry — the queries of the
+// ordinal-major (query, posting) relation.
 type refTouched struct {
 	lists map[int][]int
 	seen  map[[2]int]bool
@@ -154,14 +154,8 @@ func (r *refTouched) record(qi int, cfg iset.Set) {
 // each with the posting its index maps o to, and no other ordinal has a
 // list.
 func checkByOrd(ds *DerivedStore, want map[int][]int) error {
-	n := 0
-	for _, l := range ds.byOrd {
-		if len(l) > 0 {
-			n++
-		}
-	}
-	if n != len(want) {
-		return fmt.Errorf("%d ordinals have queries, want %d", n, len(want))
+	if len(ds.byOrd) != len(want) {
+		return fmt.Errorf("%d ordinals have queries, want %d", len(ds.byOrd), len(want))
 	}
 	for o, qs := range want {
 		got := ds.TouchedQueries(o)
