@@ -9,6 +9,7 @@ import (
 	"indextune/internal/anytime"
 	"indextune/internal/compress"
 	"indextune/internal/iset"
+	"indextune/internal/search"
 	"indextune/internal/trace"
 	"indextune/internal/whatif"
 	"indextune/internal/workload"
@@ -72,6 +73,9 @@ func TuneAnytime(w *WorkloadSet, opts AnytimeOptions, onProgress func(AnytimePro
 		return nil, fmt.Errorf("indextune: nil workload")
 	}
 	if err := w.Validate(); err != nil {
+		return nil, fmt.Errorf("indextune: %w", err)
+	}
+	if err := search.CheckEpsilon("StopEpsilon", opts.StopEpsilon); err != nil {
 		return nil, fmt.Errorf("indextune: %w", err)
 	}
 	var rec *trace.Recorder

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -89,6 +90,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		cfg.Scale = *scale
 	}
 	cfg.SessionWorkers = *sw
+	if err := errors.Join(search.CheckEpsilon("-derive-epsilon", *derive),
+		search.CheckEpsilon("-stop-epsilon", *stopEps)); err != nil {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return exitUsage
+	}
 	cfg.DeriveEpsilon = *derive
 	cfg.StopEpsilon = *stopEps
 	if *traceDir != "" {

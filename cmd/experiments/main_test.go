@@ -23,6 +23,10 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{},
 		{"-no-such-flag"},
 		{"-fig", "table1,99", "-csv", csv},
+		{"-fig", "table1", "-derive-epsilon", "NaN", "-csv", csv},
+		{"-fig", "table1", "-derive-epsilon", "-0.1", "-csv", csv},
+		{"-fig", "table1", "-stop-epsilon", "Inf", "-csv", csv},
+		{"-fig", "table1", "-stop-epsilon", "-Inf", "-csv", csv},
 	} {
 		if code, _, stderr := runCmd(args...); code != exitUsage {
 			t.Fatalf("%v: exit %d, want %d (stderr %q)", args, code, exitUsage, stderr)

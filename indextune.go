@@ -26,6 +26,7 @@ package indextune
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -306,6 +307,10 @@ func Tune(w *WorkloadSet, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("indextune: nil workload")
 	}
 	if err := w.Validate(); err != nil {
+		return nil, fmt.Errorf("indextune: %w", err)
+	}
+	if err := errors.Join(search.CheckEpsilon("DeriveEpsilon", opts.DeriveEpsilon),
+		search.CheckEpsilon("StopEpsilon", opts.StopEpsilon)); err != nil {
 		return nil, fmt.Errorf("indextune: %w", err)
 	}
 	opts = opts.withDefaults()

@@ -135,9 +135,9 @@ func BenchmarkMCTSFixedBudgetWorkers(b *testing.B) {
 
 // BenchmarkEarlyStopCheck measures the steady-state cost of the Esc-style
 // stopping rule at an enumerator commit point: floors probed, checker built,
-// configuration unchanged, no new store entries. This is the per-episode
-// overhead every stop-enabled run pays, so it must stay allocation-free
-// (asserted by `make bench-check` via -maxallocs).
+// configuration unchanged, no new store entries. A stop-enabled run pays it
+// once per 50 MCTS episodes or once per greedy step, so it must stay
+// allocation-free (asserted by `make bench-check` via -maxallocs).
 func BenchmarkEarlyStopCheck(b *testing.B) {
 	w := workload.ByName("tpch")
 	cands := candgen.Generate(w, candgen.Options{})

@@ -31,6 +31,7 @@ type postings struct {
 	// free slots hold ord and list −1. Its occupied slots number len(lists).
 	index []indexSlot
 	lists []posting
+	ords  []int32 // ords[i] is the ordinal of lists[i], in first-mention order
 }
 
 // indexSlot maps one ordinal to its posting.
@@ -282,6 +283,7 @@ func (ds *DerivedStore) Record(qi int, cfg iset.Set, c float64) {
 func (p *postings) add(o int32) int32 {
 	i := int32(len(p.lists))
 	p.lists = append(p.lists, posting{})
+	p.ords = append(p.ords, o)
 	if 2*len(p.lists) > len(p.index) {
 		old := p.index
 		size := 2 * len(old)
@@ -326,8 +328,8 @@ func (ds *DerivedStore) Floor(qi int) (c float64, ok bool) {
 
 // EntryAt returns the pos-th recorded entry of query qi (0 ≤ pos <
 // Entries(qi)), in recording order. The returned Small must not be modified.
-// Incremental consumers — the early-stopping checker — use it to fold in only
-// the entries recorded since their last visit.
+// Incremental consumers use it to fold in only the entries recorded since
+// their last visit.
 func (ds *DerivedStore) EntryAt(qi, pos int) (set iset.Small, cost float64) {
 	e := &ds.byQ[qi].entries[pos]
 	return e.set, e.cost
@@ -342,6 +344,10 @@ func (ds *DerivedStore) TouchedQueries(ord int) []Touch {
 	}
 	return ds.byOrd[ds.ordIdx[ord]-1]
 }
+
+// Ordinals returns the ordinals query qi's recorded entries mention, each
+// once, in first-mention order. The slice must not be modified.
+func (ds *DerivedStore) Ordinals(qi int) []int32 { return ds.byQ[qi].ords }
 
 // Entries returns the number of recorded what-if costs for query qi.
 func (ds *DerivedStore) Entries(qi int) int { return len(ds.byQ[qi].entries) }

@@ -3,6 +3,7 @@ package cost
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"indextune/internal/iset"
@@ -149,6 +150,23 @@ func (r *refTouched) record(qi int, cfg iset.Set) {
 	}
 }
 
+// refOrdinals lists the distinct ordinals of query qi's entries in the
+// order of their first mention.
+func refOrdinals(ds *DerivedStore, qi int) []int32 {
+	var ords []int32
+	seen := map[int32]bool{}
+	for pos := 0; pos < ds.Entries(qi); pos++ {
+		set, _ := ds.EntryAt(qi, pos)
+		for _, o := range set {
+			if !seen[o] {
+				seen[o] = true
+				ords = append(ords, o)
+			}
+		}
+	}
+	return ords
+}
+
 // checkByOrd reports the first way the ordinal-major relation departs from
 // its definition: TouchedQueries(o) lists the queries of want[o] in order,
 // each with the posting its index maps o to, and no other ordinal has a
@@ -177,9 +195,9 @@ func checkByOrd(ds *DerivedStore, want map[int][]int) error {
 // The indexed reads equal the linear scans exactly over random interleaved
 // record streams at Real-M width: empty and duplicate configurations,
 // universe floors, and probes at, below and above recorded entries. Each
-// stream also keeps the ordinal-major (query, posting) relation equal to
-// its definition and every query's index sized by the ordinals it
-// recorded.
+// stream also keeps the ordinal-major (query, posting) relation and each
+// query's Ordinals equal to their definitions, and every query's index
+// sized by the ordinals it recorded.
 func TestPostingReadsMatchLinearScan(t *testing.T) {
 	const nq = 5
 	for seed := int64(1); seed <= 20; seed++ {
@@ -249,6 +267,11 @@ func TestPostingReadsMatchLinearScan(t *testing.T) {
 			if err := checkByOrd(ds, touched.lists); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
+			for qi := 0; qi < nq; qi++ {
+				if got, want := ds.Ordinals(qi), refOrdinals(ds, qi); !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: Ordinals(q%d) = %v, want %v", seed, step, qi, got, want)
+				}
+			}
 		}
 		// The index grows by doubling once it is half full, so it never holds
 		// more than four slots per ordinal recorded.
@@ -263,7 +286,7 @@ func TestPostingReadsMatchLinearScan(t *testing.T) {
 
 // Query, QueryAll, Bounds, QueryWith and QueryWithTouch read through stack
 // buffers and never allocate, even with a configuration spanning the
-// Real-M universe.
+// Real-M universe; Ordinals returns the store's own slice.
 func TestPostingReadsAllocationFree(t *testing.T) {
 	g := newStreamGen(3)
 	ds := NewDerivedStore(nQueryWorkload(2), []float64{500, 700})
@@ -283,6 +306,7 @@ func TestPostingReadsAllocationFree(t *testing.T) {
 		ds.Bounds(1, cfg)
 		ds.QueryWith(0, cfg, 500, g.hot[11])
 		ds.QueryWithTouch(touched[0], cfg, 500, g.hot[11])
+		ds.Ordinals(1)
 	})
 	if allocs != 0 {
 		t.Fatalf("reads allocate %v times per run", allocs)

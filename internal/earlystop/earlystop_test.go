@@ -32,24 +32,28 @@ func newChecker() (*Checker, *cost.DerivedStore, *workload.Workload) {
 	return New(ds, w), ds, w
 }
 
-// improvement is the derived improvement fraction of the tracked
-// configuration as of the last Gap call — the achieved side of the bound,
-// read from the checker's incremental sums.
-func improvement(c *Checker) float64 {
-	if c.baseW <= 0 {
-		return 0
+// freshGap is the bound gap's definition, (Σ w·d(q, cfg) − Σ w·floor(q)) /
+// cost(W, ∅) with each sum in query order, read through the store's
+// per-query Query and Floor.
+func freshGap(ds *cost.DerivedStore, w *workload.Workload, cfg iset.Set) float64 {
+	dSum, floSum := 0.0, 0.0
+	for qi, q := range w.Queries {
+		dSum += q.EffectiveWeight() * ds.Query(qi, cfg)
+		if f, ok := ds.Floor(qi); ok {
+			floSum += q.EffectiveWeight() * f
+		}
 	}
-	return 1 - c.dSum/c.baseW
+	return (dSum - floSum) / ds.BaseWorkload()
 }
 
 // With nothing probed and nothing recorded, the entire baseline is headroom:
 // the gap is 1 (floors default to 0, a trivially sound lower bound).
 func TestGapFullHeadroomInitially(t *testing.T) {
-	c, _, _ := newChecker()
+	c, ds, _ := newChecker()
 	if got := c.Gap(iset.Set{}); got != 1 {
 		t.Fatalf("initial gap = %v, want 1", got)
 	}
-	if got := improvement(c); got != 0 {
+	if got := ds.Improvement(iset.Set{}); got != 0 {
 		t.Fatalf("initial improvement = %v, want 0", got)
 	}
 }
@@ -74,7 +78,7 @@ func TestGapCollapsesWhenDerivedMeetsFloors(t *testing.T) {
 	if got := c.Gap(iset.FromOrdinals(1)); got != 0 {
 		t.Fatalf("gap at floors = %v, want 0", got)
 	}
-	if got, want := improvement(c), 0.5; math.Abs(got-want) > 1e-12 {
+	if got, want := ds.Improvement(iset.FromOrdinals(1)), 0.5; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("improvement = %v, want %v", got, want)
 	}
 }
@@ -93,14 +97,13 @@ func TestUnprobedQueriesStayConservative(t *testing.T) {
 	}
 }
 
-// The incremental checker must agree with a freshly built one at every point
-// of a random interleaving of recordings, floor probes, config growth, and
-// arbitrary config switches — the grow path, the entry-sync path, and the
-// full-recompute path all reduce to the same gap.
-func TestIncrementalMatchesFreshChecker(t *testing.T) {
+// The checker's gap is exactly its definition at every point of a random
+// interleaving of recordings, floor probes, configuration growth and
+// arbitrary configuration switches, with one checker reused throughout.
+func TestGapEqualsFormula(t *testing.T) {
 	w, base := tinyWorkload()
 	ds := cost.NewDerivedStore(w, base)
-	inc := New(ds, w)
+	c := New(ds, w)
 	rng := rand.New(rand.NewSource(42))
 	cfg := iset.Set{}
 	for step := 0; step < 400; step++ {
@@ -119,7 +122,7 @@ func TestIncrementalMatchesFreshChecker(t *testing.T) {
 		case 1: // probe a floor (only ever tightens downward-compatible values)
 			qi := rng.Intn(3)
 			ds.RecordFloor(qi, base[qi]*0.1*(1+rng.Float64()))
-		case 2: // grow the tracked configuration
+		case 2: // grow the configuration
 			cfg = cfg.Clone()
 			cfg.Add(rng.Intn(6))
 		case 3: // arbitrary switch (MCTS best-config move)
@@ -131,10 +134,8 @@ func TestIncrementalMatchesFreshChecker(t *testing.T) {
 			}
 			cfg = n
 		}
-		got := inc.Gap(cfg)
-		want := New(ds, w).Gap(cfg)
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("step %d: incremental gap %v != fresh gap %v (cfg %v)", step, got, want, cfg)
+		if got, want := c.Gap(cfg), freshGap(ds, w, cfg); got != want {
+			t.Fatalf("step %d: gap %v != formula %v (cfg %v)", step, got, want, cfg)
 		}
 	}
 }
@@ -168,7 +169,7 @@ func TestGapBoundsRemainingImprovement(t *testing.T) {
 	c := New(ds, w)
 	cur := iset.FromOrdinals(0)
 	gap := c.Gap(cur)
-	achieved := improvement(c)
+	achieved := ds.Improvement(cur)
 	for trial := 0; trial < 100; trial++ {
 		var f iset.Set
 		for j := 0; j < 6; j++ {

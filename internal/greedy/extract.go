@@ -18,8 +18,8 @@ import (
 // recorded since the previous call into every memoized step:
 //
 //   - S ⊆ cur_i: dCur_i[q] becomes min(dCur_i[q], c); if it drops, every
-//     candidate whose touched queries include q is dirty (and at step 0 the
-//     step's cost is re-summed);
+//     candidate q's entries mention (the store's Ordinals(q)) is dirty (and
+//     at step 0 the step's cost is re-summed);
 //   - S \ cur_i = {o}: only o's delta can change;
 //   - otherwise the entry cannot qualify for any candidate of the step:
 //     touched lists only grow, and a query whose entries all fail to qualify
@@ -40,22 +40,10 @@ type Extractor struct {
 	s *search.Session
 	k int
 	// consumed[q] counts the entries of query q already folded into the memo.
-	consumed []int
-	// mentions[q] lists the candidates whose touched queries include q: the
-	// transpose of the store's touched lists, read up to touchedSeen[o].
-	mentions    [][]int32
-	touchedSeen []int
-	fresh       []freshEntry
-	steps       []*extractStep
-	dirty       []bool  // scratch: per candidate, marked for recomputation
-	dirtyList   []int32 // scratch: the marked candidates
-}
-
-// freshEntry is a store entry recorded since the previous Run.
-type freshEntry struct {
-	qi   int
-	set  iset.Small
-	cost float64
+	consumed  []int
+	steps     []*extractStep
+	dirty     []bool  // scratch: per candidate, marked for recomputation
+	dirtyList []int32 // scratch: the marked candidates
 }
 
 // extractStep is the memo of one greedy step.
@@ -73,12 +61,10 @@ type extractStep struct {
 func NewExtractor(s *search.Session, k int) *Extractor {
 	m, n := len(s.W.Queries), s.NumCandidates()
 	return &Extractor{
-		s:           s,
-		k:           k,
-		consumed:    make([]int, m),
-		mentions:    make([][]int32, m),
-		touchedSeen: make([]int, n),
-		dirty:       make([]bool, n),
+		s:        s,
+		k:        k,
+		consumed: make([]int, m),
+		dirty:    make([]bool, n),
 	}
 }
 
@@ -86,43 +72,19 @@ func NewExtractor(s *search.Session, k int) *Extractor {
 // workload cost on the store as it is now, bit-identical to DerivedOnly's
 // from-scratch search.
 func (x *Extractor) Run() (iset.Set, float64) {
-	x.consume()
 	if len(x.steps) == 0 {
 		x.start()
-	} else if len(x.fresh) > 0 {
+	} else {
 		x.refresh()
+	}
+	for qi := range x.consumed {
+		x.consumed[qi] = x.s.Derived.Entries(qi)
 	}
 	for last := x.steps[len(x.steps)-1]; last.ord >= 0; last = x.steps[len(x.steps)-1] {
 		x.advance(last)
 	}
 	last := x.steps[len(x.steps)-1]
 	return last.cur.Clone(), last.cost
-}
-
-// consume collects the entries recorded since the previous Run into fresh —
-// unless there is no memo yet to fold them into — and extends mentions with
-// the (query, candidate) pairs they introduced.
-func (x *Extractor) consume() {
-	ds := x.s.Derived
-	x.fresh = x.fresh[:0]
-	memo := len(x.steps) > 0
-	for qi, from := range x.consumed {
-		n := ds.Entries(qi)
-		for pos := from; pos < n; pos++ {
-			set, c := ds.EntryAt(qi, pos)
-			if memo {
-				x.fresh = append(x.fresh, freshEntry{qi: qi, set: set, cost: c})
-			}
-			for _, o := range set {
-				touched := ds.TouchedQueries(int(o))
-				for _, t := range touched[x.touchedSeen[o]:] {
-					x.mentions[t.Query] = append(x.mentions[t.Query], o)
-				}
-				x.touchedSeen[o] = len(touched)
-			}
-		}
-		x.consumed[qi] = n
-	}
 }
 
 // start computes step 0 from scratch, as Search initializes from ∅.
@@ -169,7 +131,7 @@ func (x *Extractor) choose(st *extractStep) {
 	st.ord = st.best()
 }
 
-// refresh folds the fresh entries into the memoized steps in order. The
+// refresh folds the new entries into the memoized steps in order. The
 // first step whose winner changes truncates the memo there; Run rebuilds
 // the rest.
 func (x *Extractor) refresh() {
@@ -200,32 +162,36 @@ func (x *Extractor) refresh() {
 	}
 }
 
-// fold applies the fresh entries to one step's derived costs and marks the
-// candidates whose delta they can change. It reports whether any d(q, cur)
-// dropped.
+// fold applies the entries recorded since the previous Run to one step's
+// derived costs and marks the candidates whose delta they can change. It
+// reports whether any d(q, cur) dropped.
 func (x *Extractor) fold(st *extractStep) bool {
+	ds := x.s.Derived
 	dropped := false
-	for _, e := range x.fresh {
-		out, missing := -1, 0
-		for _, o := range e.set {
-			if !st.cur.Has(int(o)) {
-				out = int(o)
-				if missing++; missing > 1 {
-					break
+	for qi, from := range x.consumed {
+		for pos := from; pos < ds.Entries(qi); pos++ {
+			set, c := ds.EntryAt(qi, pos)
+			out, missing := -1, 0
+			for _, o := range set {
+				if !st.cur.Has(int(o)) {
+					out = int(o)
+					if missing++; missing > 1 {
+						break
+					}
 				}
 			}
-		}
-		switch missing {
-		case 0:
-			if e.cost < st.dCur[e.qi] {
-				st.dCur[e.qi] = e.cost
-				dropped = true
-				for _, o := range x.mentions[e.qi] {
-					x.markDirty(o)
+			switch missing {
+			case 0:
+				if c < st.dCur[qi] {
+					st.dCur[qi] = c
+					dropped = true
+					for _, o := range ds.Ordinals(qi) {
+						x.markDirty(o)
+					}
 				}
+			case 1:
+				x.markDirty(int32(out))
 			}
-		case 1:
-			x.markDirty(int32(out))
 		}
 	}
 	return dropped

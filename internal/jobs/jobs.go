@@ -139,8 +139,9 @@ func (s *Spec) normalize() (*workload.Workload, error) {
 	if s.Workers > MaxWorkers {
 		return nil, fmt.Errorf("workers must be at most %d (got %d)", MaxWorkers, s.Workers)
 	}
-	if s.DeriveEpsilon < 0 || s.StopEpsilon < 0 {
-		return nil, fmt.Errorf("epsilons must be non-negative")
+	if err := errors.Join(search.CheckEpsilon("derive_epsilon", s.DeriveEpsilon),
+		search.CheckEpsilon("stop_epsilon", s.StopEpsilon)); err != nil {
+		return nil, err
 	}
 	if s.Algorithm == "" {
 		s.Algorithm = algo.NameMCTS

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -206,6 +207,11 @@ func TestManagerSubmitValidation(t *testing.T) {
 		{Workload: "tpch", WorkloadJSON: json.RawMessage(`{}`), Budget: 1}, // both
 		{WorkloadJSON: json.RawMessage(`{not json`), Budget: 1},
 		{Workload: "tpch", Budget: 1, StopEpsilon: -1},
+		{Workload: "tpch", Budget: 1, StopEpsilon: math.NaN()},
+		{Workload: "tpch", Budget: 1, StopEpsilon: math.Inf(1)},
+		{Workload: "tpch", Budget: 1, DeriveEpsilon: math.NaN()},
+		{Workload: "tpch", Budget: 1, DeriveEpsilon: math.Inf(1)},
+		{Workload: "tpch", Budget: 1, DeriveEpsilon: math.Inf(-1)},
 	}
 	for i, spec := range cases {
 		if _, err := m.Submit(spec); err == nil {

@@ -16,6 +16,8 @@ package search
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -66,6 +68,16 @@ const DefaultDeriveEpsilon = 0.05
 // 5000→1760) at unchanged final improvement, while 0.12 already costs MCTS
 // almost a point of improvement and 0.08 fires too late to save anything.
 const DefaultStopEpsilon = 0.1
+
+// CheckEpsilon returns an error naming name unless v is usable as a
+// DeriveEpsilon or StopEpsilon: finite and non-negative. A NaN tolerance
+// would intercept every pair (hi−lo > NaN·hi is never true) and never stop.
+func CheckEpsilon(name string, v float64) error {
+	if !(v >= 0) || math.IsInf(v, 1) {
+		return fmt.Errorf("%s must be finite and non-negative (got %v)", name, v)
+	}
+	return nil
+}
 
 // floorProbeHeadroom gates the floor probes behind a minimum remaining
 // budget, as a multiple of the workload size: probing costs one charged call
@@ -452,8 +464,8 @@ func (s *Session) commit(r *request, used int, key string) {
 	if r.floor {
 		// A universe-sized entry would put every query on every candidate's
 		// touched list, destroying the sparsity the greedy fast path and the
-		// incremental checker rely on, while the floor still tightens Bounds
-		// for every configuration (everything is a subset of U).
+		// stop check's QueryAll rely on, while the floor still tightens
+		// Bounds for every configuration (everything is a subset of U).
 		s.Derived.RecordFloor(r.qi, r.cost)
 	} else {
 		s.Derived.Record(r.qi, r.cfg, r.cost)

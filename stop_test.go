@@ -2,9 +2,31 @@ package indextune
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 )
+
+// A NaN, infinite or negative epsilon is refused before anything runs: a
+// NaN derive tolerance would answer every pair from bounds, and a NaN stop
+// tolerance would probe every floor and never stop.
+func TestTuneRejectsBadEpsilons(t *testing.T) {
+	w := Workload("tpch")
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1} {
+		for name, opts := range map[string]Options{
+			"DeriveEpsilon": {Budget: 50, DeriveEpsilon: eps},
+			"StopEpsilon":   {Budget: 50, StopEpsilon: eps},
+		} {
+			if _, err := Tune(w, opts); err == nil || !strings.Contains(err.Error(), name) {
+				t.Fatalf("Tune with %s %v: err %v, want one naming %s", name, eps, err, name)
+			}
+		}
+		if _, err := TuneAnytime(w, AnytimeOptions{StopEpsilon: eps}, nil); err == nil {
+			t.Fatalf("TuneAnytime with StopEpsilon %v: no error", eps)
+		}
+	}
+}
 
 // synthStopWorkload builds a small random workload for the early-stopping
 // property tests; seeds vary the schema, query shapes, and costs.
